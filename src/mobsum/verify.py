@@ -1,16 +1,20 @@
 """Exhaustive interval verification of inequalities on the summatory
-step functions, with exact per-interval endpoint logic.
+step functions, with exact per-interval supremum logic.
 
-m and M are constant on [n, n+1), so a bound against an increasing weight
-is checked at the right endpoint (log(n+1)|m(n)| <= b covers every real x
-in the interval); m1(x) = m(n) - M(n)/x is monotone per interval, so both
-endpoints plus the closed-form critical point of the weighted product are
-checked; mcheck(x) - 1 = m(n) log x - (ell(n) + 1) is smooth per interval
-with a single closed-form critical point under the log^2 weight.
+One kernel, `_interval_sup`, maximises each weighted function in closed
+form on [n, n+1): m and M are constant there, so the supremum sits at the
+endpoint where the weight is worst; m1(x) = m(n) - M(n)/x is smooth, and
+log^2 x * m1(x) peaks at an endpoint or at a root of a unimodal bracket,
+found by bisection; mcheck(x) - 1 = m(n) log x - (ell(n) + 1) under the
+log^2 weight has a single closed-form critical point in log x.
 
-Every decision accounts for the certified error radius of the prefix
-series; points whose margin falls inside the radius guard are escalated to
-exact (rational or 40-digit) arithmetic and reported as indeterminate.
+`verify_range` evaluates the kernel on float64 arrays and compares each
+supremum with the bound, allowing for the certified error radius of the
+prefix series; `sup_scan` evaluates it on float64 arrays and takes the
+argmax.  Intervals whose margin falls inside the guard band are escalated:
+the same kernel re-runs at 50 digits on exact M(n), on m(n) (exact rational
+up to n = 50000, within n 2^-256 above) and on ell(n) to 40 digits, and
+the intervals are reported as indeterminate.
 """
 
 from __future__ import annotations
@@ -18,18 +22,40 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from types import SimpleNamespace
+from typing import List, Tuple
 
 import mpmath as mp
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .tables import Tables
+from .tables import Tables, exact_prefix_fraction
 
 _ULP = 2.0 ** -53
 _CHUNK = 1 << 18
 _EXACT_FRACTION_LIMIT = 50000
+_FIXED_BITS = 256
+_BISECT_STEPS = 80
+
+# the weights each target supports, and the weight each predicate kind uses
+_WEIGHTS = {"m": ("1", "logx", "log2x", "sqrtx"), "m1": ("log2x",),
+            "mcheck-minus-1": ("log2x",), "M": ("sqrtx",)}
+_KIND_WEIGHT = {"const-bound": "1", "log-bound": "logx",
+                "log2-bound": "log2x", "sqrt-bound": "sqrtx"}
+
+# elementwise log/sqrt/exp for dtype=object arrays of mpf
+_MP = SimpleNamespace(log=np.frompyfunc(mp.log, 1, 1),
+                      sqrt=np.frompyfunc(mp.sqrt, 1, 1),
+                      exp=np.frompyfunc(mp.exp, 1, 1))
+
+
+def _check_weight(target: str, weight: str) -> None:
+    if target not in _WEIGHTS:
+        raise InvalidArgumentError(f"unknown target {target!r}")
+    if weight not in _WEIGHTS[target]:
+        raise InvalidArgumentError(
+            f"{target} supports the weights {', '.join(_WEIGHTS[target])}, "
+            f"not {weight!r}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +75,9 @@ class Predicate:
     c: float
 
     def __post_init__(self):
-        if self.kind not in ("const-bound", "log-bound", "log2-bound", "sqrt-bound"):
+        if self.kind not in _KIND_WEIGHT:
             raise InvalidArgumentError(f"unknown predicate kind {self.kind!r}")
-        if self.target not in ("m", "m1", "M", "mcheck-minus-1"):
-            raise InvalidArgumentError(f"unknown predicate target {self.target!r}")
+        _check_weight(self.target, _KIND_WEIGHT[self.kind])
 
 
 PREDICATES = {
@@ -86,7 +111,91 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# per-chunk quantity computation (vectorized, exact endpoint logic)
+# the per-interval supremum kernel
+
+def _weight(weight, x, fn):
+    if weight == "1":
+        return 1.0
+    if weight == "sqrtx":
+        return fn.sqrt(x)
+    lx = fn.log(x)
+    return lx if weight == "logx" else lx ** 2
+
+
+def _best(vals, cands):
+    """Elementwise (max, argmax) over candidate arrays; the first max wins."""
+    sup, arg = vals[0], cands[0]
+    for v, x in zip(vals[1:], cands[1:]):
+        better = v > sup
+        sup, arg = np.where(better, v, sup), np.where(better, x, arg)
+    return sup, arg
+
+
+def _bisect(u, lo, hi, ulo, uhi, fn):
+    """Elementwise root of u(x, log x, k) in [lo, hi] where u changes sign,
+    else lo.  A midpoint where u is exactly 0 is kept."""
+    root = lo.copy()
+    k = np.nonzero(ulo * uhi < 0)[0]
+    a, b, ua = lo[k], hi[k], ulo[k]
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (a + b)
+        um = u(mid, fn.log(mid), k)
+        left = ua * um < 0
+        hit = um == 0
+        a = np.where(hit | ~left, mid, a)
+        b = np.where(hit | left, mid, b)
+        ua = np.where(left, ua, um)
+    root[k] = 0.5 * (a + b)
+    return root
+
+
+def _interval_sup(target, weight, x1, x2, m, M, ell, fn=np):
+    """Elementwise (sup, argmax) of w(x)|f(x)| over x in [x1, x2].
+
+    f is the target on [n, n+1) built from m = m(n), M = M(n) and
+    ell = ell(n); w is the weight.  fn supplies log, sqrt and exp: numpy for
+    float64 arrays, _MP for dtype=object arrays of mpf.
+    """
+    if target == "M":
+        # |M(n)| / sqrt(x) decreases in x
+        return np.abs(M) / fn.sqrt(x1), x1
+    if target == "m":
+        # |m(n)| is constant and the weight increases
+        return _weight(weight, x2, fn) * np.abs(m), (x1 if weight == "1" else x2)
+    lx1, lx2 = fn.log(x1), fn.log(x2)
+    nonzero = m != 0
+    m_safe = np.where(nonzero, m, 1.0)
+    if target == "m1":
+        # d/dx (m - M/x) log^2 x = (log x / x^2) u(x), u = M log x + 2 m x - 2 M;
+        # u' = M/x + 2m changes sign only at xs = -M/(2m), so u has at most
+        # one root on each side of xs
+        def f(x, lx):
+            return np.abs(m - M / x) * lx * lx
+
+        def u(x, lx, k=slice(None)):
+            return M[k] * lx + 2.0 * m[k] * x - 2.0 * M[k]
+
+        xs = -M / (2.0 * m_safe)
+        s = np.where(nonzero & (x1 < xs) & (xs < x2), xs, x2)
+        u1, us, u2 = u(x1, lx1), u(s, fn.log(s)), u(x2, lx2)
+        ra = _bisect(u, x1, s, u1, us, fn)
+        rb = _bisect(u, s, x2, us, u2, fn)
+        return _best([f(x1, lx1), f(x2, lx2), f(ra, fn.log(ra)), f(rb, fn.log(rb))],
+                     [x1, x2, ra, rb])
+    # mcheck - 1: g(L) = |m L - d| L^2 over L = log x, critical at L = 2d/(3m)
+    d = ell + 1.0
+
+    def g(L):
+        return np.abs(m * L - d) * L * L
+
+    Lc = np.clip(np.where(nonzero, 2.0 * d / (3.0 * m_safe), lx1), lx1, lx2)
+    return _best([g(lx1), g(lx2), g(Lc)], [x1, x2, fn.exp(Lc)])
+
+
+def _scale_bound(pred: Predicate):
+    """(scale, bound): the predicate holds on [n, n+1) iff scale * sup <= bound."""
+    return (pred.c, 1.0) if pred.kind == "const-bound" else (1.0, pred.c)
+
 
 def _chunk_scan(pred: Predicate, a: int, b: int, tables: Tables):
     """Quantities q(n), guards g(n) and bound for integers n in [a, b).
@@ -94,127 +203,45 @@ def _chunk_scan(pred: Predicate, a: int, b: int, tables: Tables):
     q(n) is the supremum of the weighted function over [n, n+1); the
     predicate holds on the interval iff q(n) <= bound.
     """
-    n = np.arange(a, b, dtype=np.int64)
-    nf = n.astype(np.float64)
+    weight = _KIND_WEIGHT[pred.kind]
     ser = tables.series
+    x1 = np.arange(a, b, dtype=np.float64)
+    x2 = x1 + 1.0
+    sup, _ = _interval_sup(pred.target, weight, x1, x2, ser.m.values[a:b],
+                           tables.mu.mertens[a:b], ser.ell.values[a:b])
+    scale, bound = _scale_bound(pred)
+    q = scale * sup
     if pred.target == "M":
-        if pred.kind != "sqrt-bound":
-            raise InvalidArgumentError("M predicates support sqrt-bound only")
-        # |M(x)| = |M(n)| on [n, n+1); c sqrt(x) is smallest at x = n
-        q = np.abs(tables.mu.mertens[n]).astype(np.float64) / np.sqrt(nf)
-        return q, 4.0 * _ULP * q, pred.c
+        return q, 4.0 * _ULP * q, bound
+    err = ser.m.error_radius[a:b]
+    if pred.target == "mcheck-minus-1":
+        L2 = np.log(x2)
+        radius = (err * L2 + ser.ell.error_radius[a:b]) * L2 * L2
+    else:
+        radius = scale * _weight(weight, x2, np) * err
     if pred.target == "m":
-        v = np.abs(ser.m.values[n])
-        err = ser.m.error_radius[n]
-        if pred.kind == "const-bound":
-            return pred.c * v, pred.c * err + 4.0 * _ULP * pred.c * v, 1.0
-        if pred.kind == "log-bound":
-            w = np.log(nf + 1.0)
-        elif pred.kind == "log2-bound":
-            w = np.log(nf + 1.0) ** 2
-        else:  # sqrt-bound
-            w = np.sqrt(nf + 1.0)
-        q = w * v
-        return q, w * err + 4.0 * _ULP * q, pred.c
-    if pred.target == "m1":
-        if pred.kind != "log2-bound":
-            raise InvalidArgumentError("m1 predicates support log2-bound only")
-        q = np.empty(n.shape[0])
-        av = ser.m.values
-        Mv = tables.mu.mertens
-        for i, ni in enumerate(n.tolist()):
-            q[i] = _interval_sup_m1_log2(float(av[ni]), float(Mv[ni]),
-                                         float(ni), float(ni + 1))
-        w = np.log(nf + 1.0) ** 2
-        guard = w * ser.m.error_radius[n] + 8.0 * _ULP * (np.abs(q) + 1.0)
-        return q, guard, pred.c
-    # mcheck-minus-1, log2-bound
-    if pred.kind != "log2-bound":
-        raise InvalidArgumentError("mcheck predicates support log2-bound only")
-    a_ = ser.m.values[n]
-    d_ = ser.ell.values[n] + 1.0
-    L1 = np.log(nf)
-    L2 = np.log(nf + 1.0)
-    q = _sup_abs_aL_minus_d(a_, d_, L1, L2)
-    err = (ser.m.error_radius[n] * L2 + ser.ell.error_radius[n]) * L2 * L2
-    return q, err + 8.0 * _ULP * (np.abs(q) + 1.0), pred.c
-
-
-def _sup_abs_aL_minus_d(a, d, L1, L2):
-    """max over L in [L1, L2] of |a L - d| L^2, vectorized.
-
-    Candidates: both endpoints and the interior critical point L = 2d/(3a)
-    of (aL - d)L^2 (the |.| minimum aL = d is never a maximum).
-    """
-    v1 = np.abs(a * L1 - d) * L1 * L1
-    v2 = np.abs(a * L2 - d) * L2 * L2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Lc = np.where(a != 0.0, 2.0 * d / (3.0 * np.where(a != 0.0, a, 1.0)), L1)
-    Lc = np.clip(Lc, L1, L2)
-    vc = np.abs(a * Lc - d) * Lc * Lc
-    return np.maximum(np.maximum(v1, v2), vc)
-
-
-def _interval_sup_m1_log2(a: float, b: float, x1: float, x2: float) -> float:
-    """max over x in [x1, x2] of |a - b/x| log^2 x  (m1 on [n, n+1)).
-
-    f'(x) has the sign of log(x) * (b log x + 2 a x - 2 b); the bracket
-    u(x) = b log x + 2 a x - 2 b is unimodal (u' = b/x + 2a changes sign at
-    most once), so it has at most two roots, located by bisection.
-    """
-
-    def f(x):
-        lx = math.log(x)
-        return abs(a - b / x) * lx * lx
-
-    def u(x):
-        return b * math.log(x) + 2.0 * a * x - 2.0 * b
-
-    cands = [x1, x2]
-    probes = [x1, x2]
-    if a != 0.0:
-        xs = -b / (2.0 * a)
-        if x1 < xs < x2:
-            probes = [x1, xs, x2]
-    for lo, hi in zip(probes[:-1], probes[1:]):
-        ulo, uhi = u(lo), u(hi)
-        if ulo == 0.0:
-            cands.append(lo)
-        if ulo * uhi < 0.0:
-            llo, hhi = lo, hi
-            for _ in range(80):
-                mid = 0.5 * (llo + hhi)
-                if u(mid) == 0.0:
-                    break
-                if u(llo) * u(mid) < 0.0:
-                    hhi = mid
-                else:
-                    llo = mid
-            cands.append(0.5 * (llo + hhi))
-    return max(f(x) for x in cands if x >= 1.0)
+        return q, radius + 4.0 * _ULP * q, bound
+    return q, radius + 8.0 * _ULP * (np.abs(q) + 1.0), bound
 
 
 # ---------------------------------------------------------------------------
 # exact escalation
 
 def _exact_m(tables: Tables, n: int):
-    """Exact (or 40-digit) value of m(n) for margin re-decision."""
+    """m(n) for margin re-decision, as an mpf at the caller's precision:
+    exact up to _EXACT_FRACTION_LIMIT; above it a fixed-point sum with
+    _FIXED_BITS fractional bits, so the error is below n 2^-_FIXED_BITS."""
     if n <= _EXACT_FRACTION_LIMIT:
-        acc = Fraction(0)
-        mu = tables.mu.mu
-        for k in range(1, n + 1):
-            v = int(mu[k])
-            if v:
-                acc += Fraction(v, k)
-        return acc
-    with mp.workdps(40):
-        mu = tables.mu.mu
-        acc = mp.mpf(0)
-        for k in range(1, n + 1):
-            v = int(mu[k])
-            if v:
-                acc += mp.mpf(v) / k
-        return acc
+        f = exact_prefix_fraction(tables.mu, n)
+        return mp.mpf(f.numerator) / f.denominator
+    one = 1 << _FIXED_BITS
+    mu = tables.mu.mu
+    acc = 0
+    for k in range(1, n + 1):
+        v = int(mu[k])
+        if v:
+            acc += v * (one // k)
+    return mp.ldexp(mp.mpf(acc), -_FIXED_BITS)
 
 
 def _exact_ell(tables: Tables, n: int):
@@ -230,40 +257,18 @@ def _exact_ell(tables: Tables, n: int):
 
 
 def _exact_recheck(pred: Predicate, n: int, tables: Tables) -> Tuple[float, bool]:
-    """Re-decide a marginal interval in exact/high-precision arithmetic."""
+    """Re-decide a marginal interval: the scan's kernel at 50 digits."""
     with mp.workdps(50):
-        if pred.target == "M":
-            q = abs(int(tables.mu.mertens[n])) / mp.sqrt(n)
-            return float(q), bool(q <= pred.c)
-        mv = _exact_m(tables, n)
-        if isinstance(mv, Fraction):
-            mv = mp.mpf(mv.numerator) / mv.denominator
-        if pred.target == "m":
-            if pred.kind == "const-bound":
-                q = pred.c * abs(mv)
-                return float(q), bool(q <= 1)
-            if pred.kind == "log-bound":
-                q = mp.log(n + 1) * abs(mv)
-            elif pred.kind == "log2-bound":
-                q = mp.log(n + 1) ** 2 * abs(mv)
-            else:
-                q = mp.sqrt(n + 1) * abs(mv)
-            return float(q), bool(q <= pred.c)
-        if pred.target == "m1":
-            M = int(tables.mu.mertens[n])
-            q = _interval_sup_m1_log2(float(mv), float(M), float(n), float(n + 1))
-            return float(q), bool(q <= pred.c)
-        # mcheck-minus-1 under the log^2 weight
-        d = _exact_ell(tables, n) + 1
-        L1 = mp.log(n)
-        L2 = mp.log(n + 1)
-        cands = [L1, L2]
-        if mv != 0:
-            Lc = 2 * d / (3 * mv)
-            if L1 < Lc < L2:
-                cands.append(Lc)
-        q = max(abs(mv * L - d) * L * L for L in cands)
-        return float(q), bool(q <= pred.c)
+        m = _exact_m(tables, n) if pred.target != "M" else 0
+        ell = _exact_ell(tables, n) if pred.target == "mcheck-minus-1" else 0
+        M = int(tables.mu.mertens[n])
+        x1, x2, m, M, ell = (np.array([mp.mpf(v)], dtype=object)
+                             for v in (n, n + 1, m, M, ell))
+        sup, _ = _interval_sup(pred.target, _KIND_WEIGHT[pred.kind],
+                               x1, x2, m, M, ell, fn=_MP)
+        scale, bound = _scale_bound(pred)
+        q = scale * sup[0]
+        return float(q), bool(q <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +285,8 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     n_hi = int(math.ceil(hi))
     if n_lo < 1:
         raise InvalidArgumentError("range must start at x >= 1")
+    if n_hi <= n_lo:
+        raise InvalidArgumentError(f"empty range [{lo}, {hi})")
     if n_hi - 1 > tables.limit:
         raise RangeError(f"range end {hi} exceeds sieve limit {tables.limit}")
     spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
@@ -317,107 +324,28 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     return report
 
 
-def sup_scan(tables: Tables, target: str, weight: str, lo: float, hi: float,
-             absolute: bool = True) -> Tuple[float, float]:
+def sup_scan(tables: Tables, target: str, weight: str, lo: float,
+             hi: float) -> Tuple[float, float]:
     """(sup, argmax_x) of the weighted summatory function on [lo, hi].
 
     Per-interval maxima are computed in closed form, so the argmax is exact
     even though x ranges over the continuum.
     """
+    _check_weight(target, weight)
     if hi > tables.limit:
         raise RangeError(f"scan end {hi} exceeds sieve limit {tables.limit}")
     n_lo = max(1, int(math.floor(lo)))
     n_hi = int(math.floor(hi))
+    if lo > hi or n_hi < n_lo:
+        raise InvalidArgumentError(f"empty scan range [{lo}, {hi}]")
     ser = tables.series
-    best = -math.inf
-    best_x = float(n_lo)
-
-    if target in ("m", "M"):
-        n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-        nf = n.astype(np.float64)
-        right = np.minimum(nf + 1.0, float(hi))
-        if target == "M":
-            if weight != "sqrtx":
-                raise InvalidArgumentError("M scans support the sqrtx weight")
-            vals = np.abs(tables.mu.mertens[n]).astype(np.float64) / np.sqrt(nf)
-            xs = nf
-        else:
-            v = np.abs(ser.m.values[n]) if absolute else ser.m.values[n]
-            if weight == "1":
-                vals, xs = v, nf
-            elif weight == "logx":
-                vals, xs = v * np.log(right), right
-            elif weight == "log2x":
-                vals, xs = v * np.log(right) ** 2, right
-            elif weight == "sqrtx":
-                vals, xs = v * np.sqrt(right), right
-            else:
-                raise InvalidArgumentError(f"unknown weight {weight!r}")
-        i = int(np.argmax(vals))
-        return float(vals[i]), float(xs[i])
-
-    if target == "m1":
-        if weight != "log2x":
-            raise InvalidArgumentError("m1 scans support the log2x weight")
-        for n in range(n_lo, n_hi + 1):
-            a = float(ser.m.values[n])
-            b = float(tables.mu.mertens[n])
-            x2 = min(float(n + 1), float(hi))
-            val, arg = _interval_argmax_m1_log2(a, b, float(n), x2, absolute)
-            if val > best:
-                best, best_x = val, arg
-        return best, best_x
-
-    if target == "mcheck-minus-1":
-        if weight != "log2x":
-            raise InvalidArgumentError("mcheck scans support the log2x weight")
-        for n in range(n_lo, n_hi + 1):
-            a = float(ser.m.values[n])
-            d = float(ser.ell.values[n]) + 1.0
-            L1 = math.log(n) if n > 1 else 0.0
-            L2 = math.log(min(n + 1, hi))
-            cands = [L1, L2]
-            if a != 0.0:
-                Lc = 2.0 * d / (3.0 * a)
-                if L1 < Lc < L2:
-                    cands.append(Lc)
-            for L in cands:
-                g = (a * L - d) * L * L
-                v = abs(g) if absolute else g
-                if v > best:
-                    best, best_x = v, math.exp(L)
-        return best, best_x
-
-    raise InvalidArgumentError(f"unknown scan target {target!r}")
-
-
-def _interval_argmax_m1_log2(a, b, x1, x2, absolute):
-    """(max, argmax) of (|.| of) (a - b/x) log^2 x over [x1, x2]."""
-
-    def f(x):
-        lx = math.log(x)
-        v = (a - b / x) * lx * lx
-        return abs(v) if absolute else v
-
-    def u(x):
-        return b * math.log(x) + 2.0 * a * x - 2.0 * b
-
-    cands = [x1, x2]
-    probes = [x1, x2]
-    if a != 0.0 and x1 < -b / (2.0 * a) < x2:
-        probes = [x1, -b / (2.0 * a), x2]
-    for lo, hi in zip(probes[:-1], probes[1:]):
-        if u(lo) * u(hi) < 0.0:
-            llo, hhi = lo, hi
-            for _ in range(80):
-                mid = 0.5 * (llo + hhi)
-                if u(llo) * u(mid) <= 0.0:
-                    hhi = mid
-                else:
-                    llo = mid
-            cands.append(0.5 * (llo + hhi))
-    vals = [(f(x), x) for x in cands if x >= 1.0]
-    return max(vals, key=lambda t: t[0])
+    x1 = np.arange(n_lo, n_hi + 1, dtype=np.float64)
+    x2 = np.minimum(x1 + 1.0, float(hi))
+    s = slice(n_lo, n_hi + 1)
+    sup, arg = _interval_sup(target, weight, x1, x2, ser.m.values[s],
+                             tables.mu.mertens[s], ser.ell.values[s])
+    i = int(np.argmax(sup))
+    return float(sup[i]), float(arg[i])
 
 
 @dataclass
@@ -435,33 +363,37 @@ class RatioReport:
         return not self.violations
 
 
-def ratio_theorem_C(tables: Tables, x_max: int, lo: int = 94,
-                    low: float = 2.0 / 3.0, high: float = 1.5) -> RatioReport:
-    """Running-supremum ratio sup_{t<=x} t|m(t)| / sup_{t<=x} |M(t)|.
+def _running_ratio(tables: Tables, x_max: int) -> np.ndarray:
+    """r[x - 1] = sup_{t<=x} t|m(t)| / sup_{t<=x} |M(t)| for x in [1, x_max].
 
     The numerator supremum over the interval (n-1, n] closes at t = n with
     candidates n|m(n)| and n|m(n-1)|; both running suprema are cumulative
     maxima over exact (radius-certified) table values.
     """
+    nf = np.arange(1, x_max + 1, dtype=np.float64)
+    mv = np.abs(tables.series.m.values[:x_max + 1])
+    run_m = np.maximum.accumulate(np.maximum(nf * mv[1:], nf * mv[:-1]))
+    run_M = np.maximum.accumulate(
+        np.abs(tables.mu.mertens[1:x_max + 1]).astype(np.float64))
+    return run_m / run_M
+
+
+def ratio_theorem_C(tables: Tables, x_max: int, lo: int = 94,
+                    low: float = 2.0 / 3.0, high: float = 1.5) -> RatioReport:
+    """Running-supremum ratio sup_{t<=x} t|m(t)| / sup_{t<=x} |M(t)| on
+    [lo, x_max], checked against the band [low, high]."""
     if x_max > tables.limit:
         raise RangeError(f"x_max {x_max} exceeds sieve limit {tables.limit}")
-    n = np.arange(1, x_max + 1, dtype=np.int64)
-    nf = n.astype(np.float64)
-    mv = np.abs(tables.series.m.values[n])
-    prev = np.abs(tables.series.m.values[n - 1])
-    cand = np.maximum(nf * mv, nf * prev)
-    run_m = np.maximum.accumulate(cand)
-    run_M = np.maximum.accumulate(np.abs(tables.mu.mertens[n]).astype(np.float64))
-    ratio = run_m / run_M
-    window = ratio[lo - 1:]
-    idx = np.arange(lo, x_max + 1)
+    if x_max < lo:
+        raise InvalidArgumentError(f"empty ratio range [{lo}, {x_max}]")
+    window = _running_ratio(tables, x_max)[lo - 1:]
     i_min = int(np.argmin(window))
     i_max = int(np.argmax(window))
     rep = RatioReport(lo=lo, hi=x_max,
                       min_ratio=float(window[i_min]), max_ratio=float(window[i_max]),
-                      argmin=int(idx[i_min]), argmax=int(idx[i_max]))
+                      argmin=lo + i_min, argmax=lo + i_max)
     bad = np.nonzero((window < low) | (window > high))[0]
-    rep.violations = [(int(idx[i]), float(window[i])) for i in bad.tolist()]
+    rep.violations = [(lo + i, float(window[i])) for i in bad.tolist()]
     return rep
 
 
@@ -469,15 +401,8 @@ def ratio_violation_below(tables: Tables, lo: int = 2, hi: int = 94,
                           low: float = 2.0 / 3.0, high: float = 1.5):
     """First x in [lo, hi) where the running-supremum ratio leaves the band
     (witness that the stated rank is minimal), or None."""
-    n = np.arange(1, hi, dtype=np.int64)
-    nf = n.astype(np.float64)
-    mv = np.abs(tables.series.m.values[n])
-    prev = np.abs(tables.series.m.values[n - 1])
-    run_m = np.maximum.accumulate(np.maximum(nf * mv, nf * prev))
-    run_M = np.maximum.accumulate(np.abs(tables.mu.mertens[n]).astype(np.float64))
-    ratio = run_m / run_M
-    for x in range(lo, hi):
-        r = float(ratio[x - 1])
-        if r < low or r > high:
-            return x, r
-    return None
+    window = _running_ratio(tables, hi - 1)[lo - 1:]
+    bad = np.nonzero((window < low) | (window > high))[0]
+    if not bad.size:
+        return None
+    return lo + int(bad[0]), float(window[bad[0]])

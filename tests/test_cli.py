@@ -20,6 +20,11 @@ def test_usage_errors_exit_2(capsys):
                        "--from", "10", "--to", "20")
     assert code == 2
     assert "unknown predicate" in err
+    # an inverted range is a usage error, never a PASS
+    code, out, _ = run(capsys, "verify", "--pred", "m4343",
+                       "--from", "5000", "--to", "3000")
+    assert code == 2
+    assert "status=PASS" not in out
 
 
 def test_mellin_output_and_precision(capsys):

@@ -1,14 +1,18 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mobsum import verify
 from mobsum.errors import InvalidArgumentError, RangeError
-from mobsum.tables import evaluate
+from mobsum.tables import evaluate, exact_prefix_fraction
 from mobsum.verify import (
     PREDICATES,
     Predicate,
+    _MP,
+    _interval_sup,
     ratio_theorem_C,
     ratio_violation_below,
     sup_scan,
@@ -62,6 +66,10 @@ def test_sup_scan_guards(tables_small):
         sup_scan(tables_small, "m1", "logx", 1, 10)
     with pytest.raises(InvalidArgumentError):
         sup_scan(tables_small, "m", "cube", 1, 10)
+    for target, weight in (("m", "1"), ("m1", "log2x"),
+                           ("mcheck-minus-1", "log2x"), ("M", "sqrtx")):
+        with pytest.raises(InvalidArgumentError):
+            sup_scan(tables_small, target, weight, 5000, 3000)
 
 
 def test_verify_const_bound_passes(tables_small):
@@ -107,10 +115,14 @@ def test_verify_range_guards(tables_small):
         verify_range(PREDICATES["m4343"], 1, 30000, tables_small)
     with pytest.raises(InvalidArgumentError):
         verify_range(PREDICATES["m4343"], 0, 10, tables_small)
+    # an empty or inverted range certifies nothing
+    for lo, hi in ((5000, 3000), (5000, 5000)):
+        with pytest.raises(InvalidArgumentError):
+            verify_range(PREDICATES["m4343"], lo, hi, tables_small)
 
 
 def test_verify_jobs_deterministic(tables_small):
-    for pred in ("m4345", "msqrt0.5", "mchecklog2-0.162"):
+    for pred in ("m4345", "msqrt0.5", "mchecklog2-0.162", "m1log2-0.138"):
         reps = [verify_range(PREDICATES[pred], 3, 20000, tables_small, jobs=j)
                 for j in (1, 4, 16)]
         for r in reps[1:]:
@@ -120,16 +132,85 @@ def test_verify_jobs_deterministic(tables_small):
             assert r.indeterminate == reps[0].indeterminate
 
 
-def test_escalation_on_razor_thin_margin(tables_small):
-    # build a predicate whose bound equals the weighted value at one point
-    # exactly: the margin is inside the guard band, forcing exact re-decision
-    n = 137
-    mval = abs(float(tables_small.series.m.values[n]))
-    pred = Predicate("synthetic", "const-bound", "m", 1.0 / mval)
-    rep = verify_range(pred, n, n + 1, tables_small)
-    assert n in rep.indeterminate
-    # the exact recheck decides it one way or the other without crashing
+def _oracle_sup(tables, target, n):
+    """60-digit sup of the weighted target on [n, n+1], independent of the
+    verify kernel: exact m(n), and the critical points of the signed
+    weighted function from sign changes of its numerical derivative."""
+    with mp.workdps(60):
+        fr = exact_prefix_fraction(tables.mu, n)
+        m = mp.mpf(fr.numerator) / fr.denominator
+        M = int(tables.mu.mertens[n])
+        if target == "M":
+            return abs(M) / mp.sqrt(n)
+        if target == "m":
+            return abs(m)
+        if target == "m1":
+            def h(x):
+                return (m - M / x) * mp.log(x) ** 2
+        else:
+            mu = tables.mu.mu
+            d = 1 + mp.fsum(int(mu[k]) * mp.log(k) / k for k in range(2, n + 1))
+
+            def h(x):
+                return (m * mp.log(x) - d) * mp.log(x) ** 2
+        grid = mp.linspace(n, n + 1, 33)
+        cands = [grid[0], grid[-1]]
+        for a, b in zip(grid[:-1], grid[1:]):
+            if mp.diff(h, a) * mp.diff(h, b) < 0:
+                cands.append(mp.findroot(lambda x: mp.diff(h, x), (a, b),
+                                         solver="anderson"))
+        return max(abs(h(x)) for x in cands)
+
+
+@pytest.mark.parametrize("target, kind, n", [
+    ("m", "const-bound", 137), ("m1", "log2-bound", 1234),
+    ("mcheck-minus-1", "log2-bound", 2), ("mcheck-minus-1", "log2-bound", 911),
+    ("M", "sqrt-bound", 5003)])
+def test_escalation_on_razor_thin_margin(tables_small, target, kind, n):
+    # plant the constant at the float supremum: the margin is inside the
+    # guard band, forcing exact re-decision, whose verdict must match an
+    # independent 60-digit oracle
+    unit = verify_range(Predicate("unit", kind, target, 1.0), n, n + 1, tables_small)
+    q = unit.max_ratio
+    c = 1.0 / q if kind == "const-bound" else q
+    rep = verify_range(Predicate("synthetic", kind, target, c), n, n + 1, tables_small)
     assert rep.checked == 1
+    assert n in rep.indeterminate
+    sup = _oracle_sup(tables_small, target, n)
+    holds = c * sup <= 1 if kind == "const-bound" else sup <= c
+    assert rep.passed == holds
+
+
+def test_exact_m_fixed_point_matches_fraction(tables_small, monkeypatch):
+    # above the rational limit m(n) is a fixed-point sum; force that path
+    monkeypatch.setattr(verify, "_EXACT_FRACTION_LIMIT", 0)
+    with mp.workdps(50):
+        for n in (1, 2, 137, 5003):
+            f = exact_prefix_fraction(tables_small.mu, n)
+            exact = mp.mpf(f.numerator) / f.denominator
+            assert abs(verify._exact_m(tables_small, n) - exact) <= mp.mpf(10) ** -48 * abs(exact)
+
+
+def test_m1_kernel_interior_maxima():
+    # real tables give no interior m1 maxima below 1e6, so drive the
+    # bisection with synthetic (m(n), M(n)); the kernel must dominate dense
+    # samples, and its 50-digit run must agree with the float one
+    rng = np.random.default_rng(2)
+    n = rng.integers(1, 30, 2000).astype(np.float64)
+    M = rng.integers(-6, 7, 2000).astype(np.float64)
+    m = rng.uniform(-1.0, 1.0, 2000)
+    sup, arg = _interval_sup("m1", "log2x", n, n + 1.0, m, M, m)
+    interior = np.nonzero((arg != n) & (arg != n + 1.0))[0]
+    assert interior.size > 10
+    xs = n[:, None] + np.linspace(0.0, 1.0, 1001)[None, :]
+    dense = (np.abs(m[:, None] - M[:, None] / xs) * np.log(xs) ** 2).max(axis=1)
+    assert np.all(sup >= dense * (1.0 - 1e-14))
+    with mp.workdps(50):
+        for i in interior[:20].tolist():
+            one = [np.array([mp.mpf(float(v[i]))], dtype=object) for v in (n, n + 1.0, m, M, m)]
+            s50, a50 = _interval_sup("m1", "log2x", *one, fn=_MP)
+            assert float(s50[0]) == pytest.approx(sup[i], rel=1e-14)
+            assert float(a50[0]) == pytest.approx(arg[i], rel=1e-12)
 
 
 def test_ratio_theorem_C_band(tables_small):
@@ -151,19 +232,23 @@ def test_ratio_violation_witness_below_94(tables_small):
 def test_ratio_range_guard(tables_small):
     with pytest.raises(RangeError):
         ratio_theorem_C(tables_small, 30000)
+    with pytest.raises(InvalidArgumentError):
+        ratio_theorem_C(tables_small, 50)  # x_max below the default lo = 94
 
 
+@pytest.mark.parametrize("target", ["m1", "mcheck-minus-1"])
 @given(st.integers(min_value=3, max_value=19999))
 @settings(max_examples=80, deadline=None)
-def test_interval_sup_dominates_sampled_points(n):
+def test_interval_sup_dominates_sampled_points(target, n):
     # soundness: the per-interval supremum is >= the weighted value at
     # interior sample points
     tb = test_interval_sup_dominates_sampled_points.tables
-    sup, _ = sup_scan(tb, "mcheck-minus-1", "log2x", n, n + 1)
+    sup, _ = sup_scan(tb, target, "log2x", n, n + 1)
     for frac in (0.0, 0.25, 0.625, 0.999):
         x = n + frac * 0.9999
         pt = evaluate(tb.mu, tb.series, x)
-        val = abs(pt.m_check - 1.0) * math.log(x) ** 2
+        f = pt.m1 if target == "m1" else pt.m_check - 1.0
+        val = abs(f) * math.log(x) ** 2
         assert val <= sup + 1e-9
 
 
