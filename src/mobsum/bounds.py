@@ -29,6 +29,7 @@ from .special import (
     mellin_H1_closed,
     zeta_real,
 )
+from .tables import Tables, abs_mertens_prefix_integral
 from .weights import H2_ENVELOPE, EnvelopeParams
 
 TARGETS = ("M-over-x", "m", "m1", "mcheck-minus-1")
@@ -125,7 +126,8 @@ def log_remainder(log_coef: float, power: float) -> Tuple[float, float]:
 def abs_M_prefix_integral_bound(T: float, tables=None, strategy: str = "auto") -> float:
     """Certified upper bound on integral_1^T |M(t)| dt.
 
-    strategies: "exact" (sieve tables), "sqrt" (|M| <= sqrt(t) up to 1e16),
+    strategies: "exact" (sieve tables: a ``Tables`` or its ``MuTable``),
+    "sqrt" (|M| <= sqrt(t) up to 1e16),
     "sqrt-hurst" (0.571 sqrt(t) on [33, 1e16] plus exact head),
     "trivial" (|M| <= t), "auto" picks the tightest admissible.
     """
@@ -139,9 +141,10 @@ def abs_M_prefix_integral_bound(T: float, tables=None, strategy: str = "auto") -
     if strategy == "exact":
         if tables is None or T > tables.limit:
             raise InvalidArgumentError("exact strategy needs tables covering T")
+        table = tables.mu if isinstance(tables, Tables) else tables
         n = int(math.floor(T))
-        head = float(np.abs(tables.mertens[1:n]).sum())
-        return head + abs(float(tables.mertens[n])) * (T - n)
+        head = abs_mertens_prefix_integral(table, n) if n >= 2 else 0
+        return float(head) + abs(float(table.mertens[n])) * (T - n)
     if strategy == "sqrt":
         if T > 1e16:
             raise InvalidArgumentError("|M| <= sqrt(t) is certified only up to 1e16")
@@ -699,10 +702,10 @@ def run_plan_step(ledger: Ledger, step: dict):
     if not out:
         raise PlanError("plan step missing result id")
     if kind == "convert_via_G1":
-        res = convert_via_G1(ledger[step["hyp"]], _num(step, "T_cut"),
-                             M_integral=_num(step, "M_integral", math.nan))
-        if math.isnan(res.remainders[1][0]):
+        if "M_integral" not in step:
             raise PlanError("M_integral required in plan form")
+        res = convert_via_G1(ledger[step["hyp"]], _num(step, "T_cut"),
+                             M_integral=_num(step, "M_integral"))
     elif kind == "convert_via_G1check":
         res = convert_via_G1check(ledger[step["hyp"]], _num(step, "T_cut"),
                                   M_integral=_num(step, "M_integral"))
@@ -717,7 +720,7 @@ def run_plan_step(ledger: Ledger, step: dict):
     elif kind == "descend":
         res = descend_to(ledger[step["hyp"]], _num(step, "A"),
                          target_j=_num(step, "j", -1.0) if "j" in step else None,
-                         rank_cap=_num(step, "rank_cap", math.inf))
+                         rank_cap=_num(step, "rank_cap") if "rank_cap" in step else None)
     elif kind == "sqrt_lower":
         res = sqrt_range_lowering(ledger[step["hyp"]], ledger[step["model"]])
     elif kind == "log_lower":

@@ -50,10 +50,11 @@ from .tables import (
     build_tables,
     cache_path,
     ell_series,
-    load_table,
+    load_covering,
     m_series,
     save_table,
     sieve_mu,
+    table_digest,
 )
 from .verify import PREDICATES, verify_range
 from .weights import G1_SPEC, H1_SPEC, load_coeff_weight
@@ -69,19 +70,23 @@ def _cache_dir(flag_value):
     return flag_value if flag_value else os.environ.get(CACHE_ENV)
 
 
+def _cache_table(table, cdir: str) -> str:
+    os.makedirs(cdir, exist_ok=True)
+    path = cache_path(cdir, table.limit)
+    save_table(table, path)
+    return path
+
+
 def _get_tables(limit: int, cache_dir, jobs: int = 1, block_size: int = 1 << 20) -> Tables:
-    """Load a cached sieve covering `limit` if available, else build (and
-    cache when a cache directory is configured)."""
+    """Load the smallest cached sieve covering `limit`, cut to `limit`, if
+    available, else build (and cache when a cache directory is configured)."""
     cdir = _cache_dir(cache_dir)
-    if cdir:
-        path = cache_path(cdir, limit)
-        if os.path.exists(path):
-            mu = load_table(path)
-            return Tables(mu=mu, series=SeriesPair(m=m_series(mu), ell=ell_series(mu)))
+    mu = load_covering(cdir, limit) if cdir else None
+    if mu is not None:
+        return Tables(mu=mu, series=SeriesPair(m=m_series(mu), ell=ell_series(mu)))
     tables = build_tables(limit, block_size=block_size, jobs=jobs)
     if cdir:
-        os.makedirs(cdir, exist_ok=True)
-        save_table(tables.mu, cache_path(cdir, limit))
+        _cache_table(tables.mu, cdir)
     return tables
 
 
@@ -91,12 +96,10 @@ def _get_tables(limit: int, cache_dir, jobs: int = 1, block_size: int = 1 << 20)
 def _cmd_sieve(args) -> int:
     mu = sieve_mu(args.limit, block_size=args.block_size, jobs=args.jobs)
     cdir = _cache_dir(args.cache_dir)
-    line = f"sieve limit={args.limit} mertens_at_limit={int(mu.mertens[args.limit])}"
+    line = (f"sieve limit={args.limit} mertens_at_limit={int(mu.mertens[args.limit])} "
+            f"digest={table_digest(mu).hex()}")
     if cdir:
-        os.makedirs(cdir, exist_ok=True)
-        path = cache_path(cdir, args.limit)
-        save_table(mu, path)
-        line += f" cache={path}"
+        line += f" cache={_cache_table(mu, cdir)}"
     print(line)
     return 0
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 import os
+import re
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,9 +29,10 @@ from .errors import InvalidArgumentError, RangeError
 
 _ULP = 2.0 ** -53  # unit roundoff for IEEE-754 binary64
 
-_CACHE_MAGIC = "MOEBIUS-TABLE v1"
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+_CACHE_VERSION = "v2"
+_CACHE_HEADER = re.compile(rb"MOEBIUS-TABLE (v\d+) limit=([1-9]\d*)\n")
+_CACHE_NAME = re.compile(r"moebius-([1-9]\d*)\.tbl")
+_DIGEST_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +111,12 @@ def sieve_mu(limit: int, block_size: int = 1 << 20, jobs: int = 1) -> MuTable:
     else:
         for lo, hi in spans:
             mu[lo:hi] = _sieve_block(lo, hi, primes)
-    mertens = np.cumsum(mu, dtype=np.int64)
-    return MuTable(limit=limit, mu=mu, mertens=mertens)
+    return _mu_table(mu)
+
+
+def _mu_table(mu: np.ndarray) -> MuTable:
+    """MuTable over ``mu`` (int8, index 0 zero); Mertens is its prefix sum."""
+    return MuTable(limit=mu.shape[0] - 1, mu=mu, mertens=np.cumsum(mu, dtype=np.int64))
 
 
 def abs_mertens_prefix_integral(table: MuTable, T: int) -> int:
@@ -306,14 +313,24 @@ def exact_prefix_fraction(table: MuTable, n: int, kind: str = "m") -> Fraction:
 
 # ---------------------------------------------------------------------------
 # on-disk cache
+#
+# File format v2: the ASCII line "MOEBIUS-TABLE v2 limit=N\n", the N bytes
+# mu(1..N) as int8, then the 16-byte BLAKE2b digest of those N bytes.
+# Mertens is not stored: it is rebuilt exactly as cumsum(mu).
 
 
-def _fnv1a64(payload: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in payload:
-        h ^= b
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
+def table_digest(table: MuTable) -> bytes:
+    """BLAKE2b-128 digest of mu(1..limit): with the limit, the table identity."""
+    return _blake2b(_mu_bytes(table))
+
+
+def _blake2b(data) -> bytes:
+    import hashlib  # loads OpenSSL (~4 MB RSS): only commands that hash pay for it
+    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
+
+
+def _mu_bytes(table: MuTable) -> np.ndarray:
+    return np.ascontiguousarray(table.mu[1:], dtype="<i1")  # no copy for int8
 
 
 def cache_path(cache_dir: str, limit: int) -> str:
@@ -321,33 +338,75 @@ def cache_path(cache_dir: str, limit: int) -> str:
 
 
 def save_table(table: MuTable, path: str) -> None:
-    """Persist a MuTable: ASCII header, mu bytes, Mertens int64, FNV trailer."""
-    mu_bytes = table.mu[1:].astype("<i1").tobytes()
-    mert_bytes = table.mertens[1:].astype("<i8").tobytes()
-    payload = mu_bytes + mert_bytes
-    digest = _fnv1a64(payload)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(f"{_CACHE_MAGIC} limit={table.limit}\n".encode("ascii"))
-        fh.write(payload)
-        fh.write(digest.to_bytes(8, "little"))
-    os.replace(tmp, path)
+    """Persist mu(1..limit) in cache format v2.
+
+    Writes a unique temporary file next to ``path`` and renames it into
+    place, so concurrent writers of one table never see a partial file.
+    """
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(f"MOEBIUS-TABLE {_CACHE_VERSION} limit={table.limit}\n".encode("ascii"))
+            fh.write(_mu_bytes(table).data)
+            fh.write(table_digest(table))
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def _read_mu(path: str) -> np.ndarray:
+    """Checked mu array (index 0 zero) of a v2 cache file."""
+    with open(path, "rb") as fh:
+        header = fh.readline(64)
+        match = _CACHE_HEADER.fullmatch(header)
+        if not match:
+            raise InvalidArgumentError(f"not a moebius table cache: {path}")
+        version = match.group(1).decode("ascii")
+        if version != _CACHE_VERSION:
+            raise InvalidArgumentError(
+                f"cache format {version} is no longer read; delete {path}")
+        limit = int(match.group(2))
+        expected = len(header) + limit + _DIGEST_SIZE
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise InvalidArgumentError(f"truncated cache file: {path}")
+        if size > expected:
+            raise InvalidArgumentError(f"trailing bytes after cache digest: {path}")
+        mu = np.zeros(limit + 1, dtype=np.int8)
+        fh.readinto(mu[1:])
+        digest = fh.read(_DIGEST_SIZE)
+    if _blake2b(mu[1:]) != digest:
+        raise InvalidArgumentError(f"cache checksum mismatch: {path}")
+    return mu
 
 
 def load_table(path: str) -> MuTable:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        if not header.startswith(_CACHE_MAGIC + " limit="):
-            raise InvalidArgumentError(f"not a moebius table cache: {path}")
-        limit = int(header.split("limit=")[1])
-        payload = fh.read(limit * 9)
-        trailer = fh.read(8)
-    if len(payload) != limit * 9 or len(trailer) != 8:
-        raise InvalidArgumentError(f"truncated cache file: {path}")
-    if _fnv1a64(payload) != int.from_bytes(trailer, "little"):
-        raise InvalidArgumentError(f"cache checksum mismatch: {path}")
-    mu = np.zeros(limit + 1, dtype=np.int8)
-    mu[1:] = np.frombuffer(payload[:limit], dtype="<i1")
-    mertens = np.zeros(limit + 1, dtype=np.int64)
-    mertens[1:] = np.frombuffer(payload[limit:], dtype="<i8")
-    return MuTable(limit=limit, mu=mu, mertens=mertens)
+    """Read a v2 cache file; raises InvalidArgumentError on any mismatch."""
+    return _mu_table(_read_mu(path))
+
+
+def load_covering(cache_dir: str, limit: int) -> MuTable | None:
+    """The smallest cached table with limit >= ``limit``, cut to ``limit``.
+
+    Returns None when no cache file covers ``limit``.  Cutting is exact: mu is
+    an integer table and Mertens is rebuilt as the prefix sum of the cut copy,
+    so the result equals ``sieve_mu(limit)`` bit for bit.
+    """
+    try:
+        names = os.listdir(cache_dir)
+    except FileNotFoundError:
+        return None
+    limits = [int(m.group(1)) for m in map(_CACHE_NAME.fullmatch, names) if m]
+    covering = min((L for L in limits if L >= limit), default=None)
+    if covering is None:
+        return None
+    path = cache_path(cache_dir, covering)
+    mu = _read_mu(path)
+    if mu.shape[0] - 1 != covering:
+        raise InvalidArgumentError(f"cache file name and header disagree: {path}")
+    return _mu_table(mu[: limit + 1].copy())

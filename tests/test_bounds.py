@@ -7,6 +7,7 @@ from mobsum.bounds import (
     BoundForm,
     Ledger,
     SqrtModel,
+    abs_M_prefix_integral_bound,
     bootstrap,
     convert_via_G1,
     convert_via_G1check,
@@ -27,6 +28,7 @@ from mobsum.bounds import (
 )
 from mobsum.chains import base_ledger
 from mobsum.errors import InvalidArgumentError, NoDescentError, PlanError
+from mobsum.tables import abs_mertens_prefix_integral
 from mobsum.special import (
     h2_integral_bound,
     mellin_G1_closed,
@@ -271,6 +273,32 @@ def test_plan_unknown_step_rejected():
         run_plan_step(led, {"step": "frobnicate", "id": "x"})
     with pytest.raises(PlanError):
         run_plan_step(led, {"step": "descend"})
+
+
+def test_plan_convert_via_G1_requires_M_integral():
+    # without it the integral-of-|M| remainder would silently drop out
+    led = base_ledger()
+    with pytest.raises(PlanError, match="M_integral required"):
+        run_plan_step(led, {"step": "convert_via_G1", "id": "x", "hyp": "M-4345",
+                            "T_cut": "4800000"})
+    assert "x" not in led
+
+
+def test_plan_descend_without_rank_cap():
+    led = base_ledger()
+    res = run_plan_step(led, {"step": "descend", "id": "d", "hyp": "M-log2-362.7",
+                              "A": "1000", "j": "1"})
+    direct = descend_to(led["M-log2-362.7"], 1000.0, target_j=1.0)
+    assert math.isfinite(res.log_T)
+    assert (res.A, res.j, res.log_T) == (direct.A, direct.j, direct.log_T)
+
+
+def test_abs_M_prefix_integral_exact_accepts_tables(tables_small):
+    for T in (5000, 4999.5):
+        assert abs_M_prefix_integral_bound(T, tables=tables_small, strategy="exact") \
+            == abs_M_prefix_integral_bound(T, tables=tables_small.mu, strategy="exact")
+    assert abs_M_prefix_integral_bound(5000, tables=tables_small, strategy="exact") \
+        == abs_mertens_prefix_integral(tables_small.mu, 5000)
 
 
 @given(

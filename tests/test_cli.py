@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -87,6 +88,33 @@ def test_sieve_and_cache_reuse(capsys, tmp_path):
     assert out1 == out2
 
 
+def test_covering_cache_matches_uncached_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
+    commands = [("verify", "--pred", "msqrt0.5", "--from", "3", "--to", "5000"),
+                ("identity", "--name", "bal2", "--x", "4999.5")]
+    fresh = [run(capsys, *args) for args in commands]
+    cache = str(tmp_path / "cache")
+    code, out, _ = run(capsys, "sieve", "--limit", "20000", "--cache-dir", cache)
+    assert code == 0
+    assert re.search(r" digest=[0-9a-f]{32} cache=", out)
+    (tmp_path / "cache" / "moebius-30000.tbl.tmp").write_bytes(b"partial")
+    before = sorted(os.listdir(cache))
+    cached = [run(capsys, *args, "--cache-dir", cache) for args in commands]
+    assert cached == fresh
+    assert sorted(os.listdir(cache)) == before  # served from the 20000 table
+
+
+def test_v1_cache_file_is_a_usage_error(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "moebius-6000.tbl").write_bytes(b"MOEBIUS-TABLE v1 limit=6000\n"
+                                             + bytes(6000 * 9 + 8))
+    code, _, err = run(capsys, "verify", "--pred", "msqrt0.5", "--from", "3",
+                       "--to", "5000", "--cache-dir", str(cache))
+    assert code == 2
+    assert "v1 is no longer read" in err
+
+
 def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):
     cache = str(tmp_path / "envcache")
     monkeypatch.setenv("MOBSUM_CACHE_DIR", cache)
@@ -136,3 +164,8 @@ def test_convert_bad_plan_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "convert", "--plan", str(tmp_path / "missing.txt"))
     assert code == 2
+    # a convert_via_G1 step without M_integral would drop a remainder term
+    plan.write_text("step: convert_via_G1\nid: demo\nhyp: M-4345\nT_cut: 4800000\n")
+    code, out, err = run(capsys, "convert", "--plan", str(plan))
+    assert code == 2
+    assert "M_integral required" in err and out == ""

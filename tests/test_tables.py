@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +14,11 @@ from mobsum.tables import (
     cache_path,
     evaluate,
     exact_prefix_fraction,
+    load_covering,
     load_table,
     save_table,
     sieve_mu,
+    table_digest,
 )
 
 # mu(1..20), hand-checked
@@ -141,6 +145,92 @@ def test_cache_rejects_foreign_file(tmp_path):
     path.write_bytes(b"not a table\n123")
     with pytest.raises(InvalidArgumentError):
         load_table(str(path))
+
+
+def test_cache_file_layout(tmp_path, tables_small):
+    path = cache_path(str(tmp_path), tables_small.limit)
+    save_table(tables_small.mu, path)
+    header = f"MOEBIUS-TABLE v2 limit={tables_small.limit}\n".encode("ascii")
+    raw = open(path, "rb").read()
+    assert len(raw) == len(header) + tables_small.limit + 16
+    assert raw.startswith(header)
+    assert raw[-16:] == table_digest(tables_small.mu)
+    assert os.listdir(tmp_path) == [os.path.basename(path)]  # no temp file left
+
+
+def test_cache_rejects_v1_format(tmp_path):
+    path = tmp_path / "moebius-3.tbl"
+    path.write_bytes(b"MOEBIUS-TABLE v1 limit=3\n" + bytes(3 * 9 + 8))
+    with pytest.raises(InvalidArgumentError, match="v1 is no longer read"):
+        load_table(str(path))
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw[:-1], lambda raw: raw[:-17],
+                                  lambda raw: raw + b"\0"])
+def test_cache_rejects_truncated_or_trailing(tmp_path, tables_small, edit):
+    path = cache_path(str(tmp_path), tables_small.limit)
+    save_table(tables_small.mu, path)
+    raw = open(path, "rb").read()
+    open(path, "wb").write(edit(raw))
+    with pytest.raises(InvalidArgumentError):
+        load_table(path)
+
+
+def test_save_table_failure_leaves_no_temp_file(tmp_path, tables_small, monkeypatch):
+    def boom(table):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("mobsum.tables.table_digest", boom)
+    with pytest.raises(OSError):
+        save_table(tables_small.mu, cache_path(str(tmp_path), tables_small.limit))
+    assert os.listdir(tmp_path) == []
+
+
+def test_concurrent_saves_of_one_table(tmp_path):
+    table = sieve_mu(5000)
+    path = cache_path(str(tmp_path), table.limit)
+    errors = []
+
+    def writer():
+        try:
+            for _ in range(10):
+                save_table(table, path)
+        except Exception as exc:  # collected and asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer) for _ in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+    assert np.array_equal(load_table(path).mertens, table.mertens)
+
+
+def test_load_covering_cuts_exactly(tmp_path, tables_small):
+    cache = str(tmp_path)
+    assert load_covering(cache, 100) is None
+    assert load_covering(str(tmp_path / "missing"), 100) is None
+    save_table(sieve_mu(3000), cache_path(cache, 3000))
+    save_table(tables_small.mu, cache_path(cache, tables_small.limit))
+    # a stray temporary file from an interrupted writer is not a cache file
+    (tmp_path / "moebius-50000.tbl.tmp").write_bytes(b"partial")
+    (tmp_path / "moebius-4000.tbl.abc123.tmp").write_bytes(b"partial")
+    for limit in (3000, 2999, 5000, tables_small.limit):
+        got = load_covering(cache, limit)
+        fresh = sieve_mu(limit)
+        assert got.limit == limit
+        assert np.array_equal(got.mu, fresh.mu)
+        assert np.array_equal(got.mertens, fresh.mertens)
+        assert got.mu.base is None  # a copy, not a view of the larger table
+    assert load_covering(cache, tables_small.limit + 1) is None
+    # the smallest covering file is the one read; a bad one is reported
+    open(cache_path(cache, tables_small.limit), "wb").write(b"junk\n")
+    assert load_covering(cache, 3000).limit == 3000
+    with pytest.raises(InvalidArgumentError):
+        load_covering(cache, 3001)
 
 
 @given(st.integers(min_value=2, max_value=20000))
