@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .chains import ChainResult, ChainStep, base_ledger, run_chain
 from .errors import (
-    AccuracyError,
     DomainError,
     InvalidArgumentError,
     MobsumError,
@@ -40,7 +39,7 @@ from .identities import (
     residual_thm1_G,
     residual_thm1_H,
 )
-from .quad import MellinBracket, integrate_piecewise, mellin_numeric
+from .quad import MellinBracket, mellin_numeric
 from .special import (
     SpecialValue,
     euler_gamma,

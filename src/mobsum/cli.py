@@ -2,7 +2,8 @@
 
 Subcommands: sieve, verify, mellin, mellin-check, identity, convert,
 bootstrap, report.  Exit status: 0 success, 1 a checked inequality or
-enclosure failed, 2 usage error, 3 internal accuracy failure.  Numeric
+enclosure failed, 2 usage error (including an unusable file or cache
+directory), 3 any other package error (e.g. a resource guard).  Numeric
 output uses 15 significant digits.
 """
 
@@ -23,7 +24,6 @@ from .bounds import (
     serialize_ledger,
 )
 from .errors import (
-    AccuracyError,
     DomainError,
     InvalidArgumentError,
     MobsumError,
@@ -57,7 +57,7 @@ from .tables import (
     table_digest,
 )
 from .verify import PREDICATES, verify_range
-from .weights import G1_SPEC, H1_SPEC, load_coeff_weight
+from .weights import G1_SPEC, H1_SPEC
 
 CACHE_ENV = "MOBSUM_CACHE_DIR"
 
@@ -143,7 +143,7 @@ def _cmd_mellin(args) -> int:
 def _cmd_mellin_check(args) -> int:
     spec = G1_SPEC if args.weight == "g1" else H1_SPEC
     closed = mellin_G1_closed(args.s) if args.weight == "g1" else mellin_H1_closed(args.s)
-    bracket = mellin_numeric(spec, args.s, args.X, envelope=args.envelope, tol=args.tol)
+    bracket = mellin_numeric(spec, args.s, args.X, envelope=args.envelope)
     ok = bracket.lo <= closed.value + closed.abs_error and \
         closed.value - closed.abs_error <= bracket.hi
     print(f"mellin-check weight={args.weight} s={_fmt(args.s)} X={args.X} "
@@ -156,21 +156,9 @@ def _cmd_mellin_check(args) -> int:
 def _cmd_identity(args) -> int:
     limit = args.limit if args.limit else max(2, int(math.ceil(args.x)))
     tables = _get_tables(limit, args.cache_dir)
-    gspec, hspec = G1_SPEC, H1_SPEC
-    if args.weight:
-        wspec = load_coeff_weight(args.weight)
-        if wspec.kind == "analytic-h" or args.name == "thm1h":
-            hspec = wspec
-        else:
-            gspec = wspec
-    if args.name == "thm1g":
-        rep = residual_thm1_G(tables, args.x, spec=gspec, tol=args.tol)
-    elif args.name == "thm1h":
-        rep = residual_thm1_H(tables, args.x, spec=hspec, tol=args.tol)
-    elif args.name == "bal2":
-        rep = residual_bal2(tables, args.x, tol=args.tol)
-    else:  # mchliss
-        rep = residual_mchliss(tables, args.x, spec=gspec, tol=args.tol)
+    residual = {"thm1g": residual_thm1_G, "thm1h": residual_thm1_H,
+                "bal2": residual_bal2, "mchliss": residual_mchliss}[args.name]
+    rep = residual(tables, args.x, tol=args.tol)
     print(f"identity name={rep.name} x={_fmt(rep.x)} lhs={_fmt(rep.lhs)} "
           f"rhs={_fmt(rep.rhs)} residual={_fmt(rep.residual)} "
           f"tolerance={_fmt(rep.tolerance)} status={'PASS' if rep.passed else 'FAIL'}")
@@ -281,14 +269,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--X", type=float, required=True)
     sp.add_argument("--envelope", choices=["sharp", "simple"], default="sharp")
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.set_defaults(func=_cmd_mellin_check)
 
     sp = sub.add_parser("identity", help="residual of an integral identity")
     sp.add_argument("--name", choices=["thm1g", "thm1h", "bal2", "mchliss"],
                     required=True)
     sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--weight", default=None, help="coefficient-weight file")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--limit", type=int, default=None)
     sp.add_argument("--cache-dir", default=None)
@@ -319,14 +305,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except AccuracyError as exc:
-        print(f"accuracy failure: {exc}", file=sys.stderr)
-        return 3
     except NoDescentError as exc:
         print(f"bound not attainable: {exc}", file=sys.stderr)
         return 1
-    except (InvalidArgumentError, DomainError, PlanError, RangeError,
-            FileNotFoundError) as exc:
+    except (InvalidArgumentError, DomainError, PlanError, RangeError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except MobsumError as exc:

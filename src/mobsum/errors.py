@@ -21,17 +21,6 @@ class ResourceError(MobsumError, RuntimeError):
     """A cost guard (memory / panel count / sum length) was exceeded."""
 
 
-class AccuracyError(MobsumError, RuntimeError):
-    """Requested tolerance could not be certified.
-
-    Carries the best bracket achieved in ``best`` when available.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class NoDescentError(MobsumError, RuntimeError):
     """The target shape never dominates the majorant."""
 

@@ -1,23 +1,20 @@
 """Residual evaluation of the integral identities tying the summatory
-step functions to the weight lattice sums.
+step functions to the weight lattice sums g1 and h1.
 
 Each identity is exact; the residual measures only numeric error (sieve
-prefix sums are exact or radius-certified, quadrature is tolerance-
-certified), so small residuals are a strong cross-module consistency
-oracle.
+prefix sums are exact or radius-certified, the kernel integrals of
+`quad.identity_kernel_integral` are exact per-panel antiderivatives added
+with math.fsum, and the boundary integrals are closed forms), so small
+residuals are a strong cross-module consistency oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidArgumentError
-from .quad import identity_kernel_integral, integrate_piecewise
+from .quad import identity_kernel_integral
 from .tables import Tables, evaluate
-from .weights import G1_SPEC, H1_SPEC, WeightSpec, epsilon1
 
 _DEFAULT_TOL = 1e-8
 
@@ -61,61 +58,33 @@ def _m1(tables: Tables, x: float) -> float:
     return pt.m1
 
 
-def residual_thm1_G(tables: Tables, x: float, spec: WeightSpec = G1_SPEC,
-                    tol: float = _DEFAULT_TOL) -> IdentityReport:
-    """m1(x) = integral_1^x (M(x/t)/(x/t)) G(t) dt/t + (1/x) integral_{1/x}^1 g(y)/y dy."""
+def residual_thm1_G(tables: Tables, x: float, tol: float = _DEFAULT_TOL) -> IdentityReport:
+    """m1(x) = integral_1^x (M(x/t)/(x/t)) G1(t) dt/t + (1/x) integral_{1/x}^1 g1(y)/y dy."""
     if x < 1.0:
         raise InvalidArgumentError("x must be >= 1")
     lhs = _m1(tables, x)
     if x == 1.0:
         return _report("thm1-G", x, lhs, 0.0, tol)
-    kern = identity_kernel_integral(tables.mu, tables.series, x, spec, "M-kernel")
-    if spec.name == "g1":
-        boundary = g1_boundary_over_y(x)
-    else:
-        boundary = integrate_piecewise(
-            lambda y: spec.density(y) / y, 1.0 / x, 1.0, tol=1e-12
-        ) / x
-    return _report("thm1-G", x, lhs, kern + boundary, tol)
+    kern = identity_kernel_integral(tables.mu, tables.series, x, "M-kernel")
+    return _report("thm1-G", x, lhs, kern + g1_boundary_over_y(x), tol)
 
 
-def residual_thm1_H(tables: Tables, x: float, spec: WeightSpec = H1_SPEC,
-                    tol: float = _DEFAULT_TOL) -> IdentityReport:
-    """m1(x) = integral_1^x m(x/t) H(t) dt/t^2 - integral_0^{1/x} h(y) dy."""
+def residual_thm1_H(tables: Tables, x: float, tol: float = _DEFAULT_TOL) -> IdentityReport:
+    """m1(x) = integral_1^x m(x/t) H1(t) dt/t^2 - integral_0^{1/x} h1(y) dy."""
     if x < 1.0:
         raise InvalidArgumentError("x must be >= 1")
     lhs = _m1(tables, x)
     if x == 1.0:
         return _report("thm1-H", x, lhs, 0.0, tol)
-    kern = identity_kernel_integral(tables.mu, tables.series, x, spec, "m-kernel")
-    if spec.name == "h1":
-        head = h1_head_integral(x)
-    else:
-        head = integrate_piecewise(spec.density, 0.0, 1.0 / x, tol=1e-12)
-    return _report("thm1-H", x, lhs, kern - head, tol)
-
-
-def step_weighted_G1_integral(tables: Tables, x: float) -> float:
-    """Exact integral_1^x M(x/t) G1(t) dt via antiderivative differences.
-
-    G1 is the derivative of epsilon1 and M(x/t) = M(k) on (x/(k+1), x/k],
-    so the integral telescopes into exact closed-form evaluations.
-    """
-    n = math.floor(x)
-    k = np.arange(1, n + 1, dtype=np.int64)
-    upper = np.minimum(x / k, x)
-    lower = np.maximum(x / (k + 1), 1.0)
-    eps_u = np.asarray([epsilon1(float(u)) for u in upper])
-    eps_l = np.asarray([epsilon1(float(u)) for u in lower])
-    M = tables.mu.mertens[k].astype(np.float64)
-    return float(math.fsum((M * (eps_u - eps_l)).tolist()))
+    kern = identity_kernel_integral(tables.mu, tables.series, x, "m-kernel")
+    return _report("thm1-H", x, lhs, kern - h1_head_integral(x), tol)
 
 
 def residual_bal2(tables: Tables, x: float, tol: float = _DEFAULT_TOL) -> IdentityReport:
     """m1(x) = (1/x) integral_1^x M(x/t) G1(t) dt + 8/(3x) - (4/x^2)(1 - 1/(3x^2)).
 
-    The integral is evaluated exactly from the closed-form antiderivative
-    of G1 (an independent route from the quadrature kernel).
+    The integral is the M kernel of `residual_thm1_G`; the boundary terms
+    are the closed form of the balanced second form.
     """
     if x < 1.0:
         raise InvalidArgumentError("x must be >= 1")
@@ -123,36 +92,24 @@ def residual_bal2(tables: Tables, x: float, tol: float = _DEFAULT_TOL) -> Identi
     if x == 1.0:
         rhs = 8.0 / 3.0 - 4.0 * (1.0 - 1.0 / 3.0)
         return _report("bal2", x, lhs, rhs, tol)
-    integral = step_weighted_G1_integral(tables, x) / x
+    integral = identity_kernel_integral(tables.mu, tables.series, x, "M-kernel")
     rhs = integral + 8.0 / (3.0 * x) - (4.0 / (x * x)) * (1.0 - 1.0 / (3.0 * x * x))
     return _report("bal2", x, lhs, rhs, tol)
 
 
-def residual_mchliss(tables: Tables, x: float, spec: WeightSpec = G1_SPEC,
-                     tol: float = _DEFAULT_TOL) -> IdentityReport:
+def residual_mchliss(tables: Tables, x: float, tol: float = _DEFAULT_TOL) -> IdentityReport:
     """(mcheck(x) - 1) - m1(x)
-       = integral_1^x m1(x/t) G(t) dt/t - (1/x) integral_{1/x}^1 g/y
-         - integral_0^{1/x} g."""
+       = integral_1^x m1(x/t) G1(t) dt/t - (1/x) integral_{1/x}^1 g1/y
+         - integral_0^{1/x} g1."""
     if x < 1.0:
         raise InvalidArgumentError("x must be >= 1")
     pt = evaluate(tables.mu, tables.series, x)
     lhs = (pt.m_check - 1.0) - pt.m1
     if x == 1.0:
-        if spec.name == "g1":
-            rhs = -1.0  # head integral over [0,1] is the full unit mass
-        else:
-            rhs = -integrate_piecewise(spec.density, 0.0, 1.0, tol=1e-12)
-        return _report("mchliss", x, lhs, rhs, tol)
-    kern = identity_kernel_integral(tables.mu, tables.series, x, spec, "m1-kernel")
-    if spec.name == "g1":
-        boundary = g1_boundary_over_y(x)
-        head = g1_head_integral(x)
-    else:
-        boundary = integrate_piecewise(
-            lambda y: spec.density(y) / y, 1.0 / x, 1.0, tol=1e-12
-        ) / x
-        head = integrate_piecewise(spec.density, 0.0, 1.0 / x, tol=1e-12)
-    return _report("mchliss", x, lhs, kern - boundary - head, tol)
+        return _report("mchliss", x, lhs, -1.0, tol)  # the head is g1's unit mass
+    kern = identity_kernel_integral(tables.mu, tables.series, x, "m1-kernel")
+    rhs = kern - g1_boundary_over_y(x) - g1_head_integral(x)
+    return _report("mchliss", x, lhs, rhs, tol)
 
 
 def residual_h1_remainder(x: float) -> float:

@@ -1,10 +1,13 @@
-"""Kink-aware adaptive quadrature and certified Mellin enclosures.
+"""Exact panel integrals and certified Mellin enclosures.
 
-Panels never straddle a breakpoint; on each panel a fixed-order
-Gauss–Legendre rule (15 nodes) is used, with a 7-node rule embedded as
-error estimate and bisection refinement where needed.  Improper Mellin
-integrals of the weight lattice sums are returned as enclosures: numeric
-finite part on [1, X] plus a theorem-backed envelope bound for the tail.
+Every integrand here is elementary on each panel.  The lattice sums G1 and
+H1 are polynomials in 1/t on [N, N+1) (`weights.lattice_power_coeffs`),
+and the step functions M, m and m1 are constant (m1 affine in t) between
+the jumps x/k.  So each integral is a finite sum of coefficient times
+integral of t^-a over a panel, evaluated from the antiderivative and added
+with `math.fsum`, with an a-priori bound on the rounding error.  Improper
+Mellin integrals are returned as enclosures: that finite part on [1, X]
+plus a theorem-backed envelope bound for the tail.
 """
 
 from __future__ import annotations
@@ -14,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InvalidArgumentError, ResourceError
-from .weights import WeightSpec
-
-_N15, _W15 = np.polynomial.legendre.leggauss(15)
-_N7, _W7 = np.polynomial.legendre.leggauss(7)
+from .errors import DomainError, InvalidArgumentError, ResourceError
+from .weights import WeightSpec, lattice_power_coeffs
 
 _MAX_PANELS = 10**7
-_MAX_ROUNDS = 60
+_U = 2.0 ** -53
+_K_ROUND = 32
 
 
 @dataclass(frozen=True)
@@ -41,125 +42,50 @@ class MellinBracket:
         return self.lo <= v <= self.hi
 
 
-def _batch_quad(fvec, lo, hi, tol):
-    """Adaptive Gauss–Legendre over an array of panels.
+def _check_panels(count: int) -> None:
+    if count > _MAX_PANELS:
+        raise ResourceError(f"panel count {count} exceeds {_MAX_PANELS}; reduce the range")
 
-    fvec maps an ndarray of points to integrand values.  Returns
-    (value, err_estimate, n_panels).  Panels whose embedded error exceeds
-    their share of the tolerance are bisected; accumulation is a fixed-order
-    (sorted by left endpoint) exact sum for determinism.
+
+def _panel_sum(lo, hi, terms, s: float = 0.0):
+    """Sum over panels [lo, hi] and pairs (j, c) of c * integral t^-(j+s) dt.
+
+    Returns (value, half_width).  j is an integer power and c a coefficient
+    per panel (or a scalar).  Each integral is the stable difference
+    lo^e expm1(e log1p((hi - lo)/lo))/e with e = 1 - j - s, or
+    log1p((hi - lo)/lo) at e = 0; lo^e = lo^q lo^-f with q = 1 - j - floor(s)
+    and f = s - floor(s), so the rounding of j + s never enters a power.
+    The terms are added with math.fsum in panel order.
+
+    Preconditions: 1 <= lo < hi <= 2 lo and j + s > -1 for every pair.
+    Half-width k u sum|terms| with u = 2^-53 and k = 32.  With numpy's
+    log1p, expm1 and power within 1 ulp (2u): log1p carries <= 4u (the
+    subtraction, the division and its own error; its condition number is
+    <= 1), e*L <= 6u, expm1 <= 2*6u + 2u = 14u (its condition number
+    y e^y/(e^y - 1) stays below 2 since y <= (1 - j - s) log 2 < 2 log 2),
+    the two powers and their product 5u, so the integral, after the product
+    and the division by the rounded e, is within 22u.  Callers' coefficients
+    are within 4 roundings (e.g. M(n)/x times a two-rounding c_j), the term
+    product adds u and fsum one final u: 28u to first order.  k = 32 covers
+    the higher-order terms and the relative error of the float sum
+    sum|terms| itself.
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    total_len = float(np.sum(hi - lo))
-    if total_len <= 0.0:
-        return 0.0, 0.0, 0
-    done_lo, done_val, done_err = [], [], []
-    rounds = 0
-    n_panels = 0
-    while lo.size:
-        rounds += 1
-        n_panels += lo.size
-        if n_panels > _MAX_PANELS:
-            raise ResourceError(f"panel count exceeded {_MAX_PANELS}; reduce the range")
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        x15 = mid[:, None] + half[:, None] * _N15[None, :]
-        f15 = fvec(x15)
-        i15 = (f15 * _W15).sum(axis=1) * half
-        x7 = mid[:, None] + half[:, None] * _N7[None, :]
-        f7 = fvec(x7)
-        i7 = (f7 * _W7).sum(axis=1) * half
-        err = np.abs(i15 - i7)
-        budget = tol * (hi - lo) / total_len
-        ok = (err <= budget) | (err <= 1e-17 * (1.0 + np.abs(i15)))
-        if rounds >= _MAX_ROUNDS:
-            ok = np.ones_like(ok)
-        done_lo.append(lo[ok])
-        done_val.append(i15[ok])
-        done_err.append(err[ok])
-        bad_lo, bad_hi, bad_mid = lo[~ok], hi[~ok], mid[~ok]
-        lo = np.concatenate([bad_lo, bad_mid])
-        hi = np.concatenate([bad_mid, bad_hi])
-    alo = np.concatenate(done_lo)
-    aval = np.concatenate(done_val)
-    aerr = np.concatenate(done_err)
-    order = np.argsort(alo, kind="stable")
-    value = math.fsum(aval[order].tolist())
-    err_total = math.fsum(aerr.tolist())
-    if rounds >= _MAX_ROUNDS and err_total > tol:
-        raise AccuracyError(
-            f"tolerance {tol} unreachable; best error estimate {err_total}",
-            best=(value - err_total, value + err_total),
-        )
-    return value, err_total, n_panels
-
-
-def _panelize(a, b, breakpoints):
-    """Sorted panel edges: a, b and all breakpoints strictly inside (a, b)."""
-    pts = [a, b]
-    for p in breakpoints:
-        if a < p < b:
-            pts.append(float(p))
-    edges = np.unique(np.asarray(pts, dtype=np.float64))
-    return edges[:-1], edges[1:]
-
-
-def integrate_piecewise(f, a, b, breakpoints=(), tol=1e-9):
-    """Integral of f over [a, b]; f must be smooth between breakpoints.
-
-    f may be a scalar function or accept ndarrays.
-    """
-    if a > b:
-        raise InvalidArgumentError("integrate_piecewise requires a <= b")
-    if a == b:
-        return 0.0
-    try:
-        pts = np.asarray([a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0])
-        probe = f(pts)
-        vectorized = np.shape(probe) == (2,)
-    except Exception:
-        vectorized = False
-    if vectorized:
-        fvec = f
-    else:
-        def fvec(x):
-            flat = x.ravel()
-            return np.asarray([f(float(v)) for v in flat], dtype=np.float64).reshape(x.shape)
-    lo, hi = _panelize(a, b, breakpoints)
-    value, _, _ = _batch_quad(fvec, lo, hi, tol)
-    return value
-
-
-# ---------------------------------------------------------------------------
-# vectorized lattice sums for the two shipped polynomial densities
-
-def _g1_lattice_vec(t):
-    """G1(t) = 1 - 4 S1/t^2 + 4 S3/t^4 over an ndarray, extended precision."""
-    tl = t.astype(np.longdouble)
-    N = np.floor(tl)
-    S1 = N * (N + 1) / 2
-    S3 = S1 * S1
-    return (1.0 - 4.0 * S1 / tl**2 + 4.0 * S3 / tl**4).astype(np.float64)
-
-
-def _h1_lattice_vec(t):
-    """H1(t) = 1 - (2/3)(8 S1/t - 3N - 8 S3/t^3 + 3 S2/t^2), vectorized."""
-    tl = t.astype(np.longdouble)
-    N = np.floor(tl)
-    S1 = N * (N + 1) / 2
-    S2 = N * (N + 1) * (2 * N + 1) / 6
-    S3 = S1 * S1
-    inner = 8.0 * S1 / tl - 3.0 * N - 8.0 * S3 / tl**3 + 3.0 * S2 / tl**2
-    return (1.0 - inner * 2.0 / 3.0).astype(np.float64)
-
-
-def _integer_breaks(a, b):
-    first = math.floor(a) + 1
-    last = math.ceil(b) - 1
-    if last < first:
-        return np.empty(0)
-    return np.arange(first, last + 1, dtype=np.float64)
+    L = np.log1p((hi - lo) / lo)
+    s_int = math.floor(s)
+    f = s - s_int
+    lo_f = np.power(lo, -f) if f else 1.0
+    cols = []
+    for j, c in terms:
+        q = 1 - j - s_int
+        e = q - f
+        if e == 0:
+            integral = L
+        else:
+            integral = np.power(lo, float(q)) * lo_f * np.expm1(e * L) / e
+        cols.append(c * integral)
+    T = np.column_stack(cols)
+    value = math.fsum(memoryview(T.ravel()))  # yields Python floats, no list
+    return value, _K_ROUND * _U * float(np.abs(T).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -191,31 +117,37 @@ def _tail_bracket(name: str, s: float, X: float, envelope: str):
     return center - hw, center + hw, "sharp:euler-maclaurin"
 
 
-def mellin_numeric(weight: WeightSpec, s: float, X: float, envelope: str = "sharp",
-                   tol: float = 1e-9) -> MellinBracket:
+def mellin_finite_part(weight: WeightSpec, s: float, X: float):
+    """Finite part of the Mellin integral on [1, X]: (value, half_width).
+
+    Panels [N, min(N+1, X)]; a non-integer X gives a partial last panel.
+    half_width is the rounding bound of `_panel_sum`, which needs s > -1.
+    """
+    if s <= -1.0:
+        raise DomainError("the rounding bound needs s > -1")
+    _check_panels(math.ceil(X) - 1)
+    N = np.arange(1, math.ceil(X), dtype=np.float64)
+    p = 0 if weight.name == "g1" else 1  # integrand G t^-s or H t^-(s+1)
+    terms = [(j + p, c) for j, c in lattice_power_coeffs(weight.name, N)]
+    return _panel_sum(N, np.minimum(N + 1.0, X), terms, s)
+
+
+def mellin_numeric(weight: WeightSpec, s: float, X: float,
+                   envelope: str = "sharp") -> MellinBracket:
     """Enclosure of the improper Mellin integral of a lattice-sum weight.
 
     g-weights: integral over [1, inf) of G(t) t^{-s} dt.
     h-weights: integral over [1, inf) of H(t) t^{-s-1} dt.
-    Finite part on [1, X] numerically with panels split at every integer;
-    tail over [X, inf) bounded by the proven envelope (never extrapolation).
+    Finite part on [1, X] exactly per panel (`mellin_finite_part`), tail
+    over [X, inf) bounded by the proven envelope (never extrapolation).
     """
-    if weight.name == "g1":
-        def fvec(t):
-            return _g1_lattice_vec(t) * t ** (-s)
-    elif weight.name == "h1":
-        def fvec(t):
-            return _h1_lattice_vec(t) * t ** (-s - 1.0)
-    else:
-        raise InvalidArgumentError("mellin_numeric supports the g1 and h1 weights")
     if X < 2:
         raise InvalidArgumentError("need X >= 2")
-    lo_e, hi_e = _panelize(1.0, float(X), _integer_breaks(1.0, float(X)))
-    value, qerr, _ = _batch_quad(fvec, lo_e, hi_e, tol)
     t_lo, t_hi, tag = _tail_bracket(weight.name, s, float(X), envelope)
+    value, half = mellin_finite_part(weight, s, X)
     return MellinBracket(
-        lo=value - qerr + t_lo,
-        hi=value + qerr + t_hi,
+        lo=value - half + t_lo,
+        hi=value + half + t_hi,
         finite_part_limit=float(X),
         tail_bound_used=tag,
     )
@@ -224,50 +156,39 @@ def mellin_numeric(weight: WeightSpec, s: float, X: float, envelope: str = "shar
 # ---------------------------------------------------------------------------
 # step-function kernels against weight lattice sums
 
-def identity_kernel_integral(table, series, x: float, weight: WeightSpec,
-                             form: str, tol: float = 1e-9) -> float:
+def identity_kernel_integral(table, series, x: float, form: str) -> float:
     """Integral over [1, x] of a summatory step function against a weight.
 
-    form "M-kernel":  (M(x/t)/(x/t)) G(t) dt/t  = M(x/t) G(t)/x dt
-    form "m-kernel":  m(x/t) H(t) dt/t^2
-    form "m1-kernel": m1(x/t) G(t) dt/t
+    form "M-kernel":  (M(x/t)/(x/t)) G1(t) dt/t  = M(x/t) G1(t)/x dt
+    form "m-kernel":  m(x/t) H1(t) dt/t^2
+    form "m1-kernel": m1(x/t) G1(t) dt/t, with m1(x/t) = m(n) - M(n) t/x
 
-    Panels split at every integer (weight kinks) and every jump point x/k
-    of the step function.
+    Panels are the merged integers and jumps x/k; on each, n = floor(x/t)
+    and N = floor(t) are fixed, so the integrand is a polynomial in 1/t
+    with coefficients M(n)/x, m(n), or both m(n) and -M(n)/x.
     """
     if x > table.limit:
         raise InvalidArgumentError(f"x={x} exceeds table limit {table.limit}")
     if x <= 1.0:
         return 0.0
-    if form in ("M-kernel", "m1-kernel"):
-        if weight.name != "g1":
-            raise InvalidArgumentError(f"{form} expects a g-weight")
-        wvec = _g1_lattice_vec
-    elif form == "m-kernel":
-        if weight.name != "h1":
-            raise InvalidArgumentError("m-kernel expects an h-weight")
-        wvec = _h1_lattice_vec
-    else:
+    if form not in ("M-kernel", "m-kernel", "m1-kernel"):
         raise InvalidArgumentError(f"unknown form {form!r}")
-
-    mert = table.mertens
-    mvals = series.m.values
-
-    def fvec(t):
-        n = np.floor(x / t).astype(np.int64)
-        np.clip(n, 1, table.limit, out=n)
-        if form == "M-kernel":
-            return mert[n] * wvec(t) / x
-        if form == "m-kernel":
-            return mvals[n] * wvec(t) / (t * t)
-        m1 = mvals[n] - mert[n] * t / x
-        return m1 * wvec(t) / t
-
     k = np.arange(1, math.floor(x) + 1, dtype=np.float64)
-    jumps = x / k
-    breaks = np.concatenate([_integer_breaks(1.0, x), jumps])
-    lo_e, hi_e = _panelize(1.0, x, breaks)
-    if lo_e.size > _MAX_PANELS:
-        raise ResourceError("panel explosion; reduce x")
-    value, _, _ = _batch_quad(fvec, lo_e, hi_e, tol)
+    edges = np.unique(np.concatenate([k, x / k, [x]]))
+    _check_panels(edges.size - 1)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    n = np.clip(np.floor(x / mid).astype(np.int64), 1, table.limit)
+    N = np.floor(mid)
+    Mx = table.mertens[n] / x
+    if form == "M-kernel":
+        terms = [(j, Mx * c) for j, c in lattice_power_coeffs("g1", N)]
+    elif form == "m-kernel":
+        m = series.m.values[n]
+        terms = [(j + 2, m * c) for j, c in lattice_power_coeffs("h1", N)]
+    else:
+        m = series.m.values[n]
+        g = lattice_power_coeffs("g1", N)
+        terms = [(j + 1, m * c) for j, c in g] + [(j, -Mx * c) for j, c in g]
+    value, _ = _panel_sum(lo, hi, terms)
     return value

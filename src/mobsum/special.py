@@ -18,6 +18,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import DomainError
+from .weights import H2_ENVELOPE
 
 _ULP = 2.0 ** -53
 
@@ -156,10 +157,6 @@ def mellin_H1_closed(s: float) -> SpecialValue:
     return SpecialValue(value=val, abs_error=err)
 
 
-_H2_SUP = 22527.5
-_H2_L1 = (math.pi**2 / 6.0) / 4345.0
-
-
 def h2_integral_bound(delta: float) -> float:
     """Certified bound on integral_1^inf |H2(t)| t^{-2+delta} dt.
 
@@ -168,5 +165,6 @@ def h2_integral_bound(delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("h2_integral_bound requires 0 < delta < 1")
-    b = (_H2_SUP / (_H2_L1 * delta)) ** delta
-    return _H2_L1 * b / (1.0 - delta)
+    sup, l1 = H2_ENVELOPE.sup_norm, H2_ENVELOPE.l1_mellin2
+    b = (sup / (l1 * delta)) ** delta
+    return l1 * b / (1.0 - delta)

@@ -8,9 +8,11 @@ density is h(y) = sum_r c_r 1_{[0,1]}(r y).
 
 For a density g the lattice sum is G(t) = 1 - (1/t) sum_{n<=t} g(n/t);
 for a density h it is H(t) = 1 - sum_{n<=t} h(n/t).  For the polynomial
-densities these sums reduce exactly to power sums of N = floor(t); the
-closed form is the default evaluation path (extended precision to tame
-the cancellation of the leading 1) and the generic compensated direct sum
+densities these sums reduce exactly to power sums of N = floor(t), i.e.
+to polynomials in 1/t on [N, N+1) (`lattice_power_coeffs`, the one source
+of these coefficients: the exact panel integrals of `mobsum.quad` read it
+too).  The closed form is the default evaluation path (extended precision
+to tame the cancellation of the leading terms) and the generic direct sum
 is kept as a cross-check route.
 """
 
@@ -91,11 +93,32 @@ H2_ENVELOPE = EnvelopeParams(
 H2_K_ALTERNATE = 100822.0
 
 
-def _power_sums(N: int):
-    """Exact integer power sums S1, S2, S3 of 1..N."""
-    S1 = N * (N + 1) // 2
-    S2 = N * (N + 1) * (2 * N + 1) // 6
-    return S1, S2, S1 * S1
+def lattice_power_coeffs(name: str, N):
+    """Pairs (j, c_j) with lattice sum = sum_j c_j t^-j on [N, N+1).
+
+    With S_k = sum_{n<=N} n^k and S3 = S1^2,
+        G1(t) = 1 - 4 S1/t^2 + 4 S3/t^4,
+        H1(t) = (1 + 2N) - (16/3) S1/t - 2 S2/t^2 + (16/3) S3/t^3.
+    N may be a scalar or an array and the arithmetic runs in its type: in
+    float64, S1 is exact for N < 9.4e7 and every c_j is within two
+    roundings of exact.
+    """
+    S1 = N * (N + 1) / 2
+    S3 = S1 * S1
+    if name == "g1":
+        return [(0, 1), (2, -4 * S1), (4, 4 * S3)]
+    if name == "h1":
+        S2 = N * (N + 1) * (2 * N + 1) / 6
+        return [(0, 1 + 2 * N), (1, -16 * S1 / 3), (2, -2 * S2), (3, 16 * S3 / 3)]
+    raise InvalidArgumentError(f"no power-sum form for weight {name!r}")
+
+
+def _lattice_closed(name: str, t: float) -> float:
+    """The power-sum form in extended precision (the leading terms cancel
+    almost completely for large t)."""
+    N = np.longdouble(_guard(t))
+    tl = np.longdouble(t)
+    return float(sum(c / tl**j for j, c in lattice_power_coeffs(name, N)))
 
 
 def _guard(t: float) -> int:
@@ -111,14 +134,9 @@ def eval_G(spec: WeightSpec, t: float, method: str = "auto") -> float:
         raise InvalidArgumentError("eval_G requires an analytic-g weight")
     if t < 1.0:
         raise DomainError("eval_G requires t >= 1")
-    N = _guard(t)
     if method == "auto" and spec.name == "g1":
-        # 1 - 4 S1/t^2 + 4 S3/t^4 in extended precision (the leading 1
-        # cancels almost completely for large t)
-        S1, _, S3 = _power_sums(N)
-        tl = np.longdouble(t)
-        val = np.longdouble(1.0) - 4 * np.longdouble(S1) / tl**2 + 4 * np.longdouble(S3) / tl**4
-        return float(val)
+        return _lattice_closed("g1", t)
+    N = _guard(t)
     n = np.arange(1, N + 1, dtype=np.longdouble)
     s = np.sum(np.asarray([spec.density(float(v) / t) for v in n], dtype=np.longdouble))
     return float(np.longdouble(1.0) - s / np.longdouble(t))
@@ -130,18 +148,9 @@ def eval_H(spec: WeightSpec, t: float, method: str = "auto") -> float:
         raise InvalidArgumentError("eval_H requires an analytic-h weight")
     if t < 1.0:
         raise DomainError("eval_H requires t >= 1")
-    N = _guard(t)
     if method == "auto" and spec.name == "h1":
-        # 1 - (2/3)(8 S1/t - 3N - 8 S3/t^3 + 3 S2/t^2)
-        S1, S2, S3 = _power_sums(N)
-        tl = np.longdouble(t)
-        inner = (
-            8 * np.longdouble(S1) / tl
-            - 3 * np.longdouble(N)
-            - 8 * np.longdouble(S3) / tl**3
-            + 3 * np.longdouble(S2) / tl**2
-        )
-        return float(np.longdouble(1.0) - np.longdouble(2.0) / 3 * inner)
+        return _lattice_closed("h1", t)
+    N = _guard(t)
     s = np.sum(
         np.asarray([spec.density(float(v) / t) for v in range(1, N + 1)], dtype=np.longdouble)
     )

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import golden_points
+from conftest import golden_points, mp_lattice, mp_panel_quad
 from mobsum.bounds import theorem_d_arithmetic
 from mobsum.chains import LIMSUP_M_OVER_SQRT, base_ledger, run_chain
 from mobsum.identities import (
@@ -23,7 +23,7 @@ from mobsum.identities import (
     residual_thm1_G,
     residual_thm1_H,
 )
-from mobsum.quad import _batch_quad, _g1_lattice_vec, _integer_breaks, _panelize, mellin_numeric
+from mobsum.quad import mellin_numeric
 from mobsum.special import (
     h2_integral_bound,
     mellin_G1_closed,
@@ -159,9 +159,8 @@ def test_criterion_07_identity_residuals(tables_big):
             all_ok &= rep.passed
     eps_ok = True
     for x in (2.0, 7.0, 50.0, 1000.0):
-        lo, hi = _panelize(1.0, x, _integer_breaks(1.0, x))
-        num, _, _ = _batch_quad(_g1_lattice_vec, lo, hi, 1e-12)
-        eps_ok &= abs(num - (epsilon1(x) - epsilon1(1.0))) < 1e-9
+        num = mp_panel_quad(lambda t: mp_lattice("g1", t), range(1, int(x) + 1))
+        eps_ok &= abs(float(num) - (epsilon1(x) - epsilon1(1.0))) < 1e-9
     ok = report(7, all_ok and eps_ok,
                 f"200 residuals < 1e-7 (worst {worst:.2e}); "
                 f"antiderivative check < 1e-9: {eps_ok}")

@@ -12,7 +12,7 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
     code, _, _ = run(capsys, "verify")  # missing required flags
@@ -26,6 +26,13 @@ def test_usage_errors_exit_2(capsys):
                        "--from", "5000", "--to", "3000")
     assert code == 2
     assert "status=PASS" not in out
+    # a cache directory that is a regular file is a usage error, not a traceback
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code, out, err = run(capsys, "verify", "--pred", "msqrt0.5", "--from", "3",
+                         "--to", "100", "--cache-dir", str(not_a_dir))
+    assert code == 2
+    assert "usage error" in err and "status=" not in out
 
 
 def test_mellin_output_and_precision(capsys):

@@ -1,8 +1,9 @@
 import math
 
+import mpmath as mp
 import pytest
 
-from conftest import golden_points
+from conftest import golden_points, mp_lattice, mp_panel_quad
 from mobsum.errors import InvalidArgumentError
 from mobsum.identities import (
     g1_boundary_over_y,
@@ -13,20 +14,20 @@ from mobsum.identities import (
     residual_mchliss,
     residual_thm1_G,
     residual_thm1_H,
-    step_weighted_G1_integral,
 )
-from mobsum.quad import integrate_piecewise
-from mobsum.weights import G1_SPEC, epsilon1, g1, h1
+from mobsum.quad import identity_kernel_integral
+from mobsum.weights import epsilon1, g1, h1
 
 
 def test_closed_form_boundary_integrals_match_quadrature():
     for x in (2.0, 7.3, 50.0):
-        num = integrate_piecewise(lambda y: g1(y) / y, 1.0 / x, 1.0, tol=1e-13) / x
-        assert g1_boundary_over_y(x) == pytest.approx(num, abs=1e-12)
-        num = integrate_piecewise(g1, 0.0, 1.0 / x, tol=1e-13)
-        assert g1_head_integral(x) == pytest.approx(num, abs=1e-12)
-        num = integrate_piecewise(h1, 0.0, 1.0 / x, tol=1e-13)
-        assert h1_head_integral(x) == pytest.approx(num, abs=1e-12)
+        a = 1 / mp.mpf(x)
+        num = mp_panel_quad(lambda y: g1(y) / y, [a, 1]) / x
+        assert g1_boundary_over_y(x) == pytest.approx(float(num), abs=1e-12)
+        num = mp_panel_quad(g1, [0, a])
+        assert g1_head_integral(x) == pytest.approx(float(num), abs=1e-12)
+        num = mp_panel_quad(h1, [0, a])
+        assert h1_head_integral(x) == pytest.approx(float(num), abs=1e-12)
 
 
 @pytest.mark.parametrize("x", [1.0, 1.7, 2.0, 7.0, 33.3, 500.9, 4999.5])
@@ -53,33 +54,23 @@ def test_identities_at_quasi_random_points(tables_small):
 
 
 def test_step_weighted_integral_matches_quadrature(tables_small):
-    # exact antiderivative route vs adaptive quadrature of M(x/t) G1(t)
-    import numpy as np
-    from mobsum.quad import _g1_lattice_vec, _panelize, _batch_quad, _integer_breaks
-
+    # exact M kernel x * integral_1^x M(x/t) G1(t)/x dt vs per-panel quadrature
+    mert = tables_small.mu.mertens
     for x in (7.0, 50.3, 200.0):
-        exact = step_weighted_G1_integral(tables_small, x)
-        mert = tables_small.mu.mertens
-
-        def fvec(t):
-            n = np.clip(np.floor(x / t).astype(np.int64), 1, tables_small.limit)
-            return mert[n] * _g1_lattice_vec(t)
-
-        k = np.arange(1, math.floor(x) + 1, dtype=np.float64)
-        breaks = np.concatenate([_integer_breaks(1.0, x), x / k])
-        lo, hi = _panelize(1.0, x, breaks)
-        num, _, _ = _batch_quad(fvec, lo, hi, 1e-11)
-        assert exact == pytest.approx(num, abs=1e-9)
+        exact = x * identity_kernel_integral(tables_small.mu, tables_small.series, x,
+                                             "M-kernel")
+        xm = mp.mpf(x)
+        edges = sorted({mp.mpf(n) for n in range(1, math.floor(x) + 1)}
+                       | {xm / k for k in range(1, math.floor(x) + 1)} | {xm})
+        num = mp_panel_quad(lambda t: int(mert[int(mp.floor(xm / t))]) * mp_lattice("g1", t),
+                            edges)
+        assert exact == pytest.approx(float(num), abs=1e-9)
 
 
 def test_epsilon1_antiderivative_check():
-    from mobsum.quad import _g1_lattice_vec, _panelize, _batch_quad, _integer_breaks
-    import numpy as np
-
     for x in (2.0, 7.0, 50.0, 1000.0):
-        lo, hi = _panelize(1.0, x, _integer_breaks(1.0, x))
-        num, _, _ = _batch_quad(_g1_lattice_vec, lo, hi, 1e-12)
-        assert abs(num - (epsilon1(x) - epsilon1(1.0))) < 1e-9
+        num = mp_panel_quad(lambda t: mp_lattice("g1", t), range(1, int(x) + 1))
+        assert abs(float(num) - (epsilon1(x) - epsilon1(1.0))) < 1e-9
 
 
 def test_h1_remainder_function():
