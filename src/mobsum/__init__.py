@@ -82,7 +82,6 @@ from .weights import (
     eval_H,
     g1,
     h1,
-    load_coeff_weight,
 )
 
 __version__ = "0.1.0"

@@ -70,22 +70,29 @@ def _panel_sum(lo, hi, terms, s: float = 0.0):
     the higher-order terms and the relative error of the float sum
     sum|terms| itself.
     """
-    L = np.log1p((hi - lo) / lo)
+    L = hi - lo
+    L /= lo
+    np.log1p(L, out=L)
     s_int = math.floor(s)
     f = s - s_int
     lo_f = np.power(lo, -f) if f else 1.0
-    cols = []
-    for j, c in terms:
+    # one panel-major array filled in place: every fresh panel-sized
+    # temporary costs page faults once the process heap has no slack
+    T = np.empty((lo.shape[0], len(terms)))
+    work = np.empty_like(L)
+    for col, (j, c) in enumerate(terms):
         q = 1 - j - s_int
         e = q - f
         if e == 0:
             integral = L
         else:
-            integral = np.power(lo, float(q)) * lo_f * np.expm1(e * L) / e
-        cols.append(c * integral)
-    T = np.column_stack(cols)
+            integral = np.power(lo, float(q), out=work)
+            integral *= lo_f
+            integral *= np.expm1(e * L)
+            integral /= e
+        np.multiply(c, integral, out=T[:, col])
     value = math.fsum(memoryview(T.ravel()))  # yields Python floats, no list
-    return value, _K_ROUND * _U * float(np.abs(T).sum())
+    return value, _K_ROUND * _U * float(np.abs(T, out=T).sum())
 
 
 # ---------------------------------------------------------------------------

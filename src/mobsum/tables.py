@@ -11,6 +11,13 @@ summatory functions
     mcheck(x) = sum_{n<=x} (mu(n)/n) log(x/n) = m(|x|) log x - ell(|x|)
 
 where ell(n) = sum_{k<=n} mu(k) log(k)/k.
+
+Every prefix sum is built _BLOCK indices at a time: the Mertens sums carry
+the last exact sum of a block into the next, and the compensated series
+carry their running state (prefix, correction sum, sums of |t|, of the
+term errors and of |err|, max |value| and max radius).  Peak memory is
+the retained tables plus O(_BLOCK) scratch, and every value and radius is
+bit-identical to one pass over the whole table.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 from .errors import InvalidArgumentError, RangeError
 
 _ULP = 2.0 ** -53  # unit roundoff for IEEE-754 binary64
+_BLOCK = 1 << 16  # indices per block of the carried prefix sums
 
 _CACHE_VERSION = "v2"
 _CACHE_HEADER = re.compile(rb"MOEBIUS-TABLE (v\d+) limit=([1-9]\d*)\n")
@@ -93,8 +101,9 @@ def _sieve_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
 def sieve_mu(limit: int, block_size: int = 1 << 20, jobs: int = 1) -> MuTable:
     """Sieve mu(n) for 1 <= n <= limit and accumulate exact Mertens sums.
 
-    Deterministic for any block size and worker count: blocks are merged in
-    index order and the prefix sum is taken once over the merged array.
+    Deterministic for any block size and worker count: each block is copied
+    into place as it is produced, in index order, and the exact Mertens sums
+    are taken over the merged array.
     """
     if limit < 1:
         raise InvalidArgumentError("limit must be a positive integer")
@@ -105,9 +114,9 @@ def sieve_mu(limit: int, block_size: int = 1 << 20, jobs: int = 1) -> MuTable:
     mu = np.zeros(limit + 1, dtype=np.int8)
     if jobs > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda s: _sieve_block(s[0], s[1], primes), spans))
-        for (lo, hi), part in zip(spans, parts):
-            mu[lo:hi] = part
+            parts = pool.map(lambda s: _sieve_block(s[0], s[1], primes), spans)
+            for (lo, hi), part in zip(spans, parts):
+                mu[lo:hi] = part
     else:
         for lo, hi in spans:
             mu[lo:hi] = _sieve_block(lo, hi, primes)
@@ -115,8 +124,18 @@ def sieve_mu(limit: int, block_size: int = 1 << 20, jobs: int = 1) -> MuTable:
 
 
 def _mu_table(mu: np.ndarray) -> MuTable:
-    """MuTable over ``mu`` (int8, index 0 zero); Mertens is its prefix sum."""
-    return MuTable(limit=mu.shape[0] - 1, mu=mu, mertens=np.cumsum(mu, dtype=np.int64))
+    """MuTable over ``mu`` (int8, index 0 zero); Mertens is its prefix sum,
+    accumulated _BLOCK entries at a time into one int64 array with the last
+    sum of each block carried into the next (integer sums are exact, so
+    the carry may be added after the block's own prefix sum)."""
+    mertens = np.empty(mu.shape[0], dtype=np.int64)
+    carry = 0
+    for a in range(0, mu.shape[0], _BLOCK):
+        block = mertens[a:a + _BLOCK]
+        np.cumsum(mu[a:a + _BLOCK], dtype=np.int64, out=block)
+        block += carry
+        carry = block[-1]
+    return MuTable(limit=mu.shape[0] - 1, mu=mu, mertens=mertens)
 
 
 def abs_mertens_prefix_integral(table: MuTable, T: int) -> int:
@@ -152,71 +171,96 @@ class PrefixSeries:
         self.error_radius.setflags(write=False)
 
 
-def _compensated_prefix(terms: np.ndarray, term_rep_error: np.ndarray) -> PrefixSeries:
-    """Prefix sums of ``terms`` with one round of error-free correction.
+def _carried(ufunc, carry: float, x: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate`` of x continued from ``carry``: the result has
+    len(x) + 1 slots, slot 0 is the carried value and slot i accumulates
+    x[i-1] onto slot i-1, the same left-to-right order a single pass over
+    the whole sequence would take."""
+    buf = np.empty(x.shape[0] + 1)
+    buf[0] = carry
+    buf[1:] = x
+    return ufunc.accumulate(buf, out=buf)
 
-    np.cumsum accumulates left to right, so with s_i the naive prefix and
-    prev_i = s_{i-1} the quantities
 
-        bb  = s - prev            (Neumaier branch-free TwoSum split)
-        err = (prev - (s - bb)) + (t - bb)
+def _carried_prefix(limit: int, block_terms, term_kind: str) -> PrefixSeries:
+    """Prefix sums of per-index terms with one round of error-free correction,
+    built _BLOCK indices at a time.
+
+    ``block_terms(a, b)`` gives the terms t_k for k in [a, b) and the bound
+    on each term's own representation error.  Within a block, with s_k the
+    naive prefix and s_{k-1} its predecessor,
+
+        bb  = s_k - s_{k-1}            (Neumaier branch-free TwoSum split)
+        err = (s_{k-1} - (s_k - bb)) + (t_k - bb)
 
     recover each step's exact rounding error; adding their running sum back
     gives values accurate to ~1 ulp.  The certified radius combines:
-      * representation error of the terms themselves (given per term),
-      * second-order error of the correction cumsum: ulp * running sum |err|
-        plus n * ulp^2 * running sum |terms|,
-      * the final uncompensated rounding: 2 ulp * running max |values|.
+      * representation error of the terms themselves (running sum of rep),
+      * second-order error of the correction sum: ulp * running sum |err|
+        plus k * ulp^2 * running sum |t|,
+      * the final uncompensated rounding: 2 ulp * running max |values|,
+    and is made monotone by a running max.
+
+    Seven values carry from one block to the next: the prefix s, the sums
+    of err, |t|, rep and |err|, max |values| and the running max radius.
+    Each block seeds slot 0 of its accumulations with the carried value, so
+    every float operation runs in the order of one pass over the whole
+    table and the result does not depend on _BLOCK; only O(_BLOCK) scratch
+    is live besides the two output arrays.
     """
-    n = terms.shape[0]
-    s = np.cumsum(terms)
-    prev = np.empty_like(s)
-    prev[0] = 0.0
-    prev[1:] = s[:-1]
-    bb = s - prev
-    err = (prev - (s - bb)) + (terms - bb)
-    values = s + np.cumsum(err)
-
-    abs_run = np.cumsum(np.abs(terms))
-    rep_run = np.cumsum(term_rep_error)
-    err_run = np.cumsum(np.abs(err))
-    idx = np.arange(1, n + 1, dtype=np.float64)
-    radius = (
-        rep_run
-        + _ULP * err_run
-        + idx * _ULP * _ULP * abs_run
-        + 2.0 * _ULP * np.maximum.accumulate(np.abs(values))
-    )
-    radius = np.maximum.accumulate(radius)
-
-    out_v = np.empty(n + 1)
-    out_v[0] = 0.0
-    out_v[1:] = values
-    out_r = np.empty(n + 1)
-    out_r[0] = 0.0
-    out_r[1:] = radius
-    return PrefixSeries(limit=n, values=out_v, error_radius=out_r)
+    values = np.empty(limit + 1)
+    radius = np.empty(limit + 1)
+    values[0] = radius[0] = 0.0
+    s = e_sum = abs_sum = rep_sum = abs_err_sum = v_max = r_max = 0.0
+    for a in range(1, limit + 1, _BLOCK):
+        b = min(a + _BLOCK, limit + 1)
+        terms, rep = block_terms(a, b)
+        run = _carried(np.add, s, terms)
+        prev, cur = run[:-1], run[1:]
+        bb = cur - prev
+        err = (prev - (cur - bb)) + (terms - bb)
+        e_run = _carried(np.add, e_sum, err)[1:]
+        v = cur + e_run
+        abs_run = _carried(np.add, abs_sum, np.abs(terms))[1:]
+        rep_run = _carried(np.add, rep_sum, rep)[1:]
+        err_run = _carried(np.add, abs_err_sum, np.abs(err))[1:]
+        v_run = _carried(np.maximum, v_max, np.abs(v))[1:]
+        idx = np.arange(a, b, dtype=np.float64)
+        r = (
+            rep_run
+            + _ULP * err_run
+            + idx * _ULP * _ULP * abs_run
+            + 2.0 * _ULP * v_run
+        )
+        r = _carried(np.maximum, r_max, r)[1:]
+        values[a:b] = v
+        radius[a:b] = r
+        s, e_sum, abs_sum, rep_sum = cur[-1], e_run[-1], abs_run[-1], rep_run[-1]
+        abs_err_sum, v_max, r_max = err_run[-1], v_run[-1], r[-1]
+    return PrefixSeries(limit=limit, values=values, error_radius=radius, term_kind=term_kind)
 
 
 def m_series(table: MuTable) -> PrefixSeries:
     """Prefix sums of mu(k)/k, certified to ~1e-14 absolute up to 1e8."""
-    k = np.arange(1, table.limit + 1, dtype=np.float64)
-    terms = table.mu[1:].astype(np.float64) / k
-    # each quotient mu/k carries at most half an ulp of relative error
-    rep = _ULP * np.abs(terms)
-    ser = _compensated_prefix(terms, rep)
-    return PrefixSeries(ser.limit, ser.values, ser.error_radius, term_kind="m")
+
+    def block_terms(a, b):
+        terms = table.mu[a:b].astype(np.float64) / np.arange(a, b, dtype=np.float64)
+        # each quotient mu/k carries at most half an ulp of relative error
+        return terms, _ULP * np.abs(terms)
+
+    return _carried_prefix(table.limit, block_terms, "m")
 
 
 def ell_series(table: MuTable) -> PrefixSeries:
     """Prefix sums of mu(k)*log(k)/k (the auxiliary series behind mcheck)."""
-    k = np.arange(1, table.limit + 1, dtype=np.float64)
-    logs = np.log(k)
-    terms = table.mu[1:].astype(np.float64) * logs / k
-    # log() is faithfully rounded (<=1 ulp) and the quotient adds one more
-    rep = 3.0 * _ULP * np.abs(terms)
-    ser = _compensated_prefix(terms, rep)
-    return PrefixSeries(ser.limit, ser.values, ser.error_radius, term_kind="ell")
+
+    def block_terms(a, b):
+        k = np.arange(a, b, dtype=np.float64)
+        terms = table.mu[a:b].astype(np.float64) * np.log(k) / k
+        # log() is faithfully rounded (<=1 ulp) and the quotient adds one more
+        return terms, 3.0 * _ULP * np.abs(terms)
+
+    return _carried_prefix(table.limit, block_terms, "ell")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,12 @@ log^2 weight has a single closed-form critical point in log x.
 `verify_range` evaluates the kernel on float64 arrays and compares each
 supremum with the bound, allowing for the certified error radius of the
 prefix series; `sup_scan` evaluates it on float64 arrays and takes the
-argmax.  Intervals whose margin falls inside the guard band are escalated:
+argmax.  Both walk the range in chunks of _CHUNK intervals, so scratch
+memory is O(_CHUNK) per worker whatever the range: a `verify_range` chunk
+is reduced where it is scanned to its largest value and first argmax, its
+hard violations and its suspect intervals, and the caller merges these in
+chunk order; `sup_scan` keeps the first chunk maximum that no later chunk
+exceeds.  Intervals whose margin falls inside the guard band are escalated:
 the same kernel re-runs at 50 digits on exact M(n), on m(n) (exact rational
 up to n = 50000, within n 2^-256 above) and on ell(n) to 40 digits, and
 the intervals are reported as indeterminate.
@@ -32,7 +37,7 @@ from .errors import InvalidArgumentError, RangeError
 from .tables import Tables, exact_prefix_fraction
 
 _ULP = 2.0 ** -53
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16
 _EXACT_FRACTION_LIMIT = 50000
 _FIXED_BITS = 256
 _BISECT_STEPS = 80
@@ -136,6 +141,8 @@ def _bisect(u, lo, hi, ulo, uhi, fn):
     else lo.  A midpoint where u is exactly 0 is kept."""
     root = lo.copy()
     k = np.nonzero(ulo * uhi < 0)[0]
+    if not k.size:
+        return root
     a, b, ua = lo[k], hi[k], ulo[k]
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (a + b)
@@ -290,36 +297,37 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     if n_hi - 1 > tables.limit:
         raise RangeError(f"range end {hi} exceeds sieve limit {tables.limit}")
     spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
+    bound = _scale_bound(pred)[1]
 
     def work(span):
-        return _chunk_scan(pred, span[0], span[1], tables)
-
-    if jobs > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(work, spans))
-    else:
-        parts = [work(s) for s in spans]
+        # reduce the chunk where it is scanned: (largest q, its first n,
+        # hard violations, suspects for exact re-decision)
+        a, b = span
+        q, guard, _ = _chunk_scan(pred, a, b, tables)
+        i = int(np.argmax(q))
+        margin = bound - q
+        hard = [(a + j, float(q[j]), float(margin[j]))
+                for j in np.nonzero(margin < -guard)[0].tolist()]
+        suspect = np.nonzero((margin <= guard) & (margin >= -guard))[0]
+        return float(q[i]), a + i, hard, (a + suspect).tolist()
 
     report = VerificationReport(predicate=pred.name, lo=n_lo, hi=n_hi)
-    for (a, b), (q, guard, bound) in zip(spans, parts):
-        report.checked += b - a
-        i = int(np.argmax(q))
-        if q[i] > report.max_ratio * bound:
-            report.max_ratio = float(q[i]) / bound
-            report.argmax = a + i
-        margin = bound - q
-        hard = np.nonzero(margin < -guard)[0]
-        for j in hard.tolist():
-            report.violations.append((a + j, float(q[j]), float(margin[j])))
-        suspect = np.nonzero((margin <= guard) & (margin >= -guard))[0]
-        for j in suspect.tolist():
-            n = a + j
-            value, ok = _exact_recheck(pred, n, tables)
-            report.indeterminate.append(n)
-            if not ok:
-                report.violations.append((n, value, float(bound - value)))
-        if len(report.violations) > max_violations:
-            break
+    # threads start only when the pool is given work
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        parts = pool.map(work, spans) if jobs > 1 and len(spans) > 1 else map(work, spans)
+        for (a, b), (q_max, at, hard, suspect) in zip(spans, parts):
+            report.checked += b - a
+            if q_max > report.max_ratio * bound:
+                report.max_ratio = q_max / bound
+                report.argmax = at
+            report.violations.extend(hard)
+            for n in suspect:
+                value, ok = _exact_recheck(pred, n, tables)
+                report.indeterminate.append(n)
+                if not ok:
+                    report.violations.append((n, value, float(bound - value)))
+            if len(report.violations) > max_violations:
+                break
     report.violations.sort(key=lambda t: t[0])
     return report
 
@@ -339,13 +347,17 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
     if lo > hi or n_hi < n_lo:
         raise InvalidArgumentError(f"empty scan range [{lo}, {hi}]")
     ser = tables.series
-    x1 = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    x2 = np.minimum(x1 + 1.0, float(hi))
-    s = slice(n_lo, n_hi + 1)
-    sup, arg = _interval_sup(target, weight, x1, x2, ser.m.values[s],
-                             tables.mu.mertens[s], ser.ell.values[s])
-    i = int(np.argmax(sup))
-    return float(sup[i]), float(arg[i])
+    best = at = None
+    for a in range(n_lo, n_hi + 1, _CHUNK):
+        b = min(a + _CHUNK, n_hi + 1)
+        x1 = np.arange(a, b, dtype=np.float64)
+        x2 = np.minimum(x1 + 1.0, float(hi))
+        sup, arg = _interval_sup(target, weight, x1, x2, ser.m.values[a:b],
+                                 tables.mu.mertens[a:b], ser.ell.values[a:b])
+        i = int(np.argmax(sup))
+        if best is None or sup[i] > best:  # strict: the first maximum wins
+            best, at = sup[i], arg[i]
+    return float(best), float(at)
 
 
 @dataclass

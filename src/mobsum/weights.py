@@ -2,9 +2,7 @@
 
 The two shipped analytic densities are
     g1(y) = 4 y (1 - y^2)        with  integral over [0,1] equal to 1,
-    h1(y) = (2/3)(1 - y^2)(8y - 3) with integral 0,
-and the generic weight given by a finite coefficient list (r, c_r) whose
-density is h(y) = sum_r c_r 1_{[0,1]}(r y).
+    h1(y) = (2/3)(1 - y^2)(8y - 3) with integral 0.
 
 For a density g the lattice sum is G(t) = 1 - (1/t) sum_{n<=t} g(n/t);
 for a density h it is H(t) = 1 - sum_{n<=t} h(n/t).  For the polynomial
@@ -20,15 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, ResourceError
 
 _SUM_GUARD = 10**7  # max number of lattice terms per call
-_ULP = 2.0 ** -53
 
 
 def g1(y: float) -> float:
@@ -47,17 +43,16 @@ def h1(y: float) -> float:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A weight density: a named analytic function or a coefficient list."""
+    """A named analytic weight density."""
 
-    kind: str  # "analytic-g" | "analytic-h" | "coefficient-list"
+    kind: str  # "analytic-g" | "analytic-h"
     name: str = ""
     density: Optional[Callable[[float], float]] = None
-    coeffs: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("analytic-g", "analytic-h", "coefficient-list"):
+        if self.kind not in ("analytic-g", "analytic-h"):
             raise InvalidArgumentError(f"unknown weight kind {self.kind!r}")
-        if self.kind.startswith("analytic") and self.density is None:
+        if self.density is None:
             raise InvalidArgumentError("analytic weight needs a density")
 
 
@@ -157,33 +152,6 @@ def eval_H(spec: WeightSpec, t: float, method: str = "auto") -> float:
     return float(np.longdouble(1.0) - s)
 
 
-def _floor_quotient(t: float, r: float) -> int:
-    """floor(t/r) with an exact re-decision when t/r sits within 4 ulp of
-    an integer (floor discontinuities are the dominant hazard)."""
-    q = t / r
-    m = round(q)
-    if abs(q - m) <= 4.0 * _ULP * max(1.0, abs(q)):
-        return m if Fraction(t) >= Fraction(r) * m else m - 1
-    return math.floor(q)
-
-
-def eval_H_coeffs(
-    coeffs: Sequence[Tuple[float, float]], t: float, form: str = "floor"
-) -> float:
-    """H(t) for a coefficient weight: 1 - sum_r c_r floor(t/r), or the
-    algebraically equal fractional form 1 + sum_r c_r {t/r} (equality
-    requires sum_r c_r / r = 0)."""
-    if t < 1.0:
-        raise DomainError("eval_H_coeffs requires t >= 1")
-    if form == "floor":
-        terms = [c * _floor_quotient(t, r) for r, c in coeffs]
-        return 1.0 - math.fsum(terms)
-    if form == "frac":
-        terms = [c * (t / r - _floor_quotient(t, r)) for r, c in coeffs]
-        return 1.0 + math.fsum(terms)
-    raise InvalidArgumentError(f"unknown form {form!r}")
-
-
 def epsilon1(t: float) -> float:
     """Closed form of the antiderivative of G1 from 1:
 
@@ -208,57 +176,3 @@ def em_H1_envelope(t: float) -> Tuple[float, float]:
     f = t - math.floor(t)
     approx = ((10.0 / 3.0) * (f * f - f) + 1.0) / t
     return approx, 1.56 / (6.0 * t * t)
-
-
-def partial_moebius_fractional_sum(table, K: int, t: float) -> float:
-    """S_K(t) = sum_{k<=K} mu(k) {t/k}."""
-    if K > table.limit:
-        raise InvalidArgumentError(f"K={K} exceeds table limit {table.limit}")
-    k = np.arange(1, K + 1, dtype=np.float64)
-    q = t / k
-    frac = q - np.floor(q)
-    # near-integer quotients re-decided exactly
-    near = np.abs(q - np.rint(q)) <= 4.0 * _ULP * np.maximum(1.0, np.abs(q))
-    for idx in np.nonzero(near)[0]:
-        kk = int(idx) + 1
-        fq = _floor_quotient(t, float(kk))
-        frac[idx] = t / kk - fq
-    mu = table.mu[1 : K + 1].astype(np.float64)
-    return float(math.fsum((mu * frac).tolist()))
-
-
-def load_coeff_weight(path) -> WeightSpec:
-    """Load a coefficient weight from a text file of lines "r c_r".
-
-    Validates sum_r c_r / r = 0: exactly in rational arithmetic when every
-    token parses as a finite decimal, else to 1e-15.
-    """
-    pairs = []
-    tokens_rational = True
-    rats = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InvalidArgumentError(f"{path}:{lineno}: expected 'r c_r'")
-            try:
-                r, c = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise InvalidArgumentError(f"{path}:{lineno}: bad number") from exc
-            if r <= 0:
-                raise InvalidArgumentError(f"{path}:{lineno}: r must be positive")
-            pairs.append((r, c))
-            try:
-                rats.append(Fraction(parts[1]) / Fraction(parts[0]))
-            except ValueError:
-                tokens_rational = False
-    if tokens_rational:
-        if sum(rats, Fraction(0)) != 0:
-            raise InvalidArgumentError("coefficient weight violates sum c_r/r = 0")
-    else:
-        if abs(math.fsum(c / r for r, c in pairs)) > 1e-15:
-            raise InvalidArgumentError("coefficient weight violates sum c_r/r = 0 (1e-15)")
-    return WeightSpec(kind="coefficient-list", name="coeffs", coeffs=tuple(pairs))

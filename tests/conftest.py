@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from mobsum.tables import build_tables
@@ -40,6 +41,34 @@ def mp_panel_quad(f, edges, dps=30):
                        for a, b in zip(edges, edges[1:]))
 
 
+def whole_array_prefix(mu, kind):
+    """(values, error_radius) of the compensated m or ell series in one
+    pass over the whole table: the block-free form of
+    mobsum.tables._carried_prefix, kept as its bit-for-bit oracle."""
+    ulp = 2.0 ** -53
+    n = mu.shape[0] - 1
+    k = np.arange(1, n + 1, dtype=np.float64)
+    if kind == "m":
+        terms = mu[1:].astype(np.float64) / k
+        rep = ulp * np.abs(terms)
+    else:
+        terms = mu[1:].astype(np.float64) * np.log(k) / k
+        rep = 3.0 * ulp * np.abs(terms)
+    s = np.cumsum(terms)
+    prev = np.concatenate(([0.0], s[:-1]))
+    bb = s - prev
+    err = (prev - (s - bb)) + (terms - bb)
+    values = s + np.cumsum(err)
+    radius = (
+        np.cumsum(rep)
+        + ulp * np.cumsum(np.abs(err))
+        + k * ulp * ulp * np.cumsum(np.abs(terms))
+        + 2.0 * ulp * np.maximum.accumulate(np.abs(values))
+    )
+    radius = np.maximum.accumulate(radius)
+    return np.concatenate(([0.0], values)), np.concatenate(([0.0], radius))
+
+
 @pytest.fixture(scope="session")
 def tables_small():
     """Sieve to 2e4: enough for the unit-level oracles."""
@@ -49,4 +78,4 @@ def tables_small():
 @pytest.fixture(scope="session")
 def tables_big():
     """Sieve to 1e7: the desk-scale verification range."""
-    return build_tables(10**7, jobs=4)
+    return build_tables(10**7, jobs=2)

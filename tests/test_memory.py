@@ -1,0 +1,48 @@
+"""Memory bounds of the table build and the full-range scans, measured with
+tracemalloc (process-local; numpy reports its buffers to it)."""
+
+import tracemalloc
+
+import pytest
+
+from mobsum.tables import build_tables
+from mobsum.verify import PREDICATES, sup_scan, verify_range
+
+MB = 1 << 20
+
+
+def _traced_peak(fn):
+    """Peak bytes allocated while fn runs, beyond what was live before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_build_tables_peak_per_n():
+    # retained: mu 1 B/n, Mertens 8 B/n, values and radius of m and ell
+    # 32 B/n; the build may add only block-sized scratch to those 41 B/n
+    limit = 2 * 10**6
+    assert _traced_peak(lambda: build_tables(limit, jobs=2)) <= 50 * limit
+
+
+@pytest.mark.parametrize("limit", [5 * 10**5, 2 * 10**6])
+def test_full_range_scans_add_bounded_memory(limit):
+    # scratch is one chunk per worker, whatever the range
+    tables = build_tables(limit, jobs=2)
+
+    def scans():
+        for name, lo in (("mchecklog2-0.162", 3), ("m1log2-0.138", 671)):
+            verify_range(PREDICATES[name], lo, limit, tables, jobs=2)
+        for target, weight, lo in (("m", "sqrtx", 3), ("M", "sqrtx", 201),
+                                   ("m1", "log2x", 671), ("mcheck-minus-1", "log2x", 3)):
+            sup_scan(tables, target, weight, lo, limit)
+
+    assert _traced_peak(scans) <= 32 * MB

@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import whole_array_prefix
+from mobsum import tables
 from mobsum.errors import InvalidArgumentError, RangeError
 from mobsum.tables import (
     abs_mertens_prefix_integral,
     build_tables,
     cache_path,
+    ell_series,
     evaluate,
     exact_prefix_fraction,
     load_covering,
     load_table,
+    m_series,
     save_table,
     sieve_mu,
     table_digest,
@@ -50,6 +54,21 @@ def test_mertens_known_values(tables_small):
     assert mert[1637] == -16
     assert int(np.abs(mert[1:201]).sum()) == 461
     assert int(np.abs(mert[1:33]).sum()) == 59
+
+
+@pytest.mark.parametrize("block", [1, 7, tables._BLOCK])
+def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
+    # limits on and next to the block edges, with one short last block
+    monkeypatch.setattr(tables, "_BLOCK", block)
+    for limit in sorted({1, block - 1, block, block + 1, 3 * block + 5} - {0}):
+        table = sieve_mu(limit)
+        want = np.cumsum(table.mu, dtype=np.int64)
+        assert table.mertens.dtype == want.dtype
+        assert table.mertens.tobytes() == want.tobytes()
+        for series, kind in ((m_series(table), "m"), (ell_series(table), "ell")):
+            values, radius = whole_array_prefix(table.mu, kind)
+            assert series.values.tobytes() == values.tobytes()
+            assert series.error_radius.tobytes() == radius.tobytes()
 
 
 def test_sieve_jobs_deterministic():

@@ -132,6 +132,32 @@ def test_verify_jobs_deterministic(tables_small):
             assert r.indeterminate == reps[0].indeterminate
 
 
+def test_chunk_size_does_not_change_reports(tables_small, monkeypatch):
+    # every chunk edge inside the range: reports and scans must equal the
+    # one-chunk run (no violation cap, which cuts at a chunk edge)
+    def run():
+        reps = [verify_range(p, 2, 6000, tables_small, jobs=j, max_violations=10**6)
+                for p in PREDICATES.values() for j in (1, 2)]
+        sups = [sup_scan(tables_small, t, w, lo, hi)
+                for t, ws in verify._WEIGHTS.items() for w in ws
+                for lo, hi in ((1, 6000), (2.5, 5999.5))]
+        return reps, sups
+
+    default = run()
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    assert run() == default
+
+
+def test_sup_scan_tie_across_chunk_edge(tables_small, monkeypatch):
+    # mu(n+1) = 0 keeps m constant, so intervals n and n+1 tie under the
+    # weight 1; with a chunk edge between them the first must still win
+    mu, m = tables_small.mu.mu, np.abs(tables_small.series.m.values)
+    n = next(k for k in range(7, 20000) if mu[k + 1] == 0 and m[k] > m[k - 6:k].max())
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    assert m[n + 1] == m[n]
+    assert sup_scan(tables_small, "m", "1", n - 6, n + 1.5) == (float(m[n]), float(n))
+
+
 def _oracle_sup(tables, target, n):
     """60-digit sup of the weighted target on [n, n+1], independent of the
     verify kernel: exact m(n), and the critical points of the signed

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import golden_points
-from mobsum.errors import DomainError, InvalidArgumentError
+from mobsum.errors import DomainError
 from mobsum.weights import (
     G1_SPEC,
     H1_SPEC,
@@ -13,11 +13,8 @@ from mobsum.weights import (
     epsilon1,
     eval_G,
     eval_H,
-    eval_H_coeffs,
     g1,
     h1,
-    load_coeff_weight,
-    partial_moebius_fractional_sum,
 )
 
 
@@ -81,54 +78,12 @@ def test_epsilon1_is_antiderivative_of_G(tables_small):
         assert deriv == pytest.approx(eval_G(G1_SPEC, t), abs=1e-7)
 
 
-def test_partial_moebius_fractional_sum(tables_small):
-    # S_K(t) = sum_{k<=K} mu(k){t/k}; check small case by hand
-    # K=2, t=2.5: mu(1){2.5} + mu(2){1.25} = 0.5 - 0.25 = 0.25
-    v = partial_moebius_fractional_sum(tables_small.mu, 2, 2.5)
-    assert v == pytest.approx(0.25, abs=1e-15)
-    # integer quotients contribute exactly zero fractional part
-    v = partial_moebius_fractional_sum(tables_small.mu, 3, 6.0)
-    assert v == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(InvalidArgumentError):
-        partial_moebius_fractional_sum(tables_small.mu, 30000, 5.0)
-
-
 def test_h2_envelope_frozen_parameters():
     assert H2_ENVELOPE.sup_norm == 22527.5
     assert H2_ENVELOPE.l1_mellin2 == pytest.approx((math.pi**2 / 6) / 4345)
     assert H2_ENVELOPE.K == 100882
     assert H2_ENVELOPE.sum_c == 6
     assert H2_ENVELOPE.max_r == 5e13
-
-
-def test_load_coeff_weight(tmp_path):
-    f = tmp_path / "w.txt"
-    # c/r sums: 2/1 - 4/2 = 0
-    f.write_text("1 2\n2 -4\n")
-    spec = load_coeff_weight(str(f))
-    assert spec.kind == "coefficient-list"
-    assert spec.coeffs == ((1.0, 2.0), (2.0, -4.0))
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1 2\n2 -3\n")
-    with pytest.raises(InvalidArgumentError):
-        load_coeff_weight(str(bad))
-    ugly = tmp_path / "ugly.txt"
-    ugly.write_text("1 2 3\n")
-    with pytest.raises(InvalidArgumentError):
-        load_coeff_weight(str(ugly))
-
-
-def test_eval_H_coeffs_matches_analytic_on_step_weight(tmp_path):
-    # H for a coefficient list {r: c_r} is sum c_r B(t/r) with B the
-    # sawtooth from the chosen form; floor and frac forms agree up to
-    # the integer-jump convention, so compare off-lattice
-    f = tmp_path / "w.txt"
-    f.write_text("1 1\n2 -2\n")
-    spec = load_coeff_weight(str(f))
-    for t in (1.3, 2.7, 9.4):
-        a = eval_H_coeffs(spec.coeffs, t, form="floor")
-        b = eval_H_coeffs(spec.coeffs, t, form="frac")
-        assert a == pytest.approx(b, abs=1e-12)
 
 
 @given(st.floats(min_value=1.0, max_value=1e6))
