@@ -10,14 +10,12 @@ deterministic).
 import argparse
 
 from mobsum.bounds import serialize_ledger
-from mobsum.chains import base_ledger, run_chain
-
-CHAINS = ("models", "const", "log", "log2", "mcheck")
+from mobsum.chains import CHAINS, base_ledger, run_chain
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--chain", choices=CHAINS, action="append",
+    ap.add_argument("--chain", choices=list(CHAINS), action="append",
                     help="chain to run (repeatable; default: all, in order)")
     ap.add_argument("--ledger-only", action="store_true",
                     help="print only the final serialized ledger")

@@ -1,11 +1,15 @@
 """Bound ledger and conversion machinery.
 
 A BoundForm is a certified majorant  A x^(theta-1)/log^j x + sum coef x^-power
-of |target(x)| for x >= T.  Conversions multiply the leading constant by a
-Mellin closed-form factor and add explicit remainder terms; majorant descent
-finds the rank from which the majorant falls below a simpler target shape;
-range lowerings shrink validity ranks by comparison against sqrt-models or
-previously derived bounds.
+of |target(x)| for x >= T.  Each operation has one body.  The conversions
+M/x -> m1 and m1 -> mcheck - 1 (`convert_via_G1`, `convert_via_G1check`,
+sharing `_convert_G1`) and m -> m1 multiply the leading constant by a Mellin
+closed-form factor and add explicit remainder terms; `triangle_m` adds the
+bounds on |M/x| and |m1|; majorant descent finds the rank from which the
+majorant falls below a simpler target shape; range lowerings shrink validity
+ranks against sqrt-models or previously derived bounds.  Descent and sqrt
+lowering share one bisection; `run_plan_step` runs the same operations from
+text plans.
 
 Ranks and remainder coefficients can be astronomically large (exp(18900) and
 beyond), so ranks are stored as log T and remainder coefficients as
@@ -30,11 +34,12 @@ from .special import (
     zeta_real,
 )
 from .tables import Tables, abs_mertens_prefix_integral
-from .weights import H2_ENVELOPE, EnvelopeParams
+from .weights import H2_ENVELOPE
 
 TARGETS = ("M-over-x", "m", "m1", "mcheck-minus-1")
 
 _LOG_1E16 = math.log(1e16)
+_L_CAP = 1e8  # majorant_descent gives up past log x = _L_CAP
 
 
 @dataclass(frozen=True)
@@ -89,9 +94,6 @@ class BoundForm:
             raise DomainError("evaluate requires x > 1")
         return math.exp(self.evaluate_log(math.log(x)))
 
-    def with_provenance(self, note: str) -> "BoundForm":
-        return replace(self, provenance=self.provenance + (note,))
-
 
 @dataclass(frozen=True)
 class SqrtModel:
@@ -116,28 +118,17 @@ def remainder(coef: float, power: float) -> Tuple[float, float]:
     return (math.log(coef) if coef > 0 else -math.inf, float(power))
 
 
-def log_remainder(log_coef: float, power: float) -> Tuple[float, float]:
-    return (float(log_coef), float(power))
-
-
 # ---------------------------------------------------------------------------
 # certified prefix-integral bounds used as conversion remainders
 
-def abs_M_prefix_integral_bound(T: float, tables=None, strategy: str = "auto") -> float:
+def abs_M_prefix_integral_bound(T: float, strategy: str, tables=None) -> float:
     """Certified upper bound on integral_1^T |M(t)| dt.
 
     strategies: "exact" (sieve tables: a ``Tables`` or its ``MuTable``),
     "sqrt" (|M| <= sqrt(t) up to 1e16),
     "sqrt-hurst" (0.571 sqrt(t) on [33, 1e16] plus exact head),
-    "trivial" (|M| <= t), "auto" picks the tightest admissible.
+    "trivial" (|M| <= t).
     """
-    if strategy == "auto":
-        if tables is not None and T <= tables.limit:
-            strategy = "exact"
-        elif T <= 1e16:
-            strategy = "sqrt"
-        else:
-            strategy = "trivial"
     if strategy == "exact":
         if tables is None or T > tables.limit:
             raise InvalidArgumentError("exact strategy needs tables covering T")
@@ -166,14 +157,9 @@ def abs_m_prefix_integral_bound(T: float, const_beyond_1e16: Optional[float] = N
     0.701/sqrt(t) on [7.7e9, 1e16]; a supplied constant bound beyond 1e16
     (required if T > 1e16).
     """
-    total = 0.0
-    t0 = 1.0
     if T <= 3.0:
         return min(T - 1.0, 1.5)
-    total += 1.5
-    t0 = 3.0
-    hi = min(T, 7.7e9)
-    total += 2.0 * 0.5 * (math.sqrt(hi) - math.sqrt(t0))
+    total = 1.5 + 2.0 * 0.5 * (math.sqrt(min(T, 7.7e9)) - math.sqrt(3.0))
     if T <= 7.7e9:
         return total
     hi2 = min(T, 1e16)
@@ -197,90 +183,64 @@ def log_abs_m_prefix_integral_bound(log_T: float, const_hyp: float) -> float:
 # ---------------------------------------------------------------------------
 # conversions
 
-def _shifted_exponent(theta: float, j: float, log_T_cut: float) -> float:
-    return theta - (j / log_T_cut if j > 0 else 0.0)
+def _convert_G1(name, hyp, T_cut, M_integral, closed, hyp_target, target,
+                T_cut_one_ok):
+    """The g-weight conversion behind convert_via_G1 and convert_via_G1check."""
+    if hyp.target != hyp_target:
+        raise PlanError(f"{name} needs an {hyp_target} hypothesis")
+    if T_cut < 1.0 or (T_cut == 1.0 and (hyp.j > 0 or not T_cut_one_ok)):
+        raise InvalidArgumentError(
+            "T_cut must exceed 1" + (" (or equal 1 with j = 0)" if T_cut_one_ok else ""))
+    log_T_cut = math.log(T_cut)
+    if hyp.log_T > log_T_cut + 1e-9:
+        raise PlanError("hypothesis rank exceeds T_cut: sup range not covered")
+    s = hyp.theta - (hyp.j / log_T_cut if hyp.j > 0 else 0.0)
+    if s <= -1.0:
+        raise DomainError("shifted exponent s <= -1")
+    factor = closed(s)
+    return BoundForm(
+        target=target,
+        A=hyp.A * (factor.value + factor.abs_error),
+        theta=hyp.theta,
+        j=hyp.j,
+        log_T=max(hyp.log_T, log_T_cut),
+        remainders=(remainder(8.0 / 3.0, 1.0), remainder(M_integral, 2.0)),
+        provenance=hyp.provenance + (
+            f"{name}(T_cut={T_cut:g}, s={s:.12g}, factor={factor.value:.12g})",
+        ),
+    )
 
 
-def convert_via_G1(hyp: BoundForm, T_cut: float, tables=None,
-                   M_integral: Optional[float] = None,
-                   M_strategy: str = "auto") -> BoundForm:
+def convert_via_G1(hyp: BoundForm, T_cut: float, M_integral: float) -> BoundForm:
     """Convert a bound on |M(x)|/x into a bound on |m1(x)|.
 
     Factor: closed-form Mellin integral of G1 at s = theta - j/log T_cut.
-    Remainders: (8/3)/x and (integral_1^{T_cut} |M|)/x^2.
+    Remainders: (8/3)/x and M_integral/x^2, where M_integral bounds
+    integral_1^{T_cut} |M|.
     """
-    if hyp.target != "M-over-x":
-        raise PlanError("convert_via_G1 needs an M-over-x hypothesis")
-    if T_cut <= 1.0:
-        raise InvalidArgumentError("T_cut must exceed 1")
-    log_T_cut = math.log(T_cut)
-    if hyp.log_T > log_T_cut + 1e-9:
-        raise PlanError("hypothesis rank exceeds T_cut: sup range not covered")
-    s = _shifted_exponent(hyp.theta, hyp.j, log_T_cut)
-    if s <= -1.0:
-        raise DomainError("shifted exponent s <= -1")
-    factor = mellin_G1_closed(s)
-    if M_integral is None:
-        M_integral = abs_M_prefix_integral_bound(T_cut, tables=tables, strategy=M_strategy)
-    return BoundForm(
-        target="m1",
-        A=hyp.A * (factor.value + factor.abs_error),
-        theta=hyp.theta,
-        j=hyp.j,
-        log_T=max(hyp.log_T, log_T_cut),
-        remainders=(remainder(8.0 / 3.0, 1.0), remainder(M_integral, 2.0)),
-        provenance=hyp.provenance + (
-            f"convert_via_G1(T_cut={T_cut:g}, s={s:.12g}, factor={factor.value:.12g})",
-        ),
-    )
+    return _convert_G1("convert_via_G1", hyp, T_cut, M_integral, mellin_G1_closed,
+                       "M-over-x", "m1", T_cut_one_ok=False)
 
 
-def convert_via_G1check(hyp: BoundForm, T_cut: float, tables=None,
-                        M_integral: Optional[float] = None,
-                        M_strategy: str = "auto") -> BoundForm:
+def convert_via_G1check(hyp: BoundForm, T_cut: float, M_integral: float) -> BoundForm:
     """Convert a bound on |m1(x)| into a bound on |mcheck(x) - 1|.
 
     Factor: 1 + Mellin integral of G1 at s = theta - j/log T_cut.
-    Remainders as in convert_via_G1.
+    Remainders as in convert_via_G1; T_cut = 1 is allowed when j = 0.
     """
-    if hyp.target != "m1":
-        raise PlanError("convert_via_G1check needs an m1 hypothesis")
-    if T_cut < 1.0 or (T_cut == 1.0 and hyp.j > 0):
-        raise InvalidArgumentError("T_cut must exceed 1 (or equal 1 with j = 0)")
-    log_T_cut = math.log(T_cut)
-    if hyp.log_T > log_T_cut + 1e-9:
-        raise PlanError("hypothesis rank exceeds T_cut: sup range not covered")
-    s = _shifted_exponent(hyp.theta, hyp.j, log_T_cut)
-    if s <= -1.0:
-        raise DomainError("shifted exponent s <= -1")
-    factor = mellin_G1check_closed(s)
-    if M_integral is None:
-        M_integral = abs_M_prefix_integral_bound(T_cut, tables=tables, strategy=M_strategy)
-    return BoundForm(
-        target="mcheck-minus-1",
-        A=hyp.A * (factor.value + factor.abs_error),
-        theta=hyp.theta,
-        j=hyp.j,
-        log_T=max(hyp.log_T, log_T_cut),
-        remainders=(remainder(8.0 / 3.0, 1.0), remainder(M_integral, 2.0)),
-        provenance=hyp.provenance + (
-            f"convert_via_G1check(T_cut={T_cut:g}, s={s:.12g}, factor={factor.value:.12g})",
-        ),
-    )
+    return _convert_G1("convert_via_G1check", hyp, T_cut, M_integral,
+                       mellin_G1check_closed, "m1", "mcheck-minus-1", T_cut_one_ok=True)
 
 
-def convert_via_H_envelope(hyp: BoundForm, T_cut_log: float,
-                           env: EnvelopeParams = H2_ENVELOPE,
-                           delta: Optional[float] = None,
-                           m_integral_log: Optional[float] = None,
-                           m_integral: Optional[float] = None) -> BoundForm:
+def convert_via_H_envelope(hyp: BoundForm, T_cut_log: float, m_integral_log: float,
+                           delta: Optional[float] = None) -> BoundForm:
     """Convert a bound on |m(x)| into a bound on |m1(x)| through the
-    published envelope of the coefficient weight.
+    published envelope H2_ENVELOPE of the coefficient weight.
 
     Factor: the delta-integral bound (or the exact t^-2 integral bound when
     delta = 0), delta = (1 - theta) + j/log T_cut.  Remainder:
-    (sup_norm * integral_1^{T_cut} |m| + sum_c)/x.  T_cut is passed in log
-    form because the chains use ranks like exp(18900).
+    (sup_norm * integral_1^{T_cut} |m| + sum_c)/x.  T_cut and the integral
+    are passed in log form because the chains use ranks like exp(18900).
     """
     if hyp.target != "m":
         raise PlanError("convert_via_H_envelope needs an m hypothesis")
@@ -294,11 +254,8 @@ def convert_via_H_envelope(hyp: BoundForm, T_cut_log: float,
         raise DomainError("delta >= 1: envelope integral diverges")
     if delta < 0.0:
         raise DomainError("delta must be nonnegative")
+    env = H2_ENVELOPE
     factor = env.l1_mellin2 if delta == 0.0 else h2_integral_bound(delta)
-    if m_integral_log is None:
-        if m_integral is None:
-            raise InvalidArgumentError("pass m_integral or m_integral_log")
-        m_integral_log = math.log(m_integral)
     rem_log = float(np.logaddexp(math.log(env.sup_norm) + m_integral_log,
                                  math.log(env.sum_c)))
     return BoundForm(
@@ -307,7 +264,7 @@ def convert_via_H_envelope(hyp: BoundForm, T_cut_log: float,
         theta=hyp.theta,
         j=hyp.j,
         log_T=max(hyp.log_T, T_cut_log, math.log(max(5e13, env.max_r))),
-        remainders=(log_remainder(rem_log, 1.0),),
+        remainders=((rem_log, 1.0),),
         provenance=hyp.provenance + (
             f"convert_via_H_envelope(logT_cut={T_cut_log:g}, delta={delta:.6g}, "
             f"factor={factor:.12g})",
@@ -382,14 +339,27 @@ def _log_ratio_sum(pieces, L: float) -> float:
     return float(np.logaddexp.reduce(vals))
 
 
+def _bisect(holds, lo: float, hi: float) -> float:
+    """200 halvings of [lo, hi], where holds(lo) is true and holds(hi)
+    false; returns the upper end, at which holds is still false."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def majorant_descent(form: BoundForm, target_A: float, target_j: Optional[float] = None,
-                     target_theta: Optional[float] = None,
-                     L_cap: float = 1e8) -> float:
+                     target_theta: Optional[float] = None) -> float:
     """Smallest log-rank L0 >= log form.T such that the majorant stays below
     target_A x^(target_theta-1)/log^target_j x for all x >= exp(L0).
 
-    Certification: every term ratio is shown monotone nonincreasing past its
-    closed-form critical point; a bisection locates the last crossing.
+    Certification: every term ratio is monotone nonincreasing past its
+    closed-form critical point, so past the largest of them (L_start) the
+    sum crosses 1 at most once; a bisection locates that crossing.  When the
+    sum is already <= 1 at L_start, L_start is the certified rank.
     """
     if target_j is None:
         target_j = form.j
@@ -407,54 +377,32 @@ def majorant_descent(form: BoundForm, target_A: float, target_j: Optional[float]
             crit = max(crit, q / (-b))
     if const_log > 0.0:
         raise NoDescentError("constant part of the majorant already exceeds the target")
-    L_min = max(form.log_T, 1.0 + 1e-9)
-    L_start = max(L_min, crit, 1.0 + 1e-9)
-    if _log_ratio_sum(pieces, L_start) > 0.0:
-        lo = L_start
-        hi = L_start
-        while _log_ratio_sum(pieces, hi) > 0.0:
-            hi *= 2.0
-            if hi > L_cap:
-                raise NoDescentError(f"no descent below the target up to log x = {L_cap:g}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _log_ratio_sum(pieces, mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-    # already below at L_start: scan [L_min, L_start] for the last crossing
-    if L_start <= L_min:
-        return L_min
-    grid = np.linspace(L_min, L_start, 4097)
-    vals = np.asarray([_log_ratio_sum(pieces, float(L)) for L in grid])
-    above = np.nonzero(vals > 0.0)[0]
-    if above.size == 0:
-        return L_min
-    lo = float(grid[above[-1]])
-    hi = float(grid[above[-1] + 1])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _log_ratio_sum(pieces, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    L_start = max(form.log_T, 1.0 + 1e-9, crit)
+
+    def above(L):
+        return _log_ratio_sum(pieces, L) > 0.0
+
+    if not above(L_start):
+        return L_start
+    hi = L_start
+    while above(hi):
+        hi *= 2.0
+        if hi > _L_CAP:
+            raise NoDescentError(f"no descent below the target up to log x = {_L_CAP:g}")
+    return _bisect(above, L_start, hi)
 
 
 def descend_to(form: BoundForm, target_A: float, target_j: Optional[float] = None,
-               target_theta: Optional[float] = None, rank_cap: Optional[float] = None,
+               target_theta: Optional[float] = None,
                log_rank_cap: Optional[float] = None) -> BoundForm:
     """Descend a majorant below a clean target shape; returns the clean
-    BoundForm at the certified rank (or at the supplied outward-rounded cap,
-    checked against the certified rank)."""
+    BoundForm at the certified rank (or at the supplied outward-rounded cap
+    exp(log_rank_cap), checked against the certified rank)."""
     if target_j is None:
         target_j = form.j
     if target_theta is None:
         target_theta = form.theta
     L0 = majorant_descent(form, target_A, target_j, target_theta)
-    if log_rank_cap is None and rank_cap is not None:
-        log_rank_cap = math.log(rank_cap)
     if log_rank_cap is not None:
         if L0 > log_rank_cap + 1e-12:
             raise PlanError(
@@ -484,25 +432,20 @@ def sqrt_range_lowering(form: BoundForm, model: SqrtModel) -> BoundForm:
         raise PlanError("sqrt_range_lowering expects a clean (descended) form")
     if form.theta != 1.0:
         raise PlanError("sqrt_range_lowering supports theta = 1 forms")
+    ratio = model.c / form.A
     if form.j == 0:
-        threshold = (model.c / form.A) ** 2
+        threshold = ratio ** 2
     else:
         # solve sqrt(x)/log^j x >= c/A; lhs increasing for x >= e^(2j)
-        ratio = model.c / form.A
-        lo = max(math.exp(2.0 * form.j), 4.0)
-        if math.sqrt(lo) / math.log(lo) ** form.j > ratio:
-            threshold = lo
-        else:
+        def short(x):
+            return math.sqrt(x) / math.log(x) ** form.j <= ratio
+
+        threshold = lo = max(math.exp(2.0 * form.j), 4.0)
+        if short(lo):
             hi = lo
-            while math.sqrt(hi) / math.log(hi) ** form.j <= ratio:
+            while short(hi):
                 hi *= 4.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if math.sqrt(mid) / math.log(mid) ** form.j <= ratio:
-                    lo = mid
-                else:
-                    hi = mid
-            threshold = hi
+            threshold = _bisect(short, lo, hi)
     new_T = max(threshold, model.x_lo)
     if math.log(model.x_hi) < form.log_T - 1e-9:
         raise PlanError("sqrt model does not reach the form's current rank")
@@ -711,16 +654,17 @@ def run_plan_step(ledger: Ledger, step: dict):
                                   M_integral=_num(step, "M_integral"))
     elif kind == "convert_via_H_envelope":
         res = convert_via_H_envelope(ledger[step["hyp"]], _num(step, "log_T_cut"),
-                                     delta=_num(step, "delta", -1.0) if "delta" in step else None,
-                                     m_integral=_num(step, "m_integral"))
+                                     math.log(_num(step, "m_integral")),
+                                     delta=_num(step, "delta") if "delta" in step else None)
     elif kind == "convert_via_H1":
         res = convert_via_H1(ledger[step["hyp"]], _num(step, "T_cut", 1.0))
     elif kind == "triangle_m":
         res = triangle_m(ledger[step["hyp"]], ledger[step["hyp2"]])
     elif kind == "descend":
         res = descend_to(ledger[step["hyp"]], _num(step, "A"),
-                         target_j=_num(step, "j", -1.0) if "j" in step else None,
-                         rank_cap=_num(step, "rank_cap") if "rank_cap" in step else None)
+                         target_j=_num(step, "j") if "j" in step else None,
+                         log_rank_cap=(math.log(_num(step, "rank_cap"))
+                                       if "rank_cap" in step else None))
     elif kind == "sqrt_lower":
         res = sqrt_range_lowering(ledger[step["hyp"]], ledger[step["model"]])
     elif kind == "log_lower":

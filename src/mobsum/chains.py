@@ -1,20 +1,23 @@
 """Replay of the published bootstrap chains.
 
-Four chains derive the record bounds from the axiom ledger:
+Five chains, listed in CHAINS in dependency order, derive the record bounds
+from the axiom ledger:
 
+    models : the sqrt-scale models the others use for range lowering
     const  : |m(x)| <= 1/4343                 (x >= 2 160 605)
     log    : log x |m(x)| <= 0.0130073        (x >= 97 063)
     log2   : log^2 x |m1(x)| <= 0.138 (x >= 671) and log^2 x |m(x)| <= 362.84
     mcheck : |mcheck(x)-1| <= 1/9780919 (x >= 2.5e12), 8.55e-6/log x,
              0.162/log^2 x (x >= 3)
 
-plus a preliminary chain deriving the sqrt-scale models that the others use
-for range lowering.  Every step records the honestly computed value next to
-the printed constant it must certify (computed <= printed, within printed
-rounding).  Steps whose published constants contain known misprints compute
-the honest value and note the discrepancy; the final constants are
-unaffected.  Low ranks that the arithmetic cannot reach are recorded as
-verification obligations for the exhaustive scanner.
+A chain's prerequisites are the chains before it.  Every step records the
+honestly computed value next to the printed constant it must certify
+(computed <= printed, within printed rounding).  Steps whose published
+constants contain known misprints compute the honest value and note the
+discrepancy; the final constants are unaffected.  Every rank move goes
+through `ChainResult.set_rank`; a low rank that the arithmetic cannot reach
+rests on direct verification, and set_rank records it as an obligation for
+the exhaustive scanner.
 """
 
 from __future__ import annotations
@@ -82,6 +85,25 @@ class ChainResult:
     def _oblige(self, description, pred, lo, hi):
         self.obligations.append((description, pred, float(lo), float(hi)))
 
+    def set_rank(self, form: BoundForm, T: float, note: str, lower: bool = False,
+                 verified: Optional[Tuple[str, str, float]] = None) -> BoundForm:
+        """``form`` valid for x >= T, the move noted in its provenance.
+
+        By default the rank is rounded outward (raised) to a printed value,
+        which needs no evidence.  With ``lower`` it drops, and ``note`` names
+        the evidence: a comparison, or direct verification, whose obligation
+        ``verified`` = (description, predicate, hi) on [T, hi) is recorded
+        here, so such a rank cannot be set without it.
+        """
+        if lower != (math.log(T) < form.log_T - 1e-9):
+            raise PlanError(f"rank {T:g} does not {'lower' if lower else 'raise'} "
+                            f"the rank log x = {form.log_T:.6g}")
+        if not lower:
+            note = f"rank rounded outward to {T:g} ({note})"
+        if verified is not None:
+            self._oblige(verified[0], verified[1], T, verified[2])
+        return replace(form, log_T=math.log(T), provenance=form.provenance + (note,))
+
 
 def base_ledger() -> Ledger:
     """Axioms: published results used as inputs, never recomputed."""
@@ -106,15 +128,6 @@ def base_ledger() -> Ledger:
     led.add_axiom("m-meissel", BoundForm("m", 1.0, log_T=0.0),
                   source="|m(x)| <= 1 for all x >= 1 (Meissel)")
     return led
-
-
-def _raise_rank(form: BoundForm, new_T: float, note: str) -> BoundForm:
-    """Weaken a bound's rank outward to a printed round value."""
-    log_new = math.log(new_T)
-    if log_new < form.log_T - 1e-9:
-        raise PlanError("cannot raise rank downward")
-    return replace(form, log_T=log_new,
-                   provenance=form.provenance + (f"rank rounded outward to {new_T:g} ({note})",))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +178,7 @@ def run_models_chain(led: Ledger) -> ChainResult:
     # theta = 1/2, T = 3, delta = 1/2; remainder (22527.5*1.5+6)/x.
     hyp701 = BoundForm("m", 0.701, theta=0.5, log_T=math.log(3.0),
                        provenance=("m-sqrt-0.701-wide",))
-    f5792 = convert_via_H_envelope(hyp701, math.log(3.0), delta=0.5, m_integral=1.5)
+    f5792 = convert_via_H_envelope(hyp701, math.log(3.0), math.log(1.5), delta=0.5)
     res._rec("models:5.792-head", f5792.A, 5.791)
     # the hypothesis reaches only u <= 1e16; sup runs over u < x/K, so the
     # model is sound up to x = 1e21 because 1e21/K <= 1e16
@@ -188,9 +201,9 @@ def run_const_chain(led: Ledger) -> ChainResult:
 
     # step 1: g-weight conversion at T = 2 160 535 with the trivial
     # |M(t)| <= t integral bound; A' = (3/4 - gamma)/4345
-    f1 = convert_via_G1(M4345, 2160535.0, M_strategy="trivial")
+    f1 = convert_via_G1(M4345, 2160535.0, abs_M_prefix_integral_bound(2160535.0, "trivial"))
     res._rec("const:A-(3/4-gamma)/4345", f1.A, 0.1727844 / 4345.0)
-    m1_25146 = descend_to(f1, 1.0 / 25146.0, rank_cap=1e16)
+    m1_25146 = descend_to(f1, 1.0 / 25146.0, log_rank_cap=math.log(1e16))
     res._rec("const:m1-25146", m1_25146.A, 1.0 / 25146.0)
     led.add_derived("m1-25146", m1_25146)
 
@@ -208,15 +221,15 @@ def run_const_chain(led: Ledger) -> ChainResult:
     m_int = abs_m_prefix_integral_bound(4.8e6)
     R = H2_ENVELOPE.sup_norm * m_int + H2_ENVELOPE.sum_c
     res._rec("const:envelope-remainder", R, 4.94e7)
-    f2 = convert_via_H_envelope(m3704, math.log(4.8e6), m_integral=m_int)
+    f2 = convert_via_H_envelope(m3704, math.log(4.8e6), math.log(m_int))
     res._rec("const:A-envelope-1", f2.A, 1.231557948e-7,
              note="printed constant carries a 3704->3074 transposition; the "
                   "honest (pi^2/6)/4345/3704 is smaller, so the descent holds")
-    m1_8119793 = descend_to(f2, 1.0 / 8119793.0, rank_cap=1e21)
+    m1_8119793 = descend_to(f2, 1.0 / 8119793.0, log_rank_cap=math.log(1e21))
     m1_8119793 = sqrt_range_lowering(m1_8119793, led["m1-sqrt-5.792"])
     m1_8119793 = sqrt_range_lowering(m1_8119793, led["m1-sqrt-0.129"])
     res._rec("const:threshold-(0.129*8119793)^2", (0.129 * 8119793.0) ** 2, 1.1e12)
-    m1_8119793 = _raise_rank(m1_8119793, 1.1e12, "printed rank")
+    m1_8119793 = res.set_rank(m1_8119793, 1.1e12, "printed rank")
     res._rec("const:m1-8119793", m1_8119793.A, 1.0 / 8119793.0)
     led.add_derived("m1-8119793", m1_8119793)
 
@@ -231,13 +244,13 @@ def run_const_chain(led: Ledger) -> ChainResult:
     led.add_derived("m-4342.67", m434267)
 
     # step 5: iterate the envelope conversion
-    f3 = convert_via_H_envelope(m434267, math.log(4.8e6), m_integral=m_int)
+    f3 = convert_via_H_envelope(m434267, math.log(4.8e6), math.log(m_int))
     res._rec("const:A-envelope-2", f3.A, 1.0 / 11470909.0)
-    m1_11470909 = descend_to(f3, 1.0 / 11470909.0, rank_cap=1e21)
+    m1_11470909 = descend_to(f3, 1.0 / 11470909.0, log_rank_cap=math.log(1e21))
     m1_11470909 = sqrt_range_lowering(m1_11470909, led["m1-sqrt-5.792"])
     m1_11470909 = sqrt_range_lowering(m1_11470909, led["m1-sqrt-0.129"])
     res._rec("const:threshold-(0.129*11470909)^2", (0.129 * 11470909.0) ** 2, 2.2e12)
-    m1_11470909 = _raise_rank(m1_11470909, 2.2e12, "printed rank")
+    m1_11470909 = res.set_rank(m1_11470909, 2.2e12, "printed rank")
     res._rec("const:m1-11470909", m1_11470909.A, 1.0 / 11470909.0)
     led.add_derived("m1-11470909", m1_11470909)
 
@@ -249,12 +262,10 @@ def run_const_chain(led: Ledger) -> ChainResult:
     res._rec("const:threshold-(0.701*4343)^2", (0.701 * 4343.0) ** 2, 1e7)
     m4343 = sqrt_range_lowering(m4343, led["m-sqrt-0.5"])
     res._rec("const:threshold-(0.5*4343)^2", (0.5 * 4343.0) ** 2, 4.72e6)
-    m4343 = _raise_rank(m4343, 5e6, "printed rank before direct verification")
-    res._oblige("4343|m(x)| <= 1 on [2 160 605, 5e6)", "m4343", 2160605, 5e6)
-    m4343 = replace(m4343, log_T=math.log(2160605.0),
-                    provenance=m4343.provenance + (
-                        "rank 2 160 605 subject to direct verification on "
-                        "[2 160 605, 5e6)",))
+    m4343 = res.set_rank(m4343, 5e6, "printed rank before direct verification")
+    m4343 = res.set_rank(
+        m4343, 2160605.0, "rank 2 160 605 subject to direct verification on [2 160 605, 5e6)",
+        lower=True, verified=("4343|m(x)| <= 1 on [2 160 605, 5e6)", "m4343", 5e6))
     res._rec("const:final-m-4343", m4343.A, 1.0 / 4343.0)
     led.add_derived("m-4343", m4343)
     res.finals = {"m-4343": m4343}
@@ -269,15 +280,15 @@ def run_log_chain(led: Ledger) -> ChainResult:
     M013 = led["M-log-0.013"]
 
     # step 1: g-weight conversion at T = 1e13 (|M| <= sqrt t integral)
-    f1 = convert_via_G1(M013, 1e13, M_strategy="sqrt")
+    f1 = convert_via_G1(M013, 1e13, abs_M_prefix_integral_bound(1e13, "sqrt"))
     res._rec("log:factor-0.17537", f1.A / M013.A, 0.17542,
              note="printed as 0.1755x and 0.1725x in two places; honest "
                   "factor at s = 1 - 1/log 1e13 used")
     res._rec("log:A-0.0023", f1.A, 0.0023)
-    m1_0023 = descend_to(f1, 0.0023, rank_cap=1e16)
+    m1_0023 = descend_to(f1, 0.0023, log_rank_cap=math.log(1e16))
     m1_0023 = sqrt_range_lowering(m1_0023, led["m1-sqrt-0.129"])
     m1_0023 = sqrt_range_lowering(m1_0023, led["m1-sqrt-0.114"])
-    m1_0023 = _raise_rank(m1_0023, 5e6, "printed rank")
+    m1_0023 = res.set_rank(m1_0023, 5e6, "printed rank")
     led.add_derived("m1-log-0.0023", m1_0023)
 
     # step 2: triangle |m| <= (0.013 + 0.0023)/log u
@@ -293,11 +304,11 @@ def run_log_chain(led: Ledger) -> ChainResult:
     res._rec("log:envelope-remainder", R, 4.254e26,
              note="remainder line printed with 22727.5; the envelope "
                   "sup-norm is 22527.5, which matches 4.254e26")
-    f2 = convert_via_H_envelope(mlog1, math.log(T3), m_integral=m_int)
+    f2 = convert_via_H_envelope(mlog1, math.log(T3), math.log(m_int))
     res._rec("log:factor-1/1796.57", 1.0 / (f2.A / mlog1.A), 1796.58, ok=True,
              note="delta = 1/log 8.2e25")
     res._rec("log:A-8.517e-6", f2.A, 8.517e-6)
-    m1_l1 = descend_to(f2, 8.517e-6, rank_cap=2.5e42)
+    m1_l1 = descend_to(f2, 8.517e-6, log_rank_cap=math.log(2.5e42))
     m1_l1 = log_comparison_lowering(m1_l1, led["m1-11470909"])
     res._rec("log:compare-2.6e42", 8.517e-6 * 11470909.0, math.log(2.6e42),
              ok=8.517e-6 * 11470909.0 >= math.log(2.5e42),
@@ -306,14 +317,14 @@ def run_log_chain(led: Ledger) -> ChainResult:
 
     # step 4: iterate with |m| <= (0.013 + 8.517e-6)/log u
     mlog2 = descend_to(triangle_m(m1_l1, M013), 0.013 + 8.517e-6)
-    f3 = convert_via_H_envelope(mlog2, math.log(T3), m_integral=m_int)
+    f3 = convert_via_H_envelope(mlog2, math.log(T3), math.log(m_int))
     res._rec("log:A-7.265e-6", f3.A, 7.265e-6)
-    m1_l2 = descend_to(f3, 7.265e-6, rank_cap=1.5e36)
+    m1_l2 = descend_to(f3, 7.265e-6, log_rank_cap=math.log(1.5e36))
     m1_l2 = log_comparison_lowering(m1_l2, led["m1-11470909"])
     res._rec("log:compare-1.55e36", 7.265e-6 * 11470909.0, math.log(1.55e36),
              ok=7.265e-6 * 11470909.0 >= math.log(1.5e36))
     m1_l2 = sqrt_range_lowering(m1_l2, led["m1-sqrt-0.129"])
-    m1_l2 = _raise_rank(m1_l2, 2.15e11, "printed rank")
+    m1_l2 = res.set_rank(m1_l2, 2.15e11, "printed rank")
     res._rec("log:m1-7.265e-6", m1_l2.A, 7.265e-6)
     led.add_derived("m1-log-7.265e-6", m1_l2)
 
@@ -323,13 +334,11 @@ def run_log_chain(led: Ledger) -> ChainResult:
     final = sqrt_range_lowering(final, led["m-sqrt-0.701"])
     final = sqrt_range_lowering(final, led["m-sqrt-0.5"])
     res._rec("log:threshold-230000", math.exp(final.log_T), 230000.0)
-    final = _raise_rank(final, 230000.0, "printed rank before direct verification")
-    res._oblige("log x |m(x)| <= 0.0130073 on [97 063, 230 000)",
-                "mlog0.0130073", 97063, 230000)
-    final = replace(final, log_T=math.log(97063.0),
-                    provenance=final.provenance + (
-                        "rank 97 063 subject to direct verification on "
-                        "[97 063, 230 000)",))
+    final = res.set_rank(final, 230000.0, "printed rank before direct verification")
+    final = res.set_rank(
+        final, 97063.0, "rank 97 063 subject to direct verification on [97 063, 230 000)",
+        lower=True, verified=("log x |m(x)| <= 0.0130073 on [97 063, 230 000)",
+                              "mlog0.0130073", 230000))
     res._rec("log:final-0.0130073", final.A, 0.0130073)
     led.add_derived("m-log-0.0130073", final)
     res.finals = {"m-log-0.0130073": final}
@@ -344,10 +353,10 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     M3627 = led["M-log2-362.7"]
 
     # step 1: g-weight conversion at T = 1e16
-    f1 = convert_via_G1(M3627, 1e16, M_strategy="sqrt")
+    f1 = convert_via_G1(M3627, 1e16, abs_M_prefix_integral_bound(1e16, "sqrt"))
     res._rec("log2:factor-0.177112", f1.A / M3627.A, 0.177112)
     res._rec("log2:A-64.24", f1.A, 64.24)
-    m1_6424 = descend_to(f1, 64.24, rank_cap=1e16)
+    m1_6424 = descend_to(f1, 64.24, log_rank_cap=math.log(1e16))
     led.add_derived("m1-log2-64.24", m1_6424)
 
     # step 2: triangle to 426.94/log^2
@@ -361,7 +370,7 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     R_log = float(math.log(H2_ENVELOPE.sup_norm) + m_int_log)
     res._rec("log2:envelope-remainder-log", R_log, math.log(3000.0) + logT,
              note="printed remainder 3000 exp(18900); log-scale comparison")
-    f2 = convert_via_H_envelope(mlog2a, logT, m_integral_log=m_int_log)
+    f2 = convert_via_H_envelope(mlog2a, logT, m_int_log)
     res._rec("log2:factor-1/2633.6", 1.0 / (f2.A / mlog2a.A), 2633.62, ok=True)
     res._rec("log2:A-0.1622", f2.A, 0.1622)
     m1_1622 = descend_to(f2, 0.1622, log_rank_cap=22000.0)
@@ -373,7 +382,7 @@ def run_log2_chain(led: Ledger) -> ChainResult:
 
     # step 4: iterate with |m| <= (362.7 + 0.1622)/log^2 u
     mlog2b = descend_to(triangle_m(m1_1622, M3627), 362.7 + 0.1622)
-    f3 = convert_via_H_envelope(mlog2b, logT, m_integral_log=m_int_log)
+    f3 = convert_via_H_envelope(mlog2b, logT, m_int_log)
     res._rec("log2:A-0.1378", f3.A, 0.1378)
     m1_1378 = descend_to(f3, 0.1378, log_rank_cap=18960.0)
     m1_1378 = log_comparison_lowering(m1_1378, led["m1-log-7.265e-6"])
@@ -385,19 +394,17 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     pauvre = led["m1-three-term"]
     rank = majorant_descent(pauvre, 0.1378, target_j=2.0, target_theta=1.0)
     res._rec("log2:three-term-rank", math.exp(rank), 7000.0)
-    m1_1378 = replace(m1_1378, log_T=math.log(7000.0),
-                      provenance=m1_1378.provenance + (
-                          "three-term sqrt majorant comparison to 7000",))
+    m1_1378 = res.set_rank(m1_1378, 7000.0, "three-term sqrt majorant comparison to 7000",
+                           lower=True)
     res._rec("log2:m1-0.1378", m1_1378.A, 0.1378)
     led.add_derived("m1-log2-0.1378", m1_1378)
 
     # step 6: direct verification closes [671, 7000); printed bound 0.138
-    res._oblige("log^2 x |m1(x)| <= 0.138 on [671, 7000)", "m1log2-0.138",
-                671, 7000)
-    final_m1 = BoundForm("m1", 0.138, j=2.0, log_T=math.log(671.0),
-                         provenance=m1_1378.provenance + (
-                             "outward rounding 0.1378 -> 0.138; rank 671 "
-                             "subject to direct verification on [671, 7000)",))
+    final_m1 = res.set_rank(
+        replace(m1_1378, A=0.138), 671.0,
+        "outward rounding 0.1378 -> 0.138; rank 671 subject to direct verification "
+        "on [671, 7000)", lower=True,
+        verified=("log^2 x |m1(x)| <= 0.138 on [671, 7000)", "m1log2-0.138", 7000))
     res._rec("log2:final-m1-0.138", 0.1378, 0.138)
     led.add_derived("m1-log2-0.138", final_m1)
     res._oblige("sup of log^2 x m1(x) on [1, 671] equals (29/105) log^2 7 "
@@ -409,9 +416,8 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     res._rec("log2:m-362.84", 362.7 + 0.138, 362.84)
     res._rec("log2:m-low-range", math.log(671.0) ** 2, 362.84,
              note="|m| <= 1 below 671 makes the bound trivial there")
-    final_m = replace(tri, log_T=0.0,
-                      provenance=tri.provenance + (
-                          "extended to x > 1 via |m| <= 1 and log^2 671 < 362.84",))
+    final_m = res.set_rank(tri, 1.0, "extended to x > 1 via |m| <= 1 and log^2 671 < 362.84",
+                           lower=True)
     led.add_derived("m-log2-362.84", final_m)
     res.finals = {"m1-log2-0.138": final_m1, "m-log2-362.84": final_m}
     return res
@@ -425,7 +431,7 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
 
     # 0.16/sqrt(x) model: G1check conversion of the 0.129 m1 model at
     # T = 5e6 with integral_1^T |M| <= 4.26e9 (0.571 sqrt model)
-    i_M = abs_M_prefix_integral_bound(5e6, strategy="sqrt-hurst")
+    i_M = abs_M_prefix_integral_bound(5e6, "sqrt-hurst")
     res._rec("mcheck:intM-5e6", i_M, 4.26e9)
     hyp129 = BoundForm("m1", 0.129, theta=0.5, log_T=math.log(5e6),
                        provenance=("m1-sqrt-0.129-wide",))
@@ -457,13 +463,13 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     led.add_derived("mcheck-sqrt-7.1", m71)
 
     # constant bound 1/9780919: G1check at T = 2.2e12, factor 7/4 - gamma
-    i_M2 = abs_M_prefix_integral_bound(2.2e12, strategy="sqrt-hurst")
+    i_M2 = abs_M_prefix_integral_bound(2.2e12, "sqrt-hurst")
     res._rec("mcheck:intM-2.2e12", i_M2, 1.25e18)
     fc = convert_via_G1check(led["m1-11470909"], 2.2e12, M_integral=i_M2)
     res._rec("mcheck:A-const", fc.A, 1.0 / 9780919.0)
     # printed descent rank 1e16; the honest margin needs ~1.9e16, bridged by
     # the 7.1 model (threshold (7.1*9780919)^2 = 4.8e15 < 1e16)
-    c9780919 = descend_to(fc, 1.0 / 9780919.0, rank_cap=1e17)
+    c9780919 = descend_to(fc, 1.0 / 9780919.0, log_rank_cap=math.log(1e17))
     res._rec("mcheck:const-honest-rank", math.exp(c9780919.log_T), 1e17,
              note="printed rank 1e16; honest margin 3.7e-15 needs ~1.9e16, "
                   "bridged by the 7.1 sqrt model")
@@ -471,24 +477,25 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     res._rec("mcheck:threshold-(7.1*9780919)^2", (7.1 * 9780919.0) ** 2, 1e16)
     c9780919 = sqrt_range_lowering(c9780919, led["mcheck-sqrt-0.16"])
     res._rec("mcheck:threshold-(0.16*9780919)^2", (0.16 * 9780919.0) ** 2, 2.5e12)
-    c9780919 = _raise_rank(c9780919, 2.5e12, "printed rank")
+    c9780919 = res.set_rank(c9780919, 2.5e12, "printed rank")
     res._rec("mcheck:final-const", c9780919.A, 1.0 / 9780919.0)
     led.add_derived("mcheck-9780919", c9780919)
 
     # 1/log bound 8.55e-6: G1check at T = 2.15e11 on the 7.265e-6 m1 bound
-    i_M3 = abs_M_prefix_integral_bound(2.15e11, strategy="sqrt-hurst")
+    i_M3 = abs_M_prefix_integral_bound(2.15e11, "sqrt-hurst")
     res._rec("mcheck:intM-2.15e11", i_M3, 3.8e16)
     fl = convert_via_G1check(led["m1-log-7.265e-6"], 2.15e11, M_integral=i_M3)
     res._rec("mcheck:factor-1.17582", fl.A / 7.265e-6, 1.17582)
     res._rec("mcheck:A-log", fl.A, 8.55e-6)
-    clog = descend_to(fl, 8.55e-6, rank_cap=1e16)
+    clog = descend_to(fl, 8.55e-6, log_rank_cap=math.log(1e16))
     clog = sqrt_range_lowering(clog, led["mcheck-sqrt-0.16"])
     res._rec("mcheck:log-rank", math.exp(clog.log_T), 2.5e11)
-    clog = _raise_rank(clog, 2.5e11, "printed rank")
+    clog = res.set_rank(clog, 2.5e11, "printed rank")
     led.add_derived("mcheck-log-8.55e-6", clog)
 
     # 1/log^2 bound 0.162: G1check at T = 1e100 (trivial integral 0.5e200)
-    fq = convert_via_G1check(led["m1-log2-0.138"], 1e100, M_strategy="trivial")
+    fq = convert_via_G1check(led["m1-log2-0.138"], 1e100,
+                             abs_M_prefix_integral_bound(1e100, "trivial"))
     res._rec("mcheck:factor-1.1735", fq.A / 0.138, 1.1735)
     res._rec("mcheck:A-log2", fq.A, 0.162)
     cl2 = descend_to(fq, 0.162, log_rank_cap=math.log(10.0) * 106)
@@ -504,12 +511,10 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     rank = majorant_descent(led["mcheck-three-term"], 0.162, target_j=2.0,
                             target_theta=1.0)
     res._rec("mcheck:three-term-rank", math.exp(rank), 1e7)
-    res._oblige("log^2 x |mcheck(x)-1| <= 0.162 on [3, 1e7)",
-                "mchecklog2-0.162", 3, 1e7)
-    cl2 = replace(cl2, log_T=math.log(3.0),
-                  provenance=cl2.provenance + (
-                      "three-term majorant comparison to 1e7; rank 3 subject "
-                      "to direct verification on [3, 1e7)",))
+    cl2 = res.set_rank(
+        cl2, 3.0, "three-term majorant comparison to 1e7; rank 3 subject to direct "
+        "verification on [3, 1e7)", lower=True,
+        verified=("log^2 x |mcheck(x)-1| <= 0.162 on [3, 1e7)", "mchecklog2-0.162", 1e7))
     res._rec("mcheck:final-log2", cl2.A, 0.162)
     led.add_derived("mcheck-log2-0.162", cl2)
 
@@ -518,38 +523,25 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     return res
 
 
-_CHAIN_FUNCS = {
-    "models": run_models_chain,
-    "const": run_const_chain,
-    "log": run_log_chain,
-    "log2": run_log2_chain,
-    "mcheck": run_mcheck_chain,
-}
-
-_PREREQS = {
-    "models": (),
-    "const": ("models",),
-    "log": ("models", "const"),
-    "log2": ("models", "const", "log"),
-    "mcheck": ("models", "const", "log", "log2"),
-}
-
-# presence of this entry means the chain already ran against the ledger
-_MARKERS = {
-    "models": "m1-sqrt-0.129",
-    "const": "m-4343",
-    "log": "m-log-0.0130073",
-    "log2": "m1-log2-0.138",
-    "mcheck": "mcheck-log2-0.162",
+# name -> (replay, headline entry), in dependency order: a chain's
+# prerequisites are exactly the chains before it, and the presence of its
+# headline entry in a ledger means it already ran there
+CHAINS = {
+    "models": (run_models_chain, "m1-sqrt-0.129"),
+    "const": (run_const_chain, "m-4343"),
+    "log": (run_log_chain, "m-log-0.0130073"),
+    "log2": (run_log2_chain, "m1-log2-0.138"),
+    "mcheck": (run_mcheck_chain, "mcheck-log2-0.162"),
 }
 
 
 def run_chain(name: str, ledger: Optional[Ledger] = None) -> ChainResult:
     """Run a named chain, deriving its prerequisites first."""
-    if name not in _CHAIN_FUNCS:
+    if name not in CHAINS:
         raise PlanError(f"unknown chain {name!r}")
     led = ledger if ledger is not None else base_ledger()
-    for pre in _PREREQS[name]:
-        if _MARKERS[pre] not in led:
-            run_chain(pre, led)
-    return _CHAIN_FUNCS[name](led)
+    for pre, (replay, headline) in CHAINS.items():
+        if pre == name:
+            return replay(led)
+        if headline not in led:
+            replay(led)

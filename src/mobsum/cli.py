@@ -118,9 +118,10 @@ def _cmd_verify(args) -> int:
     for n in rep.indeterminate:
         print(f"escalated pred={pred.name} n={n}")
     status = "PASS" if rep.passed else "FAIL"
+    cut = " truncated=yes" if rep.truncated else ""
     print(f"verify pred={pred.name} range=[{rep.lo},{rep.hi}) checked={rep.checked} "
           f"violations={len(rep.violations)} max_ratio={_fmt(rep.max_ratio)} "
-          f"argmax={rep.argmax} status={status}")
+          f"argmax={rep.argmax} status={status}{cut}")
     return 0 if rep.passed else 1
 
 
@@ -220,12 +221,12 @@ def _cmd_bootstrap(args) -> int:
               f"{'ok' if step.ok else 'FAIL'}{note}")
     for desc, pred, lo, hi in res.obligations:
         print(f"obligation: {desc} pred={pred} range=[{_fmt(lo)},{_fmt(hi)})")
-    marker = chains._MARKERS[args.chain]
+    _, headline = chains.CHAINS[args.chain]
     for name, entry in res.finals.items():
-        if name != marker:
+        if name != headline:
             print(f"result {name}: " + _describe_entry(entry))
-    if marker in res.finals:
-        print(_describe_entry(res.finals[marker]))
+    if headline in res.finals:
+        print(_describe_entry(res.finals[headline]))
     return 0 if res.ok else 1
 
 
@@ -287,8 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_convert)
 
     sp = sub.add_parser("bootstrap", help="replay a named derivation chain")
-    sp.add_argument("--chain", choices=["models", "const", "log", "log2", "mcheck"],
-                    required=True)
+    sp.add_argument("--chain", choices=list(chains.CHAINS), required=True)
     sp.set_defaults(func=_cmd_bootstrap)
 
     sp = sub.add_parser("report", help="round-trip a ledger file")

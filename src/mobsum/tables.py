@@ -164,7 +164,6 @@ class PrefixSeries:
     limit: int
     values: np.ndarray        # float64, length limit+1
     error_radius: np.ndarray  # float64, length limit+1
-    term_kind: str = "generic"
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -182,7 +181,7 @@ def _carried(ufunc, carry: float, x: np.ndarray) -> np.ndarray:
     return ufunc.accumulate(buf, out=buf)
 
 
-def _carried_prefix(limit: int, block_terms, term_kind: str) -> PrefixSeries:
+def _carried_prefix(limit: int, block_terms) -> PrefixSeries:
     """Prefix sums of per-index terms with one round of error-free correction,
     built _BLOCK indices at a time.
 
@@ -237,7 +236,7 @@ def _carried_prefix(limit: int, block_terms, term_kind: str) -> PrefixSeries:
         radius[a:b] = r
         s, e_sum, abs_sum, rep_sum = cur[-1], e_run[-1], abs_run[-1], rep_run[-1]
         abs_err_sum, v_max, r_max = err_run[-1], v_run[-1], r[-1]
-    return PrefixSeries(limit=limit, values=values, error_radius=radius, term_kind=term_kind)
+    return PrefixSeries(limit=limit, values=values, error_radius=radius)
 
 
 def m_series(table: MuTable) -> PrefixSeries:
@@ -248,7 +247,7 @@ def m_series(table: MuTable) -> PrefixSeries:
         # each quotient mu/k carries at most half an ulp of relative error
         return terms, _ULP * np.abs(terms)
 
-    return _carried_prefix(table.limit, block_terms, "m")
+    return _carried_prefix(table.limit, block_terms)
 
 
 def ell_series(table: MuTable) -> PrefixSeries:
@@ -260,7 +259,7 @@ def ell_series(table: MuTable) -> PrefixSeries:
         # log() is faithfully rounded (<=1 ulp) and the quotient adds one more
         return terms, 3.0 * _ULP * np.abs(terms)
 
-    return _carried_prefix(table.limit, block_terms, "ell")
+    return _carried_prefix(table.limit, block_terms)
 
 
 @dataclass(frozen=True)
@@ -327,23 +326,8 @@ def evaluate(table: MuTable, series: SeriesPair, x: float) -> EvaluationPoint:
     )
 
 
-def abel_residual(table: MuTable, series: SeriesPair, x: float) -> float:
-    """m1(x) minus the exact piecewise value of integral_1^x M(u)/u^2 du.
-
-    The identity is exact, so the residual is pure accumulated rounding.
-    """
-    if not 1 <= x <= table.limit:
-        raise InvalidArgumentError("need 1 <= x <= table.limit")
-    n = int(math.floor(x))
-    pt = evaluate(table, series, x)
-    M = table.mertens
-    parts = [M[k] * (1.0 / k - 1.0 / (k + 1)) for k in range(1, n)]
-    parts.append(M[n] * (1.0 / n - 1.0 / x))
-    return pt.m1 - math.fsum(parts)
-
-
 def exact_prefix_fraction(table: MuTable, n: int, kind: str = "m") -> Fraction:
-    """Exact rational prefix sum, for escalation and small-n oracles."""
+    """Exact rational prefix sum of mu(k)/k: the oracle for small n."""
     if kind != "m":
         raise InvalidArgumentError("exact rational escalation only supports m")
     acc = Fraction(0)

@@ -17,9 +17,9 @@ is reduced where it is scanned to its largest value and first argmax, its
 hard violations and its suspect intervals, and the caller merges these in
 chunk order; `sup_scan` keeps the first chunk maximum that no later chunk
 exceeds.  Intervals whose margin falls inside the guard band are escalated:
-the same kernel re-runs at 50 digits on exact M(n), on m(n) (exact rational
-up to n = 50000, within n 2^-256 above) and on ell(n) to 40 digits, and
-the intervals are reported as indeterminate.
+the same kernel re-runs at 50 digits on exact M(n), on m(n) from a 256-bit
+fixed-point sum (error below n 2^-256) and on ell(n) to 40 digits, and the
+intervals are reported as indeterminate.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ import mpmath as mp
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .tables import Tables, exact_prefix_fraction
+from .tables import Tables, _carried
 
 _ULP = 2.0 ** -53
 _CHUNK = 1 << 16
-_EXACT_FRACTION_LIMIT = 50000
 _FIXED_BITS = 256
 _BISECT_STEPS = 80
 
@@ -109,6 +108,7 @@ class VerificationReport:
     max_ratio: float = 0.0
     argmax: int = 0
     checked: int = 0
+    truncated: bool = False  # stopped at violation max_violations + 1
 
     @property
     def passed(self) -> bool:
@@ -235,12 +235,9 @@ def _chunk_scan(pred: Predicate, a: int, b: int, tables: Tables):
 # exact escalation
 
 def _exact_m(tables: Tables, n: int):
-    """m(n) for margin re-decision, as an mpf at the caller's precision:
-    exact up to _EXACT_FRACTION_LIMIT; above it a fixed-point sum with
-    _FIXED_BITS fractional bits, so the error is below n 2^-_FIXED_BITS."""
-    if n <= _EXACT_FRACTION_LIMIT:
-        f = exact_prefix_fraction(tables.mu, n)
-        return mp.mpf(f.numerator) / f.denominator
+    """m(n) for margin re-decision, as an mpf at the caller's precision: a
+    fixed-point sum with _FIXED_BITS fractional bits, each term mu(k)/k
+    truncated once, so the error is below n 2^-_FIXED_BITS."""
     one = 1 << _FIXED_BITS
     mu = tables.mu.mu
     acc = 0
@@ -286,7 +283,10 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     """Verify a predicate for every real x in [lo, hi).
 
     Exact per-interval supremum logic covers the continuum; the report's
-    max_ratio is the largest weighted value divided by the bound.
+    max_ratio is the largest weighted value divided by the bound.  At the
+    (max_violations + 1)-th violation, at n, the scan stops: the report is
+    marked truncated and covers [lo, n] only (checked, max_ratio, argmax,
+    violations and escalations alike), whatever the chunking.
     """
     n_lo = int(math.floor(lo))
     n_hi = int(math.ceil(hi))
@@ -296,6 +296,8 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
         raise InvalidArgumentError(f"empty range [{lo}, {hi})")
     if n_hi - 1 > tables.limit:
         raise RangeError(f"range end {hi} exceeds sieve limit {tables.limit}")
+    if max_violations < 0:
+        raise InvalidArgumentError("max_violations must be nonnegative")
     spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
     bound = _scale_bound(pred)[1]
 
@@ -315,20 +317,29 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     # threads start only when the pool is given work
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         parts = pool.map(work, spans) if jobs > 1 and len(spans) > 1 else map(work, spans)
-        for (a, b), (q_max, at, hard, suspect) in zip(spans, parts):
+        for (a, b), (q_max, at, found, suspect) in zip(spans, parts):
+            for n in suspect:
+                value, ok = _exact_recheck(pred, n, tables)
+                if not ok:
+                    found.append((n, value, float(bound - value)))
+            found.sort(key=lambda t: t[0])
+            room = max_violations + 1 - len(report.violations)
+            if len(found) >= room:
+                # cut the chunk just after the violation that passes the cap
+                b = found[room - 1][0] + 1
+                found, suspect = found[:room], [n for n in suspect if n < b]
+                q = _chunk_scan(pred, a, b, tables)[0]
+                i = int(np.argmax(q))
+                q_max, at = float(q[i]), a + i
+                report.truncated = True
             report.checked += b - a
             if q_max > report.max_ratio * bound:
                 report.max_ratio = q_max / bound
                 report.argmax = at
-            report.violations.extend(hard)
-            for n in suspect:
-                value, ok = _exact_recheck(pred, n, tables)
-                report.indeterminate.append(n)
-                if not ok:
-                    report.violations.append((n, value, float(bound - value)))
-            if len(report.violations) > max_violations:
+            report.violations.extend(found)
+            report.indeterminate.extend(suspect)
+            if report.truncated:
                 break
-    report.violations.sort(key=lambda t: t[0])
     return report
 
 
@@ -375,19 +386,27 @@ class RatioReport:
         return not self.violations
 
 
-def _running_ratio(tables: Tables, x_max: int) -> np.ndarray:
-    """r[x - 1] = sup_{t<=x} t|m(t)| / sup_{t<=x} |M(t)| for x in [1, x_max].
+def _running_ratio(tables: Tables, lo: int, x_max: int):
+    """Yield (x0, r) with r[i] = sup_{t<=x} t|m(t)| / sup_{t<=x} |M(t)| at
+    x = x0 + i, covering x in [lo, x_max] one _CHUNK span at a time.
 
     The numerator supremum over the interval (n-1, n] closes at t = n with
     candidates n|m(n)| and n|m(n-1)|; both running suprema are cumulative
-    maxima over exact (radius-certified) table values.
+    maxima over exact (radius-certified) table values, carried from span to
+    span (max is exact, so the spans do not change any value).
     """
-    nf = np.arange(1, x_max + 1, dtype=np.float64)
-    mv = np.abs(tables.series.m.values[:x_max + 1])
-    run_m = np.maximum.accumulate(np.maximum(nf * mv[1:], nf * mv[:-1]))
-    run_M = np.maximum.accumulate(
-        np.abs(tables.mu.mertens[1:x_max + 1]).astype(np.float64))
-    return run_m / run_M
+    mv, mertens = tables.series.m.values, tables.mu.mertens
+    run_m = run_M = 0.0
+    for a in range(1, x_max + 1, _CHUNK):
+        b = min(a + _CHUNK, x_max + 1)
+        nf = np.arange(a, b, dtype=np.float64)
+        cand = np.maximum(nf * np.abs(mv[a:b]), nf * np.abs(mv[a - 1:b - 1]))
+        sup_m = _carried(np.maximum, run_m, cand)[1:]
+        sup_M = _carried(np.maximum, run_M, np.abs(mertens[a:b]).astype(np.float64))[1:]
+        run_m, run_M = sup_m[-1], sup_M[-1]
+        if b > lo:
+            i = max(lo - a, 0)
+            yield a + i, sup_m[i:] / sup_M[i:]
 
 
 def ratio_theorem_C(tables: Tables, x_max: int, lo: int = 94,
@@ -398,14 +417,17 @@ def ratio_theorem_C(tables: Tables, x_max: int, lo: int = 94,
         raise RangeError(f"x_max {x_max} exceeds sieve limit {tables.limit}")
     if x_max < lo:
         raise InvalidArgumentError(f"empty ratio range [{lo}, {x_max}]")
-    window = _running_ratio(tables, x_max)[lo - 1:]
-    i_min = int(np.argmin(window))
-    i_max = int(np.argmax(window))
-    rep = RatioReport(lo=lo, hi=x_max,
-                      min_ratio=float(window[i_min]), max_ratio=float(window[i_max]),
-                      argmin=lo + i_min, argmax=lo + i_max)
-    bad = np.nonzero((window < low) | (window > high))[0]
-    rep.violations = [(lo + i, float(window[i])) for i in bad.tolist()]
+    rep = RatioReport(lo=lo, hi=x_max, min_ratio=math.inf, max_ratio=-math.inf,
+                      argmin=lo, argmax=lo)
+    for x0, r in _running_ratio(tables, lo, x_max):
+        # strict comparisons: the first extremum wins, as over one array
+        i, k = int(np.argmin(r)), int(np.argmax(r))
+        if r[i] < rep.min_ratio:
+            rep.min_ratio, rep.argmin = float(r[i]), x0 + i
+        if r[k] > rep.max_ratio:
+            rep.max_ratio, rep.argmax = float(r[k]), x0 + k
+        bad = np.nonzero((r < low) | (r > high))[0]
+        rep.violations.extend((x0 + i, float(r[i])) for i in bad.tolist())
     return rep
 
 
@@ -413,8 +435,10 @@ def ratio_violation_below(tables: Tables, lo: int = 2, hi: int = 94,
                           low: float = 2.0 / 3.0, high: float = 1.5):
     """First x in [lo, hi) where the running-supremum ratio leaves the band
     (witness that the stated rank is minimal), or None."""
-    window = _running_ratio(tables, hi - 1)[lo - 1:]
-    bad = np.nonzero((window < low) | (window > high))[0]
-    if not bad.size:
-        return None
-    return lo + int(bad[0]), float(window[bad[0]])
+    if hi - 1 > tables.limit:
+        raise RangeError(f"range end {hi} exceeds sieve limit {tables.limit}")
+    for x0, r in _running_ratio(tables, lo, hi - 1):
+        bad = np.nonzero((r < low) | (r > high))[0]
+        if bad.size:
+            return x0 + int(bad[0]), float(r[bad[0]])
+    return None

@@ -76,8 +76,8 @@ G1_SPEC = WeightSpec(kind="analytic-g", name="g1", density=g1)
 H1_SPEC = WeightSpec(kind="analytic-h", name="h1", density=h1)
 
 # Published envelope of the Cohen–Dress–El Marraki coefficient weight.
-# K is printed inconsistently in the sources (100822 vs 100882); kept
-# configurable, defaulting to the larger value.
+# K is printed inconsistently in the sources (100822 vs 100882); the larger
+# value is used.
 H2_ENVELOPE = EnvelopeParams(
     sup_norm=22527.5,
     l1_mellin2=(math.pi**2 / 6.0) / 4345.0,
@@ -85,7 +85,6 @@ H2_ENVELOPE = EnvelopeParams(
     sum_c=6.0,
     max_r=5.0e13,
 )
-H2_K_ALTERNATE = 100822.0
 
 
 def lattice_power_coeffs(name: str, N):

@@ -104,18 +104,18 @@ def test_convert_via_G1check_factor():
 
 def test_convert_via_H_envelope_delta_zero_and_positive():
     hyp = BoundForm("m", 1.0 / 3704.0, log_T=math.log(3.5e6))
-    res = convert_via_H_envelope(hyp, math.log(4.8e6), m_integral=2243.0)
+    res = convert_via_H_envelope(hyp, math.log(4.8e6), math.log(2243.0))
     l1 = (math.pi**2 / 6.0) / 4345.0
     assert res.target == "m1"
     assert res.A == pytest.approx(l1 / 3704.0, rel=1e-9)
     # positive delta comes from a j > 0 hypothesis and uses the C_delta bound
     hyp_j = BoundForm("m", 0.013, j=1.0, log_T=math.log(100.0))
     cut = 18900.0 / 2.0
-    res_j = convert_via_H_envelope(hyp_j, cut, m_integral=100.0)
+    res_j = convert_via_H_envelope(hyp_j, cut, math.log(100.0))
     delta = 1.0 / cut
     assert res_j.A == pytest.approx(0.013 * h2_integral_bound(delta), rel=1e-9)
     with pytest.raises(PlanError):
-        convert_via_H_envelope(m4345(), math.log(100.0), m_integral=1.0)
+        convert_via_H_envelope(m4345(), math.log(100.0), 0.0)
 
 
 def test_convert_via_H1_factor():
@@ -161,8 +161,8 @@ def test_descend_to_produces_clean_form():
     assert res.remainders == ()
     assert math.exp(res.log_T) == pytest.approx(20.0, rel=1e-8)
     with pytest.raises(PlanError):
-        descend_to(f, 2.5, rank_cap=10.0)
-    capped = descend_to(f, 2.5, rank_cap=30.0)
+        descend_to(f, 2.5, log_rank_cap=math.log(10.0))
+    capped = descend_to(f, 2.5, log_rank_cap=math.log(30.0))
     assert math.exp(capped.log_T) == pytest.approx(30.0, rel=1e-12)
 
 
@@ -291,6 +291,19 @@ def test_plan_descend_without_rank_cap():
     direct = descend_to(led["M-log2-362.7"], 1000.0, target_j=1.0)
     assert math.isfinite(res.log_T)
     assert (res.A, res.j, res.log_T) == (direct.A, direct.j, direct.log_T)
+
+
+def test_plan_rank_cap_and_m_integral_are_taken_as_logs():
+    # plans state rank_cap and m_integral as plain numbers; the functions
+    # take their logs
+    led = base_ledger()
+    env = run_plan_step(led, {"step": "convert_via_H_envelope", "id": "e",
+                              "hyp": "m-meissel", "log_T_cut": "15", "m_integral": "2243"})
+    direct = convert_via_H_envelope(led["m-meissel"], 15.0, math.log(2243.0))
+    assert (env.A, env.log_T, env.remainders) == (direct.A, direct.log_T, direct.remainders)
+    capped = run_plan_step(led, {"step": "descend", "id": "d", "hyp": "e",
+                                 "A": "0.001", "rank_cap": "1e21"})
+    assert capped.log_T == descend_to(direct, 0.001, log_rank_cap=math.log(1e21)).log_T
 
 
 def test_abs_M_prefix_integral_exact_accepts_tables(tables_small):

@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from mobsum.bounds import BoundForm, SqrtModel
+from mobsum.bounds import BoundForm, SqrtModel, serialize_ledger
 from mobsum.chains import (
+    CHAINS,
     LIMSUP_M_OVER_SQRT,
     base_ledger,
     run_chain,
 )
+from mobsum.cli import main
 from mobsum.errors import PlanError
 
 
@@ -151,3 +154,24 @@ def test_chains_are_deterministic(all_chains):
     for name in ("models", "const", "log", "log2", "mcheck"):
         run_chain(name, led2)
     assert serialize_ledger(led) == serialize_ledger(led2)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_bootstrap_output_and_ledger_match_golden(capsys):
+    # captured from `mobsum bootstrap --chain X` and from serialize_ledger
+    # after all five chains on one ledger; every step, note, obligation,
+    # provenance string and float repr must stay byte-identical
+    statuses = dict(line.split() for line in
+                    (DATA / "bootstrap-exit.txt").read_text().splitlines())
+    assert list(statuses) == list(CHAINS)
+    for name, status in statuses.items():
+        code = main(["bootstrap", "--chain", name])
+        out = capsys.readouterr().out.encode("utf-8")
+        assert (code, out) == (int(status), (DATA / f"bootstrap-{name}.out").read_bytes())
+    led = base_ledger()
+    for name in CHAINS:
+        run_chain(name, led)
+    assert serialize_ledger(led).encode("utf-8") == \
+        (DATA / "ledger-all-chains.txt").read_bytes()

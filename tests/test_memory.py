@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from mobsum.tables import build_tables
-from mobsum.verify import PREDICATES, sup_scan, verify_range
+from mobsum.verify import PREDICATES, ratio_theorem_C, sup_scan, verify_range
 
 MB = 1 << 20
 
@@ -44,5 +44,6 @@ def test_full_range_scans_add_bounded_memory(limit):
         for target, weight, lo in (("m", "sqrtx", 3), ("M", "sqrtx", 201),
                                    ("m1", "log2x", 671), ("mcheck-minus-1", "log2x", 3)):
             sup_scan(tables, target, weight, lo, limit)
+        ratio_theorem_C(tables, limit)
 
     assert _traced_peak(scans) <= 32 * MB

@@ -119,6 +119,8 @@ def test_verify_range_guards(tables_small):
     for lo, hi in ((5000, 3000), (5000, 5000)):
         with pytest.raises(InvalidArgumentError):
             verify_range(PREDICATES["m4343"], lo, hi, tables_small)
+    with pytest.raises(InvalidArgumentError):
+        verify_range(PREDICATES["m4343"], 2, 100, tables_small, max_violations=-1)
 
 
 def test_verify_jobs_deterministic(tables_small):
@@ -133,17 +135,27 @@ def test_verify_jobs_deterministic(tables_small):
 
 
 def test_chunk_size_does_not_change_reports(tables_small, monkeypatch):
-    # every chunk edge inside the range: reports and scans must equal the
-    # one-chunk run (no violation cap, which cuts at a chunk edge)
+    # every chunk edge inside the range: reports, capped reports, scans and
+    # ratio checks must equal the one-chunk run
     def run():
         reps = [verify_range(p, 2, 6000, tables_small, jobs=j, max_violations=10**6)
                 for p in PREDICATES.values() for j in (1, 2)]
+        capped = [verify_range(PREDICATES["m4345"], 2, 6000, tables_small, jobs=j,
+                               max_violations=5) for j in (1, 2)]
         sups = [sup_scan(tables_small, t, w, lo, hi)
                 for t, ws in verify._WEIGHTS.items() for w in ws
                 for lo, hi in ((1, 6000), (2.5, 5999.5))]
-        return reps, sups
+        ratios = (ratio_theorem_C(tables_small, 8510, lo=2, low=0.9, high=1.05),
+                  ratio_violation_below(tables_small, lo=50, hi=8510, low=0.7))
+        return reps, capped, sups, ratios
 
     default = run()
+    capped = default[1][0]
+    # cut at the sixth violation: [2, that n] is all the report covers
+    assert capped.truncated and len(capped.violations) == 6
+    assert capped.checked == capped.violations[-1][0] - 1
+    assert not any(r.truncated for r in default[0])
+    assert default[3][0].violations and default[3][1] is not None
     monkeypatch.setattr(verify, "_CHUNK", 7)
     assert run() == default
 
@@ -207,9 +219,8 @@ def test_escalation_on_razor_thin_margin(tables_small, target, kind, n):
     assert rep.passed == holds
 
 
-def test_exact_m_fixed_point_matches_fraction(tables_small, monkeypatch):
-    # above the rational limit m(n) is a fixed-point sum; force that path
-    monkeypatch.setattr(verify, "_EXACT_FRACTION_LIMIT", 0)
+def test_exact_m_fixed_point_matches_fraction(tables_small):
+    # m(n) is a fixed-point sum; the exact rational is its oracle
     with mp.workdps(50):
         for n in (1, 2, 137, 5003):
             f = exact_prefix_fraction(tables_small.mu, n)
@@ -260,6 +271,8 @@ def test_ratio_range_guard(tables_small):
         ratio_theorem_C(tables_small, 30000)
     with pytest.raises(InvalidArgumentError):
         ratio_theorem_C(tables_small, 50)  # x_max below the default lo = 94
+    with pytest.raises(RangeError):
+        ratio_violation_below(tables_small, lo=2, hi=20002)
 
 
 @pytest.mark.parametrize("target", ["m1", "mcheck-minus-1"])
