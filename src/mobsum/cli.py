@@ -239,6 +239,13 @@ def _cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def worker_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mobsum", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -247,14 +254,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--limit", type=int, required=True)
     sp.add_argument("--block-size", type=int, default=1 << 20)
     sp.add_argument("--cache-dir", default=None)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=worker_count, default=1)
     sp.set_defaults(func=_cmd_sieve)
 
     sp = sub.add_parser("verify", help="exhaustively verify a named inequality")
     sp.add_argument("--pred", required=True)
     sp.add_argument("--from", type=float, required=True)
     sp.add_argument("--to", type=float, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=worker_count, default=1)
     sp.add_argument("--limit", type=int, default=None)
     sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=_cmd_verify)

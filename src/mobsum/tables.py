@@ -28,7 +28,6 @@ import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -324,19 +323,6 @@ def evaluate(table: MuTable, series: SeriesPair, x: float) -> EvaluationPoint:
         m_check=m_check,
         error_radius=max(rad, rad_check),
     )
-
-
-def exact_prefix_fraction(table: MuTable, n: int, kind: str = "m") -> Fraction:
-    """Exact rational prefix sum of mu(k)/k: the oracle for small n."""
-    if kind != "m":
-        raise InvalidArgumentError("exact rational escalation only supports m")
-    acc = Fraction(0)
-    mu = table.mu
-    for k in range(1, n + 1):
-        v = int(mu[k])
-        if v:
-            acc += Fraction(v, k)
-    return acc
 
 
 # ---------------------------------------------------------------------------

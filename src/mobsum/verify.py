@@ -17,9 +17,12 @@ is reduced where it is scanned to its largest value and first argmax, its
 hard violations and its suspect intervals, and the caller merges these in
 chunk order; `sup_scan` keeps the first chunk maximum that no later chunk
 exceeds.  Intervals whose margin falls inside the guard band are escalated:
-the same kernel re-runs at 50 digits on exact M(n), on m(n) from a 256-bit
-fixed-point sum (error below n 2^-256) and on ell(n) to 40 digits, and the
-intervals are reported as indeterminate.
+the same kernel re-runs at 50 digits on exact M(n) and on m(n) and ell(n)
+from one exact prefix routine, `_exact_prefix`, and the intervals are
+reported as indeterminate.  It sums 256-bit fixed-point integers in numpy
+blocks: m(n) from the base-2^32 digits of floor(2^256/k) (within n 2^-256,
+equal to the per-term sum), ell(n) from sum_p log p T_p with the logs of
+the primes from an atanh chain (within ((n + 2 sqrt(n)) log n + 4) 2^-256).
 """
 
 from __future__ import annotations
@@ -34,11 +37,14 @@ import mpmath as mp
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .tables import Tables, _carried
+from .tables import Tables, _carried, _small_primes
 
 _ULP = 2.0 ** -53
 _CHUNK = 1 << 16
+_BLOCK = 1 << 14  # k per block of the exact prefix sums (1 MB of digits)
 _FIXED_BITS = 256
+_LIMBS = _FIXED_BITS // 32  # base-2^32 digits of a fixed-point reciprocal
+_LOG_BITS = _FIXED_BITS + 64  # working precision of the log p chain
 _BISECT_STEPS = 80
 
 # the weights each target supports, and the weight each predicate kind uses
@@ -234,37 +240,132 @@ def _chunk_scan(pred: Predicate, a: int, b: int, tables: Tables):
 # ---------------------------------------------------------------------------
 # exact escalation
 
-def _exact_m(tables: Tables, n: int):
-    """m(n) for margin re-decision, as an mpf at the caller's precision: a
-    fixed-point sum with _FIXED_BITS fractional bits, each term mu(k)/k
-    truncated once, so the error is below n 2^-_FIXED_BITS."""
-    one = 1 << _FIXED_BITS
-    mu = tables.mu.mu
+def _recip_limbs(k: np.ndarray) -> np.ndarray:
+    """floor(2^_FIXED_BITS / k) for each k of a uint64 array (1 <= k < 2^31),
+    as _LIMBS rows of base-2^32 digits, most significant first, in int64.
+
+    Long division of 1 followed by _LIMBS zero digits: every partial
+    remainder is below k, so each step divides a number below 2^63 and each
+    digit is below 2^32 (for k = 1 the leading digit is 2^32 itself).
+    """
+    rows = np.empty((_LIMBS, k.shape[0]), dtype=np.int64)
+    rem = np.ones_like(k)
+    for row in rows:
+        row[:], rem = np.divmod(rem << np.uint64(32), k)
+    return rows
+
+
+def _join(limb_sums) -> int:
+    """sum_i limb_sums[i] 2^(32 (_LIMBS - 1 - i)): signed digit sums to one integer."""
     acc = 0
-    for k in range(1, n + 1):
-        v = int(mu[k])
-        if v:
-            acc += v * (one // k)
-    return mp.ldexp(mp.mpf(acc), -_FIXED_BITS)
+    for s in limb_sums.tolist():
+        acc = (acc << 32) + s
+    return acc
 
 
-def _exact_ell(tables: Tables, n: int):
-    """40-digit value of ell(n) = sum_{k<=n} mu(k) log(k)/k."""
-    with mp.workdps(40):
-        mu = tables.mu.mu
-        acc = mp.mpf(0)
-        for k in range(2, n + 1):
-            v = int(mu[k])
-            if v:
-                acc += v * mp.log(k) / k
-        return acc
+def _log_step(p: int, prev: int) -> int:
+    """log p - log prev = 2 atanh(x), x = (p - prev)/(p + prev) <= 1/3, as an
+    integer over 2^_LOG_BITS, from below and short by less than 340 units.
+
+    With u = 2^-_LOG_BITS, X = floor(x/u) and X2 = floor(X^2 u) make every
+    power P_j (P_1 = X, P_{j+2} = floor(P_j X2 u)) satisfy
+    0 <= x^j - P_j u < 2u, so each term floor(P_j/j) is short of x^j/j by
+    less than 2u/j + u; the loop stops at the first P_j = 0, where
+    x^j < 2u bounds the tail by u/10, and P_j u <= x^j <= 3^-j < u by
+    j = 203.  So atanh(x) is short by less than 1.1u + 101 (5/3)u < 170u.
+    """
+    x = ((p - prev) << _LOG_BITS) // (p + prev)
+    x2 = x * x >> _LOG_BITS
+    acc = term = x
+    j = 1
+    while term:
+        term = term * x2 >> _LOG_BITS
+        j += 2
+        acc += term // j
+    return 2 * acc
+
+
+def _exact_prefix(mu: np.ndarray, n: int, with_ell: bool):
+    """(m(n), ell(n)) as integers over 2^_FIXED_BITS; ell is None unless
+    with_ell.  Scratch memory is O(sqrt(n) + _BLOCK); every sum is over
+    numpy blocks of _BLOCK k at a time.
+
+    m(n) = sum_{k<=n} mu(k) floor(2^_FIXED_BITS / k): each block sums
+    mu(k) times the base-2^32 digits of the truncated reciprocals in int64
+    (each digit sum stays below n 2^32 < 2^63), and the digits are joined
+    once, so the integer is exactly that of a per-term loop and lies within
+    n units of 2^-_FIXED_BITS of m(n).
+
+    ell(n): log k = sum_{p|k} log p for squarefree k, so
+    ell(n) = sum_{p<=n} log p T_p with T_p = sum_{k<=n, p|k} mu(k)/k.  For
+    p <= r = isqrt(n), T_p is the digit sum of the block reciprocals over
+    k = 0 mod p.  For p > r, k = pj forces j <= n/p < p, so
+    T_p = -m(n // p)/p, read from the exact m table on [0, r].  log p comes
+    from the chain log p = log p' + 2 atanh((p - p')/(p + p')) over
+    consecutive primes (p < 2p', so the argument is at most 1/3), from
+    log 1 = 0, at _LOG_BITS bits (_log_step); primes above r come from a
+    segmented sieve of each block by the primes up to r.  The products are
+    summed exactly and floored once.
+
+    Error of ell, in units of 2^-_FIXED_BITS (the chain is short of log p
+    by less than 340 pi(n) 2^-_LOG_BITS, i.e. < 340 pi(n) 2^-64 units):
+      * truncated reciprocals in T_p, p <= r: each squarefree k adds less
+        than sum_{p|k} log p = log k, in all < n log n (log is natural);
+      * the chain's error times |T_p| <= (1 + log n)/p: < 1;
+      * m(q) to within q units, q = n // p < n/p, times log p/p over
+        p > r: < n log n / r <= 2 sqrt(n) log n;
+      * floor(L_p / p) and the chain's error over p, times |m(q)| <= 1:
+        < 341 pi(n) 2^-64 < 1;
+      * the final floor: < 1.
+    In all |ell - ell(n)| < ((n + 2 sqrt(n)) log n + 4) 2^-_FIXED_BITS,
+    below 2^-221 at n = 1e9 (the digit sums need n < 2^31).
+    """
+    if n >= 1 << 31:
+        raise RangeError(f"exact prefix sums need n < 2^31, not {n}")
+    r = math.isqrt(n)
+    small = _small_primes(r).tolist() if with_ell else []
+    small_logs, log_p, prev = [], 0, 1
+    for p in small:
+        log_p, prev = log_p + _log_step(p, prev), p
+        small_logs.append(log_p)
+    m_digits = np.zeros(_LIMBS, dtype=np.int64)
+    t_digits = np.zeros((len(small), _LIMBS), dtype=np.int64)
+    by_q = [0] * (r + 1)  # by_q[q] = sum of floor(L_p / p) over p > r, n // p = q
+    for a in range(1, n + 1, _BLOCK):
+        b = min(a + _BLOCK, n + 1)
+        w = mu[a:b].astype(np.int64)
+        limbs = _recip_limbs(np.arange(a, b, dtype=np.uint64))
+        m_digits += limbs @ w
+        if not with_ell:
+            continue
+        composite = np.zeros(b - a, dtype=bool)
+        for i, p in enumerate(small):
+            off = -a % p
+            t_digits[i] += limbs[:, off::p] @ w[off::p]
+            composite[off::p] = True
+        first = max(a, r + 1)
+        for p in (np.nonzero(~composite[first - a:])[0] + first).tolist():
+            log_p, prev = log_p + _log_step(p, prev), p
+            by_q[n // p] += log_p // p
+    m_fp = _join(m_digits)
+    if not with_ell:
+        return m_fp, None
+    w = mu[1:r + 1].astype(np.int64)
+    m_small = np.cumsum(_recip_limbs(np.arange(1, r + 1, dtype=np.uint64)) * w, axis=1)
+    total = sum(L * _join(t) for L, t in zip(small_logs, t_digits))
+    total -= sum(_join(m_q) * s for m_q, s in zip(m_small.T, by_q[1:]))
+    return m_fp, total >> _LOG_BITS
 
 
 def _exact_recheck(pred: Predicate, n: int, tables: Tables) -> Tuple[float, bool]:
     """Re-decide a marginal interval: the scan's kernel at 50 digits."""
     with mp.workdps(50):
-        m = _exact_m(tables, n) if pred.target != "M" else 0
-        ell = _exact_ell(tables, n) if pred.target == "mcheck-minus-1" else 0
+        m = ell = 0
+        if pred.target != "M":
+            m_fp, ell_fp = _exact_prefix(tables.mu.mu, n, pred.target == "mcheck-minus-1")
+            m = mp.ldexp(m_fp, -_FIXED_BITS)
+            if ell_fp is not None:
+                ell = mp.ldexp(ell_fp, -_FIXED_BITS)
         M = int(tables.mu.mertens[n])
         x1, x2, m, M, ell = (np.array([mp.mpf(v)], dtype=object)
                              for v in (n, n + 1, m, M, ell))

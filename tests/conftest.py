@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -67,6 +68,35 @@ def whole_array_prefix(mu, kind):
     )
     radius = np.maximum.accumulate(radius)
     return np.concatenate(([0.0], values)), np.concatenate(([0.0], radius))
+
+
+def exact_prefix_fraction(table, n):
+    """Exact rational prefix sum m(n) = sum_{k<=n} mu(k)/k."""
+    acc = Fraction(0)
+    for k in range(1, n + 1):
+        v = int(table.mu[k])
+        if v:
+            acc += Fraction(v, k)
+    return acc
+
+
+def per_term_m_fixed(mu, n):
+    """sum_{k<=n} mu(k) floor(2^256 / k), one term at a time: the integer
+    the vectorized fixed-point m(n) must equal."""
+    one = 1 << 256
+    acc = 0
+    for k in range(1, n + 1):
+        v = int(mu[k])
+        if v:
+            acc += v * (one // k)
+    return acc
+
+
+def per_term_ell(mu, n, dps=100):
+    """ell(n) = sum_{k<=n} mu(k) log(k)/k with one mpmath log per k, at dps
+    digits (each term and the sum are off by a few units of 10^-dps)."""
+    with mp.workdps(dps):
+        return mp.fsum(int(mu[k]) * mp.log(k) / k for k in range(2, n + 1) if mu[k])
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                          "--to", "100", "--cache-dir", str(not_a_dir))
     assert code == 2
     assert "usage error" in err and "status=" not in out
+    # fewer than one worker is a usage error, not a silent single worker
+    for jobs in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "--pred", "msqrt0.5", "--from", "3",
+                             "--to", "100", "--jobs", jobs)
+        assert code == 2 and "--jobs" in err and "status=" not in out
+        code, out, err = run(capsys, "sieve", "--limit", "100", "--jobs", jobs)
+        assert code == 2 and "--jobs" in err and "sieve limit" not in out
 
 
 def test_mellin_output_and_precision(capsys):

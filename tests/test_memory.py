@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from mobsum import verify
 from mobsum.tables import build_tables
 from mobsum.verify import PREDICATES, ratio_theorem_C, sup_scan, verify_range
 
@@ -47,3 +48,12 @@ def test_full_range_scans_add_bounded_memory(limit):
         ratio_theorem_C(tables, limit)
 
     assert _traced_peak(scans) <= 32 * MB
+
+
+def test_exact_recheck_adds_bounded_memory():
+    # the exact m and ell hold O(sqrt(n) + _BLOCK) scratch: an n-sized int64
+    # array (16 MB here) on top of the block scratch would not fit
+    n = 2 * 10**6
+    tables = build_tables(n, jobs=2)
+    pred = PREDICATES["mchecklog2-0.162"]
+    assert _traced_peak(lambda: verify._exact_recheck(pred, n, tables)) <= 16 * MB

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import whole_array_prefix
+from conftest import exact_prefix_fraction, whole_array_prefix
 from mobsum import tables
 from mobsum.errors import InvalidArgumentError, RangeError
 from mobsum.tables import (
@@ -16,7 +16,6 @@ from mobsum.tables import (
     cache_path,
     ell_series,
     evaluate,
-    exact_prefix_fraction,
     load_covering,
     load_table,
     m_series,
@@ -88,7 +87,7 @@ def test_sieve_rejects_bad_arguments():
 def test_m_series_matches_exact_rationals(tables_small):
     ser = tables_small.series.m
     for n in (1, 2, 3, 10, 137, 300):
-        exact = exact_prefix_fraction(tables_small.mu, n, kind="m")
+        exact = exact_prefix_fraction(tables_small.mu, n)
         assert abs(ser.values[n] - float(exact)) <= ser.error_radius[n] + 1e-15
 
 
@@ -136,8 +135,6 @@ def test_abs_mertens_prefix_integral(tables_small):
 def test_exact_prefix_fraction_values(tables_small):
     assert exact_prefix_fraction(tables_small.mu, 3) == Fraction(1, 6)
     assert exact_prefix_fraction(tables_small.mu, 4) == Fraction(1, 6)
-    with pytest.raises(InvalidArgumentError):
-        exact_prefix_fraction(tables_small.mu, 3, kind="ell")
 
 
 def test_cache_round_trip(tmp_path, tables_small):

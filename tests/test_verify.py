@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import exact_prefix_fraction, per_term_ell, per_term_m_fixed
 from mobsum import verify
 from mobsum.errors import InvalidArgumentError, RangeError
-from mobsum.tables import evaluate, exact_prefix_fraction
+from mobsum.tables import evaluate
 from mobsum.verify import (
     PREDICATES,
     Predicate,
@@ -186,8 +187,7 @@ def _oracle_sup(tables, target, n):
             def h(x):
                 return (m - M / x) * mp.log(x) ** 2
         else:
-            mu = tables.mu.mu
-            d = 1 + mp.fsum(int(mu[k]) * mp.log(k) / k for k in range(2, n + 1))
+            d = 1 + per_term_ell(tables.mu.mu, n, dps=60)
 
             def h(x):
                 return (m * mp.log(x) - d) * mp.log(x) ** 2
@@ -225,7 +225,39 @@ def test_exact_m_fixed_point_matches_fraction(tables_small):
         for n in (1, 2, 137, 5003):
             f = exact_prefix_fraction(tables_small.mu, n)
             exact = mp.mpf(f.numerator) / f.denominator
-            assert abs(verify._exact_m(tables_small, n) - exact) <= mp.mpf(10) ** -48 * abs(exact)
+            m = mp.ldexp(verify._exact_prefix(tables_small.mu.mu, n, False)[0], -256)
+            assert abs(m - exact) <= mp.mpf(10) ** -48 * abs(exact)
+
+
+def _exact_prefix_cases(block):
+    return sorted({1, 2, 3, 4, 30, 911, 5003, block - 1, block, block + 1})
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_exact_prefix_m_is_the_per_term_sum(tables_small, monkeypatch, block):
+    # the digit sums join to the integer of the per-term loop, bit for bit,
+    # whatever the block edges
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    mu = tables_small.mu.mu
+    for n in _exact_prefix_cases(block):
+        for with_ell in (False, True):
+            assert verify._exact_prefix(mu, n, with_ell)[0] == per_term_m_fixed(mu, n), n
+    with pytest.raises(RangeError):  # the int64 digit sums need n < 2^31
+        verify._exact_prefix(mu, 1 << 31, False)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_exact_prefix_ell_within_documented_bound(tables_small, monkeypatch, block):
+    # |ell - ell(n)| < ((n + 2 sqrt(n)) ln n + 4) units of 2^-256, against a
+    # 100-digit per-k sum (its own error is far below one unit)
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    mu = tables_small.mu.mu
+    with mp.workdps(100):
+        for n in _exact_prefix_cases(block):
+            ell = verify._exact_prefix(mu, n, True)[1]
+            err = abs(mp.ldexp(ell, -256) - per_term_ell(mu, n)) * mp.mpf(2) ** 256
+            assert err < (n + 2 * math.sqrt(n)) * math.log(n) + 4, n
+    assert verify._exact_prefix(mu, 1, True) == (1 << 256, 0)
 
 
 def test_m1_kernel_interior_maxima():
