@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: sieve, verify, mellin, mellin-check, identity, convert,
+Subcommands: sieve, verify, sup, mellin, mellin-check, identity, convert,
 bootstrap, report.  Exit status: 0 success, 1 a checked inequality or
 enclosure failed, 2 usage error (including an unusable file or cache
 directory), 3 any other package error (e.g. a resource guard).  Numeric
@@ -45,18 +45,16 @@ from .special import (
     mellin_H1_closed,
 )
 from .tables import (
-    SeriesPair,
     Tables,
     build_tables,
     cache_path,
-    ell_series,
     load_covering,
-    m_series,
     save_table,
     sieve_mu,
     table_digest,
+    with_series,
 )
-from .verify import PREDICATES, verify_range
+from .verify import PREDICATES, _check_weight, sup_scan, verify_range
 from .weights import G1_SPEC, H1_SPEC
 
 CACHE_ENV = "MOBSUM_CACHE_DIR"
@@ -77,14 +75,14 @@ def _cache_table(table, cdir: str) -> str:
     return path
 
 
-def _get_tables(limit: int, cache_dir, jobs: int = 1, block_size: int = 1 << 20) -> Tables:
+def _get_tables(limit: int, cache_dir, jobs: int = 1) -> Tables:
     """Load the smallest cached sieve covering `limit`, cut to `limit`, if
     available, else build (and cache when a cache directory is configured)."""
     cdir = _cache_dir(cache_dir)
     mu = load_covering(cdir, limit) if cdir else None
     if mu is not None:
-        return Tables(mu=mu, series=SeriesPair(m=m_series(mu), ell=ell_series(mu)))
-    tables = build_tables(limit, block_size=block_size, jobs=jobs)
+        return with_series(mu)
+    tables = build_tables(limit, jobs=jobs)
     if cdir:
         _cache_table(tables.mu, cdir)
     return tables
@@ -94,7 +92,7 @@ def _get_tables(limit: int, cache_dir, jobs: int = 1, block_size: int = 1 << 20)
 # subcommands
 
 def _cmd_sieve(args) -> int:
-    mu = sieve_mu(args.limit, block_size=args.block_size, jobs=args.jobs)
+    mu = sieve_mu(args.limit, jobs=args.jobs)
     cdir = _cache_dir(args.cache_dir)
     line = (f"sieve limit={args.limit} mertens_at_limit={int(mu.mertens[args.limit])} "
             f"digest={table_digest(mu).hex()}")
@@ -110,8 +108,7 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     pred = PREDICATES[args.pred]
-    limit = args.limit if args.limit else int(math.ceil(args.to))
-    tables = _get_tables(limit, args.cache_dir, jobs=args.jobs)
+    tables = _get_tables(int(math.ceil(args.to)), args.cache_dir, jobs=args.jobs)
     rep = verify_range(pred, getattr(args, "from"), args.to, tables, jobs=args.jobs)
     for n, value, margin in rep.violations:
         print(f"violation pred={pred.name} n={n} value={_fmt(value)} margin={_fmt(margin)}")
@@ -123,6 +120,16 @@ def _cmd_verify(args) -> int:
           f"violations={len(rep.violations)} max_ratio={_fmt(rep.max_ratio)} "
           f"argmax={rep.argmax} status={status}{cut}")
     return 0 if rep.passed else 1
+
+
+def _cmd_sup(args) -> int:
+    _check_weight(args.target, args.weight)  # before any table is built
+    lo, hi = getattr(args, "from"), args.to
+    tables = _get_tables(int(math.ceil(hi)), args.cache_dir)
+    value, argmax = sup_scan(tables, args.target, args.weight, lo, hi)
+    print(f"sup target={args.target} weight={args.weight} range=[{_fmt(lo)},{_fmt(hi)}] "
+          f"value={_fmt(value)} argmax={_fmt(argmax)}")
+    return 0
 
 
 def _cmd_mellin(args) -> int:
@@ -155,8 +162,7 @@ def _cmd_mellin_check(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    limit = args.limit if args.limit else max(2, int(math.ceil(args.x)))
-    tables = _get_tables(limit, args.cache_dir)
+    tables = _get_tables(max(2, int(math.ceil(args.x))), args.cache_dir)
     residual = {"thm1g": residual_thm1_G, "thm1h": residual_thm1_H,
                 "bal2": residual_bal2, "mchliss": residual_mchliss}[args.name]
     rep = residual(tables, args.x, tol=args.tol)
@@ -175,13 +181,16 @@ def _cmd_convert(args) -> int:
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = parse_plan(fh.read())
     run_bootstrap(ledger, plan)
-    text = serialize_ledger(ledger)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_ledger(ledger, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_ledger(ledger))
     return 0
+
+
+def _write_ledger(ledger, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_ledger(ledger))
 
 
 def _describe_entry(entry) -> str:
@@ -212,8 +221,7 @@ def _describe_entry(entry) -> str:
     return f"{weight}{lhs} ≤ {rhs} {rank}"
 
 
-def _cmd_bootstrap(args) -> int:
-    res = chains.run_chain(args.chain)
+def _print_chain(chain: str, res) -> None:
     for step in res.steps:
         printed = "" if step.printed is None else f" ≤ {_fmt(step.printed)}"
         note = f"  [{step.note}]" if step.note else ""
@@ -221,13 +229,25 @@ def _cmd_bootstrap(args) -> int:
               f"{'ok' if step.ok else 'FAIL'}{note}")
     for desc, pred, lo, hi in res.obligations:
         print(f"obligation: {desc} pred={pred} range=[{_fmt(lo)},{_fmt(hi)})")
-    _, headline = chains.CHAINS[args.chain]
+    _, headline = chains.CHAINS[chain]
     for name, entry in res.finals.items():
         if name != headline:
             print(f"result {name}: " + _describe_entry(entry))
     if headline in res.finals:
         print(_describe_entry(res.finals[headline]))
-    return 0 if res.ok else 1
+
+
+def _cmd_bootstrap(args) -> int:
+    """Replay one chain, or every chain in order on one shared ledger."""
+    ledger = chains.base_ledger()
+    ok = True
+    for chain in chains.CHAINS if args.chain == "all" else [args.chain]:
+        res = chains.run_chain(chain, ledger)
+        _print_chain(chain, res)
+        ok = ok and res.ok
+    if args.out:
+        _write_ledger(ledger, args.out)
+    return 0 if ok else 1
 
 
 def _cmd_report(args) -> int:
@@ -246,25 +266,38 @@ def worker_count(text: str) -> int:
     return jobs
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mobsum", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sieve", help="build (and cache) a Moebius/Mertens table")
     sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--block-size", type=int, default=1 << 20)
     sp.add_argument("--cache-dir", default=None)
     sp.add_argument("--jobs", type=worker_count, default=1)
     sp.set_defaults(func=_cmd_sieve)
 
     sp = sub.add_parser("verify", help="exhaustively verify a named inequality")
     sp.add_argument("--pred", required=True)
-    sp.add_argument("--from", type=float, required=True)
-    sp.add_argument("--to", type=float, required=True)
+    sp.add_argument("--from", type=finite_float, required=True)
+    sp.add_argument("--to", type=finite_float, required=True)
     sp.add_argument("--jobs", type=worker_count, default=1)
-    sp.add_argument("--limit", type=int, default=None)
     sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=_cmd_verify)
+
+    sp = sub.add_parser("sup", help="exact supremum and argmax of a weighted function")
+    sp.add_argument("--target", required=True)
+    sp.add_argument("--weight", required=True)
+    sp.add_argument("--from", type=finite_float, required=True)
+    sp.add_argument("--to", type=finite_float, required=True)
+    sp.add_argument("--cache-dir", default=None)
+    sp.set_defaults(func=_cmd_sup)
 
     sp = sub.add_parser("mellin", help="closed-form Mellin value with certified error")
     sp.add_argument("--form", choices=["g1", "h1", "g1check", "h2bound"], required=True)
@@ -282,9 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("identity", help="residual of an integral identity")
     sp.add_argument("--name", choices=["thm1g", "thm1h", "bal2", "mchliss"],
                     required=True)
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=finite_float, required=True)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--limit", type=int, default=None)
     sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=_cmd_identity)
 
@@ -294,8 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_convert)
 
-    sp = sub.add_parser("bootstrap", help="replay a named derivation chain")
-    sp.add_argument("--chain", choices=list(chains.CHAINS), required=True)
+    sp = sub.add_parser("bootstrap", help="replay a named derivation chain, or all")
+    sp.add_argument("--chain", choices=[*chains.CHAINS, "all"], required=True)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_bootstrap)
 
     sp = sub.add_parser("report", help="round-trip a ledger file")

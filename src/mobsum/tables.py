@@ -35,6 +35,7 @@ from .errors import InvalidArgumentError, RangeError
 
 _ULP = 2.0 ** -53  # unit roundoff for IEEE-754 binary64
 _BLOCK = 1 << 16  # indices per block of the carried prefix sums
+_SIEVE_BLOCK = 1 << 20  # integers per sieve segment, the unit of parallel work
 
 _CACHE_VERSION = "v2"
 _CACHE_HEADER = re.compile(rb"MOEBIUS-TABLE (v\d+) limit=([1-9]\d*)\n")
@@ -84,11 +85,9 @@ def _sieve_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
         p = int(p)
         start = (-lo) % p
         mu[start::p] *= -1
-        q = p
-        while q < hi:
-            s = (-lo) % q
-            val[s::q] //= p
-            q *= p
+        # once per prime suffices: a squarefree n keeps at most one prime
+        # factor above sqrt(limit), and mu is already 0 where p^2 | n
+        val[start::p] //= p
         sq = p * p
         if sq < hi:
             mu[(-lo) % sq :: sq] = 0
@@ -97,19 +96,18 @@ def _sieve_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return mu
 
 
-def sieve_mu(limit: int, block_size: int = 1 << 20, jobs: int = 1) -> MuTable:
+def sieve_mu(limit: int, jobs: int = 1) -> MuTable:
     """Sieve mu(n) for 1 <= n <= limit and accumulate exact Mertens sums.
 
-    Deterministic for any block size and worker count: each block is copied
-    into place as it is produced, in index order, and the exact Mertens sums
-    are taken over the merged array.
+    Deterministic for any segment size and worker count: each _SIEVE_BLOCK
+    segment is copied into place as it is produced, in index order, and
+    Mertens is block-carried over the merged array by ``_mu_table``.
     """
     if limit < 1:
         raise InvalidArgumentError("limit must be a positive integer")
-    if block_size < 1:
-        raise InvalidArgumentError("block_size must be positive")
     primes = _small_primes(int(math.isqrt(limit)))
-    spans = [(lo, min(lo + block_size, limit + 1)) for lo in range(1, limit + 1, block_size)]
+    spans = [(lo, min(lo + _SIEVE_BLOCK, limit + 1))
+             for lo in range(1, limit + 1, _SIEVE_BLOCK)]
     mu = np.zeros(limit + 1, dtype=np.int8)
     if jobs > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -291,8 +289,12 @@ class Tables:
         return self.mu.limit
 
 
-def build_tables(limit: int, block_size: int = 1 << 20, jobs: int = 1) -> Tables:
-    table = sieve_mu(limit, block_size=block_size, jobs=jobs)
+def build_tables(limit: int, jobs: int = 1) -> Tables:
+    return with_series(sieve_mu(limit, jobs=jobs))
+
+
+def with_series(table: MuTable) -> Tables:
+    """``table`` bundled with its m and ell prefix series."""
     return Tables(mu=table, series=SeriesPair(m=m_series(table), ell=ell_series(table)))
 
 

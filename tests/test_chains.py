@@ -159,7 +159,7 @@ def test_chains_are_deterministic(all_chains):
 DATA = Path(__file__).parent / "data"
 
 
-def test_bootstrap_output_and_ledger_match_golden(capsys):
+def test_bootstrap_output_and_ledger_match_golden(capsys, tmp_path):
     # captured from `mobsum bootstrap --chain X` and from serialize_ledger
     # after all five chains on one ledger; every step, note, obligation,
     # provenance string and float repr must stay byte-identical
@@ -175,3 +175,10 @@ def test_bootstrap_output_and_ledger_match_golden(capsys):
         run_chain(name, led)
     assert serialize_ledger(led).encode("utf-8") == \
         (DATA / "ledger-all-chains.txt").read_bytes()
+    # `--chain all` replays on one shared ledger: the blocks concatenate
+    ledger_file = tmp_path / "ledger.txt"
+    code = main(["bootstrap", "--chain", "all", "--out", str(ledger_file)])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert code == 0
+    assert out == b"".join((DATA / f"bootstrap-{name}.out").read_bytes() for name in CHAINS)
+    assert ledger_file.read_bytes() == (DATA / "ledger-all-chains.txt").read_bytes()

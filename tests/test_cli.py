@@ -1,9 +1,12 @@
+import math
 import os
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mobsum.cli import main
+from mobsum.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -40,6 +43,20 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert code == 2 and "--jobs" in err and "status=" not in out
         code, out, err = run(capsys, "sieve", "--limit", "100", "--jobs", jobs)
         assert code == 2 and "--jobs" in err and "sieve limit" not in out
+    # tables are sized from --to / --x; a bigger one comes from `mobsum sieve`
+    for argv in (("verify", "--pred", "msqrt0.5", "--from", "3", "--to", "100",
+                  "--limit", "0"),
+                 ("identity", "--name", "bal2", "--x", "100", "--limit", "5000"),
+                 ("sieve", "--limit", "100", "--block-size", "1024")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err and out == ""
+    # a non-finite end cannot size a table: a usage error, not a traceback
+    for argv in (("verify", "--pred", "m4343", "--from", "3", "--to", "inf"),
+                 ("sup", "--target", "m", "--weight", "sqrtx", "--from", "3",
+                  "--to", "nan"),
+                 ("identity", "--name", "bal2", "--x", "inf")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "must be finite" in err and out == ""
 
 
 def test_mellin_output_and_precision(capsys):
@@ -95,7 +112,7 @@ def test_sieve_and_cache_reuse(capsys, tmp_path):
     assert os.path.exists(os.path.join(cache, "moebius-5000.tbl"))
     # cache reuse must not change results
     args = ("verify", "--pred", "msqrt0.5", "--from", "3", "--to", "5000",
-            "--limit", "5000", "--cache-dir", cache)
+            "--cache-dir", cache)
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -149,6 +166,45 @@ def test_bootstrap_log_final_line(capsys):
     code, out, _ = run(capsys, "bootstrap", "--chain", "log")
     assert code == 0
     assert out.strip().splitlines()[-1] == "log x · m ≤ 0.0130073 for x ≥ 97063"
+
+
+def test_sup_closed_forms(capsys, monkeypatch):
+    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
+    pattern = (r"sup target=(\S+) weight=(\S+) range=\[(\S+),(\S+)\] "
+               r"value=(\S+) argmax=(\S+)\n")
+    log2 = math.log(2.0)
+    for target, lo, hi, value, argmax, tol in (
+            ("m1", "1", "671", 29 / 105 * math.log(7.0) ** 2, 7.0, 1e-12),
+            ("mcheck-minus-1", "1", "3", 2 * (2 - log2) ** 3 / 27,
+             math.exp((4 - 2 * log2) / 3), 1e-9)):
+        code, out, _ = run(capsys, "sup", "--target", target, "--weight", "log2x",
+                           "--from", lo, "--to", hi)
+        assert code == 0
+        fields = re.fullmatch(pattern, out).groups()
+        assert fields[:4] == (target, "log2x", lo, hi)
+        assert float(fields[4]) == pytest.approx(value, rel=tol)
+        assert float(fields[5]) == pytest.approx(argmax, rel=tol)
+    code, out, err = run(capsys, "sup", "--target", "m1", "--weight", "sqrtx",
+                         "--from", "1", "--to", "10")
+    assert code == 2 and "usage error" in err and out == ""
+
+
+def test_readme_cli_block_parses():
+    # every `mobsum ...` line of README's CLI block names only real options
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    parser = _build_parser()
+    commands = []
+    for line in block.splitlines():
+        tokens = shlex.split(line, comments=True)
+        while tokens:
+            cut = tokens.index("&&") if "&&" in tokens else len(tokens)
+            commands.append(tokens[:cut])
+            tokens = tokens[cut + 1:]
+    assert {"sup", "bootstrap", "sieve"} <= {argv[1] for argv in commands}
+    for argv in commands:
+        assert argv[0] == "mobsum"
+        parser.parse_args(argv[1:])
 
 
 def test_convert_and_report_round_trip(capsys, tmp_path):

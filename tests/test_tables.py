@@ -70,18 +70,34 @@ def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
             assert series.error_radius.tobytes() == radius.tobytes()
 
 
-def test_sieve_jobs_deterministic():
+def test_sieve_jobs_deterministic(monkeypatch):
     a = sieve_mu(100000, jobs=1)
-    b = sieve_mu(100000, jobs=4, block_size=1 << 14)
+    monkeypatch.setattr(tables, "_SIEVE_BLOCK", 1 << 14)
+    b = sieve_mu(100000, jobs=4)
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.mertens, b.mertens)
+
+
+def test_sieve_segment_edges_divisor_identity(monkeypatch):
+    # with 7-entry segments every few n sits next to a segment edge; the
+    # identity holding for every N <= limit pins down every mu(n)
+    monkeypatch.setattr(tables, "_SIEVE_BLOCK", 7)
+    limit = 2000
+    mu = sieve_mu(limit, jobs=2).mu.astype(np.int64)
+    d = np.arange(1, limit + 1, dtype=np.int64)
+    for N in range(1, limit + 1):
+        assert int(np.dot(mu[1:N + 1], N // d[:N])) == 1
+
+
+def test_mertens_at_powers_of_ten(tables_big):
+    # M(10^k) for k = 0..7, OEIS A084237
+    assert [int(tables_big.mu.mertens[10**k]) for k in range(8)] == \
+        [1, -1, 1, 2, -23, -48, 212, 1037]
 
 
 def test_sieve_rejects_bad_arguments():
     with pytest.raises(InvalidArgumentError):
         sieve_mu(0)
-    with pytest.raises(InvalidArgumentError):
-        sieve_mu(100, block_size=0)
 
 
 def test_m_series_matches_exact_rationals(tables_small):
