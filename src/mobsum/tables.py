@@ -2,8 +2,8 @@
 
 Provides the integer layer (mu values and their exact prefix sums) and the
 floating-point layer (prefix sums of mu(k)/k and mu(k)*log(k)/k with a
-certified per-index error radius), plus point evaluation of the four
-summatory functions
+certified error radius), plus point evaluation of the four summatory
+functions
 
     M(x)      = sum_{n<=x} mu(n)                    (exact integer)
     m(x)      = sum_{n<=x} mu(n)/n
@@ -15,9 +15,14 @@ where ell(n) = sum_{k<=n} mu(k) log(k)/k.
 Every prefix sum is built _BLOCK indices at a time: the Mertens sums carry
 the last exact sum of a block into the next, and the compensated series
 carry their running state (prefix, correction sum, sums of |t|, of the
-term errors and of |err|, max |value| and max radius).  Peak memory is
-the retained tables plus O(_BLOCK) scratch, and every value and radius is
-bit-identical to one pass over the whole table.
+term errors and of |err|, max |value| and max radius).  Every value and
+radius is bit-identical to one pass over the whole table.
+
+The retained tables take 21 bytes per n: mu (int8), Mertens (int32, exact
+since |M(n)| <= n < 2^31) and the m and ell values (float64).  The radius
+is nondecreasing, so each series keeps it only at block ends, where it
+bounds the radius of every index in the block; peak memory is the
+retained tables plus O(_BLOCK) scratch.
 """
 
 from __future__ import annotations
@@ -52,16 +57,23 @@ class MuTable:
     """Möbius values mu(1..limit) and their exact prefix sums.
 
     ``mu[n]`` and ``mertens[n]`` are 1-indexed: index 0 is unused (zero).
-    ``mertens[n] = sum_{k<=n} mu[k]`` held exactly in int64.
+    ``mertens[n] = sum_{k<=n} mu[k]`` held exactly in int32.
     """
 
     limit: int
     mu: np.ndarray        # int8, length limit+1
-    mertens: np.ndarray   # int64, length limit+1
+    mertens: np.ndarray   # int32, length limit+1
 
     def __post_init__(self):
         self.mu.setflags(write=False)
         self.mertens.setflags(write=False)
+
+
+def _check_limit(limit: int) -> None:
+    # Mertens is int32, exact because |M(n)| <= n
+    if limit >= 1 << 31:
+        raise RangeError(f"limit {limit} too large: Mertens sums are int32, "
+                         f"so tables stop at 2^31 - 1")
 
 
 def _small_primes(bound: int) -> np.ndarray:
@@ -105,6 +117,7 @@ def sieve_mu(limit: int, jobs: int = 1) -> MuTable:
     """
     if limit < 1:
         raise InvalidArgumentError("limit must be a positive integer")
+    _check_limit(limit)
     primes = _small_primes(int(math.isqrt(limit)))
     spans = [(lo, min(lo + _SIEVE_BLOCK, limit + 1))
              for lo in range(1, limit + 1, _SIEVE_BLOCK)]
@@ -122,14 +135,15 @@ def sieve_mu(limit: int, jobs: int = 1) -> MuTable:
 
 def _mu_table(mu: np.ndarray) -> MuTable:
     """MuTable over ``mu`` (int8, index 0 zero); Mertens is its prefix sum,
-    accumulated _BLOCK entries at a time into one int64 array with the last
+    accumulated _BLOCK entries at a time into one int32 array with the last
     sum of each block carried into the next (integer sums are exact, so
     the carry may be added after the block's own prefix sum)."""
-    mertens = np.empty(mu.shape[0], dtype=np.int64)
+    _check_limit(mu.shape[0] - 1)
+    mertens = np.empty(mu.shape[0], dtype=np.int32)
     carry = 0
     for a in range(0, mu.shape[0], _BLOCK):
         block = mertens[a:a + _BLOCK]
-        np.cumsum(mu[a:a + _BLOCK], dtype=np.int64, out=block)
+        np.cumsum(mu[a:a + _BLOCK], dtype=np.int32, out=block)
         block += carry
         carry = block[-1]
     return MuTable(limit=mu.shape[0] - 1, mu=mu, mertens=mertens)
@@ -142,7 +156,8 @@ def abs_mertens_prefix_integral(table: MuTable, T: int) -> int:
     """
     if not 2 <= T <= table.limit:
         raise InvalidArgumentError("need 2 <= T <= table.limit")
-    return int(np.abs(table.mertens[1:T]).sum())
+    # summed in int64: the total passes 2^31 well before T = 1e7
+    return int(np.abs(table.mertens[1:T]).sum(dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +169,24 @@ class PrefixSeries:
     """Compensated prefix sums with a certified absolute error radius.
 
     ``values[n]`` approximates the exact rational prefix sum of the first n
-    terms; ``|values[n] - exact| <= error_radius[n]`` and the radius is
-    monotone nondecreasing.  Index 0 is the empty sum (exactly 0).
+    terms; index 0 is the empty sum (exactly 0).  The per-index radius is
+    nondecreasing, so it is kept at block ends only: ``error_radius[j]`` is
+    the radius at index min(j _BLOCK, limit) (entry 0 is 0), and
+    ``|values[n] - exact| <= radius(n)`` for every n.
     """
 
     limit: int
     values: np.ndarray        # float64, length limit+1
-    error_radius: np.ndarray  # float64, length limit+1
+    error_radius: np.ndarray  # float64, length ceil(limit/_BLOCK)+1
 
     def __post_init__(self):
         self.values.setflags(write=False)
         self.error_radius.setflags(write=False)
+
+    def radius(self, n: int) -> float:
+        """Certified error radius of ``values[n]``: the radius at the end of
+        n's block, which bounds the nondecreasing radius at n."""
+        return float(self.error_radius[(n + _BLOCK - 1) // _BLOCK])
 
 
 def _carried(ufunc, carry: float, x: np.ndarray) -> np.ndarray:
@@ -201,14 +223,16 @@ def _carried_prefix(limit: int, block_terms) -> PrefixSeries:
     of err, |t|, rep and |err|, max |values| and the running max radius.
     Each block seeds slot 0 of its accumulations with the carried value, so
     every float operation runs in the order of one pass over the whole
-    table and the result does not depend on _BLOCK; only O(_BLOCK) scratch
-    is live besides the two output arrays.
+    table and no value or radius depends on _BLOCK.  The per-index radius
+    lives in block scratch; only its last entry, the block's largest, is
+    kept.  So only O(_BLOCK) scratch is live besides the values array and
+    the ceil(limit/_BLOCK) + 1 block-end radii.
     """
     values = np.empty(limit + 1)
-    radius = np.empty(limit + 1)
+    radius = np.empty(-(-limit // _BLOCK) + 1)
     values[0] = radius[0] = 0.0
     s = e_sum = abs_sum = rep_sum = abs_err_sum = v_max = r_max = 0.0
-    for a in range(1, limit + 1, _BLOCK):
+    for j, a in enumerate(range(1, limit + 1, _BLOCK), 1):
         b = min(a + _BLOCK, limit + 1)
         terms, rep = block_terms(a, b)
         run = _carried(np.add, s, terms)
@@ -230,7 +254,7 @@ def _carried_prefix(limit: int, block_terms) -> PrefixSeries:
         )
         r = _carried(np.maximum, r_max, r)[1:]
         values[a:b] = v
-        radius[a:b] = r
+        radius[j] = r[-1]
         s, e_sum, abs_sum, rep_sum = cur[-1], e_run[-1], abs_run[-1], rep_run[-1]
         abs_err_sum, v_max, r_max = err_run[-1], v_run[-1], r[-1]
     return PrefixSeries(limit=limit, values=values, error_radius=radius)
@@ -300,6 +324,8 @@ def with_series(table: MuTable) -> Tables:
 
 def evaluate(table: MuTable, series: SeriesPair, x: float) -> EvaluationPoint:
     """Evaluate M/x, m, m1 and mcheck at a real point x >= 1."""
+    if not math.isfinite(x):
+        raise InvalidArgumentError(f"x must be finite, not {x}")
     if x < 1:
         raise InvalidArgumentError("x must be >= 1")
     if x >= table.limit + 1:
@@ -313,8 +339,8 @@ def evaluate(table: MuTable, series: SeriesPair, x: float) -> EvaluationPoint:
     ellv = float(series.ell.values[n])
     m1 = mv - Mv / x
     m_check = mv * lx - ellv
-    rad = float(series.m.error_radius[n])
-    rad_check = rad * abs(lx) + float(series.ell.error_radius[n]) + 4.0 * _ULP * (
+    rad = series.m.radius(n)
+    rad_check = rad * abs(lx) + series.ell.radius(n) + 4.0 * _ULP * (
         abs(mv * lx) + abs(ellv)
     )
     return EvaluationPoint(

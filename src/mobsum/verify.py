@@ -59,6 +59,11 @@ _MP = SimpleNamespace(log=np.frompyfunc(mp.log, 1, 1),
                       exp=np.frompyfunc(mp.exp, 1, 1))
 
 
+def _check_finite(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidArgumentError(f"range bounds must be finite, not {lo}, {hi}")
+
+
 def _check_weight(target: str, weight: str) -> None:
     if target not in _WEIGHTS:
         raise InvalidArgumentError(f"unknown target {target!r}")
@@ -214,7 +219,8 @@ def _chunk_scan(pred: Predicate, a: int, b: int, tables: Tables):
     """Quantities q(n), guards g(n) and bound for integers n in [a, b).
 
     q(n) is the supremum of the weighted function over [n, n+1); the
-    predicate holds on the interval iff q(n) <= bound.
+    predicate holds on the interval iff q(n) <= bound.  The series radii
+    are nondecreasing, so their values at b - 1 cover the whole chunk.
     """
     weight = _KIND_WEIGHT[pred.kind]
     ser = tables.series
@@ -226,10 +232,10 @@ def _chunk_scan(pred: Predicate, a: int, b: int, tables: Tables):
     q = scale * sup
     if pred.target == "M":
         return q, 4.0 * _ULP * q, bound
-    err = ser.m.error_radius[a:b]
+    err = ser.m.radius(b - 1)
     if pred.target == "mcheck-minus-1":
         L2 = np.log(x2)
-        radius = (err * L2 + ser.ell.error_radius[a:b]) * L2 * L2
+        radius = (err * L2 + ser.ell.radius(b - 1)) * L2 * L2
     else:
         radius = scale * _weight(weight, x2, np) * err
     if pred.target == "m":
@@ -389,6 +395,7 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     marked truncated and covers [lo, n] only (checked, max_ratio, argmax,
     violations and escalations alike), whatever the chunking.
     """
+    _check_finite(lo, hi)
     n_lo = int(math.floor(lo))
     n_hi = int(math.ceil(hi))
     if n_lo < 1:
@@ -452,6 +459,7 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
     even though x ranges over the continuum.
     """
     _check_weight(target, weight)
+    _check_finite(lo, hi)
     if hi > tables.limit:
         raise RangeError(f"scan end {hi} exceeds sieve limit {tables.limit}")
     n_lo = max(1, int(math.floor(lo)))

@@ -28,10 +28,18 @@ def _traced_peak(fn):
 
 
 def test_build_tables_peak_per_n():
-    # retained: mu 1 B/n, Mertens 8 B/n, values and radius of m and ell
-    # 32 B/n; the build may add only block-sized scratch to those 41 B/n
+    # retained: mu 1 B/n, Mertens (int32) 4 B/n, values of m and ell 16 B/n
+    # and their block-end radii; the build may add only block-sized scratch
+    # to those 21 B/n
     limit = 2 * 10**6
-    assert _traced_peak(lambda: build_tables(limit, jobs=2)) <= 50 * limit
+    assert _traced_peak(lambda: build_tables(limit, jobs=2)) <= 30 * limit
+
+
+def test_retained_bytes_per_n(tables_big):
+    ser = tables_big.series
+    arrays = (tables_big.mu.mu, tables_big.mu.mertens, ser.m.values,
+              ser.m.error_radius, ser.ell.values, ser.ell.error_radius)
+    assert sum(a.nbytes for a in arrays) <= 21.01 * tables_big.limit
 
 
 @pytest.mark.parametrize("limit", [5 * 10**5, 2 * 10**6])

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -61,13 +62,15 @@ def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
     monkeypatch.setattr(tables, "_BLOCK", block)
     for limit in sorted({1, block - 1, block, block + 1, 3 * block + 5} - {0}):
         table = sieve_mu(limit)
-        want = np.cumsum(table.mu, dtype=np.int64)
-        assert table.mertens.dtype == want.dtype
-        assert table.mertens.tobytes() == want.tobytes()
+        assert table.mertens.dtype == np.int32
+        assert np.array_equal(table.mertens, np.cumsum(table.mu, dtype=np.int64))
+        ends = np.minimum(np.arange(-(-limit // block) + 1) * block, limit)
         for series, kind in ((m_series(table), "m"), (ell_series(table), "ell")):
             values, radius = whole_array_prefix(table.mu, kind)
             assert series.values.tobytes() == values.tobytes()
-            assert series.error_radius.tobytes() == radius.tobytes()
+            # the block-end radii are the per-index radii at the block ends
+            assert series.error_radius.tobytes() == radius[ends].tobytes()
+            assert all(series.radius(n) >= radius[n] for n in range(limit + 1))
 
 
 def test_sieve_jobs_deterministic(monkeypatch):
@@ -100,16 +103,37 @@ def test_sieve_rejects_bad_arguments():
         sieve_mu(0)
 
 
+def test_sieve_rejects_limits_past_int32_before_allocating():
+    # Mertens is int32; the guard must fire before the 2 GB mu array or the
+    # sqrt-sized prime sieve is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError):
+            sieve_mu(2**31)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16  # primes: 130 KB
+    finally:
+        tracemalloc.stop()
+
+
+def test_abs_mertens_prefix_integral_past_int32(tables_big):
+    # the sum passes 2^31, so an int32 accumulator would wrap
+    mert = tables_big.mu.mertens
+    want = int(np.abs(mert[1:10**7].astype(np.int64)).sum())
+    assert want >= 2**31
+    assert abs_mertens_prefix_integral(tables_big.mu, 10**7) == want
+
+
 def test_m_series_matches_exact_rationals(tables_small):
     ser = tables_small.series.m
     for n in (1, 2, 3, 10, 137, 300):
         exact = exact_prefix_fraction(tables_small.mu, n)
-        assert abs(ser.values[n] - float(exact)) <= ser.error_radius[n] + 1e-15
+        assert abs(ser.values[n] - float(exact)) <= ser.radius(n) + 1e-15
 
 
 def test_error_radius_monotone(tables_small):
     for ser in (tables_small.series.m, tables_small.series.ell):
-        r = ser.error_radius[1:]
+        r = ser.error_radius
+        assert r.shape == (-(-ser.limit // tables._BLOCK) + 1,) and r[0] == 0.0
         assert np.all(np.diff(r) >= 0.0)
         assert r[-1] < 1e-10  # compensated summation keeps the radius tiny
 
@@ -138,6 +162,9 @@ def test_evaluate_range_checks(tables_small):
         evaluate(tables_small.mu, tables_small.series, 0.5)
     with pytest.raises(RangeError):
         evaluate(tables_small.mu, tables_small.series, 20001.0)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError):
+            evaluate(tables_small.mu, tables_small.series, x)
 
 
 def test_abs_mertens_prefix_integral(tables_small):

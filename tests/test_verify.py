@@ -71,6 +71,9 @@ def test_sup_scan_guards(tables_small):
                            ("mcheck-minus-1", "log2x"), ("M", "sqrtx")):
         with pytest.raises(InvalidArgumentError):
             sup_scan(tables_small, target, weight, 5000, 3000)
+    for lo, hi in ((math.nan, 10), (1, math.nan), (1, math.inf), (-math.inf, 10)):
+        with pytest.raises(InvalidArgumentError):
+            sup_scan(tables_small, "m", "1", lo, hi)
 
 
 def test_verify_const_bound_passes(tables_small):
@@ -122,6 +125,9 @@ def test_verify_range_guards(tables_small):
             verify_range(PREDICATES["m4343"], lo, hi, tables_small)
     with pytest.raises(InvalidArgumentError):
         verify_range(PREDICATES["m4343"], 2, 100, tables_small, max_violations=-1)
+    for lo, hi in ((math.nan, 10), (2, math.nan), (2, math.inf), (-math.inf, 10)):
+        with pytest.raises(InvalidArgumentError):
+            verify_range(PREDICATES["m4343"], lo, hi, tables_small)
 
 
 def test_verify_jobs_deterministic(tables_small):
