@@ -15,7 +15,7 @@ where ell(n) = sum_{k<=n} mu(k) log(k)/k.
 Every prefix sum is built _BLOCK indices at a time: the Mertens sums carry
 the last exact sum of a block into the next, and the compensated series
 carry their running state (prefix, correction sum, sums of |t|, of the
-term errors and of |err|, max |value| and max radius).  Every value and
+term errors and of |err|, and max |value|).  Every value and
 radius is bit-identical to one pass over the whole table.
 
 The retained tables take 21 bytes per n: mu (int8), Mertens (int32, exact
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RangeError
+from .errors import InvalidArgumentError, RangeError, ResourceError
 
 _ULP = 2.0 ** -53  # unit roundoff for IEEE-754 binary64
 _BLOCK = 1 << 16  # indices per block of the carried prefix sums
@@ -89,22 +89,23 @@ def _small_primes(bound: int) -> np.ndarray:
 
 
 def _sieve_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """mu values for n in [lo, hi) (lo >= 1), as int8."""
-    n = hi - lo
-    mu = np.ones(n, dtype=np.int8)
-    val = np.arange(lo, hi, dtype=np.int64)
+    """mu values for n in [lo, hi) (1 <= lo < hi <= 2^31), as int8.
+
+    ``prod`` is the product of the sieving primes dividing n; it divides n,
+    so int32 holds it.  A squarefree n has at most one prime factor above
+    sqrt(limit), and has one exactly where prod < n.
+    """
+    mu = np.ones(hi - lo, dtype=np.int8)
+    prod = np.ones(hi - lo, dtype=np.int32)
     for p in primes:
         p = int(p)
         start = (-lo) % p
         mu[start::p] *= -1
-        # once per prime suffices: a squarefree n keeps at most one prime
-        # factor above sqrt(limit), and mu is already 0 where p^2 | n
-        val[start::p] //= p
+        prod[start::p] *= p
         sq = p * p
         if sq < hi:
             mu[(-lo) % sq :: sq] = 0
-    # entries whose residual cofactor exceeds 1 carry one extra large prime
-    mu[val > 1] *= -1
+    mu[prod < np.arange(lo, hi, dtype=np.int32)] *= -1
     return mu
 
 
@@ -113,11 +114,20 @@ def sieve_mu(limit: int, jobs: int = 1) -> MuTable:
 
     Deterministic for any segment size and worker count: each _SIEVE_BLOCK
     segment is copied into place as it is produced, in index order, and
-    Mertens is block-carried over the merged array by ``_mu_table``.
+    Mertens is block-carried over the merged array by ``_mu_table``.  Raises
+    ResourceError before allocating if ``build_tables`` would exceed RAM.
     """
     if limit < 1:
         raise InvalidArgumentError("limit must be a positive integer")
     _check_limit(limit)
+    # build_tables keeps 21 B/n (mu, int32 Mertens, m and ell values); each sieve
+    # worker adds 10 B per segment entry, the prefix build 16 float64 blocks
+    workers = min(max(jobs, 1), -(-limit // _SIEVE_BLOCK))
+    need = 21 * limit + 10 * _SIEVE_BLOCK * workers + 16 * 8 * _BLOCK
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ResourceError(f"tables to limit {limit} need about {need / 2**30:.2f} GiB, "
+                            f"more than the {have / 2**30:.2f} GiB of physical memory")
     primes = _small_primes(int(math.isqrt(limit)))
     spans = [(lo, min(lo + _SIEVE_BLOCK, limit + 1))
              for lo in range(1, limit + 1, _SIEVE_BLOCK)]
@@ -212,26 +222,24 @@ def _carried_prefix(limit: int, block_terms) -> PrefixSeries:
         err = (s_{k-1} - (s_k - bb)) + (t_k - bb)
 
     recover each step's exact rounding error; adding their running sum back
-    gives values accurate to ~1 ulp.  The certified radius combines:
+    gives values accurate to ~1 ulp.  The certified radius at index k combines:
       * representation error of the terms themselves (running sum of rep),
       * second-order error of the correction sum: ulp * running sum |err|
         plus k * ulp^2 * running sum |t|,
-      * the final uncompensated rounding: 2 ulp * running max |values|,
-    and is made monotone by a running max.
+      * the final uncompensated rounding: 2 ulp * running max |values|.
+    Each part is nondecreasing in k and rounding is monotone, so a block's
+    largest radius is at its last index, the one place it is evaluated.
 
-    Seven values carry from one block to the next: the prefix s, the sums
-    of err, |t|, rep and |err|, max |values| and the running max radius.
-    Each block seeds slot 0 of its accumulations with the carried value, so
-    every float operation runs in the order of one pass over the whole
-    table and no value or radius depends on _BLOCK.  The per-index radius
-    lives in block scratch; only its last entry, the block's largest, is
-    kept.  So only O(_BLOCK) scratch is live besides the values array and
-    the ceil(limit/_BLOCK) + 1 block-end radii.
+    Six values carry between blocks (the prefix s, the sums of err, |t|, rep
+    and |err|, and max |values|) into slot 0 of each block's left-to-right
+    sums (``np.sum`` is pairwise and would round differently), so every
+    float operation runs in the order of one pass over the whole table, no
+    value or radius depends on _BLOCK and the scratch is O(_BLOCK).
     """
     values = np.empty(limit + 1)
     radius = np.empty(-(-limit // _BLOCK) + 1)
     values[0] = radius[0] = 0.0
-    s = e_sum = abs_sum = rep_sum = abs_err_sum = v_max = r_max = 0.0
+    s = e_sum = abs_sum = rep_sum = abs_err_sum = v_max = 0.0
     for j, a in enumerate(range(1, limit + 1, _BLOCK), 1):
         b = min(a + _BLOCK, limit + 1)
         terms, rep = block_terms(a, b)
@@ -240,23 +248,14 @@ def _carried_prefix(limit: int, block_terms) -> PrefixSeries:
         bb = cur - prev
         err = (prev - (cur - bb)) + (terms - bb)
         e_run = _carried(np.add, e_sum, err)[1:]
-        v = cur + e_run
-        abs_run = _carried(np.add, abs_sum, np.abs(terms))[1:]
-        rep_run = _carried(np.add, rep_sum, rep)[1:]
-        err_run = _carried(np.add, abs_err_sum, np.abs(err))[1:]
-        v_run = _carried(np.maximum, v_max, np.abs(v))[1:]
-        idx = np.arange(a, b, dtype=np.float64)
-        r = (
-            rep_run
-            + _ULP * err_run
-            + idx * _ULP * _ULP * abs_run
-            + 2.0 * _ULP * v_run
-        )
-        r = _carried(np.maximum, r_max, r)[1:]
-        values[a:b] = v
-        radius[j] = r[-1]
-        s, e_sum, abs_sum, rep_sum = cur[-1], e_run[-1], abs_run[-1], rep_run[-1]
-        abs_err_sum, v_max, r_max = err_run[-1], v_run[-1], r[-1]
+        v = np.add(cur, e_run, out=values[a:b])
+        s, e_sum = cur[-1], e_run[-1]
+        abs_sum = _carried(np.add, abs_sum, np.abs(terms))[-1]
+        rep_sum = _carried(np.add, rep_sum, rep)[-1]
+        abs_err_sum = _carried(np.add, abs_err_sum, np.abs(err))[-1]
+        v_max = max(v_max, np.abs(v).max())
+        radius[j] = (rep_sum + _ULP * abs_err_sum + (b - 1) * _ULP * _ULP * abs_sum
+                     + 2.0 * _ULP * v_max)
     return PrefixSeries(limit=limit, values=values, error_radius=radius)
 
 

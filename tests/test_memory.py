@@ -30,9 +30,9 @@ def _traced_peak(fn):
 def test_build_tables_peak_per_n():
     # retained: mu 1 B/n, Mertens (int32) 4 B/n, values of m and ell 16 B/n
     # and their block-end radii; the build may add only block-sized scratch
-    # to those 21 B/n
+    # to those 21 B/n (measured: 23.4 B/n at this limit)
     limit = 2 * 10**6
-    assert _traced_peak(lambda: build_tables(limit, jobs=2)) <= 30 * limit
+    assert _traced_peak(lambda: build_tables(limit, jobs=2)) <= 25 * limit
 
 
 def test_retained_bytes_per_n(tables_big):

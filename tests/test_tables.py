@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import exact_prefix_fraction, whole_array_prefix
 from mobsum import tables
-from mobsum.errors import InvalidArgumentError, RangeError
+from mobsum.errors import InvalidArgumentError, RangeError, ResourceError
 from mobsum.tables import (
     abs_mertens_prefix_integral,
     build_tables,
@@ -113,6 +113,65 @@ def test_sieve_rejects_limits_past_int32_before_allocating():
         assert tracemalloc.get_traced_memory()[1] < 1 << 16  # primes: 130 KB
     finally:
         tracemalloc.stop()
+
+
+def test_sieve_rejects_tables_past_physical_memory_before_allocating(monkeypatch):
+    # 64 MB of physical memory: 1e5 (2.1 MB retained plus scratch) fits,
+    # 1e7 (210 MB retained) must fail before the mu array or the primes exist
+    sysconf = {"SC_PHYS_PAGES": 1 << 14, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
+    assert sieve_mu(10**5, jobs=2).limit == 10**5
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="physical memory"):
+            build_tables(10**7, jobs=2)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
+
+
+def _trial_division_mu(lo, hi):
+    """mu(n) for n in [lo, hi) by dividing out every prime up to sqrt(hi),
+    the primes themselves found by trial division."""
+    bound = math.isqrt(hi - 1)
+    primes = [p for p in range(2, bound + 1)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    rest = np.arange(lo, hi, dtype=np.int64)
+    mu = np.ones(hi - lo, dtype=np.int64)
+    for p in primes:
+        hit = rest % p == 0
+        mu[hit] *= -1
+        rest[hit] //= p
+        mu[rest % p == 0] = 0
+    mu[rest > 1] *= -1  # one prime factor above sqrt(hi) is left
+    return mu
+
+
+def test_sieve_block_at_top_of_int32_range():
+    # the largest n a table holds: the int32 prime product must not wrap and
+    # the large-prime rule (product < n) must hold where n is largest
+    lo, hi = 2**31 - 4096, 2**31
+    got = tables._sieve_block(lo, hi, tables._small_primes(math.isqrt(hi - 1)))
+    assert np.array_equal(got, _trial_division_mu(lo, hi))
+
+
+def test_build_calls_the_layer_hooks_once_each(monkeypatch):
+    # the traced benchmark times the layers by wrapping these module globals
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("sieve_mu", "m_series", "ell_series"):
+        monkeypatch.setattr(tables, name, counting(name, getattr(tables, name)))
+    built = build_tables(1000, jobs=2)
+    assert sorted(calls) == ["ell_series", "m_series", "sieve_mu"]
+    calls.clear()
+    tables.with_series(built.mu)
+    assert sorted(calls) == ["ell_series", "m_series"]
 
 
 def test_abs_mertens_prefix_integral_past_int32(tables_big):
