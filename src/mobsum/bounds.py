@@ -33,7 +33,6 @@ from .special import (
     mellin_H1_closed,
     zeta_real,
 )
-from .tables import Tables, abs_mertens_prefix_integral
 from .weights import H2_ENVELOPE
 
 TARGETS = ("M-over-x", "m", "m1", "mcheck-minus-1")
@@ -73,18 +72,11 @@ class BoundForm:
         except OverflowError:
             return math.inf
 
-    def log_term_list(self, L: float):
-        """log of each majorant term at L = log x, as (log_value) floats."""
-        terms = []
-        if self.A > 0:
-            terms.append(math.log(self.A) + (self.theta - 1.0) * L - self.j * math.log(L))
-        for lc, p in self.remainders:
-            terms.append(lc - p * L)
-        return terms
-
     def evaluate_log(self, L: float) -> float:
         """log of the majorant at L = log x."""
-        terms = self.log_term_list(L)
+        terms = ([math.log(self.A) + (self.theta - 1.0) * L - self.j * math.log(L)]
+                 if self.A > 0 else [])
+        terms += [lc - p * L for lc, p in self.remainders]
         if not terms:
             return -math.inf
         return float(np.logaddexp.reduce(np.asarray(terms, dtype=np.float64)))
@@ -121,21 +113,13 @@ def remainder(coef: float, power: float) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 # certified prefix-integral bounds used as conversion remainders
 
-def abs_M_prefix_integral_bound(T: float, strategy: str, tables=None) -> float:
+def abs_M_prefix_integral_bound(T: float, strategy: str) -> float:
     """Certified upper bound on integral_1^T |M(t)| dt.
 
-    strategies: "exact" (sieve tables: a ``Tables`` or its ``MuTable``),
-    "sqrt" (|M| <= sqrt(t) up to 1e16),
+    strategies: "sqrt" (|M| <= sqrt(t) up to 1e16),
     "sqrt-hurst" (0.571 sqrt(t) on [33, 1e16] plus exact head),
     "trivial" (|M| <= t).
     """
-    if strategy == "exact":
-        if tables is None or T > tables.limit:
-            raise InvalidArgumentError("exact strategy needs tables covering T")
-        table = tables.mu if isinstance(tables, Tables) else tables
-        n = int(math.floor(T))
-        head = abs_mertens_prefix_integral(table, n) if n >= 2 else 0
-        return float(head) + abs(float(table.mertens[n])) * (T - n)
     if strategy == "sqrt":
         if T > 1e16:
             raise InvalidArgumentError("|M| <= sqrt(t) is certified only up to 1e16")
@@ -393,16 +377,14 @@ def majorant_descent(form: BoundForm, target_A: float, target_j: Optional[float]
 
 
 def descend_to(form: BoundForm, target_A: float, target_j: Optional[float] = None,
-               target_theta: Optional[float] = None,
                log_rank_cap: Optional[float] = None) -> BoundForm:
-    """Descend a majorant below a clean target shape; returns the clean
-    BoundForm at the certified rank (or at the supplied outward-rounded cap
-    exp(log_rank_cap), checked against the certified rank)."""
+    """Descend a majorant below a clean target shape of the same theta;
+    returns the clean BoundForm at the certified rank (or at the supplied
+    outward-rounded cap exp(log_rank_cap), checked against the certified
+    rank)."""
     if target_j is None:
         target_j = form.j
-    if target_theta is None:
-        target_theta = form.theta
-    L0 = majorant_descent(form, target_A, target_j, target_theta)
+    L0 = majorant_descent(form, target_A, target_j)
     if log_rank_cap is not None:
         if L0 > log_rank_cap + 1e-12:
             raise PlanError(
@@ -412,7 +394,7 @@ def descend_to(form: BoundForm, target_A: float, target_j: Optional[float] = Non
     return BoundForm(
         target=form.target,
         A=target_A,
-        theta=target_theta,
+        theta=form.theta,
         j=target_j,
         log_T=L0,
         provenance=form.provenance + (f"majorant_descent(A={target_A:.12g}, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .quad import identity_kernel_integral
+from .quad import identity_kernel_integral  # called as a module global: wrappable
 from .tables import Tables, evaluate
 
 _DEFAULT_TOL = 1e-8
@@ -53,19 +53,14 @@ def h1_head_integral(x: float) -> float:
     return (2.0 / 3.0) * (4.0 / (x * x) - 3.0 / x - 2.0 / x**4 + 1.0 / x**3)
 
 
-def _m1(tables: Tables, x: float) -> float:
-    pt = evaluate(tables.mu, tables.series, x)
-    return pt.m1
-
-
 def residual_thm1_G(tables: Tables, x: float, tol: float = _DEFAULT_TOL) -> IdentityReport:
     """m1(x) = integral_1^x (M(x/t)/(x/t)) G1(t) dt/t + (1/x) integral_{1/x}^1 g1(y)/y dy."""
     if x < 1.0:
         raise InvalidArgumentError("x must be >= 1")
-    lhs = _m1(tables, x)
+    lhs = evaluate(tables, x).m1
     if x == 1.0:
         return _report("thm1-G", x, lhs, 0.0, tol)
-    kern = identity_kernel_integral(tables.mu, tables.series, x, "M-kernel")
+    kern = identity_kernel_integral(tables, x, "M-kernel")
     return _report("thm1-G", x, lhs, kern + g1_boundary_over_y(x), tol)
 
 
@@ -73,10 +68,10 @@ def residual_thm1_H(tables: Tables, x: float, tol: float = _DEFAULT_TOL) -> Iden
     """m1(x) = integral_1^x m(x/t) H1(t) dt/t^2 - integral_0^{1/x} h1(y) dy."""
     if x < 1.0:
         raise InvalidArgumentError("x must be >= 1")
-    lhs = _m1(tables, x)
+    lhs = evaluate(tables, x).m1
     if x == 1.0:
         return _report("thm1-H", x, lhs, 0.0, tol)
-    kern = identity_kernel_integral(tables.mu, tables.series, x, "m-kernel")
+    kern = identity_kernel_integral(tables, x, "m-kernel")
     return _report("thm1-H", x, lhs, kern - h1_head_integral(x), tol)
 
 
@@ -88,11 +83,11 @@ def residual_bal2(tables: Tables, x: float, tol: float = _DEFAULT_TOL) -> Identi
     """
     if x < 1.0:
         raise InvalidArgumentError("x must be >= 1")
-    lhs = _m1(tables, x)
+    lhs = evaluate(tables, x).m1
     if x == 1.0:
         rhs = 8.0 / 3.0 - 4.0 * (1.0 - 1.0 / 3.0)
         return _report("bal2", x, lhs, rhs, tol)
-    integral = identity_kernel_integral(tables.mu, tables.series, x, "M-kernel")
+    integral = identity_kernel_integral(tables, x, "M-kernel")
     rhs = integral + 8.0 / (3.0 * x) - (4.0 / (x * x)) * (1.0 - 1.0 / (3.0 * x * x))
     return _report("bal2", x, lhs, rhs, tol)
 
@@ -103,11 +98,11 @@ def residual_mchliss(tables: Tables, x: float, tol: float = _DEFAULT_TOL) -> Ide
          - integral_0^{1/x} g1."""
     if x < 1.0:
         raise InvalidArgumentError("x must be >= 1")
-    pt = evaluate(tables.mu, tables.series, x)
+    pt = evaluate(tables, x)
     lhs = (pt.m_check - 1.0) - pt.m1
     if x == 1.0:
         return _report("mchliss", x, lhs, -1.0, tol)  # the head is g1's unit mass
-    kern = identity_kernel_integral(tables.mu, tables.series, x, "m1-kernel")
+    kern = identity_kernel_integral(tables, x, "m1-kernel")
     rhs = kern - g1_boundary_over_y(x) - g1_head_integral(x)
     return _report("mchliss", x, lhs, rhs, tol)
 

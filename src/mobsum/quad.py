@@ -31,7 +31,6 @@ class MellinBracket:
 
     lo: float
     hi: float
-    finite_part_limit: float
     tail_bound_used: str
 
     @property
@@ -155,7 +154,6 @@ def mellin_numeric(weight: WeightSpec, s: float, X: float,
     return MellinBracket(
         lo=value - half + t_lo,
         hi=value + half + t_hi,
-        finite_part_limit=float(X),
         tail_bound_used=tag,
     )
 
@@ -163,7 +161,7 @@ def mellin_numeric(weight: WeightSpec, s: float, X: float,
 # ---------------------------------------------------------------------------
 # step-function kernels against weight lattice sums
 
-def identity_kernel_integral(table, series, x: float, form: str) -> float:
+def identity_kernel_integral(tables, x: float, form: str) -> float:
     """Integral over [1, x] of a summatory step function against a weight.
 
     form "M-kernel":  (M(x/t)/(x/t)) G1(t) dt/t  = M(x/t) G1(t)/x dt
@@ -174,8 +172,8 @@ def identity_kernel_integral(table, series, x: float, form: str) -> float:
     and N = floor(t) are fixed, so the integrand is a polynomial in 1/t
     with coefficients M(n)/x, m(n), or both m(n) and -M(n)/x.
     """
-    if x > table.limit:
-        raise InvalidArgumentError(f"x={x} exceeds table limit {table.limit}")
+    if x > tables.limit:
+        raise InvalidArgumentError(f"x={x} exceeds table limit {tables.limit}")
     if x <= 1.0:
         return 0.0
     if form not in ("M-kernel", "m-kernel", "m1-kernel"):
@@ -185,16 +183,16 @@ def identity_kernel_integral(table, series, x: float, form: str) -> float:
     _check_panels(edges.size - 1)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
-    n = np.clip(np.floor(x / mid).astype(np.int64), 1, table.limit)
+    n = np.clip(np.floor(x / mid).astype(np.int64), 1, tables.limit)
     N = np.floor(mid)
-    Mx = table.mertens[n] / x
+    Mx = tables.mu.mertens[n] / x
     if form == "M-kernel":
         terms = [(j, Mx * c) for j, c in lattice_power_coeffs("g1", N)]
     elif form == "m-kernel":
-        m = series.m.values[n]
+        m = tables.series.m.values[n]
         terms = [(j + 2, m * c) for j, c in lattice_power_coeffs("h1", N)]
     else:
-        m = series.m.values[n]
+        m = tables.series.m.values[n]
         g = lattice_power_coeffs("g1", N)
         terms = [(j + 1, m * c) for j, c in g] + [(j, -Mx * c) for j, c in g]
     value, _ = _panel_sum(lo, hi, terms)

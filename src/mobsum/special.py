@@ -89,12 +89,9 @@ def zeta_prime_zero() -> SpecialValue:
     return SpecialValue(value=-0.5 * _LOG_2PI, abs_error=1e-16)
 
 
-def _zeta(s: float) -> float:
-    return zeta_real(s).value
-
-
-def _near(a: float, b: float, tol: float = 1e-6) -> bool:
-    return abs(a - b) < tol
+def _near(a: float, b: float) -> bool:
+    """Within 1e-6: where the closed forms switch to their series."""
+    return abs(a - b) < 1e-6
 
 
 def mellin_G1_closed(s: float) -> SpecialValue:

@@ -76,6 +76,17 @@ def _check_limit(limit: int) -> None:
                          f"so tables stop at 2^31 - 1")
 
 
+def _check_memory(limit: int, scratch: int) -> None:
+    """Raise ResourceError if tables to ``limit`` (21 B/n: mu, int32 Mertens,
+    m and ell values), the 16 float64 blocks of the prefix build and
+    ``scratch`` bytes would exceed physical memory."""
+    need = 21 * limit + 16 * 8 * _BLOCK + scratch
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ResourceError(f"tables to limit {limit} need about {need / 2**30:.2f} GiB, "
+                            f"more than the {have / 2**30:.2f} GiB of physical memory")
+
+
 def _small_primes(bound: int) -> np.ndarray:
     """Primes up to ``bound`` by a plain boolean sieve."""
     if bound < 2:
@@ -120,14 +131,9 @@ def sieve_mu(limit: int, jobs: int = 1) -> MuTable:
     if limit < 1:
         raise InvalidArgumentError("limit must be a positive integer")
     _check_limit(limit)
-    # build_tables keeps 21 B/n (mu, int32 Mertens, m and ell values); each sieve
-    # worker adds 10 B per segment entry, the prefix build 16 float64 blocks
+    # each sieve worker holds 10 B per segment entry
     workers = min(max(jobs, 1), -(-limit // _SIEVE_BLOCK))
-    need = 21 * limit + 10 * _SIEVE_BLOCK * workers + 16 * 8 * _BLOCK
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ResourceError(f"tables to limit {limit} need about {need / 2**30:.2f} GiB, "
-                            f"more than the {have / 2**30:.2f} GiB of physical memory")
+    _check_memory(limit, 10 * _SIEVE_BLOCK * workers)
     primes = _small_primes(int(math.isqrt(limit)))
     spans = [(lo, min(lo + _SIEVE_BLOCK, limit + 1))
              for lo in range(1, limit + 1, _SIEVE_BLOCK)]
@@ -321,19 +327,20 @@ def with_series(table: MuTable) -> Tables:
     return Tables(mu=table, series=SeriesPair(m=m_series(table), ell=ell_series(table)))
 
 
-def evaluate(table: MuTable, series: SeriesPair, x: float) -> EvaluationPoint:
+def evaluate(tables: Tables, x: float) -> EvaluationPoint:
     """Evaluate M/x, m, m1 and mcheck at a real point x >= 1."""
     if not math.isfinite(x):
         raise InvalidArgumentError(f"x must be finite, not {x}")
     if x < 1:
         raise InvalidArgumentError("x must be >= 1")
-    if x >= table.limit + 1:
+    if x >= tables.limit + 1:
         raise RangeError(
             f"x={x} outside table range; sieve at least to limit={int(x)}"
         )
+    series = tables.series
     n = int(math.floor(x))
     mv = float(series.m.values[n])
-    Mv = float(table.mertens[n])
+    Mv = float(tables.mu.mertens[n])
     lx = math.log(x)
     ellv = float(series.ell.values[n])
     m1 = mv - Mv / x
@@ -436,7 +443,9 @@ def load_covering(cache_dir: str, limit: int) -> MuTable | None:
 
     Returns None when no cache file covers ``limit``.  Cutting is exact: mu is
     an integer table and Mertens is rebuilt as the prefix sum of the cut copy,
-    so the result equals ``sieve_mu(limit)`` bit for bit.
+    so the result equals ``sieve_mu(limit)`` bit for bit.  Raises
+    ResourceError before reading if the file and the tables built on the
+    result would exceed RAM.
     """
     try:
         names = os.listdir(cache_dir)
@@ -446,6 +455,8 @@ def load_covering(cache_dir: str, limit: int) -> MuTable | None:
     covering = min((L for L in limits if L >= limit), default=None)
     if covering is None:
         return None
+    # the covering file's mu, then the tables to limit
+    _check_memory(limit, covering + 1)
     path = cache_path(cache_dir, covering)
     mu = _read_mu(path)
     if mu.shape[0] - 1 != covering:

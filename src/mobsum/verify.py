@@ -46,6 +46,9 @@ _FIXED_BITS = 256
 _LIMBS = _FIXED_BITS // 32  # base-2^32 digits of a fixed-point reciprocal
 _LOG_BITS = _FIXED_BITS + 64  # working precision of the log p chain
 _BISECT_STEPS = 80
+_MAX_VIOLATIONS = 10000  # verify_range stops at the violation after this many
+_RATIO_RANK = 94  # Theorem C: the ratio stays in _RATIO_BAND for x >= 94
+_RATIO_BAND = (2.0 / 3.0, 1.5)
 
 # the weights each target supports, and the weight each predicate kind uses
 _WEIGHTS = {"m": ("1", "logx", "log2x", "sqrtx"), "m1": ("log2x",),
@@ -119,7 +122,7 @@ class VerificationReport:
     max_ratio: float = 0.0
     argmax: int = 0
     checked: int = 0
-    truncated: bool = False  # stopped at violation max_violations + 1
+    truncated: bool = False  # stopped at violation _MAX_VIOLATIONS + 1
 
     @property
     def passed(self) -> bool:
@@ -386,12 +389,12 @@ def _exact_recheck(pred: Predicate, n: int, tables: Tables) -> Tuple[float, bool
 # public operations
 
 def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
-                 jobs: int = 1, max_violations: int = 10000) -> VerificationReport:
+                 jobs: int = 1) -> VerificationReport:
     """Verify a predicate for every real x in [lo, hi).
 
     Exact per-interval supremum logic covers the continuum; the report's
     max_ratio is the largest weighted value divided by the bound.  At the
-    (max_violations + 1)-th violation, at n, the scan stops: the report is
+    (_MAX_VIOLATIONS + 1)-th violation, at n, the scan stops: the report is
     marked truncated and covers [lo, n] only (checked, max_ratio, argmax,
     violations and escalations alike), whatever the chunking.
     """
@@ -404,8 +407,6 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
         raise InvalidArgumentError(f"empty range [{lo}, {hi})")
     if n_hi - 1 > tables.limit:
         raise RangeError(f"range end {hi} exceeds sieve limit {tables.limit}")
-    if max_violations < 0:
-        raise InvalidArgumentError("max_violations must be nonnegative")
     spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
     bound = _scale_bound(pred)[1]
 
@@ -431,7 +432,7 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
                 if not ok:
                     found.append((n, value, float(bound - value)))
             found.sort(key=lambda t: t[0])
-            room = max_violations + 1 - len(report.violations)
+            room = _MAX_VIOLATIONS + 1 - len(report.violations)
             if len(found) >= room:
                 # cut the chunk just after the violation that passes the cap
                 b = found[room - 1][0] + 1
@@ -455,8 +456,8 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
              hi: float) -> Tuple[float, float]:
     """(sup, argmax_x) of the weighted summatory function on [lo, hi].
 
-    Per-interval maxima are computed in closed form, so the argmax is exact
-    even though x ranges over the continuum.
+    Per-interval maxima are computed in closed form on [n, n+1) clipped to
+    [lo, hi], so the argmax is exact even though x ranges over the continuum.
     """
     _check_weight(target, weight)
     _check_finite(lo, hi)
@@ -470,8 +471,8 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
     best = at = None
     for a in range(n_lo, n_hi + 1, _CHUNK):
         b = min(a + _CHUNK, n_hi + 1)
-        x1 = np.arange(a, b, dtype=np.float64)
-        x2 = np.minimum(x1 + 1.0, float(hi))
+        n = np.arange(a, b, dtype=np.float64)
+        x1, x2 = np.maximum(n, float(lo)), np.minimum(n + 1.0, float(hi))
         sup, arg = _interval_sup(target, weight, x1, x2, ser.m.values[a:b],
                                  tables.mu.mertens[a:b], ser.ell.values[a:b])
         i = int(np.argmax(sup))
@@ -518,10 +519,10 @@ def _running_ratio(tables: Tables, lo: int, x_max: int):
             yield a + i, sup_m[i:] / sup_M[i:]
 
 
-def ratio_theorem_C(tables: Tables, x_max: int, lo: int = 94,
-                    low: float = 2.0 / 3.0, high: float = 1.5) -> RatioReport:
+def ratio_theorem_C(tables: Tables, x_max: int) -> RatioReport:
     """Running-supremum ratio sup_{t<=x} t|m(t)| / sup_{t<=x} |M(t)| on
-    [lo, x_max], checked against the band [low, high]."""
+    [_RATIO_RANK, x_max], checked against _RATIO_BAND."""
+    lo, (low, high) = _RATIO_RANK, _RATIO_BAND
     if x_max > tables.limit:
         raise RangeError(f"x_max {x_max} exceeds sieve limit {tables.limit}")
     if x_max < lo:
@@ -540,13 +541,13 @@ def ratio_theorem_C(tables: Tables, x_max: int, lo: int = 94,
     return rep
 
 
-def ratio_violation_below(tables: Tables, lo: int = 2, hi: int = 94,
-                          low: float = 2.0 / 3.0, high: float = 1.5):
-    """First x in [lo, hi) where the running-supremum ratio leaves the band
-    (witness that the stated rank is minimal), or None."""
+def ratio_violation_below(tables: Tables):
+    """First x in [2, _RATIO_RANK) where the running-supremum ratio leaves
+    _RATIO_BAND (witness that the rank is minimal), or None."""
+    hi, (low, high) = _RATIO_RANK, _RATIO_BAND
     if hi - 1 > tables.limit:
         raise RangeError(f"range end {hi} exceeds sieve limit {tables.limit}")
-    for x0, r in _running_ratio(tables, lo, hi - 1):
+    for x0, r in _running_ratio(tables, 2, hi - 1):
         bad = np.nonzero((r < low) | (r > high))[0]
         if bad.size:
             return x0 + int(bad[0]), float(r[bad[0]])

@@ -8,9 +8,9 @@ For a density g the lattice sum is G(t) = 1 - (1/t) sum_{n<=t} g(n/t);
 for a density h it is H(t) = 1 - sum_{n<=t} h(n/t).  For the polynomial
 densities these sums reduce exactly to power sums of N = floor(t), i.e.
 to polynomials in 1/t on [N, N+1) (`lattice_power_coeffs`, the one source
-of these coefficients: the exact panel integrals of `mobsum.quad` read it
-too).  The closed form is the default evaluation path (extended precision
-to tame the cancellation of the leading terms) and the generic direct sum
+of the coefficients that the exact panel integrals of `mobsum.quad` read).
+Point evaluation uses the same polynomials rewritten in the fractional part
+of t, where no terms cancel, in extended precision; the generic direct sum
 is kept as a cross-check route.
 """
 
@@ -108,11 +108,25 @@ def lattice_power_coeffs(name: str, N):
 
 
 def _lattice_closed(name: str, t: float) -> float:
-    """The power-sum form in extended precision (the leading terms cancel
-    almost completely for large t)."""
-    N = np.longdouble(_guard(t))
+    """G1 or H1 at t in extended precision, written in f = t - N (exact in
+    binary64) and g = f (1 - f) so that no terms cancel:
+
+        G1(t) = ((1 - 2f)/t - g/t^2)^2,
+        H1(t) = (1 - (10/3) g)/t + (7/3) g (2f - 1)/t^2 + (4/3) g^2/t^3.
+
+    These are the power-sum forms of `lattice_power_coeffs` with N = t - f;
+    the leading term of H1 is the Euler-Maclaurin approximation.
+    """
     tl = np.longdouble(t)
-    return float(sum(c / tl**j for j, c in lattice_power_coeffs(name, N)))
+    f = tl - np.floor(tl)
+    g = f * (1 - f)
+    u = 1 / tl
+    if name == "g1":
+        r = ((1 - 2 * f) - g * u) * u
+        return float(r * r)
+    third = 1 / np.longdouble(3)
+    return float(u * ((1 - 10 * third * g)
+                      + u * (7 * third * g * (2 * f - 1) + u * (4 * third * g * g))))
 
 
 def _guard(t: float) -> int:

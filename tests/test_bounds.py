@@ -7,7 +7,6 @@ from mobsum.bounds import (
     BoundForm,
     Ledger,
     SqrtModel,
-    abs_M_prefix_integral_bound,
     bootstrap,
     convert_via_G1,
     convert_via_G1check,
@@ -28,7 +27,6 @@ from mobsum.bounds import (
 )
 from mobsum.chains import base_ledger
 from mobsum.errors import InvalidArgumentError, NoDescentError, PlanError
-from mobsum.tables import abs_mertens_prefix_integral
 from mobsum.special import (
     h2_integral_bound,
     mellin_G1_closed,
@@ -304,14 +302,6 @@ def test_plan_rank_cap_and_m_integral_are_taken_as_logs():
     capped = run_plan_step(led, {"step": "descend", "id": "d", "hyp": "e",
                                  "A": "0.001", "rank_cap": "1e21"})
     assert capped.log_T == descend_to(direct, 0.001, log_rank_cap=math.log(1e21)).log_T
-
-
-def test_abs_M_prefix_integral_exact_accepts_tables(tables_small):
-    for T in (5000, 4999.5):
-        assert abs_M_prefix_integral_bound(T, tables=tables_small, strategy="exact") \
-            == abs_M_prefix_integral_bound(T, tables=tables_small.mu, strategy="exact")
-    assert abs_M_prefix_integral_bound(5000, tables=tables_small, strategy="exact") \
-        == abs_mertens_prefix_integral(tables_small.mu, 5000)
 
 
 @given(

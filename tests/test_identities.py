@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 
 from conftest import golden_points, mp_lattice, mp_panel_quad
+from mobsum import identities
 from mobsum.errors import InvalidArgumentError
 from mobsum.identities import (
     g1_boundary_over_y,
@@ -53,12 +54,27 @@ def test_identities_at_quasi_random_points(tables_small):
             assert rep.passed, (fn.__name__, x, rep.residual)
 
 
+def test_residuals_call_the_kernel_hook_once_each(tables_small, monkeypatch):
+    # the traced benchmark times the kernel by wrapping this module global
+    kernel, forms = identities.identity_kernel_integral, []
+
+    def counting(tables, x, form):
+        forms.append(form)
+        return kernel(tables, x, form)
+
+    monkeypatch.setattr(identities, "identity_kernel_integral", counting)
+    for fn, form in ((residual_thm1_G, "M-kernel"), (residual_thm1_H, "m-kernel"),
+                     (residual_bal2, "M-kernel"), (residual_mchliss, "m1-kernel")):
+        forms.clear()
+        assert fn(tables_small, 123.4).passed
+        assert forms == [form], fn.__name__
+
+
 def test_step_weighted_integral_matches_quadrature(tables_small):
     # exact M kernel x * integral_1^x M(x/t) G1(t)/x dt vs per-panel quadrature
     mert = tables_small.mu.mertens
     for x in (7.0, 50.3, 200.0):
-        exact = x * identity_kernel_integral(tables_small.mu, tables_small.series, x,
-                                             "M-kernel")
+        exact = x * identity_kernel_integral(tables_small, x, "M-kernel")
         xm = mp.mpf(x)
         edges = sorted({mp.mpf(n) for n in range(1, math.floor(x) + 1)}
                        | {xm / k for k in range(1, math.floor(x) + 1)} | {xm})

@@ -14,7 +14,7 @@ from mobsum.weights import G1_SPEC, H1_SPEC
 
 
 def test_bracket_basics():
-    b = MellinBracket(lo=1.0, hi=2.0, finite_part_limit=10.0, tail_bound_used="t")
+    b = MellinBracket(lo=1.0, hi=2.0, tail_bound_used="t")
     assert b.width == 1.0
     assert b.contains(1.5) and not b.contains(2.5)
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import threading
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import exact_prefix_fraction, whole_array_prefix
-from mobsum import tables
+from mobsum import cli, tables
 from mobsum.errors import InvalidArgumentError, RangeError, ResourceError
 from mobsum.tables import (
     abs_mertens_prefix_integral,
@@ -24,6 +25,7 @@ from mobsum.tables import (
     sieve_mu,
     table_digest,
 )
+from mobsum.verify import verify_range
 
 # mu(1..20), hand-checked
 MU_20 = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1, 0]
@@ -130,6 +132,25 @@ def test_sieve_rejects_tables_past_physical_memory_before_allocating(monkeypatch
         tracemalloc.stop()
 
 
+def test_cache_load_rejects_tables_past_physical_memory_before_reading(
+        tmp_path, monkeypatch):
+    # 16 MB of physical memory: a cached 1e6 table needs its 1 MB file plus
+    # 21 MB of tables, so loading it must fail before the file is read; the
+    # build fallback must not run either
+    save_table(sieve_mu(10**6), cache_path(str(tmp_path), 10**6))
+    sysconf = {"SC_PHYS_PAGES": 1 << 12, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
+    monkeypatch.setattr(cli, "build_tables", None)
+    assert cli._get_tables(10**5, str(tmp_path)).limit == 10**5
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="physical memory"):
+            cli._get_tables(10**6, str(tmp_path))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
+
+
 def _trial_division_mu(lo, hi):
     """mu(n) for n in [lo, hi) by dividing out every prime up to sqrt(hi),
     the primes themselves found by trial division."""
@@ -174,6 +195,12 @@ def test_build_calls_the_layer_hooks_once_each(monkeypatch):
     assert sorted(calls) == ["ell_series", "m_series"]
 
 
+def test_benchmarked_entry_points_take_jobs():
+    # the benchmark passes jobs= to each of these
+    for fn in (sieve_mu, build_tables, verify_range):
+        assert "jobs" in inspect.signature(fn).parameters, fn.__name__
+
+
 def test_abs_mertens_prefix_integral_past_int32(tables_big):
     # the sum passes 2^31, so an int32 accumulator would wrap
     mert = tables_big.mu.mertens
@@ -206,24 +233,24 @@ def test_ell_series_small_values(tables_small):
 
 
 def test_evaluate_points(tables_small):
-    pt = evaluate(tables_small.mu, tables_small.series, 8510.0)
+    pt = evaluate(tables_small, 8510.0)
     assert 8510 * pt.m > 36.0
     assert pt.M_over_x == pytest.approx(tables_small.mu.mertens[8510] / 8510.0)
     assert pt.m1 == pytest.approx(pt.m - pt.M_over_x, abs=1e-15)
     # mcheck at non-integer x: m(n) log x - ell(n)
     x = 1.5
-    pt = evaluate(tables_small.mu, tables_small.series, x)
+    pt = evaluate(tables_small, x)
     assert pt.m_check == pytest.approx(math.log(x), abs=1e-15)  # n=1: m=1, ell=0
 
 
 def test_evaluate_range_checks(tables_small):
     with pytest.raises(InvalidArgumentError):
-        evaluate(tables_small.mu, tables_small.series, 0.5)
+        evaluate(tables_small, 0.5)
     with pytest.raises(RangeError):
-        evaluate(tables_small.mu, tables_small.series, 20001.0)
+        evaluate(tables_small, 20001.0)
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidArgumentError):
-            evaluate(tables_small.mu, tables_small.series, x)
+            evaluate(tables_small, x)
 
 
 def test_abs_mertens_prefix_integral(tables_small):

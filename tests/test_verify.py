@@ -123,8 +123,6 @@ def test_verify_range_guards(tables_small):
     for lo, hi in ((5000, 3000), (5000, 5000)):
         with pytest.raises(InvalidArgumentError):
             verify_range(PREDICATES["m4343"], lo, hi, tables_small)
-    with pytest.raises(InvalidArgumentError):
-        verify_range(PREDICATES["m4343"], 2, 100, tables_small, max_violations=-1)
     for lo, hi in ((math.nan, 10), (2, math.nan), (2, math.inf), (-math.inf, 10)):
         with pytest.raises(InvalidArgumentError):
             verify_range(PREDICATES["m4343"], lo, hi, tables_small)
@@ -143,18 +141,25 @@ def test_verify_jobs_deterministic(tables_small):
 
 def test_chunk_size_does_not_change_reports(tables_small, monkeypatch):
     # every chunk edge inside the range: reports, capped reports, scans and
-    # ratio checks must equal the one-chunk run
+    # ratio checks must equal the one-chunk run; the violation cap, the
+    # ratio rank and the band are module constants, set here so that the
+    # scans cross many chunks with violations in them
     def run():
-        reps = [verify_range(p, 2, 6000, tables_small, jobs=j, max_violations=10**6)
+        monkeypatch.setattr(verify, "_MAX_VIOLATIONS", 10**6)
+        reps = [verify_range(p, 2, 6000, tables_small, jobs=j)
                 for p in PREDICATES.values() for j in (1, 2)]
-        capped = [verify_range(PREDICATES["m4345"], 2, 6000, tables_small, jobs=j,
-                               max_violations=5) for j in (1, 2)]
+        monkeypatch.setattr(verify, "_MAX_VIOLATIONS", 5)
+        capped = [verify_range(PREDICATES["m4345"], 2, 6000, tables_small, jobs=j)
+                  for j in (1, 2)]
         sups = [sup_scan(tables_small, t, w, lo, hi)
                 for t, ws in verify._WEIGHTS.items() for w in ws
                 for lo, hi in ((1, 6000), (2.5, 5999.5))]
-        ratios = (ratio_theorem_C(tables_small, 8510, lo=2, low=0.9, high=1.05),
-                  ratio_violation_below(tables_small, lo=50, hi=8510, low=0.7))
-        return reps, capped, sups, ratios
+        monkeypatch.setattr(verify, "_RATIO_RANK", 2)
+        monkeypatch.setattr(verify, "_RATIO_BAND", (0.9, 1.05))
+        below = ratio_theorem_C(tables_small, 8510)
+        monkeypatch.setattr(verify, "_RATIO_RANK", 8510)
+        monkeypatch.setattr(verify, "_RATIO_BAND", (0.7, 1.5))
+        return reps, capped, sups, (below, ratio_violation_below(tables_small))
 
     default = run()
     capped = default[1][0]
@@ -165,6 +170,17 @@ def test_chunk_size_does_not_change_reports(tables_small, monkeypatch):
     assert default[3][0].violations and default[3][1] is not None
     monkeypatch.setattr(verify, "_CHUNK", 7)
     assert run() == default
+
+
+def test_sup_scan_clips_to_a_fractional_lo(tables_small):
+    # the first interval is [lo, floor(lo) + 1), not [floor(lo), ...): on
+    # [201.5, 202.5] |M| is 7 then 6, so the sup is 7/sqrt(201.5) at 201.5
+    mert = tables_small.mu.mertens
+    assert (int(mert[201]), int(mert[202])) == (-7, -6)
+    assert sup_scan(tables_small, "M", "sqrtx", 201.5, 202.5) == (
+        7.0 / math.sqrt(201.5), 201.5)
+    # |m| is constant on [2, 3), so the first point of [2.5, 2.9] is the argmax
+    assert sup_scan(tables_small, "m", "1", 2.5, 2.9) == (0.5, 2.5)
 
 
 def test_sup_scan_tie_across_chunk_edge(tables_small, monkeypatch):
@@ -304,13 +320,15 @@ def test_ratio_violation_witness_below_94(tables_small):
     assert r < 2.0 / 3.0 or r > 1.5
 
 
-def test_ratio_range_guard(tables_small):
+def test_ratio_range_guard(tables_small, monkeypatch):
     with pytest.raises(RangeError):
         ratio_theorem_C(tables_small, 30000)
     with pytest.raises(InvalidArgumentError):
-        ratio_theorem_C(tables_small, 50)  # x_max below the default lo = 94
+        ratio_theorem_C(tables_small, 50)  # x_max below the rank 94
+    # the witness search ends at the rank; past the table it must refuse
+    monkeypatch.setattr(verify, "_RATIO_RANK", 20002)
     with pytest.raises(RangeError):
-        ratio_violation_below(tables_small, lo=2, hi=20002)
+        ratio_violation_below(tables_small)
 
 
 @pytest.mark.parametrize("target", ["m1", "mcheck-minus-1"])
@@ -323,7 +341,7 @@ def test_interval_sup_dominates_sampled_points(target, n):
     sup, _ = sup_scan(tb, target, "log2x", n, n + 1)
     for frac in (0.0, 0.25, 0.625, 0.999):
         x = n + frac * 0.9999
-        pt = evaluate(tb.mu, tb.series, x)
+        pt = evaluate(tb, x)
         f = pt.m1 if target == "m1" else pt.m_check - 1.0
         val = abs(f) * math.log(x) ** 2
         assert val <= sup + 1e-9

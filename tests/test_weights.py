@@ -1,9 +1,11 @@
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import golden_points
+from conftest import golden_points, mp_lattice
 from mobsum.errors import DomainError
 from mobsum.weights import (
     G1_SPEC,
@@ -50,6 +52,18 @@ def test_eval_H_closed_form_agrees_with_direct_sum(t):
     fast = eval_H(H1_SPEC, t)
     direct = eval_H(H1_SPEC, t, method="direct")
     assert fast == pytest.approx(direct, abs=1e-12)
+
+
+def test_closed_forms_match_a_40_digit_reference():
+    # the fractional-part forms cancel nothing: the absolute error stays at
+    # the final rounding to binary64 (the power-sum form lost ~9 digits of
+    # H1 near t = 1e5, 1.8e-14)
+    rng = random.Random(1)
+    with mp.workdps(40):
+        for _ in range(3000):
+            t = 10.0 ** (5.0 * rng.random())
+            for name, ev, spec in (("g1", eval_G, G1_SPEC), ("h1", eval_H, H1_SPEC)):
+                assert abs(ev(spec, t) - mp_lattice(name, mp.mpf(t))) <= 1e-16, (name, t)
 
 
 def test_envelope_bounds_sampled():
