@@ -7,6 +7,10 @@ directory), 3 any other package error (e.g. a resource guard).  Numeric
 output uses 15 significant digits.
 """
 
+# Only the standard library and .errors load with this module: each
+# subcommand imports what it uses, so `--help` and the commands that need
+# no numpy or mpmath start without them.
+
 from __future__ import annotations
 
 import argparse
@@ -14,15 +18,6 @@ import math
 import os
 import sys
 
-from . import chains
-from .bounds import (
-    BoundForm,
-    SqrtModel,
-    bootstrap as run_bootstrap,
-    load_ledger,
-    parse_plan,
-    serialize_ledger,
-)
 from .errors import (
     DomainError,
     InvalidArgumentError,
@@ -31,31 +26,6 @@ from .errors import (
     PlanError,
     RangeError,
 )
-from .identities import (
-    residual_bal2,
-    residual_mchliss,
-    residual_thm1_G,
-    residual_thm1_H,
-)
-from .quad import mellin_numeric
-from .special import (
-    h2_integral_bound,
-    mellin_G1_closed,
-    mellin_G1check_closed,
-    mellin_H1_closed,
-)
-from .tables import (
-    Tables,
-    build_tables,
-    cache_path,
-    load_covering,
-    save_table,
-    sieve_mu,
-    table_digest,
-    with_series,
-)
-from .verify import PREDICATES, _check_weight, sup_scan, verify_range
-from .weights import G1_SPEC, H1_SPEC
 
 CACHE_ENV = "MOBSUM_CACHE_DIR"
 
@@ -69,30 +39,38 @@ def _cache_dir(flag_value):
 
 
 def _cache_table(table, cdir: str) -> str:
+    from .tables import cache_path, save_table
     os.makedirs(cdir, exist_ok=True)
     path = cache_path(cdir, table.limit)
     save_table(table, path)
     return path
 
 
-def _get_tables(limit: int, cache_dir, jobs: int = 1) -> Tables:
-    """Load the smallest cached sieve covering `limit`, cut to `limit`, if
-    available, else build (and cache when a cache directory is configured)."""
+def _get_tables(limit: int, cache_dir, target=None, jobs: int = 1):
+    """Tables to `limit` with the prefix series `target` reads (every
+    series when target is None): from the smallest cached sieve covering
+    `limit`, cut to `limit`, if available, else sieved (and cached when a
+    cache directory is configured)."""
+    from . import tables
+    series = tables.SERIES
+    if target is not None:
+        from .verify import _SERIES
+        series = _SERIES[target]
     cdir = _cache_dir(cache_dir)
-    mu = load_covering(cdir, limit) if cdir else None
-    if mu is not None:
-        return with_series(mu)
-    tables = build_tables(limit, jobs=jobs)
-    if cdir:
-        _cache_table(tables.mu, cdir)
-    return tables
+    mu = tables.load_covering(cdir, limit, series) if cdir else None
+    if mu is None:
+        mu = tables.sieve_mu(limit, jobs=jobs, series=series)
+        if cdir:
+            _cache_table(mu, cdir)
+    return tables.with_series(mu, series)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_sieve(args) -> int:
-    mu = sieve_mu(args.limit, jobs=args.jobs)
+    from .tables import sieve_mu, table_digest
+    mu = sieve_mu(args.limit, jobs=args.jobs, series=())
     cdir = _cache_dir(args.cache_dir)
     line = (f"sieve limit={args.limit} mertens_at_limit={int(mu.mertens[args.limit])} "
             f"digest={table_digest(mu).hex()}")
@@ -103,12 +81,14 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import PREDICATES, verify_range
     if args.pred not in PREDICATES:
         print(f"unknown predicate {args.pred!r}; known: {', '.join(sorted(PREDICATES))}",
               file=sys.stderr)
         return 2
     pred = PREDICATES[args.pred]
-    tables = _get_tables(int(math.ceil(args.to)), args.cache_dir, jobs=args.jobs)
+    tables = _get_tables(int(math.ceil(args.to)), args.cache_dir, pred.target,
+                         jobs=args.jobs)
     rep = verify_range(pred, getattr(args, "from"), args.to, tables, jobs=args.jobs)
     for n, value, margin in rep.violations:
         print(f"violation pred={pred.name} n={n} value={_fmt(value)} margin={_fmt(margin)}")
@@ -123,9 +103,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sup(args) -> int:
+    from .verify import _check_weight, sup_scan
     _check_weight(args.target, args.weight)  # before any table is built
     lo, hi = getattr(args, "from"), args.to
-    tables = _get_tables(int(math.ceil(hi)), args.cache_dir)
+    tables = _get_tables(int(math.ceil(hi)), args.cache_dir, args.target)
     value, argmax = sup_scan(tables, args.target, args.weight, lo, hi)
     print(f"sup target={args.target} weight={args.weight} range=[{_fmt(lo)},{_fmt(hi)}] "
           f"value={_fmt(value)} argmax={_fmt(argmax)}")
@@ -133,6 +114,12 @@ def _cmd_sup(args) -> int:
 
 
 def _cmd_mellin(args) -> int:
+    from .special import (
+        h2_integral_bound,
+        mellin_G1_closed,
+        mellin_G1check_closed,
+        mellin_H1_closed,
+    )
     s = args.s
     if args.form == "g1":
         sv = mellin_G1_closed(s)
@@ -149,6 +136,9 @@ def _cmd_mellin(args) -> int:
 
 
 def _cmd_mellin_check(args) -> int:
+    from .quad import mellin_numeric
+    from .special import mellin_G1_closed, mellin_H1_closed
+    from .weights import G1_SPEC, H1_SPEC
     spec = G1_SPEC if args.weight == "g1" else H1_SPEC
     closed = mellin_G1_closed(args.s) if args.weight == "g1" else mellin_H1_closed(args.s)
     bracket = mellin_numeric(spec, args.s, args.X, envelope=args.envelope)
@@ -162,6 +152,13 @@ def _cmd_mellin_check(args) -> int:
 
 
 def _cmd_identity(args) -> int:
+    from .identities import (
+        residual_bal2,
+        residual_mchliss,
+        residual_thm1_G,
+        residual_thm1_H,
+    )
+    # every series: evaluate reads m and ell
     tables = _get_tables(max(2, int(math.ceil(args.x))), args.cache_dir)
     residual = {"thm1g": residual_thm1_G, "thm1h": residual_thm1_H,
                 "bal2": residual_bal2, "mchliss": residual_mchliss}[args.name]
@@ -173,11 +170,14 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .bounds import bootstrap as run_bootstrap
+    from .bounds import load_ledger, parse_plan, serialize_ledger
+    from .chains import base_ledger
     if args.ledger:
         with open(args.ledger, "r", encoding="utf-8") as fh:
             ledger = load_ledger(fh.read())
     else:
-        ledger = chains.base_ledger()
+        ledger = base_ledger()
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = parse_plan(fh.read())
     run_bootstrap(ledger, plan)
@@ -189,11 +189,13 @@ def _cmd_convert(args) -> int:
 
 
 def _write_ledger(ledger, path: str) -> None:
+    from .bounds import serialize_ledger
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_ledger(ledger))
 
 
 def _describe_entry(entry) -> str:
+    from .bounds import BoundForm, SqrtModel
     if isinstance(entry, SqrtModel):
         if entry.target == "M-over-x":
             head = f"|M(x)| ≤ {_fmt(entry.c)} sqrt(x)"
@@ -222,6 +224,7 @@ def _describe_entry(entry) -> str:
 
 
 def _print_chain(chain: str, res) -> None:
+    from .chains import CHAINS
     for step in res.steps:
         printed = "" if step.printed is None else f" ≤ {_fmt(step.printed)}"
         note = f"  [{step.note}]" if step.note else ""
@@ -229,7 +232,7 @@ def _print_chain(chain: str, res) -> None:
               f"{'ok' if step.ok else 'FAIL'}{note}")
     for desc, pred, lo, hi in res.obligations:
         print(f"obligation: {desc} pred={pred} range=[{_fmt(lo)},{_fmt(hi)})")
-    _, headline = chains.CHAINS[chain]
+    _, headline = CHAINS[chain]
     for name, entry in res.finals.items():
         if name != headline:
             print(f"result {name}: " + _describe_entry(entry))
@@ -239,10 +242,11 @@ def _print_chain(chain: str, res) -> None:
 
 def _cmd_bootstrap(args) -> int:
     """Replay one chain, or every chain in order on one shared ledger."""
-    ledger = chains.base_ledger()
+    from .chains import CHAINS, base_ledger, run_chain
+    ledger = base_ledger()
     ok = True
-    for chain in chains.CHAINS if args.chain == "all" else [args.chain]:
-        res = chains.run_chain(chain, ledger)
+    for chain in CHAINS if args.chain == "all" else [args.chain]:
+        res = run_chain(chain, ledger)
         _print_chain(chain, res)
         ok = ok and res.ok
     if args.out:
@@ -251,6 +255,7 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .bounds import load_ledger, serialize_ledger
     with open(args.ledger, "r", encoding="utf-8") as fh:
         ledger = load_ledger(fh.read())
     sys.stdout.write(serialize_ledger(ledger))
@@ -271,6 +276,24 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, not {text}")
     return value
+
+
+def positive_float(text: str) -> float:
+    value = finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {text}")
+    return value
+
+
+def chain_name(text: str) -> str:
+    """A name from chains.CHAINS, or "all"; checked when --chain is parsed,
+    so building the parser does not import chains (numpy and mpmath)."""
+    from .chains import CHAINS
+    names = [*CHAINS, "all"]
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -301,14 +324,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mellin", help="closed-form Mellin value with certified error")
     sp.add_argument("--form", choices=["g1", "h1", "g1check", "h2bound"], required=True)
-    sp.add_argument("--s", type=float, required=True)
+    sp.add_argument("--s", type=finite_float, required=True)
     sp.set_defaults(func=_cmd_mellin)
 
     sp = sub.add_parser("mellin-check",
                         help="numeric Mellin enclosure vs closed form")
     sp.add_argument("--weight", choices=["g1", "h1"], required=True)
-    sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--X", type=float, required=True)
+    sp.add_argument("--s", type=finite_float, required=True)
+    sp.add_argument("--X", type=finite_float, required=True)
     sp.add_argument("--envelope", choices=["sharp", "simple"], default="sharp")
     sp.set_defaults(func=_cmd_mellin_check)
 
@@ -316,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--name", choices=["thm1g", "thm1h", "bal2", "mchliss"],
                     required=True)
     sp.add_argument("--x", type=finite_float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=positive_float, default=1e-8)
     sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=_cmd_identity)
 
@@ -327,7 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_convert)
 
     sp = sub.add_parser("bootstrap", help="replay a named derivation chain, or all")
-    sp.add_argument("--chain", choices=[*chains.CHAINS, "all"], required=True)
+    sp.add_argument("--chain", type=chain_name, required=True,
+                    help="a chain name, or all (an unknown name lists the chains)")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_bootstrap)
 

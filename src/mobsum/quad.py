@@ -189,10 +189,10 @@ def identity_kernel_integral(tables, x: float, form: str) -> float:
     if form == "M-kernel":
         terms = [(j, Mx * c) for j, c in lattice_power_coeffs("g1", N)]
     elif form == "m-kernel":
-        m = tables.series.m.values[n]
+        m = tables.prefix("m").values[n]
         terms = [(j + 2, m * c) for j, c in lattice_power_coeffs("h1", N)]
     else:
-        m = tables.series.m.values[n]
+        m = tables.prefix("m").values[n]
         g = lattice_power_coeffs("g1", N)
         terms = [(j + 1, m * c) for j, c in g] + [(j, -Mx * c) for j, c in g]
     value, _ = _panel_sum(lo, hi, terms)

@@ -18,7 +18,6 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import DomainError
-from .weights import H2_ENVELOPE
 
 _ULP = 2.0 ** -53
 
@@ -162,6 +161,7 @@ def h2_integral_bound(delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("h2_integral_bound requires 0 < delta < 1")
+    from .weights import H2_ENVELOPE  # weights loads numpy: only this bound reads it
     sup, l1 = H2_ENVELOPE.sup_norm, H2_ENVELOPE.l1_mellin2
     b = (sup / (l1 * delta)) ** delta
     return l1 * b / (1.0 - delta)

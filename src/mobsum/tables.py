@@ -18,8 +18,11 @@ carry their running state (prefix, correction sum, sums of |t|, of the
 term errors and of |err|, and max |value|).  Every value and
 radius is bit-identical to one pass over the whole table.
 
-The retained tables take 21 bytes per n: mu (int8), Mertens (int32, exact
-since |M(n)| <= n < 2^31) and the m and ell values (float64).  The radius
+The retained tables take 5 bytes per n for mu (int8) and Mertens (int32,
+exact since |M(n)| <= n < 2^31), plus 8 per prefix series built (float64
+values): 5, 13 or 21 B/n for none, m alone, or m and ell.  A `Tables`
+bundle carries only the series its caller reads (``with_series``); a
+kernel that needs a missing one raises InvalidArgumentError.  The radius
 is nondecreasing, so each series keeps it only at block ends, where it
 bounds the radius of every index in the block; peak memory is the
 retained tables plus O(_BLOCK) scratch.
@@ -46,6 +49,8 @@ _CACHE_VERSION = "v2"
 _CACHE_HEADER = re.compile(rb"MOEBIUS-TABLE (v\d+) limit=([1-9]\d*)\n")
 _CACHE_NAME = re.compile(r"moebius-([1-9]\d*)\.tbl")
 _DIGEST_SIZE = 16
+
+SERIES = ("m", "ell")  # the prefix series a Tables bundle can carry
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +81,12 @@ def _check_limit(limit: int) -> None:
                          f"so tables stop at 2^31 - 1")
 
 
-def _check_memory(limit: int, scratch: int) -> None:
-    """Raise ResourceError if tables to ``limit`` (21 B/n: mu, int32 Mertens,
-    m and ell values), the 16 float64 blocks of the prefix build and
+def _check_memory(limit: int, scratch: int, series) -> None:
+    """Raise ResourceError if tables to ``limit`` with the prefix series
+    named in ``series`` (5 B/n for mu and int32 Mertens, 8 B/n per series),
+    the 16 float64 blocks of a prefix build (when there is one) and
     ``scratch`` bytes would exceed physical memory."""
-    need = 21 * limit + 16 * 8 * _BLOCK + scratch
+    need = (5 + 8 * len(series)) * limit + (16 * 8 * _BLOCK if series else 0) + scratch
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ResourceError(f"tables to limit {limit} need about {need / 2**30:.2f} GiB, "
@@ -120,20 +126,21 @@ def _sieve_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return mu
 
 
-def sieve_mu(limit: int, jobs: int = 1) -> MuTable:
+def sieve_mu(limit: int, jobs: int = 1, series=SERIES) -> MuTable:
     """Sieve mu(n) for 1 <= n <= limit and accumulate exact Mertens sums.
 
     Deterministic for any segment size and worker count: each _SIEVE_BLOCK
     segment is copied into place as it is produced, in index order, and
     Mertens is block-carried over the merged array by ``_mu_table``.  Raises
-    ResourceError before allocating if ``build_tables`` would exceed RAM.
+    ResourceError before allocating if the table and the prefix series
+    named in ``series``, which the caller goes on to build, would exceed RAM.
     """
     if limit < 1:
         raise InvalidArgumentError("limit must be a positive integer")
     _check_limit(limit)
     # each sieve worker holds 10 B per segment entry
     workers = min(max(jobs, 1), -(-limit // _SIEVE_BLOCK))
-    _check_memory(limit, 10 * _SIEVE_BLOCK * workers)
+    _check_memory(limit, 10 * _SIEVE_BLOCK * workers, series)
     primes = _small_primes(int(math.isqrt(limit)))
     spans = [(lo, min(lo + _SIEVE_BLOCK, limit + 1))
              for lo in range(1, limit + 1, _SIEVE_BLOCK)]
@@ -290,10 +297,11 @@ def ell_series(table: MuTable) -> PrefixSeries:
 
 @dataclass(frozen=True)
 class SeriesPair:
-    """The two prefix series needed to evaluate m, m1 and mcheck."""
+    """The prefix series behind m and m1 (m) and mcheck (m and ell); a
+    series that was not built is None."""
 
-    m: PrefixSeries
-    ell: PrefixSeries
+    m: PrefixSeries | None = None
+    ell: PrefixSeries | None = None
 
 
 @dataclass(frozen=True)
@@ -317,14 +325,26 @@ class Tables:
     def limit(self) -> int:
         return self.mu.limit
 
+    def prefix(self, name: str) -> PrefixSeries:
+        """The prefix series ``name`` ("m" or "ell"); InvalidArgumentError
+        if these tables were built without it."""
+        series = getattr(self.series, name)
+        if series is None:
+            raise InvalidArgumentError(
+                f"these tables were built without the {name} prefix series")
+        return series
+
 
 def build_tables(limit: int, jobs: int = 1) -> Tables:
     return with_series(sieve_mu(limit, jobs=jobs))
 
 
-def with_series(table: MuTable) -> Tables:
-    """``table`` bundled with its m and ell prefix series."""
-    return Tables(mu=table, series=SeriesPair(m=m_series(table), ell=ell_series(table)))
+def with_series(table: MuTable, series=SERIES) -> Tables:
+    """``table`` bundled with the prefix series named in ``series`` (a
+    subset of SERIES); the others are None."""
+    return Tables(mu=table, series=SeriesPair(
+        m=m_series(table) if "m" in series else None,
+        ell=ell_series(table) if "ell" in series else None))
 
 
 def evaluate(tables: Tables, x: float) -> EvaluationPoint:
@@ -337,16 +357,16 @@ def evaluate(tables: Tables, x: float) -> EvaluationPoint:
         raise RangeError(
             f"x={x} outside table range; sieve at least to limit={int(x)}"
         )
-    series = tables.series
+    m, ell = tables.prefix("m"), tables.prefix("ell")
     n = int(math.floor(x))
-    mv = float(series.m.values[n])
+    mv = float(m.values[n])
     Mv = float(tables.mu.mertens[n])
     lx = math.log(x)
-    ellv = float(series.ell.values[n])
+    ellv = float(ell.values[n])
     m1 = mv - Mv / x
     m_check = mv * lx - ellv
-    rad = series.m.radius(n)
-    rad_check = rad * abs(lx) + series.ell.radius(n) + 4.0 * _ULP * (
+    rad = m.radius(n)
+    rad_check = rad * abs(lx) + ell.radius(n) + 4.0 * _ULP * (
         abs(mv * lx) + abs(ellv)
     )
     return EvaluationPoint(
@@ -438,14 +458,14 @@ def load_table(path: str) -> MuTable:
     return _mu_table(_read_mu(path))
 
 
-def load_covering(cache_dir: str, limit: int) -> MuTable | None:
+def load_covering(cache_dir: str, limit: int, series=SERIES) -> MuTable | None:
     """The smallest cached table with limit >= ``limit``, cut to ``limit``.
 
     Returns None when no cache file covers ``limit``.  Cutting is exact: mu is
     an integer table and Mertens is rebuilt as the prefix sum of the cut copy,
     so the result equals ``sieve_mu(limit)`` bit for bit.  Raises
-    ResourceError before reading if the file and the tables built on the
-    result would exceed RAM.
+    ResourceError before reading if the file and the tables with the prefix
+    series named in ``series``, built on the result, would exceed RAM.
     """
     try:
         names = os.listdir(cache_dir)
@@ -456,7 +476,7 @@ def load_covering(cache_dir: str, limit: int) -> MuTable | None:
     if covering is None:
         return None
     # the covering file's mu, then the tables to limit
-    _check_memory(limit, covering + 1)
+    _check_memory(limit, covering + 1, series)
     path = cache_path(cache_dir, covering)
     mu = _read_mu(path)
     if mu.shape[0] - 1 != covering:

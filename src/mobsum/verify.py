@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import List, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
@@ -50,16 +50,30 @@ _MAX_VIOLATIONS = 10000  # verify_range stops at the violation after this many
 _RATIO_RANK = 94  # Theorem C: the ratio stays in _RATIO_BAND for x >= 94
 _RATIO_BAND = (2.0 / 3.0, 1.5)
 
-# the weights each target supports, and the weight each predicate kind uses
+# the weights each target supports, the prefix series each target reads
+# (M(n) is exact in every table), and the weight each predicate kind uses
 _WEIGHTS = {"m": ("1", "logx", "log2x", "sqrtx"), "m1": ("log2x",),
             "mcheck-minus-1": ("log2x",), "M": ("sqrtx",)}
+_SERIES = {"m": ("m",), "m1": ("m",), "mcheck-minus-1": ("m", "ell"), "M": ()}
 _KIND_WEIGHT = {"const-bound": "1", "log-bound": "logx",
                 "log2-bound": "log2x", "sqrt-bound": "sqrtx"}
 
-# elementwise log/sqrt/exp for dtype=object arrays of mpf
-_MP = SimpleNamespace(log=np.frompyfunc(mp.log, 1, 1),
-                      sqrt=np.frompyfunc(mp.sqrt, 1, 1),
-                      exp=np.frompyfunc(mp.exp, 1, 1))
+
+@lru_cache(maxsize=None)
+def _mp_fns() -> SimpleNamespace:
+    """Elementwise log/sqrt/exp for dtype=object arrays of mpf, built on
+    first use: only the exact re-check imports mpmath."""
+    import mpmath as mp
+    return SimpleNamespace(log=np.frompyfunc(mp.log, 1, 1),
+                           sqrt=np.frompyfunc(mp.sqrt, 1, 1),
+                           exp=np.frompyfunc(mp.exp, 1, 1))
+
+
+def __getattr__(name):
+    # PEP 562: `verify._MP` resolves without importing mpmath up front
+    if name == "_MP":
+        return _mp_fns()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_finite(lo: float, hi: float) -> None:
@@ -174,8 +188,9 @@ def _interval_sup(target, weight, x1, x2, m, M, ell, fn=np):
     """Elementwise (sup, argmax) of w(x)|f(x)| over x in [x1, x2].
 
     f is the target on [n, n+1) built from m = m(n), M = M(n) and
-    ell = ell(n); w is the weight.  fn supplies log, sqrt and exp: numpy for
-    float64 arrays, _MP for dtype=object arrays of mpf.
+    ell = ell(n), of which only those the target reads are used (the others
+    may be None); w is the weight.  fn supplies log, sqrt and exp: numpy
+    for float64 arrays, _mp_fns() for dtype=object arrays of mpf.
     """
     if target == "M":
         # |M(n)| / sqrt(x) decreases in x
@@ -218,27 +233,47 @@ def _scale_bound(pred: Predicate):
     return (pred.c, 1.0) if pred.kind == "const-bound" else (1.0, pred.c)
 
 
-def _chunk_scan(pred: Predicate, a: int, b: int, tables: Tables):
-    """Quantities q(n), guards g(n) and bound for integers n in [a, b).
-
-    q(n) is the supremum of the weighted function over [n, n+1); the
-    predicate holds on the interval iff q(n) <= bound.  The series radii
-    are nondecreasing, so their values at b - 1 cover the whole chunk.
-    """
-    weight = _KIND_WEIGHT[pred.kind]
-    ser = tables.series
+def _clipped(a: int, b: int, lo: float, hi: float):
+    """Ends x1, x2 of the intervals [n, n+1) for n in [a, b), cut to
+    [lo, hi].  A scan has floor(lo) <= a and b - 1 <= hi, so n > lo for
+    every n but the first and n + 1 <= hi for every n but the last: only
+    x1[0] and x2[-1] can move."""
     x1 = np.arange(a, b, dtype=np.float64)
     x2 = x1 + 1.0
-    sup, _ = _interval_sup(pred.target, weight, x1, x2, ser.m.values[a:b],
-                           tables.mu.mertens[a:b], ser.ell.values[a:b])
+    x1[0] = max(x1[0], lo)
+    x2[-1] = min(x2[-1], hi)
+    return x1, x2
+
+
+def _kernel_inputs(tables: Tables, target: str, a: int, b: int):
+    """m(n), M(n) and ell(n) for n in [a, b); a series ``target`` does not
+    read is None, and one it reads but ``tables`` lacks raises
+    InvalidArgumentError."""
+    m, ell = (tables.prefix(name).values[a:b] if name in _SERIES[target] else None
+              for name in ("m", "ell"))
+    return m, tables.mu.mertens[a:b], ell
+
+
+def _chunk_scan(pred: Predicate, lo: float, hi: float, a: int, b: int,
+                tables: Tables):
+    """Quantities q(n), guards g(n) and bound for integers n in [a, b).
+
+    q(n) is the supremum of the weighted function over [n, n+1) cut to
+    [lo, hi]; the predicate holds there iff q(n) <= bound.  The series
+    radii are nondecreasing, so their values at b - 1 cover the whole chunk.
+    """
+    weight = _KIND_WEIGHT[pred.kind]
+    x1, x2 = _clipped(a, b, lo, hi)
+    sup, _ = _interval_sup(pred.target, weight, x1, x2,
+                           *_kernel_inputs(tables, pred.target, a, b))
     scale, bound = _scale_bound(pred)
     q = scale * sup
     if pred.target == "M":
         return q, 4.0 * _ULP * q, bound
-    err = ser.m.radius(b - 1)
+    err = tables.prefix("m").radius(b - 1)
     if pred.target == "mcheck-minus-1":
         L2 = np.log(x2)
-        radius = (err * L2 + ser.ell.radius(b - 1)) * L2 * L2
+        radius = (err * L2 + tables.prefix("ell").radius(b - 1)) * L2 * L2
     else:
         radius = scale * _weight(weight, x2, np) * err
     if pred.target == "m":
@@ -366,8 +401,11 @@ def _exact_prefix(mu: np.ndarray, n: int, with_ell: bool):
     return m_fp, total >> _LOG_BITS
 
 
-def _exact_recheck(pred: Predicate, n: int, tables: Tables) -> Tuple[float, bool]:
-    """Re-decide a marginal interval: the scan's kernel at 50 digits."""
+def _exact_recheck(pred: Predicate, n: int, tables: Tables, lo: float,
+                   hi: float) -> Tuple[float, bool]:
+    """Re-decide a marginal interval, [n, n+1) cut to [lo, hi]: the scan's
+    kernel at 50 digits."""
+    import mpmath as mp  # the escalation path alone needs it
     with mp.workdps(50):
         m = ell = 0
         if pred.target != "M":
@@ -377,9 +415,9 @@ def _exact_recheck(pred: Predicate, n: int, tables: Tables) -> Tuple[float, bool
                 ell = mp.ldexp(ell_fp, -_FIXED_BITS)
         M = int(tables.mu.mertens[n])
         x1, x2, m, M, ell = (np.array([mp.mpf(v)], dtype=object)
-                             for v in (n, n + 1, m, M, ell))
+                             for v in (max(n, lo), min(n + 1, hi), m, M, ell))
         sup, _ = _interval_sup(pred.target, _KIND_WEIGHT[pred.kind],
-                               x1, x2, m, M, ell, fn=_MP)
+                               x1, x2, m, M, ell, fn=_mp_fns())
         scale, bound = _scale_bound(pred)
         q = scale * sup[0]
         return float(q), bool(q <= bound)
@@ -392,7 +430,9 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
                  jobs: int = 1) -> VerificationReport:
     """Verify a predicate for every real x in [lo, hi).
 
-    Exact per-interval supremum logic covers the continuum; the report's
+    Exact per-interval supremum logic covers the continuum: each [n, n+1)
+    is cut to [lo, hi), so a fractional end checks no x outside the range
+    (the report's lo and hi are floor(lo) and ceil(hi)).  The report's
     max_ratio is the largest weighted value divided by the bound.  At the
     (_MAX_VIOLATIONS + 1)-th violation, at n, the scan stops: the report is
     marked truncated and covers [lo, n] only (checked, max_ratio, argmax,
@@ -414,7 +454,7 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
         # reduce the chunk where it is scanned: (largest q, its first n,
         # hard violations, suspects for exact re-decision)
         a, b = span
-        q, guard, _ = _chunk_scan(pred, a, b, tables)
+        q, guard, _ = _chunk_scan(pred, lo, hi, a, b, tables)
         i = int(np.argmax(q))
         margin = bound - q
         hard = [(a + j, float(q[j]), float(margin[j]))
@@ -428,7 +468,7 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
         parts = pool.map(work, spans) if jobs > 1 and len(spans) > 1 else map(work, spans)
         for (a, b), (q_max, at, found, suspect) in zip(spans, parts):
             for n in suspect:
-                value, ok = _exact_recheck(pred, n, tables)
+                value, ok = _exact_recheck(pred, n, tables, lo, hi)
                 if not ok:
                     found.append((n, value, float(bound - value)))
             found.sort(key=lambda t: t[0])
@@ -437,7 +477,7 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
                 # cut the chunk just after the violation that passes the cap
                 b = found[room - 1][0] + 1
                 found, suspect = found[:room], [n for n in suspect if n < b]
-                q = _chunk_scan(pred, a, b, tables)[0]
+                q = _chunk_scan(pred, lo, hi, a, b, tables)[0]
                 i = int(np.argmax(q))
                 q_max, at = float(q[i]), a + i
                 report.truncated = True
@@ -467,14 +507,11 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
     n_hi = int(math.floor(hi))
     if lo > hi or n_hi < n_lo:
         raise InvalidArgumentError(f"empty scan range [{lo}, {hi}]")
-    ser = tables.series
     best = at = None
     for a in range(n_lo, n_hi + 1, _CHUNK):
         b = min(a + _CHUNK, n_hi + 1)
-        n = np.arange(a, b, dtype=np.float64)
-        x1, x2 = np.maximum(n, float(lo)), np.minimum(n + 1.0, float(hi))
-        sup, arg = _interval_sup(target, weight, x1, x2, ser.m.values[a:b],
-                                 tables.mu.mertens[a:b], ser.ell.values[a:b])
+        sup, arg = _interval_sup(target, weight, *_clipped(a, b, lo, hi),
+                                 *_kernel_inputs(tables, target, a, b))
         i = int(np.argmax(sup))
         if best is None or sup[i] > best:  # strict: the first maximum wins
             best, at = sup[i], arg[i]
@@ -505,7 +542,7 @@ def _running_ratio(tables: Tables, lo: int, x_max: int):
     maxima over exact (radius-certified) table values, carried from span to
     span (max is exact, so the spans do not change any value).
     """
-    mv, mertens = tables.series.m.values, tables.mu.mertens
+    mv, mertens = tables.prefix("m").values, tables.mu.mertens
     run_m = run_M = 0.0
     for a in range(1, x_max + 1, _CHUNK):
         b = min(a + _CHUNK, x_max + 1)

@@ -2,11 +2,16 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mobsum
+from mobsum import cli, tables
 from mobsum.cli import _build_parser, main
+from mobsum.errors import ResourceError
 
 
 def run(capsys, *argv):
@@ -57,6 +62,98 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ("identity", "--name", "bal2", "--x", "inf")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "must be finite" in err and out == ""
+    # a non-finite s or X is a usage error, not a traceback with exit 1
+    for argv in (("mellin", "--form", "g1", "--s", "inf"),
+                 ("mellin-check", "--weight", "g1", "--s", "nan", "--X", "100"),
+                 ("mellin-check", "--weight", "g1", "--s", "0.5", "--X", "inf"),
+                 ("mellin-check", "--weight", "h1", "--s", "0.5", "--X", "nan")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "must be finite" in err and out == ""
+    # a tolerance no residual can meet is a usage error, not status=FAIL
+    for tol, why in (("nan", "must be finite"), ("-1", "must be positive"),
+                     ("0", "must be positive")):
+        code, out, err = run(capsys, "identity", "--name", "bal2", "--x", "100",
+                             "--tol", tol)
+        assert code == 2 and why in err and out == ""
+    # chains are checked against chains.CHAINS when --chain is parsed
+    code, out, err = run(capsys, "bootstrap", "--chain", "bogus")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'bogus'" in err and "'const'" in err and "'all'" in err
+
+
+# every name mobsum/__init__.py exported when it imported each module eagerly
+EXPORTS = """BoundForm Ledger SqrtModel bootstrap convert_via_G1 convert_via_G1check
+    convert_via_H1 convert_via_H_envelope descend_to load_ledger
+    log_comparison_lowering majorant_descent parse_plan serialize_ledger
+    sqrt_model_from_form sqrt_range_lowering theorem_d_arithmetic triangle_m
+    ChainResult ChainStep base_ledger run_chain DomainError InvalidArgumentError
+    MobsumError NoDescentError PlanError RangeError ResourceError IdentityReport
+    residual_bal2 residual_mchliss residual_thm1_G residual_thm1_H MellinBracket
+    mellin_numeric SpecialValue euler_gamma h2_integral_bound mellin_G1_closed
+    mellin_G1check_closed mellin_H1_closed zeta_prime_zero zeta_real MuTable
+    PrefixSeries SeriesPair Tables build_tables evaluate load_table save_table
+    sieve_mu PREDICATES Predicate RatioReport VerificationReport ratio_theorem_C
+    ratio_violation_below sup_scan verify_range G1_SPEC H1_SPEC H2_ENVELOPE
+    EnvelopeParams WeightSpec epsilon1 eval_G eval_H g1 h1 __version__""".split()
+
+
+def _modules_after(code):
+    """The top-level modules of numpy and mpmath loaded after running code
+    in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mobsum.__file__).parents[1]))
+    probe = code + "\nimport sys; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    return done.stdout.splitlines()[-1]
+
+
+def test_startup_imports_only_what_is_read():
+    assert _modules_after("import mobsum.cli; mobsum.cli._build_parser()") == "[]"
+    assert _modules_after("import mobsum.verify") == "['numpy']"
+    for name in EXPORTS:
+        exec(f"from mobsum import {name}", {})
+
+
+@pytest.mark.parametrize("pred, lo, hi, built", [
+    ("Msqrt0.5", "201", "20000", (0, 0)), ("m4343", "3", "300", (1, 0)),
+    ("m1log2-0.138", "671", "20000", (1, 0)),
+    ("mchecklog2-0.162", "3", "20000", (1, 1))])
+def test_verify_builds_only_the_series_its_target_reads(capsys, monkeypatch, pred,
+                                                        lo, hi, built):
+    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
+    calls = []
+    for name in ("m_series", "ell_series"):
+        def counting(table, _name=name, _fn=getattr(tables, name)):
+            calls.append(_name)
+            return _fn(table)
+        monkeypatch.setattr(tables, name, counting)
+    argv = ("verify", "--pred", pred, "--from", lo, "--to", hi)
+    code, out, _ = run(capsys, *argv)
+    assert (calls.count("m_series"), calls.count("ell_series")) == built
+    # the output is that of a run on the full tables of build_tables
+    monkeypatch.setattr(cli, "_get_tables", lambda limit, cache_dir, target, jobs:
+                        tables.build_tables(limit, jobs=jobs))
+    assert run(capsys, *argv)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_memory_guard_charges_the_series_built(tmp_path, monkeypatch, cached):
+    # 20 MiB of physical memory: a 1e6 table with the m series (13 B/n plus
+    # the prefix build's blocks) does not fit, one for M alone (5 B/n) does,
+    # whether it is sieved or cut from a cached 1e6 table
+    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
+    cache = None
+    if cached:
+        cache = str(tmp_path)
+        tables.save_table(tables.sieve_mu(10**6), tables.cache_path(cache, 10**6))
+        monkeypatch.setattr(tables, "sieve_mu", None)  # must not build
+    sysconf = {"SC_PHYS_PAGES": 5 << 10, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
+    for target in ("m", "m1", "mcheck-minus-1"):
+        with pytest.raises(ResourceError, match="physical memory"):
+            cli._get_tables(10**6, cache, target)
+    got = cli._get_tables(10**6, cache, "M")
+    assert got.limit == 10**6 and got.series == tables.SeriesPair()
 
 
 def test_mellin_output_and_precision(capsys):

@@ -64,4 +64,5 @@ def test_exact_recheck_adds_bounded_memory():
     n = 2 * 10**6
     tables = build_tables(n, jobs=2)
     pred = PREDICATES["mchecklog2-0.162"]
-    assert _traced_peak(lambda: verify._exact_recheck(pred, n, tables)) <= 16 * MB
+    assert _traced_peak(
+        lambda: verify._exact_recheck(pred, n, tables, n, n + 1)) <= 16 * MB

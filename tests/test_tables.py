@@ -140,7 +140,7 @@ def test_cache_load_rejects_tables_past_physical_memory_before_reading(
     save_table(sieve_mu(10**6), cache_path(str(tmp_path), 10**6))
     sysconf = {"SC_PHYS_PAGES": 1 << 12, "SC_PAGE_SIZE": 1 << 12}
     monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
-    monkeypatch.setattr(cli, "build_tables", None)
+    monkeypatch.setattr(tables, "sieve_mu", None)
     assert cli._get_tables(10**5, str(tmp_path)).limit == 10**5
     tracemalloc.start()
     try:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import exact_prefix_fraction, per_term_ell, per_term_m_fixed
 from mobsum import verify
 from mobsum.errors import InvalidArgumentError, RangeError
-from mobsum.tables import evaluate
+from mobsum.quad import identity_kernel_integral
+from mobsum.tables import evaluate, with_series
 from mobsum.verify import (
     PREDICATES,
     Predicate,
@@ -181,6 +182,55 @@ def test_sup_scan_clips_to_a_fractional_lo(tables_small):
         7.0 / math.sqrt(201.5), 201.5)
     # |m| is constant on [2, 3), so the first point of [2.5, 2.9] is the argmax
     assert sup_scan(tables_small, "m", "1", 2.5, 2.9) == (0.5, 2.5)
+
+
+def test_verify_range_clips_to_a_fractional_range(tables_small):
+    # M(7) = -2: on [7.5, 8), 2/sqrt(x) < c although 2/sqrt(7) > c, so
+    # a scan of all of [7, 8) would report a violation outside the range
+    assert int(tables_small.mu.mertens[7]) == -2
+    c = 1.001 * 2.0 / math.sqrt(7.5)
+    rep = verify_range(Predicate("x", "sqrt-bound", "M", c), 7.5, 8, tables_small)
+    assert (rep.lo, rep.hi, rep.checked, rep.violations) == (7, 8, 1, [])
+    assert rep.max_ratio == pytest.approx(1 / 1.001, rel=1e-15)
+    # sqrt(x)|m(7)| grows: on [7, 7.5) it stays below c, but not on [7, 8)
+    m7 = abs(float(tables_small.series.m.values[7]))
+    c = 1.001 * math.sqrt(7.5) * m7
+    rep = verify_range(Predicate("y", "sqrt-bound", "m", c), 7, 7.5, tables_small)
+    assert rep.passed and rep.max_ratio == pytest.approx(1 / 1.001, rel=1e-15)
+    assert not verify_range(Predicate("y", "sqrt-bound", "m", c), 7, 8,
+                            tables_small).passed
+
+
+def test_exact_recheck_clips_to_a_fractional_range(tables_small):
+    # planted at the clipped supremum 2/sqrt(7.5), the interval escalates,
+    # and the exact re-check must weigh [7.5, 8), not [7, 8)
+    pred = Predicate("x", "sqrt-bound", "M", 2.0 / math.sqrt(7.5))
+    rep = verify_range(pred, 7.5, 8, tables_small)
+    assert rep.indeterminate == [7]
+    assert all(value < 0.74 for _, value, _ in rep.violations)  # 2/sqrt(7) = 0.756
+    value, _ = verify._exact_recheck(pred, 7, tables_small, 7.5, 8)
+    assert value == pytest.approx(2.0 / math.sqrt(7.5), rel=1e-15)
+
+
+def test_kernels_name_the_series_their_tables_lack(tables_small):
+    bare, m_only = with_series(tables_small.mu, ()), with_series(tables_small.mu, ("m",))
+    for call, name in (
+            (lambda: verify_range(PREDICATES["m4343"], 3, 100, bare), "m"),
+            (lambda: verify_range(PREDICATES["mchecklog2-0.162"], 3, 100, m_only), "ell"),
+            (lambda: sup_scan(bare, "m1", "log2x", 1, 100), "m"),
+            (lambda: sup_scan(m_only, "mcheck-minus-1", "log2x", 1, 3), "ell"),
+            (lambda: ratio_theorem_C(bare, 1000), "m"),
+            (lambda: evaluate(m_only, 10.5), "ell"),
+            (lambda: identity_kernel_integral(bare, 100.5, "m-kernel"), "m")):
+        with pytest.raises(InvalidArgumentError, match=f"without the {name} prefix"):
+            call()
+    # where the series a target reads are there, results are the full tables'
+    for pred, lo, tb in (("Msqrt0.5", 201, bare), ("msqrt0.5", 3, m_only),
+                         ("m1log2-0.138", 671, m_only)):
+        assert verify_range(PREDICATES[pred], lo, 20000, tb) == verify_range(
+            PREDICATES[pred], lo, 20000, tables_small)
+    assert sup_scan(bare, "M", "sqrtx", 201, 20000) == sup_scan(
+        tables_small, "M", "sqrtx", 201, 20000)
 
 
 def test_sup_scan_tie_across_chunk_edge(tables_small, monkeypatch):
