@@ -13,7 +13,8 @@ text plans.
 
 Ranks and remainder coefficients can be astronomically large (exp(18900) and
 beyond), so ranks are stored as log T and remainder coefficients as
-log(coef); all comparisons run in L = log x space.
+log(coef); all comparisons run in L = log x space, and every sum of such
+terms goes through the one scalar `_logsumexp` (plain `math`, no arrays).
 """
 
 from __future__ import annotations
@@ -23,22 +24,32 @@ import urllib.parse
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .errors import DomainError, InvalidArgumentError, NoDescentError, PlanError
 from .special import (
+    H2_ENVELOPE,
     h2_integral_bound,
     mellin_G1_closed,
     mellin_G1check_closed,
     mellin_H1_closed,
     zeta_real,
 )
-from .weights import H2_ENVELOPE
 
 TARGETS = ("M-over-x", "m", "m1", "mcheck-minus-1")
 
 _LOG_1E16 = math.log(1e16)
 _L_CAP = 1e8  # majorant_descent gives up past log x = _L_CAP
+
+
+def _logsumexp(terms) -> float:
+    """log(sum exp(t) for t in terms), folded left from -inf: each step takes
+    the larger term plus log1p(exp(smaller - larger)), or -inf when both are
+    -inf.  These are the operations, in the same order, of the array routine
+    logaddexp.reduce, which it reproduces bit for bit (-0.0 included)."""
+    acc = -math.inf
+    for t in terms:
+        hi, lo = (acc, t) if acc >= t else (t, acc)
+        acc = hi if hi == -math.inf else hi + math.log1p(math.exp(lo - hi))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -76,10 +87,7 @@ class BoundForm:
         """log of the majorant at L = log x."""
         terms = ([math.log(self.A) + (self.theta - 1.0) * L - self.j * math.log(L)]
                  if self.A > 0 else [])
-        terms += [lc - p * L for lc, p in self.remainders]
-        if not terms:
-            return -math.inf
-        return float(np.logaddexp.reduce(np.asarray(terms, dtype=np.float64)))
+        return _logsumexp(terms + [lc - p * L for lc, p in self.remainders])
 
     def evaluate(self, x: float) -> float:
         if x <= 1.0:
@@ -161,23 +169,28 @@ def log_abs_m_prefix_integral_bound(log_T: float, const_hyp: float) -> float:
     beyond: bound = 1e16 + const_hyp * T."""
     if log_T <= _LOG_1E16:
         raise InvalidArgumentError("use abs_m_prefix_integral_bound for T <= 1e16")
-    return float(np.logaddexp(math.log(1e16), math.log(const_hyp) + log_T))
+    return _logsumexp((math.log(1e16), math.log(const_hyp) + log_T))
 
 
 # ---------------------------------------------------------------------------
 # conversions
 
+def _check_hyp(name, hyp, target, log_T_cut):
+    """A converter reads its hypothesis on [T_cut, inf): it must bound target there."""
+    if hyp.target != target:
+        raise PlanError(f"{name} needs an {target} hypothesis")
+    if hyp.log_T > log_T_cut + 1e-9:
+        raise PlanError("hypothesis rank exceeds T_cut: sup range not covered")
+
+
 def _convert_G1(name, hyp, T_cut, M_integral, closed, hyp_target, target,
                 T_cut_one_ok):
     """The g-weight conversion behind convert_via_G1 and convert_via_G1check."""
-    if hyp.target != hyp_target:
-        raise PlanError(f"{name} needs an {hyp_target} hypothesis")
     if T_cut < 1.0 or (T_cut == 1.0 and (hyp.j > 0 or not T_cut_one_ok)):
         raise InvalidArgumentError(
             "T_cut must exceed 1" + (" (or equal 1 with j = 0)" if T_cut_one_ok else ""))
     log_T_cut = math.log(T_cut)
-    if hyp.log_T > log_T_cut + 1e-9:
-        raise PlanError("hypothesis rank exceeds T_cut: sup range not covered")
+    _check_hyp(name, hyp, hyp_target, log_T_cut)
     s = hyp.theta - (hyp.j / log_T_cut if hyp.j > 0 else 0.0)
     if s <= -1.0:
         raise DomainError("shifted exponent s <= -1")
@@ -216,32 +229,27 @@ def convert_via_G1check(hyp: BoundForm, T_cut: float, M_integral: float) -> Boun
                        mellin_G1check_closed, "m1", "mcheck-minus-1", T_cut_one_ok=True)
 
 
-def convert_via_H_envelope(hyp: BoundForm, T_cut_log: float, m_integral_log: float,
-                           delta: Optional[float] = None) -> BoundForm:
+def convert_via_H_envelope(hyp: BoundForm, T_cut_log: float,
+                           m_integral_log: float) -> BoundForm:
     """Convert a bound on |m(x)| into a bound on |m1(x)| through the
     published envelope H2_ENVELOPE of the coefficient weight.
 
     Factor: the delta-integral bound (or the exact t^-2 integral bound when
-    delta = 0), delta = (1 - theta) + j/log T_cut.  Remainder:
+    delta = 0) at delta = (1 - theta) + j/log T_cut.  Remainder:
     (sup_norm * integral_1^{T_cut} |m| + sum_c)/x.  T_cut and the integral
     are passed in log form because the chains use ranks like exp(18900).
     """
-    if hyp.target != "m":
-        raise PlanError("convert_via_H_envelope needs an m hypothesis")
     if T_cut_log <= 0.0:
         raise InvalidArgumentError("T_cut must exceed 1")
-    if hyp.log_T > T_cut_log + 1e-9:
-        raise PlanError("hypothesis rank exceeds T_cut: sup range not covered")
-    if delta is None:
-        delta = (1.0 - hyp.theta) + (hyp.j / T_cut_log if hyp.j > 0 else 0.0)
+    _check_hyp("convert_via_H_envelope", hyp, "m", T_cut_log)
+    delta = (1.0 - hyp.theta) + (hyp.j / T_cut_log if hyp.j > 0 else 0.0)
     if delta >= 1.0:
         raise DomainError("delta >= 1: envelope integral diverges")
     if delta < 0.0:
         raise DomainError("delta must be nonnegative")
     env = H2_ENVELOPE
     factor = env.l1_mellin2 if delta == 0.0 else h2_integral_bound(delta)
-    rem_log = float(np.logaddexp(math.log(env.sup_norm) + m_integral_log,
-                                 math.log(env.sum_c)))
+    rem_log = _logsumexp((math.log(env.sup_norm) + m_integral_log, math.log(env.sum_c)))
     return BoundForm(
         target="m1",
         A=hyp.A * factor,
@@ -256,17 +264,18 @@ def convert_via_H_envelope(hyp: BoundForm, T_cut_log: float, m_integral_log: flo
     )
 
 
-def convert_via_H1(hyp: BoundForm, T_cut: float = 1.0,
-                   um_integral: Optional[float] = None) -> BoundForm:
+def convert_via_H1(hyp: BoundForm, T_cut: float = 1.0) -> BoundForm:
     """Convert a bound on |m(x)| into a bound on |m1(x)| via the analytic
-    h-weight: factor is the H1 Mellin closed form at theta; remainder
-    2/x + 2.1 (integral_1^T u|m(u)| du)/x^2."""
-    if hyp.target != "m":
-        raise PlanError("convert_via_H1 needs an m hypothesis")
+    h-weight: factor is the H1 Mellin closed form at theta (unshifted, so
+    j = 0 only); remainder 2/x + 2.1 (integral_1^T u|m(u)| du)/x^2, with
+    the integral at most (T_cut^2 - 1)/2 by Meissel's |m| <= 1."""
+    if T_cut < 1.0:
+        raise InvalidArgumentError("T_cut must be at least 1")
+    _check_hyp("convert_via_H1", hyp, "m", math.log(T_cut))
+    if hyp.j > 0:
+        raise PlanError("convert_via_H1 takes j = 0 only: its factor has no j/log T_cut shift")
     factor = mellin_H1_closed(hyp.theta)
-    if um_integral is None:
-        # Meissel |m| <= 1
-        um_integral = 0.5 * T_cut * T_cut
+    um_integral = 0.5 * (T_cut * T_cut - 1.0)
     rems = [remainder(2.0, 1.0)]
     if um_integral > 0:
         rems.append(remainder(2.1 * um_integral, 2.0))
@@ -275,7 +284,7 @@ def convert_via_H1(hyp: BoundForm, T_cut: float = 1.0,
         A=hyp.A * (factor.value + factor.abs_error),
         theta=hyp.theta,
         j=hyp.j,
-        log_T=max(hyp.log_T, math.log(T_cut) if T_cut > 1 else 0.0),
+        log_T=max(hyp.log_T, math.log(T_cut)),
         remainders=tuple(rems),
         provenance=hyp.provenance + (
             f"convert_via_H1(T_cut={T_cut:g}, factor={factor.value:.12g})",
@@ -318,11 +327,6 @@ def _ratio_pieces(form: BoundForm, target_A, target_j, target_theta):
     return pieces
 
 
-def _log_ratio_sum(pieces, L: float) -> float:
-    vals = np.asarray([c + b * L + q * math.log(L) for c, b, q in pieces])
-    return float(np.logaddexp.reduce(vals))
-
-
 def _bisect(holds, lo: float, hi: float) -> float:
     """200 halvings of [lo, hi], where holds(lo) is true and holds(hi)
     false; returns the upper end, at which holds is still false."""
@@ -350,21 +354,18 @@ def majorant_descent(form: BoundForm, target_A: float, target_j: Optional[float]
     if target_theta is None:
         target_theta = form.theta
     pieces = _ratio_pieces(form, target_A, target_j, target_theta)
-    const_log = -math.inf
     crit = 0.0
     for c, b, q in pieces:
         if b > 0 or (b == 0 and q > 0):
             raise NoDescentError("a majorant term eventually dominates the target")
-        if b == 0 and q == 0:
-            const_log = float(np.logaddexp(const_log, c))
         if b < 0 and q > 0:
             crit = max(crit, q / (-b))
-    if const_log > 0.0:
+    if _logsumexp(c for c, b, q in pieces if b == 0 and q == 0) > 0.0:
         raise NoDescentError("constant part of the majorant already exceeds the target")
     L_start = max(form.log_T, 1.0 + 1e-9, crit)
 
     def above(L):
-        return _log_ratio_sum(pieces, L) > 0.0
+        return _logsumexp(c + b * L + q * math.log(L) for c, b, q in pieces) > 0.0
 
     if not above(L_start):
         return L_start
@@ -621,11 +622,29 @@ def _num(step, key, default=None):
     return float(step[key])
 
 
+# the keys each plan step kind reads, besides "step" and "id"
+_STEP_KEYS = {
+    "convert_via_G1": ("hyp", "T_cut", "M_integral"),
+    "convert_via_G1check": ("hyp", "T_cut", "M_integral"),
+    "convert_via_H_envelope": ("hyp", "log_T_cut", "m_integral"),
+    "convert_via_H1": ("hyp", "T_cut"),
+    "triangle_m": ("hyp", "hyp2"),
+    "descend": ("hyp", "A", "j", "rank_cap"),
+    "sqrt_lower": ("hyp", "model"),
+    "log_lower": ("hyp", "hyp2"),
+}
+
+
 def run_plan_step(ledger: Ledger, step: dict):
     kind = step.get("step")
     out = step.get("id")
     if not out:
         raise PlanError("plan step missing result id")
+    if kind not in _STEP_KEYS:
+        raise PlanError(f"unknown plan step kind {kind!r}")
+    unread = sorted(set(step) - {"step", "id", *_STEP_KEYS[kind]})
+    if unread:
+        raise PlanError(f"plan step {kind} does not read {', '.join(unread)}")
     if kind == "convert_via_G1":
         if "M_integral" not in step:
             raise PlanError("M_integral required in plan form")
@@ -636,8 +655,7 @@ def run_plan_step(ledger: Ledger, step: dict):
                                   M_integral=_num(step, "M_integral"))
     elif kind == "convert_via_H_envelope":
         res = convert_via_H_envelope(ledger[step["hyp"]], _num(step, "log_T_cut"),
-                                     math.log(_num(step, "m_integral")),
-                                     delta=_num(step, "delta") if "delta" in step else None)
+                                     math.log(_num(step, "m_integral")))
     elif kind == "convert_via_H1":
         res = convert_via_H1(ledger[step["hyp"]], _num(step, "T_cut", 1.0))
     elif kind == "triangle_m":
@@ -649,10 +667,8 @@ def run_plan_step(ledger: Ledger, step: dict):
                                        if "rank_cap" in step else None))
     elif kind == "sqrt_lower":
         res = sqrt_range_lowering(ledger[step["hyp"]], ledger[step["model"]])
-    elif kind == "log_lower":
-        res = log_comparison_lowering(ledger[step["hyp"]], ledger[step["hyp2"]])
     else:
-        raise PlanError(f"unknown plan step kind {kind!r}")
+        res = log_comparison_lowering(ledger[step["hyp"]], ledger[step["hyp2"]])
     ledger.add_derived(out, res)
     return res
 

@@ -45,7 +45,7 @@ from .bounds import (
     triangle_m,
 )
 from .errors import PlanError
-from .weights import H2_ENVELOPE
+from .special import H2_ENVELOPE
 
 # limsup |M(x)|/sqrt(x) > 1.837625 (Hurst); axiom used by the limsup transfer
 LIMSUP_M_OVER_SQRT = 1.837625
@@ -175,10 +175,10 @@ def run_models_chain(led: Ledger) -> ChainResult:
         "m", 0.701, 3.0, 1e16, provenance=("max(m-sqrt-0.5, m-sqrt-0.701)",)))
 
     # |m1| <= 5.792/sqrt(x) on [1e16, 1e21]: envelope conversion at
-    # theta = 1/2, T = 3, delta = 1/2; remainder (22527.5*1.5+6)/x.
+    # theta = 1/2, T = 3, delta = 1 - theta = 1/2; remainder (22527.5*1.5+6)/x.
     hyp701 = BoundForm("m", 0.701, theta=0.5, log_T=math.log(3.0),
                        provenance=("m-sqrt-0.701-wide",))
-    f5792 = convert_via_H_envelope(hyp701, math.log(3.0), math.log(1.5), delta=0.5)
+    f5792 = convert_via_H_envelope(hyp701, math.log(3.0), math.log(1.5))
     res._rec("models:5.792-head", f5792.A, 5.791)
     # the hypothesis reaches only u <= 1e16; sup runs over u < x/K, so the
     # model is sound up to x = 1e21 because 1e21/K <= 1e16
@@ -451,7 +451,7 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     res._rec("mcheck:sup-sqrt-m-low", sup_sqrt_m, 1.415)
     hyp_m_sqrt = BoundForm("m", 1.415, theta=0.5, log_T=0.0,
                            provenance=("max(sqrt 2 on [1,3), 0.5, 0.701)",))
-    f3 = convert_via_H1(hyp_m_sqrt, T_cut=1.0, um_integral=0.0)
+    f3 = convert_via_H1(hyp_m_sqrt)
     res._rec("mcheck:3-model", f3.evaluate(1.0 + 1e-12) * 1.0, 3.0,
              note="sqrt(x)|m1(x)| <= 0.416 + 2/sqrt(x) <= 2.42 <= 3 everywhere")
     hyp5792 = BoundForm("m1", 5.792, theta=0.5, log_T=0.0,

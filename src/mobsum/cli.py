@@ -287,7 +287,7 @@ def positive_float(text: str) -> float:
 
 def chain_name(text: str) -> str:
     """A name from chains.CHAINS, or "all"; checked when --chain is parsed,
-    so building the parser does not import chains (numpy and mpmath)."""
+    so building the parser does not import chains (and mpmath)."""
     from .chains import CHAINS
     names = [*CHAINS, "all"]
     if text not in names:

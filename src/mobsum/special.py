@@ -1,4 +1,5 @@
-"""Real-axis zeta values, fundamental constants and Mellin closed forms.
+"""Real-axis zeta values, fundamental constants, Mellin closed forms and the
+published H2 envelope constants (`H2_ENVELOPE`, read by `h2_integral_bound`).
 
 zeta is computed by the accelerated alternating (Dirichlet eta) series with
 integer Chebyshev-style coefficients — an explicit finite recipe with a
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .errors import DomainError
+from .errors import DomainError, InvalidArgumentError
 
 _ULP = 2.0 ** -53
 
@@ -153,6 +154,34 @@ def mellin_H1_closed(s: float) -> SpecialValue:
     return SpecialValue(value=val, abs_error=err)
 
 
+@dataclass(frozen=True)
+class EnvelopeParams:
+    """Certified envelope constants of an external (unpublished) weight."""
+
+    sup_norm: float
+    l1_mellin2: float
+    K: float
+    sum_c: float
+    max_r: float
+
+    def __post_init__(self):
+        for f in (self.sup_norm, self.l1_mellin2, self.K, self.sum_c, self.max_r):
+            if f < 0:
+                raise InvalidArgumentError("envelope parameters must be nonnegative")
+
+
+# Published envelope of the Cohen–Dress–El Marraki coefficient weight.
+# K is printed inconsistently in the sources (100822 vs 100882); the larger
+# value is used.
+H2_ENVELOPE = EnvelopeParams(
+    sup_norm=22527.5,
+    l1_mellin2=(math.pi**2 / 6.0) / 4345.0,
+    K=100882.0,
+    sum_c=6.0,
+    max_r=5.0e13,
+)
+
+
 def h2_integral_bound(delta: float) -> float:
     """Certified bound on integral_1^inf |H2(t)| t^{-2+delta} dt.
 
@@ -161,7 +190,6 @@ def h2_integral_bound(delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("h2_integral_bound requires 0 < delta < 1")
-    from .weights import H2_ENVELOPE  # weights loads numpy: only this bound reads it
     sup, l1 = H2_ENVELOPE.sup_norm, H2_ENVELOPE.l1_mellin2
     b = (sup / (l1 * delta)) ** delta
     return l1 * b / (1.0 - delta)

@@ -1,4 +1,4 @@
-"""Weight densities, their lattice sums, and related envelopes.
+"""Weight densities and their lattice sums.
 
 The two shipped analytic densities are
     g1(y) = 4 y (1 - y^2)        with  integral over [0,1] equal to 1,
@@ -9,9 +9,9 @@ for a density h it is H(t) = 1 - sum_{n<=t} h(n/t).  For the polynomial
 densities these sums reduce exactly to power sums of N = floor(t), i.e.
 to polynomials in 1/t on [N, N+1) (`lattice_power_coeffs`, the one source
 of the coefficients that the exact panel integrals of `mobsum.quad` read).
-Point evaluation uses the same polynomials rewritten in the fractional part
-of t, where no terms cancel, in extended precision; the generic direct sum
-is kept as a cross-check route.
+Point evaluation of g1/h1 uses the same polynomials rewritten in the
+fractional part of t, where no terms cancel, in extended precision; other
+densities take the direct sum `_lattice_direct`, the tests' reference.
 """
 
 from __future__ import annotations
@@ -56,35 +56,8 @@ class WeightSpec:
             raise InvalidArgumentError("analytic weight needs a density")
 
 
-@dataclass(frozen=True)
-class EnvelopeParams:
-    """Certified envelope constants of an external (unpublished) weight."""
-
-    sup_norm: float
-    l1_mellin2: float
-    K: float
-    sum_c: float
-    max_r: float
-
-    def __post_init__(self):
-        for f in (self.sup_norm, self.l1_mellin2, self.K, self.sum_c, self.max_r):
-            if f < 0:
-                raise InvalidArgumentError("envelope parameters must be nonnegative")
-
-
 G1_SPEC = WeightSpec(kind="analytic-g", name="g1", density=g1)
 H1_SPEC = WeightSpec(kind="analytic-h", name="h1", density=h1)
-
-# Published envelope of the Cohen–Dress–El Marraki coefficient weight.
-# K is printed inconsistently in the sources (100822 vs 100882); the larger
-# value is used.
-H2_ENVELOPE = EnvelopeParams(
-    sup_norm=22527.5,
-    l1_mellin2=(math.pi**2 / 6.0) / 4345.0,
-    K=100882.0,
-    sum_c=6.0,
-    max_r=5.0e13,
-)
 
 
 def lattice_power_coeffs(name: str, N):
@@ -129,40 +102,34 @@ def _lattice_closed(name: str, t: float) -> float:
                       + u * (7 * third * g * (2 * f - 1) + u * (4 * third * g * g))))
 
 
-def _guard(t: float) -> int:
+def _lattice_direct(spec: WeightSpec, t: float) -> float:
+    """G(t) or H(t) of spec by the direct lattice sum, in long double."""
     N = math.floor(t)
     if N > _SUM_GUARD:
         raise ResourceError(f"lattice sum over {N} terms exceeds guard {_SUM_GUARD}")
-    return N
+    s = np.sum(np.asarray([spec.density(n / t) for n in range(1, N + 1)],
+                          dtype=np.longdouble))
+    if spec.kind == "analytic-g":
+        s = s / np.longdouble(t)
+    return float(np.longdouble(1.0) - s)
 
 
-def eval_G(spec: WeightSpec, t: float, method: str = "auto") -> float:
+def eval_G(spec: WeightSpec, t: float) -> float:
     """G(t) = 1 - (1/t) sum_{n<=t} g(n/t) for an analytic-g weight."""
     if spec.kind != "analytic-g":
         raise InvalidArgumentError("eval_G requires an analytic-g weight")
     if t < 1.0:
         raise DomainError("eval_G requires t >= 1")
-    if method == "auto" and spec.name == "g1":
-        return _lattice_closed("g1", t)
-    N = _guard(t)
-    n = np.arange(1, N + 1, dtype=np.longdouble)
-    s = np.sum(np.asarray([spec.density(float(v) / t) for v in n], dtype=np.longdouble))
-    return float(np.longdouble(1.0) - s / np.longdouble(t))
+    return _lattice_closed("g1", t) if spec.name == "g1" else _lattice_direct(spec, t)
 
 
-def eval_H(spec: WeightSpec, t: float, method: str = "auto") -> float:
+def eval_H(spec: WeightSpec, t: float) -> float:
     """H(t) = 1 - sum_{n<=t} h(n/t) for an analytic-h weight."""
     if spec.kind != "analytic-h":
         raise InvalidArgumentError("eval_H requires an analytic-h weight")
     if t < 1.0:
         raise DomainError("eval_H requires t >= 1")
-    if method == "auto" and spec.name == "h1":
-        return _lattice_closed("h1", t)
-    N = _guard(t)
-    s = np.sum(
-        np.asarray([spec.density(float(v) / t) for v in range(1, N + 1)], dtype=np.longdouble)
-    )
-    return float(np.longdouble(1.0) - s)
+    return _lattice_closed("h1", t) if spec.name == "h1" else _lattice_direct(spec, t)
 
 
 def epsilon1(t: float) -> float:

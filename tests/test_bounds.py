@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from mobsum.bounds import (
     BoundForm,
     Ledger,
     SqrtModel,
+    _logsumexp,
     bootstrap,
     convert_via_G1,
     convert_via_G1check,
@@ -118,10 +120,27 @@ def test_convert_via_H_envelope_delta_zero_and_positive():
 
 def test_convert_via_H1_factor():
     hyp = BoundForm("m", 1.415, theta=0.5)
-    res = convert_via_H1(hyp, T_cut=1.0, um_integral=0.0)
+    res = convert_via_H1(hyp, T_cut=1.0)
     assert res.target == "m1"
     factor = mellin_H1_closed(0.5)
     assert res.A == pytest.approx(1.415 * factor.value, rel=1e-9)
+
+
+def test_convert_via_H1_guards_and_meissel_remainder():
+    # the factor is taken at theta with no j/log T_cut shift: j > 0 is refused
+    with pytest.raises(PlanError, match="j = 0"):
+        convert_via_H1(BoundForm("m", 0.013, j=1.0), T_cut=10.0)
+    # the hypothesis must hold on all of [T_cut, inf)
+    with pytest.raises(PlanError, match="exceeds T_cut"):
+        convert_via_H1(BoundForm("m", 1.415, theta=0.5, log_T=math.log(100.0)), T_cut=10.0)
+    with pytest.raises(InvalidArgumentError):
+        convert_via_H1(BoundForm("m", 1.415, theta=0.5), T_cut=0.5)
+    # integral_1^T u|m(u)| du <= (T^2 - 1)/2 under |m| <= 1: no x^-2 term at T = 1
+    assert convert_via_H1(BoundForm("m", 1.415, theta=0.5)).remainders == (
+        (math.log(2.0), 1.0),)
+    res = convert_via_H1(BoundForm("m", 1.415, theta=0.5), T_cut=10.0)
+    assert res.remainders[1] == (math.log(2.1 * 49.5), 2.0)
+    assert res.log_T == math.log(10.0)
 
 
 def test_triangle_inequality_combination():
@@ -271,6 +290,54 @@ def test_plan_unknown_step_rejected():
         run_plan_step(led, {"step": "frobnicate", "id": "x"})
     with pytest.raises(PlanError):
         run_plan_step(led, {"step": "descend"})
+    # as is a key the step does not read: a misspelt rank_cap would give an
+    # uncapped descent
+    with pytest.raises(PlanError, match="does not read rankcap"):
+        run_plan_step(led, {"step": "descend", "id": "d", "hyp": "m-meissel",
+                            "A": "2", "rankcap": "1e21"})
+    assert "d" not in led
+
+
+UNDERCUT_PLAN = """
+step: convert_via_G1
+id: a
+hyp: M-log-0.013
+T_cut: 1e13
+M_integral: 2.2e19
+
+step: triangle_m
+id: b
+hyp: a
+hyp2: M-log-0.013
+
+step: convert_via_H_envelope
+id: c
+hyp: b
+log_T_cut: 60
+m_integral: 1e9
+"""
+
+
+def test_envelope_delta_cannot_undercut_the_shift():
+    # a stated delta of 0 recorded A = 5.78e-6 for this j = 1 hypothesis;
+    # the envelope step now always takes delta = (1 - theta) + j/log T_cut
+    with pytest.raises(PlanError, match="does not read delta"):
+        bootstrap(base_ledger(), parse_plan(UNDERCUT_PLAN + "delta: 0\n"))
+    led = bootstrap(base_ledger(), parse_plan(UNDERCUT_PLAN))
+    assert led["c"].A == pytest.approx(8.488e-6, rel=1e-4)
+    assert led["c"].A == led["b"].A * h2_integral_bound(1.0 / 60.0)
+
+
+_LOG_TERMS = st.one_of(st.floats(min_value=-800.0, max_value=800.0),
+                       st.sampled_from([-math.inf, 0.0, -0.0, 1.5, -2.25, 700.0]))
+
+
+@given(st.lists(_LOG_TERMS, min_size=1, max_size=6))
+@settings(max_examples=500, deadline=None)
+def test_logsumexp_reproduces_numpy_bit_for_bit(terms):
+    # the sampled values make ties, -inf and -0.0 entries frequent
+    expected = float(np.logaddexp.reduce(np.asarray(terms, dtype=np.float64)))
+    assert _logsumexp(terms).hex() == expected.hex()
 
 
 def test_plan_convert_via_G1_requires_M_integral():

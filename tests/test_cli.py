@@ -114,6 +114,24 @@ def test_startup_imports_only_what_is_read():
         exec(f"from mobsum import {name}", {})
 
 
+def test_ledger_commands_load_mpmath_but_not_numpy(tmp_path):
+    # bounds and chains are scalar Python; numpy stays with the table commands
+    assert _modules_after("import mobsum.bounds, mobsum.chains") == "['mpmath']"
+    plan = tmp_path / "plan.txt"
+    plan.write_text("step: convert_via_G1\nid: demo\nhyp: M-4345\n"
+                    "T_cut: 4800000\nM_integral: 49350059\n")
+    ledger = tmp_path / "ledger.txt"
+    for argv in (["bootstrap", "--chain", "all", "--out", str(ledger)],
+                 ["convert", "--plan", str(plan)],
+                 ["report", "--ledger", str(ledger)]):
+        code = f"from mobsum import cli; assert cli.main({argv!r}) == 0"
+        assert _modules_after(code) == "['mpmath']", argv
+    # weights defines no envelope, so the identity kernels do not load mpmath
+    code = ("from mobsum import cli; assert cli.main(['identity', '--name', 'bal2', "
+            f"'--x', '100', '--cache-dir', {str(tmp_path)!r}]) == 0")
+    assert _modules_after(code) == "['numpy']"
+
+
 @pytest.mark.parametrize("pred, lo, hi, built", [
     ("Msqrt0.5", "201", "20000", (0, 0)), ("m4343", "3", "300", (1, 0)),
     ("m1log2-0.138", "671", "20000", (1, 0)),
@@ -336,3 +354,15 @@ def test_convert_bad_plan_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "convert", "--plan", str(plan))
     assert code == 2
     assert "M_integral required" in err and out == ""
+
+
+@pytest.mark.parametrize("step, key", [
+    ("step: descend\nid: d\nhyp: m-meissel\nA: 2\nrankcap: 1e21\n", "rankcap"),
+    ("step: convert_via_H_envelope\nid: e\nhyp: m-meissel\nlog_T_cut: 15\n"
+     "m_integral: 2243\ndelta: 0\n", "delta")], ids=["rankcap", "delta"])
+def test_convert_names_a_key_its_step_does_not_read(capsys, tmp_path, step, key):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(step)
+    code, out, err = run(capsys, "convert", "--plan", str(plan))
+    assert code == 2 and out == ""
+    assert f"does not read {key}" in err

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import golden_points, mp_lattice
 from mobsum.errors import DomainError
+from mobsum.special import H2_ENVELOPE
 from mobsum.weights import (
     G1_SPEC,
     H1_SPEC,
-    H2_ENVELOPE,
+    _lattice_direct,
     em_H1_envelope,
     epsilon1,
     eval_G,
@@ -43,14 +44,14 @@ def test_h1_has_zero_mass():
 @pytest.mark.parametrize("t", golden_points(40, 1.0, 5000.0) + [1.0, 2.0, 2.5, 10.0])
 def test_eval_G_closed_form_agrees_with_direct_sum(t):
     fast = eval_G(G1_SPEC, t)
-    direct = eval_G(G1_SPEC, t, method="direct")
+    direct = _lattice_direct(G1_SPEC, t)
     assert fast == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("t", golden_points(40, 1.0, 5000.0, seed_index=7) + [1.0, 3.0])
 def test_eval_H_closed_form_agrees_with_direct_sum(t):
     fast = eval_H(H1_SPEC, t)
-    direct = eval_H(H1_SPEC, t, method="direct")
+    direct = _lattice_direct(H1_SPEC, t)
     assert fast == pytest.approx(direct, abs=1e-12)
 
 
