@@ -9,7 +9,8 @@ bounds on |M/x| and |m1|; majorant descent finds the rank from which the
 majorant falls below a simpler target shape; range lowerings shrink validity
 ranks against sqrt-models or previously derived bounds.  Descent and sqrt
 lowering share one bisection; `run_plan_step` runs the same operations from
-text plans.
+text plans.  The prefix integrals behind remainders are computed from
+models that refuse a T outside them; a plan names the model, never a value.
 
 Ranks and remainder coefficients can be astronomically large (exp(18900) and
 beyond), so ranks are stored as log T and remainder coefficients as
@@ -121,25 +122,24 @@ def remainder(coef: float, power: float) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 # certified prefix-integral bounds used as conversion remainders
 
-def abs_M_prefix_integral_bound(T: float, strategy: str) -> float:
-    """Certified upper bound on integral_1^T |M(t)| dt.
+# strategy -> (c, x0, exact integral_1^x0 |M|): |M(t)| <= c sqrt(t) on [x0, 1e16] (Hurst)
+_SQRT_INTEGRALS = {"sqrt": (1.0, 1.0, 0.0), "sqrt-hurst": (0.571, 33.0, 59.0)}
 
-    strategies: "sqrt" (|M| <= sqrt(t) up to 1e16),
-    "sqrt-hurst" (0.571 sqrt(t) on [33, 1e16] plus exact head),
-    "trivial" (|M| <= t).
-    """
-    if strategy == "sqrt":
-        if T > 1e16:
-            raise InvalidArgumentError("|M| <= sqrt(t) is certified only up to 1e16")
-        return (2.0 / 3.0) * T**1.5
-    if strategy == "sqrt-hurst":
-        if T > 1e16:
-            raise InvalidArgumentError("0.571 sqrt(t) is certified only up to 1e16")
-        # exact sum 59 below 33, |M(33)| = -1 on [32,33), then 0.571 sqrt(t)
-        return 59.0 + 0.571 * (2.0 / 3.0) * (T**1.5 - 33.0**1.5)
+
+def abs_M_prefix_integral_bound(T: float, strategy: str) -> float:
+    """Certified upper bound on integral_1^T |M(t)| dt: "trivial" (|M| <= t,
+    T >= 1), or head + c (2/3)(T^1.5 - x0^1.5) for x0 <= T <= 1e16 by the
+    `_SQRT_INTEGRALS` row "sqrt" or "sqrt-hurst"."""
     if strategy == "trivial":
+        if not T >= 1.0:
+            raise InvalidArgumentError(f"integral_1^T needs T >= 1, not {T:g}")
         return 0.5 * T * T
-    raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    if strategy not in _SQRT_INTEGRALS:
+        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    c, x0, head = _SQRT_INTEGRALS[strategy]
+    if not x0 <= T <= 1e16:
+        raise InvalidArgumentError(f"|M| <= {c:g} sqrt(t) is certified only on [{x0:g}, 1e16]")
+    return head + c * (2.0 / 3.0) * (T**1.5 - x0**1.5)
 
 
 def abs_m_prefix_integral_bound(T: float, const_beyond_1e16: Optional[float] = None) -> float:
@@ -149,6 +149,8 @@ def abs_m_prefix_integral_bound(T: float, const_beyond_1e16: Optional[float] = N
     0.701/sqrt(t) on [7.7e9, 1e16]; a supplied constant bound beyond 1e16
     (required if T > 1e16).
     """
+    if not T >= 1.0:
+        raise InvalidArgumentError(f"integral_1^T needs T >= 1, not {T:g}")
     if T <= 3.0:
         return min(T - 1.0, 1.5)
     total = 1.5 + 2.0 * 0.5 * (math.sqrt(min(T, 7.7e9)) - math.sqrt(3.0))
@@ -635,6 +637,36 @@ _STEP_KEYS = {
 }
 
 
+def _plan_M_integral(step, T_cut: float) -> float:
+    """integral_1^T_cut |M| by the abs_M_prefix_integral_bound strategy that
+    M_integral names: a stated number could drop the x^-2 remainder."""
+    strategy = step.get("M_integral")
+    if strategy not in ("trivial", *_SQRT_INTEGRALS):
+        raise PlanError("M_integral required in plan form: name a strategy "
+                        f"(trivial, sqrt, sqrt-hurst), not {strategy!r}")
+    return abs_M_prefix_integral_bound(T_cut, strategy)
+
+
+def _plan_m_integral_log(ledger: Ledger, step, log_T_cut: float) -> float:
+    """log integral_1^T_cut |m|: abs_m_prefix_integral_bound up to 1e16; past
+    it, m_integral names the ledger entry |m| <= A (x >= T, T <= 1e16) whose
+    A bounds |m| there, and no other value is read."""
+    name = step.get("m_integral")
+    if log_T_cut <= _LOG_1E16:
+        if name is not None:
+            raise PlanError("m_integral is read only for T_cut > 1e16; below, "
+                            "the step bounds integral |m| itself")
+        m_int = abs_m_prefix_integral_bound(math.exp(log_T_cut))  # 0 at T_cut = 1
+        return math.log(m_int) if m_int > 0 else -math.inf
+    if name is None:
+        raise PlanError("m_integral required for T_cut > 1e16: name a bound |m| <= A")
+    form = ledger[name]
+    if not (isinstance(form, BoundForm) and form.target == "m" and form.theta == 1.0
+            and form.j == 0.0 and not form.remainders and form.log_T <= _LOG_1E16):
+        raise PlanError(f"m_integral {name!r} is not a bound |m| <= A for x >= T <= 1e16")
+    return log_abs_m_prefix_integral_bound(log_T_cut, form.A)
+
+
 def run_plan_step(ledger: Ledger, step: dict):
     kind = step.get("step")
     out = step.get("id")
@@ -645,17 +677,14 @@ def run_plan_step(ledger: Ledger, step: dict):
     unread = sorted(set(step) - {"step", "id", *_STEP_KEYS[kind]})
     if unread:
         raise PlanError(f"plan step {kind} does not read {', '.join(unread)}")
-    if kind == "convert_via_G1":
-        if "M_integral" not in step:
-            raise PlanError("M_integral required in plan form")
-        res = convert_via_G1(ledger[step["hyp"]], _num(step, "T_cut"),
-                             M_integral=_num(step, "M_integral"))
-    elif kind == "convert_via_G1check":
-        res = convert_via_G1check(ledger[step["hyp"]], _num(step, "T_cut"),
-                                  M_integral=_num(step, "M_integral"))
+    if kind in ("convert_via_G1", "convert_via_G1check"):
+        convert = convert_via_G1 if kind == "convert_via_G1" else convert_via_G1check
+        T_cut = _num(step, "T_cut")
+        res = convert(ledger[step["hyp"]], T_cut, _plan_M_integral(step, T_cut))
     elif kind == "convert_via_H_envelope":
-        res = convert_via_H_envelope(ledger[step["hyp"]], _num(step, "log_T_cut"),
-                                     math.log(_num(step, "m_integral")))
+        log_T_cut = _num(step, "log_T_cut")
+        res = convert_via_H_envelope(ledger[step["hyp"]], log_T_cut,
+                                     _plan_m_integral_log(ledger, step, log_T_cut))
     elif kind == "convert_via_H1":
         res = convert_via_H1(ledger[step["hyp"]], _num(step, "T_cut", 1.0))
     elif kind == "triangle_m":

@@ -141,7 +141,7 @@ def _cmd_mellin_check(args) -> int:
     from .weights import G1_SPEC, H1_SPEC
     spec = G1_SPEC if args.weight == "g1" else H1_SPEC
     closed = mellin_G1_closed(args.s) if args.weight == "g1" else mellin_H1_closed(args.s)
-    bracket = mellin_numeric(spec, args.s, args.X, envelope=args.envelope)
+    bracket = mellin_numeric(spec, args.s, args.X)
     ok = bracket.lo <= closed.value + closed.abs_error and \
         closed.value - closed.abs_error <= bracket.hi
     print(f"mellin-check weight={args.weight} s={_fmt(args.s)} X={args.X} "
@@ -332,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weight", choices=["g1", "h1"], required=True)
     sp.add_argument("--s", type=finite_float, required=True)
     sp.add_argument("--X", type=finite_float, required=True)
-    sp.add_argument("--envelope", choices=["sharp", "simple"], default="sharp")
     sp.set_defaults(func=_cmd_mellin_check)
 
     sp = sub.add_parser("identity", help="residual of an integral identity")

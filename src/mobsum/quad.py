@@ -7,7 +7,8 @@ the jumps x/k.  So each integral is a finite sum of coefficient times
 integral of t^-a over a panel, evaluated from the antiderivative and added
 with `math.fsum`, with an a-priori bound on the rounding error.  Improper
 Mellin integrals are returned as enclosures: that finite part on [1, X]
-plus a theorem-backed envelope bound for the tail.
+plus a theorem-backed envelope bound for the tail, which X alone picks:
+sharp and two-sided at an integer X, one-sided at any other X.
 """
 
 from __future__ import annotations
@@ -97,20 +98,12 @@ def _panel_sum(lo, hi, terms, s: float = 0.0):
 # ---------------------------------------------------------------------------
 # Mellin enclosures
 
-def _tail_bracket(name: str, s: float, X: float, envelope: str):
-    """Enclosure of the integral tail over [X, inf): (lo, hi, tag)."""
-    if s <= -1.0:
-        raise DomainError("tail diverges for s <= -1")
-    if envelope == "simple":
-        if name == "g1":
-            # 0 <= G1 <= 1/t^2
-            return 0.0, X ** (-s - 1.0) / (s + 1.0), "simple:G1<=1/t^2"
-        # 0 <= H1 <= 2.1/t, integrand H1(t) t^{-s-1}
-        return 0.0, 2.1 * X ** (-s - 1.0) / (s + 1.0), "simple:H1<=2.1/t"
-    if envelope != "sharp":
-        raise InvalidArgumentError(f"unknown envelope {envelope!r}")
-    if X != math.floor(X) or X < 2:
-        raise InvalidArgumentError("sharp tails require an integer cutoff X >= 2")
+def _tail_bracket(name: str, s: float, X: float):
+    """Enclosure of the integral tail over [X, inf), s > -1: (lo, hi, tag).
+    Sharp at an integer X, else 0 <= G1 <= 1/t^2 or 0 <= H1 <= 2.1/t."""
+    if X != math.floor(X):
+        c, tag = (1.0, "simple:G1<=1/t^2") if name == "g1" else (2.1, "simple:H1<=2.1/t")
+        return 0.0, c * X ** (-s - 1.0) / (s + 1.0), tag
     if name == "g1":
         center = X ** (-s - 1.0) / (3.0 * (s + 1.0))
         hw = abs(s) * (
@@ -138,19 +131,21 @@ def mellin_finite_part(weight: WeightSpec, s: float, X: float):
     return _panel_sum(N, np.minimum(N + 1.0, X), terms, s)
 
 
-def mellin_numeric(weight: WeightSpec, s: float, X: float,
-                   envelope: str = "sharp") -> MellinBracket:
+def mellin_numeric(weight: WeightSpec, s: float, X: float) -> MellinBracket:
     """Enclosure of the improper Mellin integral of a lattice-sum weight.
 
     g-weights: integral over [1, inf) of G(t) t^{-s} dt.
     h-weights: integral over [1, inf) of H(t) t^{-s-1} dt.
     Finite part on [1, X] exactly per panel (`mellin_finite_part`), tail
-    over [X, inf) bounded by the proven envelope (never extrapolation).
+    over [X, inf) bounded by a proven envelope (never extrapolation): the
+    sharp one at an integer X, the one-sided one otherwise.
     """
+    if not (math.isfinite(s) and math.isfinite(X)):
+        raise InvalidArgumentError(f"s and X must be finite, not {s}, {X}")
     if X < 2:
         raise InvalidArgumentError("need X >= 2")
-    t_lo, t_hi, tag = _tail_bracket(weight.name, s, float(X), envelope)
-    value, half = mellin_finite_part(weight, s, X)
+    value, half = mellin_finite_part(weight, s, X)  # raises for s <= -1
+    t_lo, t_hi, tag = _tail_bracket(weight.name, s, float(X))
     return MellinBracket(
         lo=value - half + t_lo,
         hi=value + half + t_hi,

@@ -145,14 +145,11 @@ def sieve_mu(limit: int, jobs: int = 1, series=SERIES) -> MuTable:
     spans = [(lo, min(lo + _SIEVE_BLOCK, limit + 1))
              for lo in range(1, limit + 1, _SIEVE_BLOCK)]
     mu = np.zeros(limit + 1, dtype=np.int8)
-    if jobs > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(lambda s: _sieve_block(s[0], s[1], primes), spans)
-            for (lo, hi), part in zip(spans, parts):
-                mu[lo:hi] = part
-    else:
-        for lo, hi in spans:
-            mu[lo:hi] = _sieve_block(lo, hi, primes)
+    # threads start only when the pool is given work
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = (pool.map if workers > 1 else map)(lambda s: _sieve_block(*s, primes), spans)
+        for (lo, hi), part in zip(spans, parts):
+            mu[lo:hi] = part
     return _mu_table(mu)
 
 

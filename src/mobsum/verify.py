@@ -69,13 +69,6 @@ def _mp_fns() -> SimpleNamespace:
                            exp=np.frompyfunc(mp.exp, 1, 1))
 
 
-def __getattr__(name):
-    # PEP 562: `verify._MP` resolves without importing mpmath up front
-    if name == "_MP":
-        return _mp_fns()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _check_finite(lo: float, hi: float) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidArgumentError(f"range bounds must be finite, not {lo}, {hi}")
@@ -556,17 +549,16 @@ def _running_ratio(tables: Tables, lo: int, x_max: int):
             yield a + i, sup_m[i:] / sup_M[i:]
 
 
-def ratio_theorem_C(tables: Tables, x_max: int) -> RatioReport:
-    """Running-supremum ratio sup_{t<=x} t|m(t)| / sup_{t<=x} |M(t)| on
-    [_RATIO_RANK, x_max], checked against _RATIO_BAND."""
-    lo, (low, high) = _RATIO_RANK, _RATIO_BAND
-    if x_max > tables.limit:
-        raise RangeError(f"x_max {x_max} exceeds sieve limit {tables.limit}")
-    if x_max < lo:
-        raise InvalidArgumentError(f"empty ratio range [{lo}, {x_max}]")
-    rep = RatioReport(lo=lo, hi=x_max, min_ratio=math.inf, max_ratio=-math.inf,
+def _ratio_report(tables: Tables, lo: int, hi: int) -> RatioReport:
+    """The running-supremum ratio on [lo, hi] checked against _RATIO_BAND."""
+    low, high = _RATIO_BAND
+    if hi > tables.limit:
+        raise RangeError(f"ratio range end {hi} exceeds sieve limit {tables.limit}")
+    if hi < lo:
+        raise InvalidArgumentError(f"empty ratio range [{lo}, {hi}]")
+    rep = RatioReport(lo=lo, hi=hi, min_ratio=math.inf, max_ratio=-math.inf,
                       argmin=lo, argmax=lo)
-    for x0, r in _running_ratio(tables, lo, x_max):
+    for x0, r in _running_ratio(tables, lo, hi):
         # strict comparisons: the first extremum wins, as over one array
         i, k = int(np.argmin(r)), int(np.argmax(r))
         if r[i] < rep.min_ratio:
@@ -578,14 +570,14 @@ def ratio_theorem_C(tables: Tables, x_max: int) -> RatioReport:
     return rep
 
 
+def ratio_theorem_C(tables: Tables, x_max: int) -> RatioReport:
+    """Running-supremum ratio sup_{t<=x} t|m(t)| / sup_{t<=x} |M(t)| on
+    [_RATIO_RANK, x_max], checked against _RATIO_BAND."""
+    return _ratio_report(tables, _RATIO_RANK, x_max)
+
+
 def ratio_violation_below(tables: Tables):
     """First x in [2, _RATIO_RANK) where the running-supremum ratio leaves
     _RATIO_BAND (witness that the rank is minimal), or None."""
-    hi, (low, high) = _RATIO_RANK, _RATIO_BAND
-    if hi - 1 > tables.limit:
-        raise RangeError(f"range end {hi} exceeds sieve limit {tables.limit}")
-    for x0, r in _running_ratio(tables, 2, hi - 1):
-        bad = np.nonzero((r < low) | (r > high))[0]
-        if bad.size:
-            return x0 + int(bad[0]), float(r[bad[0]])
-    return None
+    violations = _ratio_report(tables, 2, _RATIO_RANK - 1).violations
+    return violations[0] if violations else None

@@ -9,16 +9,17 @@ for a density h it is H(t) = 1 - sum_{n<=t} h(n/t).  For the polynomial
 densities these sums reduce exactly to power sums of N = floor(t), i.e.
 to polynomials in 1/t on [N, N+1) (`lattice_power_coeffs`, the one source
 of the coefficients that the exact panel integrals of `mobsum.quad` read).
-Point evaluation of g1/h1 uses the same polynomials rewritten in the
-fractional part of t, where no terms cancel, in extended precision; other
-densities take the direct sum `_lattice_direct`, the tests' reference.
+The two weights are G1_SPEC and H1_SPEC, and a spec's name fixes its
+kind.  `eval_G`/`eval_H` evaluate G1/H1 only, by the same polynomials
+rewritten in the fractional part of t, where no terms cancel, in extended
+precision; the direct sum `_lattice_direct` is the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -43,21 +44,14 @@ def h1(y: float) -> float:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A named analytic weight density."""
+    """A named analytic weight density; the name fixes its lattice sum."""
 
-    kind: str  # "analytic-g" | "analytic-h"
-    name: str = ""
-    density: Optional[Callable[[float], float]] = None
-
-    def __post_init__(self):
-        if self.kind not in ("analytic-g", "analytic-h"):
-            raise InvalidArgumentError(f"unknown weight kind {self.kind!r}")
-        if self.density is None:
-            raise InvalidArgumentError("analytic weight needs a density")
+    name: str  # "g1" | "h1"
+    density: Callable[[float], float]
 
 
-G1_SPEC = WeightSpec(kind="analytic-g", name="g1", density=g1)
-H1_SPEC = WeightSpec(kind="analytic-h", name="h1", density=h1)
+G1_SPEC = WeightSpec("g1", g1)
+H1_SPEC = WeightSpec("h1", h1)
 
 
 def lattice_power_coeffs(name: str, N):
@@ -80,7 +74,7 @@ def lattice_power_coeffs(name: str, N):
     raise InvalidArgumentError(f"no power-sum form for weight {name!r}")
 
 
-def _lattice_closed(name: str, t: float) -> float:
+def _lattice_closed(spec: WeightSpec, name: str, t: float) -> float:
     """G1 or H1 at t in extended precision, written in f = t - N (exact in
     binary64) and g = f (1 - f) so that no terms cancel:
 
@@ -88,8 +82,13 @@ def _lattice_closed(name: str, t: float) -> float:
         H1(t) = (1 - (10/3) g)/t + (7/3) g (2f - 1)/t^2 + (4/3) g^2/t^3.
 
     These are the power-sum forms of `lattice_power_coeffs` with N = t - f;
-    the leading term of H1 is the Euler-Maclaurin approximation.
+    the leading term of H1 is the Euler-Maclaurin approximation.  spec
+    must be the weight called ``name``, and t >= 1.
     """
+    if spec.name != name:
+        raise InvalidArgumentError(f"the {name} lattice sum needs {name}, not {spec.name!r}")
+    if t < 1.0:
+        raise DomainError(f"the {name} lattice sum requires t >= 1")
     tl = np.longdouble(t)
     f = tl - np.floor(tl)
     g = f * (1 - f)
@@ -109,27 +108,19 @@ def _lattice_direct(spec: WeightSpec, t: float) -> float:
         raise ResourceError(f"lattice sum over {N} terms exceeds guard {_SUM_GUARD}")
     s = np.sum(np.asarray([spec.density(n / t) for n in range(1, N + 1)],
                           dtype=np.longdouble))
-    if spec.kind == "analytic-g":
+    if spec.name == "g1":
         s = s / np.longdouble(t)
     return float(np.longdouble(1.0) - s)
 
 
 def eval_G(spec: WeightSpec, t: float) -> float:
-    """G(t) = 1 - (1/t) sum_{n<=t} g(n/t) for an analytic-g weight."""
-    if spec.kind != "analytic-g":
-        raise InvalidArgumentError("eval_G requires an analytic-g weight")
-    if t < 1.0:
-        raise DomainError("eval_G requires t >= 1")
-    return _lattice_closed("g1", t) if spec.name == "g1" else _lattice_direct(spec, t)
+    """G1(t) = 1 - (1/t) sum_{n<=t} g1(n/t); spec must be G1_SPEC."""
+    return _lattice_closed(spec, "g1", t)
 
 
 def eval_H(spec: WeightSpec, t: float) -> float:
-    """H(t) = 1 - sum_{n<=t} h(n/t) for an analytic-h weight."""
-    if spec.kind != "analytic-h":
-        raise InvalidArgumentError("eval_H requires an analytic-h weight")
-    if t < 1.0:
-        raise DomainError("eval_H requires t >= 1")
-    return _lattice_closed("h1", t) if spec.name == "h1" else _lattice_direct(spec, t)
+    """H1(t) = 1 - sum_{n<=t} h1(n/t); spec must be H1_SPEC."""
+    return _lattice_closed(spec, "h1", t)
 
 
 def epsilon1(t: float) -> float:

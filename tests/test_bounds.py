@@ -9,6 +9,8 @@ from mobsum.bounds import (
     Ledger,
     SqrtModel,
     _logsumexp,
+    abs_M_prefix_integral_bound,
+    abs_m_prefix_integral_bound,
     bootstrap,
     convert_via_G1,
     convert_via_G1check,
@@ -16,6 +18,7 @@ from mobsum.bounds import (
     convert_via_H_envelope,
     descend_to,
     load_ledger,
+    log_abs_m_prefix_integral_bound,
     log_comparison_lowering,
     majorant_descent,
     parse_plan,
@@ -27,7 +30,7 @@ from mobsum.bounds import (
     theorem_d_arithmetic,
     triangle_m,
 )
-from mobsum.chains import base_ledger
+from mobsum.chains import base_ledger, run_chain
 from mobsum.errors import InvalidArgumentError, NoDescentError, PlanError
 from mobsum.special import (
     h2_integral_bound,
@@ -270,13 +273,14 @@ hyp2: ax
 
 def test_plan_execution_matches_direct_calls():
     led = base_ledger()
-    direct = convert_via_G1(led["M-4345"], 4.8e6, M_integral=49350059.0)
+    direct = convert_via_G1(led["M-4345"], 4.8e6,
+                            M_integral=abs_M_prefix_integral_bound(4.8e6, "sqrt-hurst"))
     plan = parse_plan("""
 step: convert_via_G1
 id: via-plan
 hyp: M-4345
 T_cut: 4800000
-M_integral: 49350059
+M_integral: sqrt-hurst
 """)
     bootstrap(led, plan)
     assert led["via-plan"].A == direct.A
@@ -303,7 +307,7 @@ step: convert_via_G1
 id: a
 hyp: M-log-0.013
 T_cut: 1e13
-M_integral: 2.2e19
+M_integral: sqrt
 
 step: triangle_m
 id: b
@@ -314,7 +318,7 @@ step: convert_via_H_envelope
 id: c
 hyp: b
 log_T_cut: 60
-m_integral: 1e9
+m_integral: m-meissel
 """
 
 
@@ -359,12 +363,13 @@ def test_plan_descend_without_rank_cap():
 
 
 def test_plan_rank_cap_and_m_integral_are_taken_as_logs():
-    # plans state rank_cap and m_integral as plain numbers; the functions
-    # take their logs
+    # plans state rank_cap as a plain number, and below 1e16 the step bounds
+    # integral_1^T_cut |m| itself; the functions take their logs
     led = base_ledger()
     env = run_plan_step(led, {"step": "convert_via_H_envelope", "id": "e",
-                              "hyp": "m-meissel", "log_T_cut": "15", "m_integral": "2243"})
-    direct = convert_via_H_envelope(led["m-meissel"], 15.0, math.log(2243.0))
+                              "hyp": "m-meissel", "log_T_cut": "15"})
+    direct = convert_via_H_envelope(
+        led["m-meissel"], 15.0, math.log(abs_m_prefix_integral_bound(math.exp(15.0))))
     assert (env.A, env.log_T, env.remainders) == (direct.A, direct.log_T, direct.remainders)
     capped = run_plan_step(led, {"step": "descend", "id": "d", "hyp": "e",
                                  "A": "0.001", "rank_cap": "1e21"})
@@ -398,3 +403,54 @@ def test_descent_rank_monotone_in_target(target):
     r_loose = majorant_descent(f, target + 0.5)
     r_tight = majorant_descent(f, target)
     assert r_tight >= r_loose - 1e-9
+
+
+def test_prefix_integral_bounds_refuse_T_outside_their_models():
+    # sqrt-hurst gave -12.09 at T = 2 and 20.88 at T = 20, where the exact
+    # integral_1^T |M| is 1 and 31; the m bound gave -0.5 at T = 0.5
+    for T in (2.0, 20.0, 32.9, 1.1e16):
+        with pytest.raises(InvalidArgumentError, match="certified only on"):
+            abs_M_prefix_integral_bound(T, "sqrt-hurst")
+    for T in (0.5, 2e16):
+        with pytest.raises(InvalidArgumentError, match="certified only on"):
+            abs_M_prefix_integral_bound(T, "sqrt")
+    for call in (lambda: abs_M_prefix_integral_bound(0.5, "trivial"),
+                 lambda: abs_m_prefix_integral_bound(0.5),
+                 lambda: abs_m_prefix_integral_bound(math.nan)):
+        with pytest.raises(InvalidArgumentError, match="needs T >= 1"):
+            call()
+    # inside the models: at least the exact integrals, one formula for both
+    assert abs_M_prefix_integral_bound(2.0, "sqrt") >= 1.0
+    assert abs_M_prefix_integral_bound(20.0, "sqrt") >= 31.0
+    assert abs_M_prefix_integral_bound(33.0, "sqrt-hurst") == 59.0
+    assert abs_M_prefix_integral_bound(1e13, "sqrt") == (2.0 / 3.0) * 1e13**1.5
+    assert abs_m_prefix_integral_bound(1.0) == 0.0
+
+
+def test_plan_names_its_prefix_integrals():
+    led = base_ledger()
+    step = {"step": "convert_via_G1", "id": "a", "hyp": "M-4345", "T_cut": "4.8e6"}
+    for stated in ("0", "49350059", "exact"):
+        with pytest.raises(PlanError, match="name a strategy"):
+            run_plan_step(led, {**step, "M_integral": stated})
+    assert "a" not in led
+    for strategy in ("trivial", "sqrt", "sqrt-hurst"):
+        got = run_plan_step(led, {**step, "id": strategy, "M_integral": strategy})
+        want = convert_via_G1(led["M-4345"], 4.8e6,
+                              abs_M_prefix_integral_bound(4.8e6, strategy))
+        assert got.remainders == want.remainders
+    # the envelope step: no m_integral up to 1e16, an entry |m| <= A past it
+    env = {"step": "convert_via_H_envelope", "id": "e", "hyp": "m-meissel"}
+    for extra, why in (({"log_T_cut": "15", "m_integral": "2243"}, "read only"),
+                       ({"log_T_cut": "60"}, "m_integral required"),
+                       ({"log_T_cut": "60", "m_integral": "1e9"}, "unknown ledger entry"),
+                       ({"log_T_cut": "60", "m_integral": "M-4345"}, "is not a bound"),
+                       ({"log_T_cut": "60", "m_integral": "m-sqrt-0.5"}, "is not a bound")):
+        with pytest.raises(PlanError, match=why):
+            run_plan_step(led, {**env, **extra})
+    for chain in ("models", "const"):
+        run_chain(chain, led)
+    got = run_plan_step(led, {**env, "log_T_cut": "18900", "m_integral": "m-4343"})
+    want = convert_via_H_envelope(led["m-meissel"], 18900.0,
+                                  log_abs_m_prefix_integral_bound(18900.0, 1.0 / 4343.0))
+    assert (got.A, got.remainders) == (want.A, want.remainders)

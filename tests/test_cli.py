@@ -119,7 +119,7 @@ def test_ledger_commands_load_mpmath_but_not_numpy(tmp_path):
     assert _modules_after("import mobsum.bounds, mobsum.chains") == "['mpmath']"
     plan = tmp_path / "plan.txt"
     plan.write_text("step: convert_via_G1\nid: demo\nhyp: M-4345\n"
-                    "T_cut: 4800000\nM_integral: 49350059\n")
+                    "T_cut: 4800000\nM_integral: sqrt-hurst\n")
     ledger = tmp_path / "ledger.txt"
     for argv in (["bootstrap", "--chain", "all", "--out", str(ledger)],
                  ["convert", "--plan", str(plan)],
@@ -189,6 +189,17 @@ def test_mellin_check_pass(capsys):
                        "--X", "500")
     assert code == 0
     assert "status=PASS" in out
+
+
+def test_mellin_check_cutoff_picks_the_tail(capsys):
+    # a non-integer X takes the one-sided tail; no flag chooses it
+    code, out, _ = run(capsys, "mellin-check", "--weight", "g1", "--s", "0.5",
+                       "--X", "1000.5")
+    assert code == 0
+    assert "tail=simple:G1<=1/t^2" in out and "status=PASS" in out
+    code, out, err = run(capsys, "mellin-check", "--weight", "g1", "--s", "0.5",
+                         "--X", "1000", "--envelope", "simple")
+    assert code == 2 and "unrecognized arguments" in err and out == ""
 
 
 def test_mellin_domain_error_exit_2(capsys):
@@ -329,7 +340,7 @@ def test_convert_and_report_round_trip(capsys, tmp_path):
         "id: demo\n"
         "hyp: M-4345\n"
         "T_cut: 4800000\n"
-        "M_integral: 49350059\n"
+        "M_integral: sqrt-hurst\n"
     )
     ledger_file = tmp_path / "ledger.txt"
     code, out, _ = run(capsys, "convert", "--plan", str(plan),
@@ -354,6 +365,16 @@ def test_convert_bad_plan_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "convert", "--plan", str(plan))
     assert code == 2
     assert "M_integral required" in err and out == ""
+
+
+def test_convert_refuses_a_stated_prefix_integral(capsys, tmp_path):
+    # M_integral: 0 dropped the x^-2 remainder; a plan names a strategy
+    plan = tmp_path / "plan.txt"
+    plan.write_text("step: convert_via_G1\nid: demo\nhyp: M-4345\nT_cut: 4800000\n"
+                    "M_integral: 0\n")
+    code, out, err = run(capsys, "convert", "--plan", str(plan))
+    assert code == 2 and out == ""
+    assert "name a strategy" in err
 
 
 @pytest.mark.parametrize("step, key", [

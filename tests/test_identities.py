@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -45,6 +46,14 @@ def test_bal2_and_mchliss(tables_small, x):
     rm = residual_mchliss(tables_small, x)
     assert rb.passed and abs(rb.residual) < 1e-9
     assert rm.passed and abs(rm.residual) < 1e-9
+
+
+@pytest.mark.parametrize("x", [1.0, 7.3, 4999.5])
+def test_bal2_reports_what_thm1_G_reports(tables_small, x):
+    # bal2's boundary 8/(3x) - (4/x^2)(1 - 1/(3x^2)) is thm1-G's, typed out
+    rb = residual_bal2(tables_small, x)
+    assert rb.name == "bal2"
+    assert dataclasses.replace(rb, name="thm1-G") == residual_thm1_G(tables_small, x)
 
 
 def test_identities_at_quasi_random_points(tables_small):

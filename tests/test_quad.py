@@ -79,19 +79,34 @@ def test_mellin_bracket_contains_closed_form_H1(s):
 
 @pytest.mark.parametrize("weight,s", [(G1_SPEC, 0.5), (H1_SPEC, 0.5)])
 def test_simple_envelope_is_one_sided_and_wider(weight, s):
+    # a non-integer cutoff takes the one-sided envelope: the tail adds
+    # nothing to the lower end
     sharp = mellin_numeric(weight, s, 1000)
-    simple = mellin_numeric(weight, s, 1000, envelope="simple")
+    simple = mellin_numeric(weight, s, 1000.5)
     closed = (mellin_G1_closed if weight is G1_SPEC else mellin_H1_closed)(s)
+    value, half = mellin_finite_part(weight, s, 1000.5)
+    assert simple.lo == value - half
+    assert simple.tail_bound_used.startswith("simple:")
     assert simple.contains(closed.value)
     assert simple.width >= sharp.width
 
 
 def test_sharp_envelope_needs_integer_cutoff():
-    with pytest.raises(InvalidArgumentError):
-        mellin_numeric(G1_SPEC, 0.5, 1000.5)
-    # the simple envelope has no integrality requirement
-    b = mellin_numeric(G1_SPEC, 0.5, 1000.5, envelope="simple")
+    # the cutoff alone picks the tail: sharp at an integer X, one-sided else
+    assert mellin_numeric(G1_SPEC, 0.5, 1000).tail_bound_used == "sharp:parts-of-eps1"
+    assert mellin_numeric(H1_SPEC, 0.5, 1000).tail_bound_used == "sharp:euler-maclaurin"
+    b = mellin_numeric(G1_SPEC, 0.5, 1000.5)
+    assert b.tail_bound_used == "simple:G1<=1/t^2"
     assert b.contains(mellin_G1_closed(0.5).value)
+    assert b.width == pytest.approx(2.1e-5, rel=0.01)
+    assert mellin_numeric(H1_SPEC, 0.5, 1000.5).tail_bound_used == "simple:H1<=2.1/t"
+
+
+@pytest.mark.parametrize("s, X", [(0.5, math.inf), (0.5, math.nan), (math.inf, 100),
+                                  (math.nan, 100), (0.5, -math.inf)])
+def test_mellin_rejects_non_finite_inputs(s, X):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        mellin_numeric(G1_SPEC, s, X)
 
 
 def test_mellin_tail_divergence_guard():

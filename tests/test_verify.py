@@ -13,8 +13,8 @@ from mobsum.tables import evaluate, with_series
 from mobsum.verify import (
     PREDICATES,
     Predicate,
-    _MP,
     _interval_sup,
+    _mp_fns,
     ratio_theorem_C,
     ratio_violation_below,
     sup_scan,
@@ -349,7 +349,7 @@ def test_m1_kernel_interior_maxima():
     with mp.workdps(50):
         for i in interior[:20].tolist():
             one = [np.array([mp.mpf(float(v[i]))], dtype=object) for v in (n, n + 1.0, m, M, m)]
-            s50, a50 = _interval_sup("m1", "log2x", *one, fn=_MP)
+            s50, a50 = _interval_sup("m1", "log2x", *one, fn=_mp_fns())
             assert float(s50[0]) == pytest.approx(sup[i], rel=1e-14)
             assert float(a50[0]) == pytest.approx(arg[i], rel=1e-12)
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import golden_points, mp_lattice
-from mobsum.errors import DomainError
+from mobsum.errors import DomainError, InvalidArgumentError
 from mobsum.special import H2_ENVELOPE
 from mobsum.weights import (
     G1_SPEC,
     H1_SPEC,
+    WeightSpec,
     _lattice_direct,
     em_H1_envelope,
     epsilon1,
@@ -53,6 +54,15 @@ def test_eval_H_closed_form_agrees_with_direct_sum(t):
     fast = eval_H(H1_SPEC, t)
     direct = _lattice_direct(H1_SPEC, t)
     assert fast == pytest.approx(direct, abs=1e-12)
+
+
+def test_eval_reads_its_own_weight_only():
+    # the name fixes the lattice sum: there is no kind to disagree with it
+    assert WeightSpec("g1", g1) == G1_SPEC
+    with pytest.raises(InvalidArgumentError):
+        eval_G(H1_SPEC, 2.0)
+    with pytest.raises(InvalidArgumentError):
+        eval_H(G1_SPEC, 2.0)
 
 
 def test_closed_forms_match_a_40_digit_reference():
