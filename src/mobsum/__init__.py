@@ -14,7 +14,7 @@ _EXPORTS = {
         "convert_via_G1check", "convert_via_H1", "convert_via_H_envelope",
         "descend_to", "load_ledger", "log_comparison_lowering", "majorant_descent",
         "parse_plan", "serialize_ledger", "sqrt_model_from_form",
-        "sqrt_range_lowering", "theorem_d_arithmetic", "triangle_m",
+        "sqrt_range_lowering", "triangle_m",
     ),
     "chains": ("ChainResult", "ChainStep", "base_ledger", "run_chain"),
     "errors": (

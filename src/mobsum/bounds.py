@@ -9,8 +9,9 @@ bounds on |M/x| and |m1|; majorant descent finds the rank from which the
 majorant falls below a simpler target shape; range lowerings shrink validity
 ranks against sqrt-models or previously derived bounds.  Descent and sqrt
 lowering share one bisection; `run_plan_step` runs the same operations from
-text plans.  The prefix integrals behind remainders are computed from
-models that refuse a T outside them; a plan names the model, never a value.
+text plans.  Each sqrt model lives only in its ledger entry: the prefix
+integrals, `sqrt_form` and `join_sqrt_models` read entries and refuse a T or
+range outside them, for chains and plans alike (a plan never states a value).
 
 Ranks and remainder coefficients can be astronomically large (exp(18900) and
 beyond), so ranks are stored as log T and remainder coefficients as
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import urllib.parse
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
 from .errors import DomainError, InvalidArgumentError, NoDescentError, PlanError
@@ -32,12 +33,10 @@ from .special import (
     mellin_G1_closed,
     mellin_G1check_closed,
     mellin_H1_closed,
-    zeta_real,
 )
 
 TARGETS = ("M-over-x", "m", "m1", "mcheck-minus-1")
 
-_LOG_1E16 = math.log(1e16)
 _L_CAP = 1e8  # majorant_descent gives up past log x = _L_CAP
 
 
@@ -122,56 +121,71 @@ def remainder(coef: float, power: float) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 # certified prefix-integral bounds used as conversion remainders
 
-# strategy -> (c, x0, exact integral_1^x0 |M|): |M(t)| <= c sqrt(t) on [x0, 1e16] (Hurst)
-_SQRT_INTEGRALS = {"sqrt": (1.0, 1.0, 0.0), "sqrt-hurst": (0.571, 33.0, 59.0)}
+# x_lo -> exact integral_1^x_lo |M| = sum_{n < x_lo} |M(n)| for each |M| model;
+# the models themselves are ledger entries
+_ABS_M_HEADS = {1.0: 0.0, 33.0: 59.0, 201.0: 461.0}
 
 
-def abs_M_prefix_integral_bound(T: float, strategy: str) -> float:
-    """Certified upper bound on integral_1^T |M(t)| dt: "trivial" (|M| <= t,
-    T >= 1), or head + c (2/3)(T^1.5 - x0^1.5) for x0 <= T <= 1e16 by the
-    `_SQRT_INTEGRALS` row "sqrt" or "sqrt-hurst"."""
-    if strategy == "trivial":
+def abs_M_prefix_integral_bound(T: float, model: Optional[SqrtModel] = None) -> float:
+    """Certified upper bound on integral_1^T |M(t)| dt: T^2/2 (|M| <= t) with
+    no model, else from a ledger model |M| <= c sqrt(t) on [x_lo, x_hi] that
+    covers T: head + c (2/3)(T^1.5 - x_lo^1.5), the head exact up to x_lo."""
+    if model is None:
         if not T >= 1.0:
             raise InvalidArgumentError(f"integral_1^T needs T >= 1, not {T:g}")
         return 0.5 * T * T
-    if strategy not in _SQRT_INTEGRALS:
-        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    c, x0, head = _SQRT_INTEGRALS[strategy]
-    if not x0 <= T <= 1e16:
-        raise InvalidArgumentError(f"|M| <= {c:g} sqrt(t) is certified only on [{x0:g}, 1e16]")
-    return head + c * (2.0 / 3.0) * (T**1.5 - x0**1.5)
+    if not (isinstance(model, SqrtModel) and model.target == "M-over-x"
+            and model.x_lo in _ABS_M_HEADS):
+        raise PlanError("integral |M| needs a model |M| <= c sqrt(x) with an exact head")
+    if not model.x_lo <= T <= model.x_hi:
+        raise InvalidArgumentError(f"|M| <= {model.c:g} sqrt(t) is certified only on "
+                                   f"[{model.x_lo:g}, {model.x_hi:g}]")
+    return _ABS_M_HEADS[model.x_lo] + model.c * (2.0 / 3.0) * (T**1.5 - model.x_lo**1.5)
 
 
-def abs_m_prefix_integral_bound(T: float, const_beyond_1e16: Optional[float] = None) -> float:
-    """Certified upper bound on integral_1^T |m(t)| dt.
-
-    Piecewise: exact 1.5 on [1, 3]; 0.5/sqrt(t) on [3, 7.7e9];
-    0.701/sqrt(t) on [7.7e9, 1e16]; a supplied constant bound beyond 1e16
-    (required if T > 1e16).
-    """
+def _abs_m_integral_parts(T: float, pieces):
+    """(head, A, x): integral_1^T |m| <= head + A (T - x) if T > x, else head.
+    pieces: models x|m| <= c sqrt(x) contiguous from 3 (integral_1^3 |m| =
+    1.5), then optionally |m| <= A valid from x <= the last x_hi (A is None
+    without one).  T = inf takes every model whole."""
     if not T >= 1.0:
         raise InvalidArgumentError(f"integral_1^T needs T >= 1, not {T:g}")
-    if T <= 3.0:
-        return min(T - 1.0, 1.5)
-    total = 1.5 + 2.0 * 0.5 * (math.sqrt(min(T, 7.7e9)) - math.sqrt(3.0))
-    if T <= 7.7e9:
-        return total
-    hi2 = min(T, 1e16)
-    total += 2.0 * 0.701 * (math.sqrt(hi2) - math.sqrt(7.7e9))
-    if T <= 1e16:
-        return total
-    if const_beyond_1e16 is None:
-        raise InvalidArgumentError("need a constant |m| bound beyond 1e16")
-    return total + const_beyond_1e16 * (T - 1e16)
+    head, A, x = min(T - 1.0, 1.5), None, 3.0
+    for piece in pieces:
+        if A is not None:
+            raise PlanError("nothing may follow the closing bound |m| <= A")
+        if isinstance(piece, SqrtModel) and piece.target == "m" and piece.x_lo == x:
+            if T > x:
+                head += 2.0 * piece.c * (math.sqrt(min(T, piece.x_hi)) - math.sqrt(x))
+            x = piece.x_hi
+        elif (isinstance(piece, BoundForm) and piece.target == "m" and piece.A > 0
+              and piece.theta == 1.0 and piece.j == 0.0 and not piece.remainders
+              and piece.log_T <= math.log(x)):
+            A = piece.A
+        else:
+            raise PlanError(f"integral |m| needs a model x|m| <= c sqrt(x) from {x:g} "
+                            f"or a bound |m| <= A from x <= {x:g} next")
+    if T > x and A is None:
+        raise InvalidArgumentError(f"the |m| models are certified only to {x:g}")
+    return head, A, x
 
 
-def log_abs_m_prefix_integral_bound(log_T: float, const_hyp: float) -> float:
-    """log of a certified bound on integral_1^T |m| for huge T = exp(log_T),
-    using |m| <= 1 below 1e16 (already immaterial) and |m| <= const_hyp
-    beyond: bound = 1e16 + const_hyp * T."""
-    if log_T <= _LOG_1E16:
-        raise InvalidArgumentError("use abs_m_prefix_integral_bound for T <= 1e16")
-    return _logsumexp((math.log(1e16), math.log(const_hyp) + log_T))
+def abs_m_prefix_integral_bound(T: float, pieces) -> float:
+    """Certified upper bound on integral_1^T |m(t)| dt from ledger pieces."""
+    head, A, x = _abs_m_integral_parts(T, pieces)
+    return head + A * (T - x) if T > x else head
+
+
+def log_abs_m_prefix_integral_bound(log_T: float, pieces) -> float:
+    """Its log at T = exp(log_T); past the float range (exp(18900)) the term
+    A (T - x) is bounded by A T, taken as log A + log T."""
+    try:
+        T = math.exp(log_T)
+    except OverflowError:
+        head, A, _ = _abs_m_integral_parts(math.inf, pieces)
+        return _logsumexp((math.log(head), math.log(A) + log_T))
+    bound = abs_m_prefix_integral_bound(T, pieces)
+    return math.log(bound) if bound > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +271,7 @@ def convert_via_H_envelope(hyp: BoundForm, T_cut_log: float,
         A=hyp.A * factor,
         theta=hyp.theta,
         j=hyp.j,
-        log_T=max(hyp.log_T, T_cut_log, math.log(max(5e13, env.max_r))),
+        log_T=max(hyp.log_T, T_cut_log, math.log(env.max_r)),
         remainders=((rem_log, 1.0),),
         provenance=hyp.provenance + (
             f"convert_via_H_envelope(logT_cut={T_cut_log:g}, delta={delta:.6g}, "
@@ -489,13 +503,6 @@ def sqrt_model_from_form(form: BoundForm, c: float, x_lo: float, x_hi: float) ->
                      provenance=form.provenance + (f"sqrt_model(c={c:g})",))
 
 
-def theorem_d_arithmetic(limsup_M: float) -> float:
-    """limsup |m(x)| sqrt(x) >= limsup (|M(x)|/sqrt(x)) / (1 + b) with
-    b = 2 + (368/315) zeta(1/2)."""
-    b = 2.0 + (368.0 / 315.0) * zeta_real(0.5).value
-    return limsup_M / (1.0 + b)
-
-
 # ---------------------------------------------------------------------------
 # ledger
 
@@ -508,90 +515,95 @@ class Ledger:
     derived: dict = field(default_factory=dict)
 
     def add_axiom(self, name: str, entry, source: str = ""):
-        if name in self.axioms or name in self.derived:
+        if name in self:
             raise PlanError(f"duplicate ledger entry {name!r}")
         if source:
             entry = replace(entry, provenance=entry.provenance + (f"axiom:{source}",))
         self.axioms[name] = entry
 
     def add_derived(self, name: str, entry):
-        if name in self.axioms or name in self.derived:
+        if name in self:
             raise PlanError(f"duplicate ledger entry {name!r}")
         self.derived[name] = entry
 
     def __getitem__(self, name: str):
-        if name in self.axioms:
-            return self.axioms[name]
-        if name in self.derived:
-            return self.derived[name]
-        raise PlanError(f"unknown ledger entry {name!r}")
+        if name not in self:
+            raise PlanError(f"unknown ledger entry {name!r}")
+        return self.axioms[name] if name in self.axioms else self.derived[name]
 
     def __contains__(self, name: str):
         return name in self.axioms or name in self.derived
 
 
-def _fmt_prov(provenance):
-    # provenance notes are free text; percent-encode them so every record
-    # stays a single line of space-separated key=value fields
-    return "|".join(urllib.parse.quote(p, safe="") for p in provenance)
+def sqrt_form(ledger: Ledger, name: str) -> BoundForm:
+    """The sqrt model `name` as a theta = 1/2 hypothesis from its x_lo (the
+    caller keeps to x_hi); provenance "axiom:<name>" or "<name>"."""
+    model = ledger[name]
+    if not isinstance(model, SqrtModel):
+        raise PlanError(f"ledger entry {name!r} is not a sqrt model")
+    return BoundForm(model.target, model.c, theta=0.5, log_T=math.log(model.x_lo),
+                     provenance=(f"axiom:{name}" if name in ledger.axioms else name,))
 
 
-def _parse_prov(text):
-    return tuple(urllib.parse.unquote(p) for p in text.split("|") if p)
+def join_sqrt_models(ledger: Ledger, low: str, high: str) -> SqrtModel:
+    """One model with the larger c over two adjacent models of one target."""
+    a, b = ledger[low], ledger[high]
+    if not (isinstance(a, SqrtModel) and isinstance(b, SqrtModel)
+            and a.target == b.target and a.x_hi == b.x_lo):
+        raise PlanError(f"{low} and {high} are not adjacent sqrt models of one target")
+    return SqrtModel(a.target, max(a.c, b.c), a.x_lo, b.x_hi,
+                     provenance=(f"max({low}, {high})",))
 
 
-def _fmt_entry(kind, name, entry):
-    if isinstance(entry, BoundForm):
-        rems = ",".join(f"{lc!r}:{p!r}" for lc, p in entry.remainders)
-        return (f"kind={kind} name={name} type=bound target={entry.target} "
-                f"A={entry.A!r} theta={entry.theta!r} j={entry.j!r} "
-                f"logT={entry.log_T!r} remainders={rems} "
-                f"provenance={_fmt_prov(entry.provenance)}")
-    return (f"kind={kind} name={name} type=sqrt target={entry.target} "
-            f"c={entry.c!r} x_lo={entry.x_lo!r} x_hi={entry.x_hi!r} "
-            f"provenance={_fmt_prov(entry.provenance)}")
+# A record is one line of space-separated key=value fields: kind, name, type,
+# then the entry's dataclass fields in order (log_T written logT).  Provenance
+# notes are free text, percent-encoded to keep the line whole.
+_TYPES = {"bound": BoundForm, "sqrt": SqrtModel}
+_CODECS = {  # field -> (format, parse); every other field is a float repr
+    "target": (str, str),
+    "remainders": (lambda rems: ",".join(f"{lc!r}:{p!r}" for lc, p in rems),
+                   lambda text: tuple((float(a), float(b)) for a, b in
+                                      (pair.split(":") for pair in text.split(",") if pair))),
+    "provenance": (lambda prov: "|".join(urllib.parse.quote(p, safe="") for p in prov),
+                   lambda text: tuple(urllib.parse.unquote(p) for p in text.split("|") if p)),
+}
+
+
+def _fields(cls):
+    return [(f.name, f.name.replace("log_T", "logT"), *_CODECS.get(f.name, (repr, float)))
+            for f in fields(cls)]
 
 
 def serialize_ledger(ledger: Ledger) -> str:
+    records = [("axiom", name, ledger.axioms[name]) for name in sorted(ledger.axioms)]
+    records += [("derived", *item) for item in ledger.derived.items()]  # derivation order
     lines = []
-    for name in sorted(ledger.axioms):
-        lines.append(_fmt_entry("axiom", name, ledger.axioms[name]))
-    for name in ledger.derived:  # insertion order preserves derivation order
-        lines.append(_fmt_entry("derived", name, ledger.derived[name]))
+    for kind, name, entry in records:
+        typ = "bound" if isinstance(entry, BoundForm) else "sqrt"
+        lines.append(" ".join([f"kind={kind} name={name} type={typ}"] + [
+            f"{key}={fmt(getattr(entry, attr))}" for attr, key, fmt, _ in _fields(type(entry))]))
     return "\n".join(lines) + "\n"
 
 
-def _parse_fields(line: str) -> dict:
-    fields = {}
-    for chunk in line.strip().split(" "):
-        if "=" in chunk:
-            k, v = chunk.split("=", 1)
-            fields[k] = v
-    return fields
-
-
 def load_ledger(text: str) -> Ledger:
+    """Parse serialize_ledger's text; a malformed line is a PlanError naming it."""
     ledger = Ledger()
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        f = _parse_fields(line)
-        prov = _parse_prov(f.get("provenance", ""))
-        if f["type"] == "bound":
-            rems = tuple(
-                (float(a), float(b))
-                for a, b in (pair.split(":") for pair in f["remainders"].split(",") if pair)
-            )
-            entry = BoundForm(target=f["target"], A=float(f["A"]), theta=float(f["theta"]),
-                              j=float(f["j"]), log_T=float(f["logT"]), remainders=rems,
-                              provenance=prov)
-        else:
-            entry = SqrtModel(target=f["target"], c=float(f["c"]), x_lo=float(f["x_lo"]),
-                              x_hi=float(f["x_hi"]), provenance=prov)
-        if f["kind"] == "axiom":
-            ledger.axioms[f["name"]] = entry
-        else:
-            ledger.derived[f["name"]] = entry
+        f = dict(chunk.split("=", 1) for chunk in line.split() if "=" in chunk)
+        try:
+            add = {"axiom": ledger.add_axiom, "derived": ledger.add_derived}.get(f["kind"])
+            cls = _TYPES.get(f["type"])
+            if add is None or cls is None:
+                raise PlanError(f"unknown kind {f['kind']!r}" if add is None
+                                else f"unknown type {f['type']!r}")
+            add(f["name"], cls(**{attr: parse(f[key])
+                                  for attr, key, _, parse in _fields(cls)}))
+        except KeyError as exc:
+            raise PlanError(f"ledger line {number}: missing field {exc}") from None
+        except ValueError as exc:
+            raise PlanError(f"ledger line {number}: {exc}") from None
     return ledger
 
 
@@ -617,11 +629,15 @@ def parse_plan(text: str):
 
 
 def _num(step, key, default=None):
-    if key not in step:
-        if default is None:
-            raise PlanError(f"plan step missing {key!r}")
-        return default
-    return float(step[key])
+    text = step.get(key, default)
+    if text is None:
+        raise PlanError(f"plan step missing {key!r}")
+    try:
+        if math.isfinite(float(text)):
+            return float(text)
+    except ValueError:
+        pass
+    raise PlanError(f"plan value {key}: {text!r} is not a finite number")
 
 
 # the keys each plan step kind reads, besides "step" and "id"
@@ -637,36 +653,6 @@ _STEP_KEYS = {
 }
 
 
-def _plan_M_integral(step, T_cut: float) -> float:
-    """integral_1^T_cut |M| by the abs_M_prefix_integral_bound strategy that
-    M_integral names: a stated number could drop the x^-2 remainder."""
-    strategy = step.get("M_integral")
-    if strategy not in ("trivial", *_SQRT_INTEGRALS):
-        raise PlanError("M_integral required in plan form: name a strategy "
-                        f"(trivial, sqrt, sqrt-hurst), not {strategy!r}")
-    return abs_M_prefix_integral_bound(T_cut, strategy)
-
-
-def _plan_m_integral_log(ledger: Ledger, step, log_T_cut: float) -> float:
-    """log integral_1^T_cut |m|: abs_m_prefix_integral_bound up to 1e16; past
-    it, m_integral names the ledger entry |m| <= A (x >= T, T <= 1e16) whose
-    A bounds |m| there, and no other value is read."""
-    name = step.get("m_integral")
-    if log_T_cut <= _LOG_1E16:
-        if name is not None:
-            raise PlanError("m_integral is read only for T_cut > 1e16; below, "
-                            "the step bounds integral |m| itself")
-        m_int = abs_m_prefix_integral_bound(math.exp(log_T_cut))  # 0 at T_cut = 1
-        return math.log(m_int) if m_int > 0 else -math.inf
-    if name is None:
-        raise PlanError("m_integral required for T_cut > 1e16: name a bound |m| <= A")
-    form = ledger[name]
-    if not (isinstance(form, BoundForm) and form.target == "m" and form.theta == 1.0
-            and form.j == 0.0 and not form.remainders and form.log_T <= _LOG_1E16):
-        raise PlanError(f"m_integral {name!r} is not a bound |m| <= A for x >= T <= 1e16")
-    return log_abs_m_prefix_integral_bound(log_T_cut, form.A)
-
-
 def run_plan_step(ledger: Ledger, step: dict):
     kind = step.get("step")
     out = step.get("id")
@@ -677,27 +663,42 @@ def run_plan_step(ledger: Ledger, step: dict):
     unread = sorted(set(step) - {"step", "id", *_STEP_KEYS[kind]})
     if unread:
         raise PlanError(f"plan step {kind} does not read {', '.join(unread)}")
+
+    def entry(key):
+        if key not in step:
+            raise PlanError(f"plan step missing {key!r}")
+        return ledger[step[key]]
+
+    # prefix integrals are named by ledger entries: a stated number could
+    # drop the x^-2 (or 1/x) remainder
     if kind in ("convert_via_G1", "convert_via_G1check"):
         convert = convert_via_G1 if kind == "convert_via_G1" else convert_via_G1check
-        T_cut = _num(step, "T_cut")
-        res = convert(ledger[step["hyp"]], T_cut, _plan_M_integral(step, T_cut))
+        T_cut, name = _num(step, "T_cut"), step.get("M_integral")
+        if name is None:
+            raise PlanError("M_integral required in plan form: name trivial or a "
+                            "ledger model |M| <= c sqrt(x)")
+        res = convert(entry("hyp"), T_cut, abs_M_prefix_integral_bound(
+            T_cut, None if name == "trivial" else ledger[name]))
     elif kind == "convert_via_H_envelope":
-        log_T_cut = _num(step, "log_T_cut")
-        res = convert_via_H_envelope(ledger[step["hyp"]], log_T_cut,
-                                     _plan_m_integral_log(ledger, step, log_T_cut))
+        log_T_cut, names = _num(step, "log_T_cut"), step.get("m_integral", "").split()
+        if not names:
+            raise PlanError("m_integral required in plan form: name the ledger models "
+                            "x|m| <= c sqrt(x) from 3 on, then optionally |m| <= A")
+        res = convert_via_H_envelope(entry("hyp"), log_T_cut, log_abs_m_prefix_integral_bound(
+            log_T_cut, [ledger[n] for n in names]))
     elif kind == "convert_via_H1":
-        res = convert_via_H1(ledger[step["hyp"]], _num(step, "T_cut", 1.0))
+        res = convert_via_H1(entry("hyp"), _num(step, "T_cut", 1.0))
     elif kind == "triangle_m":
-        res = triangle_m(ledger[step["hyp"]], ledger[step["hyp2"]])
+        res = triangle_m(entry("hyp"), entry("hyp2"))
     elif kind == "descend":
-        res = descend_to(ledger[step["hyp"]], _num(step, "A"),
+        res = descend_to(entry("hyp"), _num(step, "A"),
                          target_j=_num(step, "j") if "j" in step else None,
                          log_rank_cap=(math.log(_num(step, "rank_cap"))
                                        if "rank_cap" in step else None))
     elif kind == "sqrt_lower":
-        res = sqrt_range_lowering(ledger[step["hyp"]], ledger[step["model"]])
+        res = sqrt_range_lowering(entry("hyp"), entry("model"))
     else:
-        res = log_comparison_lowering(ledger[step["hyp"]], ledger[step["hyp2"]])
+        res = log_comparison_lowering(entry("hyp"), entry("hyp2"))
     ledger.add_derived(out, res)
     return res
 

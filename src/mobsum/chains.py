@@ -17,7 +17,7 @@ constants contain known misprints compute the honest value and note the
 discrepancy; the final constants are unaffected.  Every rank move goes
 through `ChainResult.set_rank`; a low rank that the arithmetic cannot reach
 rests on direct verification, and set_rank records it as an obligation for
-the exhaustive scanner.
+the exhaustive scanner.  Every sqrt model is read from its ledger entry.
 """
 
 from __future__ import annotations
@@ -37,9 +37,11 @@ from .bounds import (
     convert_via_H1,
     convert_via_H_envelope,
     descend_to,
+    join_sqrt_models,
     log_abs_m_prefix_integral_bound,
     log_comparison_lowering,
     majorant_descent,
+    sqrt_form,
     sqrt_model_from_form,
     sqrt_range_lowering,
     triangle_m,
@@ -105,6 +107,10 @@ class ChainResult:
         return replace(form, log_T=math.log(T), provenance=form.provenance + (note,))
 
 
+# the pieces of integral |m| past 1e16: the sqrt models of m, then |m| <= 1/4343
+_M_PIECES = ("m-sqrt-0.5", "m-sqrt-0.701", "m-4343")
+
+
 def base_ledger() -> Ledger:
     """Axioms: published results used as inputs, never recomputed."""
     led = Ledger()
@@ -138,47 +144,41 @@ def run_models_chain(led: Ledger) -> ChainResult:
 
     # |m1| <= 0.114/sqrt(x) on [5e6, 7.7e9]: 0.5-sqrt M model through the
     # g-weight conversion at theta = 1/2, T = 201, integral_1^201 |M| = 461.
-    hyp05 = BoundForm("M-over-x", 0.5, theta=0.5, log_T=math.log(201.0),
-                      provenance=("axiom:M-sqrt-0.5",))
-    pauvre = convert_via_G1(hyp05, 201.0, M_integral=461.0)
+    M05 = led["M-sqrt-0.5"]
+    pauvre = convert_via_G1(sqrt_form(led, "M-sqrt-0.5"), M05.x_lo,
+                            abs_M_prefix_integral_bound(M05.x_lo, M05))
     res._rec("models:0.114-head", pauvre.A, 0.112652)
     led.add_derived("m1-three-term", pauvre)  # 0.1127/sqrt(x)+(8/3)/x+461/x^2 on [201, 7.7e9]
-    m114 = sqrt_model_from_form(pauvre, 0.114, 5e6, 7.7e9)
+    m114 = sqrt_model_from_form(pauvre, 0.114, 5e6, M05.x_hi)
     res._rec("models:0.114", pauvre.evaluate(5e6) * math.sqrt(5e6), 0.114)
     led.add_derived("m1-sqrt-0.114", m114)
 
     # |m1| <= 0.129/sqrt(x) on [7.7e9, 1e16]: same with 0.571 model, T = 33.
-    hyp571 = BoundForm("M-over-x", 0.571, theta=0.5, log_T=math.log(33.0),
-                       provenance=("axiom:M-sqrt-0.571",))
-    f129 = convert_via_G1(hyp571, 33.0, M_integral=59.0)
+    M0571 = led["M-sqrt-0.571"]
+    f129 = convert_via_G1(sqrt_form(led, "M-sqrt-0.571"), M0571.x_lo,
+                          abs_M_prefix_integral_bound(M0571.x_lo, M0571))
     res._rec("models:0.129-head", f129.A, 0.12865)
-    m129 = sqrt_model_from_form(f129, 0.129, 7.7e9, 1e16)
+    m129 = sqrt_model_from_form(f129, 0.129, M05.x_hi, M0571.x_hi)
     res._rec("models:0.129", f129.evaluate(7.7e9) * math.sqrt(7.7e9), 0.129)
     led.add_derived("m1-sqrt-0.129", m129)
     # merged m1 model 0.129 on [5e6, 1e16] (0.114 <= 0.129 below 7.7e9)
-    led.add_derived("m1-sqrt-0.129-wide", SqrtModel(
-        "m1", 0.129, 5e6, 1e16,
-        provenance=("max(m1-sqrt-0.114, m1-sqrt-0.129)",)))
+    led.add_derived("m1-sqrt-0.129-wide",
+                    join_sqrt_models(led, "m1-sqrt-0.114", "m1-sqrt-0.129"))
 
     # x|m(x)| <= 0.701 sqrt(x) on [7.7e9, 1e16]: triangle 0.571 + 0.129.
-    tri = triangle_m(
-        BoundForm("m1", 0.129, theta=0.5, log_T=math.log(7.7e9),
-                  provenance=("m1-sqrt-0.129",)),
-        BoundForm("M-over-x", 0.571, theta=0.5, log_T=math.log(33.0),
-                  provenance=("axiom:M-sqrt-0.571",)),
-    )
+    tri = triangle_m(sqrt_form(led, "m1-sqrt-0.129"), sqrt_form(led, "M-sqrt-0.571"))
     res._rec("models:0.701", tri.A, 0.701)
-    led.add_derived("m-sqrt-0.701", SqrtModel("m", 0.701, 7.7e9, 1e16,
+    led.add_derived("m-sqrt-0.701", SqrtModel("m", 0.701, m129.x_lo, m129.x_hi,
                                               provenance=tri.provenance))
     # and 0.701 covers [3, 1e16] since 0.5 <= 0.701 on [3, 7.7e9]
-    led.add_derived("m-sqrt-0.701-wide", SqrtModel(
-        "m", 0.701, 3.0, 1e16, provenance=("max(m-sqrt-0.5, m-sqrt-0.701)",)))
+    led.add_derived("m-sqrt-0.701-wide",
+                    join_sqrt_models(led, "m-sqrt-0.5", "m-sqrt-0.701"))
 
     # |m1| <= 5.792/sqrt(x) on [1e16, 1e21]: envelope conversion at
     # theta = 1/2, T = 3, delta = 1 - theta = 1/2; remainder (22527.5*1.5+6)/x.
-    hyp701 = BoundForm("m", 0.701, theta=0.5, log_T=math.log(3.0),
-                       provenance=("m-sqrt-0.701-wide",))
-    f5792 = convert_via_H_envelope(hyp701, math.log(3.0), math.log(1.5))
+    hyp701 = sqrt_form(led, "m-sqrt-0.701-wide")
+    f5792 = convert_via_H_envelope(hyp701, hyp701.log_T,
+                                   math.log(abs_m_prefix_integral_bound(3.0, ())))
     res._rec("models:5.792-head", f5792.A, 5.791)
     # the hypothesis reaches only u <= 1e16; sup runs over u < x/K, so the
     # model is sound up to x = 1e21 because 1e21/K <= 1e16
@@ -201,7 +201,7 @@ def run_const_chain(led: Ledger) -> ChainResult:
 
     # step 1: g-weight conversion at T = 2 160 535 with the trivial
     # |M(t)| <= t integral bound; A' = (3/4 - gamma)/4345
-    f1 = convert_via_G1(M4345, 2160535.0, abs_M_prefix_integral_bound(2160535.0, "trivial"))
+    f1 = convert_via_G1(M4345, 2160535.0, abs_M_prefix_integral_bound(2160535.0))
     res._rec("const:A-(3/4-gamma)/4345", f1.A, 0.1727844 / 4345.0)
     m1_25146 = descend_to(f1, 1.0 / 25146.0, log_rank_cap=math.log(1e16))
     res._rec("const:m1-25146", m1_25146.A, 1.0 / 25146.0)
@@ -218,7 +218,7 @@ def run_const_chain(led: Ledger) -> ChainResult:
     led.add_derived("m-3704", m3704)
 
     # step 3: envelope conversion at T = 4.8e6, delta = 0
-    m_int = abs_m_prefix_integral_bound(4.8e6)
+    m_int = abs_m_prefix_integral_bound(4.8e6, [led["m-sqrt-0.5"]])
     R = H2_ENVELOPE.sup_norm * m_int + H2_ENVELOPE.sum_c
     res._rec("const:envelope-remainder", R, 4.94e7)
     f2 = convert_via_H_envelope(m3704, math.log(4.8e6), math.log(m_int))
@@ -280,7 +280,7 @@ def run_log_chain(led: Ledger) -> ChainResult:
     M013 = led["M-log-0.013"]
 
     # step 1: g-weight conversion at T = 1e13 (|M| <= sqrt t integral)
-    f1 = convert_via_G1(M013, 1e13, abs_M_prefix_integral_bound(1e13, "sqrt"))
+    f1 = convert_via_G1(M013, 1e13, abs_M_prefix_integral_bound(1e13, led["M-sqrt-1"]))
     res._rec("log:factor-0.17537", f1.A / M013.A, 0.17542,
              note="printed as 0.1755x and 0.1725x in two places; honest "
                   "factor at s = 1 - 1/log 1e13 used")
@@ -299,7 +299,7 @@ def run_log_chain(led: Ledger) -> ChainResult:
     # step 3: envelope conversion at T = 8.2e25, delta = 1/log T;
     # integral of |m| uses sqrt models to 1e16 then 1/4343
     T3 = 8.2e25
-    m_int = abs_m_prefix_integral_bound(T3, const_beyond_1e16=1.0 / 4343.0)
+    m_int = abs_m_prefix_integral_bound(T3, [led[n] for n in _M_PIECES])
     R = H2_ENVELOPE.sup_norm * m_int + H2_ENVELOPE.sum_c
     res._rec("log:envelope-remainder", R, 4.254e26,
              note="remainder line printed with 22727.5; the envelope "
@@ -353,7 +353,7 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     M3627 = led["M-log2-362.7"]
 
     # step 1: g-weight conversion at T = 1e16
-    f1 = convert_via_G1(M3627, 1e16, abs_M_prefix_integral_bound(1e16, "sqrt"))
+    f1 = convert_via_G1(M3627, 1e16, abs_M_prefix_integral_bound(1e16, led["M-sqrt-1"]))
     res._rec("log2:factor-0.177112", f1.A / M3627.A, 0.177112)
     res._rec("log2:A-64.24", f1.A, 64.24)
     m1_6424 = descend_to(f1, 64.24, log_rank_cap=math.log(1e16))
@@ -366,7 +366,7 @@ def run_log2_chain(led: Ledger) -> ChainResult:
 
     # step 3: envelope conversion at T = exp(18900), delta = 2/18900
     logT = 18900.0
-    m_int_log = log_abs_m_prefix_integral_bound(logT, 1.0 / 4343.0)
+    m_int_log = log_abs_m_prefix_integral_bound(logT, [led[n] for n in _M_PIECES])
     R_log = float(math.log(H2_ENVELOPE.sup_norm) + m_int_log)
     res._rec("log2:envelope-remainder-log", R_log, math.log(3000.0) + logT,
              note="printed remainder 3000 exp(18900); log-scale comparison")
@@ -431,11 +431,9 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
 
     # 0.16/sqrt(x) model: G1check conversion of the 0.129 m1 model at
     # T = 5e6 with integral_1^T |M| <= 4.26e9 (0.571 sqrt model)
-    i_M = abs_M_prefix_integral_bound(5e6, "sqrt-hurst")
+    i_M = abs_M_prefix_integral_bound(5e6, led["M-sqrt-0.571"])
     res._rec("mcheck:intM-5e6", i_M, 4.26e9)
-    hyp129 = BoundForm("m1", 0.129, theta=0.5, log_T=math.log(5e6),
-                       provenance=("m1-sqrt-0.129-wide",))
-    f016 = convert_via_G1check(hyp129, 5e6, M_integral=i_M)
+    f016 = convert_via_G1check(sqrt_form(led, "m1-sqrt-0.129-wide"), 5e6, M_integral=i_M)
     res._rec("mcheck:0.16-head", f016.A, 0.129 * 1.2254)
     led.add_derived("mcheck-three-term", f016)
     # honest certification from 3.1e8 (printed 1e9); hypothesis reaches 1e16
@@ -456,14 +454,14 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
              note="sqrt(x)|m1(x)| <= 0.416 + 2/sqrt(x) <= 2.42 <= 3 everywhere")
     hyp5792 = BoundForm("m1", 5.792, theta=0.5, log_T=0.0,
                         provenance=("max(3-model to 1e16, m1-sqrt-5.792)",))
-    f71 = convert_via_G1check(hyp5792, 1.0, M_integral=0.0)
+    f71 = convert_via_G1check(hyp5792, 1.0, abs_M_prefix_integral_bound(1.0, led["M-sqrt-1"]))
     res._rec("mcheck:7.1-head", f71.A, 7.098)
     m71 = sqrt_model_from_form(f71, 7.1, 1e16, 1e21)
     res._rec("mcheck:7.1", f71.evaluate(1e16) * math.sqrt(1e16), 7.1)
     led.add_derived("mcheck-sqrt-7.1", m71)
 
     # constant bound 1/9780919: G1check at T = 2.2e12, factor 7/4 - gamma
-    i_M2 = abs_M_prefix_integral_bound(2.2e12, "sqrt-hurst")
+    i_M2 = abs_M_prefix_integral_bound(2.2e12, led["M-sqrt-0.571"])
     res._rec("mcheck:intM-2.2e12", i_M2, 1.25e18)
     fc = convert_via_G1check(led["m1-11470909"], 2.2e12, M_integral=i_M2)
     res._rec("mcheck:A-const", fc.A, 1.0 / 9780919.0)
@@ -482,7 +480,7 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     led.add_derived("mcheck-9780919", c9780919)
 
     # 1/log bound 8.55e-6: G1check at T = 2.15e11 on the 7.265e-6 m1 bound
-    i_M3 = abs_M_prefix_integral_bound(2.15e11, "sqrt-hurst")
+    i_M3 = abs_M_prefix_integral_bound(2.15e11, led["M-sqrt-0.571"])
     res._rec("mcheck:intM-2.15e11", i_M3, 3.8e16)
     fl = convert_via_G1check(led["m1-log-7.265e-6"], 2.15e11, M_integral=i_M3)
     res._rec("mcheck:factor-1.17582", fl.A / 7.265e-6, 1.17582)
@@ -494,8 +492,7 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     led.add_derived("mcheck-log-8.55e-6", clog)
 
     # 1/log^2 bound 0.162: G1check at T = 1e100 (trivial integral 0.5e200)
-    fq = convert_via_G1check(led["m1-log2-0.138"], 1e100,
-                             abs_M_prefix_integral_bound(1e100, "trivial"))
+    fq = convert_via_G1check(led["m1-log2-0.138"], 1e100, abs_M_prefix_integral_bound(1e100))
     res._rec("mcheck:factor-1.1735", fq.A / 0.138, 1.1735)
     res._rec("mcheck:A-log2", fq.A, 0.162)
     cl2 = descend_to(fq, 0.162, log_rank_cap=math.log(10.0) * 106)

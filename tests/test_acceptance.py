@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from conftest import golden_points, mp_lattice, mp_panel_quad
-from mobsum.bounds import theorem_d_arithmetic
 from mobsum.chains import LIMSUP_M_OVER_SQRT, base_ledger, run_chain
 from mobsum.identities import (
     residual_bal2,
@@ -217,7 +216,9 @@ def test_criterion_10_theorems_C_and_D(tables_big):
     c_ok = rep.passed and 2.0 / 3.0 <= rep.min_ratio <= rep.max_ratio <= 1.5
     wit = ratio_violation_below(tables_big)
     wit_ok = wit is not None
-    d = theorem_d_arithmetic(LIMSUP_M_OVER_SQRT)
+    # limsup |m| sqrt(x) >= limsup |M|/sqrt(x) / (1 + b), b = 2 + (368/315) zeta(1/2)
+    b = mellin_H1_closed(0.5)
+    d = LIMSUP_M_OVER_SQRT / (1.0 + b.value + b.abs_error)
     d_ok = d > 1.42018 > math.sqrt(2.0)
     ok = report(10, c_ok and wit_ok and d_ok,
                 f"ratio in [{rep.min_ratio:.6f}, {rep.max_ratio:.6f}] on [94,1e6]; "

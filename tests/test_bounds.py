@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobsum.bounds import (
+    _ABS_M_HEADS,
     BoundForm,
     Ledger,
     SqrtModel,
@@ -17,6 +19,7 @@ from mobsum.bounds import (
     convert_via_H1,
     convert_via_H_envelope,
     descend_to,
+    join_sqrt_models,
     load_ledger,
     log_abs_m_prefix_integral_bound,
     log_comparison_lowering,
@@ -25,19 +28,21 @@ from mobsum.bounds import (
     remainder,
     run_plan_step,
     serialize_ledger,
+    sqrt_form,
     sqrt_model_from_form,
     sqrt_range_lowering,
-    theorem_d_arithmetic,
     triangle_m,
 )
-from mobsum.chains import base_ledger, run_chain
+from mobsum.chains import LIMSUP_M_OVER_SQRT, base_ledger, run_chain
 from mobsum.errors import InvalidArgumentError, NoDescentError, PlanError
 from mobsum.special import (
+    H2_ENVELOPE,
     h2_integral_bound,
     mellin_G1_closed,
     mellin_G1check_closed,
     mellin_H1_closed,
 )
+from mobsum.tables import abs_mertens_prefix_integral
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -219,7 +224,9 @@ def test_sqrt_model_from_form():
 
 
 def test_theorem_d_arithmetic():
-    v = theorem_d_arithmetic(1.837625)
+    # limsup |m| sqrt(x) >= limsup |M|/sqrt(x) / (1 + b), b = 2 + (368/315) zeta(1/2)
+    b = mellin_H1_closed(0.5)
+    v = LIMSUP_M_OVER_SQRT / (1.0 + b.value + b.abs_error)
     assert v == pytest.approx(1.4201833391587988, rel=1e-12)
     assert v > 1.42018 > math.sqrt(2.0)
 
@@ -274,13 +281,13 @@ hyp2: ax
 def test_plan_execution_matches_direct_calls():
     led = base_ledger()
     direct = convert_via_G1(led["M-4345"], 4.8e6,
-                            M_integral=abs_M_prefix_integral_bound(4.8e6, "sqrt-hurst"))
+                            M_integral=abs_M_prefix_integral_bound(4.8e6, led["M-sqrt-0.571"]))
     plan = parse_plan("""
 step: convert_via_G1
 id: via-plan
 hyp: M-4345
 T_cut: 4800000
-M_integral: sqrt-hurst
+M_integral: M-sqrt-0.571
 """)
     bootstrap(led, plan)
     assert led["via-plan"].A == direct.A
@@ -302,12 +309,22 @@ def test_plan_unknown_step_rejected():
     assert "d" not in led
 
 
+def test_plan_step_missing_an_entry_key():
+    # a step without hyp2 ended in a KeyError traceback
+    led = base_ledger()
+    for step, key in (({"step": "triangle_m", "id": "t", "hyp": "m-meissel"}, "hyp2"),
+                      ({"step": "sqrt_lower", "id": "s", "hyp": "m-meissel"}, "model"),
+                      ({"step": "descend", "id": "d", "A": "2"}, "hyp")):
+        with pytest.raises(PlanError, match=f"plan step missing '{key}'"):
+            run_plan_step(led, step)
+
+
 UNDERCUT_PLAN = """
 step: convert_via_G1
 id: a
 hyp: M-log-0.013
 T_cut: 1e13
-M_integral: sqrt
+M_integral: M-sqrt-1
 
 step: triangle_m
 id: b
@@ -363,13 +380,15 @@ def test_plan_descend_without_rank_cap():
 
 
 def test_plan_rank_cap_and_m_integral_are_taken_as_logs():
-    # plans state rank_cap as a plain number, and below 1e16 the step bounds
-    # integral_1^T_cut |m| itself; the functions take their logs
+    # plans state rank_cap as a plain number, and the step bounds
+    # integral_1^T_cut |m| from the pieces it names; the functions take logs
     led = base_ledger()
     env = run_plan_step(led, {"step": "convert_via_H_envelope", "id": "e",
-                              "hyp": "m-meissel", "log_T_cut": "15"})
+                              "hyp": "m-meissel", "log_T_cut": "15",
+                              "m_integral": "m-sqrt-0.5"})
     direct = convert_via_H_envelope(
-        led["m-meissel"], 15.0, math.log(abs_m_prefix_integral_bound(math.exp(15.0))))
+        led["m-meissel"], 15.0,
+        math.log(abs_m_prefix_integral_bound(math.exp(15.0), [led["m-sqrt-0.5"]])))
     assert (env.A, env.log_T, env.remainders) == (direct.A, direct.log_T, direct.remainders)
     capped = run_plan_step(led, {"step": "descend", "id": "d", "hyp": "e",
                                  "A": "0.001", "rank_cap": "1e21"})
@@ -406,51 +425,190 @@ def test_descent_rank_monotone_in_target(target):
 
 
 def test_prefix_integral_bounds_refuse_T_outside_their_models():
-    # sqrt-hurst gave -12.09 at T = 2 and 20.88 at T = 20, where the exact
+    # the 0.571 model gave -12.09 at T = 2 and 20.88 at T = 20, where the exact
     # integral_1^T |M| is 1 and 31; the m bound gave -0.5 at T = 0.5
+    led = base_ledger()
+    hurst, sqrt1, m05 = led["M-sqrt-0.571"], led["M-sqrt-1"], [led["m-sqrt-0.5"]]
     for T in (2.0, 20.0, 32.9, 1.1e16):
         with pytest.raises(InvalidArgumentError, match="certified only on"):
-            abs_M_prefix_integral_bound(T, "sqrt-hurst")
+            abs_M_prefix_integral_bound(T, hurst)
     for T in (0.5, 2e16):
         with pytest.raises(InvalidArgumentError, match="certified only on"):
-            abs_M_prefix_integral_bound(T, "sqrt")
-    for call in (lambda: abs_M_prefix_integral_bound(0.5, "trivial"),
-                 lambda: abs_m_prefix_integral_bound(0.5),
-                 lambda: abs_m_prefix_integral_bound(math.nan)):
+            abs_M_prefix_integral_bound(T, sqrt1)
+    for call in (lambda: abs_M_prefix_integral_bound(0.5),
+                 lambda: abs_m_prefix_integral_bound(0.5, m05),
+                 lambda: abs_m_prefix_integral_bound(math.nan, m05)):
         with pytest.raises(InvalidArgumentError, match="needs T >= 1"):
             call()
     # inside the models: at least the exact integrals, one formula for both
-    assert abs_M_prefix_integral_bound(2.0, "sqrt") >= 1.0
-    assert abs_M_prefix_integral_bound(20.0, "sqrt") >= 31.0
-    assert abs_M_prefix_integral_bound(33.0, "sqrt-hurst") == 59.0
-    assert abs_M_prefix_integral_bound(1e13, "sqrt") == (2.0 / 3.0) * 1e13**1.5
-    assert abs_m_prefix_integral_bound(1.0) == 0.0
+    assert abs_M_prefix_integral_bound(2.0, sqrt1) >= 1.0
+    assert abs_M_prefix_integral_bound(20.0, sqrt1) >= 31.0
+    assert abs_M_prefix_integral_bound(33.0, hurst) == 59.0
+    assert abs_M_prefix_integral_bound(1e13, sqrt1) == (2.0 / 3.0) * 1e13**1.5
+    assert abs_m_prefix_integral_bound(1.0, m05) == 0.0
 
 
 def test_plan_names_its_prefix_integrals():
     led = base_ledger()
     step = {"step": "convert_via_G1", "id": "a", "hyp": "M-4345", "T_cut": "4.8e6"}
     for stated in ("0", "49350059", "exact"):
-        with pytest.raises(PlanError, match="name a strategy"):
+        with pytest.raises(PlanError, match="unknown ledger entry"):
             run_plan_step(led, {**step, "M_integral": stated})
+    for entry in ("M-4345", "m-sqrt-0.5"):
+        with pytest.raises(PlanError, match=re.escape("needs a model |M| <= c sqrt(x)")):
+            run_plan_step(led, {**step, "M_integral": entry})
     assert "a" not in led
-    for strategy in ("trivial", "sqrt", "sqrt-hurst"):
-        got = run_plan_step(led, {**step, "id": strategy, "M_integral": strategy})
-        want = convert_via_G1(led["M-4345"], 4.8e6,
-                              abs_M_prefix_integral_bound(4.8e6, strategy))
+    for name in ("trivial", "M-sqrt-1", "M-sqrt-0.571", "M-sqrt-0.5"):
+        got = run_plan_step(led, {**step, "id": f"via-{name}", "M_integral": name})
+        want = convert_via_G1(led["M-4345"], 4.8e6, abs_M_prefix_integral_bound(
+            4.8e6, None if name == "trivial" else led[name]))
         assert got.remainders == want.remainders
-    # the envelope step: no m_integral up to 1e16, an entry |m| <= A past it
+    # the envelope step names the pieces of integral |m|: sqrt models of m
+    # from 3 on, then optionally a bound |m| <= A
     env = {"step": "convert_via_H_envelope", "id": "e", "hyp": "m-meissel"}
-    for extra, why in (({"log_T_cut": "15", "m_integral": "2243"}, "read only"),
-                       ({"log_T_cut": "60"}, "m_integral required"),
-                       ({"log_T_cut": "60", "m_integral": "1e9"}, "unknown ledger entry"),
-                       ({"log_T_cut": "60", "m_integral": "M-4345"}, "is not a bound"),
-                       ({"log_T_cut": "60", "m_integral": "m-sqrt-0.5"}, "is not a bound")):
-        with pytest.raises(PlanError, match=why):
+    for extra, error, why in (
+            ({"log_T_cut": "15", "m_integral": "2243"}, PlanError, "unknown ledger entry"),
+            ({"log_T_cut": "60"}, PlanError, "m_integral required"),
+            ({"log_T_cut": "60", "m_integral": "1e9"}, PlanError, "unknown ledger entry"),
+            ({"log_T_cut": "60", "m_integral": "M-4345"}, PlanError, "integral |m| needs"),
+            ({"log_T_cut": "60", "m_integral": "m-sqrt-0.5"}, InvalidArgumentError,
+             "certified only to 7.7e")):
+        with pytest.raises(error, match=re.escape(why)):
             run_plan_step(led, {**env, **extra})
     for chain in ("models", "const"):
         run_chain(chain, led)
-    got = run_plan_step(led, {**env, "log_T_cut": "18900", "m_integral": "m-4343"})
-    want = convert_via_H_envelope(led["m-meissel"], 18900.0,
-                                  log_abs_m_prefix_integral_bound(18900.0, 1.0 / 4343.0))
+    pieces = "m-sqrt-0.5 m-sqrt-0.701 m-4343"
+    got = run_plan_step(led, {**env, "log_T_cut": "18900", "m_integral": pieces})
+    m_int_log = log_abs_m_prefix_integral_bound(18900.0, [led[n] for n in pieces.split()])
+    want = convert_via_H_envelope(led["m-meissel"], 18900.0, m_int_log)
     assert (got.A, got.remainders) == (want.A, want.remainders)
+    # past the float range the closing term A (T - 1e16) rounds to A T
+    assert m_int_log == math.log(1.0 / 4343.0) + 18900.0
+
+
+def test_log_chain_envelope_step_as_a_plan_matches_the_chain_bit_for_bit():
+    # through a second integral formula (1e16 + T/4343) the plan recorded
+    # 61.31493344032973 where the chain records 61.31493291057378
+    led = base_ledger()
+    for chain in ("models", "const", "log"):
+        run_chain(chain, led)
+    pieces = [led[n] for n in ("m-sqrt-0.5", "m-sqrt-0.701", "m-4343")]
+    chain = convert_via_H_envelope(led["m-log-0.0153"], math.log(8.2e25),
+                                   math.log(abs_m_prefix_integral_bound(8.2e25, pieces)))
+    plan = run_plan_step(led, {"step": "convert_via_H_envelope", "id": "p",
+                               "hyp": "m-log-0.0153", "log_T_cut": repr(math.log(8.2e25)),
+                               "m_integral": "m-sqrt-0.5 m-sqrt-0.701 m-4343"})
+    assert plan.remainders == chain.remainders == ((61.31493291057378, 1.0),)
+    assert plan.A == chain.A
+
+
+def test_a_base_ledger_plan_cannot_use_a_derived_model():
+    # at T_cut = e^27 the plan used the 0.701 model, which only the models
+    # chain derives
+    led = base_ledger()
+    step = {"step": "convert_via_H_envelope", "id": "e", "hyp": "m-meissel",
+            "log_T_cut": "27", "m_integral": "m-sqrt-0.5 m-sqrt-0.701 m-meissel"}
+    with pytest.raises(PlanError, match="unknown ledger entry 'm-sqrt-0.701'"):
+        run_plan_step(led, step)
+    got = run_plan_step(led, {**step, "m_integral": "m-sqrt-0.5 m-meissel"})
+    m_int = (1.5 + 2.0 * 0.5 * (math.sqrt(7.7e9) - math.sqrt(3.0))
+             + 1.0 * (math.exp(27.0) - 7.7e9))
+    assert got.remainders == ((_logsumexp((math.log(H2_ENVELOPE.sup_norm) + math.log(m_int),
+                                           math.log(H2_ENVELOPE.sum_c))), 1.0),)
+
+
+def test_abs_m_integral_refuses_gaps_wrong_targets_and_short_pieces():
+    led = base_ledger()
+    run_chain("models", led)
+    m05, m0701 = led["m-sqrt-0.5"], led["m-sqrt-0.701"]
+    # the formula the function had for T <= 7.7e9, read from the entry
+    assert abs_m_prefix_integral_bound(4.8e6, [m05]) == \
+        1.5 + 2.0 * 0.5 * (math.sqrt(4.8e6) - math.sqrt(3.0))
+    assert abs_m_prefix_integral_bound(2.5, []) == 1.5
+    # a closing bound is read only past the last model
+    assert abs_m_prefix_integral_bound(1e16, [m05, m0701]) == \
+        abs_m_prefix_integral_bound(1e16, [m05, m0701, led["m-meissel"]])
+    for pieces in ([m0701],                                   # gap [3, 7.7e9)
+                   [m05, SqrtModel("m", 0.701, 8e9, 1e16)],   # gap [7.7e9, 8e9)
+                   [led["m-sqrt-0.701-wide"], m0701],          # overlap
+                   [led["M-sqrt-0.5"]],                        # |M| model
+                   [m05, led["m1-sqrt-0.129"]],                # m1 model
+                   [m05, led["M-4345"]],                       # bound on |M|/x
+                   [BoundForm("m", 1e-3, log_T=math.log(1e17))],  # closes too late
+                   [led["m-meissel"], m05]):                   # after the closing
+        with pytest.raises(PlanError):
+            abs_m_prefix_integral_bound(1e17, pieces)
+    with pytest.raises(InvalidArgumentError, match="certified only to 1e\\+16"):
+        abs_m_prefix_integral_bound(1e17, [m05, m0701])
+    with pytest.raises(InvalidArgumentError, match="certified only to 1e\\+16"):
+        log_abs_m_prefix_integral_bound(18900.0, [m05, m0701])
+    with pytest.raises(InvalidArgumentError, match="certified only to 3"):
+        abs_m_prefix_integral_bound(3.5, [])
+
+
+def test_join_sqrt_models_checks_adjacency_and_target():
+    led = base_ledger()
+    run_chain("models", led)
+    wide = join_sqrt_models(led, "m-sqrt-0.5", "m-sqrt-0.701")
+    assert wide == led["m-sqrt-0.701-wide"]
+    assert (wide.c, wide.x_lo, wide.x_hi) == (0.701, 3.0, 1e16)
+    for low, high, why in (("m-sqrt-0.701", "m-sqrt-0.5", "not adjacent"),
+                           ("m1-sqrt-0.114", "m1-sqrt-5.792", "not adjacent"),
+                           ("M-sqrt-0.5", "m1-sqrt-0.129", "not adjacent"),
+                           ("m-sqrt-0.5", "m-meissel", "not adjacent")):
+        with pytest.raises(PlanError, match=why):
+            join_sqrt_models(led, low, high)
+
+
+def test_sqrt_form_reads_the_entry():
+    led = base_ledger()
+    run_chain("models", led)
+    axiom = sqrt_form(led, "M-sqrt-0.5")
+    assert (axiom.target, axiom.A, axiom.theta, axiom.j, axiom.log_T, axiom.provenance) == \
+        ("M-over-x", 0.5, 0.5, 0.0, math.log(201.0), ("axiom:M-sqrt-0.5",))
+    derived = sqrt_form(led, "m1-sqrt-0.129")
+    assert (derived.A, derived.log_T, derived.provenance) == \
+        (0.129, math.log(7.7e9), ("m1-sqrt-0.129",))
+    with pytest.raises(PlanError, match="not a sqrt model"):
+        sqrt_form(led, "M-4345")
+
+
+def test_plan_M_integral_names_a_model_and_reads_its_exact_head():
+    led = base_ledger()
+    got = run_plan_step(led, {"step": "convert_via_G1", "id": "a", "hyp": "M-log2-362.7",
+                              "T_cut": "201", "M_integral": "M-sqrt-0.5"})
+    assert got.remainders[1] == (math.log(461.0), 2.0)
+
+
+def test_abs_M_heads_are_the_exact_integrals(tables_small):
+    assert _ABS_M_HEADS[1.0] == 0.0
+    for x_lo, head in _ABS_M_HEADS.items():
+        if x_lo > 1.0:
+            assert abs_mertens_prefix_integral(tables_small.mu, int(x_lo)) == head
+    models = [e for e in base_ledger().axioms.values()
+              if isinstance(e, SqrtModel) and e.target == "M-over-x"]
+    assert sorted(m.x_lo for m in models) == sorted(_ABS_M_HEADS)
+
+
+@pytest.mark.parametrize("line, why", [
+    ("kind=axiom name=x target=m A=1 theta=1 j=0 logT=0 remainders= provenance=",
+     "missing field 'type'"),
+    ("kind=axiom name=x type=bound target=m A=1 theta=1 j=0 logT=0 provenance=",
+     "missing field 'remainders'"),
+    ("name=x type=sqrt target=m c=1 x_lo=3 x_hi=9 provenance=", "missing field 'kind'"),
+    ("kind=axiom name=x type=sqrt target=m c=abc x_lo=3 x_hi=9 provenance=",
+     "could not convert"),
+    ("kind=derived name=x type=bound target=m A=1 theta=1 j=0 logT=0 remainders=1.0 "
+     "provenance=", "not enough values"),
+    ("kind=derived name=M-4345 type=sqrt target=m c=1 x_lo=3 x_hi=9 provenance=",
+     "duplicate ledger entry 'M-4345'"),
+    ("kind=lemma name=x type=sqrt target=m c=1 x_lo=3 x_hi=9 provenance=",
+     "unknown kind 'lemma'"),
+    ("kind=axiom name=x type=cube target=m c=1 x_lo=3 x_hi=9 provenance=",
+     "unknown type 'cube'"),
+], ids=["type", "remainders", "kind", "number", "pair", "duplicate", "kind-value",
+        "type-value"])
+def test_load_ledger_names_a_malformed_line(line, why):
+    text = serialize_ledger(base_ledger())  # eight lines
+    with pytest.raises(PlanError, match=f"ledger line 9: {re.escape(why)}"):
+        load_ledger(text + line + "\n")

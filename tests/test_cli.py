@@ -85,7 +85,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 EXPORTS = """BoundForm Ledger SqrtModel bootstrap convert_via_G1 convert_via_G1check
     convert_via_H1 convert_via_H_envelope descend_to load_ledger
     log_comparison_lowering majorant_descent parse_plan serialize_ledger
-    sqrt_model_from_form sqrt_range_lowering theorem_d_arithmetic triangle_m
+    sqrt_model_from_form sqrt_range_lowering triangle_m
     ChainResult ChainStep base_ledger run_chain DomainError InvalidArgumentError
     MobsumError NoDescentError PlanError RangeError ResourceError IdentityReport
     residual_bal2 residual_mchliss residual_thm1_G residual_thm1_H MellinBracket
@@ -119,7 +119,7 @@ def test_ledger_commands_load_mpmath_but_not_numpy(tmp_path):
     assert _modules_after("import mobsum.bounds, mobsum.chains") == "['mpmath']"
     plan = tmp_path / "plan.txt"
     plan.write_text("step: convert_via_G1\nid: demo\nhyp: M-4345\n"
-                    "T_cut: 4800000\nM_integral: sqrt-hurst\n")
+                    "T_cut: 4800000\nM_integral: M-sqrt-0.571\n")
     ledger = tmp_path / "ledger.txt"
     for argv in (["bootstrap", "--chain", "all", "--out", str(ledger)],
                  ["convert", "--plan", str(plan)],
@@ -340,7 +340,7 @@ def test_convert_and_report_round_trip(capsys, tmp_path):
         "id: demo\n"
         "hyp: M-4345\n"
         "T_cut: 4800000\n"
-        "M_integral: sqrt-hurst\n"
+        "M_integral: M-sqrt-0.571\n"
     )
     ledger_file = tmp_path / "ledger.txt"
     code, out, _ = run(capsys, "convert", "--plan", str(plan),
@@ -368,13 +368,13 @@ def test_convert_bad_plan_exit_2(capsys, tmp_path):
 
 
 def test_convert_refuses_a_stated_prefix_integral(capsys, tmp_path):
-    # M_integral: 0 dropped the x^-2 remainder; a plan names a strategy
+    # M_integral: 0 dropped the x^-2 remainder; a plan names a ledger model
     plan = tmp_path / "plan.txt"
     plan.write_text("step: convert_via_G1\nid: demo\nhyp: M-4345\nT_cut: 4800000\n"
                     "M_integral: 0\n")
     code, out, err = run(capsys, "convert", "--plan", str(plan))
     assert code == 2 and out == ""
-    assert "name a strategy" in err
+    assert "unknown ledger entry '0'" in err
 
 
 @pytest.mark.parametrize("step, key", [
@@ -387,3 +387,27 @@ def test_convert_names_a_key_its_step_does_not_read(capsys, tmp_path, step, key)
     code, out, err = run(capsys, "convert", "--plan", str(plan))
     assert code == 2 and out == ""
     assert f"does not read {key}" in err
+
+
+def test_malformed_ledger_file_exit_2(capsys, tmp_path):
+    # a line without its type field ended in a KeyError traceback, exit 1
+    ledger = tmp_path / "ledger.txt"
+    ledger.write_text("kind=axiom name=x target=m c=1 x_lo=3 x_hi=9 provenance=\n")
+    plan = tmp_path / "plan.txt"
+    plan.write_text("step: descend\nid: d\nhyp: x\nA: 2\n")
+    for argv in (["report", "--ledger", str(ledger)],
+                 ["convert", "--ledger", str(ledger), "--plan", str(plan)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "ledger line 1: missing field 'type'" in err
+
+
+def test_non_numeric_plan_value_exit_2(capsys, tmp_path):
+    # T_cut: abc ended in a ValueError traceback, exit 1
+    plan = tmp_path / "plan.txt"
+    for value in ("abc", "nan", "inf"):
+        plan.write_text("step: convert_via_G1\nid: demo\nhyp: M-4345\n"
+                        f"T_cut: {value}\nM_integral: trivial\n")
+        code, out, err = run(capsys, "convert", "--plan", str(plan))
+        assert code == 2 and out == ""
+        assert f"T_cut: '{value}' is not a finite number" in err
