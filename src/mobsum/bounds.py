@@ -611,7 +611,8 @@ def load_ledger(text: str) -> Ledger:
 # plan execution
 
 def parse_plan(text: str):
-    """Plan file: blank-line-separated blocks of "key: value" lines."""
+    """Plan file: blank-line-separated blocks of "key: value" lines; a key
+    may appear once per block."""
     steps = []
     block = {}
     for raw in text.splitlines() + [""]:
@@ -623,8 +624,10 @@ def parse_plan(text: str):
             continue
         if ":" not in line:
             raise PlanError(f"bad plan line {raw!r}")
-        k, v = line.split(":", 1)
-        block[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split(":", 1))
+        if k in block:
+            raise PlanError(f"plan key {k!r} repeated in one step")
+        block[k] = v
     return steps
 
 

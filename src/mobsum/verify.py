@@ -12,11 +12,22 @@ log^2 weight has a single closed-form critical point in log x.
 supremum with the bound, allowing for the certified error radius of the
 prefix series; `sup_scan` evaluates it on float64 arrays and takes the
 argmax.  Both walk the range in chunks of _CHUNK intervals, so scratch
-memory is O(_CHUNK) per worker whatever the range: a `verify_range` chunk
-is reduced where it is scanned to its largest value and first argmax, its
-hard violations and its suspect intervals, and the caller merges these in
-chunk order; `sup_scan` keeps the first chunk maximum that no later chunk
-exceeds.  Intervals whose margin falls inside the guard band are escalated:
+memory is O(_CHUNK) per worker whatever the range.  Each chunk first gets
+an envelope E, `_chunk_envelope`: the kernel's bound taken over the whole
+chunk at once from the largest |m|, |M| and ends of the chunk, inflated by
+the kernel's own rounding, so E is at least every float supremum the
+kernel would compute there, and G, the guard band at E, is at least every
+interval's guard.  A chunk with E + G below the bound (with rounding
+slack) holds no violation and no interval inside the guard band, and a
+chunk with E below the largest value found holds neither the maximum nor a
+tie with it: the kernel runs on the chunks that reach the bound, in chunk
+order, and then on the rest by decreasing E while E reaches the largest
+value so far.  A `verify_range` chunk is reduced where it is scanned to its
+largest value and first argmax, its hard violations and its suspect
+intervals, and the caller merges these in chunk order; both operations
+keep the first chunk maximum that no later chunk exceeds, so the reports
+and scans are those of running the kernel on every chunk.  Intervals whose
+margin falls inside the guard band are escalated:
 the same kernel re-runs at 50 digits on exact M(n) and on m(n) and ell(n)
 from one exact prefix routine, `_exact_prefix`, and the intervals are
 reported as indeterminate.  It sums 256-bit fixed-point integers in numpy
@@ -47,6 +58,7 @@ _LIMBS = _FIXED_BITS // 32  # base-2^32 digits of a fixed-point reciprocal
 _LOG_BITS = _FIXED_BITS + 64  # working precision of the log p chain
 _BISECT_STEPS = 80
 _MAX_VIOLATIONS = 10000  # verify_range stops at the violation after this many
+_ENV_SLACK = 1.0 + 64.0 * _ULP  # rounding slack of a chunk envelope (_chunk_envelope)
 _RATIO_RANK = 94  # Theorem C: the ratio stays in _RATIO_BAND for x >= 94
 _RATIO_BAND = (2.0 / 3.0, 1.5)
 
@@ -130,6 +142,9 @@ class VerificationReport:
     argmax: int = 0
     checked: int = 0
     truncated: bool = False  # stopped at violation _MAX_VIOLATIONS + 1
+    # of the checked intervals, those the per-interval kernel ran on: a
+    # measure of the work, not of the result, so reports compare without it
+    scanned: int = field(default=0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -249,29 +264,107 @@ def _kernel_inputs(tables: Tables, target: str, a: int, b: int):
 
 def _chunk_scan(pred: Predicate, lo: float, hi: float, a: int, b: int,
                 tables: Tables):
-    """Quantities q(n), guards g(n) and bound for integers n in [a, b).
+    """Quantities q(n) and interval ends x2(n) for integers n in [a, b).
 
     q(n) is the supremum of the weighted function over [n, n+1) cut to
-    [lo, hi]; the predicate holds there iff q(n) <= bound.  The series
-    radii are nondecreasing, so their values at b - 1 cover the whole chunk.
+    [lo, hi]; the predicate holds there iff q(n) <= the bound.
     """
-    weight = _KIND_WEIGHT[pred.kind]
     x1, x2 = _clipped(a, b, lo, hi)
-    sup, _ = _interval_sup(pred.target, weight, x1, x2,
+    sup, _ = _interval_sup(pred.target, _KIND_WEIGHT[pred.kind], x1, x2,
                            *_kernel_inputs(tables, pred.target, a, b))
-    scale, bound = _scale_bound(pred)
-    q = scale * sup
+    return _scale_bound(pred)[0] * sup, x2
+
+
+def _guard(pred: Predicate, q, x2, b: int, tables: Tables):
+    """Guard band of quantities q on intervals ending at x2 in a chunk
+    ending at b: the series radius under the weight plus the kernel's
+    rounding.  The series radii are nondecreasing, so their values at b - 1
+    cover the whole chunk; the guard is nondecreasing in q and x2."""
     if pred.target == "M":
-        return q, 4.0 * _ULP * q, bound
+        return 4.0 * _ULP * q
     err = tables.prefix("m").radius(b - 1)
     if pred.target == "mcheck-minus-1":
         L2 = np.log(x2)
         radius = (err * L2 + tables.prefix("ell").radius(b - 1)) * L2 * L2
     else:
-        radius = scale * _weight(weight, x2, np) * err
+        radius = _scale_bound(pred)[0] * _weight(_KIND_WEIGHT[pred.kind], x2, np) * err
     if pred.target == "m":
-        return q, radius + 4.0 * _ULP * q, bound
-    return q, radius + 8.0 * _ULP * (np.abs(q) + 1.0), bound
+        return radius + 4.0 * _ULP * q
+    return radius + 8.0 * _ULP * (np.abs(q) + 1.0)
+
+
+def _chunk_envelope(target: str, weight: str, lo: float, hi: float, a: int,
+                    b: int, tables: Tables) -> float:
+    """E >= the float supremum `_interval_sup` computes on every interval
+    [n, n+1) for n in [a, b), cut to [lo, hi]: the kernel's own bound taken
+    over the whole span [xa, xb].
+
+      M : |M(n)|/sqrt(x) falls in x: max|M| / sqrt(xa);
+      m : |m(n)| w(x) grows in x: max|m| w(xb);
+      m1: m(n) - M(n)/x is monotone in x, so |m1| peaks at xa or xb, and
+          log^2 x <= Lb^2 = log^2 xb: max_n max(|m1(xa)|, |m1(xb)|) Lb^2;
+      mcheck - 1: |m(n) L - d(n)| is convex in L = log x, d = ell + 1, so it
+          peaks at La or Lb: max_n max(|m La - d|, |m Lb - d|) Lb^2.
+
+    Rounding.  E = (top + k u S) w (1 + k u), top the float maximum above,
+    w its weight factor, u = 2^-53, k = 64, and S the operand size of the
+    two forms that cancel: max|m| + max|M|/xa for m1, max|m| Lb + max|d| for
+    mcheck, 0 for M and m.  With numpy's log within 1 ulp (2u; measured at
+    most 0.52 ulp over 2e4 points of [1, 2e9] against mpmath), every float
+    log the kernel takes of an x in [xa, xb] lies in [La (1 - 4u),
+    Lb (1 + 4u)] for the float La, Lb the envelope takes; widening the
+    monotone or convex form to those ends costs 4u |m| Lb absolutely, the
+    rounded operand fl(M/x) or fl(m L) u S, the kernel's three remaining
+    roundings 3u and the squared log 8u relatively; the ends as the
+    envelope computes them carry u S and u, and its own five roundings 5u.
+    To first order the kernel's value is within (1 + 17u) top w + 6u S w;
+    M and m, whose forms are monotone and do not cancel, need at most 13u.
+    k = 64 covers the higher-order terms and a log up to 4 ulp.
+    """
+    xa, xb = max(float(a), lo), min(float(b), hi)
+    m, M, ell = _kernel_inputs(tables, target, a, b)
+    if target == "M":
+        return _absmax(M) / math.sqrt(xa) * _ENV_SLACK
+    if target == "m":
+        return _absmax(m) * _weight(weight, xb, math) * _ENV_SLACK
+    # the two ends share one buffer: every fresh chunk-sized array costs
+    # page faults once the heap has no freed slack
+    Lb, top = math.log(xb), 0.0
+    if target == "m1":
+        v = np.empty(m.shape[0])
+        for x in (xa, xb):
+            np.subtract(m, np.divide(M, x, out=v), out=v)
+            top = max(top, _absmax(v))
+        size = _absmax(m) + _absmax(M) / xa
+    else:
+        d = ell + 1.0
+        v = np.empty(m.shape[0])
+        for L in (math.log(xa), Lb):
+            np.subtract(np.multiply(m, L, out=v), d, out=v)
+            top = max(top, _absmax(v))
+        size = _absmax(m) * Lb + _absmax(d)
+    return (top + (_ENV_SLACK - 1.0) * size) * Lb * Lb * _ENV_SLACK
+
+
+def _absmax(v) -> float:
+    """max |v| over a nonempty array, without an |v| temporary."""
+    return max(float(v.max()), -float(v.min()))
+
+
+def _first_max(env, peaks, peak, end: int):
+    """The first (value, point) of largest value over spans [0, end), in
+    span order.  peaks maps the spans already evaluated to their
+    (value, point); peak(i) evaluates span i, whose values are at most
+    env[i].  The other spans are evaluated by decreasing env while env
+    reaches the best value so far: a span below it cannot hold the maximum
+    or tie it.  peaks ends up holding every span evaluated."""
+    best = max((v for v, _ in peaks.values()), default=-math.inf)
+    for i in sorted(set(range(end)) - peaks.keys(), key=lambda i: -env[i]):
+        if env[i] < best:
+            break
+        peaks[i] = peak(i)
+        best = max(best, peaks[i][0])
+    return max((peaks[i] for i in sorted(peaks)), key=lambda p: p[0])
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +523,17 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     (_MAX_VIOLATIONS + 1)-th violation, at n, the scan stops: the report is
     marked truncated and covers [lo, n] only (checked, max_ratio, argmax,
     violations and escalations alike), whatever the chunking.
+
+    The kernel runs only on the chunks that can matter.  A chunk's
+    envelope E (`_chunk_envelope` times the predicate's scale) bounds each
+    of its q, and G = `_guard` at (E, xb) each guard to within 8u (the log
+    in the guard's weight is monotone only to the last ulp).  Chunks with
+    (E + G)(1 + 64u) >= bound are scanned in chunk order, with escalation
+    and truncation as above.  Below it every interval has bound - q >=
+    G (1 + 62u), so its float margin exceeds its guard: no violation, no
+    suspect.  Those chunks are scanned only while E reaches the largest q
+    found (`_first_max`), so checked counts every interval and scanned
+    those the kernel ran on.
     """
     _check_finite(lo, hi)
     n_lo = int(math.floor(lo))
@@ -441,13 +545,20 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     if n_hi - 1 > tables.limit:
         raise RangeError(f"range end {hi} exceeds sieve limit {tables.limit}")
     spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
-    bound = _scale_bound(pred)[1]
+    scale, bound = _scale_bound(pred)
+
+    def envelope(span):
+        a, b = span
+        e = scale * _chunk_envelope(pred.target, _KIND_WEIGHT[pred.kind], lo, hi,
+                                    a, b, tables)
+        return e, (e + _guard(pred, e, min(float(b), hi), b, tables)) * _ENV_SLACK
 
     def work(span):
         # reduce the chunk where it is scanned: (largest q, its first n,
         # hard violations, suspects for exact re-decision)
         a, b = span
-        q, guard, _ = _chunk_scan(pred, lo, hi, a, b, tables)
+        q, x2 = _chunk_scan(pred, lo, hi, a, b, tables)
+        guard = _guard(pred, q, x2, b, tables)
         i = int(np.argmax(q))
         margin = bound - q
         hard = [(a + j, float(q[j]), float(margin[j]))
@@ -455,11 +566,22 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
         suspect = np.nonzero((margin <= guard) & (margin >= -guard))[0]
         return float(q[i]), a + i, hard, (a + suspect).tolist()
 
+    def peak(i):
+        a, b = spans[i]
+        q = _chunk_scan(pred, lo, hi, a, b, tables)[0]
+        k = int(np.argmax(q))
+        return float(q[k]), a + k
+
     report = VerificationReport(predicate=pred.name, lo=n_lo, hi=n_hi)
+    peaks = {}  # span index -> (largest q, its first n), for the spans scanned
+    end = len(spans)
     # threads start only when the pool is given work
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        parts = pool.map(work, spans) if jobs > 1 and len(spans) > 1 else map(work, spans)
-        for (a, b), (q_max, at, found, suspect) in zip(spans, parts):
+        run = pool.map if jobs > 1 and len(spans) > 1 else map
+        env = list(run(envelope, spans))
+        near = [i for i, (_, reach) in enumerate(env) if not reach < bound]
+        for i, (q_max, at, found, suspect) in zip(near, run(work, [spans[i] for i in near])):
+            a, b = spans[i]
             for n in suspect:
                 value, ok = _exact_recheck(pred, n, tables, lo, hi)
                 if not ok:
@@ -468,20 +590,21 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
             room = _MAX_VIOLATIONS + 1 - len(report.violations)
             if len(found) >= room:
                 # cut the chunk just after the violation that passes the cap
-                b = found[room - 1][0] + 1
-                found, suspect = found[:room], [n for n in suspect if n < b]
-                q = _chunk_scan(pred, lo, hi, a, b, tables)[0]
-                i = int(np.argmax(q))
-                q_max, at = float(q[i]), a + i
+                spans[i] = a, found[room - 1][0] + 1
+                found, suspect = found[:room], [n for n in suspect if n < spans[i][1]]
+                q_max, at = peak(i)
                 report.truncated = True
-            report.checked += b - a
-            if q_max > report.max_ratio * bound:
-                report.max_ratio = q_max / bound
-                report.argmax = at
+            peaks[i] = q_max, at
             report.violations.extend(found)
             report.indeterminate.extend(suspect)
             if report.truncated:
+                end = i + 1
                 break
+    q_max, at = _first_max([e for e, _ in env], peaks, peak, end)
+    if q_max > 0.0:
+        report.max_ratio, report.argmax = q_max / bound, at
+    report.checked = spans[end - 1][1] - n_lo
+    report.scanned = sum(spans[i][1] - spans[i][0] for i in peaks)
     return report
 
 
@@ -491,6 +614,8 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
 
     Per-interval maxima are computed in closed form on [n, n+1) clipped to
     [lo, hi], so the argmax is exact even though x ranges over the continuum.
+    The kernel runs on a chunk only while its envelope (`_chunk_envelope`)
+    reaches the largest value found (`_first_max`).
     """
     _check_weight(target, weight)
     _check_finite(lo, hi)
@@ -500,15 +625,17 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
     n_hi = int(math.floor(hi))
     if lo > hi or n_hi < n_lo:
         raise InvalidArgumentError(f"empty scan range [{lo}, {hi}]")
-    best = at = None
-    for a in range(n_lo, n_hi + 1, _CHUNK):
-        b = min(a + _CHUNK, n_hi + 1)
+    spans = [(a, min(a + _CHUNK, n_hi + 1)) for a in range(n_lo, n_hi + 1, _CHUNK)]
+
+    def peak(i):
+        a, b = spans[i]
         sup, arg = _interval_sup(target, weight, *_clipped(a, b, lo, hi),
                                  *_kernel_inputs(tables, target, a, b))
-        i = int(np.argmax(sup))
-        if best is None or sup[i] > best:  # strict: the first maximum wins
-            best, at = sup[i], arg[i]
-    return float(best), float(at)
+        k = int(np.argmax(sup))
+        return float(sup[k]), float(arg[k])
+
+    env = [_chunk_envelope(target, weight, lo, hi, a, b, tables) for a, b in spans]
+    return _first_max(env, {}, peak, len(spans))
 
 
 @dataclass
@@ -520,22 +647,30 @@ class RatioReport:
     argmin: int
     argmax: int
     violations: List[Tuple[int, float]] = field(default_factory=list)
+    # (x, ratio) within the ratio's error bound of a band edge: undecided
+    indeterminate: List[Tuple[int, float]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.indeterminate
 
 
 def _running_ratio(tables: Tables, lo: int, x_max: int):
-    """Yield (x0, r) with r[i] = sup_{t<=x} t|m(t)| / sup_{t<=x} |M(t)| at
-    x = x0 + i, covering x in [lo, x_max] one _CHUNK span at a time.
+    """Yield (x0, r, sup_M, rad) with r[i] = sup_{t<=x} t|m(t)| / sup_M[i],
+    sup_M[i] = sup_{t<=x} |M(t)|, at x = x0 + i, covering x in [lo, x_max]
+    one _CHUNK span at a time; rad bounds the m radius over the span.
 
     The numerator supremum over the interval (n-1, n] closes at t = n with
     candidates n|m(n)| and n|m(n-1)|; both running suprema are cumulative
-    maxima over exact (radius-certified) table values, carried from span to
-    span (max is exact, so the spans do not change any value).
+    maxima over table values, carried from span to span (max is exact, so
+    the spans do not change any value).  M is exact and the m values lie
+    within their radius, nondecreasing in n, so the numerator is within
+    x rad plus one rounding of the exact one, and the quotient adds another:
+    |r[i] - the exact ratio| <= x rad / sup_M[i] + 4u r[i], which also
+    covers the rounding of the bound itself.
     """
-    mv, mertens = tables.prefix("m").values, tables.mu.mertens
+    series, mertens = tables.prefix("m"), tables.mu.mertens
+    mv = series.values
     run_m = run_M = 0.0
     for a in range(1, x_max + 1, _CHUNK):
         b = min(a + _CHUNK, x_max + 1)
@@ -546,11 +681,12 @@ def _running_ratio(tables: Tables, lo: int, x_max: int):
         run_m, run_M = sup_m[-1], sup_M[-1]
         if b > lo:
             i = max(lo - a, 0)
-            yield a + i, sup_m[i:] / sup_M[i:]
+            yield a + i, sup_m[i:] / sup_M[i:], sup_M[i:], series.radius(b - 1)
 
 
 def _ratio_report(tables: Tables, lo: int, hi: int) -> RatioReport:
-    """The running-supremum ratio on [lo, hi] checked against _RATIO_BAND."""
+    """The running-supremum ratio on [lo, hi] checked against _RATIO_BAND;
+    a ratio within its error bound of a band edge is indeterminate."""
     low, high = _RATIO_BAND
     if hi > tables.limit:
         raise RangeError(f"ratio range end {hi} exceeds sieve limit {tables.limit}")
@@ -558,15 +694,23 @@ def _ratio_report(tables: Tables, lo: int, hi: int) -> RatioReport:
         raise InvalidArgumentError(f"empty ratio range [{lo}, {hi}]")
     rep = RatioReport(lo=lo, hi=hi, min_ratio=math.inf, max_ratio=-math.inf,
                       argmin=lo, argmax=lo)
-    for x0, r in _running_ratio(tables, lo, hi):
+    for x0, r, sup_M, rad in _running_ratio(tables, lo, hi):
         # strict comparisons: the first extremum wins, as over one array
         i, k = int(np.argmin(r)), int(np.argmax(r))
         if r[i] < rep.min_ratio:
             rep.min_ratio, rep.argmin = float(r[i]), x0 + i
         if r[k] > rep.max_ratio:
             rep.max_ratio, rep.argmax = float(r[k]), x0 + k
-        bad = np.nonzero((r < low) | (r > high))[0]
-        rep.violations.extend((x0 + i, float(r[i])) for i in bad.tolist())
+        # the largest error bound of the span, from its largest x and r and
+        # smallest sup_M: extremes that clear the band by it decide every ratio
+        err = (x0 + r.size) * rad / sup_M[0] + 4.0 * _ULP * r[k]
+        if r[i] - low > err and high - r[k] > err:
+            continue
+        err = np.arange(x0, x0 + r.size) * rad / sup_M + 4.0 * _ULP * r
+        near = (np.abs(r - low) <= err) | (np.abs(r - high) <= err)
+        for found, where in ((rep.violations, ~near & ((r < low) | (r > high))),
+                             (rep.indeterminate, near)):
+            found.extend((x0 + j, float(r[j])) for j in np.nonzero(where)[0].tolist())
     return rep
 
 

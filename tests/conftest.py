@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from mobsum import verify
 from mobsum.tables import build_tables
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -109,3 +110,10 @@ def tables_small():
 def tables_big():
     """Sieve to 1e7: the desk-scale verification range."""
     return build_tables(10**7, jobs=2)
+
+
+@pytest.fixture
+def exhaustive(monkeypatch):
+    """Chunk envelopes of +inf: verify_range and sup_scan run the
+    per-interval kernel on every chunk, as without envelopes."""
+    monkeypatch.setattr(verify, "_chunk_envelope", lambda *args: math.inf)

@@ -411,3 +411,12 @@ def test_non_numeric_plan_value_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "convert", "--plan", str(plan))
         assert code == 2 and out == ""
         assert f"T_cut: '{value}' is not a finite number" in err
+
+
+def test_repeated_plan_key_exit_2(capsys, tmp_path):
+    # A: 2 then A: 0.5 in one step silently descended to 0.5
+    plan = tmp_path / "plan.txt"
+    plan.write_text("step: descend\nid: d\nhyp: m-meissel\nA: 2\nA: 0.5\n")
+    code, out, err = run(capsys, "convert", "--plan", str(plan))
+    assert code == 2 and out == ""
+    assert "plan key 'A' repeated in one step" in err

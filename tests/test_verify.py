@@ -243,6 +243,106 @@ def test_sup_scan_tie_across_chunk_edge(tables_small, monkeypatch):
     assert sup_scan(tables_small, "m", "1", n - 6, n + 1.5) == (float(m[n]), float(n))
 
 
+def test_pruned_reports_equal_exhaustive(tables_small, monkeypatch, request):
+    # the chunk envelopes skip chunks: every report (truncated, escalated,
+    # tied across a chunk edge, fractional) and every scan must equal the
+    # one that runs the kernel on every chunk
+    mu, m = tables_small.mu.mu, np.abs(tables_small.series.m.values)
+    tie = next(k for k in range(7, 20000) if mu[k + 1] == 0 and m[k] > m[k - 6:k].max())
+    planted = verify_range(Predicate("unit", "sqrt-bound", "M", 1.0), 671.5, 5999.5,
+                           tables_small).max_ratio
+    # |m| peaks above 671 at 678, where the guard is 6.9e-14 relative: a
+    # margin of 3e-14 escalates although the envelope alone stays below 1
+    inside = (1.0 - 3e-14) / m[671 + int(np.argmax(m[671:6000]))]
+    preds = [*PREDICATES.values(), Predicate("mlog2", "log2-bound", "m", 0.05),
+             Predicate("inside", "const-bound", "m", inside),
+             Predicate("planted", "sqrt-bound", "M", planted)]
+    cap = verify._MAX_VIOLATIONS
+
+    def run():
+        monkeypatch.setattr(verify, "_CHUNK", 97)
+        reps = [verify_range(p, lo, hi, tables_small, jobs=j) for p in preds
+                for lo, hi in ((2, 6000), (671.5, 5999.5)) for j in (1, 2)]
+        monkeypatch.setattr(verify, "_MAX_VIOLATIONS", 5)
+        capped = [verify_range(PREDICATES[p], 2, 6000, tables_small, jobs=j)
+                  for p in ("m4345", "Msqrt0.5") for j in (1, 2)]
+        monkeypatch.setattr(verify, "_MAX_VIOLATIONS", cap)
+        sups = [sup_scan(tables_small, t, w, lo, hi)
+                for t, ws in verify._WEIGHTS.items() for w in ws
+                for lo, hi in ((1, 6000), (2.5, 5999.5))]
+        monkeypatch.setattr(verify, "_CHUNK", 7)
+        tied = Predicate("tie", "const-bound", "m", 0.5 / m[tie])
+        sups.append(sup_scan(tables_small, "m", "1", tie - 6, tie + 1.5))
+        return reps, capped, sups, verify_range(tied, tie - 6, tie + 2, tables_small)
+
+    pruned = run()
+    request.getfixturevalue("exhaustive")
+    full = run()
+    assert pruned == full
+    reps, capped, sups, tied = pruned
+    assert all(r.truncated and len(r.violations) == 6 for r in capped)
+    assert all(r.indeterminate for r in reps[-8:])  # the last two: escalated
+    assert tied.argmax == tie and sups[-1] == (float(m[tie]), float(tie))
+    assert any(r.violations for r in reps) and any(r.passed for r in reps)
+    every = reps + capped + [tied]
+    assert all(r.scanned == r.checked for r in full[0] + full[1] + [full[3]])
+    assert all(r.scanned <= r.checked for r in every)
+    assert all(r.scanned < r.checked / 4 for r in reps if r.passed)
+
+
+@pytest.mark.parametrize("source", ["tables", "synthetic"])
+def test_chunk_envelopes_dominate_the_kernel(tables_small, monkeypatch, source):
+    # E bounds the float supremum of every interval of a span and G every
+    # guard, for each target and weight, on random spans with fractional
+    # ends; the synthetic m, M and ell give m1 its interior maxima
+    rng = np.random.default_rng(7)
+    if source == "synthetic":
+        size = tables_small.limit + 1
+        m, M = rng.uniform(-1.0, 1.0, size), rng.integers(-6, 7, size).astype(np.int32)
+        ell = rng.uniform(-3.0, 3.0, size)
+        monkeypatch.setattr(verify, "_kernel_inputs",
+                            lambda tables, target, a, b: (m[a:b], M[a:b], ell[a:b]))
+    top = 200 if source == "synthetic" else 19000
+    for target, weights in verify._WEIGHTS.items():
+        for weight in weights:
+            kind = next(k for k, w in verify._KIND_WEIGHT.items() if w == weight)
+            pred = Predicate("t", kind, target, 4343.0 if kind == "const-bound" else 1.0)
+            scale = verify._scale_bound(pred)[0]
+            for _ in range(60):
+                a = 1 if rng.random() < 0.1 else int(rng.integers(1, top))
+                b = a + int(rng.integers(1, 700))
+                lo, hi = a + 0.4 * rng.random() * (rng.random() < 0.5), b - 0.5 * rng.random()
+                x1, x2 = verify._clipped(a, b, lo, hi)
+                sup, _ = _interval_sup(target, weight, x1, x2,
+                                       *verify._kernel_inputs(tables_small, target, a, b))
+                env = verify._chunk_envelope(target, weight, lo, hi, a, b, tables_small)
+                assert env >= sup.max(), (target, weight, a, b)
+                assert verify._guard(pred, scale * env, hi, b, tables_small) >= \
+                    verify._guard(pred, scale * sup, x2, b, tables_small).max()
+
+
+def test_desk_campaign_runs_the_kernel_on_few_chunks(tables_big, monkeypatch):
+    # every interval is still checked, but the kernel runs on at most three
+    # chunks per scan (16 to 153 chunks each without the envelopes)
+    for pred, lo, hi in (("m4343", 2160605, 5 * 10**6), ("mlog0.0130073", 97063, 230000),
+                         ("Msqrt0.5", 201, 10**7 + 1), ("msqrt0.5", 3, 10**7 + 1),
+                         ("mchecklog2-0.162", 3, 10**7), ("m1log2-0.138", 671, 10**6)):
+        rep = verify_range(PREDICATES[pred], lo, hi, tables_big, jobs=2)
+        assert rep.checked == hi - lo and 0 < rep.scanned <= 3 * verify._CHUNK, pred
+    seen = []
+    kernel = verify._interval_sup
+
+    def counted(target, weight, x1, *rest, **kw):
+        seen.append(len(x1))
+        return kernel(target, weight, x1, *rest, **kw)
+
+    monkeypatch.setattr(verify, "_interval_sup", counted)
+    for target, lo in (("m", 3), ("M", 201)):
+        seen.clear()
+        sup_scan(tables_big, target, "sqrtx", lo, 10**7)
+        assert 0 < sum(seen) <= 3 * verify._CHUNK, target
+
+
 def _oracle_sup(tables, target, n):
     """60-digit sup of the weighted target on [n, n+1], independent of the
     verify kernel: exact m(n), and the critical points of the signed
@@ -368,6 +468,24 @@ def test_ratio_violation_witness_below_94(tables_small):
     x, r = out
     assert 2 <= x < 94
     assert r < 2.0 / 3.0 or r > 1.5
+
+
+def test_ratio_near_a_band_edge_is_indeterminate(tables_small, monkeypatch):
+    # the m radius bounds each ratio's error (2.9e-14 relative at the
+    # minimum, x = 114): at a band edge on the minimum, or a hair inside or
+    # outside it, the float ratio decides nothing
+    rep = ratio_theorem_C(tables_small, 8510)
+    assert rep.indeterminate == []
+    for low in (rep.min_ratio, rep.min_ratio * (1 + 1e-14), rep.min_ratio * (1 - 1e-14)):
+        monkeypatch.setattr(verify, "_RATIO_BAND", (low, 1.5))
+        near = ratio_theorem_C(tables_small, 8510)
+        assert (rep.argmin, rep.min_ratio) in near.indeterminate
+        assert near.violations == [] and not near.passed
+    # far outside the band it is still a violation
+    monkeypatch.setattr(verify, "_RATIO_BAND", (rep.min_ratio * 1.001, 1.5))
+    far = ratio_theorem_C(tables_small, 8510)
+    assert (rep.argmin, rep.min_ratio) in far.violations
+    assert (rep.argmin, rep.min_ratio) not in far.indeterminate
 
 
 def test_ratio_range_guard(tables_small, monkeypatch):
