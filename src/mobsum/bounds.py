@@ -591,13 +591,21 @@ def load_ledger(text: str) -> Ledger:
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        f = dict(chunk.split("=", 1) for chunk in line.split() if "=" in chunk)
+        pairs = [chunk.split("=", 1) for chunk in line.split() if "=" in chunk]
+        keys, f = [key for key, _ in pairs], dict(pairs)
         try:
+            repeated = [key for key in keys if keys.count(key) > 1]
+            if repeated:
+                raise PlanError(f"field {repeated[0]!r} repeated")
             add = {"axiom": ledger.add_axiom, "derived": ledger.add_derived}.get(f["kind"])
             cls = _TYPES.get(f["type"])
             if add is None or cls is None:
                 raise PlanError(f"unknown kind {f['kind']!r}" if add is None
                                 else f"unknown type {f['type']!r}")
+            known = {"kind", "name", "type", *(key for _, key, _, _ in _fields(cls))}
+            extra = [key for key in keys if key not in known]
+            if extra:
+                raise PlanError(f"type {f['type']} has no field {extra[0]!r}")
             add(f["name"], cls(**{attr: parse(f[key])
                                   for attr, key, _, parse in _fields(cls)}))
         except KeyError as exc:

@@ -81,15 +81,16 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import PREDICATES, verify_range
+    from .verify import PREDICATES, _scan_range, verify_range
     if args.pred not in PREDICATES:
         print(f"unknown predicate {args.pred!r}; known: {', '.join(sorted(PREDICATES))}",
               file=sys.stderr)
         return 2
     pred = PREDICATES[args.pred]
-    tables = _get_tables(int(math.ceil(args.to)), args.cache_dir, pred.target,
-                         jobs=args.jobs)
-    rep = verify_range(pred, getattr(args, "from"), args.to, tables, jobs=args.jobs)
+    lo, hi = getattr(args, "from"), args.to
+    _scan_range(lo, hi)  # before any table is built
+    tables = _get_tables(int(math.ceil(hi)), args.cache_dir, pred.target, jobs=args.jobs)
+    rep = verify_range(pred, lo, hi, tables)
     for n, value, margin in rep.violations:
         print(f"violation pred={pred.name} n={n} value={_fmt(value)} margin={_fmt(margin)}")
     for n in rep.indeterminate:
@@ -103,9 +104,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sup(args) -> int:
-    from .verify import _check_weight, sup_scan
-    _check_weight(args.target, args.weight)  # before any table is built
+    from .verify import _check_weight, _scan_range, sup_scan
     lo, hi = getattr(args, "from"), args.to
+    _check_weight(args.target, args.weight)  # before any table is built
+    _scan_range(lo, hi, closed=True)
     tables = _get_tables(int(math.ceil(hi)), args.cache_dir, args.target)
     value, argmax = sup_scan(tables, args.target, args.weight, lo, hi)
     print(f"sup target={args.target} weight={args.weight} range=[{_fmt(lo)},{_fmt(hi)}] "
@@ -303,14 +305,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sieve", help="build (and cache) a Moebius/Mertens table")
     sp.add_argument("--limit", type=int, required=True)
     sp.add_argument("--cache-dir", default=None)
-    sp.add_argument("--jobs", type=worker_count, default=1)
+    sp.add_argument("--jobs", type=worker_count, default=1, help="sieve worker threads")
     sp.set_defaults(func=_cmd_sieve)
 
     sp = sub.add_parser("verify", help="exhaustively verify a named inequality")
     sp.add_argument("--pred", required=True)
     sp.add_argument("--from", type=finite_float, required=True)
     sp.add_argument("--to", type=finite_float, required=True)
-    sp.add_argument("--jobs", type=worker_count, default=1)
+    sp.add_argument("--jobs", type=worker_count, default=1, help="sieve worker threads")
     sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=_cmd_verify)
 

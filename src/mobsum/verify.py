@@ -11,8 +11,8 @@ log^2 weight has a single closed-form critical point in log x.
 `verify_range` evaluates the kernel on float64 arrays and compares each
 supremum with the bound, allowing for the certified error radius of the
 prefix series; `sup_scan` evaluates it on float64 arrays and takes the
-argmax.  Both walk the range in chunks of _CHUNK intervals, so scratch
-memory is O(_CHUNK) per worker whatever the range.  Each chunk first gets
+argmax.  Both walk the range in chunks of _CHUNK intervals in one thread,
+so scratch memory is O(_CHUNK) whatever the range.  Each chunk first gets
 an envelope E, `_chunk_envelope`: the kernel's bound taken over the whole
 chunk at once from the largest |m|, |M| and ends of the chunk, inflated by
 the kernel's own rounding, so E is at least every float supremum the
@@ -24,7 +24,7 @@ tie with it: the kernel runs on the chunks that reach the bound, in chunk
 order, and then on the rest by decreasing E while E reaches the largest
 value so far.  A `verify_range` chunk is reduced where it is scanned to its
 largest value and first argmax, its hard violations and its suspect
-intervals, and the caller merges these in chunk order; both operations
+intervals, and the scan merges these in chunk order; both operations
 keep the first chunk maximum that no later chunk exceeds, so the reports
 and scans are those of running the kernel on every chunk.  Intervals whose
 margin falls inside the guard band are escalated:
@@ -39,7 +39,6 @@ the primes from an atanh chain (within ((n + 2 sqrt(n)) log n + 4) 2^-256).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
@@ -81,9 +80,22 @@ def _mp_fns() -> SimpleNamespace:
                            exp=np.frompyfunc(mp.exp, 1, 1))
 
 
-def _check_finite(lo: float, hi: float) -> None:
+def _scan_range(lo: float, hi: float, closed: bool = False) -> Tuple[int, int]:
+    """(n_lo, n_hi): the intervals [n, n+1), n_lo <= n < n_hi, that a scan
+    of [lo, hi) meets (of [lo, hi] if closed, from x = 1).  The range rules
+    of `verify_range` and `sup_scan`, which need no table: a command checks
+    them before it builds one."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidArgumentError(f"range bounds must be finite, not {lo}, {hi}")
+    if closed:
+        n_lo, n_hi = max(1, int(math.floor(lo))), int(math.floor(hi)) + 1
+    else:
+        n_lo, n_hi = int(math.floor(lo)), int(math.ceil(hi))
+        if n_lo < 1:
+            raise InvalidArgumentError("range must start at x >= 1")
+    if (hi < lo if closed else hi <= lo) or n_hi <= n_lo:
+        raise InvalidArgumentError(f"empty range [{lo}, {hi}{']' if closed else ')'}")
+    return n_lo, n_hi
 
 
 def _check_weight(target: str, weight: str) -> None:
@@ -351,15 +363,15 @@ def _absmax(v) -> float:
     return max(float(v.max()), -float(v.min()))
 
 
-def _first_max(env, peaks, peak, end: int):
-    """The first (value, point) of largest value over spans [0, end), in
-    span order.  peaks maps the spans already evaluated to their
+def _first_max(env, peaks, peak):
+    """The first (value, point) of largest value over the spans env covers,
+    in span order.  peaks maps the spans already evaluated to their
     (value, point); peak(i) evaluates span i, whose values are at most
     env[i].  The other spans are evaluated by decreasing env while env
     reaches the best value so far: a span below it cannot hold the maximum
     or tie it.  peaks ends up holding every span evaluated."""
     best = max((v for v, _ in peaks.values()), default=-math.inf)
-    for i in sorted(set(range(end)) - peaks.keys(), key=lambda i: -env[i]):
+    for i in sorted(set(range(len(env))) - peaks.keys(), key=lambda i: -env[i]):
         if env[i] < best:
             break
         peaks[i] = peak(i)
@@ -534,37 +546,17 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     suspect.  Those chunks are scanned only while E reaches the largest q
     found (`_first_max`), so checked counts every interval and scanned
     those the kernel ran on.
+
+    The scan runs in the calling thread and does not read `jobs`: with the
+    envelopes the kernel runs on 1-3 chunks of a desk scan, and threading
+    them measured slower than not.  The keyword stays for the callers
+    that pass their sieve's worker count (perfbench/workloads.py).
     """
-    _check_finite(lo, hi)
-    n_lo = int(math.floor(lo))
-    n_hi = int(math.ceil(hi))
-    if n_lo < 1:
-        raise InvalidArgumentError("range must start at x >= 1")
-    if n_hi <= n_lo:
-        raise InvalidArgumentError(f"empty range [{lo}, {hi})")
+    n_lo, n_hi = _scan_range(lo, hi)
     if n_hi - 1 > tables.limit:
         raise RangeError(f"range end {hi} exceeds sieve limit {tables.limit}")
     spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
     scale, bound = _scale_bound(pred)
-
-    def envelope(span):
-        a, b = span
-        e = scale * _chunk_envelope(pred.target, _KIND_WEIGHT[pred.kind], lo, hi,
-                                    a, b, tables)
-        return e, (e + _guard(pred, e, min(float(b), hi), b, tables)) * _ENV_SLACK
-
-    def work(span):
-        # reduce the chunk where it is scanned: (largest q, its first n,
-        # hard violations, suspects for exact re-decision)
-        a, b = span
-        q, x2 = _chunk_scan(pred, lo, hi, a, b, tables)
-        guard = _guard(pred, q, x2, b, tables)
-        i = int(np.argmax(q))
-        margin = bound - q
-        hard = [(a + j, float(q[j]), float(margin[j]))
-                for j in np.nonzero(margin < -guard)[0].tolist()]
-        suspect = np.nonzero((margin <= guard) & (margin >= -guard))[0]
-        return float(q[i]), a + i, hard, (a + suspect).tolist()
 
     def peak(i):
         a, b = spans[i]
@@ -573,37 +565,43 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
         return float(q[k]), a + k
 
     report = VerificationReport(predicate=pred.name, lo=n_lo, hi=n_hi)
+    env = []  # the envelope of each span reached
     peaks = {}  # span index -> (largest q, its first n), for the spans scanned
-    end = len(spans)
-    # threads start only when the pool is given work
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        run = pool.map if jobs > 1 and len(spans) > 1 else map
-        env = list(run(envelope, spans))
-        near = [i for i, (_, reach) in enumerate(env) if not reach < bound]
-        for i, (q_max, at, found, suspect) in zip(near, run(work, [spans[i] for i in near])):
-            a, b = spans[i]
-            for n in suspect:
-                value, ok = _exact_recheck(pred, n, tables, lo, hi)
-                if not ok:
-                    found.append((n, value, float(bound - value)))
-            found.sort(key=lambda t: t[0])
-            room = _MAX_VIOLATIONS + 1 - len(report.violations)
-            if len(found) >= room:
-                # cut the chunk just after the violation that passes the cap
-                spans[i] = a, found[room - 1][0] + 1
-                found, suspect = found[:room], [n for n in suspect if n < spans[i][1]]
-                q_max, at = peak(i)
-                report.truncated = True
-            peaks[i] = q_max, at
-            report.violations.extend(found)
-            report.indeterminate.extend(suspect)
-            if report.truncated:
-                end = i + 1
-                break
-    q_max, at = _first_max([e for e, _ in env], peaks, peak, end)
+    for i, (a, b) in enumerate(spans):
+        e = scale * _chunk_envelope(pred.target, _KIND_WEIGHT[pred.kind], lo, hi,
+                                    a, b, tables)
+        env.append(e)
+        if (e + _guard(pred, e, min(float(b), hi), b, tables)) * _ENV_SLACK < bound:
+            continue
+        # hard violations, and suspects for exact re-decision
+        q, x2 = _chunk_scan(pred, lo, hi, a, b, tables)
+        guard = _guard(pred, q, x2, b, tables)
+        margin = bound - q
+        found = [(a + j, float(q[j]), float(margin[j]))
+                 for j in np.nonzero(margin < -guard)[0].tolist()]
+        suspect = (a + np.nonzero((margin <= guard) & (margin >= -guard))[0]).tolist()
+        for n in suspect:
+            value, ok = _exact_recheck(pred, n, tables, lo, hi)
+            if not ok:
+                found.append((n, value, float(bound - value)))
+        found.sort(key=lambda t: t[0])
+        room = _MAX_VIOLATIONS + 1 - len(report.violations)
+        if len(found) >= room:
+            # cut the chunk just after the violation that passes the cap
+            b = found[room - 1][0] + 1
+            spans[i] = a, b
+            found, suspect, q = found[:room], [n for n in suspect if n < b], q[:b - a]
+            report.truncated = True
+        k = int(np.argmax(q))
+        peaks[i] = float(q[k]), a + k
+        report.violations.extend(found)
+        report.indeterminate.extend(suspect)
+        if report.truncated:
+            break
+    q_max, at = _first_max(env, peaks, peak)
     if q_max > 0.0:
         report.max_ratio, report.argmax = q_max / bound, at
-    report.checked = spans[end - 1][1] - n_lo
+    report.checked = spans[len(env) - 1][1] - n_lo
     report.scanned = sum(spans[i][1] - spans[i][0] for i in peaks)
     return report
 
@@ -618,14 +616,10 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
     reaches the largest value found (`_first_max`).
     """
     _check_weight(target, weight)
-    _check_finite(lo, hi)
+    n_lo, n_hi = _scan_range(lo, hi, closed=True)
     if hi > tables.limit:
         raise RangeError(f"scan end {hi} exceeds sieve limit {tables.limit}")
-    n_lo = max(1, int(math.floor(lo)))
-    n_hi = int(math.floor(hi))
-    if lo > hi or n_hi < n_lo:
-        raise InvalidArgumentError(f"empty scan range [{lo}, {hi}]")
-    spans = [(a, min(a + _CHUNK, n_hi + 1)) for a in range(n_lo, n_hi + 1, _CHUNK)]
+    spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
 
     def peak(i):
         a, b = spans[i]
@@ -635,7 +629,7 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
         return float(sup[k]), float(arg[k])
 
     env = [_chunk_envelope(target, weight, lo, hi, a, b, tables) for a, b in spans]
-    return _first_max(env, {}, peak, len(spans))
+    return _first_max(env, {}, peak)
 
 
 @dataclass

@@ -606,8 +606,12 @@ def test_abs_M_heads_are_the_exact_integrals(tables_small):
      "unknown kind 'lemma'"),
     ("kind=axiom name=x type=cube target=m c=1 x_lo=3 x_hi=9 provenance=",
      "unknown type 'cube'"),
+    ("kind=axiom name=x type=bound target=m A=9.0 A=0.00023 theta=1 j=0 logT=0 "
+     "remainders= provenance=", "field 'A' repeated"),
+    ("kind=axiom name=x type=sqrt target=m c=1 x_lo=3 x_hi=9 junk=1 provenance=",
+     "type sqrt has no field 'junk'"),
 ], ids=["type", "remainders", "kind", "number", "pair", "duplicate", "kind-value",
-        "type-value"])
+        "type-value", "repeated", "foreign"])
 def test_load_ledger_names_a_malformed_line(line, why):
     text = serialize_ledger(base_ledger())  # eight lines
     with pytest.raises(PlanError, match=f"ledger line 9: {re.escape(why)}"):

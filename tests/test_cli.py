@@ -315,6 +315,26 @@ def test_sup_closed_forms(capsys, monkeypatch):
     assert code == 2 and "usage error" in err and out == ""
 
 
+def test_scan_range_checked_before_any_table(capsys, monkeypatch):
+    # a range the scan refuses is refused before anything is sieved: a
+    # start below 1 asked for a 24 GiB table (exit 3), an inverted range
+    # beyond 2^31 reported the sieve limit
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "_get_tables", refuse)
+    verify = ("verify", "--pred", "m4343")
+    sup = ("sup", "--target", "m", "--weight", "sqrtx")
+    for argv, why in (
+            (verify + ("--from", "0.5", "--to", "2e9"), "range must start at x >= 1"),
+            (verify + ("--from", "3e9", "--to", "2.5e9"), "empty range [3000000000.0, "),
+            (verify + ("--from", "7.5", "--to", "7.25"), "empty range [7.5, 7.25)"),
+            (sup + ("--from", "3e9", "--to", "2.5e9"), "empty range [3000000000.0, "),
+            (sup + ("--from", "0.25", "--to", "0.5"), "empty range [0.25, 0.5]")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"usage error: {why}" in err
+
+
 def test_readme_cli_block_parses():
     # every `mobsum ...` line of README's CLI block names only real options
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -390,16 +410,24 @@ def test_convert_names_a_key_its_step_does_not_read(capsys, tmp_path, step, key)
 
 
 def test_malformed_ledger_file_exit_2(capsys, tmp_path):
-    # a line without its type field ended in a KeyError traceback, exit 1
     ledger = tmp_path / "ledger.txt"
-    ledger.write_text("kind=axiom name=x target=m c=1 x_lo=3 x_hi=9 provenance=\n")
     plan = tmp_path / "plan.txt"
     plan.write_text("step: descend\nid: d\nhyp: x\nA: 2\n")
-    for argv in (["report", "--ledger", str(ledger)],
-                 ["convert", "--ledger", str(ledger), "--plan", str(plan)]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "ledger line 1: missing field 'type'" in err
+    for line, why in (
+            # a line without its type field ended in a KeyError traceback, exit 1
+            ("kind=axiom name=x target=m c=1 x_lo=3 x_hi=9 provenance=",
+             "missing field 'type'"),
+            # a repeated field kept its last value, a foreign one was ignored
+            ("kind=axiom name=x type=sqrt target=m c=9 c=1 x_lo=3 x_hi=9 provenance=",
+             "field 'c' repeated"),
+            ("kind=axiom name=x type=sqrt target=m c=1 x_lo=3 x_hi=9 A=1 provenance=",
+             "type sqrt has no field 'A'")):
+        ledger.write_text(line + "\n")
+        for argv in (["report", "--ledger", str(ledger)],
+                     ["convert", "--ledger", str(ledger), "--plan", str(plan)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert f"ledger line 1: {why}" in err
 
 
 def test_non_numeric_plan_value_exit_2(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -120,8 +121,8 @@ def test_verify_range_guards(tables_small):
         verify_range(PREDICATES["m4343"], 1, 30000, tables_small)
     with pytest.raises(InvalidArgumentError):
         verify_range(PREDICATES["m4343"], 0, 10, tables_small)
-    # an empty or inverted range certifies nothing
-    for lo, hi in ((5000, 3000), (5000, 5000)):
+    # an empty or inverted range certifies nothing, also within one interval
+    for lo, hi in ((5000, 3000), (5000, 5000), (5000.5, 5000.25), (5000.5, 5000.5)):
         with pytest.raises(InvalidArgumentError):
             verify_range(PREDICATES["m4343"], lo, hi, tables_small)
     for lo, hi in ((math.nan, 10), (2, math.nan), (2, math.inf), (-math.inf, 10)):
@@ -138,6 +139,21 @@ def test_verify_jobs_deterministic(tables_small):
             assert r.max_ratio == reps[0].max_ratio
             assert r.argmax == reps[0].argmax
             assert r.indeterminate == reps[0].indeterminate
+
+
+def test_scans_start_no_thread(tables_small, monkeypatch):
+    # the kernel runs on few chunks: scans stay in the calling thread,
+    # whatever jobs says
+    def refuse(self):
+        raise AssertionError("a scan started a thread")
+
+    monkeypatch.setattr(verify, "_CHUNK", 97)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for pred in ("m4345", "Msqrt0.5", "mchecklog2-0.162"):
+        rep = verify_range(PREDICATES[pred], 2, 6000, tables_small, jobs=2)
+        assert rep.checked == 5998
+    for target, weight in (("m", "sqrtx"), ("M", "sqrtx"), ("m1", "log2x")):
+        sup_scan(tables_small, target, weight, 2, 6000)
 
 
 def test_chunk_size_does_not_change_reports(tables_small, monkeypatch):
