@@ -27,9 +27,9 @@ _EXPORTS = {
     ),
     "quad": ("MellinBracket", "mellin_numeric"),
     "special": (
-        "EnvelopeParams", "H2_ENVELOPE", "SpecialValue", "euler_gamma",
-        "h2_integral_bound", "mellin_G1_closed", "mellin_G1check_closed",
-        "mellin_H1_closed", "zeta_prime_zero", "zeta_real",
+        "EnvelopeParams", "H2_ENVELOPE", "SpecialValue", "h2_integral_bound",
+        "mellin_G1_closed", "mellin_G1check_closed", "mellin_H1_closed",
+        "zeta_prime_zero", "zeta_real",
     ),
     "tables": (
         "MuTable", "PrefixSeries", "SeriesPair", "Tables", "build_tables",
@@ -39,9 +39,7 @@ _EXPORTS = {
         "PREDICATES", "Predicate", "RatioReport", "VerificationReport",
         "ratio_theorem_C", "ratio_violation_below", "sup_scan", "verify_range",
     ),
-    "weights": (
-        "G1_SPEC", "H1_SPEC", "WeightSpec", "epsilon1", "eval_G", "eval_H", "g1", "h1",
-    ),
+    "weights": ("G1_SPEC", "H1_SPEC", "WeightSpec"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

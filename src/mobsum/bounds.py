@@ -70,11 +70,12 @@ class BoundForm:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise InvalidArgumentError(f"unknown target {self.target!r}")
-        if self.A < 0 or self.j < 0 or self.log_T < 0:
-            raise InvalidArgumentError("BoundForm requires A >= 0, j >= 0, T >= 1")
-        for _, p in self.remainders:
-            if p <= 0:
-                raise InvalidArgumentError("remainder powers must be positive")
+        # a NaN fails every comparison, so no field can be NaN
+        if not (self.A >= 0 and self.j >= 0 and self.log_T >= 0 and abs(self.theta) < math.inf):
+            raise InvalidArgumentError("BoundForm requires A >= 0, j >= 0, T >= 1, finite theta")
+        for lc, p in self.remainders:
+            if not (p > 0 and lc < math.inf):
+                raise InvalidArgumentError("remainders need finite coefficients, positive powers")
 
     @property
     def T(self) -> float:
@@ -107,7 +108,7 @@ class SqrtModel:
     provenance: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.c <= 0 or self.x_lo > self.x_hi:
+        if not (self.c > 0 and self.x_lo <= self.x_hi):
             raise InvalidArgumentError("SqrtModel requires c > 0 and x_lo <= x_hi")
 
 
@@ -365,6 +366,8 @@ def majorant_descent(form: BoundForm, target_A: float, target_j: Optional[float]
     sum crosses 1 at most once; a bisection locates that crossing.  When the
     sum is already <= 1 at L_start, L_start is the certified rank.
     """
+    if not target_A > 0:
+        raise InvalidArgumentError(f"descent target A must be positive, not {target_A:g}")
     if target_j is None:
         target_j = form.j
     if target_theta is None:
@@ -702,10 +705,12 @@ def run_plan_step(ledger: Ledger, step: dict):
     elif kind == "triangle_m":
         res = triangle_m(entry("hyp"), entry("hyp2"))
     elif kind == "descend":
+        cap = _num(step, "rank_cap") if "rank_cap" in step else None
+        if cap is not None and cap <= 0:
+            raise PlanError(f"plan value rank_cap: {step['rank_cap']!r} is not positive")
         res = descend_to(entry("hyp"), _num(step, "A"),
                          target_j=_num(step, "j") if "j" in step else None,
-                         log_rank_cap=(math.log(_num(step, "rank_cap"))
-                                       if "rank_cap" in step else None))
+                         log_rank_cap=None if cap is None else math.log(cap))
     elif kind == "sqrt_lower":
         res = sqrt_range_lowering(entry("hyp"), entry("model"))
     else:

@@ -1,5 +1,6 @@
 """Residual evaluation of the integral identities tying the summatory
-step functions to the weight lattice sums g1 and h1.
+step functions to the weight lattice sums G1 and H1, with the closed-form
+boundary integrals of the densities g1 and h1 that they read.
 
 Each identity is exact; the residual measures only numeric error (sieve
 prefix sums are exact or radius-certified, the kernel integrals of
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
 from .quad import identity_kernel_integral  # called as a module global: wrappable
 from .tables import Tables, evaluate
 
@@ -93,14 +93,3 @@ def residual_mchliss(tables: Tables, x: float, tol: float = _DEFAULT_TOL) -> Ide
        = integral_1^x m1(x/t) G1(t) dt/t - (1/x) integral_{1/x}^1 g1/y
          - integral_0^{1/x} g1."""
     return _residual("mchliss", tables, x, tol)
-
-
-def residual_h1_remainder(x: float) -> float:
-    """F(x) = -x * integral_0^{1/x} h1 = 2 - 8/(3x) - 2/(3x^2) + 4/(3x^3).
-
-    F is nonnegative, increasing, and tends to 2; also
-    |integral_0^{1/x} h1| = F(x)/x <= 2/x.
-    """
-    if x < 1.0:
-        raise InvalidArgumentError("x must be >= 1")
-    return -x * h1_head_integral(x)

@@ -1,4 +1,4 @@
-"""Real-axis zeta values, fundamental constants, Mellin closed forms and the
+"""Real-axis zeta values, zeta'(0), Mellin closed forms and the
 published H2 envelope constants (`H2_ENVELOPE`, read by `h2_integral_bound`).
 
 zeta is computed by the accelerated alternating (Dirichlet eta) series with
@@ -78,10 +78,6 @@ def zeta_real(s: float) -> SpecialValue:
     value = float(z)
     rep = 0.5 * _ULP * abs(value) if value != 0 else _ULP
     return SpecialValue(value=value, abs_error=trunc + rep)
-
-
-def euler_gamma() -> SpecialValue:
-    return SpecialValue(value=_EULER_GAMMA, abs_error=1e-16)
 
 
 def zeta_prime_zero() -> SpecialValue:

@@ -80,11 +80,13 @@ def _mp_fns() -> SimpleNamespace:
                            exp=np.frompyfunc(mp.exp, 1, 1))
 
 
-def _scan_range(lo: float, hi: float, closed: bool = False) -> Tuple[int, int]:
+def _scan_range(lo: float, hi: float, limit: float = math.inf,
+                closed: bool = False) -> Tuple[int, int]:
     """(n_lo, n_hi): the intervals [n, n+1), n_lo <= n < n_hi, that a scan
-    of [lo, hi) meets (of [lo, hi] if closed, from x = 1).  The range rules
-    of `verify_range` and `sup_scan`, which need no table: a command checks
-    them before it builds one."""
+    of [lo, hi) meets (of [lo, hi] if closed, from x = 1), each of which
+    reads its table at n only, so n_hi - 1 may reach the table limit.  The
+    range rules of `verify_range` and `sup_scan`: a command checks them,
+    without a limit, before it builds a table."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidArgumentError(f"range bounds must be finite, not {lo}, {hi}")
     if closed:
@@ -95,6 +97,8 @@ def _scan_range(lo: float, hi: float, closed: bool = False) -> Tuple[int, int]:
             raise InvalidArgumentError("range must start at x >= 1")
     if (hi < lo if closed else hi <= lo) or n_hi <= n_lo:
         raise InvalidArgumentError(f"empty range [{lo}, {hi}{']' if closed else ')'}")
+    if n_hi - 1 > limit:
+        raise RangeError(f"range end {hi} exceeds sieve limit {limit}")
     return n_lo, n_hi
 
 
@@ -127,6 +131,9 @@ class Predicate:
         if self.kind not in _KIND_WEIGHT:
             raise InvalidArgumentError(f"unknown predicate kind {self.kind!r}")
         _check_weight(self.target, _KIND_WEIGHT[self.kind])
+        if not 0 < self.c < math.inf:
+            raise InvalidArgumentError(f"predicate constant must be finite and positive, "
+                                       f"not {self.c}")
 
 
 PREDICATES = {
@@ -552,9 +559,7 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     them measured slower than not.  The keyword stays for the callers
     that pass their sieve's worker count (perfbench/workloads.py).
     """
-    n_lo, n_hi = _scan_range(lo, hi)
-    if n_hi - 1 > tables.limit:
-        raise RangeError(f"range end {hi} exceeds sieve limit {tables.limit}")
+    n_lo, n_hi = _scan_range(lo, hi, tables.limit)
     spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
     scale, bound = _scale_bound(pred)
 
@@ -616,9 +621,7 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
     reaches the largest value found (`_first_max`).
     """
     _check_weight(target, weight)
-    n_lo, n_hi = _scan_range(lo, hi, closed=True)
-    if hi > tables.limit:
-        raise RangeError(f"scan end {hi} exceeds sieve limit {tables.limit}")
+    n_lo, n_hi = _scan_range(lo, hi, tables.limit, closed=True)
     spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
 
     def peak(i):

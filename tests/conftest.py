@@ -5,7 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from mobsum import verify
+from mobsum import quad, verify
+from mobsum.identities import h1_head_integral
 from mobsum.tables import build_tables
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -33,6 +34,73 @@ def mp_lattice(name, t):
     if name == "g1":
         return 1 - 4 * S1 / t**2 + 4 * S3 / t**4
     return 1 - mp.mpf(2) / 3 * (8 * S1 / t - 3 * N - 8 * S3 / t**3 + 3 * S2 / t**2)
+
+
+def g1(y):
+    """Density 4 y (1 - y^2) on [0, 1]; unit integral."""
+    return 4.0 * y * (1.0 - y * y)
+
+
+def h1(y):
+    """Density (2/3)(1 - y^2)(8y - 3) on [0, 1]; zero integral."""
+    return (2.0 / 3.0) * (1.0 - y * y) * (8.0 * y - 3.0)
+
+
+def lattice_direct(name, t):
+    """G1(t) or H1(t) by the direct lattice sum, in long double."""
+    density = g1 if name == "g1" else h1
+    s = np.sum(np.asarray([density(n / t) for n in range(1, math.floor(t) + 1)],
+                          dtype=np.longdouble))
+    if name == "g1":
+        s = s / np.longdouble(t)
+    return float(np.longdouble(1.0) - s)
+
+
+def lattice_closed(name, t):
+    """G1(t) or H1(t), t >= 1, in extended precision, written in f = t - N
+    (exact in binary64) and g = f (1 - f) so that no terms cancel:
+
+        G1(t) = ((1 - 2f)/t - g/t^2)^2,
+        H1(t) = (1 - (10/3) g)/t + (7/3) g (2f - 1)/t^2 + (4/3) g^2/t^3.
+
+    These are the power-sum forms of `weights.lattice_power_coeffs` with
+    N = t - f; the leading term of H1 is the Euler-Maclaurin approximation.
+    """
+    tl = np.longdouble(t)
+    f = tl - np.floor(tl)
+    g = f * (1 - f)
+    u = 1 / tl
+    if name == "g1":
+        r = ((1 - 2 * f) - g * u) * u
+        return float(r * r)
+    third = 1 / np.longdouble(3)
+    return float(u * ((1 - 10 * third * g)
+                      + u * (7 * third * g * (2 * f - 1) + u * (4 * third * g * g))))
+
+
+def epsilon1(t):
+    """Closed form of the antiderivative of G1 from 1, t >= 1:
+
+    1/3 - 1/(3t) + (4/3)({t}^3 - (3/2){t}^2 + {t}/2)/t^2
+               - (1/3)({t}^4 - 2{t}^3 + {t}^2)/t^3.
+    """
+    f = t - math.floor(t)
+    a = f * f * f - 1.5 * f * f + 0.5 * f
+    b = f * f * f * f - 2.0 * f * f * f + f * f
+    return 1.0 / 3.0 - 1.0 / (3.0 * t) + (4.0 / 3.0) * a / (t * t) - b / (3.0 * t**3)
+
+
+def em_H1_envelope(t):
+    """Euler-Maclaurin approximation of H1(t), t >= 1, and the error bound
+    that `quad`'s tail uses: [(10/3)({t}^2 - {t}) + 1]/t, 1.56/(6 t^2)."""
+    f = t - math.floor(t)
+    approx = ((10.0 / 3.0) * (f * f - f) + 1.0) / t
+    return approx, quad._EM_H1_ERROR / (6.0 * t * t)
+
+
+def h1_remainder(x):
+    """F(x) = -x * integral_0^{1/x} h1 = 2 - 8/(3x) - 2/(3x^2) + 4/(3x^3)."""
+    return -x * h1_head_integral(x)
 
 
 def mp_panel_quad(f, edges, dps=30):

@@ -14,7 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import golden_points, mp_lattice, mp_panel_quad
+from conftest import (
+    em_H1_envelope,
+    epsilon1,
+    golden_points,
+    lattice_closed,
+    mp_lattice,
+    mp_panel_quad,
+)
 from mobsum.chains import LIMSUP_M_OVER_SQRT, base_ledger, run_chain
 from mobsum.identities import (
     residual_bal2,
@@ -22,7 +29,7 @@ from mobsum.identities import (
     residual_thm1_G,
     residual_thm1_H,
 )
-from mobsum.quad import mellin_numeric
+from mobsum.quad import _EM_H1_ERROR, _G1_ENVELOPE, _H1_ENVELOPE, mellin_numeric
 from mobsum.special import (
     h2_integral_bound,
     mellin_G1_closed,
@@ -35,7 +42,7 @@ from mobsum.verify import (
     sup_scan,
     verify_range,
 )
-from mobsum.weights import G1_SPEC, H1_SPEC, em_H1_envelope, epsilon1, eval_G, eval_H
+from mobsum.weights import G1_SPEC, H1_SPEC
 
 
 def report(num, ok, detail):
@@ -170,15 +177,15 @@ def test_criterion_08_envelopes():
     worst_em = 0.0
     all_ok = True
     for t in golden_points(10**5, 1.0, 1e5):
-        G = eval_G(G1_SPEC, t)
-        H = eval_H(H1_SPEC, t)
-        all_ok &= -1e-10 <= G <= 1.0 / (t * t) + 1e-10
-        all_ok &= -1e-10 <= H <= 2.1 / t + 1e-10
+        G = lattice_closed("g1", t)
+        H = lattice_closed("h1", t)
+        all_ok &= -1e-10 <= G <= _G1_ENVELOPE / (t * t) + 1e-10
+        all_ok &= -1e-10 <= H <= _H1_ENVELOPE / t + 1e-10
         approx, err = em_H1_envelope(t)
         worst_em = max(worst_em, abs(H - approx) - err)
         all_ok &= abs(H - approx) <= err + 1e-10
     ok = report(8, all_ok,
-                f"1e5 samples: envelopes hold; EM error within 1.56/(6t^2) "
+                f"1e5 samples: envelopes hold; EM error within {_EM_H1_ERROR}/(6t^2) "
                 f"(worst slack {worst_em:.2e})")
     assert ok
 

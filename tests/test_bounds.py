@@ -610,8 +610,13 @@ def test_abs_M_heads_are_the_exact_integrals(tables_small):
      "remainders= provenance=", "field 'A' repeated"),
     ("kind=axiom name=x type=sqrt target=m c=1 x_lo=3 x_hi=9 junk=1 provenance=",
      "type sqrt has no field 'junk'"),
+    # a NaN fails every comparison: logT=nan would clear any rank check
+    ("kind=axiom name=x type=bound target=m A=1 theta=1 j=0 logT=nan remainders= "
+     "provenance=", "BoundForm requires"),
+    ("kind=axiom name=x type=sqrt target=m c=nan x_lo=3 x_hi=9 provenance=",
+     "SqrtModel requires"),
 ], ids=["type", "remainders", "kind", "number", "pair", "duplicate", "kind-value",
-        "type-value", "repeated", "foreign"])
+        "type-value", "repeated", "foreign", "logT-nan", "c-nan"])
 def test_load_ledger_names_a_malformed_line(line, why):
     text = serialize_ledger(base_ledger())  # eight lines
     with pytest.raises(PlanError, match=f"ledger line 9: {re.escape(why)}"):

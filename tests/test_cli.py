@@ -81,7 +81,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert "invalid choice: 'bogus'" in err and "'const'" in err and "'all'" in err
 
 
-# every name mobsum/__init__.py exported when it imported each module eagerly
+# every name mobsum exports
 EXPORTS = """BoundForm Ledger SqrtModel bootstrap convert_via_G1 convert_via_G1check
     convert_via_H1 convert_via_H_envelope descend_to load_ledger
     log_comparison_lowering majorant_descent parse_plan serialize_ledger
@@ -89,12 +89,12 @@ EXPORTS = """BoundForm Ledger SqrtModel bootstrap convert_via_G1 convert_via_G1c
     ChainResult ChainStep base_ledger run_chain DomainError InvalidArgumentError
     MobsumError NoDescentError PlanError RangeError ResourceError IdentityReport
     residual_bal2 residual_mchliss residual_thm1_G residual_thm1_H MellinBracket
-    mellin_numeric SpecialValue euler_gamma h2_integral_bound mellin_G1_closed
+    mellin_numeric SpecialValue h2_integral_bound mellin_G1_closed
     mellin_G1check_closed mellin_H1_closed zeta_prime_zero zeta_real MuTable
     PrefixSeries SeriesPair Tables build_tables evaluate load_table save_table
     sieve_mu PREDICATES Predicate RatioReport VerificationReport ratio_theorem_C
     ratio_violation_below sup_scan verify_range G1_SPEC H1_SPEC H2_ENVELOPE
-    EnvelopeParams WeightSpec epsilon1 eval_G eval_H g1 h1 __version__""".split()
+    EnvelopeParams WeightSpec __version__""".split()
 
 
 def _modules_after(code):
@@ -110,6 +110,7 @@ def _modules_after(code):
 def test_startup_imports_only_what_is_read():
     assert _modules_after("import mobsum.cli; mobsum.cli._build_parser()") == "[]"
     assert _modules_after("import mobsum.verify") == "['numpy']"
+    assert mobsum.__all__ == sorted(set(EXPORTS) - {"__version__"})
     for name in EXPORTS:
         exec(f"from mobsum import {name}", {})
 
@@ -385,6 +386,11 @@ def test_convert_bad_plan_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "convert", "--plan", str(plan))
     assert code == 2
     assert "M_integral required" in err and out == ""
+    # A or rank_cap <= 0 has no logarithm: a usage error, not exit 1 (a failed check)
+    for bad in ("A: 0\n", "A: -1\n", "A: 0.001\nrank_cap: 0\n"):
+        plan.write_text("step: descend\nid: d\nhyp: m-meissel\n" + bad)
+        code, out, err = run(capsys, "convert", "--plan", str(plan))
+        assert code == 2 and out == "" and "usage error" in err, bad
 
 
 def test_convert_refuses_a_stated_prefix_integral(capsys, tmp_path):

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import pytest
 
-from conftest import golden_points, mp_lattice, mp_panel_quad
+from conftest import g1, golden_points, h1, h1_remainder, mp_lattice, mp_panel_quad
 from mobsum import identities
 from mobsum.errors import InvalidArgumentError
 from mobsum.identities import (
@@ -12,13 +12,11 @@ from mobsum.identities import (
     g1_head_integral,
     h1_head_integral,
     residual_bal2,
-    residual_h1_remainder,
     residual_mchliss,
     residual_thm1_G,
     residual_thm1_H,
 )
 from mobsum.quad import identity_kernel_integral
-from mobsum.weights import epsilon1, g1, h1
 
 
 def test_closed_form_boundary_integrals_match_quadrature():
@@ -92,16 +90,10 @@ def test_step_weighted_integral_matches_quadrature(tables_small):
         assert exact == pytest.approx(float(num), abs=1e-9)
 
 
-def test_epsilon1_antiderivative_check():
-    for x in (2.0, 7.0, 50.0, 1000.0):
-        num = mp_panel_quad(lambda t: mp_lattice("g1", t), range(1, int(x) + 1))
-        assert abs(float(num) - (epsilon1(x) - epsilon1(1.0))) < 1e-9
-
-
 def test_h1_remainder_function():
-    assert residual_h1_remainder(1.0) == pytest.approx(2 - 8 / 3 - 2 / 3 + 4 / 3)
+    assert h1_remainder(1.0) == pytest.approx(2 - 8 / 3 - 2 / 3 + 4 / 3)
     # increasing, nonnegative after its zero, limit 2
-    vals = [residual_h1_remainder(x) for x in (1.0, 2.0, 5.0, 100.0, 1e6)]
+    vals = [h1_remainder(x) for x in (1.0, 2.0, 5.0, 100.0, 1e6)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(2.0, abs=1e-5)
     # |integral_0^{1/x} h1| = F(x)/x <= 2/x

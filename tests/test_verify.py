@@ -65,6 +65,11 @@ def test_sup_scan_M(tables_small):
 def test_sup_scan_guards(tables_small):
     with pytest.raises(RangeError):
         sup_scan(tables_small, "m", "1", 1, 30000)
+    # [N, N + 1/2] reads the table at N only: the rule of verify_range
+    N = tables_small.limit
+    assert sup_scan(tables_small, "m", "sqrtx", 3, N + 0.5)[1] < N + 0.5
+    with pytest.raises(RangeError):
+        sup_scan(tables_small, "m", "sqrtx", 3, N + 1)
     with pytest.raises(InvalidArgumentError):
         sup_scan(tables_small, "m1", "logx", 1, 10)
     with pytest.raises(InvalidArgumentError):
@@ -128,6 +133,9 @@ def test_verify_range_guards(tables_small):
     for lo, hi in ((math.nan, 10), (2, math.nan), (2, math.inf), (-math.inf, 10)):
         with pytest.raises(InvalidArgumentError):
             verify_range(PREDICATES["m4343"], lo, hi, tables_small)
+    # a NaN constant would pass every interval, with max_ratio nan
+    with pytest.raises(InvalidArgumentError):
+        verify_range(Predicate("x", "sqrt-bound", "M", math.nan), 2, 10, tables_small)
 
 
 def test_verify_jobs_deterministic(tables_small):
