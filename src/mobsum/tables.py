@@ -84,7 +84,7 @@ def _check_limit(limit: int) -> None:
 def _check_memory(limit: int, scratch: int, series) -> None:
     """Raise ResourceError if tables to ``limit`` with the prefix series
     named in ``series`` (5 B/n for mu and int32 Mertens, 8 B/n per series),
-    the 16 float64 blocks of a prefix build (when there is one) and
+    16 float64 blocks for a prefix build (when there is one; it holds 8) and
     ``scratch`` bytes would exceed physical memory."""
     need = (5 + 8 * len(series)) * limit + (16 * 8 * _BLOCK if series else 0) + scratch
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -122,7 +122,11 @@ def _sieve_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
         sq = p * p
         if sq < hi:
             mu[(-lo) % sq :: sq] = 0
-    mu[prod < np.arange(lo, hi, dtype=np.int32)] *= -1
+    # one arithmetic pass, not a boolean-indexed write: sign = 1 - 2 [prod < n]
+    sign = (prod < np.arange(lo, hi, dtype=np.int32)).view(np.int8)
+    sign <<= 1
+    np.subtract(1, sign, out=sign)
+    mu *= sign
     return mu
 
 
@@ -220,13 +224,14 @@ def _carried(ufunc, carry: float, x: np.ndarray) -> np.ndarray:
     return ufunc.accumulate(buf, out=buf)
 
 
-def _carried_prefix(limit: int, block_terms) -> PrefixSeries:
+def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
     """Prefix sums of per-index terms with one round of error-free correction,
     built _BLOCK indices at a time.
 
-    ``block_terms(a, b)`` gives the terms t_k for k in [a, b) and the bound
-    on each term's own representation error.  Within a block, with s_k the
-    naive prefix and s_{k-1} its predecessor,
+    ``block_terms(mu, k, out)`` writes the terms t_k for the indices k (a
+    float64 block) with Möbius values mu into ``out``; each term's own
+    representation error is at most rep = rep_ulps * ulp * |t_k|.  Within a
+    block, with s_k the naive prefix and s_{k-1} its predecessor,
 
         bb  = s_k - s_{k-1}            (Neumaier branch-free TwoSum split)
         err = (s_{k-1} - (s_k - bb)) + (t_k - bb)
@@ -240,56 +245,92 @@ def _carried_prefix(limit: int, block_terms) -> PrefixSeries:
     Each part is nondecreasing in k and rounding is monotone, so a block's
     largest radius is at its last index, the one place it is evaluated.
 
+    Sums that read the same inputs run as one complex128 accumulate: s with
+    sum |t|, and sum err with sum |err|.  Complex addition adds the real
+    parts and the imaginary parts separately, each rounded once, so every
+    component is bit for bit the real running sum it stands for.  For
+    rep_ulps = 1 the running sum of rep needs no pass of its own: rep =
+    ulp |t_k| is a power-of-two scaling, each nonzero |t_k| >= 2^-31 keeps
+    it and every partial sum far from the subnormals, and rounding commutes
+    with such a scaling, so the sum of rep is exactly ulp * sum |t|.  Other rep_ulps (3 for ell) keep a real
+    running sum of rep.
+
     Six values carry between blocks (the prefix s, the sums of err, |t|, rep
     and |err|, and max |values|) into slot 0 of each block's left-to-right
     sums (``np.sum`` is pairwise and would round differently), so every
     float operation runs in the order of one pass over the whole table, no
-    value or radius depends on _BLOCK and the scratch is O(_BLOCK).
+    value or radius depends on _BLOCK, and the scratch is a fixed set of
+    at most 8 block-sized float64 buffers (the complex sums count twice),
+    allocated once per series.
     """
+    limit = table.limit
     values = np.empty(limit + 1)
     radius = np.empty(-(-limit // _BLOCK) + 1)
     values[0] = radius[0] = 0.0
-    s = e_sum = abs_sum = rep_sum = abs_err_sum = v_max = 0.0
+    size = min(_BLOCK, limit)
+    k = np.arange(1, size + 1, dtype=np.float64)  # the block's indices
+    terms, scratch = np.empty(size), np.empty(size)
+    # slot 0 holds the carry, slot i + 1 the running sums through k[i]
+    run = np.empty(size + 1, dtype=np.complex128)    # (s, sum |t|)
+    e_run = np.empty(size + 1, dtype=np.complex128)  # (sum err, sum |err|)
+    rep = np.empty(size + 1) if rep_ulps != 1 else None
+    carry = e_carry = 0j
+    rep_sum = v_max = 0.0
     for j, a in enumerate(range(1, limit + 1, _BLOCK), 1):
         b = min(a + _BLOCK, limit + 1)
-        terms, rep = block_terms(a, b)
-        run = _carried(np.add, s, terms)
-        prev, cur = run[:-1], run[1:]
-        bb = cur - prev
-        err = (prev - (cur - bb)) + (terms - bb)
-        e_run = _carried(np.add, e_sum, err)[1:]
-        v = np.add(cur, e_run, out=values[a:b])
-        s, e_sum = cur[-1], e_run[-1]
-        abs_sum = _carried(np.add, abs_sum, np.abs(terms))[-1]
-        rep_sum = _carried(np.add, rep_sum, rep)[-1]
-        abs_err_sum = _carried(np.add, abs_err_sum, np.abs(err))[-1]
-        v_max = max(v_max, np.abs(v).max())
+        n = b - a
+        t, w, z, ze = terms[:n], scratch[:n], run[:n + 1], e_run[:n + 1]
+        block_terms(table.mu[a:b], k[:n], t)
+        z[0] = carry
+        z.real[1:] = t
+        np.abs(t, out=z.imag[1:])
+        if rep is not None:
+            r = rep[:n + 1]
+            r[0] = rep_sum
+            np.multiply(z.imag[1:], rep_ulps * _ULP, out=r[1:])
+            rep_sum = np.add.accumulate(r, out=r)[-1]
+        np.add.accumulate(z, out=z)
+        prev, cur = z.real[:-1], z.real[1:]
+        np.subtract(cur, prev, out=w)              # bb
+        np.subtract(t, w, out=t)                   # t - bb
+        np.subtract(cur, w, out=w)                 # s - bb
+        np.subtract(prev, w, out=w)                # prev - (s - bb)
+        ze[0] = e_carry
+        np.add(w, t, out=ze.real[1:])              # err
+        np.abs(ze.real[1:], out=ze.imag[1:])
+        np.add.accumulate(ze, out=ze)
+        v = np.add(cur, ze.real[1:], out=values[a:b])
+        v_max = max(v_max, np.abs(v, out=w).max())
+        carry, e_carry = z[-1], ze[-1]
+        abs_sum, abs_err_sum = carry.imag, e_carry.imag
+        if rep is None:
+            rep_sum = _ULP * abs_sum
         radius[j] = (rep_sum + _ULP * abs_err_sum + (b - 1) * _ULP * _ULP * abs_sum
                      + 2.0 * _ULP * v_max)
+        k += _BLOCK
     return PrefixSeries(limit=limit, values=values, error_radius=radius)
+
+
+def _m_terms(mu, k, out):
+    np.divide(mu, k, out=out)
+
+
+def _ell_terms(mu, k, out):
+    np.log(k, out=out)
+    np.multiply(mu, out, out=out)
+    np.divide(out, k, out=out)
 
 
 def m_series(table: MuTable) -> PrefixSeries:
     """Prefix sums of mu(k)/k, certified to ~1e-14 absolute up to 1e8."""
-
-    def block_terms(a, b):
-        terms = table.mu[a:b].astype(np.float64) / np.arange(a, b, dtype=np.float64)
-        # each quotient mu/k carries at most half an ulp of relative error
-        return terms, _ULP * np.abs(terms)
-
-    return _carried_prefix(table.limit, block_terms)
+    # each quotient mu/k carries at most half an ulp of relative error
+    return _carried_prefix(table, _m_terms, 1)
 
 
 def ell_series(table: MuTable) -> PrefixSeries:
     """Prefix sums of mu(k)*log(k)/k (the auxiliary series behind mcheck)."""
-
-    def block_terms(a, b):
-        k = np.arange(a, b, dtype=np.float64)
-        terms = table.mu[a:b].astype(np.float64) * np.log(k) / k
-        # log() is faithfully rounded (<=1 ulp) and the quotient adds one more
-        return terms, 3.0 * _ULP * np.abs(terms)
-
-    return _carried_prefix(table.limit, block_terms)
+    # log() is faithfully rounded (<=1 ulp) and the quotient adds one more
+    return _carried_prefix(table, _ell_terms, 3)
 
 
 @dataclass(frozen=True)

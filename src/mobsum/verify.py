@@ -191,14 +191,16 @@ def _best(vals, cands):
     return sup, arg
 
 
-def _bisect(u, lo, hi, ulo, uhi, fn):
+def _bisect(u, lo, hi, ulo, uhi, fn, root, scratch):
     """Elementwise root of u(x, log x, k) in [lo, hi] where u changes sign,
-    else lo.  A midpoint where u is exactly 0 is kept."""
-    root = lo.copy()
-    k = np.nonzero(ulo * uhi < 0)[0]
+    else lo, written to ``root``, which may be ulo's buffer (ulo is read
+    first); ``scratch`` is overwritten.  A midpoint where u is exactly 0 is
+    kept."""
+    k = np.flatnonzero(np.multiply(ulo, uhi, out=scratch) < 0)
+    a, b, ua = lo[k], hi[k], ulo[k]
+    np.copyto(root, lo)
     if not k.size:
         return root
-    a, b, ua = lo[k], hi[k], ulo[k]
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (a + b)
         um = u(mid, fn.log(mid), k)
@@ -231,20 +233,49 @@ def _interval_sup(target, weight, x1, x2, m, M, ell, fn=np):
     if target == "m1":
         # d/dx (m - M/x) log^2 x = (log x / x^2) u(x), u = M log x + 2 m x - 2 M;
         # u' = M/x + 2m changes sign only at xs = -M/(2m), so u has at most
-        # one root on each side of xs
-        def f(x, lx):
-            return np.abs(m - M / x) * lx * lx
+        # one root on each side of xs.  Every fresh chunk-sized array costs
+        # page faults once the heap has no freed slack, so the branch works
+        # in four rows of w and in m_safe, lx2 and nonzero once they are dead.
+        w = np.empty((4,) + x1.shape, dtype=x1.dtype)
 
-        def u(x, lx, k=slice(None)):
-            return M[k] * lx + 2.0 * m[k] * x - 2.0 * M[k]
+        def f(x, lx, out):
+            np.divide(M, x, out=out)
+            np.subtract(m, out, out=out)
+            np.abs(out, out=out)
+            out *= lx
+            out *= lx
+            return out
 
-        xs = -M / (2.0 * m_safe)
-        s = np.where(nonzero & (x1 < xs) & (xs < x2), xs, x2)
-        u1, us, u2 = u(x1, lx1), u(s, fn.log(s)), u(x2, lx2)
-        ra = _bisect(u, x1, s, u1, us, fn)
-        rb = _bisect(u, s, x2, us, u2, fn)
-        return _best([f(x1, lx1), f(x2, lx2), f(ra, fn.log(ra)), f(rb, fn.log(rb))],
-                     [x1, x2, ra, rb])
+        def u(x, lx, k=slice(None), out=None, tmp=None):
+            out = np.multiply(M[k], lx, out=out)
+            tmp = np.multiply(2.0, m[k], out=tmp)
+            tmp *= x
+            out += tmp
+            out -= np.multiply(2.0, M[k], out=tmp)
+            return out
+
+        # s = xs = M / (-2m): -M / (2m) but for the sign of a zero xs, which
+        # x1 < xs never admits; then s = x2 where xs is not inside (x1, x2)
+        s = m_safe
+        s *= -2.0
+        np.divide(M, s, out=s)
+        inside = np.less(x1, s)
+        nonzero &= inside
+        nonzero &= np.less(s, x2, out=inside)
+        np.copyto(s, x2, where=np.logical_not(nonzero, out=nonzero))
+        us = u(s, fn.log(s, out=w[0]), out=w[1], tmp=w[3])
+        u1, u2 = u(x1, lx1, out=w[0], tmp=w[3]), u(x2, lx2, out=w[2], tmp=w[3])
+        ra = _bisect(u, x1, s, u1, us, fn, u1, w[3])
+        rb = _bisect(u, s, x2, us, u2, fn, us, w[3])
+        # the first of x1, x2, ra, rb with the largest f wins
+        sup, arg, better = f(x1, lx1, w[2]), s, nonzero
+        arg[...] = x1
+        for x in (x2, ra, rb):
+            v = f(x, lx2 if x is x2 else fn.log(x, out=lx2), w[3])
+            np.greater(v, sup, out=better)
+            np.copyto(sup, v, where=better)
+            np.copyto(arg, x, where=better)
+        return sup, arg
     # mcheck - 1: g(L) = |m L - d| L^2 over L = log x, critical at L = 2d/(3m)
     d = ell + 1.0
 

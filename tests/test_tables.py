@@ -83,6 +83,38 @@ def test_sieve_jobs_deterministic(monkeypatch):
     assert np.array_equal(a.mertens, b.mertens)
 
 
+def test_build_jobs_deterministic(monkeypatch):
+    # 4096-entry segments: every worker count sieves many segments, and each
+    # retained array of the build is the same bytes whatever the count
+    monkeypatch.setattr(tables, "_SIEVE_BLOCK", 1 << 12)
+    builds = [build_tables(100000, jobs=jobs) for jobs in (1, 2, 4)]
+
+    def arrays(t):
+        return (t.mu.mu, t.mu.mertens, t.series.m.values, t.series.m.error_radius,
+                t.series.ell.values, t.series.ell.error_radius)
+
+    first = [a.tobytes() for a in arrays(builds[0])]
+    for other in builds[1:]:
+        assert [a.tobytes() for a in arrays(other)] == first
+
+
+def test_sieve_block_peak_per_entry():
+    # sieve_mu reserves 10 B per segment entry for each worker: mu (int8),
+    # the prime product (int32), and the int32 n and the comparison of the
+    # sign pass; the array headers add a few hundred bytes per call
+    for lo, size in ((1, 1 << 20), (2**31 - 2**16, 2**16)):
+        primes = tables._small_primes(math.isqrt(lo + size - 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tables._sieve_block(lo, lo + size, primes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * size + 1024, (lo, peak / size)
+
+
 def test_sieve_segment_edges_divisor_identity(monkeypatch):
     # with 7-entry segments every few n sits next to a segment edge; the
     # identity holding for every N <= limit pins down every mu(n)
@@ -174,6 +206,9 @@ def test_sieve_block_at_top_of_int32_range():
     lo, hi = 2**31 - 4096, 2**31
     got = tables._sieve_block(lo, hi, tables._small_primes(math.isqrt(hi - 1)))
     assert np.array_equal(got, _trial_division_mu(lo, hi))
+    # the sign pass flips the primes of the window, 2^31 - 1 among them:
+    # their one prime factor is the large one, just below 2^31
+    assert got[-1] == -1
 
 
 def test_build_calls_the_layer_hooks_once_each(monkeypatch):
