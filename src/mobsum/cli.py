@@ -298,6 +298,9 @@ def chain_name(text: str) -> str:
     return text
 
 
+_JOBS_HELP = "accepted and ignored: the sieve and the scans run in one thread"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mobsum", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -305,14 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sieve", help="build (and cache) a Moebius/Mertens table")
     sp.add_argument("--limit", type=int, required=True)
     sp.add_argument("--cache-dir", default=None)
-    sp.add_argument("--jobs", type=worker_count, default=1, help="sieve worker threads")
+    sp.add_argument("--jobs", type=worker_count, default=1, help=_JOBS_HELP)
     sp.set_defaults(func=_cmd_sieve)
 
     sp = sub.add_parser("verify", help="exhaustively verify a named inequality")
     sp.add_argument("--pred", required=True)
     sp.add_argument("--from", type=finite_float, required=True)
     sp.add_argument("--to", type=finite_float, required=True)
-    sp.add_argument("--jobs", type=worker_count, default=1, help="sieve worker threads")
+    sp.add_argument("--jobs", type=worker_count, default=1, help=_JOBS_HELP)
     sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=_cmd_verify)
 

@@ -16,16 +16,19 @@ Every prefix sum is built _BLOCK indices at a time: the Mertens sums carry
 the last exact sum of a block into the next, and the compensated series
 carry their running state (prefix, correction sum, sums of |t|, of the
 term errors and of |err|, and max |value|).  Every value and
-radius is bit-identical to one pass over the whole table.
+radius is bit-identical to one pass over the whole table.  Block j holds
+the indices (j - 1) _BLOCK < n <= min(j _BLOCK, limit), and the build
+records the largest |M(n)|, |m(n)| and |ell(n)| of each block, which a
+scan of a whole block reads instead of reducing it again.
 
 The retained tables take 5 bytes per n for mu (int8) and Mertens (int32,
 exact since |M(n)| <= n < 2^31), plus 8 per prefix series built (float64
-values): 5, 13 or 21 B/n for none, m alone, or m and ell.  A `Tables`
-bundle carries only the series its caller reads (``with_series``); a
-kernel that needs a missing one raises InvalidArgumentError.  The radius
-is nondecreasing, so each series keeps it only at block ends, where it
-bounds the radius of every index in the block; peak memory is the
-retained tables plus O(_BLOCK) scratch.
+values): 5, 13 or 21 B/n for none, m alone, or m and ell, plus a few
+numbers per block.  A `Tables` bundle carries only the series its caller
+reads (``with_series``); a kernel that needs a missing one raises
+InvalidArgumentError.  The radius is nondecreasing, so each series keeps
+it only at block ends, where it bounds the radius of every index in the
+block; peak memory is the retained tables plus O(_BLOCK) scratch.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import math
 import os
 import re
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +45,7 @@ from .errors import InvalidArgumentError, RangeError, ResourceError
 
 _ULP = 2.0 ** -53  # unit roundoff for IEEE-754 binary64
 _BLOCK = 1 << 16  # indices per block of the carried prefix sums
-_SIEVE_BLOCK = 1 << 20  # integers per sieve segment, the unit of parallel work
+_SIEVE_BLOCK = 1 << 20  # integers per sieve segment
 
 _CACHE_VERSION = "v2"
 _CACHE_HEADER = re.compile(rb"MOEBIUS-TABLE (v\d+) limit=([1-9]\d*)\n")
@@ -62,16 +64,19 @@ class MuTable:
     """Möbius values mu(1..limit) and their exact prefix sums.
 
     ``mu[n]`` and ``mertens[n]`` are 1-indexed: index 0 is unused (zero).
-    ``mertens[n] = sum_{k<=n} mu[k]`` held exactly in int32.
+    ``mertens[n] = sum_{k<=n} mu[k]`` held exactly in int32, and
+    ``block_absmax[j]`` is max |mertens[n]| over block j (entry 0 is 0).
     """
 
     limit: int
-    mu: np.ndarray        # int8, length limit+1
-    mertens: np.ndarray   # int32, length limit+1
+    mu: np.ndarray            # int8, length limit+1
+    mertens: np.ndarray       # int32, length limit+1
+    block_absmax: np.ndarray  # int32, length ceil(limit/_BLOCK)+1
 
     def __post_init__(self):
         self.mu.setflags(write=False)
         self.mertens.setflags(write=False)
+        self.block_absmax.setflags(write=False)
 
 
 def _check_limit(limit: int) -> None:
@@ -84,9 +89,11 @@ def _check_limit(limit: int) -> None:
 def _check_memory(limit: int, scratch: int, series) -> None:
     """Raise ResourceError if tables to ``limit`` with the prefix series
     named in ``series`` (5 B/n for mu and int32 Mertens, 8 B/n per series),
-    16 float64 blocks for a prefix build (when there is one; it holds 8) and
-    ``scratch`` bytes would exceed physical memory."""
-    need = (5 + 8 * len(series)) * limit + (16 * 8 * _BLOCK if series else 0) + scratch
+    the 8 float64 block buffers a prefix build holds (when there is one;
+    the series are built one after another) and ``scratch`` bytes would
+    exceed physical memory."""
+    need = ((5 + 8 * len(series)) * limit + (8 * 8 * min(_BLOCK, limit) if series else 0)
+            + scratch)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ResourceError(f"tables to limit {limit} need about {need / 2**30:.2f} GiB, "
@@ -133,44 +140,46 @@ def _sieve_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
 def sieve_mu(limit: int, jobs: int = 1, series=SERIES) -> MuTable:
     """Sieve mu(n) for 1 <= n <= limit and accumulate exact Mertens sums.
 
-    Deterministic for any segment size and worker count: each _SIEVE_BLOCK
-    segment is copied into place as it is produced, in index order, and
-    Mertens is block-carried over the merged array by ``_mu_table``.  Raises
-    ResourceError before allocating if the table and the prefix series
-    named in ``series``, which the caller goes on to build, would exceed RAM.
+    The _SIEVE_BLOCK segments are sieved one after another in the calling
+    thread and copied into place, and Mertens is block-carried over the
+    whole array by ``_mu_table``, so the table is the same for any segment
+    size.  ``jobs`` is accepted and not read: a thread per segment bought
+    no time (the strided per-prime updates hold the interpreter lock) and
+    held a second segment.  Raises ResourceError before allocating if the
+    table and the prefix series named in ``series``, which the caller goes
+    on to build, would exceed RAM.
     """
     if limit < 1:
         raise InvalidArgumentError("limit must be a positive integer")
     _check_limit(limit)
-    # each sieve worker holds 10 B per segment entry
-    workers = min(max(jobs, 1), -(-limit // _SIEVE_BLOCK))
-    _check_memory(limit, 10 * _SIEVE_BLOCK * workers, series)
+    # the segment being sieved holds 10 B per entry
+    _check_memory(limit, 10 * min(_SIEVE_BLOCK, limit), series)
     primes = _small_primes(int(math.isqrt(limit)))
-    spans = [(lo, min(lo + _SIEVE_BLOCK, limit + 1))
-             for lo in range(1, limit + 1, _SIEVE_BLOCK)]
     mu = np.zeros(limit + 1, dtype=np.int8)
-    # threads start only when the pool is given work
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = (pool.map if workers > 1 else map)(lambda s: _sieve_block(*s, primes), spans)
-        for (lo, hi), part in zip(spans, parts):
-            mu[lo:hi] = part
+    for lo in range(1, limit + 1, _SIEVE_BLOCK):
+        hi = min(lo + _SIEVE_BLOCK, limit + 1)
+        mu[lo:hi] = _sieve_block(lo, hi, primes)
     return _mu_table(mu)
 
 
 def _mu_table(mu: np.ndarray) -> MuTable:
     """MuTable over ``mu`` (int8, index 0 zero); Mertens is its prefix sum,
-    accumulated _BLOCK entries at a time into one int32 array with the last
-    sum of each block carried into the next (integer sums are exact, so
-    the carry may be added after the block's own prefix sum)."""
-    _check_limit(mu.shape[0] - 1)
-    mertens = np.empty(mu.shape[0], dtype=np.int32)
-    carry = 0
-    for a in range(0, mu.shape[0], _BLOCK):
+    accumulated block by block into one int32 array with the last sum of
+    each block carried into the next (integer sums are exact, so the carry
+    may be added after the block's own prefix sum), and the largest |M| of
+    each block is taken while the block is in cache."""
+    limit = mu.shape[0] - 1
+    _check_limit(limit)
+    mertens = np.empty(limit + 1, dtype=np.int32)
+    absmax = np.empty(-(-limit // _BLOCK) + 1, dtype=np.int32)
+    mertens[0] = absmax[0] = carry = 0
+    for j, a in enumerate(range(1, limit + 1, _BLOCK), 1):
         block = mertens[a:a + _BLOCK]
         np.cumsum(mu[a:a + _BLOCK], dtype=np.int32, out=block)
         block += carry
         carry = block[-1]
-    return MuTable(limit=mu.shape[0] - 1, mu=mu, mertens=mertens)
+        absmax[j] = max(block.max(), -block.min())
+    return MuTable(limit=limit, mu=mu, mertens=mertens, block_absmax=absmax)
 
 
 def abs_mertens_prefix_integral(table: MuTable, T: int) -> int:
@@ -196,16 +205,19 @@ class PrefixSeries:
     terms; index 0 is the empty sum (exactly 0).  The per-index radius is
     nondecreasing, so it is kept at block ends only: ``error_radius[j]`` is
     the radius at index min(j _BLOCK, limit) (entry 0 is 0), and
-    ``|values[n] - exact| <= radius(n)`` for every n.
+    ``|values[n] - exact| <= radius(n)`` for every n.  ``block_absmax[j]``
+    is max |values[n]| over block j (entry 0 is 0).
     """
 
     limit: int
     values: np.ndarray        # float64, length limit+1
     error_radius: np.ndarray  # float64, length ceil(limit/_BLOCK)+1
+    block_absmax: np.ndarray  # float64, length ceil(limit/_BLOCK)+1
 
     def __post_init__(self):
         self.values.setflags(write=False)
         self.error_radius.setflags(write=False)
+        self.block_absmax.setflags(write=False)
 
     def radius(self, n: int) -> float:
         """Certified error radius of ``values[n]``: the radius at the end of
@@ -244,6 +256,8 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
       * the final uncompensated rounding: 2 ulp * running max |values|.
     Each part is nondecreasing in k and rounding is monotone, so a block's
     largest radius is at its last index, the one place it is evaluated.
+    The largest |value| of each block, which the running max reads anyway,
+    is kept as ``block_absmax``.
 
     Sums that read the same inputs run as one complex128 accumulate: s with
     sum |t|, and sum err with sum |err|.  Complex addition adds the real
@@ -265,8 +279,9 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
     """
     limit = table.limit
     values = np.empty(limit + 1)
-    radius = np.empty(-(-limit // _BLOCK) + 1)
-    values[0] = radius[0] = 0.0
+    blocks = -(-limit // _BLOCK)
+    radius, absmax = np.empty(blocks + 1), np.empty(blocks + 1)
+    values[0] = radius[0] = absmax[0] = 0.0
     size = min(_BLOCK, limit)
     k = np.arange(1, size + 1, dtype=np.float64)  # the block's indices
     terms, scratch = np.empty(size), np.empty(size)
@@ -300,7 +315,8 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
         np.abs(ze.real[1:], out=ze.imag[1:])
         np.add.accumulate(ze, out=ze)
         v = np.add(cur, ze.real[1:], out=values[a:b])
-        v_max = max(v_max, np.abs(v, out=w).max())
+        absmax[j] = np.abs(v, out=w).max()
+        v_max = max(v_max, absmax[j])
         carry, e_carry = z[-1], ze[-1]
         abs_sum, abs_err_sum = carry.imag, e_carry.imag
         if rep is None:
@@ -308,7 +324,8 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
         radius[j] = (rep_sum + _ULP * abs_err_sum + (b - 1) * _ULP * _ULP * abs_sum
                      + 2.0 * _ULP * v_max)
         k += _BLOCK
-    return PrefixSeries(limit=limit, values=values, error_radius=radius)
+    return PrefixSeries(limit=limit, values=values, error_radius=radius,
+                        block_absmax=absmax)
 
 
 def _m_terms(mu, k, out):
@@ -372,8 +389,19 @@ class Tables:
                 f"these tables were built without the {name} prefix series")
         return series
 
+    def block_absmax(self, name: str, a: int, b: int) -> float | None:
+        """max |f(n)| over a <= n < b, for f = M (``name`` "M") or the
+        prefix series ``name``, as the build recorded it when the indices
+        [a, b) are one whole block; else None."""
+        j, off = divmod(a - 1, _BLOCK)
+        if off or b != min(a + _BLOCK, self.limit + 1):
+            return None
+        return float((self.mu if name == "M" else self.prefix(name)).block_absmax[j + 1])
+
 
 def build_tables(limit: int, jobs: int = 1) -> Tables:
+    """Tables to ``limit`` with every prefix series; ``jobs`` is not read
+    (see `sieve_mu`)."""
     return with_series(sieve_mu(limit, jobs=jobs))
 
 

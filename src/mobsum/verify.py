@@ -11,23 +11,26 @@ log^2 weight has a single closed-form critical point in log x.
 `verify_range` evaluates the kernel on float64 arrays and compares each
 supremum with the bound, allowing for the certified error radius of the
 prefix series; `sup_scan` evaluates it on float64 arrays and takes the
-argmax.  Both walk the range in chunks of _CHUNK intervals in one thread,
-so scratch memory is O(_CHUNK) whatever the range.  Each chunk first gets
-an envelope E, `_chunk_envelope`: the kernel's bound taken over the whole
-chunk at once from the largest |m|, |M| and ends of the chunk, inflated by
-the kernel's own rounding, so E is at least every float supremum the
-kernel would compute there, and G, the guard band at E, is at least every
-interval's guard.  A chunk with E + G below the bound (with rounding
-slack) holds no violation and no interval inside the guard band, and a
-chunk with E below the largest value found holds neither the maximum nor a
-tie with it: the kernel runs on the chunks that reach the bound, in chunk
-order, and then on the rest by decreasing E while E reaches the largest
-value so far.  A `verify_range` chunk is reduced where it is scanned to its
-largest value and first argmax, its hard violations and its suspect
-intervals, and the scan merges these in chunk order; both operations
-keep the first chunk maximum that no later chunk exceeds, so the reports
-and scans are those of running the kernel on every chunk.  Intervals whose
-margin falls inside the guard band are escalated:
+argmax.  Both walk the range in one thread, in chunks cut at the grid
+1 + j _CHUNK (`_spans`), so scratch memory is O(_CHUNK) whatever the
+range; _CHUNK is the table build's block, so every chunk but the two ends
+of a scan is one block.  Each chunk first gets an envelope E,
+`_chunk_envelope`: the kernel's bound taken over the whole chunk at once
+from its ends and its largest |m|, |M| and |ell|, which on a whole block
+are the maxima the build recorded, inflated by the kernel's own rounding,
+so E is at least every float supremum the kernel would compute there, and
+G, the guard band at E, is at least every interval's guard.  A chunk
+with E + G below the bound (with rounding slack) holds no violation and
+no interval inside the guard band, and a chunk with E below the largest
+value found holds neither the maximum nor a tie with it: the kernel runs
+on the chunks that reach the bound, in chunk order, and then on the rest
+by decreasing E while E reaches the largest value so far.  A
+`verify_range` chunk is reduced where it is scanned to its largest value
+and first argmax, its hard violations and its suspect intervals, and the
+scan merges these in chunk order; both operations keep the first chunk
+maximum that no later chunk exceeds, so the reports and scans are those
+of running the kernel on every chunk.  Intervals whose margin falls
+inside the guard band are escalated:
 the same kernel re-runs at 50 digits on exact M(n) and on m(n) and ell(n)
 from one exact prefix routine, `_exact_prefix`, and the intervals are
 reported as indeterminate.  It sums 256-bit fixed-point integers in numpy
@@ -47,10 +50,10 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .tables import Tables, _carried, _small_primes
+from .tables import _BLOCK as _TABLE_BLOCK, Tables, _carried, _small_primes
 
 _ULP = 2.0 ** -53
-_CHUNK = 1 << 16
+_CHUNK = _TABLE_BLOCK  # on the grid of `_spans`, a whole chunk is one block of the build
 _BLOCK = 1 << 14  # k per block of the exact prefix sums (1 MB of digits)
 _FIXED_BITS = 256
 _LIMBS = _FIXED_BITS // 32  # base-2^32 digits of a fixed-point reciprocal
@@ -343,6 +346,15 @@ def _guard(pred: Predicate, q, x2, b: int, tables: Tables):
     return radius + 8.0 * _ULP * (np.abs(q) + 1.0)
 
 
+def _spans(n_lo: int, n_hi: int) -> List[Tuple[int, int]]:
+    """The chunks [a, b) that cover [n_lo, n_hi), cut at the grid
+    1 + j _CHUNK: with _CHUNK the table's _BLOCK, every chunk but the two
+    ends is one whole block of the build."""
+    cuts = range(1 + ((n_lo - 1) // _CHUNK + 1) * _CHUNK, n_hi, _CHUNK)
+    ends = [n_lo, *cuts, n_hi]
+    return list(zip(ends, ends[1:]))
+
+
 def _chunk_envelope(target: str, weight: str, lo: float, hi: float, a: int,
                     b: int, tables: Tables) -> float:
     """E >= the float supremum `_interval_sup` computes on every interval
@@ -353,46 +365,59 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float, a: int,
       m : |m(n)| w(x) grows in x: max|m| w(xb);
       m1: m(n) - M(n)/x is monotone in x, so |m1| peaks at xa or xb, and
           log^2 x <= Lb^2 = log^2 xb: max_n max(|m1(xa)|, |m1(xb)|) Lb^2;
-      mcheck - 1: |m(n) L - d(n)| is convex in L = log x, d = ell + 1, so it
-          peaks at La or Lb: max_n max(|m La - d|, |m Lb - d|) Lb^2.
+      mcheck - 1: |m(n) L - ell(n) - 1| is convex in L = log x, so it peaks
+          at La or Lb; over v = m L - ell at both ends its largest value
+          is max(max v - 1, 1 - min v), times Lb^2.
+
+    max|M|, max|m| and max|ell| are the build's block maxima
+    (`Tables.block_absmax`) when [a, b) is one whole block, as every chunk
+    of `_spans` but the two ends is; any other chunk reduces its slice.
 
     Rounding.  E = (top + k u S) w (1 + k u), top the float maximum above,
     w its weight factor, u = 2^-53, k = 64, and S the operand size of the
-    two forms that cancel: max|m| + max|M|/xa for m1, max|m| Lb + max|d| for
-    mcheck, 0 for M and m.  With numpy's log within 1 ulp (2u; measured at
-    most 0.52 ulp over 2e4 points of [1, 2e9] against mpmath), every float
-    log the kernel takes of an x in [xa, xb] lies in [La (1 - 4u),
-    Lb (1 + 4u)] for the float La, Lb the envelope takes; widening the
-    monotone or convex form to those ends costs 4u |m| Lb absolutely, the
-    rounded operand fl(M/x) or fl(m L) u S, the kernel's three remaining
-    roundings 3u and the squared log 8u relatively; the ends as the
-    envelope computes them carry u S and u, and its own five roundings 5u.
-    To first order the kernel's value is within (1 + 17u) top w + 6u S w;
-    M and m, whose forms are monotone and do not cancel, need at most 13u.
-    k = 64 covers the higher-order terms and a log up to 4 ulp.
+    two forms that cancel: max|m| + max|M|/xa for m1, max|m| Lb + max|ell|
+    + 1 for mcheck, 0 for M and m.  With numpy's log within 1 ulp (2u;
+    measured at most 0.52 ulp over 2e4 points of [1, 2e9] against mpmath),
+    every float log the kernel takes of an x in [xa, xb] lies in
+    [La (1 - 4u), Lb (1 + 4u)] for the float La, Lb the envelope takes;
+    widening the monotone or convex form to those ends costs 4u |m| Lb
+    absolutely, the kernel's rounded operands (fl(M/x) for m1; fl(m L) and
+    d = fl(ell + 1) for mcheck) u S, its three remaining roundings 3u and
+    the squared log 8u relatively.  The ends as the envelope computes them
+    carry u S for m1 (fl(M/x)) and 2u S for mcheck (fl(m L), then
+    fl(m L - ell)), and u relatively (the subtraction of fl(M/x), or the
+    shift by 1); its own five roundings add 5u.  To first order the
+    kernel's value is within (1 + 17u) top w + 7u S w; M and m, whose forms
+    are monotone and do not cancel, need at most 13u.  k = 64 covers the
+    higher-order terms and a log up to 4 ulp.
     """
     xa, xb = max(float(a), lo), min(float(b), hi)
     m, M, ell = _kernel_inputs(tables, target, a, b)
+
+    def absmax(name, v):
+        found = tables.block_absmax(name, a, b)
+        return _absmax(v) if found is None else found
+
     if target == "M":
-        return _absmax(M) / math.sqrt(xa) * _ENV_SLACK
+        return absmax("M", M) / math.sqrt(xa) * _ENV_SLACK
     if target == "m":
-        return _absmax(m) * _weight(weight, xb, math) * _ENV_SLACK
+        return absmax("m", m) * _weight(weight, xb, math) * _ENV_SLACK
     # the two ends share one buffer: every fresh chunk-sized array costs
     # page faults once the heap has no freed slack
-    Lb, top = math.log(xb), 0.0
+    Lb, v = math.log(xb), np.empty(m.shape[0])
     if target == "m1":
-        v = np.empty(m.shape[0])
+        top = 0.0
         for x in (xa, xb):
             np.subtract(m, np.divide(M, x, out=v), out=v)
             top = max(top, _absmax(v))
-        size = _absmax(m) + _absmax(M) / xa
+        size = absmax("m", m) + absmax("M", M) / xa
     else:
-        d = ell + 1.0
-        v = np.empty(m.shape[0])
+        v_hi, v_lo = -math.inf, math.inf
         for L in (math.log(xa), Lb):
-            np.subtract(np.multiply(m, L, out=v), d, out=v)
-            top = max(top, _absmax(v))
-        size = _absmax(m) * Lb + _absmax(d)
+            np.subtract(np.multiply(m, L, out=v), ell, out=v)
+            v_hi, v_lo = max(v_hi, float(v.max())), min(v_lo, float(v.min()))
+        top = max(v_hi - 1.0, 1.0 - v_lo)
+        size = absmax("m", m) * Lb + absmax("ell", ell) + 1.0
     return (top + (_ENV_SLACK - 1.0) * size) * Lb * Lb * _ENV_SLACK
 
 
@@ -588,10 +613,10 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     The scan runs in the calling thread and does not read `jobs`: with the
     envelopes the kernel runs on 1-3 chunks of a desk scan, and threading
     them measured slower than not.  The keyword stays for the callers
-    that pass their sieve's worker count (perfbench/workloads.py).
+    that still pass it (perfbench/workloads.py), as `sieve_mu`'s does.
     """
     n_lo, n_hi = _scan_range(lo, hi, tables.limit)
-    spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
+    spans = _spans(n_lo, n_hi)
     scale, bound = _scale_bound(pred)
 
     def peak(i):
@@ -653,7 +678,7 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
     """
     _check_weight(target, weight)
     n_lo, n_hi = _scan_range(lo, hi, tables.limit, closed=True)
-    spans = [(a, min(a + _CHUNK, n_hi)) for a in range(n_lo, n_hi, _CHUNK)]
+    spans = _spans(n_lo, n_hi)
 
     def peak(i):
         a, b = spans[i]
@@ -686,7 +711,7 @@ class RatioReport:
 def _running_ratio(tables: Tables, lo: int, x_max: int):
     """Yield (x0, r, sup_M, rad) with r[i] = sup_{t<=x} t|m(t)| / sup_M[i],
     sup_M[i] = sup_{t<=x} |M(t)|, at x = x0 + i, covering x in [lo, x_max]
-    one _CHUNK span at a time; rad bounds the m radius over the span.
+    one chunk of `_spans` at a time; rad bounds the m radius over the span.
 
     The numerator supremum over the interval (n-1, n] closes at t = n with
     candidates n|m(n)| and n|m(n-1)|; both running suprema are cumulative
@@ -700,8 +725,7 @@ def _running_ratio(tables: Tables, lo: int, x_max: int):
     series, mertens = tables.prefix("m"), tables.mu.mertens
     mv = series.values
     run_m = run_M = 0.0
-    for a in range(1, x_max + 1, _CHUNK):
-        b = min(a + _CHUNK, x_max + 1)
+    for a, b in _spans(1, x_max + 1):
         nf = np.arange(a, b, dtype=np.float64)
         cand = np.maximum(nf * np.abs(mv[a:b]), nf * np.abs(mv[a - 1:b - 1]))
         sup_m = _carried(np.maximum, run_m, cand)[1:]

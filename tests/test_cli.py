@@ -157,16 +157,17 @@ def test_verify_builds_only_the_series_its_target_reads(capsys, monkeypatch, pre
 
 @pytest.mark.parametrize("cached", [False, True])
 def test_memory_guard_charges_the_series_built(tmp_path, monkeypatch, cached):
-    # 20 MiB of physical memory: a 1e6 table with the m series (13 B/n plus
-    # the prefix build's blocks) does not fit, one for M alone (5 B/n) does,
-    # whether it is sieved or cut from a cached 1e6 table
+    # 16 MiB of physical memory: a 1e6 table with the m series (13 B/n plus
+    # the prefix build's 4 MiB of blocks) does not fit, one for M alone
+    # (5 B/n, plus a 10 MiB sieve segment when sieved) does, whether it is
+    # sieved or cut from a cached 1e6 table
     monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
     cache = None
     if cached:
         cache = str(tmp_path)
         tables.save_table(tables.sieve_mu(10**6), tables.cache_path(cache, 10**6))
         monkeypatch.setattr(tables, "sieve_mu", None)  # must not build
-    sysconf = {"SC_PHYS_PAGES": 5 << 10, "SC_PAGE_SIZE": 1 << 12}
+    sysconf = {"SC_PHYS_PAGES": 4 << 10, "SC_PAGE_SIZE": 1 << 12}
     monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
     for target in ("m", "m1", "mcheck-minus-1"):
         with pytest.raises(ResourceError, match="physical memory"):

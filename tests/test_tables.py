@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import exact_prefix_fraction, whole_array_prefix
-from mobsum import cli, tables
+from mobsum import cli, tables, verify
 from mobsum.errors import InvalidArgumentError, RangeError, ResourceError
 from mobsum.tables import (
     abs_mertens_prefix_integral,
@@ -83,9 +83,19 @@ def test_sieve_jobs_deterministic(monkeypatch):
     assert np.array_equal(a.mertens, b.mertens)
 
 
+def test_sieve_starts_no_thread(monkeypatch):
+    # the segments are sieved in the calling thread, whatever jobs says
+    def refuse(self):
+        raise AssertionError("the sieve started a thread")
+
+    monkeypatch.setattr(tables, "_SIEVE_BLOCK", 1 << 12)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert sieve_mu(100000, jobs=4).limit == 100000
+
+
 def test_build_jobs_deterministic(monkeypatch):
-    # 4096-entry segments: every worker count sieves many segments, and each
-    # retained array of the build is the same bytes whatever the count
+    # 4096-entry segments: the sieve runs many segments, and each retained
+    # array of the build is the same bytes whatever jobs says
     monkeypatch.setattr(tables, "_SIEVE_BLOCK", 1 << 12)
     builds = [build_tables(100000, jobs=jobs) for jobs in (1, 2, 4)]
 
@@ -98,8 +108,38 @@ def test_build_jobs_deterministic(monkeypatch):
         assert [a.tobytes() for a in arrays(other)] == first
 
 
+def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
+    # 97-index blocks over a 2e4 table, the last one short: each recorded
+    # maximum is the largest |value| of its block for M, m and ell, and the
+    # same bytes for a table cut from a larger cached one and for any
+    # sieve segment size
+    monkeypatch.setattr(tables, "_BLOCK", 97)
+    built = build_tables(20000)
+    for name, summary, values in (("M", built.mu, built.mu.mertens),
+                                  ("m", built.series.m, built.series.m.values),
+                                  ("ell", built.series.ell, built.series.ell.values)):
+        starts = range(1, built.limit + 1, 97)
+        want = [0.0] + [verify._absmax(values[a:a + 97]) for a in starts]
+        assert summary.block_absmax.tolist() == want, name
+        assert [built.block_absmax(name, a, min(a + 97, 20001)) for a in starts] == want[1:]
+        # a span off the grid, or short of its block's end, has no maximum
+        assert built.block_absmax(name, 2, 98) is None
+        assert built.block_absmax(name, 98, 194) is None
+
+    def maxima(t):
+        return [a.tobytes() for a in (t.mu.block_absmax, t.series.m.block_absmax,
+                                      t.series.ell.block_absmax)]
+
+    save_table(sieve_mu(25000), cache_path(str(tmp_path), 25000))
+    others = [tables.with_series(load_covering(str(tmp_path), 20000))]
+    for segment in (7, 1 << 10):
+        monkeypatch.setattr(tables, "_SIEVE_BLOCK", segment)
+        others.append(build_tables(20000))
+    assert all(maxima(other) == maxima(built) for other in others)
+
+
 def test_sieve_block_peak_per_entry():
-    # sieve_mu reserves 10 B per segment entry for each worker: mu (int8),
+    # sieve_mu reserves 10 B per entry of the segment it sieves: mu (int8),
     # the prime product (int32), and the int32 n and the comparison of the
     # sign pass; the array headers add a few hundred bytes per call
     for lo, size in ((1, 1 << 20), (2**31 - 2**16, 2**16)):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import exact_prefix_fraction, per_term_ell, per_term_m_fixed
-from mobsum import verify
+from mobsum import tables, verify
 from mobsum.errors import InvalidArgumentError, RangeError
 from mobsum.quad import identity_kernel_integral
-from mobsum.tables import evaluate, with_series
+from mobsum.tables import build_tables, evaluate, with_series
 from mobsum.verify import (
     PREDICATES,
     Predicate,
@@ -365,6 +365,79 @@ def test_desk_campaign_runs_the_kernel_on_few_chunks(tables_big, monkeypatch):
         seen.clear()
         sup_scan(tables_big, target, "sqrtx", lo, 10**7)
         assert 0 < sum(seen) <= 3 * verify._CHUNK, target
+
+
+def test_desk_m_and_M_scans_reduce_only_their_end_chunks(tables_big, monkeypatch):
+    # every chunk on the block grid takes its m or M envelope from the
+    # build's block maxima: a scan reduces a slice only for a first or last
+    # chunk off the grid (a last chunk ending at the table limit is whole)
+    reduced = []
+    absmax = verify._absmax
+    monkeypatch.setattr(verify, "_absmax", lambda v: reduced.append(len(v)) or absmax(v))
+    for scan, ends in (
+            (lambda: verify_range(PREDICATES["m4343"], 2160605, 5 * 10**6, tables_big), 2),
+            (lambda: verify_range(PREDICATES["mlog0.0130073"], 97063, 230000, tables_big), 2),
+            (lambda: verify_range(PREDICATES["Msqrt0.5"], 201, 10**7 + 1, tables_big), 1),
+            (lambda: verify_range(PREDICATES["msqrt0.5"], 3, 10**7 + 1, tables_big), 1),
+            (lambda: sup_scan(tables_big, "m", "sqrtx", 3, 10**7), 1),
+            (lambda: sup_scan(tables_big, "M", "sqrtx", 201, 10**7), 1)):
+        reduced.clear()
+        scan()
+        assert len(reduced) == ends and max(reduced) < verify._CHUNK, reduced
+
+
+@pytest.fixture
+def blocked(monkeypatch):
+    """A 2e4 table built in 97-index blocks and scanned in 97-interval
+    chunks: every chunk of a scan but its ends is a whole block, whose
+    envelope reads the build's block maxima."""
+    monkeypatch.setattr(tables, "_BLOCK", 97)
+    monkeypatch.setattr(verify, "_CHUNK", 97)
+    return build_tables(20000)
+
+
+def test_whole_block_envelopes_dominate_the_kernel(blocked):
+    # E bounds the float supremum of every interval of every block and G
+    # every guard, for each target and weight, with whole and fractional ends
+    rng = np.random.default_rng(11)
+    for target, weights in verify._WEIGHTS.items():
+        for weight in weights:
+            kind = next(k for k, w in verify._KIND_WEIGHT.items() if w == weight)
+            pred = Predicate("t", kind, target, 4343.0 if kind == "const-bound" else 1.0)
+            scale = verify._scale_bound(pred)[0]
+            for a, b in verify._spans(1, blocked.limit + 1):
+                assert blocked.block_absmax("M", a, b) is not None
+                for lo, hi in ((a, b), (a + 0.4 * rng.random(), b - 0.5 * rng.random())):
+                    x1, x2 = verify._clipped(a, b, lo, hi)
+                    sup, _ = _interval_sup(target, weight, x1, x2,
+                                           *verify._kernel_inputs(blocked, target, a, b))
+                    env = verify._chunk_envelope(target, weight, lo, hi, a, b, blocked)
+                    assert env >= sup.max(), (target, weight, a, b)
+                    assert verify._guard(pred, scale * env, hi, b, blocked) >= \
+                        verify._guard(pred, scale * sup, x2, b, blocked).max()
+
+
+def test_whole_block_envelopes_keep_reports_exhaustive(blocked, monkeypatch, request):
+    # with whole-block envelopes, every report (capped and fractional too)
+    # and every scan equals the one that runs the kernel on every chunk
+    cap = verify._MAX_VIOLATIONS
+
+    def run():
+        reps = [verify_range(p, lo, hi, blocked) for p in PREDICATES.values()
+                for lo, hi in ((2, 20001), (671.5, 9999.5))]
+        monkeypatch.setattr(verify, "_MAX_VIOLATIONS", 5)
+        capped = verify_range(PREDICATES["m4345"], 2, 20001, blocked)
+        monkeypatch.setattr(verify, "_MAX_VIOLATIONS", cap)
+        sups = [sup_scan(blocked, t, w, lo, hi) for t, ws in verify._WEIGHTS.items()
+                for w in ws for lo, hi in ((1, 20000), (2.5, 9999.5))]
+        return reps, capped, sups
+
+    pruned = run()
+    request.getfixturevalue("exhaustive")
+    assert run() == pruned
+    reps, capped, _ = pruned
+    assert capped.truncated and any(r.violations for r in reps)
+    assert all(r.scanned < r.checked / 4 for r in reps if r.passed)
 
 
 def _oracle_sup(tables, target, n):
