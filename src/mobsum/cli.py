@@ -46,7 +46,7 @@ def _cache_table(table, cdir: str) -> str:
     return path
 
 
-def _get_tables(limit: int, cache_dir, target=None, jobs: int = 1):
+def _get_tables(limit: int, cache_dir, target=None):
     """Tables to `limit` with the prefix series `target` reads (every
     series when target is None): from the smallest cached sieve covering
     `limit`, cut to `limit`, if available, else sieved (and cached when a
@@ -55,11 +55,11 @@ def _get_tables(limit: int, cache_dir, target=None, jobs: int = 1):
     series = tables.SERIES
     if target is not None:
         from .verify import _SERIES
-        series = _SERIES[target]
+        series = [name for name in _SERIES[target] if name in series]
     cdir = _cache_dir(cache_dir)
     mu = tables.load_covering(cdir, limit, series) if cdir else None
     if mu is None:
-        mu = tables.sieve_mu(limit, jobs=jobs, series=series)
+        mu = tables.sieve_mu(limit, series=series)
         if cdir:
             _cache_table(mu, cdir)
     return tables.with_series(mu, series)
@@ -70,7 +70,7 @@ def _get_tables(limit: int, cache_dir, target=None, jobs: int = 1):
 
 def _cmd_sieve(args) -> int:
     from .tables import sieve_mu, table_digest
-    mu = sieve_mu(args.limit, jobs=args.jobs, series=())
+    mu = sieve_mu(args.limit, series=())
     cdir = _cache_dir(args.cache_dir)
     line = (f"sieve limit={args.limit} mertens_at_limit={int(mu.mertens[args.limit])} "
             f"digest={table_digest(mu).hex()}")
@@ -89,7 +89,7 @@ def _cmd_verify(args) -> int:
     pred = PREDICATES[args.pred]
     lo, hi = getattr(args, "from"), args.to
     _scan_range(lo, hi)  # before any table is built
-    tables = _get_tables(int(math.ceil(hi)), args.cache_dir, pred.target, jobs=args.jobs)
+    tables = _get_tables(int(math.ceil(hi)), args.cache_dir, pred.target)
     rep = verify_range(pred, lo, hi, tables)
     for n, value, margin in rep.violations:
         print(f"violation pred={pred.name} n={n} value={_fmt(value)} margin={_fmt(margin)}")
@@ -298,9 +298,6 @@ def chain_name(text: str) -> str:
     return text
 
 
-_JOBS_HELP = "accepted and ignored: the sieve and the scans run in one thread"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mobsum", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -308,14 +305,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sieve", help="build (and cache) a Moebius/Mertens table")
     sp.add_argument("--limit", type=int, required=True)
     sp.add_argument("--cache-dir", default=None)
-    sp.add_argument("--jobs", type=worker_count, default=1, help=_JOBS_HELP)
     sp.set_defaults(func=_cmd_sieve)
 
     sp = sub.add_parser("verify", help="exhaustively verify a named inequality")
     sp.add_argument("--pred", required=True)
     sp.add_argument("--from", type=finite_float, required=True)
     sp.add_argument("--to", type=finite_float, required=True)
-    sp.add_argument("--jobs", type=worker_count, default=1, help=_JOBS_HELP)
+    sp.add_argument("--jobs", type=worker_count, default=1,
+                    help="accepted and ignored: the scan runs in one thread")
     sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=_cmd_verify)
 

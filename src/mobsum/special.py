@@ -36,9 +36,6 @@ class SpecialValue:
     value: float
     abs_error: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @lru_cache(maxsize=8)
 def _eta_coeffs(n: int):

@@ -1,9 +1,9 @@
-"""Sieved Möbius tables and compensated prefix series.
+"""Sieved Möbius tables, compensated prefix series and exact prefix sums.
 
-Provides the integer layer (mu values and their exact prefix sums) and the
+Provides the integer layer (mu values and their exact prefix sums), the
 floating-point layer (prefix sums of mu(k)/k and mu(k)*log(k)/k with a
-certified error radius), plus point evaluation of the four summatory
-functions
+certified error radius), the exact m(n) and ell(n) as 256-bit fixed-point
+integers, and point evaluation of the four summatory functions
 
     M(x)      = sum_{n<=x} mu(n)                    (exact integer)
     m(x)      = sum_{n<=x} mu(n)/n
@@ -18,8 +18,10 @@ carry their running state (prefix, correction sum, sums of |t|, of the
 term errors and of |err|, and max |value|).  Every value and
 radius is bit-identical to one pass over the whole table.  Block j holds
 the indices (j - 1) _BLOCK < n <= min(j _BLOCK, limit), and the build
-records the largest |M(n)|, |m(n)| and |ell(n)| of each block, which a
-scan of a whole block reads instead of reducing it again.
+records the largest |M(n)|, |m(n)| and |ell(n)| of each block.  A scan
+reads a table only through `Tables.chunk` (a `Chunk` record of one span:
+its slices, their largest |value| and its end radii) and
+`Tables.exact_prefix`.
 
 The retained tables take 5 bytes per n for mu (int8) and Mertens (int32,
 exact since |M(n)| <= n < 2^31), plus 8 per prefix series built (float64
@@ -38,6 +40,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +49,10 @@ from .errors import InvalidArgumentError, RangeError, ResourceError
 _ULP = 2.0 ** -53  # unit roundoff for IEEE-754 binary64
 _BLOCK = 1 << 16  # indices per block of the carried prefix sums
 _SIEVE_BLOCK = 1 << 20  # integers per sieve segment
+_EXACT_BLOCK = 1 << 14  # k per block of the exact prefix sums (1 MB of digits)
+_FIXED_BITS = 256
+_LIMBS = _FIXED_BITS // 32  # base-2^32 digits of a fixed-point reciprocal
+_LOG_BITS = _FIXED_BITS + 64  # working precision of the log p chain
 
 _CACHE_VERSION = "v2"
 _CACHE_HEADER = re.compile(rb"MOEBIUS-TABLE (v\d+) limit=([1-9]\d*)\n")
@@ -137,17 +144,15 @@ def _sieve_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return mu
 
 
-def sieve_mu(limit: int, jobs: int = 1, series=SERIES) -> MuTable:
+def sieve_mu(limit: int, series=SERIES) -> MuTable:
     """Sieve mu(n) for 1 <= n <= limit and accumulate exact Mertens sums.
 
     The _SIEVE_BLOCK segments are sieved one after another in the calling
     thread and copied into place, and Mertens is block-carried over the
     whole array by ``_mu_table``, so the table is the same for any segment
-    size.  ``jobs`` is accepted and not read: a thread per segment bought
-    no time (the strided per-prime updates hold the interpreter lock) and
-    held a second segment.  Raises ResourceError before allocating if the
-    table and the prefix series named in ``series``, which the caller goes
-    on to build, would exceed RAM.
+    size.  Raises ResourceError before allocating if the table and the
+    prefix series named in ``series``, which the caller goes on to build,
+    would exceed RAM.
     """
     if limit < 1:
         raise InvalidArgumentError("limit must be a positive integer")
@@ -182,17 +187,6 @@ def _mu_table(mu: np.ndarray) -> MuTable:
     return MuTable(limit=limit, mu=mu, mertens=mertens, block_absmax=absmax)
 
 
-def abs_mertens_prefix_integral(table: MuTable, T: int) -> int:
-    """Exact integer sum_{n=1}^{T-1} |M(n)| = integral of |M| over [1, T].
-
-    Valid because M is constant on each [n, n+1).
-    """
-    if not 2 <= T <= table.limit:
-        raise InvalidArgumentError("need 2 <= T <= table.limit")
-    # summed in int64: the total passes 2^31 well before T = 1e7
-    return int(np.abs(table.mertens[1:T]).sum(dtype=np.int64))
-
-
 # ---------------------------------------------------------------------------
 # floating-point layer
 
@@ -223,17 +217,6 @@ class PrefixSeries:
         """Certified error radius of ``values[n]``: the radius at the end of
         n's block, which bounds the nondecreasing radius at n."""
         return float(self.error_radius[(n + _BLOCK - 1) // _BLOCK])
-
-
-def _carried(ufunc, carry: float, x: np.ndarray) -> np.ndarray:
-    """``ufunc.accumulate`` of x continued from ``carry``: the result has
-    len(x) + 1 slots, slot 0 is the carried value and slot i accumulates
-    x[i-1] onto slot i-1, the same left-to-right order a single pass over
-    the whole sequence would take."""
-    buf = np.empty(x.shape[0] + 1)
-    buf[0] = carry
-    buf[1:] = x
-    return ufunc.accumulate(buf, out=buf)
 
 
 def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
@@ -350,6 +333,132 @@ def ell_series(table: MuTable) -> PrefixSeries:
     return _carried_prefix(table, _ell_terms, 3)
 
 
+# ---------------------------------------------------------------------------
+# exact prefix sums
+
+
+def _recip_limbs(k: np.ndarray) -> np.ndarray:
+    """floor(2^_FIXED_BITS / k) for each k of a uint64 array (1 <= k < 2^31),
+    as _LIMBS rows of base-2^32 digits, most significant first, in int64.
+
+    Long division of 1 followed by _LIMBS zero digits: every partial
+    remainder is below k, so each step divides a number below 2^63 and each
+    digit is below 2^32 (for k = 1 the leading digit is 2^32 itself).
+    """
+    rows = np.empty((_LIMBS, k.shape[0]), dtype=np.int64)
+    rem = np.ones_like(k)
+    for row in rows:
+        row[:], rem = np.divmod(rem << np.uint64(32), k)
+    return rows
+
+
+def _join(limb_sums) -> int:
+    """sum_i limb_sums[i] 2^(32 (_LIMBS - 1 - i)): signed digit sums to one integer."""
+    acc = 0
+    for s in limb_sums.tolist():
+        acc = (acc << 32) + s
+    return acc
+
+
+def _log_step(p: int, prev: int) -> int:
+    """log p - log prev = 2 atanh(x), x = (p - prev)/(p + prev) <= 1/3, as an
+    integer over 2^_LOG_BITS, from below and short by less than 340 units.
+
+    With u = 2^-_LOG_BITS, X = floor(x/u) and X2 = floor(X^2 u) make every
+    power P_j (P_1 = X, P_{j+2} = floor(P_j X2 u)) satisfy
+    0 <= x^j - P_j u < 2u, so each term floor(P_j/j) is short of x^j/j by
+    less than 2u/j + u; the loop stops at the first P_j = 0, where
+    x^j < 2u bounds the tail by u/10, and P_j u <= x^j <= 3^-j < u by
+    j = 203.  So atanh(x) is short by less than 1.1u + 101 (5/3)u < 170u.
+    """
+    x = ((p - prev) << _LOG_BITS) // (p + prev)
+    x2 = x * x >> _LOG_BITS
+    acc = term = x
+    j = 1
+    while term:
+        term = term * x2 >> _LOG_BITS
+        j += 2
+        acc += term // j
+    return 2 * acc
+
+
+def _exact_prefix(mu: np.ndarray, n: int, with_ell: bool):
+    """(m(n), ell(n)) as integers over 2^_FIXED_BITS; ell is None unless
+    with_ell.  Scratch memory is O(sqrt(n) + _EXACT_BLOCK); every sum is over
+    numpy blocks of _EXACT_BLOCK k at a time.
+
+    m(n) = sum_{k<=n} mu(k) floor(2^_FIXED_BITS / k): each block sums
+    mu(k) times the base-2^32 digits of the truncated reciprocals in int64
+    (each digit sum stays below n 2^32 < 2^63), and the digits are joined
+    once, so the integer is exactly that of a per-term loop and lies within
+    n units of 2^-_FIXED_BITS of m(n).
+
+    ell(n): log k = sum_{p|k} log p for squarefree k, so
+    ell(n) = sum_{p<=n} log p T_p with T_p = sum_{k<=n, p|k} mu(k)/k.  For
+    p <= r = isqrt(n), T_p is the digit sum of the block reciprocals over
+    k = 0 mod p.  For p > r, k = pj forces j <= n/p < p, so
+    T_p = -m(n // p)/p, read from the exact m table on [0, r].  log p comes
+    from the chain log p = log p' + 2 atanh((p - p')/(p + p')) over
+    consecutive primes (p < 2p', so the argument is at most 1/3), from
+    log 1 = 0, at _LOG_BITS bits (_log_step); primes above r come from a
+    segmented sieve of each block by the primes up to r.  The products are
+    summed exactly and floored once.
+
+    Error of ell, in units of 2^-_FIXED_BITS (the chain is short of log p
+    by less than 340 pi(n) 2^-_LOG_BITS, i.e. < 340 pi(n) 2^-64 units):
+      * truncated reciprocals in T_p, p <= r: each squarefree k adds less
+        than sum_{p|k} log p = log k, in all < n log n (log is natural);
+      * the chain's error times |T_p| <= (1 + log n)/p: < 1;
+      * m(q) to within q units, q = n // p < n/p, times log p/p over
+        p > r: < n log n / r <= 2 sqrt(n) log n;
+      * floor(L_p / p) and the chain's error over p, times |m(q)| <= 1:
+        < 341 pi(n) 2^-64 < 1;
+      * the final floor: < 1.
+    In all |ell - ell(n)| < ((n + 2 sqrt(n)) log n + 4) 2^-_FIXED_BITS,
+    below 2^-221 at n = 1e9 (the digit sums need n < 2^31).
+    """
+    if n >= 1 << 31:
+        raise RangeError(f"exact prefix sums need n < 2^31, not {n}")
+    r = math.isqrt(n)
+    small = _small_primes(r).tolist() if with_ell else []
+    small_logs, log_p, prev = [], 0, 1
+    for p in small:
+        log_p, prev = log_p + _log_step(p, prev), p
+        small_logs.append(log_p)
+    m_digits = np.zeros(_LIMBS, dtype=np.int64)
+    t_digits = np.zeros((len(small), _LIMBS), dtype=np.int64)
+    by_q = [0] * (r + 1)  # by_q[q] = sum of floor(L_p / p) over p > r, n // p = q
+    for a in range(1, n + 1, _EXACT_BLOCK):
+        b = min(a + _EXACT_BLOCK, n + 1)
+        w = mu[a:b].astype(np.int64)
+        limbs = _recip_limbs(np.arange(a, b, dtype=np.uint64))
+        m_digits += limbs @ w
+        if not with_ell:
+            continue
+        composite = np.zeros(b - a, dtype=bool)
+        for i, p in enumerate(small):
+            off = -a % p
+            t_digits[i] += limbs[:, off::p] @ w[off::p]
+            composite[off::p] = True
+        first = max(a, r + 1)
+        for p in (np.nonzero(~composite[first - a:])[0] + first).tolist():
+            log_p, prev = log_p + _log_step(p, prev), p
+            by_q[n // p] += log_p // p
+    m_fp = _join(m_digits)
+    if not with_ell:
+        return m_fp, None
+    w = mu[1:r + 1].astype(np.int64)
+    m_small = np.cumsum(_recip_limbs(np.arange(1, r + 1, dtype=np.uint64)) * w, axis=1)
+    total = sum(L * _join(t) for L, t in zip(small_logs, t_digits))
+    total -= sum(_join(m_q) * s for m_q, s in zip(m_small.T, by_q[1:]))
+    return m_fp, total >> _LOG_BITS
+
+
+def _absmax(v) -> float:
+    """max |v| over a nonempty array, without an |v| temporary."""
+    return max(float(v.max()), -float(v.min()))
+
+
 @dataclass(frozen=True)
 class SeriesPair:
     """The prefix series behind m and m1 (m) and mcheck (m and ell); a
@@ -369,9 +478,29 @@ class EvaluationPoint:
     error_radius: float
 
 
+class Chunk(NamedTuple):
+    """The indices a <= n < b of a table, as a scan reads them: the M, m
+    and ell slices (None for one not asked for), the largest |value| of
+    each slice, and the m and ell radii at b - 1, which bound the radius
+    of every index of the chunk.  Views and scalars only."""
+
+    a: int
+    b: int
+    M: np.ndarray | None
+    m: np.ndarray | None
+    ell: np.ndarray | None
+    M_max: float | None
+    m_max: float | None
+    ell_max: float | None
+    m_radius: float | None
+    ell_radius: float | None
+
+
 @dataclass(frozen=True)
 class Tables:
     """Bundle of a sieve and its derived prefix series."""
+
+    FIXED_BITS = _FIXED_BITS  # the binary point of exact_prefix's m and ell
 
     mu: MuTable
     series: SeriesPair = field(repr=False)
@@ -389,20 +518,38 @@ class Tables:
                 f"these tables were built without the {name} prefix series")
         return series
 
-    def block_absmax(self, name: str, a: int, b: int) -> float | None:
-        """max |f(n)| over a <= n < b, for f = M (``name`` "M") or the
-        prefix series ``name``, as the build recorded it when the indices
-        [a, b) are one whole block; else None."""
+    def chunk(self, a: int, b: int, series) -> Chunk:
+        """The `Chunk` of the indices a <= n < b (1 <= a < b <= limit + 1)
+        for the arrays named in ``series`` ("M", "m", "ell"); a prefix
+        series it names but these tables lack raises InvalidArgumentError.
+        The largest |value| of a slice is the build's record when [a, b)
+        is one whole block, else a reduction of the slice."""
         j, off = divmod(a - 1, _BLOCK)
-        if off or b != min(a + _BLOCK, self.limit + 1):
-            return None
-        return float((self.mu if name == "M" else self.prefix(name)).block_absmax[j + 1])
+        whole = not off and b == min(a + _BLOCK, self.limit + 1)
+        M = M_max = m = m_max = m_rad = ell = ell_max = ell_rad = None
+        if "M" in series:
+            M = self.mu.mertens[a:b]
+            M_max = float(self.mu.block_absmax[j + 1]) if whole else _absmax(M)
+        if "m" in series:
+            s = self.prefix("m")
+            m, m_rad = s.values[a:b], s.radius(b - 1)
+            m_max = float(s.block_absmax[j + 1]) if whole else _absmax(m)
+        if "ell" in series:
+            s = self.prefix("ell")
+            ell, ell_rad = s.values[a:b], s.radius(b - 1)
+            ell_max = float(s.block_absmax[j + 1]) if whole else _absmax(ell)
+        return Chunk(a, b, M, m, ell, M_max, m_max, ell_max, m_rad, ell_rad)
+
+    def exact_prefix(self, n: int, with_ell: bool):
+        """(M(n), m(n), ell(n)): M exactly, m and ell as integers over
+        2^FIXED_BITS (`_exact_prefix`); ell is None unless with_ell."""
+        return (int(self.mu.mertens[n]), *_exact_prefix(self.mu.mu, n, with_ell))
 
 
 def build_tables(limit: int, jobs: int = 1) -> Tables:
-    """Tables to ``limit`` with every prefix series; ``jobs`` is not read
-    (see `sieve_mu`)."""
-    return with_series(sieve_mu(limit, jobs=jobs))
+    """Tables to ``limit`` with every prefix series; ``jobs`` is accepted
+    and not read (the sieve runs in the calling thread)."""
+    return with_series(sieve_mu(limit))
 
 
 def with_series(table: MuTable, series=SERIES) -> Tables:

@@ -14,29 +14,26 @@ prefix series; `sup_scan` evaluates it on float64 arrays and takes the
 argmax.  Both walk the range in one thread, in chunks cut at the grid
 1 + j _CHUNK (`_spans`), so scratch memory is O(_CHUNK) whatever the
 range; _CHUNK is the table build's block, so every chunk but the two ends
-of a scan is one block.  Each chunk first gets an envelope E,
-`_chunk_envelope`: the kernel's bound taken over the whole chunk at once
-from its ends and its largest |m|, |M| and |ell|, which on a whole block
-are the maxima the build recorded, inflated by the kernel's own rounding,
-so E is at least every float supremum the kernel would compute there, and
-G, the guard band at E, is at least every interval's guard.  A chunk
-with E + G below the bound (with rounding slack) holds no violation and
-no interval inside the guard band, and a chunk with E below the largest
-value found holds neither the maximum nor a tie with it: the kernel runs
-on the chunks that reach the bound, in chunk order, and then on the rest
-by decreasing E while E reaches the largest value so far.  A
-`verify_range` chunk is reduced where it is scanned to its largest value
-and first argmax, its hard violations and its suspect intervals, and the
-scan merges these in chunk order; both operations keep the first chunk
-maximum that no later chunk exceeds, so the reports and scans are those
-of running the kernel on every chunk.  Intervals whose margin falls
-inside the guard band are escalated:
-the same kernel re-runs at 50 digits on exact M(n) and on m(n) and ell(n)
-from one exact prefix routine, `_exact_prefix`, and the intervals are
-reported as indeterminate.  It sums 256-bit fixed-point integers in numpy
-blocks: m(n) from the base-2^32 digits of floor(2^256/k) (within n 2^-256,
-equal to the per-term sum), ell(n) from sum_p log p T_p with the logs of
-the primes from an atanh chain (within ((n + 2 sqrt(n)) log n + 4) 2^-256).
+of a scan is one block, and is read as one `Tables.chunk` record.  Each
+chunk first gets an envelope E, `_chunk_envelope`: the kernel's bound
+taken over the whole chunk at once from its ends and its largest |m|, |M|
+and |ell|, which on a whole block are the maxima the build recorded,
+inflated by the kernel's own rounding, so E is at least every float
+supremum the kernel would compute there, and G, the guard band at E, is
+at least every interval's guard.  A chunk with E + G below the bound
+(with rounding slack) holds no violation and no interval inside the guard
+band, and a chunk with E below the largest value found holds neither the
+maximum nor a tie with it: the kernel runs on the chunks that reach the
+bound, in chunk order, and then on the rest by decreasing E while E
+reaches the largest value so far.  A `verify_range` chunk is reduced
+where it is scanned to its largest value and first argmax, its hard
+violations and its suspect intervals, and the scan merges these in chunk
+order; both operations keep the first chunk maximum that no later chunk
+exceeds, so the reports and scans are those of running the kernel on
+every chunk.  Intervals whose margin falls inside the guard band are
+escalated: the same kernel re-runs at 50 digits on exact M(n) and on m(n)
+and ell(n) as 256-bit fixed-point integers from `Tables.exact_prefix`,
+and the intervals are reported as indeterminate.
 """
 
 from __future__ import annotations
@@ -50,25 +47,20 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .tables import _BLOCK as _TABLE_BLOCK, Tables, _carried, _small_primes
+from .tables import _BLOCK as _CHUNK, Chunk, Tables
 
 _ULP = 2.0 ** -53
-_CHUNK = _TABLE_BLOCK  # on the grid of `_spans`, a whole chunk is one block of the build
-_BLOCK = 1 << 14  # k per block of the exact prefix sums (1 MB of digits)
-_FIXED_BITS = 256
-_LIMBS = _FIXED_BITS // 32  # base-2^32 digits of a fixed-point reciprocal
-_LOG_BITS = _FIXED_BITS + 64  # working precision of the log p chain
 _BISECT_STEPS = 80
 _MAX_VIOLATIONS = 10000  # verify_range stops at the violation after this many
 _ENV_SLACK = 1.0 + 64.0 * _ULP  # rounding slack of a chunk envelope (_chunk_envelope)
 _RATIO_RANK = 94  # Theorem C: the ratio stays in _RATIO_BAND for x >= 94
 _RATIO_BAND = (2.0 / 3.0, 1.5)
 
-# the weights each target supports, the prefix series each target reads
-# (M(n) is exact in every table), and the weight each predicate kind uses
+# the weights each target supports, the arrays of a chunk each target reads
+# (of which m and ell are prefix series), and the weight each kind uses
 _WEIGHTS = {"m": ("1", "logx", "log2x", "sqrtx"), "m1": ("log2x",),
             "mcheck-minus-1": ("log2x",), "M": ("sqrtx",)}
-_SERIES = {"m": ("m",), "m1": ("m",), "mcheck-minus-1": ("m", "ell"), "M": ()}
+_SERIES = {"m": ("m",), "m1": ("M", "m"), "mcheck-minus-1": ("m", "ell"), "M": ("M",)}
 _KIND_WEIGHT = {"const-bound": "1", "log-bound": "logx",
                 "log2-bound": "log2x", "sqrt-bound": "sqrtx"}
 
@@ -306,39 +298,24 @@ def _clipped(a: int, b: int, lo: float, hi: float):
     return x1, x2
 
 
-def _kernel_inputs(tables: Tables, target: str, a: int, b: int):
-    """m(n), M(n) and ell(n) for n in [a, b); a series ``target`` does not
-    read is None, and one it reads but ``tables`` lacks raises
-    InvalidArgumentError."""
-    m, ell = (tables.prefix(name).values[a:b] if name in _SERIES[target] else None
-              for name in ("m", "ell"))
-    return m, tables.mu.mertens[a:b], ell
+def _chunk_sup(target: str, weight: str, lo: float, hi: float, c: Chunk):
+    """(sup, argmax, x2): `_interval_sup` on the intervals [n, n+1) of
+    chunk c cut to [lo, hi], and the right ends x2 of those intervals."""
+    x1, x2 = _clipped(c.a, c.b, lo, hi)
+    return (*_interval_sup(target, weight, x1, x2, c.m, c.M, c.ell), x2)
 
 
-def _chunk_scan(pred: Predicate, lo: float, hi: float, a: int, b: int,
-                tables: Tables):
-    """Quantities q(n) and interval ends x2(n) for integers n in [a, b).
-
-    q(n) is the supremum of the weighted function over [n, n+1) cut to
-    [lo, hi]; the predicate holds there iff q(n) <= the bound.
-    """
-    x1, x2 = _clipped(a, b, lo, hi)
-    sup, _ = _interval_sup(pred.target, _KIND_WEIGHT[pred.kind], x1, x2,
-                           *_kernel_inputs(tables, pred.target, a, b))
-    return _scale_bound(pred)[0] * sup, x2
-
-
-def _guard(pred: Predicate, q, x2, b: int, tables: Tables):
-    """Guard band of quantities q on intervals ending at x2 in a chunk
-    ending at b: the series radius under the weight plus the kernel's
-    rounding.  The series radii are nondecreasing, so their values at b - 1
-    cover the whole chunk; the guard is nondecreasing in q and x2."""
+def _guard(pred: Predicate, q, x2, c: Chunk):
+    """Guard band of quantities q on intervals of chunk c ending at x2: the
+    series radius under the weight plus the kernel's rounding.  The series
+    radii are nondecreasing, so the chunk's radii at b - 1 cover the whole
+    chunk; the guard is nondecreasing in q and x2."""
     if pred.target == "M":
         return 4.0 * _ULP * q
-    err = tables.prefix("m").radius(b - 1)
+    err = c.m_radius
     if pred.target == "mcheck-minus-1":
         L2 = np.log(x2)
-        radius = (err * L2 + tables.prefix("ell").radius(b - 1)) * L2 * L2
+        radius = (err * L2 + c.ell_radius) * L2 * L2
     else:
         radius = _scale_bound(pred)[0] * _weight(_KIND_WEIGHT[pred.kind], x2, np) * err
     if pred.target == "m":
@@ -355,11 +332,11 @@ def _spans(n_lo: int, n_hi: int) -> List[Tuple[int, int]]:
     return list(zip(ends, ends[1:]))
 
 
-def _chunk_envelope(target: str, weight: str, lo: float, hi: float, a: int,
-                    b: int, tables: Tables) -> float:
+def _chunk_envelope(target: str, weight: str, lo: float, hi: float,
+                    c: Chunk) -> float:
     """E >= the float supremum `_interval_sup` computes on every interval
-    [n, n+1) for n in [a, b), cut to [lo, hi]: the kernel's own bound taken
-    over the whole span [xa, xb].
+    [n, n+1) of chunk c, a <= n < b, cut to [lo, hi]: the kernel's own
+    bound taken over the whole span [xa, xb].
 
       M : |M(n)|/sqrt(x) falls in x: max|M| / sqrt(xa);
       m : |m(n)| w(x) grows in x: max|m| w(xb);
@@ -369,9 +346,9 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float, a: int,
           at La or Lb; over v = m L - ell at both ends its largest value
           is max(max v - 1, 1 - min v), times Lb^2.
 
-    max|M|, max|m| and max|ell| are the build's block maxima
-    (`Tables.block_absmax`) when [a, b) is one whole block, as every chunk
-    of `_spans` but the two ends is; any other chunk reduces its slice.
+    max|M|, max|m| and max|ell| are the chunk's (`Tables.chunk`): the
+    build's block maxima on a whole block, as every chunk of `_spans` but
+    the two ends is.
 
     Rounding.  E = (top + k u S) w (1 + k u), top the float maximum above,
     w its weight factor, u = 2^-53, k = 64, and S the operand size of the
@@ -391,39 +368,28 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float, a: int,
     are monotone and do not cancel, need at most 13u.  k = 64 covers the
     higher-order terms and a log up to 4 ulp.
     """
-    xa, xb = max(float(a), lo), min(float(b), hi)
-    m, M, ell = _kernel_inputs(tables, target, a, b)
-
-    def absmax(name, v):
-        found = tables.block_absmax(name, a, b)
-        return _absmax(v) if found is None else found
-
+    xa, xb = max(float(c.a), lo), min(float(c.b), hi)
     if target == "M":
-        return absmax("M", M) / math.sqrt(xa) * _ENV_SLACK
+        return c.M_max / math.sqrt(xa) * _ENV_SLACK
     if target == "m":
-        return absmax("m", m) * _weight(weight, xb, math) * _ENV_SLACK
+        return c.m_max * _weight(weight, xb, math) * _ENV_SLACK
     # the two ends share one buffer: every fresh chunk-sized array costs
     # page faults once the heap has no freed slack
-    Lb, v = math.log(xb), np.empty(m.shape[0])
+    Lb, v = math.log(xb), np.empty(c.m.shape[0])
     if target == "m1":
         top = 0.0
         for x in (xa, xb):
-            np.subtract(m, np.divide(M, x, out=v), out=v)
-            top = max(top, _absmax(v))
-        size = absmax("m", m) + absmax("M", M) / xa
+            np.subtract(c.m, np.divide(c.M, x, out=v), out=v)
+            top = max(top, float(v.max()), -float(v.min()))
+        size = c.m_max + c.M_max / xa
     else:
         v_hi, v_lo = -math.inf, math.inf
         for L in (math.log(xa), Lb):
-            np.subtract(np.multiply(m, L, out=v), ell, out=v)
+            np.subtract(np.multiply(c.m, L, out=v), c.ell, out=v)
             v_hi, v_lo = max(v_hi, float(v.max())), min(v_lo, float(v.min()))
         top = max(v_hi - 1.0, 1.0 - v_lo)
-        size = absmax("m", m) * Lb + absmax("ell", ell) + 1.0
+        size = c.m_max * Lb + c.ell_max + 1.0
     return (top + (_ENV_SLACK - 1.0) * size) * Lb * Lb * _ENV_SLACK
-
-
-def _absmax(v) -> float:
-    """max |v| over a nonempty array, without an |v| temporary."""
-    return max(float(v.max()), -float(v.min()))
 
 
 def _first_max(env, peaks, peak):
@@ -445,136 +411,18 @@ def _first_max(env, peaks, peak):
 # ---------------------------------------------------------------------------
 # exact escalation
 
-def _recip_limbs(k: np.ndarray) -> np.ndarray:
-    """floor(2^_FIXED_BITS / k) for each k of a uint64 array (1 <= k < 2^31),
-    as _LIMBS rows of base-2^32 digits, most significant first, in int64.
-
-    Long division of 1 followed by _LIMBS zero digits: every partial
-    remainder is below k, so each step divides a number below 2^63 and each
-    digit is below 2^32 (for k = 1 the leading digit is 2^32 itself).
-    """
-    rows = np.empty((_LIMBS, k.shape[0]), dtype=np.int64)
-    rem = np.ones_like(k)
-    for row in rows:
-        row[:], rem = np.divmod(rem << np.uint64(32), k)
-    return rows
-
-
-def _join(limb_sums) -> int:
-    """sum_i limb_sums[i] 2^(32 (_LIMBS - 1 - i)): signed digit sums to one integer."""
-    acc = 0
-    for s in limb_sums.tolist():
-        acc = (acc << 32) + s
-    return acc
-
-
-def _log_step(p: int, prev: int) -> int:
-    """log p - log prev = 2 atanh(x), x = (p - prev)/(p + prev) <= 1/3, as an
-    integer over 2^_LOG_BITS, from below and short by less than 340 units.
-
-    With u = 2^-_LOG_BITS, X = floor(x/u) and X2 = floor(X^2 u) make every
-    power P_j (P_1 = X, P_{j+2} = floor(P_j X2 u)) satisfy
-    0 <= x^j - P_j u < 2u, so each term floor(P_j/j) is short of x^j/j by
-    less than 2u/j + u; the loop stops at the first P_j = 0, where
-    x^j < 2u bounds the tail by u/10, and P_j u <= x^j <= 3^-j < u by
-    j = 203.  So atanh(x) is short by less than 1.1u + 101 (5/3)u < 170u.
-    """
-    x = ((p - prev) << _LOG_BITS) // (p + prev)
-    x2 = x * x >> _LOG_BITS
-    acc = term = x
-    j = 1
-    while term:
-        term = term * x2 >> _LOG_BITS
-        j += 2
-        acc += term // j
-    return 2 * acc
-
-
-def _exact_prefix(mu: np.ndarray, n: int, with_ell: bool):
-    """(m(n), ell(n)) as integers over 2^_FIXED_BITS; ell is None unless
-    with_ell.  Scratch memory is O(sqrt(n) + _BLOCK); every sum is over
-    numpy blocks of _BLOCK k at a time.
-
-    m(n) = sum_{k<=n} mu(k) floor(2^_FIXED_BITS / k): each block sums
-    mu(k) times the base-2^32 digits of the truncated reciprocals in int64
-    (each digit sum stays below n 2^32 < 2^63), and the digits are joined
-    once, so the integer is exactly that of a per-term loop and lies within
-    n units of 2^-_FIXED_BITS of m(n).
-
-    ell(n): log k = sum_{p|k} log p for squarefree k, so
-    ell(n) = sum_{p<=n} log p T_p with T_p = sum_{k<=n, p|k} mu(k)/k.  For
-    p <= r = isqrt(n), T_p is the digit sum of the block reciprocals over
-    k = 0 mod p.  For p > r, k = pj forces j <= n/p < p, so
-    T_p = -m(n // p)/p, read from the exact m table on [0, r].  log p comes
-    from the chain log p = log p' + 2 atanh((p - p')/(p + p')) over
-    consecutive primes (p < 2p', so the argument is at most 1/3), from
-    log 1 = 0, at _LOG_BITS bits (_log_step); primes above r come from a
-    segmented sieve of each block by the primes up to r.  The products are
-    summed exactly and floored once.
-
-    Error of ell, in units of 2^-_FIXED_BITS (the chain is short of log p
-    by less than 340 pi(n) 2^-_LOG_BITS, i.e. < 340 pi(n) 2^-64 units):
-      * truncated reciprocals in T_p, p <= r: each squarefree k adds less
-        than sum_{p|k} log p = log k, in all < n log n (log is natural);
-      * the chain's error times |T_p| <= (1 + log n)/p: < 1;
-      * m(q) to within q units, q = n // p < n/p, times log p/p over
-        p > r: < n log n / r <= 2 sqrt(n) log n;
-      * floor(L_p / p) and the chain's error over p, times |m(q)| <= 1:
-        < 341 pi(n) 2^-64 < 1;
-      * the final floor: < 1.
-    In all |ell - ell(n)| < ((n + 2 sqrt(n)) log n + 4) 2^-_FIXED_BITS,
-    below 2^-221 at n = 1e9 (the digit sums need n < 2^31).
-    """
-    if n >= 1 << 31:
-        raise RangeError(f"exact prefix sums need n < 2^31, not {n}")
-    r = math.isqrt(n)
-    small = _small_primes(r).tolist() if with_ell else []
-    small_logs, log_p, prev = [], 0, 1
-    for p in small:
-        log_p, prev = log_p + _log_step(p, prev), p
-        small_logs.append(log_p)
-    m_digits = np.zeros(_LIMBS, dtype=np.int64)
-    t_digits = np.zeros((len(small), _LIMBS), dtype=np.int64)
-    by_q = [0] * (r + 1)  # by_q[q] = sum of floor(L_p / p) over p > r, n // p = q
-    for a in range(1, n + 1, _BLOCK):
-        b = min(a + _BLOCK, n + 1)
-        w = mu[a:b].astype(np.int64)
-        limbs = _recip_limbs(np.arange(a, b, dtype=np.uint64))
-        m_digits += limbs @ w
-        if not with_ell:
-            continue
-        composite = np.zeros(b - a, dtype=bool)
-        for i, p in enumerate(small):
-            off = -a % p
-            t_digits[i] += limbs[:, off::p] @ w[off::p]
-            composite[off::p] = True
-        first = max(a, r + 1)
-        for p in (np.nonzero(~composite[first - a:])[0] + first).tolist():
-            log_p, prev = log_p + _log_step(p, prev), p
-            by_q[n // p] += log_p // p
-    m_fp = _join(m_digits)
-    if not with_ell:
-        return m_fp, None
-    w = mu[1:r + 1].astype(np.int64)
-    m_small = np.cumsum(_recip_limbs(np.arange(1, r + 1, dtype=np.uint64)) * w, axis=1)
-    total = sum(L * _join(t) for L, t in zip(small_logs, t_digits))
-    total -= sum(_join(m_q) * s for m_q, s in zip(m_small.T, by_q[1:]))
-    return m_fp, total >> _LOG_BITS
-
-
 def _exact_recheck(pred: Predicate, n: int, tables: Tables, lo: float,
                    hi: float) -> Tuple[float, bool]:
     """Re-decide a marginal interval, [n, n+1) cut to [lo, hi]: the scan's
     kernel at 50 digits."""
     import mpmath as mp  # the escalation path alone needs it
     with mp.workdps(50):
-        m = ell = 0
-        if pred.target != "M":
-            m_fp, ell_fp = _exact_prefix(tables.mu.mu, n, pred.target == "mcheck-minus-1")
-            m = mp.ldexp(m_fp, -_FIXED_BITS)
-            if ell_fp is not None:
-                ell = mp.ldexp(ell_fp, -_FIXED_BITS)
-        M = int(tables.mu.mertens[n])
+        if pred.target == "M":  # M(n) alone, without the O(n) exact sums
+            M, m, ell = int(tables.chunk(n, n + 1, ("M",)).M[0]), 0, 0
+        else:
+            M, m_fp, ell_fp = tables.exact_prefix(n, pred.target == "mcheck-minus-1")
+            m = mp.ldexp(m_fp, -Tables.FIXED_BITS)
+            ell = 0 if ell_fp is None else mp.ldexp(ell_fp, -Tables.FIXED_BITS)
         x1, x2, m, M, ell = (np.array([mp.mpf(v)], dtype=object)
                              for v in (max(n, lo), min(n + 1, hi), m, M, ell))
         sup, _ = _interval_sup(pred.target, _KIND_WEIGHT[pred.kind],
@@ -613,30 +461,33 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     The scan runs in the calling thread and does not read `jobs`: with the
     envelopes the kernel runs on 1-3 chunks of a desk scan, and threading
     them measured slower than not.  The keyword stays for the callers
-    that still pass it (perfbench/workloads.py), as `sieve_mu`'s does.
+    that still pass it (perfbench/workloads.py).
     """
     n_lo, n_hi = _scan_range(lo, hi, tables.limit)
+    target, weight = pred.target, _KIND_WEIGHT[pred.kind]
     spans = _spans(n_lo, n_hi)
     scale, bound = _scale_bound(pred)
+    chunks = []  # the chunk of each span reached
 
     def peak(i):
-        a, b = spans[i]
-        q = _chunk_scan(pred, lo, hi, a, b, tables)[0]
+        q = scale * _chunk_sup(target, weight, lo, hi, chunks[i])[0]
         k = int(np.argmax(q))
-        return float(q[k]), a + k
+        return float(q[k]), chunks[i].a + k
 
     report = VerificationReport(predicate=pred.name, lo=n_lo, hi=n_hi)
     env = []  # the envelope of each span reached
     peaks = {}  # span index -> (largest q, its first n), for the spans scanned
     for i, (a, b) in enumerate(spans):
-        e = scale * _chunk_envelope(pred.target, _KIND_WEIGHT[pred.kind], lo, hi,
-                                    a, b, tables)
+        c = tables.chunk(a, b, _SERIES[target])
+        chunks.append(c)
+        e = scale * _chunk_envelope(target, weight, lo, hi, c)
         env.append(e)
-        if (e + _guard(pred, e, min(float(b), hi), b, tables)) * _ENV_SLACK < bound:
+        if (e + _guard(pred, e, min(float(b), hi), c)) * _ENV_SLACK < bound:
             continue
         # hard violations, and suspects for exact re-decision
-        q, x2 = _chunk_scan(pred, lo, hi, a, b, tables)
-        guard = _guard(pred, q, x2, b, tables)
+        sup, _, x2 = _chunk_sup(target, weight, lo, hi, c)
+        q = scale * sup
+        guard = _guard(pred, q, x2, c)
         margin = bound - q
         found = [(a + j, float(q[j]), float(margin[j]))
                  for j in np.nonzero(margin < -guard)[0].tolist()]
@@ -678,16 +529,14 @@ def sup_scan(tables: Tables, target: str, weight: str, lo: float,
     """
     _check_weight(target, weight)
     n_lo, n_hi = _scan_range(lo, hi, tables.limit, closed=True)
-    spans = _spans(n_lo, n_hi)
+    chunks = [tables.chunk(a, b, _SERIES[target]) for a, b in _spans(n_lo, n_hi)]
 
     def peak(i):
-        a, b = spans[i]
-        sup, arg = _interval_sup(target, weight, *_clipped(a, b, lo, hi),
-                                 *_kernel_inputs(tables, target, a, b))
+        sup, arg, _ = _chunk_sup(target, weight, lo, hi, chunks[i])
         k = int(np.argmax(sup))
         return float(sup[k]), float(arg[k])
 
-    env = [_chunk_envelope(target, weight, lo, hi, a, b, tables) for a, b in spans]
+    env = [_chunk_envelope(target, weight, lo, hi, c) for c in chunks]
     return _first_max(env, {}, peak)
 
 
@@ -714,36 +563,39 @@ def _running_ratio(tables: Tables, lo: int, x_max: int):
     one chunk of `_spans` at a time; rad bounds the m radius over the span.
 
     The numerator supremum over the interval (n-1, n] closes at t = n with
-    candidates n|m(n)| and n|m(n-1)|; both running suprema are cumulative
-    maxima over table values, carried from span to span (max is exact, so
-    the spans do not change any value).  M is exact and the m values lie
-    within their radius, nondecreasing in n, so the numerator is within
-    x rad plus one rounding of the exact one, and the quotient adds another:
+    candidates n|m(n)| and n|m(n-1)|, taken as n max(|m(n)|, |m(n-1)|)
+    (the product rounds monotonically, so this is the larger candidate);
+    the walk starts at 1, where m(0) = 0, and carries |m(a - 1)| and both
+    running suprema from chunk to chunk (max is exact, so the chunks do
+    not change any value).  M is exact and the m values lie within their
+    radius, nondecreasing in n, so the numerator is within x rad plus one
+    rounding of the exact one, and the quotient adds another:
     |r[i] - the exact ratio| <= x rad / sup_M[i] + 4u r[i], which also
     covers the rounding of the bound itself.
     """
-    series, mertens = tables.prefix("m"), tables.mu.mertens
-    mv = series.values
-    run_m = run_M = 0.0
+    run_m = run_M = prev = 0.0
     for a, b in _spans(1, x_max + 1):
-        nf = np.arange(a, b, dtype=np.float64)
-        cand = np.maximum(nf * np.abs(mv[a:b]), nf * np.abs(mv[a - 1:b - 1]))
-        sup_m = _carried(np.maximum, run_m, cand)[1:]
-        sup_M = _carried(np.maximum, run_M, np.abs(mertens[a:b]).astype(np.float64))[1:]
+        c = tables.chunk(a, b, ("M", "m"))
+        abs_m = np.abs(c.m)
+        sup_m = np.empty_like(abs_m)
+        sup_m[0], sup_m[1:], prev = prev, abs_m[:-1], abs_m[-1]
+        np.maximum(sup_m, abs_m, out=sup_m)
+        sup_m *= np.arange(a, b, dtype=np.float64)
+        sup_M = np.abs(c.M).astype(np.float64)
+        for run, sup in ((run_m, sup_m), (run_M, sup_M)):
+            sup[0] = max(sup[0], run)
+            np.maximum.accumulate(sup, out=sup)
         run_m, run_M = sup_m[-1], sup_M[-1]
         if b > lo:
             i = max(lo - a, 0)
-            yield a + i, sup_m[i:] / sup_M[i:], sup_M[i:], series.radius(b - 1)
+            yield a + i, sup_m[i:] / sup_M[i:], sup_M[i:], c.m_radius
 
 
 def _ratio_report(tables: Tables, lo: int, hi: int) -> RatioReport:
     """The running-supremum ratio on [lo, hi] checked against _RATIO_BAND;
     a ratio within its error bound of a band edge is indeterminate."""
     low, high = _RATIO_BAND
-    if hi > tables.limit:
-        raise RangeError(f"ratio range end {hi} exceeds sieve limit {tables.limit}")
-    if hi < lo:
-        raise InvalidArgumentError(f"empty ratio range [{lo}, {hi}]")
+    _scan_range(lo, hi, tables.limit, closed=True)
     rep = RatioReport(lo=lo, hi=hi, min_ratio=math.inf, max_ratio=-math.inf,
                       argmin=lo, argmax=lo)
     for x0, r, sup_M, rad in _running_ratio(tables, lo, hi):

@@ -139,6 +139,13 @@ def whole_array_prefix(mu, kind):
     return np.concatenate(([0.0], values)), np.concatenate(([0.0], radius))
 
 
+def abs_mertens_prefix_integral(table, T):
+    """Exact integer sum_{n=1}^{T-1} |M(n)| = integral of |M| over [1, T]
+    (M is constant on each [n, n+1)), summed in int64: the total passes
+    2^31 well before T = 1e7."""
+    return int(np.abs(table.mertens[1:T]).sum(dtype=np.int64))
+
+
 def exact_prefix_fraction(table, n):
     """Exact rational prefix sum m(n) = sum_{k<=n} mu(k)/k."""
     acc = Fraction(0)

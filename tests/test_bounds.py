@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import abs_mertens_prefix_integral
 from mobsum.bounds import (
     _ABS_M_HEADS,
     BoundForm,
@@ -42,7 +43,6 @@ from mobsum.special import (
     mellin_G1check_closed,
     mellin_H1_closed,
 )
-from mobsum.tables import abs_mertens_prefix_integral
 
 EULER_GAMMA = 0.5772156649015328606
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -12,6 +13,9 @@ import mobsum
 from mobsum import cli, tables
 from mobsum.cli import _build_parser, main
 from mobsum.errors import ResourceError
+from mobsum.verify import PREDICATES, _WEIGHTS
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -46,13 +50,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--pred", "msqrt0.5", "--from", "3",
                              "--to", "100", "--jobs", jobs)
         assert code == 2 and "--jobs" in err and "status=" not in out
-        code, out, err = run(capsys, "sieve", "--limit", "100", "--jobs", jobs)
-        assert code == 2 and "--jobs" in err and "sieve limit" not in out
     # tables are sized from --to / --x; a bigger one comes from `mobsum sieve`
     for argv in (("verify", "--pred", "msqrt0.5", "--from", "3", "--to", "100",
                   "--limit", "0"),
                  ("identity", "--name", "bal2", "--x", "100", "--limit", "5000"),
-                 ("sieve", "--limit", "100", "--block-size", "1024")):
+                 ("sieve", "--limit", "100", "--block-size", "1024"),
+                 ("sieve", "--limit", "100", "--jobs", "2")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "unrecognized arguments" in err and out == ""
     # a non-finite end cannot size a table: a usage error, not a traceback
@@ -150,8 +153,8 @@ def test_verify_builds_only_the_series_its_target_reads(capsys, monkeypatch, pre
     code, out, _ = run(capsys, *argv)
     assert (calls.count("m_series"), calls.count("ell_series")) == built
     # the output is that of a run on the full tables of build_tables
-    monkeypatch.setattr(cli, "_get_tables", lambda limit, cache_dir, target, jobs:
-                        tables.build_tables(limit, jobs=jobs))
+    monkeypatch.setattr(cli, "_get_tables", lambda limit, cache_dir, target:
+                        tables.build_tables(limit))
     assert run(capsys, *argv)[:2] == (code, out)
 
 
@@ -184,6 +187,8 @@ def test_mellin_output_and_precision(capsys):
     assert code == 0 and "0.439900711368432" in out
     code, out, _ = run(capsys, "mellin", "--form", "h2bound", "--s", "0.5")
     assert code == 0 and "8.26001526240642" in out
+    code, out, _ = run(capsys, "mellin", "--form", "g1check", "--s", "1")
+    assert code == 0 and "value=1.17278433509847 error=1.00222044604925e-13" in out
 
 
 def test_mellin_check_pass(capsys):
@@ -455,3 +460,67 @@ def test_repeated_plan_key_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "convert", "--plan", str(plan))
     assert code == 2 and out == ""
     assert "plan key 'A' repeated in one step" in err
+
+
+def test_scan_outputs_match_pinned_hashes(capsys, tmp_path, monkeypatch):
+    # tests/data/scans-2e4.txt holds, per command, its argv, the sha256 of
+    # its stdout and its summary line: `mobsum verify` for every predicate
+    # on [2, 20000) and [671.5, 19999.5), and `mobsum sup` for every target
+    # and weight on [1, 20000] and [2.5, 19999.5], all on one cached 2e4
+    # table; the stdout is not kept because the violation lists run to MBs
+    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
+    cache = str(tmp_path)
+    tables.save_table(tables.sieve_mu(20000), tables.cache_path(cache, 20000))
+    lines = (DATA / "scans-2e4.txt").read_text(encoding="utf-8").splitlines()
+    pairs = sum(len(weights) for weights in _WEIGHTS.values())
+    assert len(lines) == 2 * (len(PREDICATES) + pairs)
+    for line in lines:
+        argv, digest, summary = line.split("\t")
+        code, out, _ = run(capsys, *argv.split(), "--cache-dir", cache)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+        assert out.splitlines()[-1] == summary
+        assert code == (1 if "status=FAIL" in summary else 0), argv
+
+
+def test_package_errors_exit_3_and_unattainable_bounds_exit_1(capsys, tmp_path):
+    # a resource guard is neither a usage error nor a failed check: the
+    # panel count of a Mellin enclosure to X = 2e7 passes its 1e7 cap
+    code, out, err = run(capsys, "mellin-check", "--weight", "g1", "--s", "0.5",
+                         "--X", "2e7")
+    assert (code, out) == (3, "") and err.startswith("error: panel count")
+    # no majorant descent reaches A = 1e-9 from |M| <= x/4345
+    plan = tmp_path / "plan.txt"
+    plan.write_text("step: descend\nid: d\nhyp: M-4345\nA: 1e-9\n")
+    code, out, err = run(capsys, "convert", "--plan", str(plan))
+    assert (code, out) == (1, "") and err.startswith("bound not attainable:")
+
+
+def test_verify_writes_its_table_to_an_empty_cache_dir(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
+    argv = ("verify", "--pred", "msqrt0.5", "--from", "3", "--to", "5000")
+    fresh = run(capsys, *argv)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    assert run(capsys, *argv, "--cache-dir", str(cache)) == fresh
+    assert os.listdir(cache) == ["moebius-5000.tbl"]
+    assert tables.load_table(str(cache / "moebius-5000.tbl")).limit == 5000
+
+
+def test_convert_without_out_prints_the_ledger(capsys, tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("step: convert_via_G1\nid: demo\nhyp: M-4345\nT_cut: 4800000\n"
+                    "M_integral: M-sqrt-0.571\n")
+    ledger_file = tmp_path / "ledger.txt"
+    assert run(capsys, "convert", "--plan", str(plan), "--out", str(ledger_file)) == \
+        (0, "", "")
+    code, out, _ = run(capsys, "convert", "--plan", str(plan))
+    assert code == 0 and out == ledger_file.read_text() and "name=demo" in out
+
+
+def test_cache_file_whose_name_and_header_disagree_exits_2(capsys, tmp_path):
+    # a 3000 table saved under the name of a 6000 one: the name covers the
+    # range, the header does not
+    tables.save_table(tables.sieve_mu(3000), tables.cache_path(str(tmp_path), 6000))
+    code, out, err = run(capsys, "verify", "--pred", "msqrt0.5", "--from", "3",
+                         "--to", "5000", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "") and "cache file name and header disagree" in err

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import exact_prefix_fraction, whole_array_prefix
-from mobsum import cli, tables, verify
+from conftest import abs_mertens_prefix_integral, exact_prefix_fraction, whole_array_prefix
+from mobsum import cli, tables
 from mobsum.errors import InvalidArgumentError, RangeError, ResourceError
 from mobsum.tables import (
-    abs_mertens_prefix_integral,
     build_tables,
     cache_path,
     ell_series,
@@ -75,22 +74,22 @@ def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
             assert all(series.radius(n) >= radius[n] for n in range(limit + 1))
 
 
-def test_sieve_jobs_deterministic(monkeypatch):
-    a = sieve_mu(100000, jobs=1)
+def test_sieve_segment_size_deterministic(monkeypatch):
+    a = sieve_mu(100000)
     monkeypatch.setattr(tables, "_SIEVE_BLOCK", 1 << 14)
-    b = sieve_mu(100000, jobs=4)
+    b = sieve_mu(100000)
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.mertens, b.mertens)
 
 
 def test_sieve_starts_no_thread(monkeypatch):
-    # the segments are sieved in the calling thread, whatever jobs says
+    # the segments are sieved in the calling thread
     def refuse(self):
         raise AssertionError("the sieve started a thread")
 
     monkeypatch.setattr(tables, "_SIEVE_BLOCK", 1 << 12)
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    assert sieve_mu(100000, jobs=4).limit == 100000
+    assert sieve_mu(100000).limit == 100000
 
 
 def test_build_jobs_deterministic(monkeypatch):
@@ -119,12 +118,16 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
                                   ("m", built.series.m, built.series.m.values),
                                   ("ell", built.series.ell, built.series.ell.values)):
         starts = range(1, built.limit + 1, 97)
-        want = [0.0] + [verify._absmax(values[a:a + 97]) for a in starts]
+        want = [0.0] + [tables._absmax(values[a:a + 97]) for a in starts]
         assert summary.block_absmax.tolist() == want, name
-        assert [built.block_absmax(name, a, min(a + 97, 20001)) for a in starts] == want[1:]
-        # a span off the grid, or short of its block's end, has no maximum
-        assert built.block_absmax(name, 2, 98) is None
-        assert built.block_absmax(name, 98, 194) is None
+
+        def top(a, b):
+            return getattr(built.chunk(a, b, (name,)), f"{name}_max")
+
+        assert [top(a, min(a + 97, 20001)) for a in starts] == want[1:]
+        # a span off the grid, or short of its block's end, reduces its slice
+        assert top(2, 98) == tables._absmax(values[2:98])
+        assert top(98, 194) == tables._absmax(values[98:194])
 
     def maxima(t):
         return [a.tobytes() for a in (t.mu.block_absmax, t.series.m.block_absmax,
@@ -160,7 +163,7 @@ def test_sieve_segment_edges_divisor_identity(monkeypatch):
     # identity holding for every N <= limit pins down every mu(n)
     monkeypatch.setattr(tables, "_SIEVE_BLOCK", 7)
     limit = 2000
-    mu = sieve_mu(limit, jobs=2).mu.astype(np.int64)
+    mu = sieve_mu(limit).mu.astype(np.int64)
     d = np.arange(1, limit + 1, dtype=np.int64)
     for N in range(1, limit + 1):
         assert int(np.dot(mu[1:N + 1], N // d[:N])) == 1
@@ -194,7 +197,7 @@ def test_sieve_rejects_tables_past_physical_memory_before_allocating(monkeypatch
     # 1e7 (210 MB retained) must fail before the mu array or the primes exist
     sysconf = {"SC_PHYS_PAGES": 1 << 14, "SC_PAGE_SIZE": 1 << 12}
     monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
-    assert sieve_mu(10**5, jobs=2).limit == 10**5
+    assert sieve_mu(10**5).limit == 10**5
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError, match="physical memory"):
@@ -272,7 +275,7 @@ def test_build_calls_the_layer_hooks_once_each(monkeypatch):
 
 def test_benchmarked_entry_points_take_jobs():
     # the benchmark passes jobs= to each of these
-    for fn in (sieve_mu, build_tables, verify_range):
+    for fn in (build_tables, verify_range):
         assert "jobs" in inspect.signature(fn).parameters, fn.__name__
 
 
@@ -332,8 +335,6 @@ def test_abs_mertens_prefix_integral(tables_small):
     # integral of |M| over [1, T] for integer T is the sum of |M(n)|
     assert abs_mertens_prefix_integral(tables_small.mu, 201) == 461
     assert abs_mertens_prefix_integral(tables_small.mu, 33) == 59
-    with pytest.raises(InvalidArgumentError):
-        abs_mertens_prefix_integral(tables_small.mu, 20001)
 
 
 def test_exact_prefix_fraction_values(tables_small):

@@ -10,7 +10,7 @@ from conftest import exact_prefix_fraction, per_term_ell, per_term_m_fixed
 from mobsum import tables, verify
 from mobsum.errors import InvalidArgumentError, RangeError
 from mobsum.quad import identity_kernel_integral
-from mobsum.tables import build_tables, evaluate, with_series
+from mobsum.tables import Chunk, build_tables, evaluate, with_series
 from mobsum.verify import (
     PREDICATES,
     Predicate,
@@ -315,7 +315,7 @@ def test_pruned_reports_equal_exhaustive(tables_small, monkeypatch, request):
 
 
 @pytest.mark.parametrize("source", ["tables", "synthetic"])
-def test_chunk_envelopes_dominate_the_kernel(tables_small, monkeypatch, source):
+def test_chunk_envelopes_dominate_the_kernel(tables_small, source):
     # E bounds the float supremum of every interval of a span and G every
     # guard, for each target and weight, on random spans with fractional
     # ends; the synthetic m, M and ell give m1 its interior maxima
@@ -324,8 +324,15 @@ def test_chunk_envelopes_dominate_the_kernel(tables_small, monkeypatch, source):
         size = tables_small.limit + 1
         m, M = rng.uniform(-1.0, 1.0, size), rng.integers(-6, 7, size).astype(np.int32)
         ell = rng.uniform(-3.0, 3.0, size)
-        monkeypatch.setattr(verify, "_kernel_inputs",
-                            lambda tables, target, a, b: (m[a:b], M[a:b], ell[a:b]))
+        series = tables_small.series
+
+        def chunk(a, b):
+            views = M[a:b], m[a:b], ell[a:b]
+            return Chunk(a, b, *views, *(float(np.abs(v).max()) for v in views),
+                         series.m.radius(b - 1), series.ell.radius(b - 1))
+    else:
+        def chunk(a, b):
+            return tables_small.chunk(a, b, ("M", "m", "ell"))
     top = 200 if source == "synthetic" else 19000
     for target, weights in verify._WEIGHTS.items():
         for weight in weights:
@@ -336,13 +343,13 @@ def test_chunk_envelopes_dominate_the_kernel(tables_small, monkeypatch, source):
                 a = 1 if rng.random() < 0.1 else int(rng.integers(1, top))
                 b = a + int(rng.integers(1, 700))
                 lo, hi = a + 0.4 * rng.random() * (rng.random() < 0.5), b - 0.5 * rng.random()
+                c = chunk(a, b)
                 x1, x2 = verify._clipped(a, b, lo, hi)
-                sup, _ = _interval_sup(target, weight, x1, x2,
-                                       *verify._kernel_inputs(tables_small, target, a, b))
-                env = verify._chunk_envelope(target, weight, lo, hi, a, b, tables_small)
+                sup, _ = _interval_sup(target, weight, x1, x2, c.m, c.M, c.ell)
+                env = verify._chunk_envelope(target, weight, lo, hi, c)
                 assert env >= sup.max(), (target, weight, a, b)
-                assert verify._guard(pred, scale * env, hi, b, tables_small) >= \
-                    verify._guard(pred, scale * sup, x2, b, tables_small).max()
+                assert verify._guard(pred, scale * env, hi, c) >= \
+                    verify._guard(pred, scale * sup, x2, c).max()
 
 
 def test_desk_campaign_runs_the_kernel_on_few_chunks(tables_big, monkeypatch):
@@ -372,8 +379,8 @@ def test_desk_m_and_M_scans_reduce_only_their_end_chunks(tables_big, monkeypatch
     # build's block maxima: a scan reduces a slice only for a first or last
     # chunk off the grid (a last chunk ending at the table limit is whole)
     reduced = []
-    absmax = verify._absmax
-    monkeypatch.setattr(verify, "_absmax", lambda v: reduced.append(len(v)) or absmax(v))
+    absmax = tables._absmax
+    monkeypatch.setattr(tables, "_absmax", lambda v: reduced.append(len(v)) or absmax(v))
     for scan, ends in (
             (lambda: verify_range(PREDICATES["m4343"], 2160605, 5 * 10**6, tables_big), 2),
             (lambda: verify_range(PREDICATES["mlog0.0130073"], 97063, 230000, tables_big), 2),
@@ -396,25 +403,26 @@ def blocked(monkeypatch):
     return build_tables(20000)
 
 
-def test_whole_block_envelopes_dominate_the_kernel(blocked):
+def test_whole_block_envelopes_dominate_the_kernel(blocked, monkeypatch):
     # E bounds the float supremum of every interval of every block and G
     # every guard, for each target and weight, with whole and fractional ends
     rng = np.random.default_rng(11)
+    monkeypatch.setattr(tables, "_absmax",  # every chunk reads the block maxima
+                        lambda v: pytest.fail("a whole block reduced its slice"))
     for target, weights in verify._WEIGHTS.items():
         for weight in weights:
             kind = next(k for k, w in verify._KIND_WEIGHT.items() if w == weight)
             pred = Predicate("t", kind, target, 4343.0 if kind == "const-bound" else 1.0)
             scale = verify._scale_bound(pred)[0]
             for a, b in verify._spans(1, blocked.limit + 1):
-                assert blocked.block_absmax("M", a, b) is not None
+                c = blocked.chunk(a, b, ("M", "m", "ell"))
                 for lo, hi in ((a, b), (a + 0.4 * rng.random(), b - 0.5 * rng.random())):
                     x1, x2 = verify._clipped(a, b, lo, hi)
-                    sup, _ = _interval_sup(target, weight, x1, x2,
-                                           *verify._kernel_inputs(blocked, target, a, b))
-                    env = verify._chunk_envelope(target, weight, lo, hi, a, b, blocked)
+                    sup, _ = _interval_sup(target, weight, x1, x2, c.m, c.M, c.ell)
+                    env = verify._chunk_envelope(target, weight, lo, hi, c)
                     assert env >= sup.max(), (target, weight, a, b)
-                    assert verify._guard(pred, scale * env, hi, b, blocked) >= \
-                        verify._guard(pred, scale * sup, x2, b, blocked).max()
+                    assert verify._guard(pred, scale * env, hi, c) >= \
+                        verify._guard(pred, scale * sup, x2, c).max()
 
 
 def test_whole_block_envelopes_keep_reports_exhaustive(blocked, monkeypatch, request):
@@ -494,7 +502,7 @@ def test_exact_m_fixed_point_matches_fraction(tables_small):
         for n in (1, 2, 137, 5003):
             f = exact_prefix_fraction(tables_small.mu, n)
             exact = mp.mpf(f.numerator) / f.denominator
-            m = mp.ldexp(verify._exact_prefix(tables_small.mu.mu, n, False)[0], -256)
+            m = mp.ldexp(tables._exact_prefix(tables_small.mu.mu, n, False)[0], -256)
             assert abs(m - exact) <= mp.mpf(10) ** -48 * abs(exact)
 
 
@@ -506,27 +514,27 @@ def _exact_prefix_cases(block):
 def test_exact_prefix_m_is_the_per_term_sum(tables_small, monkeypatch, block):
     # the digit sums join to the integer of the per-term loop, bit for bit,
     # whatever the block edges
-    monkeypatch.setattr(verify, "_BLOCK", block)
+    monkeypatch.setattr(tables, "_EXACT_BLOCK", block)
     mu = tables_small.mu.mu
     for n in _exact_prefix_cases(block):
         for with_ell in (False, True):
-            assert verify._exact_prefix(mu, n, with_ell)[0] == per_term_m_fixed(mu, n), n
+            assert tables._exact_prefix(mu, n, with_ell)[0] == per_term_m_fixed(mu, n), n
     with pytest.raises(RangeError):  # the int64 digit sums need n < 2^31
-        verify._exact_prefix(mu, 1 << 31, False)
+        tables._exact_prefix(mu, 1 << 31, False)
 
 
 @pytest.mark.parametrize("block", [7, 64])
 def test_exact_prefix_ell_within_documented_bound(tables_small, monkeypatch, block):
     # |ell - ell(n)| < ((n + 2 sqrt(n)) ln n + 4) units of 2^-256, against a
     # 100-digit per-k sum (its own error is far below one unit)
-    monkeypatch.setattr(verify, "_BLOCK", block)
+    monkeypatch.setattr(tables, "_EXACT_BLOCK", block)
     mu = tables_small.mu.mu
     with mp.workdps(100):
         for n in _exact_prefix_cases(block):
-            ell = verify._exact_prefix(mu, n, True)[1]
+            ell = tables._exact_prefix(mu, n, True)[1]
             err = abs(mp.ldexp(ell, -256) - per_term_ell(mu, n)) * mp.mpf(2) ** 256
             assert err < (n + 2 * math.sqrt(n)) * math.log(n) + 4, n
-    assert verify._exact_prefix(mu, 1, True) == (1 << 256, 0)
+    assert tables._exact_prefix(mu, 1, True) == (1 << 256, 0)
 
 
 def test_m1_kernel_interior_maxima():
