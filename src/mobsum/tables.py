@@ -18,9 +18,10 @@ carry their running state (prefix, correction sum, sums of |t|, of the
 term errors and of |err|, and max |value|).  Every value and
 radius is bit-identical to one pass over the whole table.  Block j holds
 the indices (j - 1) _BLOCK < n <= min(j _BLOCK, limit), and the build
-records the largest |M(n)|, |m(n)| and |ell(n)| of each block.  A scan
-reads a table only through `Tables.chunk` (a `Chunk` record of one span:
-its slices, their largest |value| and its end radii) and
+records the largest |M(n)|, |m(n)| and |ell(n)| of each block, and, when
+ell is built with m, the largest |m(n) log n - ell(n) - 1| = |mcheck(n) - 1|.
+A scan reads a table only through `Tables.chunk` (a `Chunk` record of one
+span: its slices, their largest values and its end radii) and
 `Tables.exact_prefix`.
 
 The retained tables take 5 bytes per n for mu (int8) and Mertens (int32,
@@ -200,18 +201,22 @@ class PrefixSeries:
     nondecreasing, so it is kept at block ends only: ``error_radius[j]`` is
     the radius at index min(j _BLOCK, limit) (entry 0 is 0), and
     ``|values[n] - exact| <= radius(n)`` for every n.  ``block_absmax[j]``
-    is max |values[n]| over block j (entry 0 is 0).
+    is max |values[n]| over block j (entry 0 is 0).  An ell series built
+    with its m series also records ``mcheck_absmax[j]``, max |m(n) log n -
+    ell(n) - 1| over block j as `_mcheck_absmax` rounds it (entry 0 is 0);
+    for any other series it is None.
     """
 
     limit: int
     values: np.ndarray        # float64, length limit+1
     error_radius: np.ndarray  # float64, length ceil(limit/_BLOCK)+1
     block_absmax: np.ndarray  # float64, length ceil(limit/_BLOCK)+1
+    mcheck_absmax: np.ndarray | None = None  # float64, as block_absmax
 
     def __post_init__(self):
-        self.values.setflags(write=False)
-        self.error_radius.setflags(write=False)
-        self.block_absmax.setflags(write=False)
+        for a in (self.values, self.error_radius, self.block_absmax, self.mcheck_absmax):
+            if a is not None:
+                a.setflags(write=False)
 
     def radius(self, n: int) -> float:
         """Certified error radius of ``values[n]``: the radius at the end of
@@ -219,12 +224,14 @@ class PrefixSeries:
         return float(self.error_radius[(n + _BLOCK - 1) // _BLOCK])
 
 
-def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
+def _carried_prefix(table: MuTable, block_terms, rep_ulps: int,
+                    m: np.ndarray | None = None) -> PrefixSeries:
     """Prefix sums of per-index terms with one round of error-free correction,
     built _BLOCK indices at a time.
 
-    ``block_terms(mu, k, out)`` writes the terms t_k for the indices k (a
-    float64 block) with Möbius values mu into ``out``; each term's own
+    ``block_terms(mu, k, out, log_k)`` writes the terms t_k for the indices
+    k (a float64 block) with Möbius values mu into ``out``, and any log k it
+    takes into ``log_k`` (a buffer of its own or ``out``); each term's own
     representation error is at most rep = rep_ulps * ulp * |t_k|.  Within a
     block, with s_k the naive prefix and s_{k-1} its predecessor,
 
@@ -240,7 +247,9 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
     Each part is nondecreasing in k and rounding is monotone, so a block's
     largest radius is at its last index, the one place it is evaluated.
     The largest |value| of each block, which the running max reads anyway,
-    is kept as ``block_absmax``.
+    is kept as ``block_absmax``.  Given the m values ``m`` (for the ell
+    series), each block's `_mcheck_absmax` is recorded too, while the block
+    and its log k are in cache; log k then keeps a buffer of its own.
 
     Sums that read the same inputs run as one complex128 accumulate: s with
     sum |t|, and sum err with sum |err|.  Complex addition adds the real
@@ -249,21 +258,25 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
     rep_ulps = 1 the running sum of rep needs no pass of its own: rep =
     ulp |t_k| is a power-of-two scaling, each nonzero |t_k| >= 2^-31 keeps
     it and every partial sum far from the subnormals, and rounding commutes
-    with such a scaling, so the sum of rep is exactly ulp * sum |t|.  Other rep_ulps (3 for ell) keep a real
-    running sum of rep.
+    with such a scaling, so the sum of rep is exactly ulp * sum |t|.  Other
+    rep_ulps (3 for ell) keep a real running sum of rep, taken in the
+    scratch buffer before the TwoSum split needs it, with the carried sum
+    added to its first term (the same first addition as a carry slot).
 
     Six values carry between blocks (the prefix s, the sums of err, |t|, rep
     and |err|, and max |values|) into slot 0 of each block's left-to-right
     sums (``np.sum`` is pairwise and would round differently), so every
     float operation runs in the order of one pass over the whole table, no
     value or radius depends on _BLOCK, and the scratch is a fixed set of
-    at most 8 block-sized float64 buffers (the complex sums count twice),
-    allocated once per series.
+    7 block-sized float64 buffers (the complex sums count twice), and an
+    eighth for log k when the mcheck record is taken, allocated once per
+    series.
     """
     limit = table.limit
     values = np.empty(limit + 1)
     blocks = -(-limit // _BLOCK)
     radius, absmax = np.empty(blocks + 1), np.empty(blocks + 1)
+    mcheck = None if m is None else np.zeros(blocks + 1)
     values[0] = radius[0] = absmax[0] = 0.0
     size = min(_BLOCK, limit)
     k = np.arange(1, size + 1, dtype=np.float64)  # the block's indices
@@ -271,22 +284,22 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
     # slot 0 holds the carry, slot i + 1 the running sums through k[i]
     run = np.empty(size + 1, dtype=np.complex128)    # (s, sum |t|)
     e_run = np.empty(size + 1, dtype=np.complex128)  # (sum err, sum |err|)
-    rep = np.empty(size + 1) if rep_ulps != 1 else None
+    logs = None if m is None else np.empty(size)
     carry = e_carry = 0j
     rep_sum = v_max = 0.0
     for j, a in enumerate(range(1, limit + 1, _BLOCK), 1):
         b = min(a + _BLOCK, limit + 1)
         n = b - a
         t, w, z, ze = terms[:n], scratch[:n], run[:n + 1], e_run[:n + 1]
-        block_terms(table.mu[a:b], k[:n], t)
+        log_k = t if logs is None else logs[:n]
+        block_terms(table.mu[a:b], k[:n], t, log_k)
         z[0] = carry
         z.real[1:] = t
         np.abs(t, out=z.imag[1:])
-        if rep is not None:
-            r = rep[:n + 1]
-            r[0] = rep_sum
-            np.multiply(z.imag[1:], rep_ulps * _ULP, out=r[1:])
-            rep_sum = np.add.accumulate(r, out=r)[-1]
+        if rep_ulps != 1:  # in w, which the split below first needs
+            np.multiply(z.imag[1:], rep_ulps * _ULP, out=w)
+            w[0] += rep_sum
+            rep_sum = np.add.accumulate(w, out=w)[-1]
         np.add.accumulate(z, out=z)
         prev, cur = z.real[:-1], z.real[1:]
         np.subtract(cur, prev, out=w)              # bb
@@ -300,24 +313,26 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int) -> PrefixSeries:
         v = np.add(cur, ze.real[1:], out=values[a:b])
         absmax[j] = np.abs(v, out=w).max()
         v_max = max(v_max, absmax[j])
+        if mcheck is not None:  # w is free again
+            mcheck[j] = _mcheck_absmax(m[a:b], v, log_k, w)
         carry, e_carry = z[-1], ze[-1]
         abs_sum, abs_err_sum = carry.imag, e_carry.imag
-        if rep is None:
+        if rep_ulps == 1:
             rep_sum = _ULP * abs_sum
         radius[j] = (rep_sum + _ULP * abs_err_sum + (b - 1) * _ULP * _ULP * abs_sum
                      + 2.0 * _ULP * v_max)
         k += _BLOCK
     return PrefixSeries(limit=limit, values=values, error_radius=radius,
-                        block_absmax=absmax)
+                        block_absmax=absmax, mcheck_absmax=mcheck)
 
 
-def _m_terms(mu, k, out):
+def _m_terms(mu, k, out, log_k):
     np.divide(mu, k, out=out)
 
 
-def _ell_terms(mu, k, out):
-    np.log(k, out=out)
-    np.multiply(mu, out, out=out)
+def _ell_terms(mu, k, out, log_k):
+    np.log(k, out=log_k)
+    np.multiply(mu, log_k, out=out)
     np.divide(out, k, out=out)
 
 
@@ -327,10 +342,21 @@ def m_series(table: MuTable) -> PrefixSeries:
     return _carried_prefix(table, _m_terms, 1)
 
 
-def ell_series(table: MuTable) -> PrefixSeries:
-    """Prefix sums of mu(k)*log(k)/k (the auxiliary series behind mcheck)."""
+def ell_series(table: MuTable, m: PrefixSeries | None = None) -> PrefixSeries:
+    """Prefix sums of mu(k)*log(k)/k (the auxiliary series behind mcheck);
+    given the m series of ``table``, it records the block maxima of
+    |mcheck(n) - 1| (``mcheck_absmax``)."""
     # log() is faithfully rounded (<=1 ulp) and the quotient adds one more
-    return _carried_prefix(table, _ell_terms, 3)
+    return _carried_prefix(table, _ell_terms, 3, None if m is None else m.values)
+
+
+def _mcheck_absmax(m, ell, log_n, d) -> float:
+    """max |m(n) log n - (ell(n) + 1)| over a span, rounded as the mcheck
+    kernel rounds it at x = n: ``log_n`` holds the float log n and is
+    overwritten, ``d`` is scratch of the same size."""
+    np.multiply(m, log_n, out=log_n)
+    np.subtract(log_n, np.add(ell, 1.0, out=d), out=log_n)
+    return _absmax(log_n)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +506,11 @@ class EvaluationPoint:
 
 class Chunk(NamedTuple):
     """The indices a <= n < b of a table, as a scan reads them: the M, m
-    and ell slices (None for one not asked for), the largest |value| of
-    each slice, and the m and ell radii at b - 1, which bound the radius
-    of every index of the chunk.  Views and scalars only."""
+    and ell slices (None for one not asked for), the largest |M| and |m|
+    of the M and m slices, the largest |m(n) log n - ell(n) - 1| when m
+    and ell are both asked for (`_mcheck_absmax`), and the m and ell radii
+    at b - 1, which bound the radius of every index of the chunk.  Views
+    and scalars only."""
 
     a: int
     b: int
@@ -491,7 +519,7 @@ class Chunk(NamedTuple):
     ell: np.ndarray | None
     M_max: float | None
     m_max: float | None
-    ell_max: float | None
+    mcheck_max: float | None
     m_radius: float | None
     ell_radius: float | None
 
@@ -522,11 +550,11 @@ class Tables:
         """The `Chunk` of the indices a <= n < b (1 <= a < b <= limit + 1)
         for the arrays named in ``series`` ("M", "m", "ell"); a prefix
         series it names but these tables lack raises InvalidArgumentError.
-        The largest |value| of a slice is the build's record when [a, b)
-        is one whole block, else a reduction of the slice."""
+        Each largest value is the build's record when [a, b) is one whole
+        block (and the build recorded it), else a reduction of the slices."""
         j, off = divmod(a - 1, _BLOCK)
         whole = not off and b == min(a + _BLOCK, self.limit + 1)
-        M = M_max = m = m_max = m_rad = ell = ell_max = ell_rad = None
+        M = M_max = m = m_max = m_rad = ell = ell_rad = mcheck_max = None
         if "M" in series:
             M = self.mu.mertens[a:b]
             M_max = float(self.mu.block_absmax[j + 1]) if whole else _absmax(M)
@@ -537,8 +565,12 @@ class Tables:
         if "ell" in series:
             s = self.prefix("ell")
             ell, ell_rad = s.values[a:b], s.radius(b - 1)
-            ell_max = float(s.block_absmax[j + 1]) if whole else _absmax(ell)
-        return Chunk(a, b, M, m, ell, M_max, m_max, ell_max, m_rad, ell_rad)
+            if m is not None:
+                record = s.mcheck_absmax
+                mcheck_max = (float(record[j + 1]) if whole and record is not None else
+                              _mcheck_absmax(m, ell, np.log(np.arange(a, b, dtype=np.float64)),
+                                             np.empty(b - a)))
+        return Chunk(a, b, M, m, ell, M_max, m_max, mcheck_max, m_rad, ell_rad)
 
     def exact_prefix(self, n: int, with_ell: bool):
         """(M(n), m(n), ell(n)): M exactly, m and ell as integers over
@@ -554,10 +586,11 @@ def build_tables(limit: int, jobs: int = 1) -> Tables:
 
 def with_series(table: MuTable, series=SERIES) -> Tables:
     """``table`` bundled with the prefix series named in ``series`` (a
-    subset of SERIES); the others are None."""
+    subset of SERIES); the others are None.  An ell series built with m
+    records the mcheck block maxima."""
+    m = m_series(table) if "m" in series else None
     return Tables(mu=table, series=SeriesPair(
-        m=m_series(table) if "m" in series else None,
-        ell=ell_series(table) if "ell" in series else None))
+        m=m, ell=ell_series(table, m) if "ell" in series else None))
 
 
 def evaluate(tables: Tables, x: float) -> EvaluationPoint:

@@ -16,11 +16,13 @@ argmax.  Both walk the range in one thread, in chunks cut at the grid
 range; _CHUNK is the table build's block, so every chunk but the two ends
 of a scan is one block, and is read as one `Tables.chunk` record.  Each
 chunk first gets an envelope E, `_chunk_envelope`: the kernel's bound
-taken over the whole chunk at once from its ends and its largest |m|, |M|
-and |ell|, which on a whole block are the maxima the build recorded,
-inflated by the kernel's own rounding, so E is at least every float
-supremum the kernel would compute there, and G, the guard band at E, is
-at least every interval's guard.  A chunk with E + G below the bound
+taken over the whole chunk at once, from its largest |M| or |m| for M and
+m, and for m1 and mcheck - 1 from their largest value at the integers
+plus the variation within [n, n+1); on a whole block the largest |M|,
+|m| and |mcheck(n) - 1| are the build's records.  E is inflated by the
+kernel's own rounding, so it is at least every float supremum the kernel
+would compute there, and G, the guard band at E, is at least every
+interval's guard.  A chunk with E + G below the bound
 (with rounding slack) holds no violation and no interval inside the guard
 band, and a chunk with E below the largest value found holds neither the
 maximum nor a tie with it: the kernel runs on the chunks that reach the
@@ -33,7 +35,9 @@ exceeds, so the reports and scans are those of running the kernel on
 every chunk.  Intervals whose margin falls inside the guard band are
 escalated: the same kernel re-runs at 50 digits on exact M(n) and on m(n)
 and ell(n) as 256-bit fixed-point integers from `Tables.exact_prefix`,
-and the intervals are reported as indeterminate.
+and the intervals are reported as indeterminate.  The Theorem C ratio
+walk carries its running suprema from chunk to chunk and accumulates a
+chunk only from its first new running record (`_running_max`).
 """
 
 from __future__ import annotations
@@ -340,55 +344,55 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float,
 
       M : |M(n)|/sqrt(x) falls in x: max|M| / sqrt(xa);
       m : |m(n)| w(x) grows in x: max|m| w(xb);
-      m1: m(n) - M(n)/x is monotone in x, so |m1| peaks at xa or xb, and
-          log^2 x <= Lb^2 = log^2 xb: max_n max(|m1(xa)|, |m1(xb)|) Lb^2;
-      mcheck - 1: |m(n) L - ell(n) - 1| is convex in L = log x, so it peaks
-          at La or Lb; over v = m L - ell at both ends its largest value
-          is max(max v - 1, 1 - min v), times Lb^2.
+      m1: the value at the integers plus the variation within [n, n+1):
+          |m(n) - M(n)/x| <= |m(n) - M(n)/n| + |M(n)| (1/n - 1/x), and
+          1/n - 1/x < 1/n^2 <= 1/a^2, so with log^2 x <= Lb^2 = log^2 xb,
+          (max_n |m(n) - M(n)/n| + max|M| / a^2) Lb^2;
+      mcheck - 1: likewise |m(n) L - ell(n) - 1| <= |m(n) log n - ell(n)
+          - 1| + |m(n)| (L - log n), and L - log n <= log(1 + 1/n) <= 1/a
+          for L = log x: (mcheck_max + max|m| / a) Lb^2.
 
-    max|M|, max|m| and max|ell| are the chunk's (`Tables.chunk`): the
-    build's block maxima on a whole block, as every chunk of `_spans` but
-    the two ends is.
+    Every number in the parentheses is the chunk's (`Tables.chunk`): the
+    build's records on a whole block, as every chunk of `_spans` but the
+    two ends is, else a reduction of its slices; max_n |m(n) - M(n)/n| is
+    always a reduction.  They depend on the chunk's indices only, not on
+    lo or hi, so a whole block cut by a fractional scan end still reads
+    its records.
 
-    Rounding.  E = (top + k u S) w (1 + k u), top the float maximum above,
-    w its weight factor, u = 2^-53, k = 64, and S the operand size of the
-    two forms that cancel: max|m| + max|M|/xa for m1, max|m| Lb + max|ell|
-    + 1 for mcheck, 0 for M and m.  With numpy's log within 1 ulp (2u;
-    measured at most 0.52 ulp over 2e4 points of [1, 2e9] against mpmath),
-    every float log the kernel takes of an x in [xa, xb] lies in
-    [La (1 - 4u), Lb (1 + 4u)] for the float La, Lb the envelope takes;
-    widening the monotone or convex form to those ends costs 4u |m| Lb
-    absolutely, the kernel's rounded operands (fl(M/x) for m1; fl(m L) and
-    d = fl(ell + 1) for mcheck) u S, its three remaining roundings 3u and
-    the squared log 8u relatively.  The ends as the envelope computes them
-    carry u S for m1 (fl(M/x)) and 2u S for mcheck (fl(m L), then
-    fl(m L - ell)), and u relatively (the subtraction of fl(M/x), or the
-    shift by 1); its own five roundings add 5u.  To first order the
-    kernel's value is within (1 + 17u) top w + 7u S w; M and m, whose forms
-    are monotone and do not cancel, need at most 13u.  k = 64 covers the
-    higher-order terms and a log up to 4 ulp.
+    Rounding.  E = (top + k u S) w (1 + k u), top the float value in the
+    parentheses, w its weight factor, u = 2^-53, k = 64, and S the operand
+    size of the form that cancels: max|M|/a for m1, max|m| Lb for mcheck,
+    0 for M and m.  The values at the integers are taken with the kernel's
+    own operations at x = n (fl(m - fl(M/n)); fl(fl(m log n) - fl(ell +
+    1))), so the kernel's float value at an x of [n, n+1] differs from them
+    only by the variation and by roundings.  With numpy's log within 1 ulp
+    (2u; measured at most 0.52 ulp over 2e4 points of [1, 2e9] against
+    mpmath), the kernel's float L and the float log n lie within 2u of the
+    true logs relatively, so L - log n <= 1/n + 4u Lb, and L <= Lb (1 + 4u)
+    for the float Lb the envelope takes.  Absolutely, the operands cost at
+    most 7u S: for m1, fl(M/x) and fl(M/n) u S each; for mcheck, fl(m L)
+    and fl(m log n) u S each and the logs 4u S (d = fl(ell + 1) is the
+    same float on both sides).  Relatively, the rounding of the value at
+    the integers costs u, the kernel's own three roundings 3u, the squared
+    log 8u, the envelope's own six roundings 6u.  So to first order E
+    need only reach (top + 7u S) w (1 + 18u); M and m, whose forms are
+    monotone and do not cancel, need at most 13u.  k = 64 covers the
+    higher-order terms and a log up to 4 ulp (18u S and 1 + 42u).
     """
     xa, xb = max(float(c.a), lo), min(float(c.b), hi)
     if target == "M":
         return c.M_max / math.sqrt(xa) * _ENV_SLACK
     if target == "m":
         return c.m_max * _weight(weight, xb, math) * _ENV_SLACK
-    # the two ends share one buffer: every fresh chunk-sized array costs
-    # page faults once the heap has no freed slack
-    Lb, v = math.log(xb), np.empty(c.m.shape[0])
+    Lb = math.log(xb)
     if target == "m1":
-        top = 0.0
-        for x in (xa, xb):
-            np.subtract(c.m, np.divide(c.M, x, out=v), out=v)
-            top = max(top, float(v.max()), -float(v.min()))
-        size = c.m_max + c.M_max / xa
+        v = np.arange(c.a, c.b, dtype=np.float64)
+        np.subtract(c.m, np.divide(c.M, v, out=v), out=v)
+        top = max(float(v.max()), -float(v.min())) + c.M_max / c.a / c.a
+        size = c.M_max / c.a
     else:
-        v_hi, v_lo = -math.inf, math.inf
-        for L in (math.log(xa), Lb):
-            np.subtract(np.multiply(c.m, L, out=v), c.ell, out=v)
-            v_hi, v_lo = max(v_hi, float(v.max())), min(v_lo, float(v.min()))
-        top = max(v_hi - 1.0, 1.0 - v_lo)
-        size = c.m_max * Lb + c.ell_max + 1.0
+        top = c.mcheck_max + c.m_max / c.a
+        size = c.m_max * Lb
     return (top + (_ENV_SLACK - 1.0) * size) * Lb * Lb * _ENV_SLACK
 
 
@@ -557,6 +561,19 @@ class RatioReport:
         return not self.violations and not self.indeterminate
 
 
+def _running_max(sup, run: float) -> None:
+    """sup, in place, as its running maximum from the carried maximum run:
+    the accumulate starts at the first value above run, and sup is filled
+    with run if it has none (max is exact, so either way sup is bit for
+    bit the accumulate of the whole chunk)."""
+    i = int(np.argmax(sup > run))
+    if sup[i] <= run:
+        sup.fill(run)
+    else:
+        sup[:i] = run
+        np.maximum.accumulate(sup[i:], out=sup[i:])
+
+
 def _running_ratio(tables: Tables, lo: int, x_max: int):
     """Yield (x0, r, sup_M, rad) with r[i] = sup_{t<=x} t|m(t)| / sup_M[i],
     sup_M[i] = sup_{t<=x} |M(t)|, at x = x0 + i, covering x in [lo, x_max]
@@ -571,7 +588,9 @@ def _running_ratio(tables: Tables, lo: int, x_max: int):
     radius, nondecreasing in n, so the numerator is within x rad plus one
     rounding of the exact one, and the quotient adds another:
     |r[i] - the exact ratio| <= x rad / sup_M[i] + 4u r[i], which also
-    covers the rounding of the bound itself.
+    covers the rounding of the bound itself.  A chunk whose largest |M|
+    (`Tables.chunk`) does not pass the running sup_M leaves it constant,
+    without reading M.
     """
     run_m = run_M = prev = 0.0
     for a, b in _spans(1, x_max + 1):
@@ -581,10 +600,12 @@ def _running_ratio(tables: Tables, lo: int, x_max: int):
         sup_m[0], sup_m[1:], prev = prev, abs_m[:-1], abs_m[-1]
         np.maximum(sup_m, abs_m, out=sup_m)
         sup_m *= np.arange(a, b, dtype=np.float64)
-        sup_M = np.abs(c.M).astype(np.float64)
-        for run, sup in ((run_m, sup_m), (run_M, sup_M)):
-            sup[0] = max(sup[0], run)
-            np.maximum.accumulate(sup, out=sup)
+        _running_max(sup_m, run_m)
+        if c.M_max <= run_M:
+            sup_M = np.full(b - a, run_M)
+        else:
+            sup_M = np.abs(c.M).astype(np.float64)
+            _running_max(sup_M, run_M)
         run_m, run_M = sup_m[-1], sup_M[-1]
         if b > lo:
             i = max(lo - a, 0)

@@ -145,9 +145,9 @@ def test_verify_builds_only_the_series_its_target_reads(capsys, monkeypatch, pre
     monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
     calls = []
     for name in ("m_series", "ell_series"):
-        def counting(table, _name=name, _fn=getattr(tables, name)):
+        def counting(table, *rest, _name=name, _fn=getattr(tables, name)):
             calls.append(_name)
-            return _fn(table)
+            return _fn(table, *rest)
         monkeypatch.setattr(tables, name, counting)
     argv = ("verify", "--pred", pred, "--from", lo, "--to", hi)
     code, out, _ = run(capsys, *argv)

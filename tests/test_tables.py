@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import abs_mertens_prefix_integral, exact_prefix_fraction, whole_array_prefix
-from mobsum import cli, tables
+from mobsum import cli, tables, verify
 from mobsum.errors import InvalidArgumentError, RangeError, ResourceError
 from mobsum.tables import (
     build_tables,
@@ -66,7 +66,9 @@ def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
         assert table.mertens.dtype == np.int32
         assert np.array_equal(table.mertens, np.cumsum(table.mu, dtype=np.int64))
         ends = np.minimum(np.arange(-(-limit // block) + 1) * block, limit)
-        for series, kind in ((m_series(table), "m"), (ell_series(table), "ell")):
+        # the ell build's values and radii are the same with the mcheck record
+        for series, kind in ((m_series(table), "m"), (ell_series(table), "ell"),
+                             (ell_series(table, m_series(table)), "ell")):
             values, radius = whole_array_prefix(table.mu, kind)
             assert series.values.tobytes() == values.tobytes()
             # the block-end radii are the per-index radii at the block ends
@@ -109,20 +111,26 @@ def test_build_jobs_deterministic(monkeypatch):
 
 def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
     # 97-index blocks over a 2e4 table, the last one short: each recorded
-    # maximum is the largest |value| of its block for M, m and ell, and the
-    # same bytes for a table cut from a larger cached one and for any
-    # sieve segment size
+    # maximum is the largest value of its block, of |M|, |m|, |ell| and
+    # |m(n) log n - ell(n) - 1|, and the same bytes for a table cut from a
+    # larger cached one and for any sieve segment size
     monkeypatch.setattr(tables, "_BLOCK", 97)
     built = build_tables(20000)
-    for name, summary, values in (("M", built.mu, built.mu.mertens),
-                                  ("m", built.series.m, built.series.m.values),
-                                  ("ell", built.series.ell, built.series.ell.values)):
-        starts = range(1, built.limit + 1, 97)
+    M, m, ell = built.mu.mertens, built.series.m.values, built.series.ell.values
+    log_n = np.log(np.arange(20001, dtype=np.float64)[1:])
+    mcheck = np.concatenate(([0.0], m[1:] * log_n - (ell[1:] + 1.0)))
+    starts = range(1, built.limit + 1, 97)
+    for name, record, values in (("M", built.mu.block_absmax, M),
+                                 ("m", built.series.m.block_absmax, m),
+                                 ("ell", built.series.ell.block_absmax, ell),
+                                 ("mcheck", built.series.ell.mcheck_absmax, mcheck)):
         want = [0.0] + [tables._absmax(values[a:a + 97]) for a in starts]
-        assert summary.block_absmax.tolist() == want, name
+        assert record.tolist() == want, name
+        if name == "ell":  # a chunk carries no largest |ell|
+            continue
 
         def top(a, b):
-            return getattr(built.chunk(a, b, (name,)), f"{name}_max")
+            return getattr(built.chunk(a, b, ("M", "m", "ell")), f"{name}_max")
 
         assert [top(a, min(a + 97, 20001)) for a in starts] == want[1:]
         # a span off the grid, or short of its block's end, reduces its slice
@@ -131,7 +139,7 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
 
     def maxima(t):
         return [a.tobytes() for a in (t.mu.block_absmax, t.series.m.block_absmax,
-                                      t.series.ell.block_absmax)]
+                                      t.series.ell.block_absmax, t.series.ell.mcheck_absmax)]
 
     save_table(sieve_mu(25000), cache_path(str(tmp_path), 25000))
     others = [tables.with_series(load_covering(str(tmp_path), 20000))]
@@ -139,6 +147,20 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
         monkeypatch.setattr(tables, "_SIEVE_BLOCK", segment)
         others.append(build_tables(20000))
     assert all(maxima(other) == maxima(built) for other in others)
+    # an ell series built without m (as the benchmark's cache replay builds
+    # it) records nothing, and its chunks reduce slices to the same maxima
+    # and envelopes
+    replay = tables.Tables(built.mu, tables.SeriesPair(m=m_series(built.mu),
+                                                       ell=ell_series(built.mu)))
+    assert replay.series.ell.mcheck_absmax is None
+    assert replay.series.ell.values.tobytes() == ell.tobytes()
+    for a in starts:
+        b = min(a + 97, 20001)
+        c, r = (t.chunk(a, b, ("M", "m", "ell")) for t in (built, replay))
+        assert r.mcheck_max == c.mcheck_max == tables._absmax(mcheck[a:b])
+        for target in ("m1", "mcheck-minus-1"):
+            assert (verify._chunk_envelope(target, "log2x", a, b - 0.5, r)
+                    == verify._chunk_envelope(target, "log2x", a, b - 0.5, c))
 
 
 def test_sieve_block_peak_per_entry():

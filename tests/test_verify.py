@@ -318,21 +318,30 @@ def test_pruned_reports_equal_exhaustive(tables_small, monkeypatch, request):
 def test_chunk_envelopes_dominate_the_kernel(tables_small, source):
     # E bounds the float supremum of every interval of a span and G every
     # guard, for each target and weight, on random spans with fractional
-    # ends; the synthetic m, M and ell give m1 its interior maxima
+    # ends; the synthetic m, M and ell give m1 its interior maxima, and the
+    # synthetic m = M/n and ell = m log n - 1 make m1 and mcheck - 1 vanish
+    # at the integers, so that the variation within [n, n+1) is all of E
     rng = np.random.default_rng(7)
     if source == "synthetic":
         size = tables_small.limit + 1
         m, M = rng.uniform(-1.0, 1.0, size), rng.integers(-6, 7, size).astype(np.int32)
         ell = rng.uniform(-3.0, 3.0, size)
+        n = np.arange(size, dtype=np.float64)
+        n[0] = 1.0
+        vanishing = M / n
+        arrays = (M, m, ell), (M, vanishing, vanishing * np.log(n) - 1.0)
         series = tables_small.series
 
-        def chunk(a, b):
-            views = M[a:b], m[a:b], ell[a:b]
-            return Chunk(a, b, *views, *(float(np.abs(v).max()) for v in views),
-                         series.m.radius(b - 1), series.ell.radius(b - 1))
+        def chunks(a, b):
+            for vs in arrays:
+                M_, m_, ell_ = (v[a:b] for v in vs)
+                mcheck = m_ * np.log(n[a:b]) - (ell_ + 1.0)
+                yield Chunk(a, b, M_, m_, ell_,
+                            *(float(np.abs(v).max()) for v in (M_, m_, mcheck)),
+                            series.m.radius(b - 1), series.ell.radius(b - 1))
     else:
-        def chunk(a, b):
-            return tables_small.chunk(a, b, ("M", "m", "ell"))
+        def chunks(a, b):
+            yield tables_small.chunk(a, b, ("M", "m", "ell"))
     top = 200 if source == "synthetic" else 19000
     for target, weights in verify._WEIGHTS.items():
         for weight in weights:
@@ -343,13 +352,13 @@ def test_chunk_envelopes_dominate_the_kernel(tables_small, source):
                 a = 1 if rng.random() < 0.1 else int(rng.integers(1, top))
                 b = a + int(rng.integers(1, 700))
                 lo, hi = a + 0.4 * rng.random() * (rng.random() < 0.5), b - 0.5 * rng.random()
-                c = chunk(a, b)
                 x1, x2 = verify._clipped(a, b, lo, hi)
-                sup, _ = _interval_sup(target, weight, x1, x2, c.m, c.M, c.ell)
-                env = verify._chunk_envelope(target, weight, lo, hi, c)
-                assert env >= sup.max(), (target, weight, a, b)
-                assert verify._guard(pred, scale * env, hi, c) >= \
-                    verify._guard(pred, scale * sup, x2, c).max()
+                for c in chunks(a, b):
+                    sup, _ = _interval_sup(target, weight, x1, x2, c.m, c.M, c.ell)
+                    env = verify._chunk_envelope(target, weight, lo, hi, c)
+                    assert env >= sup.max(), (target, weight, a, b)
+                    assert verify._guard(pred, scale * env, hi, c) >= \
+                        verify._guard(pred, scale * sup, x2, c).max()
 
 
 def test_desk_campaign_runs_the_kernel_on_few_chunks(tables_big, monkeypatch):
@@ -388,6 +397,22 @@ def test_desk_m_and_M_scans_reduce_only_their_end_chunks(tables_big, monkeypatch
             (lambda: verify_range(PREDICATES["msqrt0.5"], 3, 10**7 + 1, tables_big), 1),
             (lambda: sup_scan(tables_big, "m", "sqrtx", 3, 10**7), 1),
             (lambda: sup_scan(tables_big, "M", "sqrtx", 201, 10**7), 1)):
+        reduced.clear()
+        scan()
+        assert len(reduced) == ends and max(reduced) < verify._CHUNK, reduced
+
+
+def test_desk_mcheck_scans_reduce_only_their_end_chunks(tables_big, monkeypatch):
+    # every whole block takes its mcheck envelope from the build's record of
+    # |m(n) log n - ell(n) - 1|: the desk mcheck scans reduce an mcheck
+    # slice only for a partial first or last chunk
+    reduced = []
+    mcheck_absmax = tables._mcheck_absmax
+    monkeypatch.setattr(tables, "_mcheck_absmax",
+                        lambda m, *rest: reduced.append(len(m)) or mcheck_absmax(m, *rest))
+    for scan, ends in (
+            (lambda: verify_range(PREDICATES["mchecklog2-0.162"], 3, 10**7, tables_big), 2),
+            (lambda: sup_scan(tables_big, "mcheck-minus-1", "log2x", 1, 3), 1)):
         reduced.clear()
         scan()
         assert len(reduced) == ends and max(reduced) < verify._CHUNK, reduced
@@ -446,6 +471,60 @@ def test_whole_block_envelopes_keep_reports_exhaustive(blocked, monkeypatch, req
     reps, capped, _ = pruned
     assert capped.truncated and any(r.violations for r in reps)
     assert all(r.scanned < r.checked / 4 for r in reps if r.passed)
+
+
+def _running_ratio_accumulating(tables, lo, x_max):
+    """`verify._running_ratio` with both running maxima accumulated over
+    every chunk in full."""
+    run_m = run_M = prev = 0.0
+    for a, b in verify._spans(1, x_max + 1):
+        c = tables.chunk(a, b, ("M", "m"))
+        abs_m = np.abs(c.m)
+        sup_m = np.empty_like(abs_m)
+        sup_m[0], sup_m[1:], prev = prev, abs_m[:-1], abs_m[-1]
+        np.maximum(sup_m, abs_m, out=sup_m)
+        sup_m *= np.arange(a, b, dtype=np.float64)
+        sup_M = np.abs(c.M).astype(np.float64)
+        for run, sup in ((run_m, sup_m), (run_M, sup_M)):
+            sup[0] = max(sup[0], run)
+            np.maximum.accumulate(sup, out=sup)
+        run_m, run_M = sup_m[-1], sup_M[-1]
+        if b > lo:
+            i = max(lo - a, 0)
+            yield a + i, sup_m[i:] / sup_M[i:], sup_M[i:], c.m_radius
+
+
+def test_ratio_walk_equals_a_walk_accumulating_every_chunk(blocked, monkeypatch):
+    # the walk accumulates a chunk only from its first new running record
+    # and fills one that holds none: its ratios and every report equal
+    # those of a walk that accumulates every chunk, and both paths run
+    paths = []
+    running_max = verify._running_max
+
+    def traced(sup, run):
+        i = int(np.argmax(sup > run))
+        paths.append("fill" if sup[i] <= run else "partial" if i else "whole")
+        running_max(sup, run)
+
+    monkeypatch.setattr(verify, "_running_max", traced)
+
+    def walks():
+        return [(x0, r.tobytes(), sup_M.tobytes(), rad)
+                for lo, hi in ((94, 20000), (2, 93), (5000, 5100))
+                for x0, r, sup_M, rad in verify._running_ratio(blocked, lo, hi)]
+
+    def reports():
+        rep = ratio_theorem_C(blocked, 20000)
+        monkeypatch.setattr(verify, "_RATIO_BAND", (rep.min_ratio, 1.5))
+        edge = ratio_theorem_C(blocked, 20000)
+        monkeypatch.setattr(verify, "_RATIO_BAND", (2.0 / 3.0, 1.5))
+        return rep, edge, ratio_violation_below(blocked)
+
+    got = walks(), reports()
+    assert {"fill", "partial"} <= set(paths)
+    assert got[1][1].indeterminate and not got[1][1].passed
+    monkeypatch.setattr(verify, "_running_ratio", _running_ratio_accumulating)
+    assert (walks(), reports()) == got
 
 
 def _oracle_sup(tables, target, n):
