@@ -3,15 +3,22 @@
 A BoundForm is a certified majorant  A x^(theta-1)/log^j x + sum coef x^-power
 of |target(x)| for x >= T.  Each operation has one body.  The conversions
 M/x -> m1 and m1 -> mcheck - 1 (`convert_via_G1`, `convert_via_G1check`,
-sharing `_convert_G1`) and m -> m1 multiply the leading constant by a Mellin
-closed-form factor and add explicit remainder terms; `triangle_m` adds the
-bounds on |M/x| and |m1|; majorant descent finds the rank from which the
-majorant falls below a simpler target shape; range lowerings shrink validity
-ranks against sqrt-models or previously derived bounds.  Descent and sqrt
-lowering share one bisection; `run_plan_step` runs the same operations from
-text plans.  Each sqrt model lives only in its ledger entry: the prefix
-integrals, `sqrt_form` and `join_sqrt_models` read entries and refuse a T or
-range outside them, for chains and plans alike (a plan never states a value).
+sharing `_convert_G1`) and m -> m1 (`convert_via_H_envelope`,
+`convert_via_H1`) each check their own cut and pass their shift and factor
+to one body, `_converted`, which checks the hypothesis, multiplies the
+leading constant by the factor's upper end, sets the rank to
+max(hypothesis rank, T_cut) and adds the explicit remainder terms.
+`triangle_m` adds the bounds on |M/x| and |m1|; majorant descent finds the
+rank from which the majorant falls below a simpler target shape; the two
+range lowerings (against sqrt-models or previously derived bounds) share
+one body, `_lowered`.  Every comparison of two log-ranks (the converters'
+hypothesis check, the lowerings, `sqrt_model_from_form` and
+`chains.ChainResult.set_rank`) is the one rank rule `rank_at_most`, the only
+place its slack is written.  Descent and sqrt lowering share one bisection;
+`run_plan_step` runs the same operations from text plans.  Each sqrt model
+lives only in its ledger entry: the prefix integrals, `sqrt_form` and
+`join_sqrt_models` read entries and refuse a T or range outside them, for
+chains and plans alike (a plan never states a value).
 
 Ranks and remainder coefficients can be astronomically large (exp(18900) and
 beyond), so ranks are stored as log T and remainder coefficients as
@@ -29,6 +36,7 @@ from typing import Optional, Tuple
 from .errors import DomainError, InvalidArgumentError, NoDescentError, PlanError
 from .special import (
     H2_ENVELOPE,
+    SpecialValue,
     h2_integral_bound,
     mellin_G1_closed,
     mellin_G1check_closed,
@@ -38,6 +46,7 @@ from .special import (
 TARGETS = ("M-over-x", "m", "m1", "mcheck-minus-1")
 
 _L_CAP = 1e8  # majorant_descent gives up past log x = _L_CAP
+_CAP_SLACK = 1e-12  # descend_to: how far a stated rank cap may sit below the certified rank
 
 
 def _logsumexp(terms) -> float:
@@ -192,12 +201,35 @@ def log_abs_m_prefix_integral_bound(log_T: float, pieces) -> float:
 # ---------------------------------------------------------------------------
 # conversions
 
-def _check_hyp(name, hyp, target, log_T_cut):
-    """A converter reads its hypothesis on [T_cut, inf): it must bound target there."""
-    if hyp.target != target:
-        raise PlanError(f"{name} needs an {target} hypothesis")
-    if hyp.log_T > log_T_cut + 1e-9:
+def rank_at_most(log_a: float, log_b: float) -> bool:
+    """log_a <= log_b within the rank slack: the one comparison of two
+    log-ranks (L = log x).  Every converter's hypothesis check, both
+    lowerings, sqrt_model_from_form and ChainResult.set_rank call it, each
+    in its own direction; a NaN fails it."""
+    return log_a <= log_b + 1e-9
+
+
+def _converted(name, hyp, hyp_target, log_T_cut, target, convert, log_T_floor=0.0):
+    """The one body of the converters, called once each checked its cut.
+    The hypothesis must bound hyp_target on [T_cut, inf); then convert()
+    checks the shift and gives (the note's arguments, the factor as a
+    SpecialValue, the remainders).  The result multiplies A by the factor's
+    upper end and holds from the largest of the hypothesis rank, T_cut and
+    log_T_floor."""
+    if hyp.target != hyp_target:
+        raise PlanError(f"{name} needs an {hyp_target} hypothesis")
+    if not rank_at_most(hyp.log_T, log_T_cut):
         raise PlanError("hypothesis rank exceeds T_cut: sup range not covered")
+    args, factor, remainders = convert()
+    return BoundForm(
+        target=target,
+        A=hyp.A * (factor.value + factor.abs_error),
+        theta=hyp.theta,
+        j=hyp.j,
+        log_T=max(hyp.log_T, log_T_cut, log_T_floor),
+        remainders=remainders,
+        provenance=hyp.provenance + (f"{name}({args}, factor={factor.value:.12g})",),
+    )
 
 
 def _convert_G1(name, hyp, T_cut, M_integral, closed, hyp_target, target,
@@ -207,22 +239,15 @@ def _convert_G1(name, hyp, T_cut, M_integral, closed, hyp_target, target,
         raise InvalidArgumentError(
             "T_cut must exceed 1" + (" (or equal 1 with j = 0)" if T_cut_one_ok else ""))
     log_T_cut = math.log(T_cut)
-    _check_hyp(name, hyp, hyp_target, log_T_cut)
-    s = hyp.theta - (hyp.j / log_T_cut if hyp.j > 0 else 0.0)
-    if s <= -1.0:
-        raise DomainError("shifted exponent s <= -1")
-    factor = closed(s)
-    return BoundForm(
-        target=target,
-        A=hyp.A * (factor.value + factor.abs_error),
-        theta=hyp.theta,
-        j=hyp.j,
-        log_T=max(hyp.log_T, log_T_cut),
-        remainders=(remainder(8.0 / 3.0, 1.0), remainder(M_integral, 2.0)),
-        provenance=hyp.provenance + (
-            f"{name}(T_cut={T_cut:g}, s={s:.12g}, factor={factor.value:.12g})",
-        ),
-    )
+
+    def convert():
+        s = hyp.theta - (hyp.j / log_T_cut if hyp.j > 0 else 0.0)
+        if s <= -1.0:
+            raise DomainError("shifted exponent s <= -1")
+        return (f"T_cut={T_cut:g}, s={s:.12g}", closed(s),
+                (remainder(8.0 / 3.0, 1.0), remainder(M_integral, 2.0)))
+
+    return _converted(name, hyp, hyp_target, log_T_cut, target, convert)
 
 
 def convert_via_G1(hyp: BoundForm, T_cut: float, M_integral: float) -> BoundForm:
@@ -252,33 +277,28 @@ def convert_via_H_envelope(hyp: BoundForm, T_cut_log: float,
     published envelope H2_ENVELOPE of the coefficient weight.
 
     Factor: the delta-integral bound (or the exact t^-2 integral bound when
-    delta = 0) at delta = (1 - theta) + j/log T_cut.  Remainder:
-    (sup_norm * integral_1^{T_cut} |m| + sum_c)/x.  T_cut and the integral
-    are passed in log form because the chains use ranks like exp(18900).
+    delta = 0) at delta = (1 - theta) + j/log T_cut, a float taken as its
+    own upper end.  Remainder: (sup_norm * integral_1^{T_cut} |m| + sum_c)/x;
+    the result holds from max_r on.  T_cut and the integral are passed in
+    log form because the chains use ranks like exp(18900).
     """
     if T_cut_log <= 0.0:
         raise InvalidArgumentError("T_cut must exceed 1")
-    _check_hyp("convert_via_H_envelope", hyp, "m", T_cut_log)
-    delta = (1.0 - hyp.theta) + (hyp.j / T_cut_log if hyp.j > 0 else 0.0)
-    if delta >= 1.0:
-        raise DomainError("delta >= 1: envelope integral diverges")
-    if delta < 0.0:
-        raise DomainError("delta must be nonnegative")
     env = H2_ENVELOPE
-    factor = env.l1_mellin2 if delta == 0.0 else h2_integral_bound(delta)
-    rem_log = _logsumexp((math.log(env.sup_norm) + m_integral_log, math.log(env.sum_c)))
-    return BoundForm(
-        target="m1",
-        A=hyp.A * factor,
-        theta=hyp.theta,
-        j=hyp.j,
-        log_T=max(hyp.log_T, T_cut_log, math.log(env.max_r)),
-        remainders=((rem_log, 1.0),),
-        provenance=hyp.provenance + (
-            f"convert_via_H_envelope(logT_cut={T_cut_log:g}, delta={delta:.6g}, "
-            f"factor={factor:.12g})",
-        ),
-    )
+
+    def convert():
+        delta = (1.0 - hyp.theta) + (hyp.j / T_cut_log if hyp.j > 0 else 0.0)
+        if delta >= 1.0:
+            raise DomainError("delta >= 1: envelope integral diverges")
+        if delta < 0.0:
+            raise DomainError("delta must be nonnegative")
+        factor = env.l1_mellin2 if delta == 0.0 else h2_integral_bound(delta)
+        rem_log = _logsumexp((math.log(env.sup_norm) + m_integral_log, math.log(env.sum_c)))
+        return (f"logT_cut={T_cut_log:g}, delta={delta:.6g}", SpecialValue(factor, 0.0),
+                ((rem_log, 1.0),))
+
+    return _converted("convert_via_H_envelope", hyp, "m", T_cut_log, "m1", convert,
+                      log_T_floor=math.log(env.max_r))
 
 
 def convert_via_H1(hyp: BoundForm, T_cut: float = 1.0) -> BoundForm:
@@ -288,25 +308,18 @@ def convert_via_H1(hyp: BoundForm, T_cut: float = 1.0) -> BoundForm:
     the integral at most (T_cut^2 - 1)/2 by Meissel's |m| <= 1."""
     if T_cut < 1.0:
         raise InvalidArgumentError("T_cut must be at least 1")
-    _check_hyp("convert_via_H1", hyp, "m", math.log(T_cut))
-    if hyp.j > 0:
-        raise PlanError("convert_via_H1 takes j = 0 only: its factor has no j/log T_cut shift")
-    factor = mellin_H1_closed(hyp.theta)
-    um_integral = 0.5 * (T_cut * T_cut - 1.0)
-    rems = [remainder(2.0, 1.0)]
-    if um_integral > 0:
-        rems.append(remainder(2.1 * um_integral, 2.0))
-    return BoundForm(
-        target="m1",
-        A=hyp.A * (factor.value + factor.abs_error),
-        theta=hyp.theta,
-        j=hyp.j,
-        log_T=max(hyp.log_T, math.log(T_cut)),
-        remainders=tuple(rems),
-        provenance=hyp.provenance + (
-            f"convert_via_H1(T_cut={T_cut:g}, factor={factor.value:.12g})",
-        ),
-    )
+
+    def convert():
+        if hyp.j > 0:
+            raise PlanError("convert_via_H1 takes j = 0 only: its factor has no j/log T_cut shift")
+        factor = mellin_H1_closed(hyp.theta)
+        um_integral = 0.5 * (T_cut * T_cut - 1.0)
+        rems = (remainder(2.0, 1.0),)
+        if um_integral > 0:
+            rems += (remainder(2.1 * um_integral, 2.0),)
+        return f"T_cut={T_cut:g}", factor, rems
+
+    return _converted("convert_via_H1", hyp, "m", math.log(T_cut), "m1", convert)
 
 
 def triangle_m(hyp_m1: BoundForm, hyp_M: BoundForm) -> BoundForm:
@@ -406,7 +419,7 @@ def descend_to(form: BoundForm, target_A: float, target_j: Optional[float] = Non
         target_j = form.j
     L0 = majorant_descent(form, target_A, target_j)
     if log_rank_cap is not None:
-        if L0 > log_rank_cap + 1e-12:
+        if L0 > log_rank_cap + _CAP_SLACK:
             raise PlanError(
                 f"descent rank log x = {L0:.6g} exceeds the stated cap {log_rank_cap:.6g}"
             )
@@ -422,44 +435,73 @@ def descend_to(form: BoundForm, target_A: float, target_j: Optional[float] = Non
     )
 
 
+# The refusals of the two lowerings, in the order they are checked: another
+# target, a form (or comparand) that is not clean, a shape other than
+# theta = 1, a comparison that stops short of the rank, a new rank above it.
+_LOWERING_REFUSALS = {
+    "sqrt_range_lowering": (
+        "sqrt model targets a different function",
+        "sqrt_range_lowering expects a clean (descended) form",
+        "sqrt_range_lowering supports theta = 1 forms",
+        "sqrt model does not reach the form's current rank",
+        "sqrt model cannot lower the rank (threshold above it)"),
+    "log_comparison_lowering": (
+        "comparison bound targets a different function",
+        "log_comparison_lowering expects clean forms",
+        "need theta = 1 and other.j < form.j",
+        "comparison range does not reach the form's current rank",
+        "comparison bound starts above the form's rank"),
+}
+
+
+def _lowered(name, form, other, other_clean, other_shaped, compare):
+    """The one body of both range lowerings.  Once the form and `other`
+    share a target and both are clean and of theta = 1 (what that means
+    for `other` is the caller's), compare() gives (the log x up to which
+    the comparison holds, the new log-rank, the provenance note).  The
+    comparison must reach the rank and the new rank must not be above it;
+    it may equal it."""
+    target, unclean, shape, short, above = _LOWERING_REFUSALS[name]
+    if other.target != form.target:
+        raise PlanError(target)
+    if form.remainders or not other_clean:
+        raise PlanError(unclean)
+    if form.theta != 1.0 or not other_shaped:
+        raise PlanError(shape)
+    reach, log_T, note = compare()
+    if not rank_at_most(form.log_T, reach):
+        raise PlanError(short)
+    if not rank_at_most(log_T, form.log_T):
+        raise PlanError(above)
+    return replace(form, log_T=log_T, provenance=form.provenance + (note,))
+
+
 def sqrt_range_lowering(form: BoundForm, model: SqrtModel) -> BoundForm:
     """Lower the validity rank of a clean bound by a sqrt-model comparison.
 
     Certifies c/sqrt(x) <= A x^(theta-1)/log^j x on [T', form.T], where the
     model covers [T', form.T]; the new rank is max(threshold, model.x_lo).
     """
-    if model.target != form.target:
-        raise PlanError("sqrt model targets a different function")
-    if form.remainders:
-        raise PlanError("sqrt_range_lowering expects a clean (descended) form")
-    if form.theta != 1.0:
-        raise PlanError("sqrt_range_lowering supports theta = 1 forms")
-    ratio = model.c / form.A
-    if form.j == 0:
-        threshold = ratio ** 2
-    else:
-        # solve sqrt(x)/log^j x >= c/A; lhs increasing for x >= e^(2j)
-        def short(x):
-            return math.sqrt(x) / math.log(x) ** form.j <= ratio
+    def compare():
+        ratio = model.c / form.A
+        if form.j == 0:
+            threshold = ratio ** 2
+        else:
+            # solve sqrt(x)/log^j x >= c/A; lhs increasing for x >= e^(2j)
+            def short(x):
+                return math.sqrt(x) / math.log(x) ** form.j <= ratio
 
-        threshold = lo = max(math.exp(2.0 * form.j), 4.0)
-        if short(lo):
-            hi = lo
-            while short(hi):
-                hi *= 4.0
-            threshold = _bisect(short, lo, hi)
-    new_T = max(threshold, model.x_lo)
-    if math.log(model.x_hi) < form.log_T - 1e-9:
-        raise PlanError("sqrt model does not reach the form's current rank")
-    if math.log(new_T) > form.log_T + 1e-9:
-        raise PlanError("sqrt model cannot lower the rank (threshold above it)")
-    return replace(
-        form,
-        log_T=math.log(new_T),
-        provenance=form.provenance + (
-            f"sqrt_range_lowering(c={model.c:g}, new_T={new_T:.6g})",
-        ),
-    )
+            threshold = lo = max(math.exp(2.0 * form.j), 4.0)
+            if short(lo):
+                hi = lo
+                while short(hi):
+                    hi *= 4.0
+                threshold = _bisect(short, lo, hi)
+        new_T = max(threshold, model.x_lo)
+        return (math.log(model.x_hi), math.log(new_T),
+                f"sqrt_range_lowering(c={model.c:g}, new_T={new_T:.6g})")
+
+    return _lowered("sqrt_range_lowering", form, model, True, True, compare)
 
 
 def log_comparison_lowering(form: BoundForm, other: BoundForm) -> BoundForm:
@@ -467,25 +509,14 @@ def log_comparison_lowering(form: BoundForm, other: BoundForm) -> BoundForm:
     an already certified bound of lower log-power (same target, theta = 1):
     other.A/log^jo x <= form.A/log^jf x  iff  log x <= (form.A/other.A)^(1/(jf-jo)).
     """
-    if other.target != form.target:
-        raise PlanError("comparison bound targets a different function")
-    if form.remainders or other.remainders:
-        raise PlanError("log_comparison_lowering expects clean forms")
-    if form.theta != 1.0 or other.theta != 1.0 or other.j >= form.j:
-        raise PlanError("need theta = 1 and other.j < form.j")
-    L_max = (form.A / other.A) ** (1.0 / (form.j - other.j))
-    if L_max < form.log_T - 1e-9:
-        raise PlanError("comparison range does not reach the form's current rank")
-    if other.log_T > form.log_T + 1e-9:
-        raise PlanError("comparison bound starts above the form's rank")
-    return replace(
-        form,
-        log_T=other.log_T,
-        provenance=form.provenance + (
-            f"log_comparison_lowering(vs A={other.A:.8g}/log^{other.j:g}, "
-            f"valid to log x = {L_max:.6g})",
-        ),
-    )
+    def compare():
+        L_max = (form.A / other.A) ** (1.0 / (form.j - other.j))
+        return (L_max, other.log_T,
+                f"log_comparison_lowering(vs A={other.A:.8g}/log^{other.j:g}, "
+                f"valid to log x = {L_max:.6g})")
+
+    return _lowered("log_comparison_lowering", form, other, not other.remainders,
+                    other.theta == 1.0 and other.j < form.j, compare)
 
 
 def sqrt_model_from_form(form: BoundForm, c: float, x_lo: float, x_hi: float) -> SqrtModel:
@@ -497,7 +528,7 @@ def sqrt_model_from_form(form: BoundForm, c: float, x_lo: float, x_hi: float) ->
     for _, p in form.remainders:
         if 0.5 - p > 0:
             raise PlanError("a remainder term grows after multiplication by sqrt(x)")
-    if math.log(x_lo) < form.log_T - 1e-9:
+    if not rank_at_most(form.log_T, math.log(x_lo)):
         raise PlanError("x_lo below the form's validity rank")
     val = math.exp(form.evaluate_log(math.log(x_lo)) + 0.5 * math.log(x_lo))
     if val > c:

@@ -15,9 +15,12 @@ honestly computed value next to the printed constant it must certify
 (computed <= printed, within printed rounding).  Steps whose published
 constants contain known misprints compute the honest value and note the
 discrepancy; the final constants are unaffected.  Every rank move goes
-through `ChainResult.set_rank`; a low rank that the arithmetic cannot reach
-rests on direct verification, and set_rank records it as an obligation for
-the exhaustive scanner.  Every sqrt model is read from its ledger entry.
+through `ChainResult.set_rank`, which compares ranks by the one rank rule,
+`bounds.rank_at_most`; a low rank that the arithmetic cannot reach rests on
+direct verification, and set_rank records it as an obligation for the
+exhaustive scanner.  Every sqrt model is read from its ledger entry, and
+every model frozen from a theta = 1/2 form goes through
+`ChainResult._freeze`, which records its value and adds the entry.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .bounds import (
     log_abs_m_prefix_integral_bound,
     log_comparison_lowering,
     majorant_descent,
+    rank_at_most,
     sqrt_form,
     sqrt_model_from_form,
     sqrt_range_lowering,
@@ -97,7 +101,7 @@ class ChainResult:
         ``verified`` = (description, predicate, hi) on [T, hi) is recorded
         here, so such a rank cannot be set without it.
         """
-        if lower != (math.log(T) < form.log_T - 1e-9):
+        if lower == rank_at_most(form.log_T, math.log(T)):
             raise PlanError(f"rank {T:g} does not {'lower' if lower else 'raise'} "
                             f"the rank log x = {form.log_T:.6g}")
         if not lower:
@@ -105,6 +109,16 @@ class ChainResult:
         if verified is not None:
             self._oblige(verified[0], verified[1], T, verified[2])
         return replace(form, log_T=math.log(T), provenance=form.provenance + (note,))
+
+    def _freeze(self, led: Ledger, name: str, form: BoundForm, c: float, x_lo: float,
+                x_hi: float, note: str = "") -> SqrtModel:
+        """Freeze the theta = 1/2 ``form`` into the sqrt model ``name``, c on
+        [x_lo, x_hi]; record its value at x_lo as step "<chain>:<c>", then
+        add the model to the ledger."""
+        model = sqrt_model_from_form(form, c, x_lo, x_hi)
+        self._rec(f"{self.name}:{c:g}", form.evaluate(x_lo) * math.sqrt(x_lo), c, note=note)
+        led.add_derived(name, model)
+        return model
 
 
 # the pieces of integral |m| past 1e16: the sqrt models of m, then |m| <= 1/4343
@@ -149,18 +163,14 @@ def run_models_chain(led: Ledger) -> ChainResult:
                             abs_M_prefix_integral_bound(M05.x_lo, M05))
     res._rec("models:0.114-head", pauvre.A, 0.112652)
     led.add_derived("m1-three-term", pauvre)  # 0.1127/sqrt(x)+(8/3)/x+461/x^2 on [201, 7.7e9]
-    m114 = sqrt_model_from_form(pauvre, 0.114, 5e6, M05.x_hi)
-    res._rec("models:0.114", pauvre.evaluate(5e6) * math.sqrt(5e6), 0.114)
-    led.add_derived("m1-sqrt-0.114", m114)
+    m114 = res._freeze(led, "m1-sqrt-0.114", pauvre, 0.114, 5e6, M05.x_hi)
 
     # |m1| <= 0.129/sqrt(x) on [7.7e9, 1e16]: same with 0.571 model, T = 33.
     M0571 = led["M-sqrt-0.571"]
     f129 = convert_via_G1(sqrt_form(led, "M-sqrt-0.571"), M0571.x_lo,
                           abs_M_prefix_integral_bound(M0571.x_lo, M0571))
     res._rec("models:0.129-head", f129.A, 0.12865)
-    m129 = sqrt_model_from_form(f129, 0.129, M05.x_hi, M0571.x_hi)
-    res._rec("models:0.129", f129.evaluate(7.7e9) * math.sqrt(7.7e9), 0.129)
-    led.add_derived("m1-sqrt-0.129", m129)
+    m129 = res._freeze(led, "m1-sqrt-0.129", f129, 0.129, M05.x_hi, M0571.x_hi)
     # merged m1 model 0.129 on [5e6, 1e16] (0.114 <= 0.129 below 7.7e9)
     led.add_derived("m1-sqrt-0.129-wide",
                     join_sqrt_models(led, "m1-sqrt-0.114", "m1-sqrt-0.129"))
@@ -183,9 +193,7 @@ def run_models_chain(led: Ledger) -> ChainResult:
     # the hypothesis reaches only u <= 1e16; sup runs over u < x/K, so the
     # model is sound up to x = 1e21 because 1e21/K <= 1e16
     res._rec("models:5.792-K-coverage", 1e21 / H2_ENVELOPE.K, 1e16)
-    m5792 = sqrt_model_from_form(f5792, 5.792, 1e16, 1e21)
-    res._rec("models:5.792", f5792.evaluate(1e16) * math.sqrt(1e16), 5.792)
-    led.add_derived("m1-sqrt-5.792", m5792)
+    m5792 = res._freeze(led, "m1-sqrt-5.792", f5792, 5.792, 1e16, 1e21)
 
     res.finals = {"m1-sqrt-0.114": m114, "m1-sqrt-0.129": m129,
                   "m1-sqrt-5.792": m5792}
@@ -305,7 +313,7 @@ def run_log_chain(led: Ledger) -> ChainResult:
              note="remainder line printed with 22727.5; the envelope "
                   "sup-norm is 22527.5, which matches 4.254e26")
     f2 = convert_via_H_envelope(mlog1, math.log(T3), math.log(m_int))
-    res._rec("log:factor-1/1796.57", 1.0 / (f2.A / mlog1.A), 1796.58, ok=True,
+    res._rec("log:factor-1/1796.57", f2.A / mlog1.A, 1.0 / 1796.57,
              note="delta = 1/log 8.2e25")
     res._rec("log:A-8.517e-6", f2.A, 8.517e-6)
     m1_l1 = descend_to(f2, 8.517e-6, log_rank_cap=math.log(2.5e42))
@@ -371,7 +379,7 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     res._rec("log2:envelope-remainder-log", R_log, math.log(3000.0) + logT,
              note="printed remainder 3000 exp(18900); log-scale comparison")
     f2 = convert_via_H_envelope(mlog2a, logT, m_int_log)
-    res._rec("log2:factor-1/2633.6", 1.0 / (f2.A / mlog2a.A), 2633.62, ok=True)
+    res._rec("log2:factor-1/2633.6", f2.A / mlog2a.A, 1.0 / 2633.6)
     res._rec("log2:A-0.1622", f2.A, 0.1622)
     m1_1622 = descend_to(f2, 0.1622, log_rank_cap=22000.0)
     m1_1622 = log_comparison_lowering(m1_1622, led["m1-log-7.265e-6"])
@@ -437,10 +445,8 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     res._rec("mcheck:0.16-head", f016.A, 0.129 * 1.2254)
     led.add_derived("mcheck-three-term", f016)
     # honest certification from 3.1e8 (printed 1e9); hypothesis reaches 1e16
-    m016 = sqrt_model_from_form(f016, 0.16, 3.1e8, 1e16)
-    res._rec("mcheck:0.16", f016.evaluate(3.1e8) * math.sqrt(3.1e8), 0.16,
-             note="printed rank 1e9; honestly certified from 3.1e8")
-    led.add_derived("mcheck-sqrt-0.16", m016)
+    res._freeze(led, "mcheck-sqrt-0.16", f016, 0.16, 3.1e8, 1e16,
+               note="printed rank 1e9; honestly certified from 3.1e8")
 
     # 7.1/sqrt(x) model on [1e16, 1e21]: global sup sqrt(u)|m1(u)| <= 5.792
     # (below 5e6 via the analytic h-weight at theta = 1/2, T = 1:
@@ -456,9 +462,7 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
                         provenance=("max(3-model to 1e16, m1-sqrt-5.792)",))
     f71 = convert_via_G1check(hyp5792, 1.0, abs_M_prefix_integral_bound(1.0, led["M-sqrt-1"]))
     res._rec("mcheck:7.1-head", f71.A, 7.098)
-    m71 = sqrt_model_from_form(f71, 7.1, 1e16, 1e21)
-    res._rec("mcheck:7.1", f71.evaluate(1e16) * math.sqrt(1e16), 7.1)
-    led.add_derived("mcheck-sqrt-7.1", m71)
+    res._freeze(led, "mcheck-sqrt-7.1", f71, 7.1, 1e16, 1e21)
 
     # constant bound 1/9780919: G1check at T = 2.2e12, factor 7/4 - gamma
     i_M2 = abs_M_prefix_integral_bound(2.2e12, led["M-sqrt-0.571"])

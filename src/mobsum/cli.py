@@ -115,23 +115,24 @@ def _cmd_sup(args) -> int:
     return 0
 
 
+# the closed-form Mellin values of `mellin` and `mellin-check`, by form name;
+# looked up in .special when a command runs, so the parser loads no mpmath
+_CLOSED_FORMS = {"g1": "mellin_G1_closed", "h1": "mellin_H1_closed",
+                 "g1check": "mellin_G1check_closed"}
+
+
+def _closed_form(name: str, s: float):
+    from . import special
+    return getattr(special, _CLOSED_FORMS[name])(s)
+
+
 def _cmd_mellin(args) -> int:
-    from .special import (
-        h2_integral_bound,
-        mellin_G1_closed,
-        mellin_G1check_closed,
-        mellin_H1_closed,
-    )
     s = args.s
-    if args.form == "g1":
-        sv = mellin_G1_closed(s)
-    elif args.form == "h1":
-        sv = mellin_H1_closed(s)
-    elif args.form == "g1check":
-        sv = mellin_G1check_closed(s)
-    else:  # h2bound
+    if args.form == "h2bound":
+        from .special import h2_integral_bound
         print(f"mellin form=h2bound delta={_fmt(s)} value={_fmt(h2_integral_bound(s))}")
         return 0
+    sv = _closed_form(args.form, s)
     print(f"mellin form={args.form} s={_fmt(s)} value={_fmt(sv.value)} "
           f"error={_fmt(sv.abs_error)}")
     return 0
@@ -139,10 +140,9 @@ def _cmd_mellin(args) -> int:
 
 def _cmd_mellin_check(args) -> int:
     from .quad import mellin_numeric
-    from .special import mellin_G1_closed, mellin_H1_closed
     from .weights import G1_SPEC, H1_SPEC
     spec = G1_SPEC if args.weight == "g1" else H1_SPEC
-    closed = mellin_G1_closed(args.s) if args.weight == "g1" else mellin_H1_closed(args.s)
+    closed = _closed_form(args.weight, args.s)
     bracket = mellin_numeric(spec, args.s, args.X)
     ok = bracket.lo <= closed.value + closed.abs_error and \
         closed.value - closed.abs_error <= bracket.hi
@@ -160,6 +160,8 @@ def _cmd_identity(args) -> int:
         residual_thm1_G,
         residual_thm1_H,
     )
+    from .quad import check_kernel_panels
+    check_kernel_panels(args.x)  # before any table is built
     # every series: evaluate reads m and ell
     tables = _get_tables(max(2, int(math.ceil(args.x))), args.cache_dir)
     residual = {"thm1g": residual_thm1_G, "thm1h": residual_thm1_H,
@@ -325,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sup)
 
     sp = sub.add_parser("mellin", help="closed-form Mellin value with certified error")
-    sp.add_argument("--form", choices=["g1", "h1", "g1check", "h2bound"], required=True)
+    sp.add_argument("--form", choices=[*_CLOSED_FORMS, "h2bound"], required=True)
     sp.add_argument("--s", type=finite_float, required=True)
     sp.set_defaults(func=_cmd_mellin)
 

@@ -59,6 +59,14 @@ def _check_panels(count: int) -> None:
         raise ResourceError(f"panel count {count} exceeds {_MAX_PANELS}; reduce the range")
 
 
+def check_kernel_panels(x: float) -> None:
+    """Refuse an x whose `identity_kernel_integral` could need more than
+    _MAX_PANELS panels, from x alone: the edges are the integers to x and
+    the jumps x/k, at most 2 floor(x) of them, so at most 2 floor(x) - 1
+    panels."""
+    _check_panels(2 * math.floor(x) - 1)
+
+
 def _panel_sum(lo, hi, terms, s: float = 0.0):
     """Sum over panels [lo, hi] and pairs (j, c) of c * integral t^-(j+s) dt.
 
@@ -187,9 +195,9 @@ def identity_kernel_integral(tables, x: float, form: str) -> float:
         return 0.0
     if form not in ("M-kernel", "m-kernel", "m1-kernel"):
         raise InvalidArgumentError(f"unknown form {form!r}")
+    check_kernel_panels(x)  # before any panel array exists
     k = np.arange(1, math.floor(x) + 1, dtype=np.float64)
     edges = np.unique(np.concatenate([k, x / k, [x]]))
-    _check_panels(edges.size - 1)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     n = np.clip(np.floor(x / mid).astype(np.int64), 1, tables.limit)

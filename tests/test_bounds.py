@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from mobsum.bounds import (
     sqrt_range_lowering,
     triangle_m,
 )
-from mobsum.chains import LIMSUP_M_OVER_SQRT, base_ledger, run_chain
+from mobsum.chains import LIMSUP_M_OVER_SQRT, ChainResult, base_ledger, run_chain
 from mobsum.errors import InvalidArgumentError, NoDescentError, PlanError
 from mobsum.special import (
     H2_ENVELOPE,
@@ -221,6 +222,92 @@ def test_sqrt_model_from_form():
     assert model.c == 0.5
     with pytest.raises(PlanError):
         sqrt_model_from_form(form, 0.05, 100.0, 1e6)  # constant not certified
+
+
+def test_rank_refusals_name_their_reason():
+    form = BoundForm("m", 1.0 / 4343.0, log_T=math.log(1e16))
+    model = SqrtModel("m", 0.701, 3.0, 1e16)
+    for bad, why in (
+            (SqrtModel("m1", 0.701, 3.0, 1e16), "sqrt model targets a different function"),
+            (SqrtModel("m", 1e5, 3.0, 1e16),
+             "sqrt model cannot lower the rank (threshold above it)")):
+        with pytest.raises(PlanError, match=re.escape(why)):
+            sqrt_range_lowering(form, bad)
+    for bad, why in (
+            (replace(form, remainders=(remainder(1.0, 1.0),)),
+             "sqrt_range_lowering expects a clean (descended) form"),
+            (replace(form, theta=0.5), "sqrt_range_lowering supports theta = 1 forms")):
+        with pytest.raises(PlanError, match=re.escape(why)):
+            sqrt_range_lowering(bad, model)
+    # a lowering may leave the rank where it is
+    assert sqrt_range_lowering(form, SqrtModel("m", 0.701, 1e16, 1e16)).log_T == form.log_T
+    with pytest.raises(PlanError, match="comparison bound starts above the form's rank"):
+        log_comparison_lowering(BoundForm("m", 64.0, j=2.0, log_T=5.0),
+                                BoundForm("m", 1.0, log_T=6.0))
+    with pytest.raises(PlanError, match="x_lo below the form's validity rank"):
+        sqrt_model_from_form(BoundForm("m1", 0.1, theta=0.5, log_T=math.log(100.0)),
+                             0.5, 99.0, 1e6)
+    res = ChainResult("test")
+    why = "rank 50 does not raise the rank log x = 4.60517"
+    with pytest.raises(PlanError, match=re.escape(why)):
+        res.set_rank(BoundForm("m", 1.0, log_T=math.log(100.0)), 50.0, "printed rank")
+    for T in (100.0, 200.0):  # a lower must lower
+        with pytest.raises(PlanError, match=f"rank {T:g} does not lower the rank"):
+            res.set_rank(BoundForm("m", 1.0, log_T=math.log(100.0)), T, "evidence", lower=True)
+    assert res.obligations == [] and res.steps == []
+
+
+_L = math.log(1e7)
+
+
+# Each rank comparison moved d past its limit in log x: the hypothesis rank
+# above the cut, the model or comparison range short of the rank, the new
+# rank or the comparand above it, x_lo below it, a raise below it.
+_RANK_MOVES = {
+    "convert hypothesis": (
+        lambda d: convert_via_H1(BoundForm("m", 1.415, theta=0.5, log_T=math.log(10.0) + d),
+                                 T_cut=10.0), "exceeds T_cut"),
+    "sqrt model reach": (
+        lambda d: sqrt_range_lowering(BoundForm("m", 1.0 / 4343.0, log_T=_L),
+                                      SqrtModel("m", 0.701, 3.0, math.exp(_L - d))),
+        "sqrt model does not reach the form's current rank"),
+    "sqrt new rank": (
+        lambda d: sqrt_range_lowering(BoundForm("m", 1.0 / 4343.0, log_T=_L),
+                                      SqrtModel("m", 0.701, math.exp(_L + d), 1e16)),
+        "threshold above it"),
+    "comparison reach": (
+        lambda d: log_comparison_lowering(BoundForm("m", (5.0 - d) ** 2, j=2.0, log_T=5.0),
+                                          BoundForm("m", 1.0)),
+        "comparison range does not reach the form's current rank"),
+    "comparand start": (
+        lambda d: log_comparison_lowering(BoundForm("m", 64.0, j=2.0, log_T=5.0),
+                                          BoundForm("m", 1.0, log_T=5.0 + d)),
+        "comparison bound starts above the form's rank"),
+    "sqrt model x_lo": (
+        lambda d: sqrt_model_from_form(BoundForm("m1", 0.1, theta=0.5, log_T=_L),
+                                       0.5, math.exp(_L - d), 1e16),
+        "x_lo below the form's validity rank"),
+    "raise": (
+        lambda d: ChainResult("test").set_rank(BoundForm("m", 1.0, log_T=_L),
+                                               math.exp(_L - d), "printed rank"),
+        "does not raise the rank"),
+}
+
+
+@pytest.mark.parametrize("name", _RANK_MOVES)
+def test_rank_comparisons_allow_one_slack_of_1e9(name):
+    move, why = _RANK_MOVES[name]
+    move(0.5e-9)  # within the slack
+    with pytest.raises(PlanError, match=re.escape(why)):
+        move(2e-9)
+
+
+def test_a_rank_lower_must_pass_the_slack():
+    form = BoundForm("m", 1.0, log_T=_L)
+    res = ChainResult("test")
+    assert res.set_rank(form, math.exp(_L - 2e-9), "evidence", lower=True).log_T < _L
+    with pytest.raises(PlanError, match="does not lower the rank"):
+        res.set_rank(form, math.exp(_L - 0.5e-9), "evidence", lower=True)
 
 
 def test_theorem_d_arithmetic():

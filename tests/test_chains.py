@@ -94,7 +94,8 @@ def test_log_chain_reproduces_printed_constants(all_chains):
     res = results["log"]
     # the honest conversion factor vs the two misprinted variants
     assert res.step("log:factor-0.17537").computed == pytest.approx(0.175417082, rel=1e-8)
-    assert res.step("log:factor-1/1796.57").computed == pytest.approx(1796.57720916, rel=1e-10)
+    assert 1.0 / res.step("log:factor-1/1796.57").computed == pytest.approx(1796.57720916,
+                                                                           rel=1e-10)
     assert any(o[1] == "mlog0.0130073" and o[2] == 97063 and o[3] == 230000
                for o in res.obligations)
 
@@ -111,7 +112,7 @@ def test_log2_chain_reproduces_printed_constants(all_chains):
     assert led["m-log2-362.84"].A == pytest.approx(362.84, rel=1e-12)
     assert led["m-log2-362.84"].log_T == 0.0  # valid for all x > 1
     res = results["log2"]
-    assert res.step("log2:factor-1/2633.6").computed == pytest.approx(2633.6129, rel=1e-7)
+    assert 1.0 / res.step("log2:factor-1/2633.6").computed == pytest.approx(2633.6129, rel=1e-7)
     assert res.step("log2:three-term-rank").computed <= 7000.0
     obls = {o[1] for o in res.obligations}
     assert {"m1log2-0.138", "m1log2-sup671"} <= obls
@@ -159,6 +160,36 @@ def test_chains_are_deterministic(all_chains):
 DATA = Path(__file__).parent / "data"
 
 
+def assert_golden(what, got: bytes, golden: bytes):
+    """got == golden, byte for byte; a mismatch names the first differing
+    line and shows it on both sides."""
+    if got == golden:
+        return
+    ours, theirs = got.splitlines(keepends=True), golden.splitlines(keepends=True)
+    number = next((n for n, (a, b) in enumerate(zip(ours, theirs), 1) if a != b),
+                  min(len(ours), len(theirs)) + 1)
+
+    def line(lines):
+        if number > len(lines):
+            return "<end of output>"
+        return repr(lines[number - 1].decode("utf-8", "backslashreplace"))
+
+    pytest.fail(f"{what} differs from its golden file at line {number}:\n"
+                f"  got:    {line(ours)}\n  golden: {line(theirs)}", pytrace=False)
+
+
+def test_golden_mismatch_names_the_line():
+    assert_golden("same", b"a\nb\n", b"a\nb\n")
+    for got, golden, number, shown in (
+            (b"a\nb\nc\n", b"a\nB\nc\n", 2, "got:    'b\\n'\n  golden: 'B\\n'"),
+            (b"a\nb\n", b"a\nb", 2, "got:    'b\\n'\n  golden: 'b'"),
+            (b"a\n", b"a\nb\n", 2, "got:    <end of output>\n  golden: 'b\\n'")):
+        with pytest.raises(pytest.fail.Exception) as failed:
+            assert_golden("chain x", got, golden)
+        assert str(failed.value) == (f"chain x differs from its golden file at line "
+                                     f"{number}:\n  {shown}")
+
+
 def test_bootstrap_output_and_ledger_match_golden(capsys, tmp_path):
     # captured from `mobsum bootstrap --chain X` and from serialize_ledger
     # after all five chains on one ledger; every step, note, obligation,
@@ -169,16 +200,19 @@ def test_bootstrap_output_and_ledger_match_golden(capsys, tmp_path):
     for name, status in statuses.items():
         code = main(["bootstrap", "--chain", name])
         out = capsys.readouterr().out.encode("utf-8")
-        assert (code, out) == (int(status), (DATA / f"bootstrap-{name}.out").read_bytes())
+        assert code == int(status), f"bootstrap --chain {name} exits {code}, not {status}"
+        assert_golden(f"bootstrap --chain {name}", out,
+                      (DATA / f"bootstrap-{name}.out").read_bytes())
+    golden_ledger = (DATA / "ledger-all-chains.txt").read_bytes()
     led = base_ledger()
     for name in CHAINS:
         run_chain(name, led)
-    assert serialize_ledger(led).encode("utf-8") == \
-        (DATA / "ledger-all-chains.txt").read_bytes()
+    assert_golden("the all-chains ledger", serialize_ledger(led).encode("utf-8"), golden_ledger)
     # `--chain all` replays on one shared ledger: the blocks concatenate
     ledger_file = tmp_path / "ledger.txt"
     code = main(["bootstrap", "--chain", "all", "--out", str(ledger_file)])
     out = capsys.readouterr().out.encode("utf-8")
     assert code == 0
-    assert out == b"".join((DATA / f"bootstrap-{name}.out").read_bytes() for name in CHAINS)
-    assert ledger_file.read_bytes() == (DATA / "ledger-all-chains.txt").read_bytes()
+    assert_golden("bootstrap --chain all", out, b"".join(
+        (DATA / f"bootstrap-{name}.out").read_bytes() for name in CHAINS))
+    assert_golden("the --chain all --out ledger", ledger_file.read_bytes(), golden_ledger)

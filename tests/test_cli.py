@@ -482,6 +482,18 @@ def test_scan_outputs_match_pinned_hashes(capsys, tmp_path, monkeypatch):
         assert code == (1 if "status=FAIL" in summary else 0), argv
 
 
+def test_identity_panel_guard_runs_before_any_table(capsys, monkeypatch):
+    # the kernel needs at most 2 floor(x) - 1 panels, so x = 6e6 is refused
+    # from x alone, before its table and its 12e6 panel edges are built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "_get_tables", refuse)
+    code, out, err = run(capsys, "identity", "--name", "bal2", "--x", "6e6")
+    assert (code, out) == (3, "")
+    assert err == "error: panel count 11999999 exceeds 10000000; reduce the range\n"
+
+
 def test_package_errors_exit_3_and_unattainable_bounds_exit_1(capsys, tmp_path):
     # a resource guard is neither a usage error nor a failed check: the
     # panel count of a Mellin enclosure to X = 2e7 passes its 1e7 cap

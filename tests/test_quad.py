@@ -1,5 +1,6 @@
 import functools
 import math
+import types
 
 import mpmath as mp
 import pytest
@@ -7,8 +8,14 @@ from hypothesis import given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
 from conftest import mp_lattice
-from mobsum.errors import DomainError, InvalidArgumentError
-from mobsum.quad import MellinBracket, mellin_finite_part, mellin_numeric
+from mobsum.errors import DomainError, InvalidArgumentError, ResourceError
+from mobsum.quad import (
+    MellinBracket,
+    check_kernel_panels,
+    identity_kernel_integral,
+    mellin_finite_part,
+    mellin_numeric,
+)
 from mobsum.special import mellin_G1_closed, mellin_H1_closed
 from mobsum.weights import G1_SPEC, H1_SPEC
 
@@ -133,3 +140,13 @@ def test_mellin_bracket_property(s):
     closed = mellin_G1_closed(s)
     b = mellin_numeric(G1_SPEC, s, 500)
     assert b.lo - 1e-15 <= closed.value <= b.hi + 1e-15
+
+
+def test_identity_kernel_refuses_its_panel_count_from_x_alone():
+    # at most 2 floor(x) - 1 panels: the refusal comes before any panel
+    # array, so a table that holds only its limit is never read
+    table = types.SimpleNamespace(limit=10**7)
+    for x in (5000001.0, 5000001.5, 6e6):
+        with pytest.raises(ResourceError, match=f"panel count {2 * int(x) - 1} exceeds"):
+            identity_kernel_integral(table, x, "M-kernel")
+    check_kernel_panels(5000000.99)  # 9999999 panels at most
