@@ -504,13 +504,18 @@ def sqrt_range_lowering(form: BoundForm, model: SqrtModel) -> BoundForm:
     return _lowered("sqrt_range_lowering", form, model, True, True, compare)
 
 
+def comparison_reach(form: BoundForm, other: BoundForm) -> float:
+    """The log x up to which other.A/log^jo x <= form.A/log^jf x, for
+    jo < jf: (form.A/other.A)^(1/(jf-jo))."""
+    return (form.A / other.A) ** (1.0 / (form.j - other.j))
+
+
 def log_comparison_lowering(form: BoundForm, other: BoundForm) -> BoundForm:
     """Lower the validity rank of a clean log-power bound by comparison with
-    an already certified bound of lower log-power (same target, theta = 1):
-    other.A/log^jo x <= form.A/log^jf x  iff  log x <= (form.A/other.A)^(1/(jf-jo)).
-    """
+    an already certified bound of lower log-power (same target, theta = 1)
+    up to its `comparison_reach`."""
     def compare():
-        L_max = (form.A / other.A) ** (1.0 / (form.j - other.j))
+        L_max = comparison_reach(form, other)
         return (L_max, other.log_T,
                 f"log_comparison_lowering(vs A={other.A:.8g}/log^{other.j:g}, "
                 f"valid to log x = {L_max:.6g})")
@@ -712,6 +717,9 @@ def run_plan_step(ledger: Ledger, step: dict):
     def entry(key):
         if key not in step:
             raise PlanError(f"plan step missing {key!r}")
+        cls, what = (SqrtModel, "a sqrt model") if key == "model" else (BoundForm, "a bound")
+        if not isinstance(ledger[step[key]], cls):
+            raise PlanError(f"{key}: ledger entry {step[key]!r} is not {what}")
         return ledger[step[key]]
 
     # prefix integrals are named by ledger entries: a stated number could

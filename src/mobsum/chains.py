@@ -10,11 +10,12 @@ from the axiom ledger:
     mcheck : |mcheck(x)-1| <= 1/9780919 (x >= 2.5e12), 8.55e-6/log x,
              0.162/log^2 x (x >= 3)
 
-A chain's prerequisites are the chains before it.  Every step records the
-honestly computed value next to the printed constant it must certify
-(computed <= printed, within printed rounding).  Steps whose published
-constants contain known misprints compute the honest value and note the
-discrepancy; the final constants are unaffected.  Every rank move goes
+A chain's prerequisites are the chains before it.  Every step records two
+floats, the honestly computed value and the bound it must not exceed (a
+printed constant, a rank cap, or the reach of a comparison), and holds when
+computed <= printed, with no slack.  Steps whose published constants
+contain known misprints compute the honest value and note the discrepancy;
+the final constants are unaffected.  Every rank move goes
 through `ChainResult.set_rank`, which compares ranks by the one rank rule,
 `bounds.rank_at_most`; a low rank that the arithmetic cannot reach rests on
 direct verification, and set_rank records it as an obligation for the
@@ -35,6 +36,7 @@ from .bounds import (
     SqrtModel,
     abs_M_prefix_integral_bound,
     abs_m_prefix_integral_bound,
+    comparison_reach,
     convert_via_G1,
     convert_via_G1check,
     convert_via_H1,
@@ -53,7 +55,8 @@ from .bounds import (
 from .errors import PlanError
 from .special import H2_ENVELOPE
 
-# limsup |M(x)|/sqrt(x) > 1.837625 (Hurst); axiom used by the limsup transfer
+# limsup |M(x)|/sqrt(x) > 1.837625 (Hurst), the input of the limsup transfer;
+# only tests read it until the transfer is replayed (ROADMAP item 8)
 LIMSUP_M_OVER_SQRT = 1.837625
 
 
@@ -61,7 +64,7 @@ LIMSUP_M_OVER_SQRT = 1.837625
 class ChainStep:
     name: str
     computed: float
-    printed: Optional[float]
+    printed: float
     ok: bool
     note: str = ""
 
@@ -83,10 +86,8 @@ class ChainResult:
                 return s
         raise KeyError(name)
 
-    def _rec(self, name, computed, printed=None, ok=None, note=""):
-        if ok is None:
-            ok = computed <= printed * (1.0 + 1e-12)
-        self.steps.append(ChainStep(name, computed, printed, bool(ok), note))
+    def _rec(self, name, computed, printed, note=""):
+        self.steps.append(ChainStep(name, computed, printed, computed <= printed, note))
 
     def _oblige(self, description, pred, lo, hi):
         self.obligations.append((description, pred, float(lo), float(hi)))
@@ -119,6 +120,19 @@ class ChainResult:
         self._rec(f"{self.name}:{c:g}", form.evaluate(x_lo) * math.sqrt(x_lo), c, note=note)
         led.add_derived(name, model)
         return model
+
+    def _triangle(self, name: str, m1: BoundForm, M: BoundForm, A: float) -> BoundForm:
+        """|m| <= |m1| + |M/x| descended to A; record step ``name``: the sum
+        of the two leading constants against A."""
+        tri = triangle_m(m1, M)
+        self._rec(name, tri.A, A)
+        return descend_to(tri, A)
+
+    def _compare(self, name: str, form: BoundForm, other: BoundForm, note: str) -> BoundForm:
+        """Lower ``form`` by comparison with ``other``; record step ``name``:
+        the form's log-rank against the log x the comparison reaches."""
+        self._rec(name, form.log_T, comparison_reach(form, other), note=note)
+        return log_comparison_lowering(form, other)
 
 
 # the pieces of integral |m| past 1e16: the sqrt models of m, then |m| <= 1/4343
@@ -212,13 +226,10 @@ def run_const_chain(led: Ledger) -> ChainResult:
     f1 = convert_via_G1(M4345, 2160535.0, abs_M_prefix_integral_bound(2160535.0))
     res._rec("const:A-(3/4-gamma)/4345", f1.A, 0.1727844 / 4345.0)
     m1_25146 = descend_to(f1, 1.0 / 25146.0, log_rank_cap=math.log(1e16))
-    res._rec("const:m1-25146", m1_25146.A, 1.0 / 25146.0)
     led.add_derived("m1-25146", m1_25146)
 
     # step 2: triangle and sqrt-model lowering to 3.5e6
-    tri1 = triangle_m(m1_25146, M4345)
-    res._rec("const:triangle-3704", tri1.A, 1.0 / 3704.0)
-    m3704 = descend_to(tri1, 1.0 / 3704.0)
+    m3704 = res._triangle("const:triangle-3704", m1_25146, M4345, 1.0 / 3704.0)
     m3704 = sqrt_range_lowering(m3704, led["m-sqrt-0.701"])
     m3704 = sqrt_range_lowering(m3704, led["m-sqrt-0.5"])
     res._rec("const:threshold-(0.5*3704)^2", (0.5 * 3704.0) ** 2, 3.5e6,
@@ -238,13 +249,10 @@ def run_const_chain(led: Ledger) -> ChainResult:
     m1_8119793 = sqrt_range_lowering(m1_8119793, led["m1-sqrt-0.129"])
     res._rec("const:threshold-(0.129*8119793)^2", (0.129 * 8119793.0) ** 2, 1.1e12)
     m1_8119793 = res.set_rank(m1_8119793, 1.1e12, "printed rank")
-    res._rec("const:m1-8119793", m1_8119793.A, 1.0 / 8119793.0)
     led.add_derived("m1-8119793", m1_8119793)
 
     # step 4: triangle to 1/4342.67, lower to 4.8e6
-    tri2 = triangle_m(m1_8119793, M4345)
-    res._rec("const:triangle-4342.67", tri2.A, 1.0 / 4342.67)
-    m434267 = descend_to(tri2, 1.0 / 4342.67)
+    m434267 = res._triangle("const:triangle-4342.67", m1_8119793, M4345, 1.0 / 4342.67)
     m434267 = sqrt_range_lowering(m434267, led["m-sqrt-0.701"])
     res._rec("const:threshold-(0.701*4342.67)^2", (0.701 * 4342.67) ** 2, 1e7)
     m434267 = sqrt_range_lowering(m434267, led["m-sqrt-0.5"])
@@ -259,13 +267,10 @@ def run_const_chain(led: Ledger) -> ChainResult:
     m1_11470909 = sqrt_range_lowering(m1_11470909, led["m1-sqrt-0.129"])
     res._rec("const:threshold-(0.129*11470909)^2", (0.129 * 11470909.0) ** 2, 2.2e12)
     m1_11470909 = res.set_rank(m1_11470909, 2.2e12, "printed rank")
-    res._rec("const:m1-11470909", m1_11470909.A, 1.0 / 11470909.0)
     led.add_derived("m1-11470909", m1_11470909)
 
     # step 6: final triangle to 1/4343, lower to 5e6
-    tri3 = triangle_m(m1_11470909, M4345)
-    res._rec("const:triangle-4343", tri3.A, 1.0 / 4343.0)
-    m4343 = descend_to(tri3, 1.0 / 4343.0)
+    m4343 = res._triangle("const:triangle-4343", m1_11470909, M4345, 1.0 / 4343.0)
     m4343 = sqrt_range_lowering(m4343, led["m-sqrt-0.701"])
     res._rec("const:threshold-(0.701*4343)^2", (0.701 * 4343.0) ** 2, 1e7)
     m4343 = sqrt_range_lowering(m4343, led["m-sqrt-0.5"])
@@ -274,7 +279,6 @@ def run_const_chain(led: Ledger) -> ChainResult:
     m4343 = res.set_rank(
         m4343, 2160605.0, "rank 2 160 605 subject to direct verification on [2 160 605, 5e6)",
         lower=True, verified=("4343|m(x)| <= 1 on [2 160 605, 5e6)", "m4343", 5e6))
-    res._rec("const:final-m-4343", m4343.A, 1.0 / 4343.0)
     led.add_derived("m-4343", m4343)
     res.finals = {"m-4343": m4343}
     return res
@@ -300,8 +304,7 @@ def run_log_chain(led: Ledger) -> ChainResult:
     led.add_derived("m1-log-0.0023", m1_0023)
 
     # step 2: triangle |m| <= (0.013 + 0.0023)/log u
-    mlog1 = descend_to(triangle_m(m1_0023, M013), 0.013 + 0.0023)
-    res._rec("log:m-0.0153", 0.013 + 0.0023, 0.0153)
+    mlog1 = res._triangle("log:m-0.0153", m1_0023, M013, 0.0153)
     led.add_derived("m-log-0.0153", mlog1)
 
     # step 3: envelope conversion at T = 8.2e25, delta = 1/log T;
@@ -317,10 +320,8 @@ def run_log_chain(led: Ledger) -> ChainResult:
              note="delta = 1/log 8.2e25")
     res._rec("log:A-8.517e-6", f2.A, 8.517e-6)
     m1_l1 = descend_to(f2, 8.517e-6, log_rank_cap=math.log(2.5e42))
-    m1_l1 = log_comparison_lowering(m1_l1, led["m1-11470909"])
-    res._rec("log:compare-2.6e42", 8.517e-6 * 11470909.0, math.log(2.6e42),
-             ok=8.517e-6 * 11470909.0 >= math.log(2.5e42),
-             note="1/11470909 <= 8.517e-6/log x up to exp(97.69)")
+    m1_l1 = res._compare("log:compare-2.6e42", m1_l1, led["m1-11470909"],
+                         "printed reach 2.6e42 = exp(97.66)")
     led.add_derived("m1-log-8.517e-6", m1_l1)
 
     # step 4: iterate with |m| <= (0.013 + 8.517e-6)/log u
@@ -328,17 +329,14 @@ def run_log_chain(led: Ledger) -> ChainResult:
     f3 = convert_via_H_envelope(mlog2, math.log(T3), math.log(m_int))
     res._rec("log:A-7.265e-6", f3.A, 7.265e-6)
     m1_l2 = descend_to(f3, 7.265e-6, log_rank_cap=math.log(1.5e36))
-    m1_l2 = log_comparison_lowering(m1_l2, led["m1-11470909"])
-    res._rec("log:compare-1.55e36", 7.265e-6 * 11470909.0, math.log(1.55e36),
-             ok=7.265e-6 * 11470909.0 >= math.log(1.5e36))
+    m1_l2 = res._compare("log:compare-1.55e36", m1_l2, led["m1-11470909"],
+                         "printed reach 1.55e36 = exp(83.33)")
     m1_l2 = sqrt_range_lowering(m1_l2, led["m1-sqrt-0.129"])
     m1_l2 = res.set_rank(m1_l2, 2.15e11, "printed rank")
-    res._rec("log:m1-7.265e-6", m1_l2.A, 7.265e-6)
     led.add_derived("m1-log-7.265e-6", m1_l2)
 
     # step 5: final triangle 0.013 + 7.265e-6 <= 0.0130073, lower to 230000
-    final = descend_to(triangle_m(m1_l2, M013), 0.0130073)
-    res._rec("log:triangle-0.0130073", 0.013 + 7.265e-6, 0.0130073)
+    final = res._triangle("log:triangle-0.0130073", m1_l2, M013, 0.0130073)
     final = sqrt_range_lowering(final, led["m-sqrt-0.701"])
     final = sqrt_range_lowering(final, led["m-sqrt-0.5"])
     res._rec("log:threshold-230000", math.exp(final.log_T), 230000.0)
@@ -347,7 +345,6 @@ def run_log_chain(led: Ledger) -> ChainResult:
         final, 97063.0, "rank 97 063 subject to direct verification on [97 063, 230 000)",
         lower=True, verified=("log x |m(x)| <= 0.0130073 on [97 063, 230 000)",
                               "mlog0.0130073", 230000))
-    res._rec("log:final-0.0130073", final.A, 0.0130073)
     led.add_derived("m-log-0.0130073", final)
     res.finals = {"m-log-0.0130073": final}
     return res
@@ -368,8 +365,7 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     led.add_derived("m1-log2-64.24", m1_6424)
 
     # step 2: triangle to 426.94/log^2
-    mlog2a = descend_to(triangle_m(m1_6424, M3627), 426.94)
-    res._rec("log2:m-426.94", 362.7 + 64.24, 426.94)
+    mlog2a = res._triangle("log2:m-426.94", m1_6424, M3627, 426.94)
     led.add_derived("m-log2-426.94", mlog2a)
 
     # step 3: envelope conversion at T = exp(18900), delta = 2/18900
@@ -382,10 +378,8 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     res._rec("log2:factor-1/2633.6", f2.A / mlog2a.A, 1.0 / 2633.6)
     res._rec("log2:A-0.1622", f2.A, 0.1622)
     m1_1622 = descend_to(f2, 0.1622, log_rank_cap=22000.0)
-    m1_1622 = log_comparison_lowering(m1_1622, led["m1-log-7.265e-6"])
-    res._rec("log2:compare-e22335", 0.1622 / 7.265e-6, 22335.0,
-             ok=0.1622 / 7.265e-6 >= 22000.0,
-             note="7.265e-6/log x <= 0.1622/log^2 x up to exp(22327)")
+    m1_1622 = res._compare("log2:compare-e22335", m1_1622, led["m1-log-7.265e-6"],
+                           "printed reach exp(22335)")
     led.add_derived("m1-log2-0.1622", m1_1622)
 
     # step 4: iterate with |m| <= (362.7 + 0.1622)/log^2 u
@@ -393,9 +387,8 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     f3 = convert_via_H_envelope(mlog2b, logT, m_int_log)
     res._rec("log2:A-0.1378", f3.A, 0.1378)
     m1_1378 = descend_to(f3, 0.1378, log_rank_cap=18960.0)
-    m1_1378 = log_comparison_lowering(m1_1378, led["m1-log-7.265e-6"])
-    res._rec("log2:compare-e18967", 0.1378 / 7.265e-6, 18967.0,
-             ok=0.1378 / 7.265e-6 >= 18960.0)
+    m1_1378 = res._compare("log2:compare-e18967", m1_1378, led["m1-log-7.265e-6"],
+                           "printed reach exp(18967)")
     m1_1378 = sqrt_range_lowering(m1_1378, led["m1-sqrt-0.129"])
 
     # step 5: lower to 7000 against the raw three-term sqrt majorant
@@ -404,7 +397,6 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     res._rec("log2:three-term-rank", math.exp(rank), 7000.0)
     m1_1378 = res.set_rank(m1_1378, 7000.0, "three-term sqrt majorant comparison to 7000",
                            lower=True)
-    res._rec("log2:m1-0.1378", m1_1378.A, 0.1378)
     led.add_derived("m1-log2-0.1378", m1_1378)
 
     # step 6: direct verification closes [671, 7000); printed bound 0.138
@@ -413,15 +405,14 @@ def run_log2_chain(led: Ledger) -> ChainResult:
         "outward rounding 0.1378 -> 0.138; rank 671 subject to direct verification "
         "on [671, 7000)", lower=True,
         verified=("log^2 x |m1(x)| <= 0.138 on [671, 7000)", "m1log2-0.138", 7000))
-    res._rec("log2:final-m1-0.138", 0.1378, 0.138)
+    res._rec("log2:final-m1-0.138", m1_1378.A, final_m1.A)
     led.add_derived("m1-log2-0.138", final_m1)
     res._oblige("sup of log^2 x m1(x) on [1, 671] equals (29/105) log^2 7 "
                 "= 1.0458 <= 1.046 at x = 7", "m1log2-sup671", 1, 671)
 
     # step 7: |m| via triangle; below 671 the Meissel bound gives
     # |m| log^2 x <= log^2 671 = 42.4 <= 362.84, so the bound holds for x > 1
-    tri = descend_to(triangle_m(final_m1, M3627), 362.84)
-    res._rec("log2:m-362.84", 362.7 + 0.138, 362.84)
+    tri = res._triangle("log2:m-362.84", final_m1, M3627, 362.84)
     res._rec("log2:m-low-range", math.log(671.0) ** 2, 362.84,
              note="|m| <= 1 below 671 makes the bound trivial there")
     final_m = res.set_rank(tri, 1.0, "extended to x > 1 via |m| <= 1 and log^2 671 < 362.84",
@@ -471,16 +462,16 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     res._rec("mcheck:A-const", fc.A, 1.0 / 9780919.0)
     # printed descent rank 1e16; the honest margin needs ~1.9e16, bridged by
     # the 7.1 model (threshold (7.1*9780919)^2 = 4.8e15 < 1e16)
-    c9780919 = descend_to(fc, 1.0 / 9780919.0, log_rank_cap=math.log(1e17))
-    res._rec("mcheck:const-honest-rank", math.exp(c9780919.log_T), 1e17,
+    rank = majorant_descent(fc, 1.0 / 9780919.0)
+    res._rec("mcheck:const-honest-rank", math.exp(rank), 1e17,
              note="printed rank 1e16; honest margin 3.7e-15 needs ~1.9e16, "
                   "bridged by the 7.1 sqrt model")
+    c9780919 = descend_to(fc, 1.0 / 9780919.0, log_rank_cap=math.log(1e17))
     c9780919 = sqrt_range_lowering(c9780919, led["mcheck-sqrt-7.1"])
     res._rec("mcheck:threshold-(7.1*9780919)^2", (7.1 * 9780919.0) ** 2, 1e16)
     c9780919 = sqrt_range_lowering(c9780919, led["mcheck-sqrt-0.16"])
     res._rec("mcheck:threshold-(0.16*9780919)^2", (0.16 * 9780919.0) ** 2, 2.5e12)
     c9780919 = res.set_rank(c9780919, 2.5e12, "printed rank")
-    res._rec("mcheck:final-const", c9780919.A, 1.0 / 9780919.0)
     led.add_derived("mcheck-9780919", c9780919)
 
     # 1/log bound 8.55e-6: G1check at T = 2.15e11 on the 7.265e-6 m1 bound
@@ -499,13 +490,12 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     fq = convert_via_G1check(led["m1-log2-0.138"], 1e100, abs_M_prefix_integral_bound(1e100))
     res._rec("mcheck:factor-1.1735", fq.A / 0.138, 1.1735)
     res._rec("mcheck:A-log2", fq.A, 0.162)
-    cl2 = descend_to(fq, 0.162, log_rank_cap=math.log(10.0) * 106)
-    res._rec("mcheck:log2-honest-rank", cl2.log_T, math.log(10.0) * 106,
+    res._rec("mcheck:log2-honest-rank", majorant_descent(fq, 0.162), math.log(10.0) * 106,
              note="printed descent rank exp(100) is inconsistent with the "
-                  "0.5e200 remainder; honest rank ~1e105, covered below")
-    cl2 = log_comparison_lowering(cl2, led["mcheck-log-8.55e-6"])
-    res._rec("mcheck:compare-e18947", 0.162 / 8.55e-6, 18947.0,
-             ok=math.log(10.0) * 106 <= 0.162 / 8.55e-6)
+                  "0.5e200 remainder; honest rank ~2e104, covered below")
+    cl2 = descend_to(fq, 0.162, log_rank_cap=math.log(10.0) * 106)
+    cl2 = res._compare("mcheck:compare-e18947", cl2, led["mcheck-log-8.55e-6"],
+                       "printed reach exp(18947)")
     cl2 = sqrt_range_lowering(cl2, led["mcheck-sqrt-0.16"])
     # final lowering against the mcheck three-term majorant (valid x >= 5e6),
     # then direct verification on [3, 1e7)
@@ -516,7 +506,6 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
         cl2, 3.0, "three-term majorant comparison to 1e7; rank 3 subject to direct "
         "verification on [3, 1e7)", lower=True,
         verified=("log^2 x |mcheck(x)-1| <= 0.162 on [3, 1e7)", "mchecklog2-0.162", 1e7))
-    res._rec("mcheck:final-log2", cl2.A, 0.162)
     led.add_derived("mcheck-log2-0.162", cl2)
 
     res.finals = {"mcheck-9780919": c9780919, "mcheck-log-8.55e-6": clog,

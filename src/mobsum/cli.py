@@ -230,9 +230,8 @@ def _describe_entry(entry) -> str:
 def _print_chain(chain: str, res) -> None:
     from .chains import CHAINS
     for step in res.steps:
-        printed = "" if step.printed is None else f" ≤ {_fmt(step.printed)}"
         note = f"  [{step.note}]" if step.note else ""
-        print(f"step {step.name}: {_fmt(step.computed)}{printed} "
+        print(f"step {step.name}: {_fmt(step.computed)} ≤ {_fmt(step.printed)} "
               f"{'ok' if step.ok else 'FAIL'}{note}")
     for desc, pred, lo, hi in res.obligations:
         print(f"obligation: {desc} pred={pred} range=[{_fmt(lo)},{_fmt(hi)})")

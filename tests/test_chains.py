@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from mobsum.bounds import BoundForm, SqrtModel, serialize_ledger
 from mobsum.chains import (
     CHAINS,
     LIMSUP_M_OVER_SQRT,
+    ChainResult,
     base_ledger,
     run_chain,
 )
@@ -30,6 +32,22 @@ def test_every_chain_step_certifies(all_chains):
     for name, res in results.items():
         bad = [s.name for s in res.steps if not s.ok]
         assert not bad, f"chain {name} failed steps: {bad}"
+
+
+def test_every_step_decides_its_two_floats(all_chains):
+    # one rule with no slack: a step holds exactly when computed <= printed,
+    # and only the exact sums of two printed constants print equal floats
+    _, results = all_chains
+    steps = [s for res in results.values() for s in res.steps]
+    assert len(steps) == 67
+    for s in steps:
+        assert s.ok == (s.computed <= s.printed), s.name
+    assert {s.name for s in steps if s.computed == s.printed} <= {
+        "log:m-0.0153", "log2:m-426.94"}
+    # a printed constant one ulp below the computed value fails its step
+    res = ChainResult("test")
+    res._rec("test:one-ulp", 0.0153, math.nextafter(0.0153, 0.0))
+    assert not res.ok
 
 
 def test_unknown_chain_rejected():
@@ -188,6 +206,23 @@ def test_golden_mismatch_names_the_line():
             assert_golden("chain x", got, golden)
         assert str(failed.value) == (f"chain x differs from its golden file at line "
                                      f"{number}:\n  {shown}")
+
+
+_STEP_LINE = re.compile(r"step (\S+): (\S+) ≤ (\S+) (ok|FAIL)(  \[.*\])?")
+
+
+def test_golden_step_lines_decide_the_numbers_they_print():
+    # each step line of a golden bootstrap output prints the two numbers its
+    # rule compares: "ok" only with a <= b, "FAIL" only with a > b
+    wrong = []
+    for path in sorted(DATA.glob("bootstrap-*.out")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if line.startswith("step "):
+                step = _STEP_LINE.fullmatch(line)
+                assert step, f"{path.name}:{number} is not a step line: {line!r}"
+                if (step[4] == "ok") != (float(step[2]) <= float(step[3])):
+                    wrong.append(f"{path.name}:{number}: {line}")
+    assert not wrong, "\n".join(wrong)
 
 
 def test_bootstrap_output_and_ledger_match_golden(capsys, tmp_path):

@@ -421,6 +421,24 @@ def test_convert_names_a_key_its_step_does_not_read(capsys, tmp_path, step, key)
     assert f"does not read {key}" in err
 
 
+@pytest.mark.parametrize("step, why", [
+    ("step: sqrt_lower\nid: s\nhyp: m-meissel\nmodel: m-meissel\n",
+     "model: ledger entry 'm-meissel' is not a sqrt model"),
+    ("step: convert_via_H1\nid: h\nhyp: m-sqrt-0.5\n",
+     "hyp: ledger entry 'm-sqrt-0.5' is not a bound"),
+    ("step: log_lower\nid: l\nhyp: m-meissel\nhyp2: m-sqrt-0.5\n",
+     "hyp2: ledger entry 'm-sqrt-0.5' is not a bound")],
+    ids=["sqrt_lower-model", "convert_via_H1-hyp", "log_lower-hyp2"])
+def test_convert_refuses_an_entry_of_the_wrong_type(capsys, tmp_path, step, why):
+    # a bound where a sqrt model belongs, or the reverse, ended in an
+    # AttributeError traceback, exit 1
+    plan = tmp_path / "plan.txt"
+    plan.write_text(step)
+    code, out, err = run(capsys, "convert", "--plan", str(plan))
+    assert code == 2 and out == ""
+    assert "usage error" in err and why in err
+
+
 def test_malformed_ledger_file_exit_2(capsys, tmp_path):
     ledger = tmp_path / "ledger.txt"
     plan = tmp_path / "plan.txt"
