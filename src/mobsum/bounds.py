@@ -13,12 +13,13 @@ rank from which the majorant falls below a simpler target shape; the two
 range lowerings (against sqrt-models or previously derived bounds) share
 one body, `_lowered`.  Every comparison of two log-ranks (the converters'
 hypothesis check, the lowerings, `sqrt_model_from_form` and
-`chains.ChainResult.set_rank`) is the one rank rule `rank_at_most`, the only
-place its slack is written.  Descent and sqrt lowering share one bisection;
-`run_plan_step` runs the same operations from text plans.  Each sqrt model
-lives only in its ledger entry: the prefix integrals, `sqrt_form` and
-`join_sqrt_models` read entries and refuse a T or range outside them, for
-chains and plans alike (a plan never states a value).
+`chains.ChainResult.set_rank`) is the one rank rule `rank_at_most`; rank
+comparisons are exact, and `descend_to` refuses a rank cap below the rank
+the descent finds by any amount.  Descent and sqrt lowering share one
+bisection; `run_plan_step` runs the same operations from text plans.  Each
+sqrt model lives only in its ledger entry: the prefix integrals,
+`sqrt_form` and `join_sqrt_models` read entries and refuse a T or range
+outside them, for chains and plans alike (a plan never states a value).
 
 Ranks and remainder coefficients can be astronomically large (exp(18900) and
 beyond), so ranks are stored as log T and remainder coefficients as
@@ -42,11 +43,11 @@ from .special import (
     mellin_G1check_closed,
     mellin_H1_closed,
 )
+from .weights import H1_ENVELOPE
 
 TARGETS = ("M-over-x", "m", "m1", "mcheck-minus-1")
 
 _L_CAP = 1e8  # majorant_descent gives up past log x = _L_CAP
-_CAP_SLACK = 1e-12  # descend_to: how far a stated rank cap may sit below the certified rank
 
 
 def _logsumexp(terms) -> float:
@@ -202,11 +203,11 @@ def log_abs_m_prefix_integral_bound(log_T: float, pieces) -> float:
 # conversions
 
 def rank_at_most(log_a: float, log_b: float) -> bool:
-    """log_a <= log_b within the rank slack: the one comparison of two
-    log-ranks (L = log x).  Every converter's hypothesis check, both
-    lowerings, sqrt_model_from_form and ChainResult.set_rank call it, each
-    in its own direction; a NaN fails it."""
-    return log_a <= log_b + 1e-9
+    """log_a <= log_b, exactly: the one comparison of two log-ranks
+    (L = log x).  Every converter's hypothesis check, both lowerings,
+    sqrt_model_from_form and ChainResult.set_rank call it, each in its own
+    direction; a NaN fails it."""
+    return log_a <= log_b
 
 
 def _converted(name, hyp, hyp_target, log_T_cut, target, convert, log_T_floor=0.0):
@@ -304,8 +305,8 @@ def convert_via_H_envelope(hyp: BoundForm, T_cut_log: float,
 def convert_via_H1(hyp: BoundForm, T_cut: float = 1.0) -> BoundForm:
     """Convert a bound on |m(x)| into a bound on |m1(x)| via the analytic
     h-weight: factor is the H1 Mellin closed form at theta (unshifted, so
-    j = 0 only); remainder 2/x + 2.1 (integral_1^T u|m(u)| du)/x^2, with
-    the integral at most (T_cut^2 - 1)/2 by Meissel's |m| <= 1."""
+    j = 0 only); remainder 2/x + H1_ENVELOPE (integral_1^T u|m(u)| du)/x^2,
+    with the integral at most (T_cut^2 - 1)/2 by Meissel's |m| <= 1."""
     if T_cut < 1.0:
         raise InvalidArgumentError("T_cut must be at least 1")
 
@@ -316,7 +317,7 @@ def convert_via_H1(hyp: BoundForm, T_cut: float = 1.0) -> BoundForm:
         um_integral = 0.5 * (T_cut * T_cut - 1.0)
         rems = (remainder(2.0, 1.0),)
         if um_integral > 0:
-            rems += (remainder(2.1 * um_integral, 2.0),)
+            rems += (remainder(H1_ENVELOPE * um_integral, 2.0),)
         return f"T_cut={T_cut:g}", factor, rems
 
     return _converted("convert_via_H1", hyp, "m", math.log(T_cut), "m1", convert)
@@ -412,14 +413,14 @@ def majorant_descent(form: BoundForm, target_A: float, target_j: Optional[float]
 def descend_to(form: BoundForm, target_A: float, target_j: Optional[float] = None,
                log_rank_cap: Optional[float] = None) -> BoundForm:
     """Descend a majorant below a clean target shape of the same theta;
-    returns the clean BoundForm at the certified rank (or at the supplied
-    outward-rounded cap exp(log_rank_cap), checked against the certified
-    rank)."""
+    returns the clean BoundForm at the certified rank, or at the supplied
+    outward-rounded cap exp(log_rank_cap), which must not be below the
+    certified rank by any amount."""
     if target_j is None:
         target_j = form.j
     L0 = majorant_descent(form, target_A, target_j)
     if log_rank_cap is not None:
-        if L0 > log_rank_cap + _CAP_SLACK:
+        if L0 > log_rank_cap:
             raise PlanError(
                 f"descent rank log x = {L0:.6g} exceeds the stated cap {log_rank_cap:.6g}"
             )
@@ -436,8 +437,9 @@ def descend_to(form: BoundForm, target_A: float, target_j: Optional[float] = Non
 
 
 # The refusals of the two lowerings, in the order they are checked: another
-# target, a form (or comparand) that is not clean, a shape other than
-# theta = 1, a comparison that stops short of the rank, a new rank above it.
+# target, a form (or comparand) that is not clean (a remainder, or A <= 0),
+# a shape other than theta = 1, a comparison that stops short of the rank, a
+# new rank above it.
 _LOWERING_REFUSALS = {
     "sqrt_range_lowering": (
         "sqrt model targets a different function",
@@ -454,17 +456,18 @@ _LOWERING_REFUSALS = {
 }
 
 
-def _lowered(name, form, other, other_clean, other_shaped, compare):
+def _lowered(name, form, other, other_shaped, compare):
     """The one body of both range lowerings.  Once the form and `other`
-    share a target and both are clean and of theta = 1 (what that means
-    for `other` is the caller's), compare() gives (the log x up to which
-    the comparison holds, the new log-rank, the provenance note).  The
-    comparison must reach the rank and the new rank must not be above it;
-    it may equal it."""
+    share a target, both are clean (a sqrt model always is: c > 0) and both
+    are of theta = 1 (what that means for `other` is the caller's),
+    compare() gives (the log x up to which the comparison holds, the new
+    log-rank, the provenance note).  The comparison must reach the rank and
+    the new rank must not be above it; it may equal it."""
     target, unclean, shape, short, above = _LOWERING_REFUSALS[name]
     if other.target != form.target:
         raise PlanError(target)
-    if form.remainders or not other_clean:
+    if not all(isinstance(e, SqrtModel) or (e.A > 0 and not e.remainders)
+               for e in (form, other)):
         raise PlanError(unclean)
     if form.theta != 1.0 or not other_shaped:
         raise PlanError(shape)
@@ -501,7 +504,7 @@ def sqrt_range_lowering(form: BoundForm, model: SqrtModel) -> BoundForm:
         return (math.log(model.x_hi), math.log(new_T),
                 f"sqrt_range_lowering(c={model.c:g}, new_T={new_T:.6g})")
 
-    return _lowered("sqrt_range_lowering", form, model, True, True, compare)
+    return _lowered("sqrt_range_lowering", form, model, True, compare)
 
 
 def comparison_reach(form: BoundForm, other: BoundForm) -> float:
@@ -520,7 +523,7 @@ def log_comparison_lowering(form: BoundForm, other: BoundForm) -> BoundForm:
                 f"log_comparison_lowering(vs A={other.A:.8g}/log^{other.j:g}, "
                 f"valid to log x = {L_max:.6g})")
 
-    return _lowered("log_comparison_lowering", form, other, not other.remainders,
+    return _lowered("log_comparison_lowering", form, other,
                     other.theta == 1.0 and other.j < form.j, compare)
 
 

@@ -12,11 +12,13 @@ from the axiom ledger:
 
 A chain's prerequisites are the chains before it.  Every step records two
 floats, the honestly computed value and the bound it must not exceed (a
-printed constant, a rank cap, or the reach of a comparison), and holds when
-computed <= printed, with no slack.  Steps whose published constants
-contain known misprints compute the honest value and note the discrepancy;
-the final constants are unaffected.  Every rank move goes
-through `ChainResult.set_rank`, which compares ranks by the one rank rule,
+printed constant, a rank cap, or the reach of a comparison), and holds
+exactly when computed <= printed (`ChainStep.ok`), with no slack.  Steps
+whose published constants contain known misprints compute the honest value
+and note the discrepancy; the final constants are unaffected.  Every
+capped descent goes through `ChainResult._descend`, whose step is the
+log-rank the descent finds against its cap.  Every rank move goes through
+`ChainResult.set_rank`, which compares ranks by the one exact rank rule,
 `bounds.rank_at_most`; a low rank that the arithmetic cannot reach rests on
 direct verification, and set_rank records it as an obligation for the
 exhaustive scanner.  Every sqrt model is read from its ledger entry, and
@@ -65,8 +67,11 @@ class ChainStep:
     name: str
     computed: float
     printed: float
-    ok: bool
     note: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.computed <= self.printed
 
 
 @dataclass
@@ -87,7 +92,7 @@ class ChainResult:
         raise KeyError(name)
 
     def _rec(self, name, computed, printed, note=""):
-        self.steps.append(ChainStep(name, computed, printed, computed <= printed, note))
+        self.steps.append(ChainStep(name, computed, printed, note))
 
     def _oblige(self, description, pred, lo, hi):
         self.obligations.append((description, pred, float(lo), float(hi)))
@@ -127,6 +132,16 @@ class ChainResult:
         tri = triangle_m(m1, M)
         self._rec(name, tri.A, A)
         return descend_to(tri, A)
+
+    def _descend(self, name: str, form: BoundForm, A: float, log_cap: float,
+                 note: str = "") -> BoundForm:
+        """Descend ``form`` to A with its rank rounded outward to the cap
+        exp(log_cap); record step ``name``: the log-rank the descent finds
+        against log_cap.  A failing step keeps the entry at the found rank,
+        never below it."""
+        found = majorant_descent(form, A)
+        self._rec(name, found, log_cap, note=note)
+        return descend_to(form, A, log_rank_cap=max(found, log_cap))
 
     def _compare(self, name: str, form: BoundForm, other: BoundForm, note: str) -> BoundForm:
         """Lower ``form`` by comparison with ``other``; record step ``name``:
@@ -225,7 +240,7 @@ def run_const_chain(led: Ledger) -> ChainResult:
     # |M(t)| <= t integral bound; A' = (3/4 - gamma)/4345
     f1 = convert_via_G1(M4345, 2160535.0, abs_M_prefix_integral_bound(2160535.0))
     res._rec("const:A-(3/4-gamma)/4345", f1.A, 0.1727844 / 4345.0)
-    m1_25146 = descend_to(f1, 1.0 / 25146.0, log_rank_cap=math.log(1e16))
+    m1_25146 = res._descend("const:descent-1/25146", f1, 1.0 / 25146.0, math.log(1e16))
     led.add_derived("m1-25146", m1_25146)
 
     # step 2: triangle and sqrt-model lowering to 3.5e6
@@ -244,7 +259,7 @@ def run_const_chain(led: Ledger) -> ChainResult:
     res._rec("const:A-envelope-1", f2.A, 1.231557948e-7,
              note="printed constant carries a 3704->3074 transposition; the "
                   "honest (pi^2/6)/4345/3704 is smaller, so the descent holds")
-    m1_8119793 = descend_to(f2, 1.0 / 8119793.0, log_rank_cap=math.log(1e21))
+    m1_8119793 = res._descend("const:descent-1/8119793", f2, 1.0 / 8119793.0, math.log(1e21))
     m1_8119793 = sqrt_range_lowering(m1_8119793, led["m1-sqrt-5.792"])
     m1_8119793 = sqrt_range_lowering(m1_8119793, led["m1-sqrt-0.129"])
     res._rec("const:threshold-(0.129*8119793)^2", (0.129 * 8119793.0) ** 2, 1.1e12)
@@ -252,9 +267,11 @@ def run_const_chain(led: Ledger) -> ChainResult:
     led.add_derived("m1-8119793", m1_8119793)
 
     # step 4: triangle to 1/4342.67, lower to 4.8e6
+    wide = ("the paper's threshold for the 0.701 model from x = 3 (m-sqrt-0.701-wide); "
+            "m-sqrt-0.701 stops at 7.7e9")
     m434267 = res._triangle("const:triangle-4342.67", m1_8119793, M4345, 1.0 / 4342.67)
     m434267 = sqrt_range_lowering(m434267, led["m-sqrt-0.701"])
-    res._rec("const:threshold-(0.701*4342.67)^2", (0.701 * 4342.67) ** 2, 1e7)
+    res._rec("const:threshold-(0.701*4342.67)^2", (0.701 * 4342.67) ** 2, 1e7, note=wide)
     m434267 = sqrt_range_lowering(m434267, led["m-sqrt-0.5"])
     res._rec("const:threshold-(0.5*4342.67)^2", (0.5 * 4342.67) ** 2, 4.8e6)
     led.add_derived("m-4342.67", m434267)
@@ -262,7 +279,7 @@ def run_const_chain(led: Ledger) -> ChainResult:
     # step 5: iterate the envelope conversion
     f3 = convert_via_H_envelope(m434267, math.log(4.8e6), math.log(m_int))
     res._rec("const:A-envelope-2", f3.A, 1.0 / 11470909.0)
-    m1_11470909 = descend_to(f3, 1.0 / 11470909.0, log_rank_cap=math.log(1e21))
+    m1_11470909 = res._descend("const:descent-1/11470909", f3, 1.0 / 11470909.0, math.log(1e21))
     m1_11470909 = sqrt_range_lowering(m1_11470909, led["m1-sqrt-5.792"])
     m1_11470909 = sqrt_range_lowering(m1_11470909, led["m1-sqrt-0.129"])
     res._rec("const:threshold-(0.129*11470909)^2", (0.129 * 11470909.0) ** 2, 2.2e12)
@@ -272,7 +289,7 @@ def run_const_chain(led: Ledger) -> ChainResult:
     # step 6: final triangle to 1/4343, lower to 5e6
     m4343 = res._triangle("const:triangle-4343", m1_11470909, M4345, 1.0 / 4343.0)
     m4343 = sqrt_range_lowering(m4343, led["m-sqrt-0.701"])
-    res._rec("const:threshold-(0.701*4343)^2", (0.701 * 4343.0) ** 2, 1e7)
+    res._rec("const:threshold-(0.701*4343)^2", (0.701 * 4343.0) ** 2, 1e7, note=wide)
     m4343 = sqrt_range_lowering(m4343, led["m-sqrt-0.5"])
     res._rec("const:threshold-(0.5*4343)^2", (0.5 * 4343.0) ** 2, 4.72e6)
     m4343 = res.set_rank(m4343, 5e6, "printed rank before direct verification")
@@ -297,7 +314,7 @@ def run_log_chain(led: Ledger) -> ChainResult:
              note="printed as 0.1755x and 0.1725x in two places; honest "
                   "factor at s = 1 - 1/log 1e13 used")
     res._rec("log:A-0.0023", f1.A, 0.0023)
-    m1_0023 = descend_to(f1, 0.0023, log_rank_cap=math.log(1e16))
+    m1_0023 = res._descend("log:descent-0.0023", f1, 0.0023, math.log(1e16))
     m1_0023 = sqrt_range_lowering(m1_0023, led["m1-sqrt-0.129"])
     m1_0023 = sqrt_range_lowering(m1_0023, led["m1-sqrt-0.114"])
     m1_0023 = res.set_rank(m1_0023, 5e6, "printed rank")
@@ -319,7 +336,7 @@ def run_log_chain(led: Ledger) -> ChainResult:
     res._rec("log:factor-1/1796.57", f2.A / mlog1.A, 1.0 / 1796.57,
              note="delta = 1/log 8.2e25")
     res._rec("log:A-8.517e-6", f2.A, 8.517e-6)
-    m1_l1 = descend_to(f2, 8.517e-6, log_rank_cap=math.log(2.5e42))
+    m1_l1 = res._descend("log:descent-8.517e-6", f2, 8.517e-6, math.log(2.5e42))
     m1_l1 = res._compare("log:compare-2.6e42", m1_l1, led["m1-11470909"],
                          "printed reach 2.6e42 = exp(97.66)")
     led.add_derived("m1-log-8.517e-6", m1_l1)
@@ -328,7 +345,7 @@ def run_log_chain(led: Ledger) -> ChainResult:
     mlog2 = descend_to(triangle_m(m1_l1, M013), 0.013 + 8.517e-6)
     f3 = convert_via_H_envelope(mlog2, math.log(T3), math.log(m_int))
     res._rec("log:A-7.265e-6", f3.A, 7.265e-6)
-    m1_l2 = descend_to(f3, 7.265e-6, log_rank_cap=math.log(1.5e36))
+    m1_l2 = res._descend("log:descent-7.265e-6", f3, 7.265e-6, math.log(1.5e36))
     m1_l2 = res._compare("log:compare-1.55e36", m1_l2, led["m1-11470909"],
                          "printed reach 1.55e36 = exp(83.33)")
     m1_l2 = sqrt_range_lowering(m1_l2, led["m1-sqrt-0.129"])
@@ -361,7 +378,7 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     f1 = convert_via_G1(M3627, 1e16, abs_M_prefix_integral_bound(1e16, led["M-sqrt-1"]))
     res._rec("log2:factor-0.177112", f1.A / M3627.A, 0.177112)
     res._rec("log2:A-64.24", f1.A, 64.24)
-    m1_6424 = descend_to(f1, 64.24, log_rank_cap=math.log(1e16))
+    m1_6424 = res._descend("log2:descent-64.24", f1, 64.24, math.log(1e16))
     led.add_derived("m1-log2-64.24", m1_6424)
 
     # step 2: triangle to 426.94/log^2
@@ -377,7 +394,7 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     f2 = convert_via_H_envelope(mlog2a, logT, m_int_log)
     res._rec("log2:factor-1/2633.6", f2.A / mlog2a.A, 1.0 / 2633.6)
     res._rec("log2:A-0.1622", f2.A, 0.1622)
-    m1_1622 = descend_to(f2, 0.1622, log_rank_cap=22000.0)
+    m1_1622 = res._descend("log2:descent-0.1622", f2, 0.1622, 22000.0)
     m1_1622 = res._compare("log2:compare-e22335", m1_1622, led["m1-log-7.265e-6"],
                            "printed reach exp(22335)")
     led.add_derived("m1-log2-0.1622", m1_1622)
@@ -386,7 +403,7 @@ def run_log2_chain(led: Ledger) -> ChainResult:
     mlog2b = descend_to(triangle_m(m1_1622, M3627), 362.7 + 0.1622)
     f3 = convert_via_H_envelope(mlog2b, logT, m_int_log)
     res._rec("log2:A-0.1378", f3.A, 0.1378)
-    m1_1378 = descend_to(f3, 0.1378, log_rank_cap=18960.0)
+    m1_1378 = res._descend("log2:descent-0.1378", f3, 0.1378, 18960.0)
     m1_1378 = res._compare("log2:compare-e18967", m1_1378, led["m1-log-7.265e-6"],
                            "printed reach exp(18967)")
     m1_1378 = sqrt_range_lowering(m1_1378, led["m1-sqrt-0.129"])
@@ -462,11 +479,9 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     res._rec("mcheck:A-const", fc.A, 1.0 / 9780919.0)
     # printed descent rank 1e16; the honest margin needs ~1.9e16, bridged by
     # the 7.1 model (threshold (7.1*9780919)^2 = 4.8e15 < 1e16)
-    rank = majorant_descent(fc, 1.0 / 9780919.0)
-    res._rec("mcheck:const-honest-rank", math.exp(rank), 1e17,
-             note="printed rank 1e16; honest margin 3.7e-15 needs ~1.9e16, "
-                  "bridged by the 7.1 sqrt model")
-    c9780919 = descend_to(fc, 1.0 / 9780919.0, log_rank_cap=math.log(1e17))
+    c9780919 = res._descend("mcheck:const-honest-rank", fc, 1.0 / 9780919.0, math.log(1e17),
+                            note="printed rank 1e16; honest margin 3.7e-15 needs ~1.9e16, "
+                                 "bridged by the 7.1 sqrt model")
     c9780919 = sqrt_range_lowering(c9780919, led["mcheck-sqrt-7.1"])
     res._rec("mcheck:threshold-(7.1*9780919)^2", (7.1 * 9780919.0) ** 2, 1e16)
     c9780919 = sqrt_range_lowering(c9780919, led["mcheck-sqrt-0.16"])
@@ -480,7 +495,7 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     fl = convert_via_G1check(led["m1-log-7.265e-6"], 2.15e11, M_integral=i_M3)
     res._rec("mcheck:factor-1.17582", fl.A / 7.265e-6, 1.17582)
     res._rec("mcheck:A-log", fl.A, 8.55e-6)
-    clog = descend_to(fl, 8.55e-6, log_rank_cap=math.log(1e16))
+    clog = res._descend("mcheck:descent-8.55e-6", fl, 8.55e-6, math.log(1e16))
     clog = sqrt_range_lowering(clog, led["mcheck-sqrt-0.16"])
     res._rec("mcheck:log-rank", math.exp(clog.log_T), 2.5e11)
     clog = res.set_rank(clog, 2.5e11, "printed rank")
@@ -490,10 +505,9 @@ def run_mcheck_chain(led: Ledger) -> ChainResult:
     fq = convert_via_G1check(led["m1-log2-0.138"], 1e100, abs_M_prefix_integral_bound(1e100))
     res._rec("mcheck:factor-1.1735", fq.A / 0.138, 1.1735)
     res._rec("mcheck:A-log2", fq.A, 0.162)
-    res._rec("mcheck:log2-honest-rank", majorant_descent(fq, 0.162), math.log(10.0) * 106,
-             note="printed descent rank exp(100) is inconsistent with the "
-                  "0.5e200 remainder; honest rank ~2e104, covered below")
-    cl2 = descend_to(fq, 0.162, log_rank_cap=math.log(10.0) * 106)
+    cl2 = res._descend("mcheck:log2-honest-rank", fq, 0.162, math.log(10.0) * 106,
+                       note="printed descent rank exp(100) is inconsistent with the "
+                            "0.5e200 remainder; honest rank ~2e104, covered below")
     cl2 = res._compare("mcheck:compare-e18947", cl2, led["mcheck-log-8.55e-6"],
                        "printed reach exp(18947)")
     cl2 = sqrt_range_lowering(cl2, led["mcheck-sqrt-0.16"])

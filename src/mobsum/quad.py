@@ -9,8 +9,9 @@ with `math.fsum`, with an a-priori bound on the rounding error.  Improper
 Mellin integrals are returned as enclosures: that finite part on [1, X]
 plus a theorem-backed envelope bound for the tail, which X alone picks:
 sharp and two-sided at an integer X, one-sided at any other X.  The
-envelope facts behind the tail bounds are named once below; the tests
-check each against a reference evaluation of G1, H1 or eps1.
+envelope facts behind the tail bounds are named once, the G1 and H1
+envelopes in `weights` and the rest below; the tests check each against a
+reference evaluation of G1, H1 or eps1.
 """
 
 from __future__ import annotations
@@ -21,19 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, ResourceError
-from .weights import WeightSpec, lattice_power_coeffs
+from .weights import G1_ENVELOPE, H1_ENVELOPE, WeightSpec, lattice_power_coeffs
 
 _MAX_PANELS = 10**7
 _U = 2.0 ** -53
 _K_ROUND = 32
 
 # The envelopes of the tail, with {t} = t - floor(t):
-#   0 <= G1(t) <= _G1_ENVELOPE/t^2 and 0 <= H1(t) <= _H1_ENVELOPE/t;
+#   0 <= G1(t) <= G1_ENVELOPE/t^2 and 0 <= H1(t) <= H1_ENVELOPE/t (weights);
 #   eps1(t) = integral_1^t G1 = 1/3 - 1/(3t) + (4/3) a({t})/t^2 - b({t})/(3t^3)
 #   with a(f) = f (f - 1/2)(f - 1), b(f) = f^2 (1 - f)^2 and |a| <= _EPS1_PEAK;
 #   |H1(t) - (1 + (10/3)({t}^2 - {t}))/t| <= _EM_H1_ERROR/(6 t^2) (Euler-Maclaurin).
-_G1_ENVELOPE = 1.0
-_H1_ENVELOPE = 2.1
 _EPS1_PEAK = 1.0 / (12.0 * math.sqrt(3.0))
 _EM_H1_ERROR = 1.56
 
@@ -123,8 +122,8 @@ def _tail_bracket(name: str, s: float, X: float):
     Sharp at an integer X (eps1 integrated by parts, or H1's Euler-Maclaurin
     approximation), else the one-sided G1 or H1 envelope."""
     if X != math.floor(X):
-        c, tag = ((_G1_ENVELOPE, "simple:G1<=1/t^2") if name == "g1"
-                  else (_H1_ENVELOPE, "simple:H1<=2.1/t"))
+        c, tag = ((G1_ENVELOPE, f"simple:G1<={G1_ENVELOPE:g}/t^2") if name == "g1"
+                  else (H1_ENVELOPE, f"simple:H1<={H1_ENVELOPE:g}/t"))
         return 0.0, c * X ** (-s - 1.0) / (s + 1.0), tag
     if name == "g1":
         center = X ** (-s - 1.0) / (3.0 * (s + 1.0))

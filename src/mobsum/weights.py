@@ -10,7 +10,9 @@ densities these sums reduce exactly to power sums of N = floor(t), i.e.
 to polynomials in 1/t on [N, N+1) (`lattice_power_coeffs`, the one source
 of the coefficients that the exact panel integrals of `mobsum.quad` read).
 The two weights are G1_SPEC and H1_SPEC, and a spec's name fixes its
-lattice sum.
+lattice sum.  G1_ENVELOPE and H1_ENVELOPE state the envelopes
+0 <= G1(t) <= G1_ENVELOPE/t^2 and 0 <= H1(t) <= H1_ENVELOPE/t (t >= 1),
+which the Mellin tail bounds and the h-weight conversion read.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ class WeightSpec:
 
 G1_SPEC = WeightSpec("g1")
 H1_SPEC = WeightSpec("h1")
+
+G1_ENVELOPE = 1.0
+H1_ENVELOPE = 2.1
 
 
 def lattice_power_coeffs(name: str, N):

@@ -29,7 +29,7 @@ from mobsum.identities import (
     residual_thm1_G,
     residual_thm1_H,
 )
-from mobsum.quad import _EM_H1_ERROR, _G1_ENVELOPE, _H1_ENVELOPE, mellin_numeric
+from mobsum.quad import _EM_H1_ERROR, mellin_numeric
 from mobsum.special import (
     h2_integral_bound,
     mellin_G1_closed,
@@ -42,7 +42,7 @@ from mobsum.verify import (
     sup_scan,
     verify_range,
 )
-from mobsum.weights import G1_SPEC, H1_SPEC
+from mobsum.weights import G1_ENVELOPE, G1_SPEC, H1_ENVELOPE, H1_SPEC
 
 
 def report(num, ok, detail):
@@ -179,8 +179,8 @@ def test_criterion_08_envelopes():
     for t in golden_points(10**5, 1.0, 1e5):
         G = lattice_closed("g1", t)
         H = lattice_closed("h1", t)
-        all_ok &= -1e-10 <= G <= _G1_ENVELOPE / (t * t) + 1e-10
-        all_ok &= -1e-10 <= H <= _H1_ENVELOPE / t + 1e-10
+        all_ok &= -1e-10 <= G <= G1_ENVELOPE / (t * t) + 1e-10
+        all_ok &= -1e-10 <= H <= H1_ENVELOPE / t + 1e-10
         approx, err = em_H1_envelope(t)
         worst_em = max(worst_em, abs(H - approx) - err)
         all_ok &= abs(H - approx) <= err + 1e-10

@@ -190,6 +190,11 @@ def test_descend_to_produces_clean_form():
         descend_to(f, 2.5, log_rank_cap=math.log(10.0))
     capped = descend_to(f, 2.5, log_rank_cap=math.log(30.0))
     assert math.exp(capped.log_T) == pytest.approx(30.0, rel=1e-12)
+    # a cap may equal the rank the descent finds, and not sit one ulp below it
+    found = majorant_descent(f, 2.5)
+    assert descend_to(f, 2.5, log_rank_cap=found).log_T == found == res.log_T
+    with pytest.raises(PlanError, match="exceeds the stated cap"):
+        descend_to(f, 2.5, log_rank_cap=math.nextafter(found, 0.0))
 
 
 def test_sqrt_range_lowering_threshold():
@@ -260,54 +265,58 @@ def test_rank_refusals_name_their_reason():
 _L = math.log(1e7)
 
 
-# Each rank comparison moved d past its limit in log x: the hypothesis rank
-# above the cut, the model or comparison range short of the rank, the new
-# rank or the comparand above it, x_lo below it, a raise below it.
+# Each rank comparison at its limit in log x, where past(v, toward) = v, and
+# one ulp beyond it with past = math.nextafter: the hypothesis rank above
+# the cut, the model or comparison range short of the rank, the new rank or
+# the comparand above it, x_lo below it, a raise below it.
 _RANK_MOVES = {
     "convert hypothesis": (
-        lambda d: convert_via_H1(BoundForm("m", 1.415, theta=0.5, log_T=math.log(10.0) + d),
-                                 T_cut=10.0), "exceeds T_cut"),
+        lambda past: convert_via_H1(
+            BoundForm("m", 1.415, theta=0.5, log_T=past(math.log(10.0), math.inf)),
+            T_cut=10.0), "exceeds T_cut"),
     "sqrt model reach": (
-        lambda d: sqrt_range_lowering(BoundForm("m", 1.0 / 4343.0, log_T=_L),
-                                      SqrtModel("m", 0.701, 3.0, math.exp(_L - d))),
+        lambda past: sqrt_range_lowering(
+            BoundForm("m", 1.0 / 4343.0, log_T=past(_L, math.inf)),
+            SqrtModel("m", 0.701, 3.0, 1e7)),
         "sqrt model does not reach the form's current rank"),
     "sqrt new rank": (
-        lambda d: sqrt_range_lowering(BoundForm("m", 1.0 / 4343.0, log_T=_L),
-                                      SqrtModel("m", 0.701, math.exp(_L + d), 1e16)),
+        lambda past: sqrt_range_lowering(BoundForm("m", 1.0 / 4343.0, log_T=past(_L, 0.0)),
+                                         SqrtModel("m", 0.701, 1e7, 1e16)),
         "threshold above it"),
-    "comparison reach": (
-        lambda d: log_comparison_lowering(BoundForm("m", (5.0 - d) ** 2, j=2.0, log_T=5.0),
-                                          BoundForm("m", 1.0)),
+    "comparison reach": (  # reach (25/1)^(1/2) = 5 exactly
+        lambda past: log_comparison_lowering(
+            BoundForm("m", 25.0, j=2.0, log_T=past(5.0, math.inf)), BoundForm("m", 1.0)),
         "comparison range does not reach the form's current rank"),
     "comparand start": (
-        lambda d: log_comparison_lowering(BoundForm("m", 64.0, j=2.0, log_T=5.0),
-                                          BoundForm("m", 1.0, log_T=5.0 + d)),
+        lambda past: log_comparison_lowering(BoundForm("m", 64.0, j=2.0, log_T=5.0),
+                                             BoundForm("m", 1.0, log_T=past(5.0, math.inf))),
         "comparison bound starts above the form's rank"),
     "sqrt model x_lo": (
-        lambda d: sqrt_model_from_form(BoundForm("m1", 0.1, theta=0.5, log_T=_L),
-                                       0.5, math.exp(_L - d), 1e16),
+        lambda past: sqrt_model_from_form(
+            BoundForm("m1", 0.1, theta=0.5, log_T=past(_L, math.inf)), 0.5, 1e7, 1e16),
         "x_lo below the form's validity rank"),
     "raise": (
-        lambda d: ChainResult("test").set_rank(BoundForm("m", 1.0, log_T=_L),
-                                               math.exp(_L - d), "printed rank"),
+        lambda past: ChainResult("test").set_rank(
+            BoundForm("m", 1.0, log_T=past(_L, math.inf)), 1e7, "printed rank"),
         "does not raise the rank"),
 }
 
 
 @pytest.mark.parametrize("name", _RANK_MOVES)
-def test_rank_comparisons_allow_one_slack_of_1e9(name):
+def test_rank_comparisons_are_exact(name):
     move, why = _RANK_MOVES[name]
-    move(0.5e-9)  # within the slack
+    move(lambda v, toward: v)  # equality holds
     with pytest.raises(PlanError, match=re.escape(why)):
-        move(2e-9)
+        move(math.nextafter)
 
 
-def test_a_rank_lower_must_pass_the_slack():
-    form = BoundForm("m", 1.0, log_T=_L)
+def test_a_rank_lower_must_be_strict():
+    # one ulp lower is a lower; the same rank is not
     res = ChainResult("test")
-    assert res.set_rank(form, math.exp(_L - 2e-9), "evidence", lower=True).log_T < _L
+    form = BoundForm("m", 1.0, log_T=math.nextafter(_L, math.inf))
+    assert res.set_rank(form, 1e7, "evidence", lower=True).log_T == _L
     with pytest.raises(PlanError, match="does not lower the rank"):
-        res.set_rank(form, math.exp(_L - 0.5e-9), "evidence", lower=True)
+        res.set_rank(replace(form, log_T=_L), 1e7, "evidence", lower=True)
 
 
 def test_theorem_d_arithmetic():

@@ -4,7 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from mobsum.bounds import BoundForm, SqrtModel, serialize_ledger
+from mobsum.bounds import (
+    BoundForm,
+    SqrtModel,
+    majorant_descent,
+    remainder,
+    serialize_ledger,
+)
 from mobsum.chains import (
     CHAINS,
     LIMSUP_M_OVER_SQRT,
@@ -35,19 +41,34 @@ def test_every_chain_step_certifies(all_chains):
 
 
 def test_every_step_decides_its_two_floats(all_chains):
-    # one rule with no slack: a step holds exactly when computed <= printed,
-    # and only the exact sums of two printed constants print equal floats
+    # one rule with no slack: a step holds exactly when computed <= printed.
+    # Equal floats print only for the exact sums of two printed constants
+    # and for the 64.24 descent, whose majorant already holds at its
+    # converter's cut 1e16, which is also its cap
     _, results = all_chains
     steps = [s for res in results.values() for s in res.steps]
-    assert len(steps) == 67
+    assert len(steps) == 77
     for s in steps:
         assert s.ok == (s.computed <= s.printed), s.name
     assert {s.name for s in steps if s.computed == s.printed} <= {
-        "log:m-0.0153", "log2:m-426.94"}
+        "log:m-0.0153", "log2:m-426.94", "log2:descent-64.24"}
     # a printed constant one ulp below the computed value fails its step
     res = ChainResult("test")
     res._rec("test:one-ulp", 0.0153, math.nextafter(0.0153, 0.0))
     assert not res.ok
+
+
+def test_a_descent_capped_below_its_rank_fails_and_keeps_that_rank():
+    f = BoundForm("m", 2.0, remainders=(remainder(10.0, 1.0),))
+    found = majorant_descent(f, 2.5)
+    res = ChainResult("test")
+    got = res._descend("test:descent", f, 2.5, math.nextafter(found, 0.0))
+    assert not res.ok and res.step("test:descent").computed == found
+    assert (got.A, got.log_T, got.remainders) == (2.5, found, ())
+    # at or above the found rank the step holds and the entry takes the cap
+    for cap in (found, math.log(30.0)):
+        res = ChainResult("test")
+        assert res._descend("test:descent", f, 2.5, cap).log_T == cap and res.ok
 
 
 def test_unknown_chain_rejected():

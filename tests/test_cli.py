@@ -130,7 +130,8 @@ def test_ledger_commands_load_mpmath_but_not_numpy(tmp_path):
                  ["report", "--ledger", str(ledger)]):
         code = f"from mobsum import cli; assert cli.main({argv!r}) == 0"
         assert _modules_after(code) == "['mpmath']", argv
-    # weights defines no envelope, so the identity kernels do not load mpmath
+    # weights holds plain floats only (the G1 and H1 envelopes among them),
+    # so the identity kernels do not load mpmath
     code = ("from mobsum import cli; assert cli.main(['identity', '--name', 'bal2', "
             f"'--x', '100', '--cache-dir', {str(tmp_path)!r}]) == 0")
     assert _modules_after(code) == "['numpy']"
@@ -435,6 +436,29 @@ def test_convert_refuses_an_entry_of_the_wrong_type(capsys, tmp_path, step, why)
     plan = tmp_path / "plan.txt"
     plan.write_text(step)
     code, out, err = run(capsys, "convert", "--plan", str(plan))
+    assert code == 2 and out == ""
+    assert "usage error" in err and why in err
+
+
+@pytest.mark.parametrize("step, why", [
+    ("step: sqrt_lower\nid: s\nhyp: z\nmodel: m-sqrt-0.5\n",
+     "sqrt_range_lowering expects a clean (descended) form"),
+    ("step: log_lower\nid: l\nhyp: w\nhyp2: z\n",
+     "log_comparison_lowering expects clean forms")], ids=["sqrt_lower", "log_lower"])
+def test_convert_refuses_a_zero_constant_entry(capsys, tmp_path, step, why):
+    # both lowerings divided by the zero constant of z: a ZeroDivisionError
+    # traceback, exit 1
+    ledger = tmp_path / "ledger.txt"
+    ledger.write_text(
+        "kind=axiom name=m-sqrt-0.5 type=sqrt target=m c=0.5 x_lo=3.0 x_hi=7700000000.0 "
+        "provenance=\n"
+        "kind=derived name=w type=bound target=m A=0.01 theta=1.0 j=1.0 logT=20.0 "
+        "remainders= provenance=x\n"
+        "kind=derived name=z type=bound target=m A=0.0 theta=1.0 j=0.0 logT=20.0 "
+        "remainders= provenance=x\n")
+    plan = tmp_path / "plan.txt"
+    plan.write_text(step)
+    code, out, err = run(capsys, "convert", "--ledger", str(ledger), "--plan", str(plan))
     assert code == 2 and out == ""
     assert "usage error" in err and why in err
 

@@ -15,8 +15,9 @@ from conftest import (
     lattice_direct,
     mp_lattice,
 )
-from mobsum.quad import _EPS1_PEAK, _G1_ENVELOPE, _H1_ENVELOPE
+from mobsum.quad import _EPS1_PEAK
 from mobsum.special import H2_ENVELOPE
+from mobsum.weights import G1_ENVELOPE, H1_ENVELOPE
 
 
 def test_g1_is_a_unit_mass_density():
@@ -66,8 +67,8 @@ def test_envelope_bounds_sampled():
     for t in golden_points(2000, 1.0, 1e5):
         G = lattice_closed("g1", t)
         H = lattice_closed("h1", t)
-        assert -1e-12 <= G <= _G1_ENVELOPE / (t * t) + 1e-12
-        assert -1e-12 <= H <= _H1_ENVELOPE / t + 1e-12
+        assert -1e-12 <= G <= G1_ENVELOPE / (t * t) + 1e-12
+        assert -1e-12 <= H <= H1_ENVELOPE / t + 1e-12
         approx, err = em_H1_envelope(t)
         assert abs(H - approx) <= err + 1e-12
 
@@ -108,7 +109,7 @@ def test_h2_envelope_frozen_parameters():
 @settings(max_examples=200, deadline=None)
 def test_eval_G_envelope_property(t):
     G = lattice_closed("g1", t)
-    assert -1e-10 <= G <= _G1_ENVELOPE / (t * t) + 1e-10
+    assert -1e-10 <= G <= G1_ENVELOPE / (t * t) + 1e-10
 
 
 @given(st.floats(min_value=1.0, max_value=1e6))
