@@ -31,15 +31,27 @@ numbers per block.  A `Tables` bundle carries only the series its caller
 reads (``with_series``); a kernel that needs a missing one raises
 InvalidArgumentError.  The radius is nondecreasing, so each series keeps
 it only at block ends, where it bounds the radius of every index in the
-block; peak memory is the retained tables plus O(_BLOCK) scratch.
+block; peak memory is the retained tables plus O(_SPAN) scratch for the
+series (O(_SIEVE_BLOCK) for the sieve).
+
+The exact m(n) and ell(n) come from a memo each `Tables` keeps
+(`_ExactMemo`), empty until the first escalation and grown only as far as
+the largest n asked: per block of _BLOCK indices, 64 B of digit sums for
+m and, once ell is asked, 64 B per prime up to sqrt(limit); per prime up
+to the largest n asked with ell, 48 B (the prime and a cumulative sum of
+its chain).  A repeat below the memo's top costs one checkpoint and a tail
+of fewer than _BLOCK indices; each growth is first charged against
+physical memory.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import re
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -50,10 +62,14 @@ from .errors import InvalidArgumentError, RangeError, ResourceError
 _ULP = 2.0 ** -53  # unit roundoff for IEEE-754 binary64
 _BLOCK = 1 << 16  # indices per block of the carried prefix sums
 _SIEVE_BLOCK = 1 << 20  # integers per sieve segment
+_SPAN = 1 << 14  # indices per pass of a prefix build over its scratch buffers
 _EXACT_BLOCK = 1 << 14  # k per block of the exact prefix sums (1 MB of digits)
 _FIXED_BITS = 256
 _LIMBS = _FIXED_BITS // 32  # base-2^32 digits of a fixed-point reciprocal
 _LOG_BITS = _FIXED_BITS + 64  # working precision of the log p chain
+_S_BYTES = 44  # a cumulative sum of floor(L_p / p): below 2^325 for p < 2^31, since
+               # sum_{p<=x} log p / p < log x + 1 and L_p <= 2^_LOG_BITS log p
+_PRIME_BYTES = 4 + _S_BYTES  # retained per prime of the chain: p (int32) and its S
 
 _CACHE_VERSION = "v2"
 _CACHE_HEADER = re.compile(rb"MOEBIUS-TABLE (v\d+) limit=([1-9]\d*)\n")
@@ -97,14 +113,21 @@ def _check_limit(limit: int) -> None:
 def _check_memory(limit: int, scratch: int, series) -> None:
     """Raise ResourceError if tables to ``limit`` with the prefix series
     named in ``series`` (5 B/n for mu and int32 Mertens, 8 B/n per series),
-    the 8 float64 block buffers a prefix build holds (when there is one;
-    the series are built one after another) and ``scratch`` bytes would
-    exceed physical memory."""
+    8 float64 block buffers for a prefix build (when there is one; the
+    series are built one after another, and hold their 8 buffers at span
+    size, so this bounds them) and ``scratch`` bytes would exceed physical
+    memory."""
     need = ((5 + 8 * len(series)) * limit + (8 * 8 * min(_BLOCK, limit) if series else 0)
             + scratch)
+    _charge(need, f"tables to limit {limit}")
+
+
+def _charge(need: int, what: str) -> None:
+    """Raise ResourceError if ``need`` bytes for ``what`` would exceed
+    physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        raise ResourceError(f"tables to limit {limit} need about {need / 2**30:.2f} GiB, "
+        raise ResourceError(f"{what} need about {need / 2**30:.2f} GiB, "
                             f"more than the {have / 2**30:.2f} GiB of physical memory")
 
 
@@ -227,10 +250,10 @@ class PrefixSeries:
 def _carried_prefix(table: MuTable, block_terms, rep_ulps: int,
                     m: np.ndarray | None = None) -> PrefixSeries:
     """Prefix sums of per-index terms with one round of error-free correction,
-    built _BLOCK indices at a time.
+    built _BLOCK indices at a time, each block in spans of at most _SPAN.
 
     ``block_terms(mu, k, out, log_k)`` writes the terms t_k for the indices
-    k (a float64 block) with Möbius values mu into ``out``, and any log k it
+    k (a float64 span) with Möbius values mu into ``out``, and any log k it
     takes into ``log_k`` (a buffer of its own or ``out``); each term's own
     representation error is at most rep = rep_ulps * ulp * |t_k|.  Within a
     block, with s_k the naive prefix and s_{k-1} its predecessor,
@@ -248,7 +271,7 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int,
     largest radius is at its last index, the one place it is evaluated.
     The largest |value| of each block, which the running max reads anyway,
     is kept as ``block_absmax``.  Given the m values ``m`` (for the ell
-    series), each block's `_mcheck_absmax` is recorded too, while the block
+    series), each block's `_mcheck_absmax` is recorded too, while each span
     and its log k are in cache; log k then keeps a buffer of its own.
 
     Sums that read the same inputs run as one complex128 accumulate: s with
@@ -263,14 +286,16 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int,
     scratch buffer before the TwoSum split needs it, with the carried sum
     added to its first term (the same first addition as a carry slot).
 
-    Six values carry between blocks (the prefix s, the sums of err, |t|, rep
-    and |err|, and max |values|) into slot 0 of each block's left-to-right
+    Six values carry between spans (the prefix s, the sums of err, |t|, rep
+    and |err|, and max |values|) into slot 0 of each span's left-to-right
     sums (``np.sum`` is pairwise and would round differently), so every
     float operation runs in the order of one pass over the whole table, no
-    value or radius depends on _BLOCK, and the scratch is a fixed set of
-    7 block-sized float64 buffers (the complex sums count twice), and an
-    eighth for log k when the mcheck record is taken, allocated once per
-    series.
+    value or radius depends on _BLOCK or _SPAN, and the scratch is a fixed
+    set of 7 span-sized float64 buffers (the complex sums count twice), and
+    an eighth for log k when the mcheck record is taken, allocated once per
+    series: 1 MB at _SPAN = 2^14, against 4 MB for block-sized buffers.
+    Freed, that scratch stays in the process heap, so its size adds to the
+    peak memory of whatever runs after the build.
     """
     limit = table.limit
     values = np.empty(limit + 1)
@@ -278,8 +303,8 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int,
     radius, absmax = np.empty(blocks + 1), np.empty(blocks + 1)
     mcheck = None if m is None else np.zeros(blocks + 1)
     values[0] = radius[0] = absmax[0] = 0.0
-    size = min(_BLOCK, limit)
-    k = np.arange(1, size + 1, dtype=np.float64)  # the block's indices
+    size = min(_SPAN, _BLOCK, limit)
+    k = np.arange(1, size + 1, dtype=np.float64)  # the span's indices
     terms, scratch = np.empty(size), np.empty(size)
     # slot 0 holds the carry, slot i + 1 the running sums through k[i]
     run = np.empty(size + 1, dtype=np.complex128)    # (s, sum |t|)
@@ -287,41 +312,47 @@ def _carried_prefix(table: MuTable, block_terms, rep_ulps: int,
     logs = None if m is None else np.empty(size)
     carry = e_carry = 0j
     rep_sum = v_max = 0.0
-    for j, a in enumerate(range(1, limit + 1, _BLOCK), 1):
-        b = min(a + _BLOCK, limit + 1)
-        n = b - a
-        t, w, z, ze = terms[:n], scratch[:n], run[:n + 1], e_run[:n + 1]
-        log_k = t if logs is None else logs[:n]
-        block_terms(table.mu[a:b], k[:n], t, log_k)
-        z[0] = carry
-        z.real[1:] = t
-        np.abs(t, out=z.imag[1:])
-        if rep_ulps != 1:  # in w, which the split below first needs
-            np.multiply(z.imag[1:], rep_ulps * _ULP, out=w)
-            w[0] += rep_sum
-            rep_sum = np.add.accumulate(w, out=w)[-1]
-        np.add.accumulate(z, out=z)
-        prev, cur = z.real[:-1], z.real[1:]
-        np.subtract(cur, prev, out=w)              # bb
-        np.subtract(t, w, out=t)                   # t - bb
-        np.subtract(cur, w, out=w)                 # s - bb
-        np.subtract(prev, w, out=w)                # prev - (s - bb)
-        ze[0] = e_carry
-        np.add(w, t, out=ze.real[1:])              # err
-        np.abs(ze.real[1:], out=ze.imag[1:])
-        np.add.accumulate(ze, out=ze)
-        v = np.add(cur, ze.real[1:], out=values[a:b])
-        absmax[j] = np.abs(v, out=w).max()
-        v_max = max(v_max, absmax[j])
-        if mcheck is not None:  # w is free again
-            mcheck[j] = _mcheck_absmax(m[a:b], v, log_k, w)
-        carry, e_carry = z[-1], ze[-1]
+    for j, a_j in enumerate(range(1, limit + 1, _BLOCK), 1):
+        b_j = min(a_j + _BLOCK, limit + 1)
+        block_max = mcheck_max = 0.0
+        for a in range(a_j, b_j, _SPAN):
+            b = min(a + _SPAN, b_j)
+            n = b - a
+            t, w, z, ze = terms[:n], scratch[:n], run[:n + 1], e_run[:n + 1]
+            log_k = t if logs is None else logs[:n]
+            block_terms(table.mu[a:b], k[:n], t, log_k)
+            z[0] = carry
+            z.real[1:] = t
+            np.abs(t, out=z.imag[1:])
+            if rep_ulps != 1:  # in w, which the split below first needs
+                np.multiply(z.imag[1:], rep_ulps * _ULP, out=w)
+                w[0] += rep_sum
+                rep_sum = np.add.accumulate(w, out=w)[-1]
+            np.add.accumulate(z, out=z)
+            prev, cur = z.real[:-1], z.real[1:]
+            np.subtract(cur, prev, out=w)              # bb
+            np.subtract(t, w, out=t)                   # t - bb
+            np.subtract(cur, w, out=w)                 # s - bb
+            np.subtract(prev, w, out=w)                # prev - (s - bb)
+            ze[0] = e_carry
+            np.add(w, t, out=ze.real[1:])              # err
+            np.abs(ze.real[1:], out=ze.imag[1:])
+            np.add.accumulate(ze, out=ze)
+            v = np.add(cur, ze.real[1:], out=values[a:b])
+            block_max = max(block_max, np.abs(v, out=w).max())
+            if mcheck is not None:  # w is free again
+                mcheck_max = max(mcheck_max, _mcheck_absmax(m[a:b], v, log_k, w))
+            carry, e_carry = z[-1], ze[-1]
+            k += n
+        absmax[j] = block_max
+        v_max = max(v_max, block_max)
+        if mcheck is not None:
+            mcheck[j] = mcheck_max
         abs_sum, abs_err_sum = carry.imag, e_carry.imag
         if rep_ulps == 1:
             rep_sum = _ULP * abs_sum
-        radius[j] = (rep_sum + _ULP * abs_err_sum + (b - 1) * _ULP * _ULP * abs_sum
+        radius[j] = (rep_sum + _ULP * abs_err_sum + (b_j - 1) * _ULP * _ULP * abs_sum
                      + 2.0 * _ULP * v_max)
-        k += _BLOCK
     return PrefixSeries(limit=limit, values=values, error_radius=radius,
                         block_absmax=absmax, mcheck_absmax=mcheck)
 
@@ -363,18 +394,20 @@ def _mcheck_absmax(m, ell, log_n, d) -> float:
 # exact prefix sums
 
 
-def _recip_limbs(k: np.ndarray) -> np.ndarray:
+def _recip_limbs(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """floor(2^_FIXED_BITS / k) for each k of a uint64 array (1 <= k < 2^31),
-    as _LIMBS rows of base-2^32 digits, most significant first, in int64.
+    as _LIMBS rows of base-2^32 digits, most significant first, in int64,
+    written into ``out`` when given (an int64 array of that shape).
 
     Long division of 1 followed by _LIMBS zero digits: every partial
     remainder is below k, so each step divides a number below 2^63 and each
     digit is below 2^32 (for k = 1 the leading digit is 2^32 itself).
     """
-    rows = np.empty((_LIMBS, k.shape[0]), dtype=np.int64)
+    rows = np.empty((_LIMBS, k.shape[0]), dtype=np.int64) if out is None else out
     rem = np.ones_like(k)
     for row in rows:
-        row[:], rem = np.divmod(rem << np.uint64(32), k)
+        np.left_shift(rem, np.uint64(32), out=rem)
+        np.divmod(rem, k, out=(row, rem))
     return rows
 
 
@@ -408,10 +441,183 @@ def _log_step(p: int, prev: int) -> int:
     return 2 * acc
 
 
+def _digit_sums(mu: np.ndarray, a: int, b: int, primes):
+    """Signed base-2^32 digit sums, in int64, of mu(k) floor(2^_FIXED_BITS / k)
+    over a <= k < b: over every k (m, _LIMBS digits) and over the k = 0 mod p
+    for each p of the list ``primes`` (T_p, one row each), _EXACT_BLOCK k at
+    a time in one reused 1 MB digit buffer.  Each digit sum over k <= n
+    stays below n 2^32 < 2^63."""
+    m = np.zeros(_LIMBS, dtype=np.int64)
+    t = np.zeros((len(primes), _LIMBS), dtype=np.int64)
+    buf = np.empty((_LIMBS, min(_EXACT_BLOCK, max(b - a, 0))), dtype=np.int64)
+    for lo in range(a, b, _EXACT_BLOCK):
+        hi = min(lo + _EXACT_BLOCK, b)
+        w = mu[lo:hi].astype(np.int64)
+        limbs = _recip_limbs(np.arange(lo, hi, dtype=np.uint64), buf[:, :hi - lo])
+        m += limbs @ w
+        for i, p in enumerate(primes):
+            off = -lo % p
+            t[i] += limbs[:, off::p] @ w[off::p]
+    return m, t
+
+
+def _primes_in(a: int, b: int, small) -> np.ndarray:
+    """The primes in [a, b), 2 <= a < b, by the primes of the ascending list
+    ``small``, which holds every prime up to isqrt(b - 1)."""
+    composite = np.zeros(b - a, dtype=bool)
+    for p in small:
+        if p * p >= b:
+            break
+        composite[max(p * p, -(-a // p) * p) - a::p] = True
+    return np.flatnonzero(~composite) + a
+
+
+def _pi_above(x: int) -> int:
+    """An upper bound on the number of primes up to x (Rosser and
+    Schoenfeld 1962: pi(x) < 1.25506 x / log x for x > 1)."""
+    return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
+
+
+class _ExactMemo:
+    """Exact m(n) and ell(n) over a mu array, 0 <= n <= limit, from block
+    checkpoints and a prime-log chain, both grown on demand (the sums are
+    those of `_exact_prefix`; R = isqrt(limit)).
+
+    Checkpoint j holds the `_digit_sums` of m over k <= j _BLOCK, and, once
+    ell is asked at block j or past it, those of T_p for every prime p <= R;
+    each is built from the last checkpoint there is.  The chain holds every
+    prime up to the largest n asked with ell, and for each the cumulative
+    S = sum of floor(L_p / p) over the primes up to it, in _S_BYTES bytes;
+    it keeps L_p itself for p <= R only, beside m(q) for q <= R.  A query
+    at n reads checkpoint n // _BLOCK, adds the digit sums of a tail of
+    fewer than _BLOCK k, and takes each quotient class of large primes as
+    a difference of two S.  Every sum is an exact integer sum, so the
+    integers are those of one pass from k = 1, whatever was asked before.
+
+    Retained: 64 B per checkpoint for m, and 64 B per prime p <= R per
+    checkpoint for ell (28 KB per block at limit 1e7); `_PRIME_BYTES` per
+    prime of the chain (7.1 MB to n = 2e6); O(R) Python integers.  Scratch
+    is O(_EXACT_BLOCK + sqrt(n)).  Each growth is first charged against
+    physical memory (ResourceError).  Queries hold a lock, so threads may
+    share a memo.
+    """
+
+    def __init__(self, mu: np.ndarray):
+        self.mu = mu
+        self.limit = mu.shape[0] - 1
+        self.small = _small_primes(math.isqrt(max(self.limit, 0))).tolist()
+        self.m_cp = [np.zeros(_LIMBS, dtype=np.int64)]
+        self.t_cp = [np.zeros((len(self.small), _LIMBS), dtype=np.int64)]
+        self.top = 1                  # the chain holds every prime <= top
+        self.primes = bytearray()     # int32, ascending
+        self.sums = bytearray(_S_BYTES)  # S over the first i primes, from i = 0
+        self.logs = []                # L_p for the chain's primes p <= R
+        self.last = (1, 0)            # the chain's last prime and its L
+        self.m_small = None           # m(q) for 0 <= q <= R
+        self.lock = threading.Lock()
+
+    def nbytes(self) -> int:
+        """Bytes the memo retains, Python integers counted at 72 B each."""
+        return (8 * _LIMBS * (len(self.m_cp) + len(self.small) * len(self.t_cp))
+                + len(self.primes) + len(self.sums)
+                + 72 * (len(self.logs) + len(self.m_small or ())))
+
+    def query(self, n: int, with_ell: bool):
+        """(m(n), ell(n)) as integers over 2^_FIXED_BITS; ell is None unless
+        with_ell.  RangeError for n outside [0, limit]."""
+        if not 0 <= n <= self.limit:
+            raise RangeError(f"exact prefix sums at n = {n} need 0 <= n <= {self.limit}, "
+                             f"the table limit")
+        with self.lock:
+            return self._query(n, with_ell)
+
+    def _query(self, n: int, with_ell: bool):
+        j = n // _BLOCK
+        if with_ell:
+            self._grow_chain(n)
+        self._grow_checkpoints(j, with_ell)
+        r = math.isqrt(n)
+        small = self.small[:bisect.bisect_right(self.small, r)] if with_ell else []
+        m, t = _digit_sums(self.mu, j * _BLOCK + 1, n + 1, small)
+        m_fp = _join(self.m_cp[j] + m)
+        if not with_ell:
+            return m_fp, None
+        t += self.t_cp[j][:len(small)]
+        total = sum(L * _join(row) for L, row in zip(self.logs, t))
+        return m_fp, (total - self._large_prime_sum(n, r)) >> _LOG_BITS
+
+    def _s(self, i: int) -> int:
+        return int.from_bytes(self.sums[i * _S_BYTES:(i + 1) * _S_BYTES], "little")
+
+    def _large_prime_sum(self, n: int, r: int) -> int:
+        """sum over q <= r of m(q) times the sum of floor(L_p / p) over the
+        primes r < p <= n with n // p = q, i.e. n // (q + 1) < p <= n // q:
+        two S per q, found by bisecting the chain's primes."""
+        q = np.arange(1, r + 1, dtype=np.int64)
+        hi = n // q
+        lo = np.minimum(np.maximum(n // (q + 1), r), hi)
+        at = np.searchsorted(np.frombuffer(self.primes, dtype=np.int32),
+                             np.concatenate((hi, lo)), side="right").tolist()
+        return sum(m_q * (self._s(i) - self._s(k))
+                   for m_q, i, k in zip(self.m_small[1:], at[:r], at[r:]) if i != k)
+
+    def _grow_chain(self, n: int) -> None:
+        """Extend the chain to every prime up to n, a _BLOCK segment at a time."""
+        if n <= self.top and self.m_small is not None:
+            return
+        R = math.isqrt(self.limit)
+        count = len(self.primes) // 4
+        _charge(self.nbytes() + _PRIME_BYTES * max(_pi_above(n) - count, 0)
+                + (72 * (R + 1) if self.m_small is None else 0),
+                f"the exact prefix sums to n = {n}")
+        if self.m_small is None:
+            w = self.mu[1:R + 1].astype(np.int64)
+            digits = np.cumsum(_recip_limbs(np.arange(1, R + 1, dtype=np.uint64)) * w, axis=1)
+            self.m_small = [0] + [_join(d) for d in digits.T]
+        (prev, log_p), s = self.last, self._s(count)
+        for a in range(self.top + 1, n + 1, _BLOCK):
+            b = min(a + _BLOCK, n + 1)
+            found = _primes_in(a, b, self.small)
+            sums, logs = bytearray(), []
+            for p in found.tolist():
+                log_p, prev = log_p + _log_step(p, prev), p
+                s += log_p // p
+                sums += s.to_bytes(_S_BYTES, "little")
+                if p <= R:
+                    logs.append(log_p)
+            self.primes += found.astype(np.int32).tobytes()
+            self.sums += sums
+            self.logs += logs
+            self.last, self.top = (prev, log_p), b - 1
+
+    def _grow_checkpoints(self, j: int, with_ell: bool) -> None:
+        """Build the checkpoints through j (with T_p when with_ell) from the
+        last one built."""
+        done = len(self.t_cp if with_ell else self.m_cp) - 1
+        if j <= done:
+            return
+        new_m = max(j + 1 - len(self.m_cp), 0)
+        new_t = (j - done) * len(self.small) if with_ell else 0
+        _charge(self.nbytes() + 8 * _LIMBS * (new_m + new_t),
+                f"exact prefix checkpoints to n = {j * _BLOCK}")
+        primes = self.small if with_ell else []
+        m, t = self.m_cp[done], self.t_cp[done] if with_ell else None
+        for i in range(done + 1, j + 1):
+            dm, dt = _digit_sums(self.mu, (i - 1) * _BLOCK + 1, i * _BLOCK + 1, primes)
+            m = m + dm
+            if i == len(self.m_cp):
+                self.m_cp.append(m)
+            if with_ell:
+                t = t + dt
+                self.t_cp.append(t)
+
+
 def _exact_prefix(mu: np.ndarray, n: int, with_ell: bool):
     """(m(n), ell(n)) as integers over 2^_FIXED_BITS; ell is None unless
-    with_ell.  Scratch memory is O(sqrt(n) + _EXACT_BLOCK); every sum is over
-    numpy blocks of _EXACT_BLOCK k at a time.
+    with_ell: one query on a fresh `_ExactMemo` over mu[:n + 1], which
+    keeps its checkpoints, chain and m(q) for q <= sqrt(n) until it returns
+    (see `_ExactMemo` for what a memo retains per block and per prime).
+    Every sum is over numpy blocks of _EXACT_BLOCK k at a time.
 
     m(n) = sum_{k<=n} mu(k) floor(2^_FIXED_BITS / k): each block sums
     mu(k) times the base-2^32 digits of the truncated reciprocals in int64
@@ -423,12 +629,14 @@ def _exact_prefix(mu: np.ndarray, n: int, with_ell: bool):
     ell(n) = sum_{p<=n} log p T_p with T_p = sum_{k<=n, p|k} mu(k)/k.  For
     p <= r = isqrt(n), T_p is the digit sum of the block reciprocals over
     k = 0 mod p.  For p > r, k = pj forces j <= n/p < p, so
-    T_p = -m(n // p)/p, read from the exact m table on [0, r].  log p comes
-    from the chain log p = log p' + 2 atanh((p - p')/(p + p')) over
-    consecutive primes (p < 2p', so the argument is at most 1/3), from
-    log 1 = 0, at _LOG_BITS bits (_log_step); primes above r come from a
-    segmented sieve of each block by the primes up to r.  The products are
-    summed exactly and floored once.
+    T_p = -m(n // p)/p, read from the exact m table on [0, r], and the
+    primes of one quotient q = n // p share it: their floor(L_p / p) are
+    summed as a difference of cumulative sums.  log p comes from the chain
+    log p = log p' + 2 atanh((p - p')/(p + p')) over consecutive primes
+    (p < 2p', so the argument is at most 1/3), from log 1 = 0, at
+    _LOG_BITS bits (_log_step); primes above r come from a segmented sieve
+    by the primes up to r.  The products are summed exactly and floored
+    once.
 
     Error of ell, in units of 2^-_FIXED_BITS (the chain is short of log p
     by less than 340 pi(n) 2^-_LOG_BITS, i.e. < 340 pi(n) 2^-64 units):
@@ -441,43 +649,10 @@ def _exact_prefix(mu: np.ndarray, n: int, with_ell: bool):
         < 341 pi(n) 2^-64 < 1;
       * the final floor: < 1.
     In all |ell - ell(n)| < ((n + 2 sqrt(n)) log n + 4) 2^-_FIXED_BITS,
-    below 2^-221 at n = 1e9 (the digit sums need n < 2^31).
+    below 2^-221 at n = 1e9 (the digit sums need n < 2^31, which every
+    table limit is).  RangeError for n outside [0, len(mu) - 1].
     """
-    if n >= 1 << 31:
-        raise RangeError(f"exact prefix sums need n < 2^31, not {n}")
-    r = math.isqrt(n)
-    small = _small_primes(r).tolist() if with_ell else []
-    small_logs, log_p, prev = [], 0, 1
-    for p in small:
-        log_p, prev = log_p + _log_step(p, prev), p
-        small_logs.append(log_p)
-    m_digits = np.zeros(_LIMBS, dtype=np.int64)
-    t_digits = np.zeros((len(small), _LIMBS), dtype=np.int64)
-    by_q = [0] * (r + 1)  # by_q[q] = sum of floor(L_p / p) over p > r, n // p = q
-    for a in range(1, n + 1, _EXACT_BLOCK):
-        b = min(a + _EXACT_BLOCK, n + 1)
-        w = mu[a:b].astype(np.int64)
-        limbs = _recip_limbs(np.arange(a, b, dtype=np.uint64))
-        m_digits += limbs @ w
-        if not with_ell:
-            continue
-        composite = np.zeros(b - a, dtype=bool)
-        for i, p in enumerate(small):
-            off = -a % p
-            t_digits[i] += limbs[:, off::p] @ w[off::p]
-            composite[off::p] = True
-        first = max(a, r + 1)
-        for p in (np.nonzero(~composite[first - a:])[0] + first).tolist():
-            log_p, prev = log_p + _log_step(p, prev), p
-            by_q[n // p] += log_p // p
-    m_fp = _join(m_digits)
-    if not with_ell:
-        return m_fp, None
-    w = mu[1:r + 1].astype(np.int64)
-    m_small = np.cumsum(_recip_limbs(np.arange(1, r + 1, dtype=np.uint64)) * w, axis=1)
-    total = sum(L * _join(t) for L, t in zip(small_logs, t_digits))
-    total -= sum(_join(m_q) * s for m_q, s in zip(m_small.T, by_q[1:]))
-    return m_fp, total >> _LOG_BITS
+    return _ExactMemo(mu[:max(n, 0) + 1]).query(n, with_ell)
 
 
 def _absmax(v) -> float:
@@ -526,12 +701,17 @@ class Chunk(NamedTuple):
 
 @dataclass(frozen=True)
 class Tables:
-    """Bundle of a sieve and its derived prefix series."""
+    """Bundle of a sieve, its derived prefix series and the memo behind
+    its exact prefix sums."""
 
     FIXED_BITS = _FIXED_BITS  # the binary point of exact_prefix's m and ell
 
     mu: MuTable
     series: SeriesPair = field(repr=False)
+    _exact: _ExactMemo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_exact", _ExactMemo(self.mu.mu))
 
     @property
     def limit(self) -> int:
@@ -573,9 +753,13 @@ class Tables:
         return Chunk(a, b, M, m, ell, M_max, m_max, mcheck_max, m_rad, ell_rad)
 
     def exact_prefix(self, n: int, with_ell: bool):
-        """(M(n), m(n), ell(n)): M exactly, m and ell as integers over
-        2^FIXED_BITS (`_exact_prefix`); ell is None unless with_ell."""
-        return (int(self.mu.mertens[n]), *_exact_prefix(self.mu.mu, n, with_ell))
+        """(M(n), m(n), ell(n)) for 0 <= n <= limit: M exactly, m and ell as
+        integers over 2^FIXED_BITS (`_exact_prefix`), read from the memo
+        these tables keep (`_ExactMemo`), so a repeat below its top costs
+        one checkpoint and a tail of under _BLOCK k; ell is None unless
+        with_ell.  RangeError for any other n, before the memo grows."""
+        m, ell = self._exact.query(n, with_ell)
+        return int(self.mu.mertens[n]), m, ell
 
 
 def build_tables(limit: int, jobs: int = 1) -> Tables:

@@ -34,8 +34,10 @@ order; both operations keep the first chunk maximum that no later chunk
 exceeds, so the reports and scans are those of running the kernel on
 every chunk.  Intervals whose margin falls inside the guard band are
 escalated: the same kernel re-runs at 50 digits on exact M(n) and on m(n)
-and ell(n) as 256-bit fixed-point integers from `Tables.exact_prefix`,
-and the intervals are reported as indeterminate.  The Theorem C ratio
+and ell(n) as 256-bit fixed-point integers from `Tables.exact_prefix`
+(a memo of block checkpoints and prime sums that the tables keep, so an
+escalation below its top costs one block), and the intervals are reported
+as indeterminate.  The Theorem C ratio
 walk carries its running suprema from chunk to chunk and accumulates a
 chunk only from its first new running record (`_running_max`).
 """

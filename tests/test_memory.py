@@ -30,7 +30,8 @@ def _traced_peak(fn):
 def test_build_tables_peak_per_n():
     # retained: mu 1 B/n, Mertens (int32) 4 B/n, values of m and ell 16 B/n
     # and their block-end radii; the build may add only block-sized scratch
-    # to those 21 B/n (measured: 23.4 B/n at this limit)
+    # to those 21 B/n (measured: 21.6 B/n at this limit, the series built
+    # in spans of _SPAN indices)
     limit = 2 * 10**6
     assert _traced_peak(lambda: build_tables(limit, jobs=2)) <= 25 * limit
 
@@ -59,8 +60,11 @@ def test_full_range_scans_add_bounded_memory(limit):
 
 
 def test_exact_recheck_adds_bounded_memory():
-    # the exact m and ell hold O(sqrt(n) + _BLOCK) scratch: an n-sized int64
-    # array (16 MB here) on top of the block scratch would not fit
+    # the cold escalation grows the tables' exact memo to n: 48 B per prime
+    # of the chain (7.1 MB for the 148 933 primes here) and 14 KB of digit
+    # sums per block, on O(sqrt(n) + _EXACT_BLOCK) scratch (12.5 MB peak
+    # measured with mpmath's import); an n-sized int64 array (16 MB here)
+    # on top would not fit
     n = 2 * 10**6
     tables = build_tables(n, jobs=2)
     pred = PREDICATES["mchecklog2-0.162"]

@@ -59,21 +59,29 @@ def test_mertens_known_values(tables_small):
 
 @pytest.mark.parametrize("block", [1, 7, tables._BLOCK])
 def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
-    # limits on and next to the block edges, with one short last block
+    # limits on and next to the block edges, with one short last block; a
+    # block is built in spans, and no span size changes a value, radius or
+    # record
     monkeypatch.setattr(tables, "_BLOCK", block)
+    spans = (tables._SPAN, block // 2 + 1)
     for limit in sorted({1, block - 1, block, block + 1, 3 * block + 5} - {0}):
         table = sieve_mu(limit)
         assert table.mertens.dtype == np.int32
         assert np.array_equal(table.mertens, np.cumsum(table.mu, dtype=np.int64))
         ends = np.minimum(np.arange(-(-limit // block) + 1) * block, limit)
-        # the ell build's values and radii are the same with the mcheck record
-        for series, kind in ((m_series(table), "m"), (ell_series(table), "ell"),
-                             (ell_series(table, m_series(table)), "ell")):
-            values, radius = whole_array_prefix(table.mu, kind)
-            assert series.values.tobytes() == values.tobytes()
-            # the block-end radii are the per-index radii at the block ends
-            assert series.error_radius.tobytes() == radius[ends].tobytes()
-            assert all(series.radius(n) >= radius[n] for n in range(limit + 1))
+        whole = {kind: whole_array_prefix(table.mu, kind) for kind in ("m", "ell")}
+        for span in spans:
+            monkeypatch.setattr(tables, "_SPAN", span)
+            # the ell build's values and radii are the same with the mcheck record
+            for series, kind in ((m_series(table), "m"), (ell_series(table), "ell"),
+                                 (ell_series(table, m_series(table)), "ell")):
+                values, radius = whole[kind]
+                assert series.values.tobytes() == values.tobytes()
+                # the block-end radii are the per-index radii at the block ends
+                assert series.error_radius.tobytes() == radius[ends].tobytes()
+                assert all(series.radius(n) >= radius[n] for n in range(limit + 1))
+                blocks = [values[a + 1:b + 1] for a, b in zip(ends[:-1], ends[1:])]
+                assert series.block_absmax[1:].tolist() == [np.abs(v).max() for v in blocks]
 
 
 def test_sieve_segment_size_deterministic(monkeypatch):
@@ -113,7 +121,7 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
     # 97-index blocks over a 2e4 table, the last one short: each recorded
     # maximum is the largest value of its block, of |M|, |m|, |ell| and
     # |m(n) log n - ell(n) - 1|, and the same bytes for a table cut from a
-    # larger cached one and for any sieve segment size
+    # larger cached one and for any sieve segment or build span size
     monkeypatch.setattr(tables, "_BLOCK", 97)
     built = build_tables(20000)
     M, m, ell = built.mu.mertens, built.series.m.values, built.series.ell.values
@@ -146,6 +154,8 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
     for segment in (7, 1 << 10):
         monkeypatch.setattr(tables, "_SIEVE_BLOCK", segment)
         others.append(build_tables(20000))
+    monkeypatch.setattr(tables, "_SPAN", 10)  # each block built in spans of 10
+    others.append(build_tables(20000))
     assert all(maxima(other) == maxima(built) for other in others)
     # an ell series built without m (as the benchmark's cache replay builds
     # it) records nothing, and its chunks reduce slices to the same maxima

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import mpmath as mp
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import exact_prefix_fraction, per_term_ell, per_term_m_fixed
 from mobsum import tables, verify
-from mobsum.errors import InvalidArgumentError, RangeError
+from mobsum.errors import InvalidArgumentError, RangeError, ResourceError
 from mobsum.quad import identity_kernel_integral
 from mobsum.tables import Chunk, build_tables, evaluate, with_series
 from mobsum.verify import (
@@ -614,6 +615,118 @@ def test_exact_prefix_ell_within_documented_bound(tables_small, monkeypatch, blo
             err = abs(mp.ldexp(ell, -256) - per_term_ell(mu, n)) * mp.mpf(2) ** 256
             assert err < (n + 2 * math.sqrt(n)) * math.log(n) + 4, n
     assert tables._exact_prefix(mu, 1, True) == (1 << 256, 0)
+
+
+def _fresh(tables_small):
+    """The small tables with a memo of their own, empty: it reads _BLOCK and
+    _EXACT_BLOCK as they are when it is queried."""
+    return tables.Tables(tables_small.mu, tables_small.series)
+
+
+def test_exact_prefix_memo_matches_one_shot_in_any_order(tables_small, monkeypatch):
+    # a memo grown by earlier queries, in any order, returns at each block
+    # edge and at random n the integers of a one-shot pass from k = 1
+    monkeypatch.setattr(tables, "_BLOCK", 64)
+    monkeypatch.setattr(tables, "_EXACT_BLOCK", 7)
+    mu = tables_small.mu.mu
+    rng = np.random.default_rng(27)
+    edges = [64 * j + d for j in (1, 2, 5, 40, 93) for d in (-1, 0, 1)]
+    ns = sorted({0, 1, 2, 3, *edges, *rng.integers(4, 6000, 4).tolist()})
+    expect = {(n, e): tables._exact_prefix(mu, n, e) for n in ns for e in (False, True)}
+    for n in ns:
+        assert expect[n, False] == (per_term_m_fixed(mu, n), None), n
+        assert expect[n, True][0] == expect[n, False][0], n
+    for order in (ns, ns[::-1], rng.permutation(ns).tolist()):
+        for with_ell in (False, True):
+            fresh = _fresh(tables_small)
+            for n in order:
+                got = fresh.exact_prefix(n, with_ell)
+                assert got == (int(mu.cumsum()[n]), *expect[n, with_ell]), (n, with_ell)
+    mixed = _fresh(tables_small)  # m-only checkpoints first, then ell past them
+    for n, e in ((2560, False), (321, True), (5953, True), (5951, False), (2561, True)):
+        assert mixed.exact_prefix(n, e)[1:] == expect[n, e], (n, e)
+
+
+def test_exact_prefix_repeat_costs_one_block(tables_small, monkeypatch):
+    # below the memo's top, a query reads a checkpoint and a tail of fewer
+    # than _BLOCK k, and extends no chain
+    monkeypatch.setattr(tables, "_BLOCK", 1024)
+    t = _fresh(tables_small)
+    t.exact_prefix(20000, True)
+    seen = {"k": [], "log": 0}
+    recip, log_step = tables._recip_limbs, tables._log_step
+
+    def count_recip(k, out=None):
+        seen["k"].append(len(k))
+        return recip(k, out)
+
+    def count_log(p, prev):
+        seen["log"] += 1
+        return log_step(p, prev)
+
+    monkeypatch.setattr(tables, "_recip_limbs", count_recip)
+    monkeypatch.setattr(tables, "_log_step", count_log)
+    for n in (19999, 15000, 15000, 2047, 1024):
+        for with_ell in (True, False):
+            seen["k"].clear()
+            t.exact_prefix(n, with_ell)
+            assert sum(seen["k"]) <= 1024 and seen["log"] == 0, (n, with_ell)
+
+
+def test_exact_prefix_memo_shared_by_threads(tables_small, monkeypatch):
+    # six threads grow one memo at once, switching every microsecond; each
+    # must read the integers of a one-shot pass
+    monkeypatch.setattr(tables, "_BLOCK", 256)
+    mu = tables_small.mu.mu
+    ns = np.random.default_rng(6).integers(0, 20001, 12).tolist()
+    expect = {(n, e): tables._exact_prefix(mu, n, e) for n in ns for e in (False, True)}
+    shared, got = _fresh(tables_small), []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for n in rng.permutation(ns).tolist():
+            e = bool(rng.integers(2))
+            got.append(shared.exact_prefix(n, e)[1:] == expect[n, e])
+
+    threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(got) == 6 * len(ns) and all(got)
+
+
+def test_exact_prefix_rejects_n_outside_the_table(tables_small):
+    # before the memo grows, and before M(n) is read
+    t = _fresh(tables_small)
+    for n in (-3, -1, 20001, 1 << 31):
+        for with_ell in (False, True):
+            with pytest.raises(RangeError, match=f"n = {n} need 0 <= n <= 20000"):
+                t.exact_prefix(n, with_ell)
+    memo = t._exact
+    assert (memo.nbytes(), memo.top, memo.m_small) == (_fresh(tables_small)._exact.nbytes(), 1, None)
+    assert t.exact_prefix(0, True) == (0, 0, 0)
+
+
+def test_exact_prefix_memo_charges_memory_before_growing(tables_small, monkeypatch):
+    # 16 KB of physical memory: 300 m checkpoints of 64 B, or a chain of
+    # 52 B per prime to 2e4, must fail before the memo holds any of it
+    monkeypatch.setattr(tables, "_BLOCK", 64)
+    sysconf = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
+    t = _fresh(tables_small)
+    assert t.exact_prefix(500, False)[1] == per_term_m_fixed(tables_small.mu.mu, 500)
+    held = t._exact.nbytes()
+    for n, with_ell in ((20000, False), (20000, True), (3000, True)):
+        with pytest.raises(ResourceError, match="physical memory"):
+            t.exact_prefix(n, with_ell)
+        assert t._exact.nbytes() == held and t._exact.top == 1
 
 
 def test_m1_kernel_interior_maxima():
