@@ -36,12 +36,13 @@ series (O(_SIEVE_BLOCK) for the sieve).
 
 The exact m(n) and ell(n) come from a memo each `Tables` keeps
 (`_ExactMemo`), empty until the first escalation and grown only as far as
-the largest n asked: per block of _BLOCK indices, 64 B of digit sums for
-m and, once ell is asked, 64 B per prime up to sqrt(limit); per prime up
-to the largest n asked with ell, 48 B (the prime and a cumulative sum of
-its chain).  A repeat below the memo's top costs one checkpoint and a tail
-of fewer than _BLOCK indices; each growth is first charged against
-physical memory.
+the largest n asked: per block of _BLOCK indices, one integer for m and,
+once ell is asked, one for ell (about 100 B each); per prime up to the
+largest n asked with ell, 48 B (the prime and a cumulative sum of its
+chain); and up to three integers per index up to sqrt(limit).  A repeat
+below the memo's top costs one checkpoint and a tail of fewer than _BLOCK
+indices; each growth is first charged, with the tables, against physical
+memory.
 """
 
 from __future__ import annotations
@@ -63,13 +64,14 @@ _ULP = 2.0 ** -53  # unit roundoff for IEEE-754 binary64
 _BLOCK = 1 << 16  # indices per block of the carried prefix sums
 _SIEVE_BLOCK = 1 << 20  # integers per sieve segment
 _SPAN = 1 << 14  # indices per pass of a prefix build over its scratch buffers
-_EXACT_BLOCK = 1 << 14  # k per block of the exact prefix sums (1 MB of digits)
+_EXACT_BLOCK = 1 << 13  # k per block of the exact prefix sums (512 KB of digits)
 _FIXED_BITS = 256
 _LIMBS = _FIXED_BITS // 32  # base-2^32 digits of a fixed-point reciprocal
 _LOG_BITS = _FIXED_BITS + 64  # working precision of the log p chain
 _S_BYTES = 44  # a cumulative sum of floor(L_p / p): below 2^325 for p < 2^31, since
                # sum_{p<=x} log p / p < log x + 1 and L_p <= 2^_LOG_BITS log p
 _PRIME_BYTES = 4 + _S_BYTES  # retained per prime of the chain: p (int32) and its S
+_INT_BYTES = 112  # a retained integer below 2^600 and its list slot
 
 _CACHE_VERSION = "v2"
 _CACHE_HEADER = re.compile(rb"MOEBIUS-TABLE (v\d+) limit=([1-9]\d*)\n")
@@ -113,12 +115,11 @@ def _check_limit(limit: int) -> None:
 def _check_memory(limit: int, scratch: int, series) -> None:
     """Raise ResourceError if tables to ``limit`` with the prefix series
     named in ``series`` (5 B/n for mu and int32 Mertens, 8 B/n per series),
-    8 float64 block buffers for a prefix build (when there is one; the
-    series are built one after another, and hold their 8 buffers at span
-    size, so this bounds them) and ``scratch`` bytes would exceed physical
-    memory."""
-    need = ((5 + 8 * len(series)) * limit + (8 * 8 * min(_BLOCK, limit) if series else 0)
-            + scratch)
+    the 8 float64 span buffers a prefix build holds (when there is one; the
+    series are built one after another) and ``scratch`` bytes would exceed
+    physical memory."""
+    need = ((5 + 8 * len(series)) * limit
+            + (8 * 8 * min(_SPAN, _BLOCK, limit) if series else 0) + scratch)
     _charge(need, f"tables to limit {limit}")
 
 
@@ -445,7 +446,7 @@ def _digit_sums(mu: np.ndarray, a: int, b: int, primes):
     """Signed base-2^32 digit sums, in int64, of mu(k) floor(2^_FIXED_BITS / k)
     over a <= k < b: over every k (m, _LIMBS digits) and over the k = 0 mod p
     for each p of the list ``primes`` (T_p, one row each), _EXACT_BLOCK k at
-    a time in one reused 1 MB digit buffer.  Each digit sum over k <= n
+    a time in one reused 512 KB digit buffer.  Each digit sum over k <= n
     stays below n 2^32 < 2^63."""
     m = np.zeros(_LIMBS, dtype=np.int64)
     t = np.zeros((len(primes), _LIMBS), dtype=np.int64)
@@ -459,6 +460,14 @@ def _digit_sums(mu: np.ndarray, a: int, b: int, primes):
             off = -lo % p
             t[i] += limbs[:, off::p] @ w[off::p]
     return m, t
+
+
+def _multiple_sums(mu: np.ndarray, primes, c: int) -> list:
+    """T_p(c) = sum of mu(k) floor(2^_FIXED_BITS / k) over the k <= c with
+    p | k, as an integer, for each p of the list ``primes``: c // p terms
+    each."""
+    return [_join(_recip_limbs(np.arange(p, c + 1, p, dtype=np.uint64))
+                  @ mu[p:c + 1:p].astype(np.int64)) for p in primes]
 
 
 def _primes_in(a: int, b: int, small) -> np.ndarray:
@@ -479,71 +488,124 @@ def _pi_above(x: int) -> int:
 
 
 class _ExactMemo:
-    """Exact m(n) and ell(n) over a mu array, 0 <= n <= limit, from block
-    checkpoints and a prime-log chain, both grown on demand (the sums are
-    those of `_exact_prefix`; R = isqrt(limit)).
+    """Exact m(n) and ell(n), 0 <= n <= limit, as integers over
+    2^_FIXED_BITS, from block checkpoints and a prime-log chain over a mu
+    array, both grown on demand; ``resident`` is the bytes of the tables the
+    memo sits beside, which every growth charges with the memo's own.
 
-    Checkpoint j holds the `_digit_sums` of m over k <= j _BLOCK, and, once
-    ell is asked at block j or past it, those of T_p for every prime p <= R;
-    each is built from the last checkpoint there is.  The chain holds every
-    prime up to the largest n asked with ell, and for each the cumulative
-    S = sum of floor(L_p / p) over the primes up to it, in _S_BYTES bytes;
-    it keeps L_p itself for p <= R only, beside m(q) for q <= R.  A query
-    at n reads checkpoint n // _BLOCK, adds the digit sums of a tail of
-    fewer than _BLOCK k, and takes each quotient class of large primes as
-    a difference of two S.  Every sum is an exact integer sum, so the
-    integers are those of one pass from k = 1, whatever was asked before.
+    m(n) = sum_{k<=n} mu(k) floor(2^_FIXED_BITS / k): blocks of
+    _EXACT_BLOCK k sum mu(k) times the base-2^32 digits of the truncated
+    reciprocals in int64 (`_digit_sums`), and the digits are joined once,
+    so the integer is exactly that of a per-term loop and lies within n
+    units of 2^-_FIXED_BITS of m(n).
 
-    Retained: 64 B per checkpoint for m, and 64 B per prime p <= R per
-    checkpoint for ell (28 KB per block at limit 1e7); `_PRIME_BYTES` per
-    prime of the chain (7.1 MB to n = 2e6); O(R) Python integers.  Scratch
-    is O(_EXACT_BLOCK + sqrt(n)).  Each growth is first charged against
-    physical memory (ResourceError).  Queries hold a lock, so threads may
-    share a memo.
+    ell(n): log k = sum_{p|k} log p for squarefree k, so
+    ell(n) = sum_{p<=n} log p T_p with T_p = sum_{k<=n, p|k} mu(k)/k.  For
+    p <= r = isqrt(n), T_p is the digit sum of the reciprocals over
+    k = 0 mod p.  For p > r, k = pj forces j <= n/p < p, so
+    T_p = -m(n // p)/p, read from the exact m(q), q <= r, and the primes of
+    one quotient q = n // p share it: their floor(L_p / p) are summed as a
+    difference of two cumulative sums.  log p comes from the chain
+    log p = log p' + 2 atanh((p - p')/(p + p')) over consecutive primes
+    (p < 2p', so the argument is at most 1/3), from log 1 = 0, at
+    _LOG_BITS bits (_log_step); primes above sqrt(limit) come from a
+    segmented sieve by the primes up to it.  The products are summed
+    exactly and floored once.
+
+    Error of ell, in units of 2^-_FIXED_BITS (the chain is short of log p
+    by less than 340 pi(n) 2^-_LOG_BITS, i.e. < 340 pi(n) 2^-64 units):
+      * truncated reciprocals in T_p, p <= r: each squarefree k adds less
+        than sum_{p|k} log p = log k, in all < n log n (log is natural);
+      * the chain's error times |T_p| <= (1 + log n)/p: < 1;
+      * m(q) to within q units, q = n // p < n/p, times log p/p over
+        p > r: < n log n / r <= 2 sqrt(n) log n;
+      * floor(L_p / p) and the chain's error over p, times |m(q)| <= 1:
+        < 341 pi(n) 2^-64 < 1;
+      * the final floor: < 1.
+    In all |ell - ell(n)| < ((n + 2 sqrt(n)) log n + 4) 2^-_FIXED_BITS,
+    below 2^-221 at n = 1e9 (the digit sums need n < 2^31, which every
+    table limit is).
+
+    The memo.  With c_j = j _BLOCK and r_j = isqrt(c_j), checkpoint j holds
+    m(c_j) and, once ell is asked at block j or past it, the integer
+    E_j = sum_{p <= r_j} L_p T_p(c_j) and T_p(c_j) itself for the primes
+    r_j < p <= isqrt(c_{j+1}) (and <= sqrt(limit)): a query at
+    c_j <= n < c_{j+1} has r_j <= isqrt(n) <= isqrt(c_{j+1}).  Checkpoint
+    j + 1 adds to E_j the block's digit sums times L_p for p <= r_{j+1}
+    and L_p T_p(c_j) for the primes kept beside E_j, and sums its own kept
+    T_p from their c_{j+1} / p multiples (`_multiple_sums`).  The chain
+    holds every prime up to the largest n asked with ell, and for each the
+    cumulative S = sum of floor(L_p / p) over the primes up to it; it keeps
+    L_p itself for p <= sqrt(limit) only.  A query at n reads checkpoint
+    n // _BLOCK, adds the digit sums of a tail of fewer than _BLOCK k, and
+    takes each quotient class of large primes as a difference of two S.
+    Every sum is an exact integer sum, so the integers are those of one
+    pass from k = 1, whatever was asked before.
+
+    Retained: per checkpoint, m(c_j), and E_j once ell is asked (each an
+    integer below 2^600, counted at _INT_BYTES: 34 KB per 1e7 of n); in
+    all, for the checkpoints to c, pi(isqrt(c + _BLOCK)) integers T_p; per
+    prime of the chain, _PRIME_BYTES (7.1 MB to n = 2e6); L_p for the
+    chain's primes up to sqrt(limit) and m(q) for q up to the largest
+    isqrt(n) asked with ell.
+    Scratch is O(_EXACT_BLOCK + sqrt(n)).  Each growth is first charged,
+    with ``resident``, against physical memory (ResourceError).  Queries
+    hold a lock, so threads may share a memo.
     """
 
-    def __init__(self, mu: np.ndarray):
+    def __init__(self, mu: np.ndarray, resident: int = 0):
         self.mu = mu
         self.limit = mu.shape[0] - 1
+        self.resident = resident
         self.small = _small_primes(math.isqrt(max(self.limit, 0))).tolist()
-        self.m_cp = [np.zeros(_LIMBS, dtype=np.int64)]
-        self.t_cp = [np.zeros((len(self.small), _LIMBS), dtype=np.int64)]
+        self.m_cp = [0]               # m(c_j)
+        self.e_cp = []                # E_j
+        self.t_kept = []              # T_p(c_j) for r_j < p <= isqrt(c_{j+1}), by prime
         self.top = 1                  # the chain holds every prime <= top
         self.primes = bytearray()     # int32, ascending
         self.sums = bytearray(_S_BYTES)  # S over the first i primes, from i = 0
-        self.logs = []                # L_p for the chain's primes p <= R
+        self.logs = []                # L_p for the chain's primes p <= sqrt(limit)
         self.last = (1, 0)            # the chain's last prime and its L
-        self.m_small = None           # m(q) for 0 <= q <= R
+        self.m_small = [0]            # m(q) for 0 <= q <= the largest isqrt(n) asked
         self.lock = threading.Lock()
 
     def nbytes(self) -> int:
-        """Bytes the memo retains, Python integers counted at 72 B each."""
-        return (8 * _LIMBS * (len(self.m_cp) + len(self.small) * len(self.t_cp))
-                + len(self.primes) + len(self.sums)
-                + 72 * (len(self.logs) + len(self.m_small or ())))
+        """Bytes the memo retains."""
+        ints = (len(self.m_cp) + len(self.e_cp) + len(self.t_kept) + len(self.logs)
+                + len(self.m_small))
+        return _INT_BYTES * ints + len(self.primes) + len(self.sums)
+
+    def _charge(self, more: int, what: str) -> None:
+        _charge(self.resident + self.nbytes() + more, what)
 
     def query(self, n: int, with_ell: bool):
-        """(m(n), ell(n)) as integers over 2^_FIXED_BITS; ell is None unless
-        with_ell.  RangeError for n outside [0, limit]."""
+        """(m(n), ell(n)); ell is None unless with_ell.  RangeError for n
+        outside [0, limit]."""
         if not 0 <= n <= self.limit:
             raise RangeError(f"exact prefix sums at n = {n} need 0 <= n <= {self.limit}, "
                              f"the table limit")
         with self.lock:
             return self._query(n, with_ell)
 
+    def _pi(self, x: int) -> int:
+        """The number of primes up to x <= sqrt(limit)."""
+        return bisect.bisect_right(self.small, x)
+
     def _query(self, n: int, with_ell: bool):
-        j = n // _BLOCK
+        j, r = n // _BLOCK, math.isqrt(n)
         if with_ell:
             self._grow_chain(n)
-        self._grow_checkpoints(j, with_ell)
-        r = math.isqrt(n)
-        small = self.small[:bisect.bisect_right(self.small, r)] if with_ell else []
-        m, t = _digit_sums(self.mu, j * _BLOCK + 1, n + 1, small)
-        m_fp = _join(self.m_cp[j] + m)
+            self._grow_ell(j)
+        else:
+            self._grow_m(j)
+        count = self._pi(r) if with_ell else 0
+        m, t = _digit_sums(self.mu, j * _BLOCK + 1, n + 1, self.small[:count])
+        m_fp = self.m_cp[j] + _join(m)
         if not with_ell:
             return m_fp, None
-        t += self.t_cp[j][:len(small)]
-        total = sum(L * _join(row) for L, row in zip(self.logs, t))
+        kept = self._pi(math.isqrt(j * _BLOCK))  # the primes E_j covers
+        total = (self.e_cp[j] + sum(L * _join(row) for L, row in zip(self.logs, t))
+                 + sum(L * T for L, T in zip(self.logs[kept:count], self.t_kept[kept:count])))
         return m_fp, (total - self._large_prime_sum(n, r)) >> _LOG_BITS
 
     def _s(self, i: int) -> int:
@@ -562,18 +624,20 @@ class _ExactMemo:
                    for m_q, i, k in zip(self.m_small[1:], at[:r], at[r:]) if i != k)
 
     def _grow_chain(self, n: int) -> None:
-        """Extend the chain to every prime up to n, a _BLOCK segment at a time."""
-        if n <= self.top and self.m_small is not None:
-            return
-        R = math.isqrt(self.limit)
+        """Extend the chain to every prime up to n, a _BLOCK segment at a
+        time, and m(q) to q = isqrt(n)."""
+        r, have = math.isqrt(n), len(self.m_small) - 1
         count = len(self.primes) // 4
-        _charge(self.nbytes() + _PRIME_BYTES * max(_pi_above(n) - count, 0)
-                + (72 * (R + 1) if self.m_small is None else 0),
-                f"the exact prefix sums to n = {n}")
-        if self.m_small is None:
-            w = self.mu[1:R + 1].astype(np.int64)
-            digits = np.cumsum(_recip_limbs(np.arange(1, R + 1, dtype=np.uint64)) * w, axis=1)
-            self.m_small = [0] + [_join(d) for d in digits.T]
+        if n <= self.top and r <= have:
+            return
+        self._charge(_PRIME_BYTES * max(_pi_above(n) - count, 0)
+                     + _INT_BYTES * max(r - have, 0), f"the exact prefix sums to n = {n}")
+        if r > have:
+            w = self.mu[have + 1:r + 1].astype(np.int64)
+            digits = np.cumsum(_recip_limbs(np.arange(have + 1, r + 1, dtype=np.uint64)) * w,
+                               axis=1)
+            self.m_small += [self.m_small[-1] + _join(d) for d in digits.T]
+        R = math.isqrt(self.limit)
         (prev, log_p), s = self.last, self._s(count)
         for a in range(self.top + 1, n + 1, _BLOCK):
             b = min(a + _BLOCK, n + 1)
@@ -590,69 +654,40 @@ class _ExactMemo:
             self.logs += logs
             self.last, self.top = (prev, log_p), b - 1
 
-    def _grow_checkpoints(self, j: int, with_ell: bool) -> None:
-        """Build the checkpoints through j (with T_p when with_ell) from the
-        last one built."""
-        done = len(self.t_cp if with_ell else self.m_cp) - 1
+    def _grow_m(self, j: int) -> None:
+        """Build the m checkpoints through j from the last one built."""
+        done = len(self.m_cp) - 1
         if j <= done:
             return
-        new_m = max(j + 1 - len(self.m_cp), 0)
-        new_t = (j - done) * len(self.small) if with_ell else 0
-        _charge(self.nbytes() + 8 * _LIMBS * (new_m + new_t),
-                f"exact prefix checkpoints to n = {j * _BLOCK}")
-        primes = self.small if with_ell else []
-        m, t = self.m_cp[done], self.t_cp[done] if with_ell else None
+        self._charge(_INT_BYTES * (j - done), f"exact prefix checkpoints to n = {j * _BLOCK}")
         for i in range(done + 1, j + 1):
-            dm, dt = _digit_sums(self.mu, (i - 1) * _BLOCK + 1, i * _BLOCK + 1, primes)
-            m = m + dm
+            m, _ = _digit_sums(self.mu, (i - 1) * _BLOCK + 1, i * _BLOCK + 1, [])
+            self.m_cp.append(self.m_cp[-1] + _join(m))
+
+    def _grow_ell(self, j: int) -> None:
+        """Build the ell checkpoints through j (and the m ones they pass)
+        from the last one built; the chain must reach isqrt(j _BLOCK)."""
+        done = len(self.e_cp) - 1
+        if j <= done:
+            return
+        kept = self._pi(math.isqrt((j + 1) * _BLOCK)) - len(self.t_kept)
+        self._charge(_INT_BYTES * (max(j + 1 - len(self.m_cp), 0) + j - done + kept),
+                     f"exact prefix checkpoints to n = {j * _BLOCK}")
+        if done < 0:  # T_p(0) = 0
+            self.e_cp.append(0)
+            self.t_kept += [0] * self._pi(math.isqrt(_BLOCK))
+        for i in range(len(self.e_cp), j + 1):
+            c = i * _BLOCK
+            lo, mid = self._pi(math.isqrt(c - _BLOCK)), len(self.t_kept)
+            dm, dt = _digit_sums(self.mu, c - _BLOCK + 1, c + 1, self.small[:mid])
             if i == len(self.m_cp):
-                self.m_cp.append(m)
-            if with_ell:
-                t = t + dt
-                self.t_cp.append(t)
+                self.m_cp.append(self.m_cp[-1] + _join(dm))
+            self.e_cp.append(self.e_cp[-1]
+                             + sum(L * _join(row) for L, row in zip(self.logs, dt))
+                             + sum(L * T for L, T in zip(self.logs[lo:mid], self.t_kept[lo:])))
+            hi = self._pi(math.isqrt(c + _BLOCK))
+            self.t_kept += _multiple_sums(self.mu, self.small[mid:hi], c)
 
-
-def _exact_prefix(mu: np.ndarray, n: int, with_ell: bool):
-    """(m(n), ell(n)) as integers over 2^_FIXED_BITS; ell is None unless
-    with_ell: one query on a fresh `_ExactMemo` over mu[:n + 1], which
-    keeps its checkpoints, chain and m(q) for q <= sqrt(n) until it returns
-    (see `_ExactMemo` for what a memo retains per block and per prime).
-    Every sum is over numpy blocks of _EXACT_BLOCK k at a time.
-
-    m(n) = sum_{k<=n} mu(k) floor(2^_FIXED_BITS / k): each block sums
-    mu(k) times the base-2^32 digits of the truncated reciprocals in int64
-    (each digit sum stays below n 2^32 < 2^63), and the digits are joined
-    once, so the integer is exactly that of a per-term loop and lies within
-    n units of 2^-_FIXED_BITS of m(n).
-
-    ell(n): log k = sum_{p|k} log p for squarefree k, so
-    ell(n) = sum_{p<=n} log p T_p with T_p = sum_{k<=n, p|k} mu(k)/k.  For
-    p <= r = isqrt(n), T_p is the digit sum of the block reciprocals over
-    k = 0 mod p.  For p > r, k = pj forces j <= n/p < p, so
-    T_p = -m(n // p)/p, read from the exact m table on [0, r], and the
-    primes of one quotient q = n // p share it: their floor(L_p / p) are
-    summed as a difference of cumulative sums.  log p comes from the chain
-    log p = log p' + 2 atanh((p - p')/(p + p')) over consecutive primes
-    (p < 2p', so the argument is at most 1/3), from log 1 = 0, at
-    _LOG_BITS bits (_log_step); primes above r come from a segmented sieve
-    by the primes up to r.  The products are summed exactly and floored
-    once.
-
-    Error of ell, in units of 2^-_FIXED_BITS (the chain is short of log p
-    by less than 340 pi(n) 2^-_LOG_BITS, i.e. < 340 pi(n) 2^-64 units):
-      * truncated reciprocals in T_p, p <= r: each squarefree k adds less
-        than sum_{p|k} log p = log k, in all < n log n (log is natural);
-      * the chain's error times |T_p| <= (1 + log n)/p: < 1;
-      * m(q) to within q units, q = n // p < n/p, times log p/p over
-        p > r: < n log n / r <= 2 sqrt(n) log n;
-      * floor(L_p / p) and the chain's error over p, times |m(q)| <= 1:
-        < 341 pi(n) 2^-64 < 1;
-      * the final floor: < 1.
-    In all |ell - ell(n)| < ((n + 2 sqrt(n)) log n + 4) 2^-_FIXED_BITS,
-    below 2^-221 at n = 1e9 (the digit sums need n < 2^31, which every
-    table limit is).  RangeError for n outside [0, len(mu) - 1].
-    """
-    return _ExactMemo(mu[:max(n, 0) + 1]).query(n, with_ell)
 
 
 def _absmax(v) -> float:
@@ -711,7 +746,12 @@ class Tables:
     _exact: _ExactMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_exact", _ExactMemo(self.mu.mu))
+        arrays = [self.mu.mu, self.mu.mertens, self.mu.block_absmax]
+        for s in (self.series.m, self.series.ell):
+            if s is not None:
+                arrays += [s.values, s.error_radius, s.block_absmax, s.mcheck_absmax]
+        resident = sum(a.nbytes for a in arrays if a is not None)
+        object.__setattr__(self, "_exact", _ExactMemo(self.mu.mu, resident))
 
     @property
     def limit(self) -> int:
@@ -754,10 +794,11 @@ class Tables:
 
     def exact_prefix(self, n: int, with_ell: bool):
         """(M(n), m(n), ell(n)) for 0 <= n <= limit: M exactly, m and ell as
-        integers over 2^FIXED_BITS (`_exact_prefix`), read from the memo
-        these tables keep (`_ExactMemo`), so a repeat below its top costs
-        one checkpoint and a tail of under _BLOCK k; ell is None unless
-        with_ell.  RangeError for any other n, before the memo grows."""
+        integers over 2^FIXED_BITS, read from the memo these tables keep
+        (`_ExactMemo`, which derives them and bounds their error), so a
+        repeat below its top costs one checkpoint and a tail of under
+        _BLOCK k; ell is None unless with_ell.  RangeError for any other n,
+        before the memo grows."""
         m, ell = self._exact.query(n, with_ell)
         return int(self.mu.mertens[n]), m, ell
 

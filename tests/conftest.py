@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from mobsum import quad, verify
+from mobsum import quad, tables, verify
 from mobsum.identities import h1_head_integral
 from mobsum.tables import build_tables
 
@@ -166,6 +166,48 @@ def per_term_m_fixed(mu, n):
         if v:
             acc += v * (one // k)
     return acc
+
+
+def exact_prefix_one_pass(mu, n, with_ell):
+    """(m(n), ell(n)) over 2^256 (ell None unless with_ell) in one sweep of
+    k = 1..n with no memo: the integers `Tables.exact_prefix` must return,
+    whatever it was asked before.  The sums of `tables._ExactMemo` in the
+    order of a single pass: T_p for p <= isqrt(n) from the digit sums of
+    each block, and floor(L_p / p) for the primes above isqrt(n) added to
+    their quotient n // p as the sweep meets them."""
+    r = math.isqrt(n)
+    small = tables._small_primes(r).tolist() if with_ell else []
+    small_logs, log_p, prev = [], 0, 1
+    for p in small:
+        log_p, prev = log_p + tables._log_step(p, prev), p
+        small_logs.append(log_p)
+    m_digits = np.zeros(tables._LIMBS, dtype=np.int64)
+    t_digits = np.zeros((len(small), tables._LIMBS), dtype=np.int64)
+    by_q = [0] * (r + 1)  # by_q[q] = sum of floor(L_p / p) over p > r, n // p = q
+    for a in range(1, n + 1, tables._EXACT_BLOCK):
+        b = min(a + tables._EXACT_BLOCK, n + 1)
+        w = mu[a:b].astype(np.int64)
+        limbs = tables._recip_limbs(np.arange(a, b, dtype=np.uint64))
+        m_digits += limbs @ w
+        if not with_ell:
+            continue
+        composite = np.zeros(b - a, dtype=bool)
+        for i, p in enumerate(small):
+            off = -a % p
+            t_digits[i] += limbs[:, off::p] @ w[off::p]
+            composite[off::p] = True
+        first = max(a, r + 1)
+        for p in (np.nonzero(~composite[first - a:])[0] + first).tolist():
+            log_p, prev = log_p + tables._log_step(p, prev), p
+            by_q[n // p] += log_p // p
+    m_fp = tables._join(m_digits)
+    if not with_ell:
+        return m_fp, None
+    w = mu[1:r + 1].astype(np.int64)
+    m_small = np.cumsum(tables._recip_limbs(np.arange(1, r + 1, dtype=np.uint64)) * w, axis=1)
+    total = sum(L * tables._join(t) for L, t in zip(small_logs, t_digits))
+    total -= sum(tables._join(m_q) * s for m_q, s in zip(m_small.T, by_q[1:]))
+    return m_fp, total >> tables._LOG_BITS
 
 
 def per_term_ell(mu, n, dps=100):

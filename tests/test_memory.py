@@ -61,8 +61,8 @@ def test_full_range_scans_add_bounded_memory(limit):
 
 def test_exact_recheck_adds_bounded_memory():
     # the cold escalation grows the tables' exact memo to n: 48 B per prime
-    # of the chain (7.1 MB for the 148 933 primes here) and 14 KB of digit
-    # sums per block, on O(sqrt(n) + _EXACT_BLOCK) scratch (12.5 MB peak
+    # of the chain (7.1 MB for the 148 933 primes here) and two integers
+    # per block, on O(sqrt(n) + _EXACT_BLOCK) scratch (11.9 MB peak
     # measured with mpmath's import); an n-sized int64 array (16 MB here)
     # on top would not fit
     n = 2 * 10**6

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import exact_prefix_fraction, per_term_ell, per_term_m_fixed
+from conftest import (
+    exact_prefix_fraction, exact_prefix_one_pass, per_term_ell, per_term_m_fixed,
+)
 from mobsum import tables, verify
 from mobsum.errors import InvalidArgumentError, RangeError, ResourceError
 from mobsum.quad import identity_kernel_integral
@@ -576,13 +578,18 @@ def test_escalation_on_razor_thin_margin(tables_small, target, kind, n):
     assert rep.passed == holds
 
 
+def _one_shot(mu, n, with_ell):
+    """(m(n), ell(n)) from one query on a fresh memo over mu[:n + 1]."""
+    return tables._ExactMemo(mu[:max(n, 0) + 1]).query(n, with_ell)
+
+
 def test_exact_m_fixed_point_matches_fraction(tables_small):
     # m(n) is a fixed-point sum; the exact rational is its oracle
     with mp.workdps(50):
         for n in (1, 2, 137, 5003):
             f = exact_prefix_fraction(tables_small.mu, n)
             exact = mp.mpf(f.numerator) / f.denominator
-            m = mp.ldexp(tables._exact_prefix(tables_small.mu.mu, n, False)[0], -256)
+            m = mp.ldexp(_one_shot(tables_small.mu.mu, n, False)[0], -256)
             assert abs(m - exact) <= mp.mpf(10) ** -48 * abs(exact)
 
 
@@ -598,9 +605,9 @@ def test_exact_prefix_m_is_the_per_term_sum(tables_small, monkeypatch, block):
     mu = tables_small.mu.mu
     for n in _exact_prefix_cases(block):
         for with_ell in (False, True):
-            assert tables._exact_prefix(mu, n, with_ell)[0] == per_term_m_fixed(mu, n), n
+            assert _one_shot(mu, n, with_ell)[0] == per_term_m_fixed(mu, n), n
     with pytest.raises(RangeError):  # the int64 digit sums need n < 2^31
-        tables._exact_prefix(mu, 1 << 31, False)
+        _one_shot(mu, 1 << 31, False)
 
 
 @pytest.mark.parametrize("block", [7, 64])
@@ -611,10 +618,10 @@ def test_exact_prefix_ell_within_documented_bound(tables_small, monkeypatch, blo
     mu = tables_small.mu.mu
     with mp.workdps(100):
         for n in _exact_prefix_cases(block):
-            ell = tables._exact_prefix(mu, n, True)[1]
+            ell = _one_shot(mu, n, True)[1]
             err = abs(mp.ldexp(ell, -256) - per_term_ell(mu, n)) * mp.mpf(2) ** 256
             assert err < (n + 2 * math.sqrt(n)) * math.log(n) + 4, n
-    assert tables._exact_prefix(mu, 1, True) == (1 << 256, 0)
+    assert _one_shot(mu, 1, True) == (1 << 256, 0)
 
 
 def _fresh(tables_small):
@@ -631,11 +638,15 @@ def test_exact_prefix_memo_matches_one_shot_in_any_order(tables_small, monkeypat
     mu = tables_small.mu.mu
     rng = np.random.default_rng(27)
     edges = [64 * j + d for j in (1, 2, 5, 40, 93) for d in (-1, 0, 1)]
-    ns = sorted({0, 1, 2, 3, *edges, *rng.integers(4, 6000, 4).tolist()})
-    expect = {(n, e): tables._exact_prefix(mu, n, e) for n in ns for e in (False, True)}
+    # isqrt(n) passes a prime inside a block: T_p(c_j) kept beside E_j
+    squares = [p * p + d for p in (11, 31, 53, 67) for d in (-1, 0, 1)]
+    ns = sorted({0, 1, 2, 3, *edges, *squares, *rng.integers(4, 6000, 4).tolist()})
+    expect = {(n, e): exact_prefix_one_pass(mu, n, e) for n in ns for e in (False, True)}
     for n in ns:
         assert expect[n, False] == (per_term_m_fixed(mu, n), None), n
         assert expect[n, True][0] == expect[n, False][0], n
+        for e in (False, True):
+            assert _one_shot(mu, n, e) == expect[n, e], (n, e)
     for order in (ns, ns[::-1], rng.permutation(ns).tolist()):
         for with_ell in (False, True):
             fresh = _fresh(tables_small)
@@ -679,7 +690,7 @@ def test_exact_prefix_memo_shared_by_threads(tables_small, monkeypatch):
     monkeypatch.setattr(tables, "_BLOCK", 256)
     mu = tables_small.mu.mu
     ns = np.random.default_rng(6).integers(0, 20001, 12).tolist()
-    expect = {(n, e): tables._exact_prefix(mu, n, e) for n in ns for e in (False, True)}
+    expect = {(n, e): _one_shot(mu, n, e) for n in ns for e in (False, True)}
     shared, got = _fresh(tables_small), []
 
     def work(seed):
@@ -710,23 +721,40 @@ def test_exact_prefix_rejects_n_outside_the_table(tables_small):
             with pytest.raises(RangeError, match=f"n = {n} need 0 <= n <= 20000"):
                 t.exact_prefix(n, with_ell)
     memo = t._exact
-    assert (memo.nbytes(), memo.top, memo.m_small) == (_fresh(tables_small)._exact.nbytes(), 1, None)
+    assert (memo.nbytes(), memo.top, memo.m_small) == (_fresh(tables_small)._exact.nbytes(), 1, [0])
     assert t.exact_prefix(0, True) == (0, 0, 0)
 
 
 def test_exact_prefix_memo_charges_memory_before_growing(tables_small, monkeypatch):
-    # 16 KB of physical memory: 300 m checkpoints of 64 B, or a chain of
-    # 52 B per prime to 2e4, must fail before the memo holds any of it
+    # the tables beside the memo plus 16 KB of physical memory: 305 more m
+    # checkpoints of _INT_BYTES, or a chain of 48 B per prime to 3000 or
+    # 2e4, must fail before the memo holds any of it
     monkeypatch.setattr(tables, "_BLOCK", 64)
-    sysconf = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 1 << 12}
-    monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
     t = _fresh(tables_small)
+    resident = t._exact.resident
+    assert resident > 21 * 20000  # mu, Mertens and the m and ell values
+    sysconf = {"SC_PHYS_PAGES": (resident >> 12) + 4, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
     assert t.exact_prefix(500, False)[1] == per_term_m_fixed(tables_small.mu.mu, 500)
     held = t._exact.nbytes()
     for n, with_ell in ((20000, False), (20000, True), (3000, True)):
         with pytest.raises(ResourceError, match="physical memory"):
             t.exact_prefix(n, with_ell)
         assert t._exact.nbytes() == held and t._exact.top == 1
+    # 64 KB holds the memo of a query at 500 but not the tables beside it
+    sysconf["SC_PHYS_PAGES"] = 16
+    with pytest.raises(ResourceError, match="physical memory"):
+        _fresh(tables_small).exact_prefix(500, False)
+    assert 16 << 12 > held
+    # with two-index blocks the ell checkpoints, 224 B per block, pass the
+    # limit where the chain to 3000 (29 KB) does not: the chain may grow,
+    # the checkpoints must not
+    monkeypatch.setattr(tables, "_BLOCK", 2)
+    sysconf["SC_PHYS_PAGES"] = (resident >> 12) + 16
+    t = _fresh(tables_small)
+    with pytest.raises(ResourceError, match="physical memory"):
+        t.exact_prefix(3000, True)
+    assert (t._exact.top, t._exact.e_cp, t._exact.m_cp) == (3000, [], [0])
 
 
 def test_m1_kernel_interior_maxima():
