@@ -69,10 +69,11 @@ def _get_tables(limit: int, cache_dir, target=None):
 # subcommands
 
 def _cmd_sieve(args) -> int:
-    from .tables import sieve_mu, table_digest
+    from .tables import sieve_mu, table_digest, with_series
     mu = sieve_mu(args.limit, series=())
+    M = int(with_series(mu, ()).read("M", args.limit, args.limit + 1)[0])
     cdir = _cache_dir(args.cache_dir)
-    line = (f"sieve limit={args.limit} mertens_at_limit={int(mu.mertens[args.limit])} "
+    line = (f"sieve limit={args.limit} mertens_at_limit={M} "
             f"digest={table_digest(mu).hex()}")
     if cdir:
         line += f" cache={_cache_table(mu, cdir)}"

@@ -201,14 +201,15 @@ def identity_kernel_integral(tables, x: float, form: str) -> float:
     mid = 0.5 * (lo + hi)
     n = np.clip(np.floor(x / mid).astype(np.int64), 1, tables.limit)
     N = np.floor(mid)
-    Mx = tables.mu.mertens[n] / x
+    top = int(n.max()) + 1
+    Mx = tables.read("M", 1, top)[n - 1] / x
     if form == "M-kernel":
         terms = [(j, Mx * c) for j, c in lattice_power_coeffs("g1", N)]
     elif form == "m-kernel":
-        m = tables.prefix("m").values[n]
+        m = tables.read("m", 1, top)[n - 1]
         terms = [(j + 2, m * c) for j, c in lattice_power_coeffs("h1", N)]
     else:
-        m = tables.prefix("m").values[n]
+        m = tables.read("m", 1, top)[n - 1]
         g = lattice_power_coeffs("g1", N)
         terms = [(j + 1, m * c) for j, c in g] + [(j, -Mx * c) for j, c in g]
     value, _ = _panel_sum(lo, hi, terms)

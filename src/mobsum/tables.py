@@ -17,22 +17,32 @@ the last exact sum of a block into the next, and the compensated series
 carry their running state (prefix, correction sum, sums of |t|, of the
 term errors and of |err|, and max |value|).  Every value and
 radius is bit-identical to one pass over the whole table.  Block j holds
-the indices (j - 1) _BLOCK < n <= min(j _BLOCK, limit), and the build
-records the largest |M(n)|, |m(n)| and |ell(n)| of each block, and, when
-ell is built with m, the largest |m(n) log n - ell(n) - 1| = |mcheck(n) - 1|.
-A scan reads a table only through `Tables.chunk` (a `Chunk` record of one
-span: its slices, their largest values and its end radii) and
-`Tables.exact_prefix`.
+the indices (j - 1) _BLOCK < n <= min(j _BLOCK, limit).
 
-The retained tables take 5 bytes per n for mu (int8) and Mertens (int32,
-exact since |M(n)| <= n < 2^31), plus 8 per prefix series built (float64
-values): 5, 13 or 21 B/n for none, m alone, or m and ell, plus a few
-numbers per block.  A `Tables` bundle carries only the series its caller
-reads (``with_series``); a kernel that needs a missing one raises
-InvalidArgumentError.  The radius is nondecreasing, so each series keeps
-it only at block ends, where it bounds the radius of every index in the
-block; peak memory is the retained tables plus O(_SPAN) scratch for the
-series (O(_SIEVE_BLOCK) for the sieve).
+A table keeps mu (int8, 1 B/n) and, per block, only what a block needs
+to be re-derived and what the scans read without it: Mertens at the
+block end, each series' carry (the naive prefix and its correction sum at
+the block end, from which `_Prefix` runs the next block in the order of
+one pass), its radius at the block end, which bounds the nondecreasing
+radius of every index in the block, and the records: the largest |M(n)|,
+|m(n)| and |ell(n)| of the block and, when ell is built with m, the
+largest |m(n) - M(n)/n| = |m1(n)| and |m(n) log n - ell(n) - 1| =
+|mcheck(n) - 1|.  The build streams block by block and keeps no
+per-index M, m or ell: an ell series built with m runs m and Mertens
+again beside it (`_Prefix` with a companion) for those two records.
+
+A scan reads a table only through `Tables.chunk` (a `Chunk` record of one
+span: its largest values and end radii, and its slices on demand),
+`Tables.read` and `Tables.exact_prefix`.  `Tables.read` re-derives the
+blocks it covers from their carries into a small LRU of block buffers
+(`_Blocks`, at most _LRU_BYTES), so an envelope that reads only records
+touches no array.  `Tables.nbytes` counts what a table retains: about
+1 B/n plus under 100 B per block, plus the LRU's bound.  A `Tables`
+bundle carries only the series its caller reads (``with_series``); a
+kernel that needs a missing one raises InvalidArgumentError.  Peak memory
+is the retained tables plus O(_SPAN) scratch for a series (build or
+re-derivation), O(_BLOCK) for a block being built or re-derived, and
+O(_SIEVE_BLOCK) for the sieve.
 
 The exact m(n) and ell(n) come from a memo each `Tables` keeps
 (`_ExactMemo`), empty until the first escalation and grown only as far as
@@ -53,8 +63,9 @@ import os
 import re
 import tempfile
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,7 +74,9 @@ from .errors import InvalidArgumentError, RangeError, ResourceError
 _ULP = 2.0 ** -53  # unit roundoff for IEEE-754 binary64
 _BLOCK = 1 << 16  # indices per block of the carried prefix sums
 _SIEVE_BLOCK = 1 << 20  # integers per sieve segment
-_SPAN = 1 << 14  # indices per pass of a prefix build over its scratch buffers
+_SPAN = 1 << 13  # indices per pass of a prefix build over its scratch buffers
+_LRU_BYTES = 16 << 20  # re-derived block buffers a Tables keeps (32 float64 blocks)
+_BUILD_SPANS = 18  # span-sized float64 buffers of the largest series build (ell with m)
 _EXACT_BLOCK = 1 << 13  # k per block of the exact prefix sums (512 KB of digits)
 _FIXED_BITS = 256
 _LIMBS = _FIXED_BITS // 32  # base-2^32 digits of a fixed-point reciprocal
@@ -87,17 +100,20 @@ SERIES = ("m", "ell")  # the prefix series a Tables bundle can carry
 
 @dataclass(frozen=True)
 class MuTable:
-    """Möbius values mu(1..limit) and their exact prefix sums.
+    """Möbius values mu(1..limit) and their exact prefix sums at block ends.
 
-    ``mu[n]`` and ``mertens[n]`` are 1-indexed: index 0 is unused (zero).
-    ``mertens[n] = sum_{k<=n} mu[k]`` held exactly in int32, and
-    ``block_absmax[j]`` is max |mertens[n]| over block j (entry 0 is 0).
+    ``mu[n]`` is 1-indexed: index 0 is unused (zero).  With ``block`` the
+    _BLOCK the table was built with, ``mertens[j] = sum_{k<=c} mu[k]`` at
+    c = min(j block, limit), held exactly in int32, and ``block_absmax[j]``
+    is max |M(n)| over block j (entry 0 of both is 0).  M(n) inside a block
+    is `_mertens_block` from the entry before it.
     """
 
     limit: int
+    block: int
     mu: np.ndarray            # int8, length limit+1
-    mertens: np.ndarray       # int32, length limit+1
-    block_absmax: np.ndarray  # int32, length ceil(limit/_BLOCK)+1
+    mertens: np.ndarray       # int32, length ceil(limit/block)+1
+    block_absmax: np.ndarray  # int32, length ceil(limit/block)+1
 
     def __post_init__(self):
         self.mu.setflags(write=False)
@@ -112,15 +128,28 @@ def _check_limit(limit: int) -> None:
                          f"so tables stop at 2^31 - 1")
 
 
+def _retained_bytes(limit: int, series, block: int | None = None) -> int:
+    """Bytes that tables to ``limit`` with the prefix series named in
+    ``series`` retain (`Tables.nbytes`): mu (1 B/n); per block the Mertens
+    entry and its record (8 B), each series' carry, radius and record
+    (32 B), and with both series the m1 and mcheck records (16 B); and the
+    bound of the LRU of re-derived blocks, which never holds more than the
+    whole table's M (4 B/n) and series (8 B/n each).  ``block`` is the
+    table's block size, _BLOCK by default."""
+    blocks = -(-limit // (block or _BLOCK)) + 1
+    records = 16 if len(series) == len(SERIES) else 0
+    return (limit + 1 + (8 + 32 * len(series) + records) * blocks
+            + min(_LRU_BYTES, (4 + 8 * len(series)) * limit))
+
+
 def _check_memory(limit: int, scratch: int, series) -> None:
     """Raise ResourceError if tables to ``limit`` with the prefix series
-    named in ``series`` (5 B/n for mu and int32 Mertens, 8 B/n per series),
-    the 8 float64 span buffers a prefix build holds (when there is one; the
-    series are built one after another) and ``scratch`` bytes would exceed
-    physical memory."""
-    need = ((5 + 8 * len(series)) * limit
-            + (8 * 8 * min(_SPAN, _BLOCK, limit) if series else 0) + scratch)
-    _charge(need, f"tables to limit {limit}")
+    named in ``series`` (`_retained_bytes`), the scratch of a prefix build
+    (when there is one; the series are built one after another: at most
+    _BUILD_SPANS span-sized float64 buffers) and ``scratch`` bytes would
+    exceed physical memory."""
+    build = 8 * _BUILD_SPANS * min(_SPAN, _BLOCK, limit) if series else 0
+    _charge(_retained_bytes(limit, series) + build + scratch, f"tables to limit {limit}")
 
 
 def _charge(need: int, what: str) -> None:
@@ -144,28 +173,63 @@ def _small_primes(bound: int) -> np.ndarray:
     return np.nonzero(~comp)[0].astype(np.int64)
 
 
-def _sieve_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """mu values for n in [lo, hi) (1 <= lo < hi <= 2^31), as int8.
+def _wheel():
+    """The signs and products of the primes up to 7 over one period, 210."""
+    r = np.arange(210)
+    sign, prod = np.ones(210, dtype=np.int8), np.ones(210, dtype=np.int32)
+    for p in (2, 3, 5, 7):
+        sign[r % p == 0] *= -1
+        prod[r % p == 0] *= p
+    return sign, prod
 
-    ``prod`` is the product of the sieving primes dividing n; it divides n,
-    so int32 holds it.  A squarefree n has at most one prime factor above
-    sqrt(limit), and has one exactly where prod < n.
+
+_WHEEL = _wheel()
+
+
+def _tiled(pattern: np.ndarray, lo: int, n: int, out=None) -> np.ndarray:
+    """pattern[(lo + i) % len(pattern)] for 0 <= i < n, written into
+    ``out`` (n entries of the pattern's dtype) or a new array."""
+    period = pattern.shape[0]
+    first = np.roll(pattern, -(lo % period))
+    out = np.empty(n, dtype=pattern.dtype) if out is None else out
+    full = n // period * period
+    out[:full].reshape(-1, period)[...] = first
+    out[full:] = first[:n - full]
+    return out
+
+
+def _sieve_block(lo: int, hi: int, primes: np.ndarray, out=None) -> np.ndarray:
+    """mu values for n in [lo, hi) (1 <= lo < hi <= 2^31), as int8, written
+    into ``out`` when given.
+
+    ``prod`` is the product of the sieving primes dividing n, and of 2, 3,
+    5 and 7 whatever the sieving primes; it divides n, so int32 holds it.
+    A squarefree n has at most one prime factor above max(7, sqrt(limit)),
+    and has one exactly where prod < n.  The signs and products of 2, 3, 5
+    and 7 start as one repeating pattern (`_WHEEL`); each larger sieving
+    prime flips and multiplies its multiples, and every sieving prime
+    zeroes the multiples of its square.  Scratch: prod (4 B per entry),
+    then the n and the comparison of one _SPAN of the sign pass at a time.
     """
-    mu = np.ones(hi - lo, dtype=np.int8)
-    prod = np.ones(hi - lo, dtype=np.int32)
+    mu = _tiled(_WHEEL[0], lo, hi - lo, out)
+    prod = _tiled(_WHEEL[1], lo, hi - lo)
     for p in primes:
         p = int(p)
-        start = (-lo) % p
-        mu[start::p] *= -1
-        prod[start::p] *= p
+        if p > 7:
+            start = (-lo) % p
+            flip = mu[start::p]
+            np.negative(flip, out=flip)
+            prod[start::p] *= p
         sq = p * p
         if sq < hi:
             mu[(-lo) % sq :: sq] = 0
     # one arithmetic pass, not a boolean-indexed write: sign = 1 - 2 [prod < n]
-    sign = (prod < np.arange(lo, hi, dtype=np.int32)).view(np.int8)
-    sign <<= 1
-    np.subtract(1, sign, out=sign)
-    mu *= sign
+    for a in range(0, hi - lo, _SPAN):
+        b = min(a + _SPAN, hi - lo)
+        sign = (prod[a:b] < np.arange(lo + a, lo + b, dtype=np.int32)).view(np.int8)
+        sign <<= 1
+        np.subtract(1, sign, out=sign)
+        mu[a:b] *= sign
     return mu
 
 
@@ -173,7 +237,7 @@ def sieve_mu(limit: int, series=SERIES) -> MuTable:
     """Sieve mu(n) for 1 <= n <= limit and accumulate exact Mertens sums.
 
     The _SIEVE_BLOCK segments are sieved one after another in the calling
-    thread and copied into place, and Mertens is block-carried over the
+    thread, each into its place, and Mertens is block-carried over the
     whole array by ``_mu_table``, so the table is the same for any segment
     size.  Raises ResourceError before allocating if the table and the
     prefix series named in ``series``, which the caller goes on to build,
@@ -182,34 +246,41 @@ def sieve_mu(limit: int, series=SERIES) -> MuTable:
     if limit < 1:
         raise InvalidArgumentError("limit must be a positive integer")
     _check_limit(limit)
-    # the segment being sieved holds 10 B per entry
-    _check_memory(limit, 10 * min(_SIEVE_BLOCK, limit), series)
+    # the segment's prime products (4 B per entry) and one span of the sign pass
+    _check_memory(limit, 4 * min(_SIEVE_BLOCK, limit) + 5 * _SPAN, series)
     primes = _small_primes(int(math.isqrt(limit)))
     mu = np.zeros(limit + 1, dtype=np.int8)
     for lo in range(1, limit + 1, _SIEVE_BLOCK):
         hi = min(lo + _SIEVE_BLOCK, limit + 1)
-        mu[lo:hi] = _sieve_block(lo, hi, primes)
+        _sieve_block(lo, hi, primes, mu[lo:hi])
     return _mu_table(mu)
 
 
+def _mertens_block(mu: np.ndarray, a: int, b: int, carry, out=None) -> np.ndarray:
+    """M(n) for a <= n < b, given carry = M(a - 1): the block's own prefix
+    sum of mu plus the carry (integer sums are exact, so the carry may be
+    added after), in int32, written into ``out`` when given."""
+    block = np.cumsum(mu[a:b], dtype=np.int32, out=out)
+    block += carry
+    return block
+
+
 def _mu_table(mu: np.ndarray) -> MuTable:
-    """MuTable over ``mu`` (int8, index 0 zero); Mertens is its prefix sum,
-    accumulated block by block into one int32 array with the last sum of
-    each block carried into the next (integer sums are exact, so the carry
-    may be added after the block's own prefix sum), and the largest |M| of
-    each block is taken while the block is in cache."""
+    """MuTable over ``mu`` (int8, index 0 zero): Mertens accumulated block
+    by block in one block-sized buffer, keeping each block's last sum and
+    its largest |M| while the block is in cache."""
     limit = mu.shape[0] - 1
     _check_limit(limit)
-    mertens = np.empty(limit + 1, dtype=np.int32)
-    absmax = np.empty(-(-limit // _BLOCK) + 1, dtype=np.int32)
-    mertens[0] = absmax[0] = carry = 0
+    blocks = -(-limit // _BLOCK)
+    mertens = np.zeros(blocks + 1, dtype=np.int32)
+    absmax = np.zeros(blocks + 1, dtype=np.int32)
+    buf = np.empty(min(_BLOCK, limit), dtype=np.int32)
     for j, a in enumerate(range(1, limit + 1, _BLOCK), 1):
-        block = mertens[a:a + _BLOCK]
-        np.cumsum(mu[a:a + _BLOCK], dtype=np.int32, out=block)
-        block += carry
-        carry = block[-1]
+        b = min(a + _BLOCK, limit + 1)
+        block = _mertens_block(mu, a, b, mertens[j - 1], buf[:b - a])
+        mertens[j] = block[-1]
         absmax[j] = max(block.max(), -block.min())
-    return MuTable(limit=limit, mu=mu, mertens=mertens, block_absmax=absmax)
+    return MuTable(limit=limit, block=_BLOCK, mu=mu, mertens=mertens, block_absmax=absmax)
 
 
 # ---------------------------------------------------------------------------
@@ -218,144 +289,43 @@ def _mu_table(mu: np.ndarray) -> MuTable:
 
 @dataclass(frozen=True)
 class PrefixSeries:
-    """Compensated prefix sums with a certified absolute error radius.
+    """Compensated prefix sums, kept at block ends, with a certified
+    absolute error radius.
 
-    ``values[n]`` approximates the exact rational prefix sum of the first n
-    terms; index 0 is the empty sum (exactly 0).  The per-index radius is
-    nondecreasing, so it is kept at block ends only: ``error_radius[j]`` is
-    the radius at index min(j _BLOCK, limit) (entry 0 is 0), and
-    ``|values[n] - exact| <= radius(n)`` for every n.  ``block_absmax[j]``
-    is max |values[n]| over block j (entry 0 is 0).  An ell series built
-    with its m series also records ``mcheck_absmax[j]``, max |m(n) log n -
-    ell(n) - 1| over block j as `_mcheck_absmax` rounds it (entry 0 is 0);
-    for any other series it is None.
+    With ``block`` the _BLOCK of the table it was built on and c_j =
+    min(j block, limit): ``values[j]`` is the carry at c_j, the pair
+    (s, e) of the naive prefix and the running sum of its rounding errors,
+    whose rounded sum s + e is the value there and from which `_Prefix`
+    re-derives block j + 1 (`Tables.read`); row 0 is the empty sum (0, 0).
+    Every value approximates the exact rational prefix sum of its terms.
+    The per-index radius is nondecreasing, so it is kept at block ends
+    only: ``error_radius[j]`` is the radius at c_j (entry 0 is 0), and
+    |value(n) - exact| <= radius(n) for every n.  ``block_absmax[j]`` is
+    max |value(n)| over block j (entry 0 is 0).  An ell series built with
+    its m series also records, over block j, ``m1_absmax[j]``, max
+    |m(n) - M(n)/n| as `_m1_absmax` rounds it, and ``mcheck_absmax[j]``,
+    max |m(n) log n - ell(n) - 1| as `_mcheck_absmax` rounds it (entry 0
+    is 0); any other series keeps None for both.
     """
 
     limit: int
-    values: np.ndarray        # float64, length limit+1
-    error_radius: np.ndarray  # float64, length ceil(limit/_BLOCK)+1
-    block_absmax: np.ndarray  # float64, length ceil(limit/_BLOCK)+1
+    block: int
+    values: np.ndarray        # float64, shape (ceil(limit/block)+1, 2)
+    error_radius: np.ndarray  # float64, length ceil(limit/block)+1
+    block_absmax: np.ndarray  # float64, length ceil(limit/block)+1
+    m1_absmax: np.ndarray | None = None     # float64, as block_absmax
     mcheck_absmax: np.ndarray | None = None  # float64, as block_absmax
 
     def __post_init__(self):
-        for a in (self.values, self.error_radius, self.block_absmax, self.mcheck_absmax):
+        for a in (self.values, self.error_radius, self.block_absmax, self.m1_absmax,
+                  self.mcheck_absmax):
             if a is not None:
                 a.setflags(write=False)
 
     def radius(self, n: int) -> float:
-        """Certified error radius of ``values[n]``: the radius at the end of
-        n's block, which bounds the nondecreasing radius at n."""
-        return float(self.error_radius[(n + _BLOCK - 1) // _BLOCK])
-
-
-def _carried_prefix(table: MuTable, block_terms, rep_ulps: int,
-                    m: np.ndarray | None = None) -> PrefixSeries:
-    """Prefix sums of per-index terms with one round of error-free correction,
-    built _BLOCK indices at a time, each block in spans of at most _SPAN.
-
-    ``block_terms(mu, k, out, log_k)`` writes the terms t_k for the indices
-    k (a float64 span) with Möbius values mu into ``out``, and any log k it
-    takes into ``log_k`` (a buffer of its own or ``out``); each term's own
-    representation error is at most rep = rep_ulps * ulp * |t_k|.  Within a
-    block, with s_k the naive prefix and s_{k-1} its predecessor,
-
-        bb  = s_k - s_{k-1}            (Neumaier branch-free TwoSum split)
-        err = (s_{k-1} - (s_k - bb)) + (t_k - bb)
-
-    recover each step's exact rounding error; adding their running sum back
-    gives values accurate to ~1 ulp.  The certified radius at index k combines:
-      * representation error of the terms themselves (running sum of rep),
-      * second-order error of the correction sum: ulp * running sum |err|
-        plus k * ulp^2 * running sum |t|,
-      * the final uncompensated rounding: 2 ulp * running max |values|.
-    Each part is nondecreasing in k and rounding is monotone, so a block's
-    largest radius is at its last index, the one place it is evaluated.
-    The largest |value| of each block, which the running max reads anyway,
-    is kept as ``block_absmax``.  Given the m values ``m`` (for the ell
-    series), each block's `_mcheck_absmax` is recorded too, while each span
-    and its log k are in cache; log k then keeps a buffer of its own.
-
-    Sums that read the same inputs run as one complex128 accumulate: s with
-    sum |t|, and sum err with sum |err|.  Complex addition adds the real
-    parts and the imaginary parts separately, each rounded once, so every
-    component is bit for bit the real running sum it stands for.  For
-    rep_ulps = 1 the running sum of rep needs no pass of its own: rep =
-    ulp |t_k| is a power-of-two scaling, each nonzero |t_k| >= 2^-31 keeps
-    it and every partial sum far from the subnormals, and rounding commutes
-    with such a scaling, so the sum of rep is exactly ulp * sum |t|.  Other
-    rep_ulps (3 for ell) keep a real running sum of rep, taken in the
-    scratch buffer before the TwoSum split needs it, with the carried sum
-    added to its first term (the same first addition as a carry slot).
-
-    Six values carry between spans (the prefix s, the sums of err, |t|, rep
-    and |err|, and max |values|) into slot 0 of each span's left-to-right
-    sums (``np.sum`` is pairwise and would round differently), so every
-    float operation runs in the order of one pass over the whole table, no
-    value or radius depends on _BLOCK or _SPAN, and the scratch is a fixed
-    set of 7 span-sized float64 buffers (the complex sums count twice), and
-    an eighth for log k when the mcheck record is taken, allocated once per
-    series: 1 MB at _SPAN = 2^14, against 4 MB for block-sized buffers.
-    Freed, that scratch stays in the process heap, so its size adds to the
-    peak memory of whatever runs after the build.
-    """
-    limit = table.limit
-    values = np.empty(limit + 1)
-    blocks = -(-limit // _BLOCK)
-    radius, absmax = np.empty(blocks + 1), np.empty(blocks + 1)
-    mcheck = None if m is None else np.zeros(blocks + 1)
-    values[0] = radius[0] = absmax[0] = 0.0
-    size = min(_SPAN, _BLOCK, limit)
-    k = np.arange(1, size + 1, dtype=np.float64)  # the span's indices
-    terms, scratch = np.empty(size), np.empty(size)
-    # slot 0 holds the carry, slot i + 1 the running sums through k[i]
-    run = np.empty(size + 1, dtype=np.complex128)    # (s, sum |t|)
-    e_run = np.empty(size + 1, dtype=np.complex128)  # (sum err, sum |err|)
-    logs = None if m is None else np.empty(size)
-    carry = e_carry = 0j
-    rep_sum = v_max = 0.0
-    for j, a_j in enumerate(range(1, limit + 1, _BLOCK), 1):
-        b_j = min(a_j + _BLOCK, limit + 1)
-        block_max = mcheck_max = 0.0
-        for a in range(a_j, b_j, _SPAN):
-            b = min(a + _SPAN, b_j)
-            n = b - a
-            t, w, z, ze = terms[:n], scratch[:n], run[:n + 1], e_run[:n + 1]
-            log_k = t if logs is None else logs[:n]
-            block_terms(table.mu[a:b], k[:n], t, log_k)
-            z[0] = carry
-            z.real[1:] = t
-            np.abs(t, out=z.imag[1:])
-            if rep_ulps != 1:  # in w, which the split below first needs
-                np.multiply(z.imag[1:], rep_ulps * _ULP, out=w)
-                w[0] += rep_sum
-                rep_sum = np.add.accumulate(w, out=w)[-1]
-            np.add.accumulate(z, out=z)
-            prev, cur = z.real[:-1], z.real[1:]
-            np.subtract(cur, prev, out=w)              # bb
-            np.subtract(t, w, out=t)                   # t - bb
-            np.subtract(cur, w, out=w)                 # s - bb
-            np.subtract(prev, w, out=w)                # prev - (s - bb)
-            ze[0] = e_carry
-            np.add(w, t, out=ze.real[1:])              # err
-            np.abs(ze.real[1:], out=ze.imag[1:])
-            np.add.accumulate(ze, out=ze)
-            v = np.add(cur, ze.real[1:], out=values[a:b])
-            block_max = max(block_max, np.abs(v, out=w).max())
-            if mcheck is not None:  # w is free again
-                mcheck_max = max(mcheck_max, _mcheck_absmax(m[a:b], v, log_k, w))
-            carry, e_carry = z[-1], ze[-1]
-            k += n
-        absmax[j] = block_max
-        v_max = max(v_max, block_max)
-        if mcheck is not None:
-            mcheck[j] = mcheck_max
-        abs_sum, abs_err_sum = carry.imag, e_carry.imag
-        if rep_ulps == 1:
-            rep_sum = _ULP * abs_sum
-        radius[j] = (rep_sum + _ULP * abs_err_sum + (b_j - 1) * _ULP * _ULP * abs_sum
-                     + 2.0 * _ULP * v_max)
-    return PrefixSeries(limit=limit, values=values, error_radius=radius,
-                        block_absmax=absmax, mcheck_absmax=mcheck)
+        """Certified error radius of the value at n: the radius at the end
+        of n's block, which bounds the nondecreasing radius at n."""
+        return float(self.error_radius[(n + self.block - 1) // self.block])
 
 
 def _m_terms(mu, k, out, log_k):
@@ -368,18 +338,219 @@ def _ell_terms(mu, k, out, log_k):
     np.divide(out, k, out=out)
 
 
+# each quotient mu/k carries at most half an ulp of relative error; log()
+# is faithfully rounded (<= 1 ulp) and the quotient adds one more
+_TERMS = {"m": (_m_terms, 1), "ell": (_ell_terms, 3)}
+
+
+class _Prefix:
+    """A compensated prefix series run over consecutive spans of at most
+    ``size`` indices from index ``start`` on, from the carry (s, e) at
+    start - 1 (`PrefixSeries.values`); with a ``companion`` series, the
+    two run together from index 1, and so does Mertens.
+
+    The terms t_k of series ``name`` are written by its terms function
+    (`_TERMS`), which also writes any log k it takes into ``log_k`` (a
+    buffer of its own when ``logs``, kept for the caller until the next
+    span); each term's own representation error is at most rep = rep_ulps *
+    ulp * |t_k|.  With s_k the naive prefix and s_{k-1} its predecessor,
+
+        bb  = s_k - s_{k-1}            (Neumaier branch-free TwoSum split)
+        err = (s_{k-1} - (s_k - bb)) + (t_k - bb)
+
+    recover each step's exact rounding error; adding their running sum e
+    back gives values accurate to ~1 ulp.  The run also keeps the sums the
+    certified radius needs (`_carried_prefix`): of |t|, of rep and of
+    |err|.
+
+    Each running sum is a left-to-right accumulate whose slot 0 holds the
+    sum carried from the span before (``np.sum`` is pairwise and would
+    round differently), so every float operation runs in the order of one
+    pass over the whole table: no value or sum depends on where a run
+    starts or on the span size.  An accumulate costs several elementwise
+    passes, so they run two sums at once, as the real and imaginary parts
+    of one complex128 accumulate: complex addition adds the parts
+    separately, each rounded once, so each part is bit for bit the real
+    running sum it stands for.  Alone, a series pairs s with the sum of
+    |t| and e with the sum of |err|, and for rep_ulps other than 1 the sum
+    of |t| again with that of rep: two accumulates, or three.  With a
+    companion, the pairs are the two series' s and their e, and the split
+    runs on both as interleaved floats; the sums of |t| and rep share a
+    third accumulate, and the sum of |err| a fourth with the running sum
+    of mu, Mertens (exact in float64), for the records that need it.  For
+    rep_ulps = 1 the sum of rep needs no pass of its own: rep = ulp |t_k|
+    is a power-of-two scaling, each nonzero |t_k| >= 2^-31 keeps it and
+    every partial sum far from the subnormals, and rounding commutes with
+    such a scaling, so the sum of rep is exactly ulp * sum |t|.  The
+    scratch is a fixed set of span-sized buffers, in float64 units (a
+    complex128 counts twice): 9 alone, 11 with a sum of rep, 17 with a
+    companion and log k.
+    """
+
+    def __init__(self, mu: np.ndarray, name: str, start: int, size: int, carry=(0.0, 0.0),
+                 logs: bool = False, companion: str | None = None):
+        self.mu = mu
+        self.terms, self.rep_ulps = _TERMS[name]
+        self.companion = None if companion is None else _TERMS[companion][0]
+        self.next = start
+        # the naive prefix and correction sums, with the sums of the imaginary part
+        self.carry, self.e_carry = complex(carry[0]), complex(carry[1])
+        self.abs_carry, self.err_carry = 0j, 0j  # (sum |t|, sum rep), (sum |err|, M)
+        self.base = np.arange(size, dtype=np.float64)
+        self.k = np.empty(size)
+        self.logs = np.empty(size) if logs else None
+        pair = np.complex128 if companion else np.float64  # the parts that are series
+        self.t, self.w = np.empty(size, dtype=pair), np.empty(size, dtype=pair)
+        self.v = np.empty(size)
+        self.m = np.empty(size) if companion else None
+        self.M = None  # with a companion, a view of the span's Mertens sums
+        # slot 0 holds the carry, slot i + 1 the running sums through k[i]
+        self.run, self.e_run = (np.empty(size + 1, dtype=np.complex128) for _ in range(2))
+        self.abs_run = (np.empty(size + 1, dtype=np.complex128)
+                        if companion or self.rep_ulps != 1 else None)
+        self.err_run = np.empty(size + 1, dtype=np.complex128) if companion else None
+
+    @property
+    def s(self) -> float:
+        return self.carry.real
+
+    @property
+    def e(self) -> float:
+        return self.e_carry.real
+
+    def sums(self):
+        """(sum |t|, sum rep, sum |err|) of the series through the last span."""
+        if self.companion is None:
+            abs_sum, rep_sum, err_sum = self.carry.imag, self.abs_carry.imag, self.e_carry.imag
+        else:
+            abs_sum, rep_sum, err_sum = (self.abs_carry.real, self.abs_carry.imag,
+                                         self.err_carry.real)
+        return abs_sum, _ULP * abs_sum if self.rep_ulps == 1 else rep_sum, err_sum
+
+    def span(self, b: int):
+        """The values at next <= n < b, in a buffer the next span reuses.
+        ``k``, ``logs`` and, with a companion, ``m`` and ``M`` keep the
+        span's indices, log k, companion values and Mertens sums until the
+        next span."""
+        a, n = self.next, b - self.next
+        t, w, v, z, ze = self.t[:n], self.w[:n], self.v[:n], self.run[:n + 1], self.e_run[:n + 1]
+        k = np.add(self.base[:n], a, out=self.k[:n])
+        mu = self.mu[a:b]
+        self.terms(mu, k, t.real, t.real if self.logs is None else self.logs[:n])
+        z[0] = self.carry
+        if self.companion is None:  # the imaginary parts carry |t|
+            z.real[1:] = t
+            np.abs(t, out=z.imag[1:])
+        else:
+            self.companion(mu, k, t.imag, None)
+            z[1:] = t
+        if self.abs_run is not None:
+            acc = self.abs_run[:n + 1]  # (sum |t|, sum rep)
+            acc[0] = self.abs_carry
+            np.abs(t.real, out=acc.real[1:])
+            np.multiply(acc.real[1:], self.rep_ulps * _ULP, out=acc.imag[1:])
+            self.abs_carry = complex(np.add.accumulate(acc, out=acc)[-1])
+        np.add.accumulate(z, out=z)
+        if self.companion is None:  # the split runs on the real parts
+            s, err = z.real, ze.real[1:]
+            prev, cur = s[:-1], s[1:]
+        else:  # on both parts, as interleaved floats
+            s, t, w, err = (x.view(np.float64) for x in (z, t, w, ze[1:]))
+            prev, cur = s[:-2], s[2:]
+        np.subtract(cur, prev, out=w)              # bb
+        np.subtract(t, w, out=t)                   # t - bb
+        np.subtract(cur, w, out=w)                 # s - bb
+        np.subtract(prev, w, out=w)                # prev - (s - bb)
+        np.add(w, t, out=err)                      # err
+        if self.companion is None:
+            np.abs(err, out=ze.imag[1:])
+        else:
+            acc = self.err_run[:n + 1]  # (sum |err|, M)
+            acc[0] = self.err_carry
+            np.abs(ze.real[1:], out=acc.real[1:])
+            acc.imag[1:] = mu
+            self.err_carry = complex(np.add.accumulate(acc, out=acc)[-1])
+            self.M = acc.imag[1:]
+        ze[0] = self.e_carry
+        np.add.accumulate(ze, out=ze)
+        np.add(z.real[1:], ze.real[1:], out=v)
+        if self.companion is not None:
+            np.add(z.imag[1:], ze.imag[1:], out=self.m[:n])
+        self.carry, self.e_carry, self.next = complex(z[-1]), complex(ze[-1]), b
+        return v
+
+
+def _carried_prefix(table: MuTable, name: str, m: PrefixSeries | None = None) -> PrefixSeries:
+    """The prefix series ``name`` of ``table``, streamed block by block in
+    spans of at most _SPAN (`_Prefix`), keeping per block
+    only its carry, radius and records.
+
+    The certified radius at index k combines:
+      * representation error of the terms themselves (running sum of rep),
+      * second-order error of the correction sum: ulp * running sum |err|
+        plus k * ulp^2 * running sum |t|,
+      * the final uncompensated rounding: 2 ulp * running max |values|.
+    Each part is nondecreasing in k and rounding is monotone, so a block's
+    largest radius is at its last index, the one place it is evaluated.
+    The largest |value| of each block, which the running max reads anyway,
+    is kept as ``block_absmax``.  Given the m series ``m``, an ell series
+    runs m beside it (a `_Prefix` companion, with Mertens) and, while each
+    span is in cache, takes its block's `_m1_absmax` from m and M and its
+    `_mcheck_absmax` from m, ell and ell's own log k: m's values exist per
+    index only there, since no table keeps them.
+    """
+    limit, block = table.limit, table.block
+    blocks = -(-limit // block)
+    carry = np.zeros((blocks + 1, 2))
+    radius, absmax = np.zeros(blocks + 1), np.zeros(blocks + 1)
+    m1, mcheck = (np.zeros(blocks + 1), np.zeros(blocks + 1)) if m is not None else (None, None)
+    size = min(_SPAN, block, limit)
+    run = _Prefix(table.mu, name, 1, size, logs=m is not None,
+                  companion=None if m is None else "m")
+    w = np.empty(size)
+    v_max = 0.0
+    for j, a_j in enumerate(range(1, limit + 1, block), 1):
+        b_j = min(a_j + block, limit + 1)
+        block_max = m1_max = mcheck_max = 0.0
+        for a in range(a_j, b_j, _SPAN):
+            b = min(a + _SPAN, b_j)
+            v, d = run.span(b), w[:b - a]
+            block_max = max(block_max, np.abs(v, out=d).max())
+            if m is not None:
+                m_v = run.m[:b - a]
+                m1_max = max(m1_max, _m1_absmax(m_v, run.M, run.k[:b - a], d))
+                mcheck_max = max(mcheck_max, _mcheck_absmax(m_v, v, run.logs[:b - a], d))
+        carry[j] = run.s, run.e
+        absmax[j] = block_max
+        v_max = max(v_max, block_max)
+        if m is not None:
+            m1[j], mcheck[j] = m1_max, mcheck_max
+        abs_sum, rep_sum, abs_err_sum = run.sums()
+        radius[j] = (rep_sum + _ULP * abs_err_sum + (b_j - 1) * _ULP * _ULP * abs_sum
+                     + 2.0 * _ULP * v_max)
+    return PrefixSeries(limit=limit, block=block, values=carry, error_radius=radius,
+                        block_absmax=absmax, m1_absmax=m1, mcheck_absmax=mcheck)
+
+
 def m_series(table: MuTable) -> PrefixSeries:
     """Prefix sums of mu(k)/k, certified to ~1e-14 absolute up to 1e8."""
-    # each quotient mu/k carries at most half an ulp of relative error
-    return _carried_prefix(table, _m_terms, 1)
+    return _carried_prefix(table, "m")
 
 
 def ell_series(table: MuTable, m: PrefixSeries | None = None) -> PrefixSeries:
     """Prefix sums of mu(k)*log(k)/k (the auxiliary series behind mcheck);
     given the m series of ``table``, it records the block maxima of
-    |mcheck(n) - 1| (``mcheck_absmax``)."""
-    # log() is faithfully rounded (<=1 ulp) and the quotient adds one more
-    return _carried_prefix(table, _ell_terms, 3, None if m is None else m.values)
+    |m(n) - M(n)/n| (``m1_absmax``) and of |mcheck(n) - 1|
+    (``mcheck_absmax``)."""
+    return _carried_prefix(table, "ell", m)
+
+
+def _m1_absmax(m, M, n, out) -> float:
+    """max |m(n) - M(n)/n| over a span, rounded as the m1 envelope rounds
+    it: ``n`` holds the float n, ``out`` is scratch of the same size (it
+    may be ``n``)."""
+    np.divide(M, n, out=out)
+    return _absmax(np.subtract(m, out, out=out))
 
 
 def _mcheck_absmax(m, ell, log_n, d) -> float:
@@ -689,7 +860,6 @@ class _ExactMemo:
             self.t_kept += _multiple_sums(self.mu, self.small[mid:hi], c)
 
 
-
 def _absmax(v) -> float:
     """max |v| over a nonempty array, without an |v| temporary."""
     return max(float(v.max()), -float(v.min()))
@@ -715,47 +885,90 @@ class EvaluationPoint:
 
 
 class Chunk(NamedTuple):
-    """The indices a <= n < b of a table, as a scan reads them: the M, m
-    and ell slices (None for one not asked for), the largest |M| and |m|
-    of the M and m slices, the largest |m(n) log n - ell(n) - 1| when m
-    and ell are both asked for (`_mcheck_absmax`), and the m and ell radii
-    at b - 1, which bound the radius of every index of the chunk.  Views
-    and scalars only."""
+    """The indices a <= n < b of a table, as a scan reads them: the largest
+    |M| and |m| when M and m are asked for, the largest |m(n) - M(n)/n|
+    when M and m are both asked for (`_m1_absmax`), the largest
+    |m(n) log n - ell(n) - 1| when m and ell are both asked for
+    (`_mcheck_absmax`), and the m and ell radii at b - 1, which bound the
+    radius of every index of the chunk (None for what was not asked for).
+    The slices M, m and ell are read on demand through ``read`` (None for
+    one not asked for): the chunk holds no array, so reading a slice
+    re-derives its block if the tables' LRU no longer holds it."""
 
     a: int
     b: int
-    M: np.ndarray | None
-    m: np.ndarray | None
-    ell: np.ndarray | None
     M_max: float | None
     m_max: float | None
+    m1_max: float | None
     mcheck_max: float | None
     m_radius: float | None
     ell_radius: float | None
+    read: Callable[[str], np.ndarray | None]
+
+    @property
+    def M(self) -> np.ndarray | None:
+        return self.read("M")
+
+    @property
+    def m(self) -> np.ndarray | None:
+        return self.read("m")
+
+    @property
+    def ell(self) -> np.ndarray | None:
+        return self.read("ell")
+
+
+class _Blocks:
+    """Re-derived block buffers, keyed by (name, j), least recently used
+    first, evicted beyond _LRU_BYTES in all; one lock covers each lookup
+    and derivation, so threads may share them and no block is derived
+    twice at once."""
+
+    def __init__(self, derive: Callable[[str, int], np.ndarray]):
+        self.derive = derive
+        self.held = OrderedDict()
+        self.nbytes = 0
+        self.lock = threading.Lock()
+
+    def get(self, name: str, j: int) -> np.ndarray:
+        key = name, j
+        with self.lock:
+            buf = self.held.get(key)
+            if buf is not None:
+                self.held.move_to_end(key)
+                return buf
+            buf = self.held[key] = self.derive(name, j)
+            self.nbytes += buf.nbytes
+            while self.nbytes > _LRU_BYTES:
+                self.nbytes -= self.held.popitem(last=False)[1].nbytes
+            return buf
 
 
 @dataclass(frozen=True)
 class Tables:
-    """Bundle of a sieve, its derived prefix series and the memo behind
-    its exact prefix sums."""
+    """Bundle of a sieve, its derived prefix series, the LRU of blocks
+    re-derived from them and the memo behind its exact prefix sums."""
 
     FIXED_BITS = _FIXED_BITS  # the binary point of exact_prefix's m and ell
 
     mu: MuTable
     series: SeriesPair = field(repr=False)
+    _blocks: _Blocks = field(init=False, repr=False, compare=False)
     _exact: _ExactMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arrays = [self.mu.mu, self.mu.mertens, self.mu.block_absmax]
-        for s in (self.series.m, self.series.ell):
-            if s is not None:
-                arrays += [s.values, s.error_radius, s.block_absmax, s.mcheck_absmax]
-        resident = sum(a.nbytes for a in arrays if a is not None)
-        object.__setattr__(self, "_exact", _ExactMemo(self.mu.mu, resident))
+        object.__setattr__(self, "_blocks", _Blocks(self._derive))
+        object.__setattr__(self, "_exact", _ExactMemo(self.mu.mu, self.nbytes()))
 
     @property
     def limit(self) -> int:
         return self.mu.limit
+
+    def nbytes(self) -> int:
+        """Bytes these tables retain (`_retained_bytes`), the LRU at its
+        bound; the memo behind exact_prefix counts its own."""
+        return _retained_bytes(self.limit, [s for s in SERIES if getattr(self.series, s)],
+                              self.mu.block)
 
     def prefix(self, name: str) -> PrefixSeries:
         """The prefix series ``name`` ("m" or "ell"); InvalidArgumentError
@@ -766,31 +979,72 @@ class Tables:
                 f"these tables were built without the {name} prefix series")
         return series
 
+    def _derive(self, name: str, j: int) -> np.ndarray:
+        """Block j of M, m or ell, read-only, from the carry at its start:
+        bit for bit the values of one pass over the table."""
+        block = self.mu.block
+        a, b = (j - 1) * block + 1, min(j * block, self.limit) + 1
+        if name == "M":
+            out = _mertens_block(self.mu.mu, a, b, self.mu.mertens[j - 1])
+        else:
+            run = _Prefix(self.mu.mu, name, a, min(_SPAN, b - a), self.prefix(name).values[j - 1])
+            out = np.empty(b - a)
+            for c in range(a, b, _SPAN):
+                d = min(c + _SPAN, b)
+                out[c - a:d - a] = run.span(d)
+        out.setflags(write=False)
+        return out
+
+    def read(self, name: str, a: int, b: int) -> np.ndarray:
+        """M, m or ell (``name``) at a <= n < b (1 <= a < b <= limit + 1),
+        from the blocks it covers (`_Blocks`): a read-only view within one
+        block, a copy across blocks.  A prefix series these tables lack
+        raises InvalidArgumentError."""
+        if name != "M":
+            self.prefix(name)
+        block = self.mu.block
+        first, last = (a - 1) // block + 1, (b - 2) // block + 1
+        parts = [self._blocks.get(name, j) for j in range(first, last + 1)]
+        off = (first - 1) * block + 1
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts))[a - off:b - off]
+
     def chunk(self, a: int, b: int, series) -> Chunk:
         """The `Chunk` of the indices a <= n < b (1 <= a < b <= limit + 1)
         for the arrays named in ``series`` ("M", "m", "ell"); a prefix
         series it names but these tables lack raises InvalidArgumentError.
         Each largest value is the build's record when [a, b) is one whole
-        block (and the build recorded it), else a reduction of the slices."""
-        j, off = divmod(a - 1, _BLOCK)
-        whole = not off and b == min(a + _BLOCK, self.limit + 1)
-        M = M_max = m = m_max = m_rad = ell = ell_rad = mcheck_max = None
+        block (and the build recorded it), else a reduction of the slices;
+        so a whole block reads no array until a slice is read."""
+        j, off = divmod(a - 1, self.mu.block)
+        whole = not off and b == min(a + self.mu.block, self.limit + 1)
+        j += 1
+        M_max = m_max = m1_max = mcheck_max = m_rad = ell_rad = None
         if "M" in series:
-            M = self.mu.mertens[a:b]
-            M_max = float(self.mu.block_absmax[j + 1]) if whole else _absmax(M)
+            M_max = float(self.mu.block_absmax[j]) if whole else _absmax(self.read("M", a, b))
         if "m" in series:
             s = self.prefix("m")
-            m, m_rad = s.values[a:b], s.radius(b - 1)
-            m_max = float(s.block_absmax[j + 1]) if whole else _absmax(m)
+            m_rad = s.radius(b - 1)
+            m_max = float(s.block_absmax[j]) if whole else _absmax(self.read("m", a, b))
+            record = None if self.series.ell is None else self.series.ell.m1_absmax
+            if "M" in series and whole and record is not None:
+                m1_max = float(record[j])
+            elif "M" in series:
+                n = np.arange(a, b, dtype=np.float64)
+                m1_max = _m1_absmax(self.read("m", a, b), self.read("M", a, b), n, n)
         if "ell" in series:
             s = self.prefix("ell")
-            ell, ell_rad = s.values[a:b], s.radius(b - 1)
-            if m is not None:
-                record = s.mcheck_absmax
-                mcheck_max = (float(record[j + 1]) if whole and record is not None else
-                              _mcheck_absmax(m, ell, np.log(np.arange(a, b, dtype=np.float64)),
-                                             np.empty(b - a)))
-        return Chunk(a, b, M, m, ell, M_max, m_max, mcheck_max, m_rad, ell_rad)
+            ell_rad = s.radius(b - 1)
+            if "m" in series and whole and s.mcheck_absmax is not None:
+                mcheck_max = float(s.mcheck_absmax[j])
+            elif "m" in series:
+                mcheck_max = _mcheck_absmax(self.read("m", a, b), self.read("ell", a, b),
+                                            np.log(np.arange(a, b, dtype=np.float64)),
+                                            np.empty(b - a))
+
+        def read(name):
+            return self.read(name, a, b) if name in series else None
+
+        return Chunk(a, b, M_max, m_max, m1_max, mcheck_max, m_rad, ell_rad, read)
 
     def exact_prefix(self, n: int, with_ell: bool):
         """(M(n), m(n), ell(n)) for 0 <= n <= limit: M exactly, m and ell as
@@ -800,7 +1054,7 @@ class Tables:
         _BLOCK k; ell is None unless with_ell.  RangeError for any other n,
         before the memo grows."""
         m, ell = self._exact.query(n, with_ell)
-        return int(self.mu.mertens[n]), m, ell
+        return int(self.read("M", n, n + 1)[0]) if n else 0, m, ell
 
 
 def build_tables(limit: int, jobs: int = 1) -> Tables:
@@ -830,10 +1084,8 @@ def evaluate(tables: Tables, x: float) -> EvaluationPoint:
         )
     m, ell = tables.prefix("m"), tables.prefix("ell")
     n = int(math.floor(x))
-    mv = float(m.values[n])
-    Mv = float(tables.mu.mertens[n])
+    mv, Mv, ellv = (float(tables.read(name, n, n + 1)[0]) for name in ("m", "M", "ell"))
     lx = math.log(x)
-    ellv = float(ell.values[n])
     m1 = mv - Mv / x
     m_check = mv * lx - ellv
     rad = m.radius(n)

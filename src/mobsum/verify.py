@@ -19,7 +19,9 @@ chunk first gets an envelope E, `_chunk_envelope`: the kernel's bound
 taken over the whole chunk at once, from its largest |M| or |m| for M and
 m, and for m1 and mcheck - 1 from their largest value at the integers
 plus the variation within [n, n+1); on a whole block the largest |M|,
-|m| and |mcheck(n) - 1| are the build's records.  E is inflated by the
+|m|, |m(n) - M(n)/n| and |mcheck(n) - 1| are the build's records, so an
+envelope reads no slice there (`Tables.chunk` re-derives a slice only
+when the kernel or a partial chunk reads it).  E is inflated by the
 kernel's own rounding, so it is at least every float supremum the kernel
 would compute there, and G, the guard band at E, is at least every
 interval's guard.  A chunk with E + G below the bound
@@ -356,8 +358,8 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float,
 
     Every number in the parentheses is the chunk's (`Tables.chunk`): the
     build's records on a whole block, as every chunk of `_spans` but the
-    two ends is, else a reduction of its slices; max_n |m(n) - M(n)/n| is
-    always a reduction.  They depend on the chunk's indices only, not on
+    two ends is, else a reduction of its slices (max_n |m(n) - M(n)/n| is
+    ``c.m1_max``).  They depend on the chunk's indices only, not on
     lo or hi, so a whole block cut by a fractional scan end still reads
     its records.
 
@@ -388,9 +390,7 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float,
         return c.m_max * _weight(weight, xb, math) * _ENV_SLACK
     Lb = math.log(xb)
     if target == "m1":
-        v = np.arange(c.a, c.b, dtype=np.float64)
-        np.subtract(c.m, np.divide(c.M, v, out=v), out=v)
-        top = max(float(v.max()), -float(v.min())) + c.M_max / c.a / c.a
+        top = c.m1_max + c.M_max / c.a / c.a
         size = c.M_max / c.a
     else:
         top = c.mcheck_max + c.m_max / c.a
@@ -424,7 +424,7 @@ def _exact_recheck(pred: Predicate, n: int, tables: Tables, lo: float,
     import mpmath as mp  # the escalation path alone needs it
     with mp.workdps(50):
         if pred.target == "M":  # M(n) alone, without the O(n) exact sums
-            M, m, ell = int(tables.chunk(n, n + 1, ("M",)).M[0]), 0, 0
+            M, m, ell = int(tables.read("M", n, n + 1)[0]), 0, 0
         else:
             M, m_fp, ell_fp = tables.exact_prefix(n, pred.target == "mcheck-minus-1")
             m = mp.ldexp(m_fp, -Tables.FIXED_BITS)

@@ -141,9 +141,16 @@ def whole_array_prefix(mu, kind):
 
 def abs_mertens_prefix_integral(table, T):
     """Exact integer sum_{n=1}^{T-1} |M(n)| = integral of |M| over [1, T]
-    (M is constant on each [n, n+1)), summed in int64: the total passes
-    2^31 well before T = 1e7."""
-    return int(np.abs(table.mertens[1:T]).sum(dtype=np.int64))
+    (M is constant on each [n, n+1)), with M the int64 prefix sum of the
+    table's mu: the total passes 2^31 well before T = 1e7."""
+    return int(np.abs(np.cumsum(table.mu[1:T], dtype=np.int64)).sum())
+
+
+def table_array(tables, name):
+    """M, m or ell (``name``) of ``tables`` at every n <= limit, 1-indexed
+    with index 0 the empty sum, re-derived through `Tables.read`."""
+    values = tables.read(name, 1, tables.limit + 1)
+    return np.concatenate((np.zeros(1, dtype=values.dtype), values))
 
 
 def exact_prefix_fraction(table, n):

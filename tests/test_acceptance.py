@@ -21,6 +21,7 @@ from conftest import (
     lattice_closed,
     mp_lattice,
     mp_panel_quad,
+    table_array,
 )
 from mobsum.chains import LIMSUP_M_OVER_SQRT, base_ledger, run_chain
 from mobsum.identities import (
@@ -75,11 +76,11 @@ def test_criterion_01_desk_scale_verification(tables_big):
 
 
 def test_criterion_02_exact_integers(tables_big):
-    mert = tables_big.mu.mertens
+    mert = table_array(tables_big, "M")
     c1 = int(mert[1637]) == -16
     c2 = int(np.abs(mert[1:201]).sum()) == 461
     c3 = int(np.abs(mert[1:33]).sum()) == 59
-    prod = 8510.0 * float(tables_big.series.m.values[8510])
+    prod = 8510.0 * float(tables_big.read("m", 8510, 8511)[0])
     c4 = prod > 36.0
     ok = report(2, c1 and c2 and c3 and c4,
                 f"M(1637)={int(mert[1637])}, sums 461/59 ok={c2}/{c3}, "

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -161,23 +162,37 @@ def test_verify_builds_only_the_series_its_target_reads(capsys, monkeypatch, pre
 
 @pytest.mark.parametrize("cached", [False, True])
 def test_memory_guard_charges_the_series_built(tmp_path, monkeypatch, cached):
-    # a 1e6 table with the m series (13 B/n plus the prefix build's 1 MiB of
-    # span buffers) does not fit, one for M alone (5 B/n) does, on top of
-    # the 1 MB cache file in 14 MiB of physical memory when it is cut from a
-    # cached 1e6 table, or of the 10 MB sieve segment in 16 MiB when sieved
+    # a 1e6 table is charged its mu (1 B/n) and per-block arrays, and the
+    # LRU of re-derived blocks at most at the table's own M (4 B/n) and
+    # series (8 B/n each): 5.0 MB for M alone, 13.0 MB with the m series
+    # plus 1.2 MB of build buffers.  On top of the 1 MB cache file when it
+    # is cut from a cached 1e6 table (6.0 and 15.2 MB), or of the sieve
+    # segment's 4 MB of prime products when sieved (9.0 and 18.2 MB), M
+    # alone fits in 6 MiB and in 9 MiB of physical memory and the m series
+    # does not; half a MiB and a MiB less, M alone fails too, before the
+    # table is read or sieved
     monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
     cache = None
     if cached:
         cache = str(tmp_path)
         tables.save_table(tables.sieve_mu(10**6), tables.cache_path(cache, 10**6))
         monkeypatch.setattr(tables, "sieve_mu", None)  # must not build
-    sysconf = {"SC_PHYS_PAGES": (14 if cached else 16) << 8, "SC_PAGE_SIZE": 1 << 12}
+    mib = 6 if cached else 9
+    sysconf = {"SC_PHYS_PAGES": mib << 8, "SC_PAGE_SIZE": 1 << 12}
     monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
     for target in ("m", "m1", "mcheck-minus-1"):
         with pytest.raises(ResourceError, match="physical memory"):
             cli._get_tables(10**6, cache, target)
     got = cli._get_tables(10**6, cache, "M")
     assert got.limit == 10**6 and got.series == tables.SeriesPair()
+    sysconf["SC_PHYS_PAGES"] = (mib << 8) - (128 if cached else 256)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="physical memory"):
+            cli._get_tables(10**6, cache, "M")
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
 
 
 def test_mellin_output_and_precision(capsys):

@@ -4,7 +4,9 @@ import math
 import mpmath as mp
 import pytest
 
-from conftest import g1, golden_points, h1, h1_remainder, mp_lattice, mp_panel_quad
+from conftest import (
+    g1, golden_points, h1, h1_remainder, mp_lattice, mp_panel_quad, table_array,
+)
 from mobsum import identities
 from mobsum.errors import InvalidArgumentError
 from mobsum.identities import (
@@ -79,7 +81,7 @@ def test_residuals_call_the_kernel_hook_once_each(tables_small, monkeypatch):
 
 def test_step_weighted_integral_matches_quadrature(tables_small):
     # exact M kernel x * integral_1^x M(x/t) G1(t)/x dt vs per-panel quadrature
-    mert = tables_small.mu.mertens
+    mert = table_array(tables_small, "M")
     for x in (7.0, 50.3, 200.0):
         exact = x * identity_kernel_integral(tables_small, x, "M-kernel")
         xm = mp.mpf(x)

@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import math
 import os
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import abs_mertens_prefix_integral, exact_prefix_fraction, whole_array_prefix
+from conftest import (
+    abs_mertens_prefix_integral, exact_prefix_fraction, table_array, whole_array_prefix,
+)
 from mobsum import cli, tables, verify
 from mobsum.errors import InvalidArgumentError, RangeError, ResourceError
 from mobsum.tables import (
@@ -36,7 +40,7 @@ def test_mu_first_twenty(tables_small):
 
 def test_mertens_is_prefix_sum_of_mu(tables_small):
     mu = tables_small.mu.mu
-    mert = tables_small.mu.mertens
+    mert = table_array(tables_small, "M")
     assert np.array_equal(np.cumsum(mu[1:]), mert[1:])
 
 
@@ -49,7 +53,7 @@ def test_global_divisor_identity(tables_small):
 
 
 def test_mertens_known_values(tables_small):
-    mert = tables_small.mu.mertens
+    mert = table_array(tables_small, "M")
     assert mert[1] == 1
     assert mert[2] == 0
     assert mert[1637] == -16
@@ -60,15 +64,15 @@ def test_mertens_known_values(tables_small):
 @pytest.mark.parametrize("block", [1, 7, tables._BLOCK])
 def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
     # limits on and next to the block edges, with one short last block; a
-    # block is built in spans, and no span size changes a value, radius or
-    # record
+    # block is built and re-derived in spans, and no span size changes a
+    # value, radius or record
     monkeypatch.setattr(tables, "_BLOCK", block)
     spans = (tables._SPAN, block // 2 + 1)
     for limit in sorted({1, block - 1, block, block + 1, 3 * block + 5} - {0}):
         table = sieve_mu(limit)
-        assert table.mertens.dtype == np.int32
-        assert np.array_equal(table.mertens, np.cumsum(table.mu, dtype=np.int64))
         ends = np.minimum(np.arange(-(-limit // block) + 1) * block, limit)
+        assert table.mertens.dtype == np.int32
+        assert np.array_equal(table.mertens, np.cumsum(table.mu, dtype=np.int64)[ends])
         whole = {kind: whole_array_prefix(table.mu, kind) for kind in ("m", "ell")}
         for span in spans:
             monkeypatch.setattr(tables, "_SPAN", span)
@@ -76,7 +80,12 @@ def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
             for series, kind in ((m_series(table), "m"), (ell_series(table), "ell"),
                                  (ell_series(table, m_series(table)), "ell")):
                 values, radius = whole[kind]
-                assert series.values.tobytes() == values.tobytes()
+                # each carry (s, e) sums to the value at its block end, and
+                # every value re-derived from the carries is the one-pass value
+                assert series.values.sum(axis=1).tobytes() == values[ends].tobytes()
+                got = tables.Tables(table, tables.SeriesPair(**{kind: series}))
+                assert got.read(kind, 1, limit + 1).tobytes() == values[1:].tobytes()
+                assert np.array_equal(got.read("M", 1, limit + 1), np.cumsum(table.mu[1:]))
                 # the block-end radii are the per-index radii at the block ends
                 assert series.error_radius.tobytes() == radius[ends].tobytes()
                 assert all(series.radius(n) >= radius[n] for n in range(limit + 1))
@@ -124,7 +133,7 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
     # larger cached one and for any sieve segment or build span size
     monkeypatch.setattr(tables, "_BLOCK", 97)
     built = build_tables(20000)
-    M, m, ell = built.mu.mertens, built.series.m.values, built.series.ell.values
+    M, m, ell = (table_array(built, name) for name in ("M", "m", "ell"))
     log_n = np.log(np.arange(20001, dtype=np.float64)[1:])
     mcheck = np.concatenate(([0.0], m[1:] * log_n - (ell[1:] + 1.0)))
     starts = range(1, built.limit + 1, 97)
@@ -147,7 +156,8 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
 
     def maxima(t):
         return [a.tobytes() for a in (t.mu.block_absmax, t.series.m.block_absmax,
-                                      t.series.ell.block_absmax, t.series.ell.mcheck_absmax)]
+                                      t.series.ell.block_absmax, t.series.ell.m1_absmax,
+                                      t.series.ell.mcheck_absmax)]
 
     save_table(sieve_mu(25000), cache_path(str(tmp_path), 25000))
     others = [tables.with_series(load_covering(str(tmp_path), 20000))]
@@ -163,7 +173,7 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
     replay = tables.Tables(built.mu, tables.SeriesPair(m=m_series(built.mu),
                                                        ell=ell_series(built.mu)))
     assert replay.series.ell.mcheck_absmax is None
-    assert replay.series.ell.values.tobytes() == ell.tobytes()
+    assert table_array(replay, "ell").tobytes() == ell.tobytes()
     for a in starts:
         b = min(a + 97, 20001)
         c, r = (t.chunk(a, b, ("M", "m", "ell")) for t in (built, replay))
@@ -203,7 +213,7 @@ def test_sieve_segment_edges_divisor_identity(monkeypatch):
 
 def test_mertens_at_powers_of_ten(tables_big):
     # M(10^k) for k = 0..7, OEIS A084237
-    assert [int(tables_big.mu.mertens[10**k]) for k in range(8)] == \
+    assert [int(tables_big.read("M", 10**k, 10**k + 1)[0]) for k in range(8)] == \
         [1, -1, 1, 2, -23, -48, 212, 1037]
 
 
@@ -225,9 +235,11 @@ def test_sieve_rejects_limits_past_int32_before_allocating():
 
 
 def test_sieve_rejects_tables_past_physical_memory_before_allocating(monkeypatch):
-    # 64 MB of physical memory: 1e5 (2.1 MB retained plus scratch) fits,
-    # 1e7 (210 MB retained) must fail before the mu array or the primes exist
-    sysconf = {"SC_PHYS_PAGES": 1 << 14, "SC_PAGE_SIZE": 1 << 12}
+    # 16 MB of physical memory: 1e5 (2.1 MB retained, the LRU bound
+    # included, plus 1.6 MB of scratch) fits, 1e7 (26 MB retained: 10 MB of
+    # mu and the 16 MB LRU bound) must fail before the mu array or the
+    # primes exist
+    sysconf = {"SC_PHYS_PAGES": 1 << 12, "SC_PAGE_SIZE": 1 << 12}
     monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
     assert sieve_mu(10**5).limit == 10**5
     tracemalloc.start()
@@ -286,6 +298,151 @@ def test_sieve_block_at_top_of_int32_range():
     assert got[-1] == -1
 
 
+def _one_pass_arrays(mu):
+    """M, m and ell at every n <= limit from one pass over the whole table
+    (`whole_array_prefix`), index 0 the empty sum."""
+    return {"M": np.cumsum(mu, dtype=np.int64), "m": whole_array_prefix(mu, "m")[0],
+            "ell": whole_array_prefix(mu, "ell")[0]}
+
+
+def _read_spans(limit, rng):
+    """Spans of a table to ``limit`` (1 <= a < b <= limit + 1): single
+    indices, pieces of a block, whole blocks and spans across blocks."""
+    spans = [(1, 2), (limit, limit + 1), (1, limit + 1)]
+    for _ in range(40):
+        a = int(rng.integers(1, limit + 1))
+        spans.append((a, min(a + int(rng.integers(1, 200)), limit + 1)))
+    return spans
+
+
+@pytest.mark.parametrize("block, span", [(64, tables._SPAN), (64, 10),
+                                         (tables._BLOCK, tables._SPAN)])
+def test_rederived_chunks_match_the_one_pass_oracle(monkeypatch, block, span):
+    # limits off the block grid; slices read in ascending, descending and
+    # shuffled order, from an LRU of three blocks, so that blocks are
+    # evicted and re-derived between reads
+    monkeypatch.setattr(tables, "_BLOCK", block)
+    monkeypatch.setattr(tables, "_SPAN", span)
+    monkeypatch.setattr(tables, "_LRU_BYTES", 3 * 8 * block)
+    rng = np.random.default_rng(block + span)
+    for limit in (5 * block + 13, 2 * block - 1):
+        table = sieve_mu(limit)
+        want = _one_pass_arrays(table.mu)
+        spans = _read_spans(limit, rng)
+        for order in (sorted(spans), sorted(spans)[::-1], rng.permutation(spans).tolist()):
+            t = tables.with_series(table)
+            for a, b in order:
+                c = t.chunk(a, b, ("M", "m", "ell"))
+                for name in ("M", "m", "ell"):
+                    got = getattr(c, name)
+                    assert got.tobytes() == want[name][a:b].astype(got.dtype).tobytes(), \
+                        (name, a, b)
+                assert t._blocks.nbytes <= tables._LRU_BYTES
+
+
+def test_lru_never_holds_more_than_its_bound(monkeypatch):
+    # 64-index blocks, an LRU of 2.5 float64 blocks: it keeps the most
+    # recent blocks that fit, and counts exactly the bytes it holds
+    monkeypatch.setattr(tables, "_BLOCK", 64)
+    monkeypatch.setattr(tables, "_LRU_BYTES", 5 * 8 * 64 // 2)
+    t = build_tables(1000)
+    held = t._blocks.held
+    for name, j in [("m", 1), ("M", 2), ("ell", 3), ("m", 1), ("m", 4), ("M", 16), ("ell", 16)]:
+        t.read(name, (j - 1) * 64 + 1, min(j * 64, 1000) + 1)
+        assert t._blocks.nbytes == sum(buf.nbytes for buf in held.values())
+        assert t._blocks.nbytes <= tables._LRU_BYTES
+        assert list(held)[-1] == (name, j)
+    # 512 + 4 * 40 + 8 * 40 bytes; m block 1 would pass the bound
+    assert list(held) == [("m", 4), ("M", 16), ("ell", 16)]
+
+
+def test_six_threads_read_the_same_chunks(monkeypatch):
+    # six threads read one table's chunks at once, in orders of their own,
+    # switching every microsecond, through an LRU of four blocks: each gets
+    # the one-pass values
+    monkeypatch.setattr(tables, "_BLOCK", 64)
+    monkeypatch.setattr(tables, "_LRU_BYTES", 4 * 8 * 64)
+    t = build_tables(2000)
+    want = _one_pass_arrays(t.mu.mu)
+    spans = _read_spans(2000, np.random.default_rng(6))
+    got = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for a, b in rng.permutation(spans).tolist():
+            c = t.chunk(a, b, ("M", "m", "ell"))
+            got.append(all(np.array_equal(getattr(c, name), want[name][a:b])
+                           for name in ("M", "m", "ell")))
+
+    threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(got) == 6 * len(spans) and all(got)
+    assert t._blocks.nbytes <= tables._LRU_BYTES
+
+
+@pytest.mark.parametrize("block", [64, tables._BLOCK])
+def test_m1_record_is_the_slice_reduction(monkeypatch, block):
+    # each block's largest |m(n) - M(n)/n|, which the ell build records
+    # while m runs beside it, is, bit for bit, the reduction the m1
+    # envelope took of its slices, and a whole-block chunk reads it
+    monkeypatch.setattr(tables, "_BLOCK", block)
+    t = build_tables(20000)
+    record = t.series.ell.m1_absmax
+    assert record.shape == (-(-20000 // block) + 1,) and record[0] == 0.0
+    for j, a in enumerate(range(1, 20001, block), 1):
+        b = min(a + block, 20001)
+        v = np.arange(a, b, dtype=np.float64)
+        np.subtract(t.read("m", a, b), np.divide(t.read("M", a, b), v, out=v), out=v)
+        assert record[j] == max(float(v.max()), -float(v.min())), j
+        assert t.chunk(a, b, ("M", "m")).m1_max == record[j]
+    # an m series, and an ell series built without m, keep neither record;
+    # tables without one reduce the slices, to the same bits
+    bare = ell_series(t.mu)
+    assert {t.series.m.m1_absmax, t.series.m.mcheck_absmax, bare.m1_absmax,
+            bare.mcheck_absmax} == {None}
+    m_only = tables.with_series(t.mu, ("m",))
+    assert [m_only.chunk(a, min(a + block, 20001), ("M", "m")).m1_max
+            for a in range(1, 20001, block)] == record[1:].tolist()
+
+
+def test_tables_retain_mu_and_per_block_arrays_only(monkeypatch):
+    # apart from mu, every array a table keeps has one entry per block (and
+    # the carries two), and nbytes counts them and the LRU's bound
+    monkeypatch.setattr(tables, "_BLOCK", 64)
+    t = build_tables(20000)
+    blocks = -(-20000 // 64) + 1
+    arrays = [t.mu.mertens, t.mu.block_absmax]
+    for s in (t.series.m, t.series.ell):
+        arrays += [a for a in (s.values, s.error_radius, s.block_absmax, s.m1_absmax,
+                               s.mcheck_absmax) if a is not None]
+    assert all(a.shape[0] == blocks and a.size <= 2 * blocks for a in arrays)
+    assert t.mu.mu.shape == (20001,)
+    lru = min(tables._LRU_BYTES, (4 + 8 + 8) * 20000)
+    assert t.nbytes() == t.mu.mu.nbytes + sum(a.nbytes for a in arrays) + lru
+    assert t._exact.resident == t.nbytes()
+    assert tables.with_series(t.mu, ()).nbytes() == \
+        t.mu.mu.nbytes + 8 * blocks + min(tables._LRU_BYTES, 4 * 20000)
+
+
+def test_only_tables_indexes_table_arrays():
+    # every other module reads M, m and ell through Tables.read or chunk
+    src = os.path.join(os.path.dirname(tables.__file__))
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "tables.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            assert "mertens[" not in text and ".values[" not in text, name
+
+
 def test_build_calls_the_layer_hooks_once_each(monkeypatch):
     # the traced benchmark times the layers by wrapping these module globals
     calls = []
@@ -305,6 +462,30 @@ def test_build_calls_the_layer_hooks_once_each(monkeypatch):
     assert sorted(calls) == ["ell_series", "m_series"]
 
 
+def test_traced_bench_reads_resolve(tmp_path, monkeypatch):
+    # what `perfbench/run.py --trace 1` reads of the tables resolves: the
+    # retained bytes per n (mu, and per block Mertens, the carries and the
+    # radii), the Tables its cache replay builds, and the wrapped hooks
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(tables.__file__))))
+    monkeypatch.setattr(sys, "path", [os.path.join(root, "perfbench"), *sys.path])
+    for name in ("worker", "workloads", "spans", "reference", "proc"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    worker = importlib.import_module("worker")
+    built = build_tables(20000)
+    per_n = sys.modules["workloads"].retained_bytes_per_n(built)
+    assert per_n == (20001 + 2 * 4 + 2 * (2 * 16 + 2 * 8)) / 20000 < 1.01
+    path = cache_path(str(tmp_path), 20000)
+    save_table(built.mu, path)
+    mu = load_table(path)
+    replay = tables.Tables(mu=mu, series=tables.SeriesPair(m=m_series(mu), ell=ell_series(mu)))
+    for name in ("M", "m", "ell"):
+        assert replay.read(name, 1, 20001).tobytes() == built.read(name, 1, 20001).tobytes()
+    assert [(mod.__name__, attr) for mod, attr, _ in worker.HOOKS] == [
+        ("mobsum.tables", "sieve_mu"), ("mobsum.tables", "m_series"),
+        ("mobsum.tables", "ell_series"), ("mobsum.identities", "identity_kernel_integral")]
+    assert all(callable(getattr(mod, attr)) for mod, attr, _ in worker.HOOKS)
+
+
 def test_benchmarked_entry_points_take_jobs():
     # the benchmark passes jobs= to each of these
     for fn in (build_tables, verify_range):
@@ -313,8 +494,8 @@ def test_benchmarked_entry_points_take_jobs():
 
 def test_abs_mertens_prefix_integral_past_int32(tables_big):
     # the sum passes 2^31, so an int32 accumulator would wrap
-    mert = tables_big.mu.mertens
-    want = int(np.abs(mert[1:10**7].astype(np.int64)).sum())
+    mert = tables_big.read("M", 1, 10**7)
+    want = int(np.abs(mert.astype(np.int64)).sum())
     assert want >= 2**31
     assert abs_mertens_prefix_integral(tables_big.mu, 10**7) == want
 
@@ -323,7 +504,8 @@ def test_m_series_matches_exact_rationals(tables_small):
     ser = tables_small.series.m
     for n in (1, 2, 3, 10, 137, 300):
         exact = exact_prefix_fraction(tables_small.mu, n)
-        assert abs(ser.values[n] - float(exact)) <= ser.radius(n) + 1e-15
+        value = tables_small.read("m", n, n + 1)[0]
+        assert abs(value - float(exact)) <= ser.radius(n) + 1e-15
 
 
 def test_error_radius_monotone(tables_small):
@@ -336,16 +518,16 @@ def test_error_radius_monotone(tables_small):
 
 def test_ell_series_small_values(tables_small):
     # ell(n) = sum_{k<=n} mu(k) log(k)/k
-    ser = tables_small.series.ell
-    assert ser.values[1] == 0.0
+    ell = table_array(tables_small, "ell")
+    assert ell[1] == 0.0
     expect3 = -math.log(2) / 2 - math.log(3) / 3
-    assert ser.values[3] == pytest.approx(expect3, abs=1e-15)
+    assert ell[3] == pytest.approx(expect3, abs=1e-15)
 
 
 def test_evaluate_points(tables_small):
     pt = evaluate(tables_small, 8510.0)
     assert 8510 * pt.m > 36.0
-    assert pt.M_over_x == pytest.approx(tables_small.mu.mertens[8510] / 8510.0)
+    assert pt.M_over_x == pytest.approx(tables_small.read("M", 8510, 8511)[0] / 8510.0)
     assert pt.m1 == pytest.approx(pt.m - pt.M_over_x, abs=1e-15)
     # mcheck at non-integer x: m(n) log x - ell(n)
     x = 1.5
@@ -496,7 +678,8 @@ def test_mu_squarefull_vanishes_and_step_consistency(n):
     for p in (2, 3, 5, 7):
         if n % (p * p) == 0:
             assert mu == 0
-    assert int(tb.mu.mertens[n] - tb.mu.mertens[n - 1]) == mu
+    M = tb.read("M", n - 1, n + 1)
+    assert int(M[1] - M[0]) == mu
 
 
 @pytest.fixture(autouse=True, scope="module")

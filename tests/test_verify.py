@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    exact_prefix_fraction, exact_prefix_one_pass, per_term_ell, per_term_m_fixed,
+    exact_prefix_fraction, exact_prefix_one_pass, per_term_ell, per_term_m_fixed, table_array,
 )
 from mobsum import tables, verify
 from mobsum.errors import InvalidArgumentError, RangeError, ResourceError
@@ -61,7 +61,7 @@ def test_sup_scan_m_weights(tables_small):
 def test_sup_scan_M(tables_small):
     sup, arg = sup_scan(tables_small, "M", "sqrtx", 201, 10000)
     assert sup == pytest.approx(
-        max(abs(int(tables_small.mu.mertens[n])) / math.sqrt(n)
+        max(abs(int(table_array(tables_small, "M")[n])) / math.sqrt(n)
             for n in range(201, 10001)), rel=1e-13)
 
 
@@ -203,7 +203,7 @@ def test_chunk_size_does_not_change_reports(tables_small, monkeypatch):
 def test_sup_scan_clips_to_a_fractional_lo(tables_small):
     # the first interval is [lo, floor(lo) + 1), not [floor(lo), ...): on
     # [201.5, 202.5] |M| is 7 then 6, so the sup is 7/sqrt(201.5) at 201.5
-    mert = tables_small.mu.mertens
+    mert = table_array(tables_small, "M")
     assert (int(mert[201]), int(mert[202])) == (-7, -6)
     assert sup_scan(tables_small, "M", "sqrtx", 201.5, 202.5) == (
         7.0 / math.sqrt(201.5), 201.5)
@@ -214,13 +214,13 @@ def test_sup_scan_clips_to_a_fractional_lo(tables_small):
 def test_verify_range_clips_to_a_fractional_range(tables_small):
     # M(7) = -2: on [7.5, 8), 2/sqrt(x) < c although 2/sqrt(7) > c, so
     # a scan of all of [7, 8) would report a violation outside the range
-    assert int(tables_small.mu.mertens[7]) == -2
+    assert int(table_array(tables_small, "M")[7]) == -2
     c = 1.001 * 2.0 / math.sqrt(7.5)
     rep = verify_range(Predicate("x", "sqrt-bound", "M", c), 7.5, 8, tables_small)
     assert (rep.lo, rep.hi, rep.checked, rep.violations) == (7, 8, 1, [])
     assert rep.max_ratio == pytest.approx(1 / 1.001, rel=1e-15)
     # sqrt(x)|m(7)| grows: on [7, 7.5) it stays below c, but not on [7, 8)
-    m7 = abs(float(tables_small.series.m.values[7]))
+    m7 = abs(float(table_array(tables_small, "m")[7]))
     c = 1.001 * math.sqrt(7.5) * m7
     rep = verify_range(Predicate("y", "sqrt-bound", "m", c), 7, 7.5, tables_small)
     assert rep.passed and rep.max_ratio == pytest.approx(1 / 1.001, rel=1e-15)
@@ -263,7 +263,7 @@ def test_kernels_name_the_series_their_tables_lack(tables_small):
 def test_sup_scan_tie_across_chunk_edge(tables_small, monkeypatch):
     # mu(n+1) = 0 keeps m constant, so intervals n and n+1 tie under the
     # weight 1; with a chunk edge between them the first must still win
-    mu, m = tables_small.mu.mu, np.abs(tables_small.series.m.values)
+    mu, m = tables_small.mu.mu, np.abs(table_array(tables_small, "m"))
     n = next(k for k in range(7, 20000) if mu[k + 1] == 0 and m[k] > m[k - 6:k].max())
     monkeypatch.setattr(verify, "_CHUNK", 7)
     assert m[n + 1] == m[n]
@@ -274,7 +274,7 @@ def test_pruned_reports_equal_exhaustive(tables_small, monkeypatch, request):
     # the chunk envelopes skip chunks: every report (truncated, escalated,
     # tied across a chunk edge, fractional) and every scan must equal the
     # one that runs the kernel on every chunk
-    mu, m = tables_small.mu.mu, np.abs(tables_small.series.m.values)
+    mu, m = tables_small.mu.mu, np.abs(table_array(tables_small, "m"))
     tie = next(k for k in range(7, 20000) if mu[k + 1] == 0 and m[k] > m[k - 6:k].max())
     planted = verify_range(Predicate("unit", "sqrt-bound", "M", 1.0), 671.5, 5999.5,
                            tables_small).max_ratio
@@ -338,10 +338,11 @@ def test_chunk_envelopes_dominate_the_kernel(tables_small, source):
         def chunks(a, b):
             for vs in arrays:
                 M_, m_, ell_ = (v[a:b] for v in vs)
+                m1 = m_ - M_ / n[a:b]
                 mcheck = m_ * np.log(n[a:b]) - (ell_ + 1.0)
-                yield Chunk(a, b, M_, m_, ell_,
-                            *(float(np.abs(v).max()) for v in (M_, m_, mcheck)),
-                            series.m.radius(b - 1), series.ell.radius(b - 1))
+                yield Chunk(a, b, *(float(np.abs(v).max()) for v in (M_, m_, m1, mcheck)),
+                            series.m.radius(b - 1), series.ell.radius(b - 1),
+                            {"M": M_, "m": m_, "ell": ell_}.get)
     else:
         def chunks(a, b):
             yield tables_small.chunk(a, b, ("M", "m", "ell"))
@@ -537,7 +538,7 @@ def _oracle_sup(tables, target, n):
     with mp.workdps(60):
         fr = exact_prefix_fraction(tables.mu, n)
         m = mp.mpf(fr.numerator) / fr.denominator
-        M = int(tables.mu.mertens[n])
+        M = int(tables.mu.mu[1:n + 1].sum())
         if target == "M":
             return abs(M) / mp.sqrt(n)
         if target == "m":
@@ -732,7 +733,7 @@ def test_exact_prefix_memo_charges_memory_before_growing(tables_small, monkeypat
     monkeypatch.setattr(tables, "_BLOCK", 64)
     t = _fresh(tables_small)
     resident = t._exact.resident
-    assert resident > 21 * 20000  # mu, Mertens and the m and ell values
+    assert resident > 21 * 20000  # mu and the LRU bound, 20 B/n at this size
     sysconf = {"SC_PHYS_PAGES": (resident >> 12) + 4, "SC_PAGE_SIZE": 1 << 12}
     monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
     assert t.exact_prefix(500, False)[1] == per_term_m_fixed(tables_small.mu.mu, 500)
