@@ -28,8 +28,9 @@ radius of every index in the block, and the records: the largest |M(n)|,
 |m(n)| and |ell(n)| of the block and, when ell is built with m, the
 largest |m(n) - M(n)/n| = |m1(n)| and |m(n) log n - ell(n) - 1| =
 |mcheck(n) - 1|.  The build streams block by block and keeps no
-per-index M, m or ell: an ell series built with m runs m and Mertens
-again beside it (`_Prefix` with a companion) for those two records.
+per-index M, m or ell: m and ell built together run in one pass, with
+Mertens beside them (`_Prefix` with a companion), which takes each
+series' carries, radii and records and those two records.
 
 A scan reads a table only through `Tables.chunk` (a `Chunk` record of one
 span: its largest values and end radii, and its slices on demand),
@@ -76,7 +77,7 @@ _BLOCK = 1 << 16  # indices per block of the carried prefix sums
 _SIEVE_BLOCK = 1 << 20  # integers per sieve segment
 _SPAN = 1 << 13  # indices per pass of a prefix build over its scratch buffers
 _LRU_BYTES = 16 << 20  # re-derived block buffers a Tables keeps (32 float64 blocks)
-_BUILD_SPANS = 18  # span-sized float64 buffers of the largest series build (ell with m)
+_BUILD_SPANS = 20  # span-sized float64 buffers of the largest series build (ell with m)
 _EXACT_BLOCK = 1 << 13  # k per block of the exact prefix sums (512 KB of digits)
 _FIXED_BITS = 256
 _LIMBS = _FIXED_BITS // 32  # base-2^32 digits of a fixed-point reciprocal
@@ -145,9 +146,9 @@ def _retained_bytes(limit: int, series, block: int | None = None) -> int:
 def _check_memory(limit: int, scratch: int, series) -> None:
     """Raise ResourceError if tables to ``limit`` with the prefix series
     named in ``series`` (`_retained_bytes`), the scratch of a prefix build
-    (when there is one; the series are built one after another: at most
-    _BUILD_SPANS span-sized float64 buffers) and ``scratch`` bytes would
-    exceed physical memory."""
+    (when there is one: at most _BUILD_SPANS span-sized float64 buffers,
+    those of m and ell run together) and ``scratch`` bytes would exceed
+    physical memory."""
     build = 8 * _BUILD_SPANS * min(_SPAN, _BLOCK, limit) if series else 0
     _charge(_retained_bytes(limit, series) + build + scratch, f"tables to limit {limit}")
 
@@ -305,7 +306,8 @@ class PrefixSeries:
     its m series also records, over block j, ``m1_absmax[j]``, max
     |m(n) - M(n)/n| as `_m1_absmax` rounds it, and ``mcheck_absmax[j]``,
     max |m(n) log n - ell(n) - 1| as `_mcheck_absmax` rounds it (entry 0
-    is 0); any other series keeps None for both.
+    is 0); any other series keeps None for both.  An m series built
+    ``with_ell`` (`m_series`) keeps that ell series as ``beside``.
     """
 
     limit: int
@@ -315,6 +317,7 @@ class PrefixSeries:
     block_absmax: np.ndarray  # float64, length ceil(limit/block)+1
     m1_absmax: np.ndarray | None = None     # float64, as block_absmax
     mcheck_absmax: np.ndarray | None = None  # float64, as block_absmax
+    beside: PrefixSeries | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for a in (self.values, self.error_radius, self.block_absmax, self.m1_absmax,
@@ -346,12 +349,12 @@ _TERMS = {"m": (_m_terms, 1), "ell": (_ell_terms, 3)}
 class _Prefix:
     """A compensated prefix series run over consecutive spans of at most
     ``size`` indices from index ``start`` on, from the carry (s, e) at
-    start - 1 (`PrefixSeries.values`); with a ``companion`` series, the
-    two run together from index 1, and so does Mertens.
+    start - 1 (`PrefixSeries.values`); with a ``companion`` series (m),
+    the two run together from index 1, and so does Mertens.
 
     The terms t_k of series ``name`` are written by its terms function
-    (`_TERMS`), which also writes any log k it takes into ``log_k`` (a
-    buffer of its own when ``logs``, kept for the caller until the next
+    (`_TERMS`), which also writes any log k it takes into ``log_k`` (with
+    a companion, a buffer of its own, kept for the caller until the next
     span); each term's own representation error is at most rep = rep_ulps *
     ulp * |t_k|.  With s_k the naive prefix and s_{k-1} its predecessor,
 
@@ -359,46 +362,48 @@ class _Prefix:
         err = (s_{k-1} - (s_k - bb)) + (t_k - bb)
 
     recover each step's exact rounding error; adding their running sum e
-    back gives values accurate to ~1 ulp.  The run also keeps the sums the
-    certified radius needs (`_carried_prefix`): of |t|, of rep and of
-    |err|.
+    back gives values accurate to ~1 ulp.  The run also keeps, for each
+    series it runs, the sums the certified radius needs (`_carried_prefix`):
+    of |t|, of rep and of |err|.
 
     Each running sum is a left-to-right accumulate whose slot 0 holds the
     sum carried from the span before (``np.sum`` is pairwise and would
     round differently), so every float operation runs in the order of one
     pass over the whole table: no value or sum depends on where a run
-    starts or on the span size.  An accumulate costs several elementwise
-    passes, so they run two sums at once, as the real and imaginary parts
-    of one complex128 accumulate: complex addition adds the parts
-    separately, each rounded once, so each part is bit for bit the real
-    running sum it stands for.  Alone, a series pairs s with the sum of
-    |t| and e with the sum of |err|, and for rep_ulps other than 1 the sum
-    of |t| again with that of rep: two accumulates, or three.  With a
-    companion, the pairs are the two series' s and their e, and the split
-    runs on both as interleaved floats; the sums of |t| and rep share a
-    third accumulate, and the sum of |err| a fourth with the running sum
-    of mu, Mertens (exact in float64), for the records that need it.  For
-    rep_ulps = 1 the sum of rep needs no pass of its own: rep = ulp |t_k|
-    is a power-of-two scaling, each nonzero |t_k| >= 2^-31 keeps it and
-    every partial sum far from the subnormals, and rounding commutes with
-    such a scaling, so the sum of rep is exactly ulp * sum |t|.  The
-    scratch is a fixed set of span-sized buffers, in float64 units (a
-    complex128 counts twice): 9 alone, 11 with a sum of rep, 17 with a
-    companion and log k.
+    starts, on the span size or on whether the series runs alone or with a
+    companion.  An accumulate costs several elementwise passes, so they run
+    two sums at once, as the real and imaginary parts of one complex128
+    accumulate: complex addition adds the parts separately, each rounded
+    once, so each part is bit for bit the real running sum it stands for.
+    Alone, a series pairs s with the sum of |t| and e with the sum of
+    |err|, and for rep_ulps other than 1 the sum of |t| again with that of
+    rep: two accumulates, or three.  With a companion, the pairs are the
+    two series' s and their e, and the split runs on both as interleaved
+    floats; the series' sums of |t| and rep share a third accumulate, its
+    sum of |err| a fourth with the running sum of mu, Mertens (exact in
+    float64), for the records that need it, and the companion's sums of
+    |t| and |err| a fifth.  For rep_ulps = 1 (m, and so the companion) the
+    sum of rep needs no pass of its own: rep = ulp |t_k| is a power-of-two
+    scaling, each nonzero |t_k| >= 2^-31 keeps it and every partial sum
+    far from the subnormals, and rounding commutes with such a scaling, so
+    the sum of rep is exactly ulp * sum |t|.  The scratch is a fixed set of
+    span-sized buffers, in float64 units (a complex128 counts twice): 9
+    alone, 11 with a sum of rep, 19 with a companion (and its log k).
     """
 
     def __init__(self, mu: np.ndarray, name: str, start: int, size: int, carry=(0.0, 0.0),
-                 logs: bool = False, companion: str | None = None):
+                 companion: str | None = None):
         self.mu = mu
         self.terms, self.rep_ulps = _TERMS[name]
         self.companion = None if companion is None else _TERMS[companion][0]
         self.next = start
         # the naive prefix and correction sums, with the sums of the imaginary part
         self.carry, self.e_carry = complex(carry[0]), complex(carry[1])
-        self.abs_carry, self.err_carry = 0j, 0j  # (sum |t|, sum rep), (sum |err|, M)
+        # (sum |t|, sum rep), (sum |err|, M) and the companion's (sum |t|, sum |err|)
+        self.abs_carry, self.err_carry, self.m_carry = 0j, 0j, 0j
         self.base = np.arange(size, dtype=np.float64)
         self.k = np.empty(size)
-        self.logs = np.empty(size) if logs else None
+        self.logs = np.empty(size) if companion else None  # for the mcheck record
         pair = np.complex128 if companion else np.float64  # the parts that are series
         self.t, self.w = np.empty(size, dtype=pair), np.empty(size, dtype=pair)
         self.v = np.empty(size)
@@ -408,24 +413,22 @@ class _Prefix:
         self.run, self.e_run = (np.empty(size + 1, dtype=np.complex128) for _ in range(2))
         self.abs_run = (np.empty(size + 1, dtype=np.complex128)
                         if companion or self.rep_ulps != 1 else None)
-        self.err_run = np.empty(size + 1, dtype=np.complex128) if companion else None
+        self.err_run, self.m_run = (np.empty(size + 1, dtype=np.complex128) if companion
+                                    else None for _ in range(2))
 
-    @property
-    def s(self) -> float:
-        return self.carry.real
-
-    @property
-    def e(self) -> float:
-        return self.e_carry.real
-
-    def sums(self):
-        """(sum |t|, sum rep, sum |err|) of the series through the last span."""
+    def state(self, companion: bool = False):
+        """(s, e, sum |t|, sum rep, sum |err|) of the series, or of its
+        companion, through the last span."""
+        if companion:
+            abs_sum, err_sum = self.m_carry.real, self.m_carry.imag
+            return self.carry.imag, self.e_carry.imag, abs_sum, _ULP * abs_sum, err_sum
         if self.companion is None:
             abs_sum, rep_sum, err_sum = self.carry.imag, self.abs_carry.imag, self.e_carry.imag
         else:
             abs_sum, rep_sum, err_sum = (self.abs_carry.real, self.abs_carry.imag,
                                          self.err_carry.real)
-        return abs_sum, _ULP * abs_sum if self.rep_ulps == 1 else rep_sum, err_sum
+        return (self.carry.real, self.e_carry.real, abs_sum,
+                _ULP * abs_sum if self.rep_ulps == 1 else rep_sum, err_sum)
 
     def span(self, b: int):
         """The values at next <= n < b, in a buffer the next span reuses.
@@ -444,6 +447,9 @@ class _Prefix:
         else:
             self.companion(mu, k, t.imag, None)
             z[1:] = t
+            m_acc = self.m_run[:n + 1]  # the companion's (sum |t|, sum |err|)
+            m_acc[0] = self.m_carry
+            np.abs(t.imag, out=m_acc.real[1:])
         if self.abs_run is not None:
             acc = self.abs_run[:n + 1]  # (sum |t|, sum rep)
             acc[0] = self.abs_carry
@@ -471,6 +477,8 @@ class _Prefix:
             acc.imag[1:] = mu
             self.err_carry = complex(np.add.accumulate(acc, out=acc)[-1])
             self.M = acc.imag[1:]
+            np.abs(ze.imag[1:], out=m_acc.imag[1:])
+            self.m_carry = complex(np.add.accumulate(m_acc, out=m_acc)[-1])
         ze[0] = self.e_carry
         np.add.accumulate(ze, out=ze)
         np.add(z.real[1:], ze.real[1:], out=v)
@@ -480,10 +488,11 @@ class _Prefix:
         return v
 
 
-def _carried_prefix(table: MuTable, name: str, m: PrefixSeries | None = None) -> PrefixSeries:
-    """The prefix series ``name`` of ``table``, streamed block by block in
-    spans of at most _SPAN (`_Prefix`), keeping per block
-    only its carry, radius and records.
+def _carried_prefix(table: MuTable, name: str, companion: str | None = None) -> PrefixSeries:
+    """The prefix series ``name`` of ``table`` or, with a ``companion`` (m,
+    beside ell), the companion's series keeping it as ``beside``, from one
+    run streamed block by block in spans of at most _SPAN (`_Prefix`),
+    keeping per block only each series' carry, radius and records.
 
     The certified radius at index k combines:
       * representation error of the terms themselves (running sum of rep),
@@ -493,56 +502,71 @@ def _carried_prefix(table: MuTable, name: str, m: PrefixSeries | None = None) ->
     Each part is nondecreasing in k and rounding is monotone, so a block's
     largest radius is at its last index, the one place it is evaluated.
     The largest |value| of each block, which the running max reads anyway,
-    is kept as ``block_absmax``.  Given the m series ``m``, an ell series
-    runs m beside it (a `_Prefix` companion, with Mertens) and, while each
-    span is in cache, takes its block's `_m1_absmax` from m and M and its
-    `_mcheck_absmax` from m, ell and ell's own log k: m's values exist per
-    index only there, since no table keeps them.
+    is kept as ``block_absmax``.  With m beside ell, the run also takes,
+    while each span is in cache, its block's `_m1_absmax` from m and
+    Mertens and its `_mcheck_absmax` from m, ell and ell's own log k, and
+    keeps them with the ell series: m's values exist per index only there,
+    since no table keeps them.  Each series is bit for bit the one a run of
+    it alone gives.
     """
     limit, block = table.limit, table.block
     blocks = -(-limit // block)
-    carry = np.zeros((blocks + 1, 2))
-    radius, absmax = np.zeros(blocks + 1), np.zeros(blocks + 1)
-    m1, mcheck = (np.zeros(blocks + 1), np.zeros(blocks + 1)) if m is not None else (None, None)
+    parts = (False, True) if companion else (False,)  # the series, then its companion
+    carry = np.zeros((len(parts), blocks + 1, 2))
+    radius, absmax = np.zeros((len(parts), blocks + 1)), np.zeros((len(parts), blocks + 1))
+    m1, mcheck = np.zeros((2, blocks + 1)) if companion else (None, None)
     size = min(_SPAN, block, limit)
-    run = _Prefix(table.mu, name, 1, size, logs=m is not None,
-                  companion=None if m is None else "m")
-    w = np.empty(size)
-    v_max = 0.0
+    run = _Prefix(table.mu, name, 1, size, companion=companion)
+    w = np.empty(size) if companion else None  # the records' scratch
+    v_max = [0.0] * len(parts)
     for j, a_j in enumerate(range(1, limit + 1, block), 1):
         b_j = min(a_j + block, limit + 1)
-        block_max = m1_max = mcheck_max = 0.0
+        block_max = [0.0] * len(parts)
+        m1_max = mcheck_max = 0.0
         for a in range(a_j, b_j, _SPAN):
             b = min(a + _SPAN, b_j)
-            v, d = run.span(b), w[:b - a]
-            block_max = max(block_max, np.abs(v, out=d).max())
-            if m is not None:
-                m_v = run.m[:b - a]
+            v = run.span(b)
+            block_max[0] = max(block_max[0], _absmax(v))
+            if companion:
+                m_v, d = run.m[:b - a], w[:b - a]
+                block_max[1] = max(block_max[1], _absmax(m_v))
                 m1_max = max(m1_max, _m1_absmax(m_v, run.M, run.k[:b - a], d))
                 mcheck_max = max(mcheck_max, _mcheck_absmax(m_v, v, run.logs[:b - a], d))
-        carry[j] = run.s, run.e
-        absmax[j] = block_max
-        v_max = max(v_max, block_max)
-        if m is not None:
+        if companion:
             m1[j], mcheck[j] = m1_max, mcheck_max
-        abs_sum, rep_sum, abs_err_sum = run.sums()
-        radius[j] = (rep_sum + _ULP * abs_err_sum + (b_j - 1) * _ULP * _ULP * abs_sum
-                     + 2.0 * _ULP * v_max)
-    return PrefixSeries(limit=limit, block=block, values=carry, error_radius=radius,
-                        block_absmax=absmax, m1_absmax=m1, mcheck_absmax=mcheck)
+        for i, part in enumerate(parts):
+            s, e, abs_sum, rep_sum, abs_err_sum = run.state(part)
+            carry[i, j] = s, e
+            absmax[i, j] = block_max[i]
+            v_max[i] = max(v_max[i], block_max[i])
+            radius[i, j] = (rep_sum + _ULP * abs_err_sum + (b_j - 1) * _ULP * _ULP * abs_sum
+                            + 2.0 * _ULP * v_max[i])
+
+    def series(i, **records):
+        return PrefixSeries(limit=limit, block=block, values=carry[i], error_radius=radius[i],
+                            block_absmax=absmax[i], **records)
+
+    main = series(0, m1_absmax=m1, mcheck_absmax=mcheck)
+    return series(1, beside=main) if companion else main
 
 
-def m_series(table: MuTable) -> PrefixSeries:
-    """Prefix sums of mu(k)/k, certified to ~1e-14 absolute up to 1e8."""
-    return _carried_prefix(table, "m")
+def m_series(table: MuTable, with_ell: bool = False) -> PrefixSeries:
+    """Prefix sums of mu(k)/k, certified to ~1e-14 absolute up to 1e8.
+    With ``with_ell``, one run builds the ell series beside m and records
+    the m1 and mcheck block maxima; the result keeps that series as
+    ``beside`` for `ell_series` to hand back."""
+    return _carried_prefix(table, "ell", "m") if with_ell else _carried_prefix(table, "m")
 
 
 def ell_series(table: MuTable, m: PrefixSeries | None = None) -> PrefixSeries:
     """Prefix sums of mu(k)*log(k)/k (the auxiliary series behind mcheck);
     given the m series of ``table``, it records the block maxima of
     |m(n) - M(n)/n| (``m1_absmax``) and of |mcheck(n) - 1|
-    (``mcheck_absmax``)."""
-    return _carried_prefix(table, "ell", m)
+    (``mcheck_absmax``): the ell series an m built ``with_ell`` keeps
+    beside it, else a run of ell with m beside it."""
+    if m is None:
+        return _carried_prefix(table, "ell")
+    return (m if m.beside is not None else _carried_prefix(table, "ell", "m")).beside
 
 
 def _m1_absmax(m, M, n, out) -> float:
@@ -1065,9 +1089,9 @@ def build_tables(limit: int, jobs: int = 1) -> Tables:
 
 def with_series(table: MuTable, series=SERIES) -> Tables:
     """``table`` bundled with the prefix series named in ``series`` (a
-    subset of SERIES); the others are None.  An ell series built with m
-    records the mcheck block maxima."""
-    m = m_series(table) if "m" in series else None
+    subset of SERIES); the others are None.  Both series are built in one
+    run, whose ell series records the m1 and mcheck block maxima."""
+    m = m_series(table, "ell" in series) if "m" in series else None
     return Tables(mu=table, series=SeriesPair(
         m=m, ell=ell_series(table, m) if "ell" in series else None))
 

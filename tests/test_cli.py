@@ -165,9 +165,9 @@ def test_memory_guard_charges_the_series_built(tmp_path, monkeypatch, cached):
     # a 1e6 table is charged its mu (1 B/n) and per-block arrays, and the
     # LRU of re-derived blocks at most at the table's own M (4 B/n) and
     # series (8 B/n each): 5.0 MB for M alone, 13.0 MB with the m series
-    # plus 1.2 MB of build buffers.  On top of the 1 MB cache file when it
-    # is cut from a cached 1e6 table (6.0 and 15.2 MB), or of the sieve
-    # segment's 4 MB of prime products when sieved (9.0 and 18.2 MB), M
+    # plus 1.3 MB of build buffers.  On top of the 1 MB cache file when it
+    # is cut from a cached 1e6 table (6.0 and 15.3 MB), or of the sieve
+    # segment's 4 MB of prime products when sieved (9.0 and 18.3 MB), M
     # alone fits in 6 MiB and in 9 MiB of physical memory and the m series
     # does not; half a MiB and a MiB less, M alone fails too, before the
     # table is read or sieved

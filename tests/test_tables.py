@@ -76,9 +76,13 @@ def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
         whole = {kind: whole_array_prefix(table.mu, kind) for kind in ("m", "ell")}
         for span in spans:
             monkeypatch.setattr(tables, "_SPAN", span)
-            # the ell build's values and radii are the same with the mcheck record
+            # the ell build's values and radii are the same with the mcheck
+            # record, and the m and ell of one both-series run are those of
+            # their own runs
+            both = tables.with_series(table).series
             for series, kind in ((m_series(table), "m"), (ell_series(table), "ell"),
-                                 (ell_series(table, m_series(table)), "ell")):
+                                 (ell_series(table, m_series(table)), "ell"),
+                                 (both.m, "m"), (both.ell, "ell")):
                 values, radius = whole[kind]
                 # each carry (s, e) sums to the value at its block end, and
                 # every value re-derived from the carries is the one-pass value
@@ -91,6 +95,47 @@ def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
                 assert all(series.radius(n) >= radius[n] for n in range(limit + 1))
                 blocks = [values[a + 1:b + 1] for a, b in zip(ends[:-1], ends[1:])]
                 assert series.block_absmax[1:].tolist() == [np.abs(v).max() for v in blocks]
+            # the m1 and mcheck records of the both-series run are the
+            # reductions of the one-pass m, ell and M, and its ell series is
+            # that of an ell build handed an m series, byte for byte
+            m, ell, M = whole["m"][0], whole["ell"][0], np.cumsum(table.mu)
+            m1, mcheck = [0.0], [0.0]
+            for a, b in zip(ends[:-1] + 1, ends[1:] + 1):
+                n = np.arange(a, b, dtype=np.float64)
+                m1.append(tables._m1_absmax(m[a:b], M[a:b], n, np.empty(b - a)))
+                mcheck.append(tables._mcheck_absmax(m[a:b], ell[a:b], np.log(n), n))
+            assert both.ell.m1_absmax.tolist() == m1
+            assert both.ell.mcheck_absmax.tolist() == mcheck
+            replay = ell_series(table, m_series(table))
+            for f in ("values", "error_radius", "block_absmax", "m1_absmax", "mcheck_absmax"):
+                assert getattr(both.ell, f).tobytes() == getattr(replay, f).tobytes(), f
+
+
+def test_both_series_compute_the_m_terms_once(monkeypatch):
+    # one run builds m and ell: the m terms function sees each index once
+    limit = 3 * 65536 + 5
+    seen = []
+    m_terms, ulps = tables._TERMS["m"]
+
+    def counting(mu, k, out, log_k):
+        seen.append(k.copy())
+        m_terms(mu, k, out, log_k)
+
+    monkeypatch.setitem(tables._TERMS, "m", (counting, ulps))
+    tables.with_series(sieve_mu(limit))
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(1, limit + 1))
+
+
+def test_build_scratch_is_the_charged_spans():
+    # the charge of a prefix build is the buffers of its largest run, ell
+    # with m beside it and log k, plus the span of scratch its records take
+    size = tables._SPAN
+    run = tables._Prefix(sieve_mu(size).mu, "ell", 1, size, companion="m")
+    buffers = sum(a.nbytes for name, a in vars(run).items()
+                  if isinstance(a, np.ndarray) and name != "mu")
+    charged = 8 * tables._BUILD_SPANS * size
+    # the five running sums hold one more slot each, for the carry
+    assert charged == buffers + 8 * size - 16 * 5
 
 
 def test_sieve_segment_size_deterministic(monkeypatch):
