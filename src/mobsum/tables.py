@@ -25,25 +25,26 @@ block end, each series' carry (the naive prefix and its correction sum at
 the block end, from which `_Prefix` runs the next block in the order of
 one pass), its radius at the block end, which bounds the nondecreasing
 radius of every index in the block, and the records: the largest |M(n)|,
-|m(n)| and |ell(n)| of the block and, when ell is built with m, the
-largest |m(n) - M(n)/n| = |m1(n)| and |m(n) log n - ell(n) - 1| =
-|mcheck(n) - 1|.  The build streams block by block and keeps no
-per-index M, m or ell: m and ell built together run in one pass, with
-Mertens beside them (`_Prefix` with a companion), which takes each
-series' carries, radii and records and those two records.
+|m(n)| and |ell(n)| of the block and, kept with ell, the largest
+|m(n) - M(n)/n| = |m1(n)| and |m(n) log n - ell(n) - 1| = |mcheck(n) - 1|.
+The build streams block by block and keeps no per-index M, m or ell: ell
+is always built in one pass with m and Mertens beside it (`_Prefix` with
+a companion), which takes each series' carries, radii and records and
+those two records.
 
 A scan reads a table only through `Tables.chunk` (a `Chunk` record of one
-span: its largest values and end radii, and its slices on demand),
-`Tables.read` and `Tables.exact_prefix`.  `Tables.read` re-derives the
-blocks it covers from their carries into a small LRU of block buffers
-(`_Blocks`, at most _LRU_BYTES), so an envelope that reads only records
-touches no array.  `Tables.nbytes` counts what a table retains: about
-1 B/n plus under 100 B per block, plus the LRU's bound.  A `Tables`
-bundle carries only the series its caller reads (``with_series``); a
-kernel that needs a missing one raises InvalidArgumentError.  Peak memory
-is the retained tables plus O(_SPAN) scratch for a series (build or
-re-derivation), O(_BLOCK) for a block being built or re-derived, and
-O(_SIEVE_BLOCK) for the sieve.
+span: its largest values, which are the largest records of the blocks it
+meets, its end radii, and its slices on demand), `Tables.read` and
+`Tables.exact_prefix`.  `Tables.read` re-derives the blocks it covers
+from their carries into a small LRU of block buffers (`_Blocks`, at most
+_LRU_BYTES), so an envelope, which reads only records, touches no array.
+`Tables.nbytes` counts what a table retains: about 1 B/n plus under
+100 B per block, plus the LRU's bound.  A `Tables` bundle carries only
+the series its caller reads (``with_series``); a kernel that needs a
+missing one raises InvalidArgumentError.  Peak memory is the retained
+tables plus O(_SPAN) scratch for a series (build or re-derivation),
+O(_BLOCK) for a block being built or re-derived, and O(_SIEVE_BLOCK) for
+the sieve.
 
 The exact m(n) and ell(n) come from a memo each `Tables` keeps
 (`_ExactMemo`), empty until the first escalation and grown only as far as
@@ -133,12 +134,12 @@ def _retained_bytes(limit: int, series, block: int | None = None) -> int:
     """Bytes that tables to ``limit`` with the prefix series named in
     ``series`` retain (`Tables.nbytes`): mu (1 B/n); per block the Mertens
     entry and its record (8 B), each series' carry, radius and record
-    (32 B), and with both series the m1 and mcheck records (16 B); and the
-    bound of the LRU of re-derived blocks, which never holds more than the
-    whole table's M (4 B/n) and series (8 B/n each).  ``block`` is the
-    table's block size, _BLOCK by default."""
+    (32 B), and with ell the m1 and mcheck records (16 B); and the bound
+    of the LRU of re-derived blocks, which never holds more than the whole
+    table's M (4 B/n) and series (8 B/n each).  ``block`` is the table's
+    block size, _BLOCK by default."""
     blocks = -(-limit // (block or _BLOCK)) + 1
-    records = 16 if len(series) == len(SERIES) else 0
+    records = 16 if "ell" in series else 0
     return (limit + 1 + (8 + 32 * len(series) + records) * blocks
             + min(_LRU_BYTES, (4 + 8 * len(series)) * limit))
 
@@ -302,12 +303,13 @@ class PrefixSeries:
     The per-index radius is nondecreasing, so it is kept at block ends
     only: ``error_radius[j]`` is the radius at c_j (entry 0 is 0), and
     |value(n) - exact| <= radius(n) for every n.  ``block_absmax[j]`` is
-    max |value(n)| over block j (entry 0 is 0).  An ell series built with
-    its m series also records, over block j, ``m1_absmax[j]``, max
-    |m(n) - M(n)/n| as `_m1_absmax` rounds it, and ``mcheck_absmax[j]``,
-    max |m(n) log n - ell(n) - 1| as `_mcheck_absmax` rounds it (entry 0
-    is 0); any other series keeps None for both.  An m series built
-    ``with_ell`` (`m_series`) keeps that ell series as ``beside``.
+    max |value(n)| over block j (entry 0 is 0).  An ell series, always
+    built with m beside it, also records, over block j, ``m1_absmax[j]``,
+    max |m(n) - M(n)/n| as `_m1_absmax` rounds it, and
+    ``mcheck_absmax[j]``, max |m(n) log n - ell(n) - 1| as
+    `_mcheck_absmax` rounds it (entry 0 is 0); an m series keeps None for
+    both.  An m series built ``with_ell`` (`m_series`) keeps that ell
+    series as ``beside``.
     """
 
     limit: int
@@ -559,14 +561,14 @@ def m_series(table: MuTable, with_ell: bool = False) -> PrefixSeries:
 
 
 def ell_series(table: MuTable, m: PrefixSeries | None = None) -> PrefixSeries:
-    """Prefix sums of mu(k)*log(k)/k (the auxiliary series behind mcheck);
-    given the m series of ``table``, it records the block maxima of
-    |m(n) - M(n)/n| (``m1_absmax``) and of |mcheck(n) - 1|
-    (``mcheck_absmax``): the ell series an m built ``with_ell`` keeps
-    beside it, else a run of ell with m beside it."""
-    if m is None:
-        return _carried_prefix(table, "ell")
-    return (m if m.beside is not None else _carried_prefix(table, "ell", "m")).beside
+    """Prefix sums of mu(k)*log(k)/k (the auxiliary series behind mcheck),
+    with the block maxima of |m(n) - M(n)/n| (``m1_absmax``) and of
+    |mcheck(n) - 1| (``mcheck_absmax``): the ell series that ``m``, an m
+    series of ``table`` built ``with_ell``, keeps beside it, else that of
+    a run of ell with m beside it."""
+    if m is None or m.beside is None:
+        m = _carried_prefix(table, "ell", "m")
+    return m.beside
 
 
 def _m1_absmax(m, M, n, out) -> float:
@@ -790,18 +792,26 @@ class _ExactMemo:
         j, r = n // _BLOCK, math.isqrt(n)
         if with_ell:
             self._grow_chain(n)
-            self._grow_ell(j)
-        else:
-            self._grow_m(j)
-        count = self._pi(r) if with_ell else 0
-        m, t = _digit_sums(self.mu, j * _BLOCK + 1, n + 1, self.small[:count])
-        m_fp = self.m_cp[j] + _join(m)
+        self._grow(j, with_ell)
+        m, total = self._advance(j, n + 1, self._pi(r) if with_ell else 0, with_ell)
         if not with_ell:
-            return m_fp, None
-        kept = self._pi(math.isqrt(j * _BLOCK))  # the primes E_j covers
-        total = (self.e_cp[j] + sum(L * _join(row) for L, row in zip(self.logs, t))
-                 + sum(L * T for L, T in zip(self.logs[kept:count], self.t_kept[kept:count])))
-        return m_fp, (total - self._large_prime_sum(n, r)) >> _LOG_BITS
+            return m, None
+        return m, (total - self._large_prime_sum(n, r)) >> _LOG_BITS
+
+    def _advance(self, j: int, b: int, count: int, with_ell: bool):
+        """(m(b - 1), and with ell the sum E_j + sum L_p T_p over the first
+        ``count`` primes of the chain, for T_p over k < b, else None): from
+        checkpoint j, the digit sums of c_j < k < b joined to its m(c_j),
+        times L_p added to its E_j with L_p T_p(c_j) for the primes it
+        keeps beside E_j."""
+        c = j * _BLOCK
+        dm, dt = _digit_sums(self.mu, c + 1, b, self.small[:count])
+        m = self.m_cp[j] + _join(dm)
+        if not with_ell:
+            return m, None
+        kept = self._pi(math.isqrt(c))  # the primes E_j covers
+        return m, (self.e_cp[j] + sum(L * _join(row) for L, row in zip(self.logs, dt))
+                   + sum(L * T for L, T in zip(self.logs[kept:count], self.t_kept[kept:count])))
 
     def _s(self, i: int) -> int:
         return int.from_bytes(self.sums[i * _S_BYTES:(i + 1) * _S_BYTES], "little")
@@ -849,39 +859,31 @@ class _ExactMemo:
             self.logs += logs
             self.last, self.top = (prev, log_p), b - 1
 
-    def _grow_m(self, j: int) -> None:
-        """Build the m checkpoints through j from the last one built."""
-        done = len(self.m_cp) - 1
+    def _grow(self, j: int, with_ell: bool) -> None:
+        """Build the m checkpoints or, with ell, the ell ones (and the m
+        ones they pass) through j from the last one built; with ell, the
+        chain must reach isqrt(j _BLOCK)."""
+        built = self.e_cp if with_ell else self.m_cp
+        done = len(built) - 1
         if j <= done:
             return
-        self._charge(_INT_BYTES * (j - done), f"exact prefix checkpoints to n = {j * _BLOCK}")
-        for i in range(done + 1, j + 1):
-            m, _ = _digit_sums(self.mu, (i - 1) * _BLOCK + 1, i * _BLOCK + 1, [])
-            self.m_cp.append(self.m_cp[-1] + _join(m))
-
-    def _grow_ell(self, j: int) -> None:
-        """Build the ell checkpoints through j (and the m ones they pass)
-        from the last one built; the chain must reach isqrt(j _BLOCK)."""
-        done = len(self.e_cp) - 1
-        if j <= done:
-            return
-        kept = self._pi(math.isqrt((j + 1) * _BLOCK)) - len(self.t_kept)
-        self._charge(_INT_BYTES * (max(j + 1 - len(self.m_cp), 0) + j - done + kept),
-                     f"exact prefix checkpoints to n = {j * _BLOCK}")
-        if done < 0:  # T_p(0) = 0
+        more = j - done
+        if with_ell:
+            kept = self._pi(math.isqrt((j + 1) * _BLOCK)) - len(self.t_kept)
+            more += max(j + 1 - len(self.m_cp), 0) + kept
+        self._charge(_INT_BYTES * more, f"exact prefix checkpoints to n = {j * _BLOCK}")
+        if with_ell and done < 0:  # T_p(0) = 0
             self.e_cp.append(0)
             self.t_kept += [0] * self._pi(math.isqrt(_BLOCK))
-        for i in range(len(self.e_cp), j + 1):
-            c = i * _BLOCK
-            lo, mid = self._pi(math.isqrt(c - _BLOCK)), len(self.t_kept)
-            dm, dt = _digit_sums(self.mu, c - _BLOCK + 1, c + 1, self.small[:mid])
+        for i in range(len(built), j + 1):
+            c, mid = i * _BLOCK, len(self.t_kept)
+            m, e = self._advance(i - 1, c + 1, mid if with_ell else 0, with_ell)
             if i == len(self.m_cp):
-                self.m_cp.append(self.m_cp[-1] + _join(dm))
-            self.e_cp.append(self.e_cp[-1]
-                             + sum(L * _join(row) for L, row in zip(self.logs, dt))
-                             + sum(L * T for L, T in zip(self.logs[lo:mid], self.t_kept[lo:])))
-            hi = self._pi(math.isqrt(c + _BLOCK))
-            self.t_kept += _multiple_sums(self.mu, self.small[mid:hi], c)
+                self.m_cp.append(m)
+            if with_ell:
+                self.e_cp.append(e)
+                hi = self._pi(math.isqrt(c + _BLOCK))
+                self.t_kept += _multiple_sums(self.mu, self.small[mid:hi], c)
 
 
 def _absmax(v) -> float:
@@ -911,13 +913,15 @@ class EvaluationPoint:
 class Chunk(NamedTuple):
     """The indices a <= n < b of a table, as a scan reads them: the largest
     |M| and |m| when M and m are asked for, the largest |m(n) - M(n)/n|
-    when M and m are both asked for (`_m1_absmax`), the largest
-    |m(n) log n - ell(n) - 1| when m and ell are both asked for
-    (`_mcheck_absmax`), and the m and ell radii at b - 1, which bound the
-    radius of every index of the chunk (None for what was not asked for).
-    The slices M, m and ell are read on demand through ``read`` (None for
-    one not asked for): the chunk holds no array, so reading a slice
-    re-derives its block if the tables' LRU no longer holds it."""
+    (`_m1_absmax`) and |m(n) log n - ell(n) - 1| (`_mcheck_absmax`) when
+    ell, whose series keeps those records, is asked for, and the m and ell
+    radii at b - 1, which bound the radius of every index of the chunk
+    (None for what was not asked for).  Each largest value is the largest
+    record of the blocks the chunk meets, so it bounds every index of the
+    chunk, and is the chunk's own maximum when the chunk is one whole
+    block.  The slices M, m and ell are read on demand through ``read``
+    (None for one not asked for): the chunk holds no array, so reading a
+    slice re-derives its block if the tables' LRU no longer holds it."""
 
     a: int
     b: int
@@ -1036,34 +1040,23 @@ class Tables:
         """The `Chunk` of the indices a <= n < b (1 <= a < b <= limit + 1)
         for the arrays named in ``series`` ("M", "m", "ell"); a prefix
         series it names but these tables lack raises InvalidArgumentError.
-        Each largest value is the build's record when [a, b) is one whole
-        block (and the build recorded it), else a reduction of the slices;
-        so a whole block reads no array until a slice is read."""
-        j, off = divmod(a - 1, self.mu.block)
-        whole = not off and b == min(a + self.mu.block, self.limit + 1)
-        j += 1
+        Each largest value is the largest of the build's records over the
+        blocks [a, b) meets, so a chunk reads no array until a slice is
+        read."""
+        blocks = slice((a - 1) // self.mu.block + 1, (b - 2) // self.mu.block + 2)
+
+        def top(record):  # a list's max: numpy's costs ~1 us more per call
+            return float(max(record[blocks].tolist()))
+
         M_max = m_max = m1_max = mcheck_max = m_rad = ell_rad = None
         if "M" in series:
-            M_max = float(self.mu.block_absmax[j]) if whole else _absmax(self.read("M", a, b))
+            M_max = top(self.mu.block_absmax)
         if "m" in series:
             s = self.prefix("m")
-            m_rad = s.radius(b - 1)
-            m_max = float(s.block_absmax[j]) if whole else _absmax(self.read("m", a, b))
-            record = None if self.series.ell is None else self.series.ell.m1_absmax
-            if "M" in series and whole and record is not None:
-                m1_max = float(record[j])
-            elif "M" in series:
-                n = np.arange(a, b, dtype=np.float64)
-                m1_max = _m1_absmax(self.read("m", a, b), self.read("M", a, b), n, n)
+            m_rad, m_max = s.radius(b - 1), top(s.block_absmax)
         if "ell" in series:
             s = self.prefix("ell")
-            ell_rad = s.radius(b - 1)
-            if "m" in series and whole and s.mcheck_absmax is not None:
-                mcheck_max = float(s.mcheck_absmax[j])
-            elif "m" in series:
-                mcheck_max = _mcheck_absmax(self.read("m", a, b), self.read("ell", a, b),
-                                            np.log(np.arange(a, b, dtype=np.float64)),
-                                            np.empty(b - a))
+            ell_rad, m1_max, mcheck_max = s.radius(b - 1), top(s.m1_absmax), top(s.mcheck_absmax)
 
         def read(name):
             return self.read(name, a, b) if name in series else None
@@ -1089,8 +1082,8 @@ def build_tables(limit: int, jobs: int = 1) -> Tables:
 
 def with_series(table: MuTable, series=SERIES) -> Tables:
     """``table`` bundled with the prefix series named in ``series`` (a
-    subset of SERIES); the others are None.  Both series are built in one
-    run, whose ell series records the m1 and mcheck block maxima."""
+    subset of SERIES); the others are None.  The ell series is built in
+    one run with m, which also records the m1 and mcheck block maxima."""
     m = m_series(table, "ell" in series) if "m" in series else None
     return Tables(mu=table, series=SeriesPair(
         m=m, ell=ell_series(table, m) if "ell" in series else None))

@@ -13,23 +13,24 @@ supremum with the bound, allowing for the certified error radius of the
 prefix series; `sup_scan` evaluates it on float64 arrays and takes the
 argmax.  Both walk the range in one thread, in chunks cut at the grid
 1 + j _CHUNK (`_spans`), so scratch memory is O(_CHUNK) whatever the
-range; _CHUNK is the table build's block, so every chunk but the two ends
-of a scan is one block, and is read as one `Tables.chunk` record.  Each
-chunk first gets an envelope E, `_chunk_envelope`: the kernel's bound
-taken over the whole chunk at once, from its largest |M| or |m| for M and
-m, and for m1 and mcheck - 1 from their largest value at the integers
-plus the variation within [n, n+1); on a whole block the largest |M|,
-|m|, |m(n) - M(n)/n| and |mcheck(n) - 1| are the build's records, so an
-envelope reads no slice there (`Tables.chunk` re-derives a slice only
-when the kernel or a partial chunk reads it).  E is inflated by the
-kernel's own rounding, so it is at least every float supremum the kernel
-would compute there, and G, the guard band at E, is at least every
-interval's guard.  A chunk with E + G below the bound
-(with rounding slack) holds no violation and no interval inside the guard
-band, and a chunk with E below the largest value found holds neither the
-maximum nor a tie with it: the kernel runs on the chunks that reach the
-bound, in chunk order, and then on the rest by decreasing E while E
-reaches the largest value so far.  A `verify_range` chunk is reduced
+range; _CHUNK is the table build's block, so every chunk lies in one
+block (all of it but at the two ends of a scan) and is read as one
+`Tables.chunk` record.  Each chunk first gets an envelope E,
+`_chunk_envelope`: the kernel's bound taken over the whole chunk at once,
+from its largest |M| or |m| for M and m, and for m1 and mcheck - 1 from
+their largest value at the integers plus the variation within [n, n+1).
+Those largest |M|, |m|, |m(n) - M(n)/n| and |mcheck(n) - 1| are the
+build's records of the chunk's block, so an envelope reads no slice
+(`Tables.chunk` re-derives a slice only when the kernel reads it); the
+m1 and mcheck records are kept with the ell series, so an m1 scan needs
+ell too.  E is inflated by the kernel's own rounding, so it is at least
+every float supremum the kernel would compute there, and G, the guard
+band at E, is at least every interval's guard.  A chunk with E + G below
+the bound (with rounding slack) holds no violation and no interval inside
+the guard band, and a chunk with E below the largest value found holds
+neither the maximum nor a tie with it: the kernel runs on the chunks that
+reach the bound, in chunk order, and then on the rest by decreasing E
+while E reaches the largest value so far.  A `verify_range` chunk is reduced
 where it is scanned to its largest value and first argmax, its hard
 violations and its suspect intervals, and the scan merges these in chunk
 order; both operations keep the first chunk maximum that no later chunk
@@ -68,7 +69,7 @@ _RATIO_BAND = (2.0 / 3.0, 1.5)
 # (of which m and ell are prefix series), and the weight each kind uses
 _WEIGHTS = {"m": ("1", "logx", "log2x", "sqrtx"), "m1": ("log2x",),
             "mcheck-minus-1": ("log2x",), "M": ("sqrtx",)}
-_SERIES = {"m": ("m",), "m1": ("M", "m"), "mcheck-minus-1": ("m", "ell"), "M": ("M",)}
+_SERIES = {"m": ("m",), "m1": ("M", "m", "ell"), "mcheck-minus-1": ("m", "ell"), "M": ("M",)}
 _KIND_WEIGHT = {"const-bound": "1", "log-bound": "logx",
                 "log2-bound": "log2x", "sqrt-bound": "sqrtx"}
 
@@ -308,9 +309,12 @@ def _clipped(a: int, b: int, lo: float, hi: float):
 
 def _chunk_sup(target: str, weight: str, lo: float, hi: float, c: Chunk):
     """(sup, argmax, x2): `_interval_sup` on the intervals [n, n+1) of
-    chunk c cut to [lo, hi], and the right ends x2 of those intervals."""
+    chunk c cut to [lo, hi], and the right ends x2 of those intervals.
+    Only mcheck - 1 reads the ell slice (an m1 chunk asks for ell for its
+    record alone)."""
     x1, x2 = _clipped(c.a, c.b, lo, hi)
-    return (*_interval_sup(target, weight, x1, x2, c.m, c.M, c.ell), x2)
+    ell = c.ell if target == "mcheck-minus-1" else None
+    return (*_interval_sup(target, weight, x1, x2, c.m, c.M, ell), x2)
 
 
 def _guard(pred: Predicate, q, x2, c: Chunk):
@@ -357,11 +361,11 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float,
           for L = log x: (mcheck_max + max|m| / a) Lb^2.
 
     Every number in the parentheses is the chunk's (`Tables.chunk`): the
-    build's records on a whole block, as every chunk of `_spans` but the
-    two ends is, else a reduction of its slices (max_n |m(n) - M(n)/n| is
-    ``c.m1_max``).  They depend on the chunk's indices only, not on
-    lo or hi, so a whole block cut by a fractional scan end still reads
-    its records.
+    largest of the build's records over the blocks the chunk meets, one
+    block for every chunk of `_spans`, which bounds each of its indices
+    however little of the block the chunk covers (max_n |m(n) - M(n)/n|
+    is ``c.m1_max``).  They depend on the chunk's indices only, not on lo
+    or hi.
 
     Rounding.  E = (top + k u S) w (1 + k u), top the float value in the
     parentheses, w its weight factor, u = 2^-53, k = 64, and S the operand

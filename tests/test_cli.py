@@ -140,7 +140,7 @@ def test_ledger_commands_load_mpmath_but_not_numpy(tmp_path):
 
 @pytest.mark.parametrize("pred, lo, hi, built", [
     ("Msqrt0.5", "201", "20000", (0, 0)), ("m4343", "3", "300", (1, 0)),
-    ("m1log2-0.138", "671", "20000", (1, 0)),
+    ("m1log2-0.138", "671", "20000", (1, 1)),
     ("mchecklog2-0.162", "3", "20000", (1, 1))])
 def test_verify_builds_only_the_series_its_target_reads(capsys, monkeypatch, pred,
                                                         lo, hi, built):

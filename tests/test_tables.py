@@ -195,9 +195,11 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
             return getattr(built.chunk(a, b, ("M", "m", "ell")), f"{name}_max")
 
         assert [top(a, min(a + 97, 20001)) for a in starts] == want[1:]
-        # a span off the grid, or short of its block's end, reduces its slice
-        assert top(2, 98) == tables._absmax(values[2:98])
-        assert top(98, 194) == tables._absmax(values[98:194])
+        # a span off the grid, short of its block's end or across blocks
+        # reads the largest record of the blocks it meets
+        assert top(2, 98) == want[1]
+        assert top(98, 194) == want[2]
+        assert top(2, 99) == max(want[1:3])
 
     def maxima(t):
         return [a.tobytes() for a in (t.mu.block_absmax, t.series.m.block_absmax,
@@ -213,11 +215,11 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
     others.append(build_tables(20000))
     assert all(maxima(other) == maxima(built) for other in others)
     # an ell series built without m (as the benchmark's cache replay builds
-    # it) records nothing, and its chunks reduce slices to the same maxima
-    # and envelopes
+    # it) records the same maxima, so its chunks read the same maxima and
+    # envelopes
     replay = tables.Tables(built.mu, tables.SeriesPair(m=m_series(built.mu),
                                                        ell=ell_series(built.mu)))
-    assert replay.series.ell.mcheck_absmax is None
+    assert maxima(replay) == maxima(built)
     assert table_array(replay, "ell").tobytes() == ell.tobytes()
     for a in starts:
         b = min(a + 97, 20001)
@@ -437,8 +439,8 @@ def test_six_threads_read_the_same_chunks(monkeypatch):
 @pytest.mark.parametrize("block", [64, tables._BLOCK])
 def test_m1_record_is_the_slice_reduction(monkeypatch, block):
     # each block's largest |m(n) - M(n)/n|, which the ell build records
-    # while m runs beside it, is, bit for bit, the reduction the m1
-    # envelope took of its slices, and a whole-block chunk reads it
+    # while m runs beside it, is, bit for bit, the reduction of its
+    # block's m and M slices, and a whole-block chunk reads it
     monkeypatch.setattr(tables, "_BLOCK", block)
     t = build_tables(20000)
     record = t.series.ell.m1_absmax
@@ -448,15 +450,17 @@ def test_m1_record_is_the_slice_reduction(monkeypatch, block):
         v = np.arange(a, b, dtype=np.float64)
         np.subtract(t.read("m", a, b), np.divide(t.read("M", a, b), v, out=v), out=v)
         assert record[j] == max(float(v.max()), -float(v.min())), j
-        assert t.chunk(a, b, ("M", "m")).m1_max == record[j]
-    # an m series, and an ell series built without m, keep neither record;
-    # tables without one reduce the slices, to the same bits
+        assert t.chunk(a, b, ("M", "m", "ell")).m1_max == record[j]
+    # an m series keeps neither record, and an ell series built without m
+    # keeps the same ones; tables without ell have no m1 record, so an m1
+    # scan on them names the series they lack
+    assert t.series.m.m1_absmax is None and t.series.m.mcheck_absmax is None
     bare = ell_series(t.mu)
-    assert {t.series.m.m1_absmax, t.series.m.mcheck_absmax, bare.m1_absmax,
-            bare.mcheck_absmax} == {None}
+    assert bare.m1_absmax.tobytes() == record.tobytes()
+    assert bare.mcheck_absmax.tobytes() == t.series.ell.mcheck_absmax.tobytes()
     m_only = tables.with_series(t.mu, ("m",))
-    assert [m_only.chunk(a, min(a + block, 20001), ("M", "m")).m1_max
-            for a in range(1, 20001, block)] == record[1:].tolist()
+    with pytest.raises(InvalidArgumentError, match="without the ell prefix"):
+        verify.sup_scan(m_only, "m1", "log2x", 1, 20000)
 
 
 def test_tables_retain_mu_and_per_block_arrays_only(monkeypatch):
@@ -486,6 +490,7 @@ def test_only_tables_indexes_table_arrays():
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 text = fh.read()
             assert "mertens[" not in text and ".values[" not in text, name
+            assert "absmax[" not in text, name
 
 
 def test_build_calls_the_layer_hooks_once_each(monkeypatch):

@@ -246,14 +246,14 @@ def test_kernels_name_the_series_their_tables_lack(tables_small):
             (lambda: verify_range(PREDICATES["mchecklog2-0.162"], 3, 100, m_only), "ell"),
             (lambda: sup_scan(bare, "m1", "log2x", 1, 100), "m"),
             (lambda: sup_scan(m_only, "mcheck-minus-1", "log2x", 1, 3), "ell"),
+            (lambda: verify_range(PREDICATES["m1log2-0.138"], 671, 20000, m_only), "ell"),
             (lambda: ratio_theorem_C(bare, 1000), "m"),
             (lambda: evaluate(m_only, 10.5), "ell"),
             (lambda: identity_kernel_integral(bare, 100.5, "m-kernel"), "m")):
         with pytest.raises(InvalidArgumentError, match=f"without the {name} prefix"):
             call()
     # where the series a target reads are there, results are the full tables'
-    for pred, lo, tb in (("Msqrt0.5", 201, bare), ("msqrt0.5", 3, m_only),
-                         ("m1log2-0.138", 671, m_only)):
+    for pred, lo, tb in (("Msqrt0.5", 201, bare), ("msqrt0.5", 3, m_only)):
         assert verify_range(PREDICATES[pred], lo, 20000, tb) == verify_range(
             PREDICATES[pred], lo, 20000, tables_small)
     assert sup_scan(bare, "M", "sqrtx", 201, 20000) == sup_scan(
@@ -314,7 +314,6 @@ def test_pruned_reports_equal_exhaustive(tables_small, monkeypatch, request):
     every = reps + capped + [tied]
     assert all(r.scanned == r.checked for r in full[0] + full[1] + [full[3]])
     assert all(r.scanned <= r.checked for r in every)
-    assert all(r.scanned < r.checked / 4 for r in reps if r.passed)
 
 
 @pytest.mark.parametrize("source", ["tables", "synthetic"])
@@ -387,39 +386,24 @@ def test_desk_campaign_runs_the_kernel_on_few_chunks(tables_big, monkeypatch):
         assert 0 < sum(seen) <= 3 * verify._CHUNK, target
 
 
-def test_desk_m_and_M_scans_reduce_only_their_end_chunks(tables_big, monkeypatch):
-    # every chunk on the block grid takes its m or M envelope from the
-    # build's block maxima: a scan reduces a slice only for a first or last
-    # chunk off the grid (a last chunk ending at the table limit is whole)
-    reduced = []
-    absmax = tables._absmax
-    monkeypatch.setattr(tables, "_absmax", lambda v: reduced.append(len(v)) or absmax(v))
-    for scan, ends in (
-            (lambda: verify_range(PREDICATES["m4343"], 2160605, 5 * 10**6, tables_big), 2),
-            (lambda: verify_range(PREDICATES["mlog0.0130073"], 97063, 230000, tables_big), 2),
-            (lambda: verify_range(PREDICATES["Msqrt0.5"], 201, 10**7 + 1, tables_big), 1),
-            (lambda: verify_range(PREDICATES["msqrt0.5"], 3, 10**7 + 1, tables_big), 1),
-            (lambda: sup_scan(tables_big, "m", "sqrtx", 3, 10**7), 1),
-            (lambda: sup_scan(tables_big, "M", "sqrtx", 201, 10**7), 1)):
-        reduced.clear()
-        scan()
-        assert len(reduced) == ends and max(reduced) < verify._CHUNK, reduced
+def test_chunk_maxima_read_no_slice(blocked, monkeypatch):
+    # every largest value of a chunk is the largest build record of the
+    # blocks its span meets: on the grid, off it, one index or across
+    # blocks, no chunk reads or reduces a slice
+    def refuse(*args, **kwargs):
+        pytest.fail("a chunk maximum read a slice")
 
-
-def test_desk_mcheck_scans_reduce_only_their_end_chunks(tables_big, monkeypatch):
-    # every whole block takes its mcheck envelope from the build's record of
-    # |m(n) log n - ell(n) - 1|: the desk mcheck scans reduce an mcheck
-    # slice only for a partial first or last chunk
-    reduced = []
-    mcheck_absmax = tables._mcheck_absmax
-    monkeypatch.setattr(tables, "_mcheck_absmax",
-                        lambda m, *rest: reduced.append(len(m)) or mcheck_absmax(m, *rest))
-    for scan, ends in (
-            (lambda: verify_range(PREDICATES["mchecklog2-0.162"], 3, 10**7, tables_big), 2),
-            (lambda: sup_scan(tables_big, "mcheck-minus-1", "log2x", 1, 3), 1)):
-        reduced.clear()
-        scan()
-        assert len(reduced) == ends and max(reduced) < verify._CHUNK, reduced
+    for name in ("_absmax", "_m1_absmax", "_mcheck_absmax"):
+        monkeypatch.setattr(tables, name, refuse)
+    monkeypatch.setattr(tables.Tables, "read", refuse)
+    s = blocked.series
+    records = (blocked.mu.block_absmax, s.m.block_absmax, s.ell.m1_absmax, s.ell.mcheck_absmax)
+    for a, b in ((1, 98), (98, 195), (19985, 20001), (2, 98), (98, 194), (5, 6), (97, 98),
+                 (50, 400), (1, 20001)):
+        c = blocked.chunk(a, b, ("M", "m", "ell"))
+        first, last = (a - 1) // 97 + 1, (b - 2) // 97 + 1
+        assert [c.M_max, c.m_max, c.m1_max, c.mcheck_max] == \
+            [float(r[first:last + 1].max()) for r in records], (a, b)
 
 
 @pytest.fixture
@@ -456,12 +440,14 @@ def test_whole_block_envelopes_dominate_the_kernel(blocked, monkeypatch):
 
 def test_whole_block_envelopes_keep_reports_exhaustive(blocked, monkeypatch, request):
     # with whole-block envelopes, every report (capped and fractional too)
-    # and every scan equals the one that runs the kernel on every chunk
+    # and every scan equals the one that runs the kernel on every chunk, and
+    # a passing scan runs the kernel on under a quarter of its intervals
     cap = verify._MAX_VIOLATIONS
+    preds = [*PREDICATES.values(), Predicate("mlog2", "log2-bound", "m", 0.05)]
 
     def run():
-        reps = [verify_range(p, lo, hi, blocked) for p in PREDICATES.values()
-                for lo, hi in ((2, 20001), (671.5, 9999.5))]
+        reps = [verify_range(p, lo, hi, blocked) for p in preds
+                for lo, hi in ((2, 20001), (671.5, 9999.5), (671.5, 5999.5))]
         monkeypatch.setattr(verify, "_MAX_VIOLATIONS", 5)
         capped = verify_range(PREDICATES["m4345"], 2, 20001, blocked)
         monkeypatch.setattr(verify, "_MAX_VIOLATIONS", cap)
