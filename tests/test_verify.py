@@ -386,6 +386,40 @@ def test_desk_campaign_runs_the_kernel_on_few_chunks(tables_big, monkeypatch):
         assert 0 < sum(seen) <= 3 * verify._CHUNK, target
 
 
+def test_desk_m_and_M_scans_reduce_only_their_end_chunks(tables_big, monkeypatch):
+    # every chunk takes its m or M envelope from the build's block maxima:
+    # not even a first or last chunk off the block grid reduces a slice
+    reduced = []
+    absmax = tables._absmax
+    monkeypatch.setattr(tables, "_absmax", lambda v: reduced.append(len(v)) or absmax(v))
+    for scan in (
+            lambda: verify_range(PREDICATES["m4343"], 2160605, 5 * 10**6, tables_big),
+            lambda: verify_range(PREDICATES["mlog0.0130073"], 97063, 230000, tables_big),
+            lambda: verify_range(PREDICATES["Msqrt0.5"], 201, 10**7 + 1, tables_big),
+            lambda: verify_range(PREDICATES["msqrt0.5"], 3, 10**7 + 1, tables_big),
+            lambda: sup_scan(tables_big, "m", "sqrtx", 3, 10**7),
+            lambda: sup_scan(tables_big, "M", "sqrtx", 201, 10**7)):
+        reduced.clear()
+        scan()
+        assert reduced == []
+
+
+def test_desk_mcheck_scans_reduce_only_their_end_chunks(tables_big, monkeypatch):
+    # every chunk takes its mcheck envelope from the build's record of
+    # |m(n) log n - ell(n) - 1|: not even a partial first or last chunk of
+    # the desk mcheck scans reduces an mcheck slice
+    reduced = []
+    mcheck_absmax = tables._mcheck_absmax
+    monkeypatch.setattr(tables, "_mcheck_absmax",
+                        lambda m, *rest: reduced.append(len(m)) or mcheck_absmax(m, *rest))
+    for scan in (
+            lambda: verify_range(PREDICATES["mchecklog2-0.162"], 3, 10**7, tables_big),
+            lambda: sup_scan(tables_big, "mcheck-minus-1", "log2x", 1, 3)):
+        reduced.clear()
+        scan()
+        assert reduced == []
+
+
 def test_chunk_maxima_read_no_slice(blocked, monkeypatch):
     # every largest value of a chunk is the largest build record of the
     # blocks its span meets: on the grid, off it, one index or across
