@@ -51,11 +51,8 @@ def _get_tables(limit: int, cache_dir, target=None):
     series when target is None): from the smallest cached sieve covering
     `limit`, cut to `limit`, if available, else sieved (and cached when a
     cache directory is configured)."""
-    from . import tables
-    series = tables.SERIES
-    if target is not None:
-        from .verify import _SERIES
-        series = [name for name in _SERIES[target] if name in series]
+    from . import tables, verify
+    series = tables.SERIES if target is None else verify.TARGETS[target].series
     cdir = _cache_dir(cache_dir)
     mu = tables.load_covering(cdir, limit, series) if cdir else None
     if mu is None:

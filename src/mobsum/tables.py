@@ -32,9 +32,9 @@ is always built in one pass with m and Mertens beside it (`_Prefix` with
 a companion), which takes each series' carries, radii and records and
 those two records.
 
-A scan reads a table only through `Tables.chunk` (a `Chunk` record of one
-span: its largest values, which are the largest records of the blocks it
-meets, its end radii, and its slices on demand), `Tables.read` and
+A scan reads a table only through `Tables.chunk` (a `Chunk` of one span,
+which computes only what it is asked for: the largest of a record over the
+blocks the span meets, a radius at its end or a slice), `Tables.read` and
 `Tables.exact_prefix`.  `Tables.read` re-derives the blocks it covers
 from their carries into a small LRU of block buffers (`_Blocks`, at most
 _LRU_BYTES), so an envelope, which reads only records, touches no array.
@@ -94,6 +94,10 @@ _CACHE_NAME = re.compile(r"moebius-([1-9]\d*)\.tbl")
 _DIGEST_SIZE = 16
 
 SERIES = ("m", "ell")  # the prefix series a Tables bundle can carry
+# each record a chunk can take (`Chunk.top`): (the prefix series that keeps
+# it, None for the MuTable, and its per-block array)
+_RECORDS = {"M": (None, "block_absmax"), "m": ("m", "block_absmax"),
+            "m1": ("ell", "m1_absmax"), "mcheck": ("ell", "mcheck_absmax")}
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +347,11 @@ def _ell_terms(mu, k, out, log_k):
     np.divide(out, k, out=out)
 
 
-# each quotient mu/k carries at most half an ulp of relative error; log()
-# is faithfully rounded (<= 1 ulp) and the quotient adds one more
+# each quotient mu/k carries at most half an ulp of relative error; an ell
+# term adds the error of log(), taken to be at most 1 ulp, and one more
+# rounding.  That log bound is a premise this code does not check: np.log
+# met it against mpmath (<= 0.56 ulp over 2e5 points of [1, 2^31], on one
+# AVX-512 x86-64 host)
 _TERMS = {"m": (_m_terms, 1), "ell": (_ell_terms, 3)}
 
 
@@ -524,7 +531,6 @@ def _carried_prefix(table: MuTable, name: str, companion: str | None = None) -> 
     for j, a_j in enumerate(range(1, limit + 1, block), 1):
         b_j = min(a_j + block, limit + 1)
         block_max = [0.0] * len(parts)
-        m1_max = mcheck_max = 0.0
         for a in range(a_j, b_j, _SPAN):
             b = min(a + _SPAN, b_j)
             v = run.span(b)
@@ -532,10 +538,8 @@ def _carried_prefix(table: MuTable, name: str, companion: str | None = None) -> 
             if companion:
                 m_v, d = run.m[:b - a], w[:b - a]
                 block_max[1] = max(block_max[1], _absmax(m_v))
-                m1_max = max(m1_max, _m1_absmax(m_v, run.M, run.k[:b - a], d))
-                mcheck_max = max(mcheck_max, _mcheck_absmax(m_v, v, run.logs[:b - a], d))
-        if companion:
-            m1[j], mcheck[j] = m1_max, mcheck_max
+                m1[j] = max(m1[j], _m1_absmax(m_v, run.M, run.k[:b - a], d))
+                mcheck[j] = max(mcheck[j], _mcheck_absmax(m_v, v, run.logs[:b - a], d))
         for i, part in enumerate(parts):
             s, e, abs_sum, rep_sum, abs_err_sum = run.state(part)
             carry[i, j] = s, e
@@ -911,39 +915,21 @@ class EvaluationPoint:
 
 
 class Chunk(NamedTuple):
-    """The indices a <= n < b of a table, as a scan reads them: the largest
-    |M| and |m| when M and m are asked for, the largest |m(n) - M(n)/n|
-    (`_m1_absmax`) and |m(n) log n - ell(n) - 1| (`_mcheck_absmax`) when
-    ell, whose series keeps those records, is asked for, and the m and ell
-    radii at b - 1, which bound the radius of every index of the chunk
-    (None for what was not asked for).  Each largest value is the largest
-    record of the blocks the chunk meets, so it bounds every index of the
-    chunk, and is the chunk's own maximum when the chunk is one whole
-    block.  The slices M, m and ell are read on demand through ``read``
-    (None for one not asked for): the chunk holds no array, so reading a
-    slice re-derives its block if the tables' LRU no longer holds it."""
+    """The indices a <= n < b of a table, as a scan reads them, each part
+    computed only when asked for: ``top(record)``, the largest of the
+    build's records "M", "m", "m1" or "mcheck" (`_RECORDS`) over the blocks
+    the chunk meets, which bounds every index of the chunk and is the
+    chunk's own maximum when the chunk is one whole block;
+    ``radius(series)``, the m or ell radius at b - 1, which bounds the
+    radius of every index of the chunk; and ``read(name)``, the M, m or ell
+    slice.  The chunk holds no array, so reading a slice re-derives its
+    block if the tables' LRU no longer holds it."""
 
     a: int
     b: int
-    M_max: float | None
-    m_max: float | None
-    m1_max: float | None
-    mcheck_max: float | None
-    m_radius: float | None
-    ell_radius: float | None
-    read: Callable[[str], np.ndarray | None]
-
-    @property
-    def M(self) -> np.ndarray | None:
-        return self.read("M")
-
-    @property
-    def m(self) -> np.ndarray | None:
-        return self.read("m")
-
-    @property
-    def ell(self) -> np.ndarray | None:
-        return self.read("ell")
+    top: Callable[[str], float]
+    radius: Callable[[str], float]
+    read: Callable[[str], np.ndarray]
 
 
 class _Blocks:
@@ -1036,32 +1022,19 @@ class Tables:
         off = (first - 1) * block + 1
         return (parts[0] if len(parts) == 1 else np.concatenate(parts))[a - off:b - off]
 
-    def chunk(self, a: int, b: int, series) -> Chunk:
-        """The `Chunk` of the indices a <= n < b (1 <= a < b <= limit + 1)
-        for the arrays named in ``series`` ("M", "m", "ell"); a prefix
-        series it names but these tables lack raises InvalidArgumentError.
-        Each largest value is the largest of the build's records over the
-        blocks [a, b) meets, so a chunk reads no array until a slice is
-        read."""
+    def chunk(self, a: int, b: int) -> Chunk:
+        """The `Chunk` of the indices a <= n < b (1 <= a < b <= limit + 1).
+        A record, radius or slice of a prefix series these tables lack
+        raises InvalidArgumentError when it is asked for."""
         blocks = slice((a - 1) // self.mu.block + 1, (b - 2) // self.mu.block + 2)
 
         def top(record):  # a list's max: numpy's costs ~1 us more per call
-            return float(max(record[blocks].tolist()))
+            series, attr = _RECORDS[record]
+            owner = self.mu if series is None else self.prefix(series)
+            return float(max(getattr(owner, attr)[blocks].tolist()))
 
-        M_max = m_max = m1_max = mcheck_max = m_rad = ell_rad = None
-        if "M" in series:
-            M_max = top(self.mu.block_absmax)
-        if "m" in series:
-            s = self.prefix("m")
-            m_rad, m_max = s.radius(b - 1), top(s.block_absmax)
-        if "ell" in series:
-            s = self.prefix("ell")
-            ell_rad, m1_max, mcheck_max = s.radius(b - 1), top(s.m1_absmax), top(s.mcheck_absmax)
-
-        def read(name):
-            return self.read(name, a, b) if name in series else None
-
-        return Chunk(a, b, M_max, m_max, m1_max, mcheck_max, m_rad, ell_rad, read)
+        return Chunk(a, b, top, lambda series: self.prefix(series).radius(b - 1),
+                     lambda name: self.read(name, a, b))
 
     def exact_prefix(self, n: int, with_ell: bool):
         """(M(n), m(n), ell(n)) for 0 <= n <= limit: M exactly, m and ell as

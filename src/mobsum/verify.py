@@ -14,18 +14,21 @@ prefix series; `sup_scan` evaluates it on float64 arrays and takes the
 argmax.  Both walk the range in one thread, in chunks cut at the grid
 1 + j _CHUNK (`_spans`), so scratch memory is O(_CHUNK) whatever the
 range; _CHUNK is the table build's block, so every chunk lies in one
-block (all of it but at the two ends of a scan) and is read as one
-`Tables.chunk` record.  Each chunk first gets an envelope E,
+block (all of it but at the two ends of a scan) and is read through one
+`Tables.chunk`, which computes a record, a radius or a slice only when it
+is asked for.  Each chunk first gets an envelope E,
 `_chunk_envelope`: the kernel's bound taken over the whole chunk at once,
 from its largest |M| or |m| for M and m, and for m1 and mcheck - 1 from
 their largest value at the integers plus the variation within [n, n+1).
 Those largest |M|, |m|, |m(n) - M(n)/n| and |mcheck(n) - 1| are the
 build's records of the chunk's block, so an envelope reads no slice
-(`Tables.chunk` re-derives a slice only when the kernel reads it); the
-m1 and mcheck records are kept with the ell series, so an m1 scan needs
-ell too.  E is inflated by the kernel's own rounding, so it is at least
-every float supremum the kernel would compute there, and G, the guard
-band at E, is at least every interval's guard.  A chunk with E + G below
+(a chunk re-derives a slice only when the kernel reads it); the m1 and
+mcheck records are kept with the ell series, so an m1 scan needs ell too.
+`TARGETS` names, for each target, its weights, the prefix series its
+tables are built with and the slices its kernel reads.  E is inflated by
+the kernel's own rounding, so it is at least every float supremum the
+kernel would compute there, and G, the guard band at E, is at least every
+interval's guard.  A chunk with E + G below
 the bound (with rounding slack) holds no violation and no interval inside
 the guard band, and a chunk with E below the largest value found holds
 neither the maximum nor a tie with it: the kernel runs on the chunks that
@@ -51,7 +54,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -65,11 +68,6 @@ _ENV_SLACK = 1.0 + 64.0 * _ULP  # rounding slack of a chunk envelope (_chunk_env
 _RATIO_RANK = 94  # Theorem C: the ratio stays in _RATIO_BAND for x >= 94
 _RATIO_BAND = (2.0 / 3.0, 1.5)
 
-# the weights each target supports, the arrays of a chunk each target reads
-# (of which m and ell are prefix series), and the weight each kind uses
-_WEIGHTS = {"m": ("1", "logx", "log2x", "sqrtx"), "m1": ("log2x",),
-            "mcheck-minus-1": ("log2x",), "M": ("sqrtx",)}
-_SERIES = {"m": ("m",), "m1": ("M", "m", "ell"), "mcheck-minus-1": ("m", "ell"), "M": ("M",)}
 _KIND_WEIGHT = {"const-bound": "1", "log-bound": "logx",
                 "log2-bound": "log2x", "sqrt-bound": "sqrtx"}
 
@@ -106,13 +104,29 @@ def _scan_range(lo: float, hi: float, limit: float = math.inf,
     return n_lo, n_hi
 
 
+class Target(NamedTuple):
+    weights: Tuple[str, ...]  # the weights the target supports
+    series: Tuple[str, ...]  # the prefix series its tables are built with
+    slices: Tuple[str, ...]  # the arrays of a chunk its kernel reads
+
+
+# each scan target; its envelope reads the chunk records named in
+# `_chunk_envelope` and its guard the radii named in `_guard`
+TARGETS = {
+    "m": Target(("1", "logx", "log2x", "sqrtx"), ("m",), ("m",)),
+    "m1": Target(("log2x",), ("m", "ell"), ("M", "m")),  # ell keeps the m1 record
+    "mcheck-minus-1": Target(("log2x",), ("m", "ell"), ("m", "ell")),
+    "M": Target(("sqrtx",), (), ("M",)),
+}
+
+
 def _check_weight(target: str, weight: str) -> None:
-    if target not in _WEIGHTS:
+    if target not in TARGETS:
         raise InvalidArgumentError(f"unknown target {target!r}")
-    if weight not in _WEIGHTS[target]:
+    weights = TARGETS[target].weights
+    if weight not in weights:
         raise InvalidArgumentError(
-            f"{target} supports the weights {', '.join(_WEIGHTS[target])}, "
-            f"not {weight!r}")
+            f"{target} supports the weights {', '.join(weights)}, not {weight!r}")
 
 
 @dataclass(frozen=True)
@@ -309,12 +323,12 @@ def _clipped(a: int, b: int, lo: float, hi: float):
 
 def _chunk_sup(target: str, weight: str, lo: float, hi: float, c: Chunk):
     """(sup, argmax, x2): `_interval_sup` on the intervals [n, n+1) of
-    chunk c cut to [lo, hi], and the right ends x2 of those intervals.
-    Only mcheck - 1 reads the ell slice (an m1 chunk asks for ell for its
-    record alone)."""
+    chunk c cut to [lo, hi], and the right ends x2 of those intervals; the
+    kernel gets the slices the target reads (`TARGETS`), None for others."""
     x1, x2 = _clipped(c.a, c.b, lo, hi)
-    ell = c.ell if target == "mcheck-minus-1" else None
-    return (*_interval_sup(target, weight, x1, x2, c.m, c.M, ell), x2)
+    slices = TARGETS[target].slices
+    m, M, ell = (c.read(name) if name in slices else None for name in ("m", "M", "ell"))
+    return (*_interval_sup(target, weight, x1, x2, m, M, ell), x2)
 
 
 def _guard(pred: Predicate, q, x2, c: Chunk):
@@ -324,10 +338,10 @@ def _guard(pred: Predicate, q, x2, c: Chunk):
     chunk; the guard is nondecreasing in q and x2."""
     if pred.target == "M":
         return 4.0 * _ULP * q
-    err = c.m_radius
+    err = c.radius("m")
     if pred.target == "mcheck-minus-1":
         L2 = np.log(x2)
-        radius = (err * L2 + c.ell_radius) * L2 * L2
+        radius = (err * L2 + c.radius("ell")) * L2 * L2
     else:
         radius = _scale_bound(pred)[0] * _weight(_KIND_WEIGHT[pred.kind], x2, np) * err
     if pred.target == "m":
@@ -358,14 +372,15 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float,
           (max_n |m(n) - M(n)/n| + max|M| / a^2) Lb^2;
       mcheck - 1: likewise |m(n) L - ell(n) - 1| <= |m(n) log n - ell(n)
           - 1| + |m(n)| (L - log n), and L - log n <= log(1 + 1/n) <= 1/a
-          for L = log x: (mcheck_max + max|m| / a) Lb^2.
+          for L = log x: (max_n |m(n) log n - ell(n) - 1| + max|m| / a) Lb^2.
 
-    Every number in the parentheses is the chunk's (`Tables.chunk`): the
-    largest of the build's records over the blocks the chunk meets, one
+    Every max in the parentheses is a record of the chunk, ``c.top("M")``,
+    ``"m"``, ``"m1"`` or ``"mcheck"`` in the order above (`Tables.chunk`):
+    the largest of the build's records over the blocks the chunk meets, one
     block for every chunk of `_spans`, which bounds each of its indices
-    however little of the block the chunk covers (max_n |m(n) - M(n)/n|
-    is ``c.m1_max``).  They depend on the chunk's indices only, not on lo
-    or hi.
+    however little of the block the chunk covers.  Each target asks for the
+    records its line names and no other.  They depend on the chunk's
+    indices only, not on lo or hi.
 
     Rounding.  E = (top + k u S) w (1 + k u), top the float value in the
     parentheses, w its weight factor, u = 2^-53, k = 64, and S the operand
@@ -373,14 +388,15 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float,
     0 for M and m.  The values at the integers are taken with the kernel's
     own operations at x = n (fl(m - fl(M/n)); fl(fl(m log n) - fl(ell +
     1))), so the kernel's float value at an x of [n, n+1] differs from them
-    only by the variation and by roundings.  With numpy's log within 1 ulp
-    (2u; measured at most 0.52 ulp over 2e4 points of [1, 2e9] against
-    mpmath), the kernel's float L and the float log n lie within 2u of the
-    true logs relatively, so L - log n <= 1/n + 4u Lb, and L <= Lb (1 + 4u)
-    for the float Lb the envelope takes.  Absolutely, the operands cost at
-    most 7u S: for m1, fl(M/x) and fl(M/n) u S each; for mcheck, fl(m L)
-    and fl(m log n) u S each and the logs 4u S (d = fl(ell + 1) is the
-    same float on both sides).  Relatively, the rounding of the value at
+    only by the variation and by roundings.  Numpy's log is taken to be
+    within 1 ulp (2u): a premise this code does not check, which it met
+    against mpmath on one AVX-512 x86-64 host (at most 0.52 ulp over 2e4
+    points of [1, 2e9]).  Then the kernel's float L and the float log n lie
+    within 2u of the true logs relatively, so L - log n <= 1/n + 4u Lb, and
+    L <= Lb (1 + 4u) for the float Lb the envelope takes.  Absolutely, the
+    operands cost at most 7u S: for m1, fl(M/x) and fl(M/n) u S each; for
+    mcheck, fl(m L) and fl(m log n) u S each and the logs 4u S (d = fl(ell
+    + 1) is the same float on both sides).  Relatively, the rounding of the value at
     the integers costs u, the kernel's own three roundings 3u, the squared
     log 8u, the envelope's own six roundings 6u.  So to first order E
     need only reach (top + 7u S) w (1 + 18u); M and m, whose forms are
@@ -389,16 +405,17 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float,
     """
     xa, xb = max(float(c.a), lo), min(float(c.b), hi)
     if target == "M":
-        return c.M_max / math.sqrt(xa) * _ENV_SLACK
+        return c.top("M") / math.sqrt(xa) * _ENV_SLACK
     if target == "m":
-        return c.m_max * _weight(weight, xb, math) * _ENV_SLACK
+        return c.top("m") * _weight(weight, xb, math) * _ENV_SLACK
     Lb = math.log(xb)
     if target == "m1":
-        top = c.m1_max + c.M_max / c.a / c.a
-        size = c.M_max / c.a
+        size = c.top("M") / c.a
+        top = c.top("m1") + size / c.a
     else:
-        top = c.mcheck_max + c.m_max / c.a
-        size = c.m_max * Lb
+        m_max = c.top("m")
+        top = c.top("mcheck") + m_max / c.a
+        size = m_max * Lb
     return (top + (_ENV_SLACK - 1.0) * size) * Lb * Lb * _ENV_SLACK
 
 
@@ -426,11 +443,12 @@ def _exact_recheck(pred: Predicate, n: int, tables: Tables, lo: float,
     """Re-decide a marginal interval, [n, n+1) cut to [lo, hi]: the scan's
     kernel at 50 digits."""
     import mpmath as mp  # the escalation path alone needs it
+    slices = TARGETS[pred.target].slices
     with mp.workdps(50):
-        if pred.target == "M":  # M(n) alone, without the O(n) exact sums
+        if "m" not in slices:  # M(n) alone, without the O(n) exact sums
             M, m, ell = int(tables.read("M", n, n + 1)[0]), 0, 0
         else:
-            M, m_fp, ell_fp = tables.exact_prefix(n, pred.target == "mcheck-minus-1")
+            M, m_fp, ell_fp = tables.exact_prefix(n, "ell" in slices)
             m = mp.ldexp(m_fp, -Tables.FIXED_BITS)
             ell = 0 if ell_fp is None else mp.ldexp(ell_fp, -Tables.FIXED_BITS)
         x1, x2, m, M, ell = (np.array([mp.mpf(v)], dtype=object)
@@ -475,6 +493,8 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     """
     n_lo, n_hi = _scan_range(lo, hi, tables.limit)
     target, weight = pred.target, _KIND_WEIGHT[pred.kind]
+    for name in TARGETS[target].series:  # a series the tables lack fails first
+        tables.prefix(name)
     spans = _spans(n_lo, n_hi)
     scale, bound = _scale_bound(pred)
     chunks = []  # the chunk of each span reached
@@ -488,7 +508,7 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
     env = []  # the envelope of each span reached
     peaks = {}  # span index -> (largest q, its first n), for the spans scanned
     for i, (a, b) in enumerate(spans):
-        c = tables.chunk(a, b, _SERIES[target])
+        c = tables.chunk(a, b)
         chunks.append(c)
         e = scale * _chunk_envelope(target, weight, lo, hi, c)
         env.append(e)
@@ -530,16 +550,24 @@ def verify_range(pred: Predicate, lo: float, hi: float, tables: Tables,
 
 def sup_scan(tables: Tables, target: str, weight: str, lo: float,
              hi: float) -> Tuple[float, float]:
-    """(sup, argmax_x) of the weighted summatory function on [lo, hi].
+    """(sup, argmax_x): the largest float value of the per-interval kernel
+    for the weighted summatory function on [lo, hi], and where it falls.
 
     Per-interval maxima are computed in closed form on [n, n+1) clipped to
-    [lo, hi], so the argmax is exact even though x ranges over the continuum.
-    The kernel runs on a chunk only while its envelope (`_chunk_envelope`)
-    reaches the largest value found (`_first_max`).
+    [lo, hi], so x ranges over the continuum.  The value is a float with no
+    error bound, not an enclosure of the supremum, and the argmax may be
+    the open right end of an interval: where the weight grows and the
+    function steps down there, the value is a limit from the left that is
+    not attained (m under sqrtx on [1, 1e6]: sqrt 2 at x = 2, where
+    |m(2)| sqrt 2 = 0.707).  The kernel runs on a chunk only while its
+    envelope (`_chunk_envelope`) reaches the largest value found
+    (`_first_max`).
     """
     _check_weight(target, weight)
     n_lo, n_hi = _scan_range(lo, hi, tables.limit, closed=True)
-    chunks = [tables.chunk(a, b, _SERIES[target]) for a, b in _spans(n_lo, n_hi)]
+    for name in TARGETS[target].series:  # a series the tables lack fails first
+        tables.prefix(name)
+    chunks = [tables.chunk(a, b) for a, b in _spans(n_lo, n_hi)]
 
     def peak(i):
         sup, arg, _ = _chunk_sup(target, weight, lo, hi, chunks[i])
@@ -600,22 +628,22 @@ def _running_ratio(tables: Tables, lo: int, x_max: int):
     """
     run_m = run_M = prev = 0.0
     for a, b in _spans(1, x_max + 1):
-        c = tables.chunk(a, b, ("M", "m"))
-        abs_m = np.abs(c.m)
+        c = tables.chunk(a, b)
+        abs_m = np.abs(c.read("m"))
         sup_m = np.empty_like(abs_m)
         sup_m[0], sup_m[1:], prev = prev, abs_m[:-1], abs_m[-1]
         np.maximum(sup_m, abs_m, out=sup_m)
         sup_m *= np.arange(a, b, dtype=np.float64)
         _running_max(sup_m, run_m)
-        if c.M_max <= run_M:
+        if c.top("M") <= run_M:
             sup_M = np.full(b - a, run_M)
         else:
-            sup_M = np.abs(c.M).astype(np.float64)
+            sup_M = np.abs(c.read("M")).astype(np.float64)
             _running_max(sup_M, run_M)
         run_m, run_M = sup_m[-1], sup_M[-1]
         if b > lo:
             i = max(lo - a, 0)
-            yield a + i, sup_m[i:] / sup_M[i:], sup_M[i:], c.m_radius
+            yield a + i, sup_m[i:] / sup_M[i:], sup_M[i:], c.radius("m")
 
 
 def _ratio_report(tables: Tables, lo: int, hi: int) -> RatioReport:

@@ -14,7 +14,7 @@ import mobsum
 from mobsum import cli, tables
 from mobsum.cli import _build_parser, main
 from mobsum.errors import ResourceError
-from mobsum.verify import PREDICATES, _WEIGHTS
+from mobsum.verify import PREDICATES, TARGETS
 
 DATA = Path(__file__).parent / "data"
 
@@ -529,7 +529,7 @@ def test_scan_outputs_match_pinned_hashes(capsys, tmp_path, monkeypatch):
     cache = str(tmp_path)
     tables.save_table(tables.sieve_mu(20000), tables.cache_path(cache, 20000))
     lines = (DATA / "scans-2e4.txt").read_text(encoding="utf-8").splitlines()
-    pairs = sum(len(weights) for weights in _WEIGHTS.values())
+    pairs = sum(len(row.weights) for row in TARGETS.values())
     assert len(lines) == 2 * (len(PREDICATES) + pairs)
     for line in lines:
         argv, digest, summary = line.split("\t")

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import math
@@ -192,7 +193,7 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
             continue
 
         def top(a, b):
-            return getattr(built.chunk(a, b, ("M", "m", "ell")), f"{name}_max")
+            return built.chunk(a, b).top(name)
 
         assert [top(a, min(a + 97, 20001)) for a in starts] == want[1:]
         # a span off the grid, short of its block's end or across blocks
@@ -223,8 +224,8 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
     assert table_array(replay, "ell").tobytes() == ell.tobytes()
     for a in starts:
         b = min(a + 97, 20001)
-        c, r = (t.chunk(a, b, ("M", "m", "ell")) for t in (built, replay))
-        assert r.mcheck_max == c.mcheck_max == tables._absmax(mcheck[a:b])
+        c, r = (t.chunk(a, b) for t in (built, replay))
+        assert r.top("mcheck") == c.top("mcheck") == tables._absmax(mcheck[a:b])
         for target in ("m1", "mcheck-minus-1"):
             assert (verify._chunk_envelope(target, "log2x", a, b - 0.5, r)
                     == verify._chunk_envelope(target, "log2x", a, b - 0.5, c))
@@ -379,9 +380,9 @@ def test_rederived_chunks_match_the_one_pass_oracle(monkeypatch, block, span):
         for order in (sorted(spans), sorted(spans)[::-1], rng.permutation(spans).tolist()):
             t = tables.with_series(table)
             for a, b in order:
-                c = t.chunk(a, b, ("M", "m", "ell"))
+                c = t.chunk(a, b)
                 for name in ("M", "m", "ell"):
-                    got = getattr(c, name)
+                    got = c.read(name)
                     assert got.tobytes() == want[name][a:b].astype(got.dtype).tobytes(), \
                         (name, a, b)
                 assert t._blocks.nbytes <= tables._LRU_BYTES
@@ -417,8 +418,8 @@ def test_six_threads_read_the_same_chunks(monkeypatch):
     def work(seed):
         rng = np.random.default_rng(seed)
         for a, b in rng.permutation(spans).tolist():
-            c = t.chunk(a, b, ("M", "m", "ell"))
-            got.append(all(np.array_equal(getattr(c, name), want[name][a:b])
+            c = t.chunk(a, b)
+            got.append(all(np.array_equal(c.read(name), want[name][a:b])
                            for name in ("M", "m", "ell")))
 
     threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
@@ -450,7 +451,7 @@ def test_m1_record_is_the_slice_reduction(monkeypatch, block):
         v = np.arange(a, b, dtype=np.float64)
         np.subtract(t.read("m", a, b), np.divide(t.read("M", a, b), v, out=v), out=v)
         assert record[j] == max(float(v.max()), -float(v.min())), j
-        assert t.chunk(a, b, ("M", "m", "ell")).m1_max == record[j]
+        assert t.chunk(a, b).top("m1") == record[j]
     # an m series keeps neither record, and an ell series built without m
     # keeps the same ones; tables without ell have no m1 record, so an m1
     # scan on them names the series they lack
@@ -512,17 +513,35 @@ def test_build_calls_the_layer_hooks_once_each(monkeypatch):
     assert sorted(calls) == ["ell_series", "m_series"]
 
 
-def test_traced_bench_reads_resolve(tmp_path, monkeypatch):
-    # what `perfbench/run.py --trace 1` reads of the tables resolves: the
-    # retained bytes per n (mu, and per block Mertens, the carries and the
-    # radii), the Tables its cache replay builds, and the wrapped hooks
+def test_benchmark_contract(tmp_path, monkeypatch):
+    # what perfbench (workloads.py and worker.py, traced or not) uses of the
+    # program resolves, so that a change that drops a name fails here and
+    # not as a failed benchmark run: the names they import from mobsum
+    # (importing them fails otherwise), every T.<name> they read, the jobs=
+    # they pass, the hooks they wrap, the retained bytes per n (mu, and per
+    # block Mertens, the carries and the radii), the Tables their cache
+    # replay builds and the argv of every CLI step they run
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(tables.__file__))))
     monkeypatch.setattr(sys, "path", [os.path.join(root, "perfbench"), *sys.path])
     for name in ("worker", "workloads", "spans", "reference", "proc"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     worker = importlib.import_module("worker")
+    workloads = sys.modules["workloads"]
+    reads = []
+    for module in (workloads, worker):
+        tree = ast.parse(inspect.getsource(module))
+        aliases = {a.asname: importlib.import_module(a.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for a in node.names
+                   if a.asname and a.name.startswith("mobsum")}
+        reads += [(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases]
+    assert (tables, "build_tables") in reads
+    assert all(hasattr(mod, attr) for mod, attr in reads), reads
+    for fn in (build_tables, verify_range):
+        assert "jobs" in inspect.signature(fn).parameters, fn.__name__
     built = build_tables(20000)
-    per_n = sys.modules["workloads"].retained_bytes_per_n(built)
+    per_n = workloads.retained_bytes_per_n(built)
     assert per_n == (20001 + 2 * 4 + 2 * (2 * 16 + 2 * 8)) / 20000 < 1.01
     path = cache_path(str(tmp_path), 20000)
     save_table(built.mu, path)
@@ -534,12 +553,10 @@ def test_traced_bench_reads_resolve(tmp_path, monkeypatch):
         ("mobsum.tables", "sieve_mu"), ("mobsum.tables", "m_series"),
         ("mobsum.tables", "ell_series"), ("mobsum.identities", "identity_kernel_integral")]
     assert all(callable(getattr(mod, attr)) for mod, attr, _ in worker.HOOKS)
-
-
-def test_benchmarked_entry_points_take_jobs():
-    # the benchmark passes jobs= to each of these
-    for fn in (build_tables, verify_range):
-        assert "jobs" in inspect.signature(fn).parameters, fn.__name__
+    parser = cli._build_parser()
+    for _, argv, _, _ in workloads.CliCache.STEPS:
+        cache = ["--cache-dir", str(tmp_path)] if argv[0] in workloads.CliCache.CACHED else []
+        assert parser.parse_args([*argv, *cache]).command == argv[0]
 
 
 def test_abs_mertens_prefix_integral_past_int32(tables_big):

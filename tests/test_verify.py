@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     exact_prefix_fraction, exact_prefix_one_pass, per_term_ell, per_term_m_fixed, table_array,
 )
-from mobsum import tables, verify
+from mobsum import cli, tables, verify
 from mobsum.errors import InvalidArgumentError, RangeError, ResourceError
 from mobsum.quad import identity_kernel_integral
 from mobsum.tables import Chunk, build_tables, evaluate, with_series
@@ -180,7 +181,7 @@ def test_chunk_size_does_not_change_reports(tables_small, monkeypatch):
         capped = [verify_range(PREDICATES["m4345"], 2, 6000, tables_small, jobs=j)
                   for j in (1, 2)]
         sups = [sup_scan(tables_small, t, w, lo, hi)
-                for t, ws in verify._WEIGHTS.items() for w in ws
+                for t, row in verify.TARGETS.items() for w in row.weights
                 for lo, hi in ((1, 6000), (2.5, 5999.5))]
         monkeypatch.setattr(verify, "_RATIO_RANK", 2)
         monkeypatch.setattr(verify, "_RATIO_BAND", (0.9, 1.05))
@@ -260,6 +261,50 @@ def test_kernels_name_the_series_their_tables_lack(tables_small):
         tables_small, "M", "sqrtx", 201, 20000)
 
 
+def test_each_target_row_names_its_series_and_records(blocked, monkeypatch):
+    # a TARGETS row names the prefix series its scans use, no fewer and no
+    # more: on tables built from the row alone (as the CLI builds them) every
+    # report and scan is the full tables', and the chunks use each of the
+    # row's series for a record, a radius or a slice; and each chunk
+    # computes the records its envelope reads, each once, and no other
+    records = {"M": {"M"}, "m": {"m"}, "m1": {"M", "m1"}, "mcheck-minus-1": {"m", "mcheck"}}
+    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
+    asked, used, made = collections.Counter(), set(), []
+
+    class Counted(dict):
+        def __getitem__(self, record):
+            asked[record] += 1
+            where = super().__getitem__(record)
+            used.add(where[0])
+            return where
+
+    monkeypatch.setattr(tables, "_RECORDS", Counted(tables._RECORDS))
+    chunk = tables.Tables.chunk
+
+    def traced(self, a, b):
+        made.append(a)
+        c = chunk(self, a, b)
+        return c._replace(radius=lambda name: used.add(name) or c.radius(name),
+                          read=lambda name: used.add(name) or c.read(name))
+
+    def scans(t, pred, lo, hi):
+        weight = verify._KIND_WEIGHT[pred.kind]
+        return verify_range(pred, lo, hi, t), sup_scan(t, pred.target, weight, lo, hi)
+
+    monkeypatch.setattr(tables.Tables, "chunk", traced)
+    for target, row in verify.TARGETS.items():
+        tb = cli._get_tables(20000, None, target)
+        for weight in row.weights:
+            kind = next(k for k, w in verify._KIND_WEIGHT.items() if w == weight)
+            pred = Predicate("t", kind, target, 4343.0 if kind == "const-bound" else 0.2)
+            for lo, hi in ((2, 20000), (671.5, 19999.5)):
+                full = scans(blocked, pred, lo, hi)
+                asked.clear(), used.clear(), made.clear()
+                assert scans(tb, pred, lo, hi) == full
+                assert asked == dict.fromkeys(records[target], len(made)), (target, weight)
+                assert used - {None, "M"} == set(row.series), (target, weight)
+
+
 def test_sup_scan_tie_across_chunk_edge(tables_small, monkeypatch):
     # mu(n+1) = 0 keeps m constant, so intervals n and n+1 tie under the
     # weight 1; with a chunk edge between them the first must still win
@@ -295,7 +340,7 @@ def test_pruned_reports_equal_exhaustive(tables_small, monkeypatch, request):
                   for p in ("m4345", "Msqrt0.5") for j in (1, 2)]
         monkeypatch.setattr(verify, "_MAX_VIOLATIONS", cap)
         sups = [sup_scan(tables_small, t, w, lo, hi)
-                for t, ws in verify._WEIGHTS.items() for w in ws
+                for t, row in verify.TARGETS.items() for w in row.weights
                 for lo, hi in ((1, 6000), (2.5, 5999.5))]
         monkeypatch.setattr(verify, "_CHUNK", 7)
         tied = Predicate("tie", "const-bound", "m", 0.5 / m[tie])
@@ -339,15 +384,16 @@ def test_chunk_envelopes_dominate_the_kernel(tables_small, source):
                 M_, m_, ell_ = (v[a:b] for v in vs)
                 m1 = m_ - M_ / n[a:b]
                 mcheck = m_ * np.log(n[a:b]) - (ell_ + 1.0)
-                yield Chunk(a, b, *(float(np.abs(v).max()) for v in (M_, m_, m1, mcheck)),
-                            series.m.radius(b - 1), series.ell.radius(b - 1),
+                tops = (float(np.abs(v).max()) for v in (M_, m_, m1, mcheck))
+                yield Chunk(a, b, dict(zip(("M", "m", "m1", "mcheck"), tops)).get,
+                            {"m": series.m.radius(b - 1), "ell": series.ell.radius(b - 1)}.get,
                             {"M": M_, "m": m_, "ell": ell_}.get)
     else:
         def chunks(a, b):
-            yield tables_small.chunk(a, b, ("M", "m", "ell"))
+            yield tables_small.chunk(a, b)
     top = 200 if source == "synthetic" else 19000
-    for target, weights in verify._WEIGHTS.items():
-        for weight in weights:
+    for target, row in verify.TARGETS.items():
+        for weight in row.weights:
             kind = next(k for k, w in verify._KIND_WEIGHT.items() if w == weight)
             pred = Predicate("t", kind, target, 4343.0 if kind == "const-bound" else 1.0)
             scale = verify._scale_bound(pred)[0]
@@ -357,7 +403,7 @@ def test_chunk_envelopes_dominate_the_kernel(tables_small, source):
                 lo, hi = a + 0.4 * rng.random() * (rng.random() < 0.5), b - 0.5 * rng.random()
                 x1, x2 = verify._clipped(a, b, lo, hi)
                 for c in chunks(a, b):
-                    sup, _ = _interval_sup(target, weight, x1, x2, c.m, c.M, c.ell)
+                    sup, _ = _interval_sup(target, weight, x1, x2, *map(c.read, ("m", "M", "ell")))
                     env = verify._chunk_envelope(target, weight, lo, hi, c)
                     assert env >= sup.max(), (target, weight, a, b)
                     assert verify._guard(pred, scale * env, hi, c) >= \
@@ -434,9 +480,9 @@ def test_chunk_maxima_read_no_slice(blocked, monkeypatch):
     records = (blocked.mu.block_absmax, s.m.block_absmax, s.ell.m1_absmax, s.ell.mcheck_absmax)
     for a, b in ((1, 98), (98, 195), (19985, 20001), (2, 98), (98, 194), (5, 6), (97, 98),
                  (50, 400), (1, 20001)):
-        c = blocked.chunk(a, b, ("M", "m", "ell"))
+        c = blocked.chunk(a, b)
         first, last = (a - 1) // 97 + 1, (b - 2) // 97 + 1
-        assert [c.M_max, c.m_max, c.m1_max, c.mcheck_max] == \
+        assert [c.top(r) for r in ("M", "m", "m1", "mcheck")] == \
             [float(r[first:last + 1].max()) for r in records], (a, b)
 
 
@@ -456,16 +502,16 @@ def test_whole_block_envelopes_dominate_the_kernel(blocked, monkeypatch):
     rng = np.random.default_rng(11)
     monkeypatch.setattr(tables, "_absmax",  # every chunk reads the block maxima
                         lambda v: pytest.fail("a whole block reduced its slice"))
-    for target, weights in verify._WEIGHTS.items():
-        for weight in weights:
+    for target, row in verify.TARGETS.items():
+        for weight in row.weights:
             kind = next(k for k, w in verify._KIND_WEIGHT.items() if w == weight)
             pred = Predicate("t", kind, target, 4343.0 if kind == "const-bound" else 1.0)
             scale = verify._scale_bound(pred)[0]
             for a, b in verify._spans(1, blocked.limit + 1):
-                c = blocked.chunk(a, b, ("M", "m", "ell"))
+                c = blocked.chunk(a, b)
                 for lo, hi in ((a, b), (a + 0.4 * rng.random(), b - 0.5 * rng.random())):
                     x1, x2 = verify._clipped(a, b, lo, hi)
-                    sup, _ = _interval_sup(target, weight, x1, x2, c.m, c.M, c.ell)
+                    sup, _ = _interval_sup(target, weight, x1, x2, *map(c.read, ("m", "M", "ell")))
                     env = verify._chunk_envelope(target, weight, lo, hi, c)
                     assert env >= sup.max(), (target, weight, a, b)
                     assert verify._guard(pred, scale * env, hi, c) >= \
@@ -485,8 +531,8 @@ def test_whole_block_envelopes_keep_reports_exhaustive(blocked, monkeypatch, req
         monkeypatch.setattr(verify, "_MAX_VIOLATIONS", 5)
         capped = verify_range(PREDICATES["m4345"], 2, 20001, blocked)
         monkeypatch.setattr(verify, "_MAX_VIOLATIONS", cap)
-        sups = [sup_scan(blocked, t, w, lo, hi) for t, ws in verify._WEIGHTS.items()
-                for w in ws for lo, hi in ((1, 20000), (2.5, 9999.5))]
+        sups = [sup_scan(blocked, t, w, lo, hi) for t, row in verify.TARGETS.items()
+                for w in row.weights for lo, hi in ((1, 20000), (2.5, 9999.5))]
         return reps, capped, sups
 
     pruned = run()
@@ -502,20 +548,20 @@ def _running_ratio_accumulating(tables, lo, x_max):
     every chunk in full."""
     run_m = run_M = prev = 0.0
     for a, b in verify._spans(1, x_max + 1):
-        c = tables.chunk(a, b, ("M", "m"))
-        abs_m = np.abs(c.m)
+        c = tables.chunk(a, b)
+        abs_m = np.abs(c.read("m"))
         sup_m = np.empty_like(abs_m)
         sup_m[0], sup_m[1:], prev = prev, abs_m[:-1], abs_m[-1]
         np.maximum(sup_m, abs_m, out=sup_m)
         sup_m *= np.arange(a, b, dtype=np.float64)
-        sup_M = np.abs(c.M).astype(np.float64)
+        sup_M = np.abs(c.read("M")).astype(np.float64)
         for run, sup in ((run_m, sup_m), (run_M, sup_M)):
             sup[0] = max(sup[0], run)
             np.maximum.accumulate(sup, out=sup)
         run_m, run_M = sup_m[-1], sup_M[-1]
         if b > lo:
             i = max(lo - a, 0)
-            yield a + i, sup_m[i:] / sup_M[i:], sup_M[i:], c.m_radius
+            yield a + i, sup_m[i:] / sup_M[i:], sup_M[i:], c.radius("m")
 
 
 def test_ratio_walk_equals_a_walk_accumulating_every_chunk(blocked, monkeypatch):
