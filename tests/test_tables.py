@@ -513,22 +513,26 @@ def test_build_calls_the_layer_hooks_once_each(monkeypatch):
     assert sorted(calls) == ["ell_series", "m_series"]
 
 
-def test_benchmark_contract(tmp_path, monkeypatch):
-    # what perfbench (workloads.py and worker.py, traced or not) uses of the
-    # program resolves, so that a change that drops a name fails here and
-    # not as a failed benchmark run: the names they import from mobsum
-    # (importing them fails otherwise), every T.<name> they read, the jobs=
-    # they pass, the hooks they wrap, the retained bytes per n (mu, and per
-    # block Mertens, the carries and the radii), the Tables their cache
-    # replay builds and the argv of every CLI step they run
+@pytest.fixture
+def perfbench(monkeypatch):
+    # perfbench's worker and workloads modules, imported fresh from the repo
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(tables.__file__))))
     monkeypatch.setattr(sys, "path", [os.path.join(root, "perfbench"), *sys.path])
     for name in ("worker", "workloads", "spans", "reference", "proc"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     worker = importlib.import_module("worker")
-    workloads = sys.modules["workloads"]
+    return worker, sys.modules["workloads"]
+
+
+def test_benchmarked_entry_points_take_jobs(tmp_path, perfbench):
+    # the benchmark contract: what perfbench (workloads.py and worker.py,
+    # traced or not) calls of the program resolves, so that a change that
+    # drops a name fails here and not as a failed benchmark run: the names
+    # they import from mobsum (importing them fails otherwise), every
+    # T.<name> they read, the jobs= they pass and the argv of every CLI step
+    # they run; test_traced_bench_reads_resolve checks the rest
     reads = []
-    for module in (workloads, worker):
+    for module in perfbench:
         tree = ast.parse(inspect.getsource(module))
         aliases = {a.asname: importlib.import_module(a.name) for node in ast.walk(tree)
                    if isinstance(node, ast.Import) for a in node.names
@@ -540,6 +544,19 @@ def test_benchmark_contract(tmp_path, monkeypatch):
     assert all(hasattr(mod, attr) for mod, attr in reads), reads
     for fn in (build_tables, verify_range):
         assert "jobs" in inspect.signature(fn).parameters, fn.__name__
+    parser = cli._build_parser()
+    workloads = perfbench[1]
+    for _, argv, _, _ in workloads.CliCache.STEPS:
+        cache = ["--cache-dir", str(tmp_path)] if argv[0] in workloads.CliCache.CACHED else []
+        assert parser.parse_args([*argv, *cache]).command == argv[0]
+
+
+def test_traced_bench_reads_resolve(tmp_path, perfbench):
+    # the rest of the benchmark contract, what `perfbench/run.py --trace 1`
+    # reads of the tables: the retained bytes per n (mu, and per block
+    # Mertens, the carries and the radii), the Tables its cache replay
+    # builds, and the hooks it wraps
+    worker, workloads = perfbench
     built = build_tables(20000)
     per_n = workloads.retained_bytes_per_n(built)
     assert per_n == (20001 + 2 * 4 + 2 * (2 * 16 + 2 * 8)) / 20000 < 1.01
@@ -553,10 +570,6 @@ def test_benchmark_contract(tmp_path, monkeypatch):
         ("mobsum.tables", "sieve_mu"), ("mobsum.tables", "m_series"),
         ("mobsum.tables", "ell_series"), ("mobsum.identities", "identity_kernel_integral")]
     assert all(callable(getattr(mod, attr)) for mod, attr, _ in worker.HOOKS)
-    parser = cli._build_parser()
-    for _, argv, _, _ in workloads.CliCache.STEPS:
-        cache = ["--cache-dir", str(tmp_path)] if argv[0] in workloads.CliCache.CACHED else []
-        assert parser.parse_args([*argv, *cache]).command == argv[0]
 
 
 def test_abs_mertens_prefix_integral_past_int32(tables_big):
