@@ -315,7 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("sup", help="exact supremum and argmax of a weighted function")
+    claim = ("largest float value of a weighted function's per-interval kernel "
+             "and its first argmax, with no enclosure")
+    sp = sub.add_parser("sup", help=claim, description=claim)
     sp.add_argument("--target", required=True)
     sp.add_argument("--weight", required=True)
     sp.add_argument("--from", type=finite_float, required=True)

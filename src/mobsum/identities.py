@@ -5,7 +5,8 @@ boundary integrals of the densities g1 and h1 that they read.
 Each identity is exact; the residual measures only numeric error (sieve
 prefix sums are exact or radius-certified, the kernel integrals of
 `quad.identity_kernel_integral` are exact per-panel antiderivatives added
-with math.fsum, and the boundary integrals are closed forms), so small
+exactly and rounded once (`quad._exact_sum`, the value `fsum`
+returns), and the boundary integrals are closed forms), so small
 residuals are a strong cross-module consistency oracle.
 
 The four identities share one body, `_residual` over `_IDENTITIES`, so the

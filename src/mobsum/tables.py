@@ -60,6 +60,7 @@ memory.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 import re
@@ -958,6 +959,25 @@ class _Blocks:
             return buf
 
 
+def _derive(mu: MuTable, series: SeriesPair, name: str, j: int) -> np.ndarray:
+    """Block j of M, m or ell, read-only, from the carry at its start:
+    bit for bit the values of one pass over the table.  A module function,
+    so the `_Blocks` of a `Tables` hold no reference back to it and a
+    dropped table is freed by refcount."""
+    block = mu.block
+    a, b = (j - 1) * block + 1, min(j * block, mu.limit) + 1
+    if name == "M":
+        out = _mertens_block(mu.mu, a, b, mu.mertens[j - 1])
+    else:
+        run = _Prefix(mu.mu, name, a, min(_SPAN, b - a), getattr(series, name).values[j - 1])
+        out = np.empty(b - a)
+        for c in range(a, b, _SPAN):
+            d = min(c + _SPAN, b)
+            out[c - a:d - a] = run.span(d)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class Tables:
     """Bundle of a sieve, its derived prefix series, the LRU of blocks
@@ -971,7 +991,8 @@ class Tables:
     _exact: _ExactMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_blocks", _Blocks(self._derive))
+        object.__setattr__(self, "_blocks",
+                           _Blocks(functools.partial(_derive, self.mu, self.series)))
         object.__setattr__(self, "_exact", _ExactMemo(self.mu.mu, self.nbytes()))
 
     @property
@@ -992,22 +1013,6 @@ class Tables:
             raise InvalidArgumentError(
                 f"these tables were built without the {name} prefix series")
         return series
-
-    def _derive(self, name: str, j: int) -> np.ndarray:
-        """Block j of M, m or ell, read-only, from the carry at its start:
-        bit for bit the values of one pass over the table."""
-        block = self.mu.block
-        a, b = (j - 1) * block + 1, min(j * block, self.limit) + 1
-        if name == "M":
-            out = _mertens_block(self.mu.mu, a, b, self.mu.mertens[j - 1])
-        else:
-            run = _Prefix(self.mu.mu, name, a, min(_SPAN, b - a), self.prefix(name).values[j - 1])
-            out = np.empty(b - a)
-            for c in range(a, b, _SPAN):
-                d = min(c + _SPAN, b)
-                out[c - a:d - a] = run.span(d)
-        out.setflags(write=False)
-        return out
 
     def read(self, name: str, a: int, b: int) -> np.ndarray:
         """M, m or ell (``name``) at a <= n < b (1 <= a < b <= limit + 1),

@@ -19,6 +19,7 @@ from mobsum.identities import (
     residual_thm1_H,
 )
 from mobsum.quad import identity_kernel_integral
+from mobsum.tables import build_tables
 
 
 def test_closed_form_boundary_integrals_match_quadrature():
@@ -107,3 +108,33 @@ def test_x_below_one_rejected(tables_small):
     for fn in (residual_thm1_G, residual_thm1_H, residual_bal2, residual_mchliss):
         with pytest.raises(InvalidArgumentError):
             fn(tables_small, 0.5)
+
+
+# float.hex of (rhs, residual) on a 1e5 table, taken when math.fsum still
+# added the kernel's panel terms: the exact sum keeps each bit
+RESIDUAL_BITS = {
+    (residual_thm1_G, 31.7): ("0x1.03e3f88d73e6bp-4", "-0x1.8000000000000p-55"),
+    (residual_thm1_H, 31.7): ("0x1.03e3f88d73e6cp-4", "-0x1.0000000000000p-54"),
+    (residual_bal2, 31.7): ("0x1.03e3f88d73e6bp-4", "-0x1.8000000000000p-55"),
+    (residual_mchliss, 31.7): ("-0x1.015885ae4d67ep-4", "0x1.8000000000000p-54"),
+    (residual_thm1_G, 3170.5): ("0x1.63e7d697d5a24p-12", "0x1.5c00000000000p-56"),
+    (residual_thm1_H, 3170.5): ("0x1.63e7d697d5d03p-12", "-0x1.8300000000000p-56"),
+    (residual_bal2, 3170.5): ("0x1.63e7d697d5a24p-12", "0x1.5c00000000000p-56"),
+    (residual_mchliss, 3170.5): ("-0x1.50a6b8df1bd31p-11", "0x1.b880000000000p-54"),
+    (residual_thm1_G, 31234.5): ("0x1.f0b8ae290e08ap-15", "0x1.76c0000000000p-56"),
+    (residual_thm1_H, 31234.5): ("0x1.f0b8ae290e9e0p-15", "0x1.3000000000000p-58"),
+    (residual_bal2, 31234.5): ("0x1.f0b8ae290e08ap-15", "0x1.76c0000000000p-56"),
+    (residual_mchliss, 31234.5): ("-0x1.222189c688fe1p-14", "-0x1.8fc0000000000p-56"),
+}
+
+
+@pytest.fixture(scope="module")
+def tables_1e5():
+    return build_tables(10**5)
+
+
+@pytest.mark.parametrize("residual, x", list(RESIDUAL_BITS),
+                         ids=[f"{f.__name__}-{x}" for f, x in RESIDUAL_BITS])
+def test_residual_bits_are_pinned(tables_1e5, residual, x):
+    rep = residual(tables_1e5, x)
+    assert (rep.rhs.hex(), rep.residual.hex()) == RESIDUAL_BITS[residual, x]

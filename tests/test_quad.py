@@ -3,6 +3,7 @@ import math
 import types
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
@@ -11,6 +12,7 @@ from conftest import mp_lattice
 from mobsum.errors import DomainError, InvalidArgumentError, ResourceError
 from mobsum.quad import (
     MellinBracket,
+    _exact_sum,
     check_kernel_panels,
     identity_kernel_integral,
     mellin_finite_part,
@@ -140,6 +142,62 @@ def test_mellin_bracket_property(s):
     closed = mellin_G1_closed(s)
     b = mellin_numeric(G1_SPEC, s, 500)
     assert b.lo - 1e-15 <= closed.value <= b.hi + 1e-15
+
+
+# float.hex of mellin_finite_part's (value, half_width) at X = 1e5, taken
+# when math.fsum still added the panel terms: the exact sum keeps each bit
+MELLIN_BITS = {
+    ("g1", 0.5): ("0x1.cd6b3031efe37p-3", "0x1.3b4848afb6880p-37"),
+    ("g1", 1.0): ("0x1.61dcc0e37fe02p-3", "0x1.74444c677cb66p-43"),
+    ("h1", 0.5): ("0x1.2cfd4eab0ff24p-2", "0x1.06bf15dd7fa9ep-36"),
+}
+
+
+@pytest.mark.parametrize("name, s", list(MELLIN_BITS))
+def test_mellin_finite_part_bits_are_pinned(name, s, monkeypatch):
+    def no_fsum(x):
+        raise AssertionError("a panel sum fell back to math.fsum")
+
+    monkeypatch.setattr(math, "fsum", no_fsum)
+    value, half = mellin_finite_part(G1_SPEC if name == "g1" else H1_SPEC, s, 1e5)
+    assert (value.hex(), half.hex()) == MELLIN_BITS[name, s]
+
+
+def _sum_or_error(add, x):
+    """add(x) as float.hex (zero sign included), or the error it raises."""
+    try:
+        return add(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@given(st.lists(st.floats(), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_is_fsum_on_any_floats(xs):
+    # hypothesis floats reach subnormals, 2^1023, infinities and nan
+    assert _sum_or_error(_exact_sum, np.array(xs)) == _sum_or_error(math.fsum, xs)
+
+
+SUM_CHUNK = 2**14
+
+
+@given(st.one_of(st.integers(0, 3 * SUM_CHUNK + 1),
+                 st.sampled_from([SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1, 3 * SUM_CHUNK + 1])),
+       st.integers(-1074, 1023), st.integers(-1074, 36),
+       st.sampled_from(["spread", "cancel", "zero"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_exact_sum_is_fsum_across_chunks(n, e1, e2, kind, seed):
+    # magnitudes 2^e for e between e1 and e2: below 2^37 the digits take
+    # the sum, at or above it math.fsum does; "cancel" pairs each y with -y
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted((e1, e2))
+    if kind == "zero":
+        x = rng.choice([0.0, -0.0], n) if seed % 2 else np.full(n, -0.0)
+    else:
+        x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi + 1, n))
+        if kind == "cancel":
+            x = rng.permutation(np.concatenate([x[:n // 2], -x[:n // 2]]))
+    assert _sum_or_error(_exact_sum, x) == _sum_or_error(math.fsum, x.tolist())
 
 
 def test_identity_kernel_refuses_its_panel_count_from_x_alone():

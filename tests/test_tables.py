@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import inspect
 import math
@@ -6,6 +7,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -386,6 +388,19 @@ def test_rederived_chunks_match_the_one_pass_oracle(monkeypatch, block, span):
                     assert got.tobytes() == want[name][a:b].astype(got.dtype).tobytes(), \
                         (name, a, b)
                 assert t._blocks.nbytes <= tables._LRU_BYTES
+
+
+def test_a_dropped_table_is_freed_by_refcount():
+    # its block LRU holds no reference back to it, so no collection is needed
+    gc.disable()
+    try:
+        t = build_tables(1000)
+        t.read("m", 1, 500)
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_lru_never_holds_more_than_its_bound(monkeypatch):
