@@ -624,7 +624,7 @@ def serialize_ledger(ledger: Ledger) -> str:
         typ = "bound" if isinstance(entry, BoundForm) else "sqrt"
         lines.append(" ".join([f"kind={kind} name={name} type={typ}"] + [
             f"{key}={fmt(getattr(entry, attr))}" for attr, key, fmt, _ in _fields(type(entry))]))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def load_ledger(text: str) -> Ledger:

@@ -27,7 +27,7 @@ from .weights import G1_ENVELOPE, H1_ENVELOPE, WeightSpec, lattice_power_coeffs
 
 _MAX_PANELS = 10**7
 _U = 2.0 ** -53
-_K_ROUND = 32
+_K_ROUND = 32  # `_panel_sum`'s rounding budget, on the libm premise (`mobsum` docstring)
 # `_exact_sum` adds base-2^_DIGIT digits a chunk at a time: a chunk of
 # digits below 2^_DIGIT sums below 2^52, so any order of float adds is exact.
 _SUM_CHUNK = 1 << 14
@@ -124,7 +124,8 @@ def _panel_sum(lo, hi, terms, s: float = 0.0):
 
     Preconditions: 1 <= lo < hi <= 2 lo and j + s > -1 for every pair.
     Half-width k u sum|terms| with u = 2^-53 and k = 32.  With numpy's
-    log1p, expm1 and power within 1 ulp (2u): log1p carries <= 4u (the
+    log1p, expm1 and power within 1 ulp (2u), the libm premise of the
+    `mobsum` package docstring: log1p carries <= 4u (the
     subtraction, the division and its own error; its condition number is
     <= 1), e*L <= 6u, expm1 <= 2*6u + 2u = 14u (its condition number
     y e^y/(e^y - 1) stays below 2 since y <= (1 - j - s) log 2 < 2 log 2),

@@ -28,9 +28,11 @@ radius of every index in the block, and the records: the largest |M(n)|,
 |m(n)| and |ell(n)| of the block and, kept with ell, the largest
 |m(n) - M(n)/n| = |m1(n)| and |m(n) log n - ell(n) - 1| = |mcheck(n) - 1|.
 The build streams block by block and keeps no per-index M, m or ell: ell
-is always built in one pass with m and Mertens beside it (`_Prefix` with
-a companion), which takes each series' carries, radii and records and
-those two records.
+is always built in one pass with m and Mertens beside it (a fused
+`_Prefix`), which takes each series' carries, radii and records and
+those two records.  So a table never holds ell without m, and a block of
+ell is re-derived by the same fused run from the block's ell and m
+carries.
 
 A scan reads a table only through `Tables.chunk` (a `Chunk` of one span,
 which computes only what it is asked for: the largest of a record over the
@@ -109,18 +111,16 @@ _RECORDS = {"M": (None, "block_absmax"), "m": ("m", "block_absmax"),
 class MuTable:
     """Möbius values mu(1..limit) and their exact prefix sums at block ends.
 
-    ``mu[n]`` is 1-indexed: index 0 is unused (zero).  With ``block`` the
-    _BLOCK the table was built with, ``mertens[j] = sum_{k<=c} mu[k]`` at
-    c = min(j block, limit), held exactly in int32, and ``block_absmax[j]``
-    is max |M(n)| over block j (entry 0 of both is 0).  M(n) inside a block
-    is `_mertens_block` from the entry before it.
+    ``mu[n]`` is 1-indexed: index 0 is unused (zero).  ``mertens[j] =
+    sum_{k<=c} mu[k]`` at c = min(j _BLOCK, limit), held exactly in int32,
+    and ``block_absmax[j]`` is max |M(n)| over block j (entry 0 of both is
+    0).  M(n) inside a block is `_mertens_block` from the entry before it.
     """
 
     limit: int
-    block: int
     mu: np.ndarray            # int8, length limit+1
-    mertens: np.ndarray       # int32, length ceil(limit/block)+1
-    block_absmax: np.ndarray  # int32, length ceil(limit/block)+1
+    mertens: np.ndarray       # int32, length ceil(limit/_BLOCK)+1
+    block_absmax: np.ndarray  # int32, length ceil(limit/_BLOCK)+1
 
     def __post_init__(self):
         self.mu.setflags(write=False)
@@ -135,15 +135,14 @@ def _check_limit(limit: int) -> None:
                          f"so tables stop at 2^31 - 1")
 
 
-def _retained_bytes(limit: int, series, block: int | None = None) -> int:
+def _retained_bytes(limit: int, series) -> int:
     """Bytes that tables to ``limit`` with the prefix series named in
     ``series`` retain (`Tables.nbytes`): mu (1 B/n); per block the Mertens
     entry and its record (8 B), each series' carry, radius and record
     (32 B), and with ell the m1 and mcheck records (16 B); and the bound
     of the LRU of re-derived blocks, which never holds more than the whole
-    table's M (4 B/n) and series (8 B/n each).  ``block`` is the table's
-    block size, _BLOCK by default."""
-    blocks = -(-limit // (block or _BLOCK)) + 1
+    table's M (4 B/n) and series (8 B/n each)."""
+    blocks = -(-limit // _BLOCK) + 1
     records = 16 if "ell" in series else 0
     return (limit + 1 + (8 + 32 * len(series) + records) * blocks
             + min(_LRU_BYTES, (4 + 8 * len(series)) * limit))
@@ -287,7 +286,7 @@ def _mu_table(mu: np.ndarray) -> MuTable:
         block = _mertens_block(mu, a, b, mertens[j - 1], buf[:b - a])
         mertens[j] = block[-1]
         absmax[j] = max(block.max(), -block.min())
-    return MuTable(limit=limit, block=_BLOCK, mu=mu, mertens=mertens, block_absmax=absmax)
+    return MuTable(limit=limit, mu=mu, mertens=mertens, block_absmax=absmax)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +298,11 @@ class PrefixSeries:
     """Compensated prefix sums, kept at block ends, with a certified
     absolute error radius.
 
-    With ``block`` the _BLOCK of the table it was built on and c_j =
-    min(j block, limit): ``values[j]`` is the carry at c_j, the pair
-    (s, e) of the naive prefix and the running sum of its rounding errors,
-    whose rounded sum s + e is the value there and from which `_Prefix`
-    re-derives block j + 1 (`Tables.read`); row 0 is the empty sum (0, 0).
+    With c_j = min(j _BLOCK, limit): ``values[j]`` is the carry at c_j,
+    the pair (s, e) of the naive prefix and the running sum of its rounding
+    errors, whose rounded sum s + e is the value there and from which
+    `_Prefix` re-derives block j + 1 (`Tables.read`); row 0 is the empty
+    sum (0, 0).
     Every value approximates the exact rational prefix sum of its terms.
     The per-index radius is nondecreasing, so it is kept at block ends
     only: ``error_radius[j]`` is the radius at c_j (entry 0 is 0), and
@@ -317,11 +316,9 @@ class PrefixSeries:
     series as ``beside``.
     """
 
-    limit: int
-    block: int
-    values: np.ndarray        # float64, shape (ceil(limit/block)+1, 2)
-    error_radius: np.ndarray  # float64, length ceil(limit/block)+1
-    block_absmax: np.ndarray  # float64, length ceil(limit/block)+1
+    values: np.ndarray        # float64, shape (ceil(limit/_BLOCK)+1, 2)
+    error_radius: np.ndarray  # float64, length ceil(limit/_BLOCK)+1
+    block_absmax: np.ndarray  # float64, length ceil(limit/_BLOCK)+1
     m1_absmax: np.ndarray | None = None     # float64, as block_absmax
     mcheck_absmax: np.ndarray | None = None  # float64, as block_absmax
     beside: PrefixSeries | None = field(default=None, repr=False, compare=False)
@@ -335,153 +332,130 @@ class PrefixSeries:
     def radius(self, n: int) -> float:
         """Certified error radius of the value at n: the radius at the end
         of n's block, which bounds the nondecreasing radius at n."""
-        return float(self.error_radius[(n + self.block - 1) // self.block])
+        return float(self.error_radius[(n + _BLOCK - 1) // _BLOCK])
 
 
-def _m_terms(mu, k, out, log_k):
-    np.divide(mu, k, out=out)
-
-
-def _ell_terms(mu, k, out, log_k):
-    np.log(k, out=log_k)
-    np.multiply(mu, log_k, out=out)
-    np.divide(out, k, out=out)
-
-
-# each quotient mu/k carries at most half an ulp of relative error; an ell
-# term adds the error of log(), taken to be at most 1 ulp, and one more
-# rounding.  That log bound is a premise this code does not check: np.log
-# met it against mpmath (<= 0.56 ulp over 2e5 points of [1, 2^31], on one
-# AVX-512 x86-64 host)
-_TERMS = {"m": (_m_terms, 1), "ell": (_ell_terms, 3)}
+# a quotient's rounding costs at most u = _ULP of relative error and mu(k)
+# log k is exact but for the log, within 1 ulp (2u) by the libm premise of
+# the `mobsum` package docstring: an ell term is within 3u of exact
+_ELL_REP = 3.0 * _ULP
 
 
 class _Prefix:
     """A compensated prefix series run over consecutive spans of at most
     ``size`` indices from index ``start`` on, from the carry (s, e) at
-    start - 1 (`PrefixSeries.values`); with a ``companion`` series (m),
-    the two run together from index 1, and so does Mertens.
+    start - 1 (`PrefixSeries.values`).  A run is m alone or, ``fused``,
+    ell with m beside it, and Mertens summed from ``start`` (M(n) itself
+    in a run from index 1); a fused carry holds ell's (s, e) in the real
+    parts and m's in the imaginary ones.
 
-    The terms t_k of series ``name`` are written by its terms function
-    (`_TERMS`), which also writes any log k it takes into ``log_k`` (with
-    a companion, a buffer of its own, kept for the caller until the next
-    span); each term's own representation error is at most rep = rep_ulps *
-    ulp * |t_k|.  With s_k the naive prefix and s_{k-1} its predecessor,
+    The terms t_k are mu(k)/k for m and mu(k) log(k)/k for ell, whose log k
+    a fused run keeps in ``logs``.  Each term's own representation error is
+    at most rep = u |t_k| for m and _ELL_REP |t_k| for ell.  With s_k the
+    naive prefix and s_{k-1} its predecessor,
 
         bb  = s_k - s_{k-1}            (Neumaier branch-free TwoSum split)
         err = (s_{k-1} - (s_k - bb)) + (t_k - bb)
 
     recover each step's exact rounding error; adding their running sum e
     back gives values accurate to ~1 ulp.  The run also keeps, for each
-    series it runs, the sums the certified radius needs (`_carried_prefix`):
-    of |t|, of rep and of |err|.
+    series, the sums the certified radius needs (`_carried_prefix`): of
+    |t|, of rep and of |err|.
 
     Each running sum is a left-to-right accumulate whose slot 0 holds the
     sum carried from the span before (``np.sum`` is pairwise and would
     round differently), so every float operation runs in the order of one
     pass over the whole table: no value or sum depends on where a run
-    starts, on the span size or on whether the series runs alone or with a
-    companion.  An accumulate costs several elementwise passes, so they run
-    two sums at once, as the real and imaginary parts of one complex128
-    accumulate: complex addition adds the parts separately, each rounded
-    once, so each part is bit for bit the real running sum it stands for.
-    Alone, a series pairs s with the sum of |t| and e with the sum of
-    |err|, and for rep_ulps other than 1 the sum of |t| again with that of
-    rep: two accumulates, or three.  With a companion, the pairs are the
-    two series' s and their e, and the split runs on both as interleaved
-    floats; the series' sums of |t| and rep share a third accumulate, its
-    sum of |err| a fourth with the running sum of mu, Mertens (exact in
-    float64), for the records that need it, and the companion's sums of
-    |t| and |err| a fifth.  For rep_ulps = 1 (m, and so the companion) the
-    sum of rep needs no pass of its own: rep = ulp |t_k| is a power-of-two
-    scaling, each nonzero |t_k| >= 2^-31 keeps it and every partial sum
-    far from the subnormals, and rounding commutes with such a scaling, so
-    the sum of rep is exactly ulp * sum |t|.  The scratch is a fixed set of
-    span-sized buffers, in float64 units (a complex128 counts twice): 9
-    alone, 11 with a sum of rep, 19 with a companion (and its log k).
+    starts or on the span size, and m is the same alone and fused.  An
+    accumulate costs several elementwise passes, so they run two sums at
+    once, as the real and imaginary parts of one complex128 accumulate:
+    complex addition adds the parts separately, each rounded once, so each
+    part is bit for bit the real running sum it stands for.  Alone, m pairs
+    s with the sum of |t| and e with the sum of |err|: two accumulates.
+    Fused, the pairs are the two series' s and their e, and the split runs
+    on both as interleaved floats; ell's sums of |t| and rep share a third
+    accumulate, its sum of |err| a fourth with the running sum of mu,
+    Mertens (exact in float64), for the records that need it, and m's sums
+    of |t| and |err| a fifth.  m's sum of rep needs no pass of its own:
+    rep = u |t_k| is a power-of-two scaling, each nonzero |t_k| >= 2^-31
+    keeps it and every partial sum far from the subnormals, and rounding
+    commutes with such a scaling, so the sum of rep is exactly u sum |t|.
+    The scratch is a fixed set of span-sized buffers, in float64 units (a
+    complex128 counts twice): 9 alone, 19 fused (with log k).
     """
 
-    def __init__(self, mu: np.ndarray, name: str, start: int, size: int, carry=(0.0, 0.0),
-                 companion: str | None = None):
+    def __init__(self, mu: np.ndarray, start: int, size: int, carry=(0.0, 0.0),
+                 fused: bool = False):
         self.mu = mu
-        self.terms, self.rep_ulps = _TERMS[name]
-        self.companion = None if companion is None else _TERMS[companion][0]
+        self.fused = fused
         self.next = start
         # the naive prefix and correction sums, with the sums of the imaginary part
         self.carry, self.e_carry = complex(carry[0]), complex(carry[1])
-        # (sum |t|, sum rep), (sum |err|, M) and the companion's (sum |t|, sum |err|)
+        # fused: ell's (sum |t|, sum rep), (sum |err|, M) and m's (sum |t|, sum |err|)
         self.abs_carry, self.err_carry, self.m_carry = 0j, 0j, 0j
         self.base = np.arange(size, dtype=np.float64)
         self.k = np.empty(size)
-        self.logs = np.empty(size) if companion else None  # for the mcheck record
-        pair = np.complex128 if companion else np.float64  # the parts that are series
+        pair = np.complex128 if fused else np.float64  # the parts that are series
         self.t, self.w = np.empty(size, dtype=pair), np.empty(size, dtype=pair)
         self.v = np.empty(size)
-        self.m = np.empty(size) if companion else None
-        self.M = None  # with a companion, a view of the span's Mertens sums
+        self.logs, self.m = (np.empty(size) if fused else None for _ in range(2))
+        self.M = None  # fused, a view of the span's Mertens sums
         # slot 0 holds the carry, slot i + 1 the running sums through k[i]
         self.run, self.e_run = (np.empty(size + 1, dtype=np.complex128) for _ in range(2))
-        self.abs_run = (np.empty(size + 1, dtype=np.complex128)
-                        if companion or self.rep_ulps != 1 else None)
-        self.err_run, self.m_run = (np.empty(size + 1, dtype=np.complex128) if companion
-                                    else None for _ in range(2))
+        self.abs_run, self.err_run, self.m_run = (
+            np.empty(size + 1, dtype=np.complex128) if fused else None for _ in range(3))
 
-    def state(self, companion: bool = False):
-        """(s, e, sum |t|, sum rep, sum |err|) of the series, or of its
-        companion, through the last span."""
-        if companion:
-            abs_sum, err_sum = self.m_carry.real, self.m_carry.imag
-            return self.carry.imag, self.e_carry.imag, abs_sum, _ULP * abs_sum, err_sum
-        if self.companion is None:
-            abs_sum, rep_sum, err_sum = self.carry.imag, self.abs_carry.imag, self.e_carry.imag
-        else:
-            abs_sum, rep_sum, err_sum = (self.abs_carry.real, self.abs_carry.imag,
-                                         self.err_carry.real)
-        return (self.carry.real, self.e_carry.real, abs_sum,
-                _ULP * abs_sum if self.rep_ulps == 1 else rep_sum, err_sum)
+    def states(self) -> list:
+        """(s, e, sum |t|, sum rep, sum |err|) through the last span of each
+        series of the run: m alone, or ell and then m."""
+        s, e = self.carry, self.e_carry
+        if not self.fused:  # the imaginary parts carry the sums of |t| and |err|
+            return [(s.real, e.real, s.imag, _ULP * s.imag, e.imag)]
+        m_abs = self.m_carry.real
+        return [(s.real, e.real, self.abs_carry.real, self.abs_carry.imag, self.err_carry.real),
+                (s.imag, e.imag, m_abs, _ULP * m_abs, self.m_carry.imag)]
 
     def span(self, b: int):
-        """The values at next <= n < b, in a buffer the next span reuses.
-        ``k``, ``logs`` and, with a companion, ``m`` and ``M`` keep the
-        span's indices, log k, companion values and Mertens sums until the
-        next span."""
+        """The values at next <= n < b, m's alone and ell's fused, in a
+        buffer the next span reuses.  ``k`` and, fused, ``logs``, ``m`` and
+        ``M`` keep the span's indices, log k, m values and Mertens sums
+        until the next span."""
         a, n = self.next, b - self.next
         t, w, v, z, ze = self.t[:n], self.w[:n], self.v[:n], self.run[:n + 1], self.e_run[:n + 1]
         k = np.add(self.base[:n], a, out=self.k[:n])
         mu = self.mu[a:b]
-        self.terms(mu, k, t.real, t.real if self.logs is None else self.logs[:n])
         z[0] = self.carry
-        if self.companion is None:  # the imaginary parts carry |t|
-            z.real[1:] = t
-            np.abs(t, out=z.imag[1:])
-        else:
-            self.companion(mu, k, t.imag, None)
+        if self.fused:  # ell's terms in the real parts, m's in the imaginary ones
+            log_k = np.log(k, out=self.logs[:n])
+            np.divide(np.multiply(mu, log_k, out=t.real), k, out=t.real)
+            np.divide(mu, k, out=t.imag)
             z[1:] = t
-            m_acc = self.m_run[:n + 1]  # the companion's (sum |t|, sum |err|)
-            m_acc[0] = self.m_carry
-            np.abs(t.imag, out=m_acc.real[1:])
-        if self.abs_run is not None:
-            acc = self.abs_run[:n + 1]  # (sum |t|, sum rep)
+            acc = self.abs_run[:n + 1]  # ell's (sum |t|, sum rep)
             acc[0] = self.abs_carry
             np.abs(t.real, out=acc.real[1:])
-            np.multiply(acc.real[1:], self.rep_ulps * _ULP, out=acc.imag[1:])
+            np.multiply(acc.real[1:], _ELL_REP, out=acc.imag[1:])
             self.abs_carry = complex(np.add.accumulate(acc, out=acc)[-1])
+            m_acc = self.m_run[:n + 1]  # m's (sum |t|, sum |err|)
+            m_acc[0] = self.m_carry
+            np.abs(t.imag, out=m_acc.real[1:])
+        else:  # the imaginary parts carry |t|
+            np.divide(mu, k, out=t)
+            z.real[1:] = t
+            np.abs(t, out=z.imag[1:])
         np.add.accumulate(z, out=z)
-        if self.companion is None:  # the split runs on the real parts
-            s, err = z.real, ze.real[1:]
-            prev, cur = s[:-1], s[1:]
-        else:  # on both parts, as interleaved floats
+        if self.fused:  # the split runs on both parts, as interleaved floats
             s, t, w, err = (x.view(np.float64) for x in (z, t, w, ze[1:]))
             prev, cur = s[:-2], s[2:]
+        else:  # on the real parts
+            s, err = z.real, ze.real[1:]
+            prev, cur = s[:-1], s[1:]
         np.subtract(cur, prev, out=w)              # bb
         np.subtract(t, w, out=t)                   # t - bb
         np.subtract(cur, w, out=w)                 # s - bb
         np.subtract(prev, w, out=w)                # prev - (s - bb)
         np.add(w, t, out=err)                      # err
-        if self.companion is None:
-            np.abs(err, out=ze.imag[1:])
-        else:
-            acc = self.err_run[:n + 1]  # (sum |err|, M)
+        if self.fused:
+            acc = self.err_run[:n + 1]  # ell's (sum |err|, M)
             acc[0] = self.err_carry
             np.abs(ze.real[1:], out=acc.real[1:])
             acc.imag[1:] = mu
@@ -489,20 +463,22 @@ class _Prefix:
             self.M = acc.imag[1:]
             np.abs(ze.imag[1:], out=m_acc.imag[1:])
             self.m_carry = complex(np.add.accumulate(m_acc, out=m_acc)[-1])
+        else:
+            np.abs(err, out=ze.imag[1:])
         ze[0] = self.e_carry
         np.add.accumulate(ze, out=ze)
         np.add(z.real[1:], ze.real[1:], out=v)
-        if self.companion is not None:
+        if self.fused:
             np.add(z.imag[1:], ze.imag[1:], out=self.m[:n])
         self.carry, self.e_carry, self.next = complex(z[-1]), complex(ze[-1]), b
         return v
 
 
-def _carried_prefix(table: MuTable, name: str, companion: str | None = None) -> PrefixSeries:
-    """The prefix series ``name`` of ``table`` or, with a ``companion`` (m,
-    beside ell), the companion's series keeping it as ``beside``, from one
-    run streamed block by block in spans of at most _SPAN (`_Prefix`),
-    keeping per block only each series' carry, radius and records.
+def _carried_prefix(table: MuTable, fused: bool) -> PrefixSeries:
+    """The m series of ``table`` or, ``fused``, that m series keeping as
+    ``beside`` the ell series run with it, from one run streamed block by
+    block in spans of at most _SPAN (`_Prefix`), keeping per block only
+    each series' carry, radius and records.
 
     The certified radius at index k combines:
       * representation error of the terms themselves (running sum of rep),
@@ -512,37 +488,35 @@ def _carried_prefix(table: MuTable, name: str, companion: str | None = None) -> 
     Each part is nondecreasing in k and rounding is monotone, so a block's
     largest radius is at its last index, the one place it is evaluated.
     The largest |value| of each block, which the running max reads anyway,
-    is kept as ``block_absmax``.  With m beside ell, the run also takes,
-    while each span is in cache, its block's `_m1_absmax` from m and
-    Mertens and its `_mcheck_absmax` from m, ell and ell's own log k, and
-    keeps them with the ell series: m's values exist per index only there,
-    since no table keeps them.  Each series is bit for bit the one a run of
-    it alone gives.
+    is kept as ``block_absmax``.  A fused run also takes, while each span
+    is in cache, its block's `_m1_absmax` from m and Mertens and its
+    `_mcheck_absmax` from m, ell and ell's own log k, and keeps them with
+    the ell series: m's values exist per index only there, since no table
+    keeps them.  The m series is bit for bit the same either way.
     """
-    limit, block = table.limit, table.block
-    blocks = -(-limit // block)
-    parts = (False, True) if companion else (False,)  # the series, then its companion
-    carry = np.zeros((len(parts), blocks + 1, 2))
-    radius, absmax = np.zeros((len(parts), blocks + 1)), np.zeros((len(parts), blocks + 1))
-    m1, mcheck = np.zeros((2, blocks + 1)) if companion else (None, None)
-    size = min(_SPAN, block, limit)
-    run = _Prefix(table.mu, name, 1, size, companion=companion)
-    w = np.empty(size) if companion else None  # the records' scratch
-    v_max = [0.0] * len(parts)
-    for j, a_j in enumerate(range(1, limit + 1, block), 1):
-        b_j = min(a_j + block, limit + 1)
-        block_max = [0.0] * len(parts)
+    limit = table.limit
+    blocks = -(-limit // _BLOCK)
+    parts = 2 if fused else 1  # ell and then m, or m
+    carry = np.zeros((parts, blocks + 1, 2))
+    radius, absmax = np.zeros((parts, blocks + 1)), np.zeros((parts, blocks + 1))
+    m1, mcheck = np.zeros((2, blocks + 1)) if fused else (None, None)
+    size = min(_SPAN, _BLOCK, limit)
+    run = _Prefix(table.mu, 1, size, fused=fused)
+    w = np.empty(size) if fused else None  # the records' scratch
+    v_max = [0.0] * parts
+    for j, a_j in enumerate(range(1, limit + 1, _BLOCK), 1):
+        b_j = min(a_j + _BLOCK, limit + 1)
+        block_max = [0.0] * parts
         for a in range(a_j, b_j, _SPAN):
             b = min(a + _SPAN, b_j)
             v = run.span(b)
             block_max[0] = max(block_max[0], _absmax(v))
-            if companion:
+            if fused:
                 m_v, d = run.m[:b - a], w[:b - a]
                 block_max[1] = max(block_max[1], _absmax(m_v))
                 m1[j] = max(m1[j], _m1_absmax(m_v, run.M, run.k[:b - a], d))
                 mcheck[j] = max(mcheck[j], _mcheck_absmax(m_v, v, run.logs[:b - a], d))
-        for i, part in enumerate(parts):
-            s, e, abs_sum, rep_sum, abs_err_sum = run.state(part)
+        for i, (s, e, abs_sum, rep_sum, abs_err_sum) in enumerate(run.states()):
             carry[i, j] = s, e
             absmax[i, j] = block_max[i]
             v_max[i] = max(v_max[i], block_max[i])
@@ -550,11 +524,11 @@ def _carried_prefix(table: MuTable, name: str, companion: str | None = None) -> 
                             + 2.0 * _ULP * v_max[i])
 
     def series(i, **records):
-        return PrefixSeries(limit=limit, block=block, values=carry[i], error_radius=radius[i],
-                            block_absmax=absmax[i], **records)
+        return PrefixSeries(values=carry[i], error_radius=radius[i], block_absmax=absmax[i],
+                            **records)
 
     main = series(0, m1_absmax=m1, mcheck_absmax=mcheck)
-    return series(1, beside=main) if companion else main
+    return series(1, beside=main) if fused else main
 
 
 def m_series(table: MuTable, with_ell: bool = False) -> PrefixSeries:
@@ -562,7 +536,7 @@ def m_series(table: MuTable, with_ell: bool = False) -> PrefixSeries:
     With ``with_ell``, one run builds the ell series beside m and records
     the m1 and mcheck block maxima; the result keeps that series as
     ``beside`` for `ell_series` to hand back."""
-    return _carried_prefix(table, "ell", "m") if with_ell else _carried_prefix(table, "m")
+    return _carried_prefix(table, with_ell)
 
 
 def ell_series(table: MuTable, m: PrefixSeries | None = None) -> PrefixSeries:
@@ -572,7 +546,7 @@ def ell_series(table: MuTable, m: PrefixSeries | None = None) -> PrefixSeries:
     series of ``table`` built ``with_ell``, keeps beside it, else that of
     a run of ell with m beside it."""
     if m is None or m.beside is None:
-        m = _carried_prefix(table, "ell", "m")
+        m = _carried_prefix(table, True)
     return m.beside
 
 
@@ -960,16 +934,19 @@ class _Blocks:
 
 
 def _derive(mu: MuTable, series: SeriesPair, name: str, j: int) -> np.ndarray:
-    """Block j of M, m or ell, read-only, from the carry at its start:
-    bit for bit the values of one pass over the table.  A module function,
-    so the `_Blocks` of a `Tables` hold no reference back to it and a
-    dropped table is freed by refcount."""
-    block = mu.block
-    a, b = (j - 1) * block + 1, min(j * block, mu.limit) + 1
+    """Block j of M, m or ell, read-only, from the carries at its start
+    (m by a run of m alone, ell by a fused run from ell's and m's): bit for
+    bit the values of one pass over the table.  A module function, so the
+    `_Blocks` of a `Tables` hold no reference back to it and a dropped
+    table is freed by refcount."""
+    a, b = (j - 1) * _BLOCK + 1, min(j * _BLOCK, mu.limit) + 1
     if name == "M":
         out = _mertens_block(mu.mu, a, b, mu.mertens[j - 1])
     else:
-        run = _Prefix(mu.mu, name, a, min(_SPAN, b - a), getattr(series, name).values[j - 1])
+        carry = series.m.values[j - 1]
+        if name == "ell":  # ell's (s, e) in the real parts, m's in the imaginary ones
+            carry = [complex(x, y) for x, y in zip(series.ell.values[j - 1], carry)]
+        run = _Prefix(mu.mu, a, min(_SPAN, b - a), carry, fused=name == "ell")
         out = np.empty(b - a)
         for c in range(a, b, _SPAN):
             d = min(c + _SPAN, b)
@@ -981,7 +958,9 @@ def _derive(mu: MuTable, series: SeriesPair, name: str, j: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Tables:
     """Bundle of a sieve, its derived prefix series, the LRU of blocks
-    re-derived from them and the memo behind its exact prefix sums."""
+    re-derived from them and the memo behind its exact prefix sums.  A
+    block of ell is re-derived with m beside it (`_derive`), so an ell
+    series without the m series raises InvalidArgumentError."""
 
     FIXED_BITS = _FIXED_BITS  # the binary point of exact_prefix's m and ell
 
@@ -991,6 +970,8 @@ class Tables:
     _exact: _ExactMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.series.ell is not None and self.series.m is None:
+            raise InvalidArgumentError("tables with the ell prefix series need the m series")
         object.__setattr__(self, "_blocks",
                            _Blocks(functools.partial(_derive, self.mu, self.series)))
         object.__setattr__(self, "_exact", _ExactMemo(self.mu.mu, self.nbytes()))
@@ -1002,8 +983,7 @@ class Tables:
     def nbytes(self) -> int:
         """Bytes these tables retain (`_retained_bytes`), the LRU at its
         bound; the memo behind exact_prefix counts its own."""
-        return _retained_bytes(self.limit, [s for s in SERIES if getattr(self.series, s)],
-                              self.mu.block)
+        return _retained_bytes(self.limit, [s for s in SERIES if getattr(self.series, s)])
 
     def prefix(self, name: str) -> PrefixSeries:
         """The prefix series ``name`` ("m" or "ell"); InvalidArgumentError
@@ -1021,17 +1001,16 @@ class Tables:
         raises InvalidArgumentError."""
         if name != "M":
             self.prefix(name)
-        block = self.mu.block
-        first, last = (a - 1) // block + 1, (b - 2) // block + 1
+        first, last = (a - 1) // _BLOCK + 1, (b - 2) // _BLOCK + 1
         parts = [self._blocks.get(name, j) for j in range(first, last + 1)]
-        off = (first - 1) * block + 1
+        off = (first - 1) * _BLOCK + 1
         return (parts[0] if len(parts) == 1 else np.concatenate(parts))[a - off:b - off]
 
     def chunk(self, a: int, b: int) -> Chunk:
         """The `Chunk` of the indices a <= n < b (1 <= a < b <= limit + 1).
         A record, radius or slice of a prefix series these tables lack
         raises InvalidArgumentError when it is asked for."""
-        blocks = slice((a - 1) // self.mu.block + 1, (b - 2) // self.mu.block + 2)
+        blocks = slice((a - 1) // _BLOCK + 1, (b - 2) // _BLOCK + 2)
 
         def top(record):  # a list's max: numpy's costs ~1 us more per call
             series, attr = _RECORDS[record]
@@ -1060,8 +1039,9 @@ def build_tables(limit: int, jobs: int = 1) -> Tables:
 
 def with_series(table: MuTable, series=SERIES) -> Tables:
     """``table`` bundled with the prefix series named in ``series`` (a
-    subset of SERIES); the others are None.  The ell series is built in
-    one run with m, which also records the m1 and mcheck block maxima."""
+    subset of SERIES that names m wherever it names ell); the others are
+    None.  The ell series is built in one run with m, which also records
+    the m1 and mcheck block maxima."""
     m = m_series(table, "ell" in series) if "m" in series else None
     return Tables(mu=table, series=SeriesPair(
         m=m, ell=ell_series(table, m) if "ell" in series else None))

@@ -64,7 +64,9 @@ from .tables import _BLOCK as _CHUNK, Chunk, Tables
 _ULP = 2.0 ** -53
 _BISECT_STEPS = 80
 _MAX_VIOLATIONS = 10000  # verify_range stops at the violation after this many
-_ENV_SLACK = 1.0 + 64.0 * _ULP  # rounding slack of a chunk envelope (_chunk_envelope)
+# rounding slack of a chunk envelope (_chunk_envelope), on the libm premise
+# of the `mobsum` package docstring
+_ENV_SLACK = 1.0 + 64.0 * _ULP
 _RATIO_RANK = 94  # Theorem C: the ratio stays in _RATIO_BAND for x >= 94
 _RATIO_BAND = (2.0 / 3.0, 1.5)
 
@@ -85,18 +87,16 @@ def _mp_fns() -> SimpleNamespace:
 def _scan_range(lo: float, hi: float, limit: float = math.inf,
                 closed: bool = False) -> Tuple[int, int]:
     """(n_lo, n_hi): the intervals [n, n+1), n_lo <= n < n_hi, that a scan
-    of [lo, hi) meets (of [lo, hi] if closed, from x = 1), each of which
-    reads its table at n only, so n_hi - 1 may reach the table limit.  The
-    range rules of `verify_range` and `sup_scan`: a command checks them,
-    without a limit, before it builds a table."""
+    of [lo, hi) meets (of [lo, hi] if closed), each of which reads its
+    table at n only, so n_hi - 1 may reach the table limit.  The range rule
+    of `verify_range` and `sup_scan`, which both start at x >= 1: a command
+    checks it, without a limit, before it builds a table."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidArgumentError(f"range bounds must be finite, not {lo}, {hi}")
-    if closed:
-        n_lo, n_hi = max(1, int(math.floor(lo))), int(math.floor(hi)) + 1
-    else:
-        n_lo, n_hi = int(math.floor(lo)), int(math.ceil(hi))
-        if n_lo < 1:
-            raise InvalidArgumentError("range must start at x >= 1")
+    n_lo = int(math.floor(lo))
+    n_hi = int(math.floor(hi)) + 1 if closed else int(math.ceil(hi))
+    if n_lo < 1:
+        raise InvalidArgumentError("range must start at x >= 1")
     if (hi < lo if closed else hi <= lo) or n_hi <= n_lo:
         raise InvalidArgumentError(f"empty range [{lo}, {hi}{']' if closed else ')'}")
     if n_hi - 1 > limit:
@@ -388,10 +388,9 @@ def _chunk_envelope(target: str, weight: str, lo: float, hi: float,
     0 for M and m.  The values at the integers are taken with the kernel's
     own operations at x = n (fl(m - fl(M/n)); fl(fl(m log n) - fl(ell +
     1))), so the kernel's float value at an x of [n, n+1] differs from them
-    only by the variation and by roundings.  Numpy's log is taken to be
-    within 1 ulp (2u): a premise this code does not check, which it met
-    against mpmath on one AVX-512 x86-64 host (at most 0.52 ulp over 2e4
-    points of [1, 2e9]).  Then the kernel's float L and the float log n lie
+    only by the variation and by roundings.  Numpy's log and math.log are
+    taken to be within 1 ulp (2u), the libm premise of the `mobsum` package
+    docstring.  Then the kernel's float L and the float log n lie
     within 2u of the true logs relatively, so L - log n <= 1/n + 4u Lb, and
     L <= Lb (1 + 4u) for the float Lb the envelope takes.  Absolutely, the
     operands cost at most 7u S: for m1, fl(M/x) and fl(M/n) u S each; for

@@ -354,6 +354,13 @@ def test_ledger_round_trip_bit_for_bit():
     assert led2["weird"].provenance == led["weird"].provenance
 
 
+def test_empty_ledger_round_trip():
+    # no records serialize to no text, not to a blank line, and back
+    assert serialize_ledger(Ledger()) == ""
+    back = load_ledger("")
+    assert (back.axioms, back.derived) == ({}, {}) and serialize_ledger(back) == ""
+
+
 def test_parse_plan():
     steps = parse_plan("""
 # a comment

@@ -39,6 +39,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                        "--from", "5000", "--to", "3000")
     assert code == 2
     assert "status=PASS" not in out
+    # a sup below x = 1 is a usage error, not a value for [1, to] printed as [from, to]
+    code, out, err = run(capsys, "sup", "--target", "mcheck-minus-1", "--weight", "log2x",
+                         "--from", "0.1", "--to", "3")
+    assert code == 2 and out == "" and "range must start at x >= 1" in err
     # a cache directory that is a regular file is a usage error, not a traceback
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
@@ -353,7 +357,8 @@ def test_scan_range_checked_before_any_table(capsys, monkeypatch):
             (verify + ("--from", "3e9", "--to", "2.5e9"), "empty range [3000000000.0, "),
             (verify + ("--from", "7.5", "--to", "7.25"), "empty range [7.5, 7.25)"),
             (sup + ("--from", "3e9", "--to", "2.5e9"), "empty range [3000000000.0, "),
-            (sup + ("--from", "0.25", "--to", "0.5"), "empty range [0.25, 0.5]")):
+            (sup + ("--from", "7.5", "--to", "7.25"), "empty range [7.5, 7.25]"),
+            (sup + ("--from", "0.25", "--to", "0.5"), "range must start at x >= 1")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and f"usage error: {why}" in err
 

@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import importlib
 import inspect
 import math
@@ -9,6 +10,7 @@ import threading
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from mobsum.tables import (
     table_digest,
 )
 from mobsum.verify import verify_range
+
+DATA = Path(__file__).parent / "data"
 
 # mu(1..20), hand-checked
 MU_20 = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1, 0]
@@ -81,16 +85,17 @@ def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
             monkeypatch.setattr(tables, "_SPAN", span)
             # the ell build's values and radii are the same with the mcheck
             # record, and the m and ell of one both-series run are those of
-            # their own runs
+            # their own runs; each ell series is read back with an m
             both = tables.with_series(table).series
-            for series, kind in ((m_series(table), "m"), (ell_series(table), "ell"),
-                                 (ell_series(table, m_series(table)), "ell"),
-                                 (both.m, "m"), (both.ell, "ell")):
+            m = m_series(table)
+            for series, kind, pair in ((m, "m", {}), (ell_series(table), "ell", {"m": m}),
+                                       (ell_series(table, m), "ell", {"m": m}),
+                                       (both.m, "m", {}), (both.ell, "ell", {"m": both.m})):
                 values, radius = whole[kind]
                 # each carry (s, e) sums to the value at its block end, and
                 # every value re-derived from the carries is the one-pass value
                 assert series.values.sum(axis=1).tobytes() == values[ends].tobytes()
-                got = tables.Tables(table, tables.SeriesPair(**{kind: series}))
+                got = tables.Tables(table, tables.SeriesPair(**pair, **{kind: series}))
                 assert got.read(kind, 1, limit + 1).tobytes() == values[1:].tobytes()
                 assert np.array_equal(got.read("M", 1, limit + 1), np.cumsum(table.mu[1:]))
                 # the block-end radii are the per-index radii at the block ends
@@ -114,26 +119,87 @@ def test_block_carried_prefix_matches_whole_array(monkeypatch, block):
                 assert getattr(both.ell, f).tobytes() == getattr(replay, f).tobytes(), f
 
 
+def _log_free_digests(limit):
+    """Lines "limit, name, sha256" of what a build to ``limit`` keeps or
+    reads back without taking a log: mu, Mertens at the block ends and its
+    records, the m series' carries, radii and records, the m1 record, and
+    M and m read over the whole table."""
+    t = build_tables(limit)
+    m = t.series.m
+    arrays = {"mu": t.mu.mu, "mertens": t.mu.mertens, "M.block_absmax": t.mu.block_absmax,
+              "m.values": m.values, "m.error_radius": m.error_radius,
+              "m.block_absmax": m.block_absmax, "m1_absmax": t.series.ell.m1_absmax,
+              "read.M": t.read("M", 1, limit + 1), "read.m": t.read("m", 1, limit + 1)}
+    return [f"{limit}\t{name}\t{hashlib.sha256(a.tobytes()).hexdigest()}"
+            for name, a in arrays.items()]
+
+
+def test_log_free_table_bytes_match_the_digests():
+    # tests/data/table-digests.txt pins, at 1e5 and 2^20 + 1, every byte a
+    # build keeps or reads back that takes no log.  ell and the mcheck
+    # record take np.log, whose last bits depend on the host's libm, so
+    # they are left out; the one-pass oracle checks them
+    want = (DATA / "table-digests.txt").read_text(encoding="utf-8").splitlines()
+    assert [line for limit in (10**5, 2**20 + 1) for line in _log_free_digests(limit)] == want
+
+
 def test_both_series_compute_the_m_terms_once(monkeypatch):
-    # one run builds m and ell: the m terms function sees each index once
+    # one run builds m and ell: the build's runs take the terms of each
+    # index once
     limit = 3 * 65536 + 5
     seen = []
-    m_terms, ulps = tables._TERMS["m"]
+    span = tables._Prefix.span
 
-    def counting(mu, k, out, log_k):
-        seen.append(k.copy())
-        m_terms(mu, k, out, log_k)
+    def counting(run, b):
+        seen.append(np.arange(run.next, b))
+        return span(run, b)
 
-    monkeypatch.setitem(tables._TERMS, "m", (counting, ulps))
+    monkeypatch.setattr(tables._Prefix, "span", counting)
     tables.with_series(sieve_mu(limit))
     assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(1, limit + 1))
+
+
+def test_ell_never_runs_without_m(monkeypatch):
+    # every prefix run, told apart by the values it returns and keeps, is m
+    # alone or ell with m beside it: in a build and the reads of each of its
+    # M, m and ell blocks, in the reads of an m-only table and in those of
+    # the tables the benchmark's cache replay builds; and tables with ell
+    # but no m are refused
+    limit = 10**5
+    mu = sieve_mu(limit)
+    want = {kind: whole_array_prefix(mu.mu, kind)[0] for kind in ("m", "ell")}
+    runs = set()
+    span = tables._Prefix.span
+
+    def recording(run, b):
+        a = run.next
+        v = span(run, b)
+        kind = next(k for k in want if v.tobytes() == want[k][a:b].tobytes())
+        beside = run.m is not None
+        assert not beside or run.m[:b - a].tobytes() == want["m"][a:b].tobytes()
+        runs.add((kind, beside))
+        return v
+
+    monkeypatch.setattr(tables._Prefix, "span", recording)
+    built = build_tables(limit)
+    m_only = tables.with_series(mu, ("m",))
+    replay = tables.Tables(mu, tables.SeriesPair(m=m_series(mu), ell=ell_series(mu)))
+    for t, names in ((built, ("M", "m", "ell")), (m_only, ("M", "m")),
+                     (replay, ("M", "m", "ell"))):
+        for name in names:
+            t.read(name, 1, limit + 1)
+    assert runs == {("m", False), ("ell", True)}
+    for bad in (lambda: tables.Tables(mu, tables.SeriesPair(ell=built.series.ell)),
+                lambda: tables.with_series(mu, ("ell",))):
+        with pytest.raises(InvalidArgumentError, match="need the m series"):
+            bad()
 
 
 def test_build_scratch_is_the_charged_spans():
     # the charge of a prefix build is the buffers of its largest run, ell
     # with m beside it and log k, plus the span of scratch its records take
     size = tables._SPAN
-    run = tables._Prefix(sieve_mu(size).mu, "ell", 1, size, companion="m")
+    run = tables._Prefix(sieve_mu(size).mu, 1, size, fused=True)
     buffers = sum(a.nbytes for name, a in vars(run).items()
                   if isinstance(a, np.ndarray) and name != "mu")
     charged = 8 * tables._BUILD_SPANS * size
@@ -606,7 +672,7 @@ def test_m_series_matches_exact_rationals(tables_small):
 def test_error_radius_monotone(tables_small):
     for ser in (tables_small.series.m, tables_small.series.ell):
         r = ser.error_radius
-        assert r.shape == (-(-ser.limit // tables._BLOCK) + 1,) and r[0] == 0.0
+        assert r.shape == (-(-tables_small.limit // tables._BLOCK) + 1,) and r[0] == 0.0
         assert np.all(np.diff(r) >= 0.0)
         assert r[-1] < 1e-10  # compensated summation keeps the radius tiny
 

@@ -85,6 +85,10 @@ def test_sup_scan_guards(tables_small):
     for lo, hi in ((math.nan, 10), (1, math.nan), (1, math.inf), (-math.inf, 10)):
         with pytest.raises(InvalidArgumentError):
             sup_scan(tables_small, "m", "1", lo, hi)
+    # a scan starts at x >= 1, as verify_range does: the table has no
+    # interval below 1, where |mcheck(x) - 1| log^2 x = log^2 x (5.30 at 0.1)
+    with pytest.raises(InvalidArgumentError, match="range must start at x >= 1"):
+        sup_scan(tables_small, "mcheck-minus-1", "log2x", 0.1, 3)
 
 
 def test_verify_const_bound_passes(tables_small):
@@ -692,9 +696,10 @@ def test_exact_prefix_ell_within_documented_bound(tables_small, monkeypatch, blo
 
 
 def _fresh(tables_small):
-    """The small tables with a memo of their own, empty: it reads _BLOCK and
+    """The small tables, built again on the block grid as it is now, with
+    the same series and a memo of their own, empty: it reads _BLOCK and
     _EXACT_BLOCK as they are when it is queried."""
-    return tables.Tables(tables_small.mu, tables_small.series)
+    return tables.with_series(tables._mu_table(tables_small.mu.mu))
 
 
 def test_exact_prefix_memo_matches_one_shot_in_any_order(tables_small, monkeypatch):
@@ -817,8 +822,8 @@ def test_exact_prefix_memo_charges_memory_before_growing(tables_small, monkeypat
     # limit where the chain to 3000 (29 KB) does not: the chain may grow,
     # the checkpoints must not
     monkeypatch.setattr(tables, "_BLOCK", 2)
-    sysconf["SC_PHYS_PAGES"] = (resident >> 12) + 16
     t = _fresh(tables_small)
+    sysconf["SC_PHYS_PAGES"] = (t._exact.resident >> 12) + 16
     with pytest.raises(ResourceError, match="physical memory"):
         t.exact_prefix(3000, True)
     assert (t._exact.top, t._exact.e_cp, t._exact.m_cp) == (3000, [], [0])
