@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError, ResourceError
+from .errors import DomainError, InvalidArgumentError, RangeError, ResourceError
 from .weights import G1_ENVELOPE, H1_ENVELOPE, WeightSpec, lattice_power_coeffs
 
 _MAX_PANELS = 10**7
+_SLICE = 1 << 12  # panels per slice of `_panel_sum`; no result depends on it
 _U = 2.0 ** -53
 _K_ROUND = 32  # `_panel_sum`'s rounding budget, on the libm premise (`mobsum` docstring)
 # `_exact_sum` adds base-2^_DIGIT digits a chunk at a time: a chunk of
@@ -111,8 +112,10 @@ def _exact_sum(x) -> float:
     return math.fsum(memoryview(x))  # all zero, non-finite or |x| >= 2^_DIGIT
 
 
-def _panel_sum(lo, hi, terms, s: float = 0.0):
-    """Sum over panels [lo, hi] and pairs (j, c) of c * integral t^-(j+s) dt.
+def _panel_sum(count: int, panels, s: float = 0.0):
+    """Sum over panels i < count and pairs (j, c) of c * integral t^-(j+s) dt
+    over [lo_i, hi_i], where panels(a, b) gives (lo, hi, terms) for the
+    panels a <= i < b.
 
     Returns (value, half_width).  j is an integer power and c a coefficient
     per panel (or a scalar).  Each integral is the stable difference
@@ -121,6 +124,14 @@ def _panel_sum(lo, hi, terms, s: float = 0.0):
     and f = s - floor(s), so the rounding of j + s never enters a power.
     The terms are added exactly and rounded once (`_exact_sum`, the value
     fsum returns).
+
+    The panels go by in slices of _SLICE: `panels` makes each slice's lo,
+    hi and coefficients, and L, lo^-f, the powers and expm1(e L) live in one
+    set of slice-sized buffers that every slice reuses.  Only the
+    panel-major term matrix T (8 B per panel and term) is whole: the exact
+    sum is order-free, but the half-width's np.abs(T).sum() is numpy's
+    pairwise sum, whose rounding follows the whole array, so T is filled
+    slice by slice and summed as one, and no bit depends on _SLICE.
 
     Preconditions: 1 <= lo < hi <= 2 lo and j + s > -1 for every pair.
     Half-width k u sum|terms| with u = 2^-53 and k = 32.  With numpy's
@@ -136,27 +147,33 @@ def _panel_sum(lo, hi, terms, s: float = 0.0):
     k = 32 covers the higher-order terms and the relative error of the
     float sum sum|terms| itself.
     """
-    L = hi - lo
-    L /= lo
-    np.log1p(L, out=L)
+    if count <= 0:
+        return 0.0, 0.0
     s_int = math.floor(s)
     f = s - s_int
-    lo_f = np.power(lo, -f) if f else 1.0
-    # one panel-major array filled in place: every fresh panel-sized
-    # temporary costs page faults once the process heap has no slack
-    T = np.empty((lo.shape[0], len(terms)))
-    work = np.empty_like(L)
-    for col, (j, c) in enumerate(terms):
-        q = 1 - j - s_int
-        e = q - f
-        if e == 0:
-            integral = L
-        else:
-            integral = np.power(lo, float(q), out=work)
-            integral *= lo_f
-            integral *= np.expm1(e * L)
-            integral /= e
-        np.multiply(c, integral, out=T[:, col])
+    L_buf, lo_f_buf, work_buf, eL_buf = np.empty((4, min(count, _SLICE)))
+    T = None
+    for a in range(0, count, _SLICE):
+        b = min(a + _SLICE, count)
+        lo, hi, terms = panels(a, b)
+        if T is None:
+            T = np.empty((count, len(terms)))
+        L, work, eL = L_buf[:b - a], work_buf[:b - a], eL_buf[:b - a]
+        np.subtract(hi, lo, out=L)
+        L /= lo
+        np.log1p(L, out=L)
+        lo_f = np.power(lo, -f, out=lo_f_buf[:b - a]) if f else 1.0
+        for col, (j, c) in enumerate(terms):
+            q = 1 - j - s_int
+            e = q - f
+            if e == 0:
+                integral = L
+            else:
+                integral = np.power(lo, float(q), out=work)
+                integral *= lo_f
+                integral *= np.expm1(np.multiply(e, L, out=eL), out=eL)
+                integral /= e
+            np.multiply(c, integral, out=T[a:b, col])
     return _exact_sum(T.ravel()), _K_ROUND * _U * float(np.abs(T, out=T).sum())
 
 
@@ -191,11 +208,16 @@ def mellin_finite_part(weight: WeightSpec, s: float, X: float):
     """
     if s <= -1.0:
         raise DomainError("the rounding bound needs s > -1")
-    _check_panels(math.ceil(X) - 1)
-    N = np.arange(1, math.ceil(X), dtype=np.float64)
+    count = math.ceil(X) - 1
+    _check_panels(count)
     p = 0 if weight.name == "g1" else 1  # integrand G t^-s or H t^-(s+1)
-    terms = [(j + p, c) for j, c in lattice_power_coeffs(weight.name, N)]
-    return _panel_sum(N, np.minimum(N + 1.0, X), terms, s)
+
+    def panels(a, b):
+        N = np.arange(a + 1, b + 1, dtype=np.float64)
+        terms = [(j + p, c) for j, c in lattice_power_coeffs(weight.name, N)]
+        return N, np.minimum(N + 1.0, X), terms
+
+    return _panel_sum(count, panels, s)
 
 
 def mellin_numeric(weight: WeightSpec, s: float, X: float) -> MellinBracket:
@@ -232,10 +254,14 @@ def identity_kernel_integral(tables, x: float, form: str) -> float:
 
     Panels are the merged integers and jumps x/k; on each, n = floor(x/t)
     and N = floor(t) are fixed, so the integrand is a polynomial in 1/t
-    with coefficients M(n)/x, m(n), or both m(n) and -M(n)/x.
+    with coefficients M(n)/x, m(n), or both m(n) and -M(n)/x.  M and m are
+    read at n <= floor(x), so, as for `tables.evaluate`, x >= limit + 1
+    raises RangeError.
     """
-    if x > tables.limit:
-        raise InvalidArgumentError(f"x={x} exceeds table limit {tables.limit}")
+    if not math.isfinite(x):
+        raise InvalidArgumentError(f"x must be finite, not {x}")
+    if x >= tables.limit + 1:
+        raise RangeError(f"x={x} outside table range; sieve at least to limit={int(x)}")
     if x <= 1.0:
         return 0.0
     if form not in ("M-kernel", "m-kernel", "m1-kernel"):
@@ -243,20 +269,29 @@ def identity_kernel_integral(tables, x: float, form: str) -> float:
     check_kernel_panels(x)  # before any panel array exists
     k = np.arange(1, math.floor(x) + 1, dtype=np.float64)
     edges = np.unique(np.concatenate([k, x / k, [x]]))
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    n = np.clip(np.floor(x / mid).astype(np.int64), 1, tables.limit)
-    N = np.floor(mid)
-    top = int(n.max()) + 1
-    Mx = tables.read("M", 1, top)[n - 1] / x
-    if form == "M-kernel":
-        terms = [(j, Mx * c) for j, c in lattice_power_coeffs("g1", N)]
-    elif form == "m-kernel":
-        m = tables.read("m", 1, top)[n - 1]
-        terms = [(j + 2, m * c) for j, c in lattice_power_coeffs("h1", N)]
-    else:
-        m = tables.read("m", 1, top)[n - 1]
-        g = lattice_power_coeffs("g1", N)
-        terms = [(j + 1, m * c) for j, c in g] + [(j, -Mx * c) for j, c in g]
-    value, _ = _panel_sum(lo, hi, terms)
+    del k
+
+    def floors(a, b):  # n = floor(x/t) and N = floor(t) on the panels a <= i < b
+        mid = 0.5 * (edges[a:b] + edges[a + 1:b + 1])
+        return np.clip(np.floor(x / mid).astype(np.int64), 1, tables.limit), np.floor(mid)
+
+    top = int(floors(0, 1)[0][0]) + 1  # n falls as t grows: the first panel's is the largest
+    M = None if form == "m-kernel" else tables.read("M", 1, top)
+    m = None if form == "M-kernel" else tables.read("m", 1, top)
+
+    def panels(a, b):
+        n, N = floors(a, b)
+        n -= 1
+        if form == "M-kernel":
+            Mx = M[n] / x
+            terms = [(j, Mx * c) for j, c in lattice_power_coeffs("g1", N)]
+        elif form == "m-kernel":
+            mn = m[n]
+            terms = [(j + 2, mn * c) for j, c in lattice_power_coeffs("h1", N)]
+        else:
+            mn, Mx, g = m[n], M[n] / x, lattice_power_coeffs("g1", N)
+            terms = [(j + 1, mn * c) for j, c in g] + [(j, -Mx * c) for j, c in g]
+        return edges[a:b], edges[a + 1:b + 1], terms
+
+    value, _ = _panel_sum(len(edges) - 1, panels)
     return value

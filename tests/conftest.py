@@ -231,6 +231,12 @@ def tables_small():
 
 
 @pytest.fixture(scope="session")
+def tables_1e5():
+    """Sieve to 1e5: the table of the pinned kernel bits."""
+    return build_tables(10**5)
+
+
+@pytest.fixture(scope="session")
 def tables_big():
     """Sieve to 1e7: the desk-scale verification range."""
     return build_tables(10**7, jobs=2)

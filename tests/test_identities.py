@@ -8,7 +8,7 @@ from conftest import (
     g1, golden_points, h1, h1_remainder, mp_lattice, mp_panel_quad, table_array,
 )
 from mobsum import identities
-from mobsum.errors import InvalidArgumentError
+from mobsum.errors import InvalidArgumentError, RangeError
 from mobsum.identities import (
     g1_boundary_over_y,
     g1_head_integral,
@@ -19,7 +19,6 @@ from mobsum.identities import (
     residual_thm1_H,
 )
 from mobsum.quad import identity_kernel_integral
-from mobsum.tables import build_tables
 
 
 def test_closed_form_boundary_integrals_match_quadrature():
@@ -104,6 +103,17 @@ def test_h1_remainder_function():
         assert abs(h1_head_integral(x)) <= 2.0 / x
 
 
+def test_kernel_takes_every_x_its_tables_cover(tables_small):
+    # the kernel reads M and m at n <= floor(x): as evaluate does, it takes
+    # every x below limit + 1 and raises RangeError from there on
+    x = tables_small.limit + 0.5
+    for fn in (residual_thm1_G, residual_thm1_H, residual_bal2, residual_mchliss):
+        assert fn(tables_small, x).passed
+    for form in ("M-kernel", "m-kernel", "m1-kernel"):
+        with pytest.raises(RangeError, match="outside table range"):
+            identity_kernel_integral(tables_small, tables_small.limit + 1.0, form)
+
+
 def test_x_below_one_rejected(tables_small):
     for fn in (residual_thm1_G, residual_thm1_H, residual_bal2, residual_mchliss):
         with pytest.raises(InvalidArgumentError):
@@ -126,11 +136,6 @@ RESIDUAL_BITS = {
     (residual_bal2, 31234.5): ("0x1.f0b8ae290e08ap-15", "0x1.76c0000000000p-56"),
     (residual_mchliss, 31234.5): ("-0x1.222189c688fe1p-14", "-0x1.8fc0000000000p-56"),
 }
-
-
-@pytest.fixture(scope="module")
-def tables_1e5():
-    return build_tables(10**5)
 
 
 @pytest.mark.parametrize("residual, x", list(RESIDUAL_BITS),

@@ -1,13 +1,16 @@
-"""Memory bounds of the table build and the full-range scans, measured with
-tracemalloc (process-local; numpy reports its buffers to it)."""
+"""Memory bounds of the table build, the full-range scans and the panel
+kernels, measured with tracemalloc (process-local; numpy reports its
+buffers to it)."""
 
 import tracemalloc
 
 import pytest
 
 from mobsum import verify
+from mobsum.quad import identity_kernel_integral, mellin_finite_part
 from mobsum.tables import build_tables
 from mobsum.verify import PREDICATES, ratio_theorem_C, sup_scan, verify_range
+from mobsum.weights import H1_SPEC
 
 MB = 1 << 20
 
@@ -75,3 +78,14 @@ def test_exact_recheck_adds_bounded_memory():
     pred = PREDICATES["mchecklog2-0.162"]
     assert _traced_peak(
         lambda: verify._exact_recheck(pred, n, tables, n, n + 1)) <= 16 * MB
+
+
+def test_panel_kernels_add_bounded_memory():
+    # a kernel call holds its term matrix, 8 B per panel and term (3.2 and
+    # 3.1 MB here), and slice-sized scratch (measured: 3.7 and 4.9 MB
+    # peak, the second with the first re-derived blocks of M and m, against
+    # 11.4 and 12.7 MB when every term had its own panel-sized temporaries)
+    tables = build_tables(10**5)
+    assert _traced_peak(lambda: mellin_finite_part(H1_SPEC, 0.5, 1e5)) <= 6 * MB
+    assert _traced_peak(
+        lambda: identity_kernel_integral(tables, 32000.5, "m1-kernel")) <= 6 * MB

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
 from conftest import mp_lattice
+from mobsum import quad
 from mobsum.errors import DomainError, InvalidArgumentError, ResourceError
 from mobsum.quad import (
     MellinBracket,
@@ -208,3 +209,22 @@ def test_identity_kernel_refuses_its_panel_count_from_x_alone():
         with pytest.raises(ResourceError, match=f"panel count {2 * int(x) - 1} exceeds"):
             identity_kernel_integral(table, x, "M-kernel")
     check_kernel_panels(5000000.99)  # 9999999 panels at most
+
+
+def _kernel_bits(tables):
+    """float.hex of the Mellin finite parts and kernel integrals that the
+    slice test compares; 1000.5 ends on a partial panel."""
+    parts = [mellin_finite_part(w, s, X) for w in (G1_SPEC, H1_SPEC)
+             for s in (-0.5, 0.5, 1.0) for X in (1000.5, 1e4)]
+    kernels = [identity_kernel_integral(tables, x, form) for x in (31.7, 3170.5, 31234.5)
+               for form in ("M-kernel", "m-kernel", "m1-kernel")]
+    return [v.hex() for pair in parts for v in pair] + [v.hex() for v in kernels]
+
+
+@pytest.mark.parametrize("size", [1, 7, 4097])
+def test_slice_size_never_moves_a_bit(tables_1e5, size, monkeypatch):
+    # the term matrix is whole and every term elementwise, so a slice of
+    # one panel, an odd slice and one past the default give the same bits
+    want = _kernel_bits(tables_1e5)
+    monkeypatch.setattr(quad, "_SLICE", size)
+    assert _kernel_bits(tables_1e5) == want
