@@ -45,8 +45,9 @@ _LRU_BYTES), so an envelope, which reads only records, touches no array.
 the series its caller reads (``with_series``); a kernel that needs a
 missing one raises InvalidArgumentError.  Peak memory is the retained
 tables plus O(_SPAN) scratch for a series (build or re-derivation),
-O(_BLOCK) for a block being built or re-derived, and O(_SIEVE_BLOCK) for
-the sieve.
+O(_BLOCK) for a block being built or re-derived, 1 B per entry of a
+_SIEVE_BLOCK segment for the sieve, and, for a cache load cut to a smaller
+limit, one buffer of at most _STREAM bytes.
 
 The exact m(n) and ell(n) come from a memo each `Tables` keeps
 (`_ExactMemo`), empty until the first escalation and grown only as far as
@@ -74,6 +75,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+try:  # hashlib.blake2b itself, without the OpenSSL (~3.6 MB RSS) hashlib loads
+    from _blake2 import blake2b as _blake2b
+except ImportError:
+    from hashlib import blake2b as _blake2b
+
 from .errors import InvalidArgumentError, RangeError, ResourceError
 
 _ULP = 2.0 ** -53  # unit roundoff for IEEE-754 binary64
@@ -95,6 +101,7 @@ _CACHE_VERSION = "v2"
 _CACHE_HEADER = re.compile(rb"MOEBIUS-TABLE (v\d+) limit=([1-9]\d*)\n")
 _CACHE_NAME = re.compile(r"moebius-([1-9]\d*)\.tbl")
 _DIGEST_SIZE = 16
+_STREAM = 1 << 20  # bytes per read of a covering file's mu past the cut
 
 SERIES = ("m", "ell")  # the prefix series a Tables bundle can carry
 # each record a chunk can take (`Chunk.top`): (the prefix series that keeps
@@ -179,14 +186,20 @@ def _small_primes(bound: int) -> np.ndarray:
     return np.nonzero(~comp)[0].astype(np.int64)
 
 
+def _log_weight(p: int) -> int:
+    """round(8 log2 p): a prime's term of the sieve's log sums."""
+    return round(8 * math.log2(p))
+
+
 def _wheel():
-    """The signs and products of the primes up to 7 over one period, 210."""
+    """The signs and log sums (`_sieve_block`) of the primes up to 7 over
+    one period, 210."""
     r = np.arange(210)
-    sign, prod = np.ones(210, dtype=np.int8), np.ones(210, dtype=np.int32)
+    sign, logs = np.ones(210, dtype=np.int8), np.zeros(210, dtype=np.uint8)
     for p in (2, 3, 5, 7):
         sign[r % p == 0] *= -1
-        prod[r % p == 0] *= p
-    return sign, prod
+        logs[r % p == 0] += _log_weight(p)
+    return sign, logs
 
 
 _WHEEL = _wheel()
@@ -204,35 +217,69 @@ def _tiled(pattern: np.ndarray, lo: int, n: int, out=None) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _entry_bounds(size: int) -> np.ndarray:
+    """ceil(8 log2 n) - 14 for 0 <= n < size, floored at 0, as uint8: the
+    log-sum threshold where `_sieve_block` takes it per entry.  Filled run
+    by run, ceil(8 log2 n) = k for 2^((k - 1)/8) < n <= 2^(k/8), with no
+    per-entry float temporaries."""
+    bounds = np.zeros(size, dtype=np.uint8)
+    k = 15
+    while (a := math.floor(2 ** ((k - 1) / 8)) + 1) < size:
+        bounds[a:math.floor(2 ** (k / 8)) + 1] = k - 14
+        k += 1
+    bounds.setflags(write=False)  # one array serves every call
+    return bounds
+
+
 def _sieve_block(lo: int, hi: int, primes: np.ndarray, out=None) -> np.ndarray:
     """mu values for n in [lo, hi) (1 <= lo < hi <= 2^31), as int8, written
-    into ``out`` when given.
+    into ``out`` when given; ``primes`` holds every prime up to
+    isqrt(hi - 1).
 
-    ``prod`` is the product of the sieving primes dividing n, and of 2, 3,
-    5 and 7 whatever the sieving primes; it divides n, so int32 holds it.
-    A squarefree n has at most one prime factor above max(7, sqrt(limit)),
-    and has one exactly where prod < n.  The signs and products of 2, 3, 5
-    and 7 start as one repeating pattern (`_WHEEL`); each larger sieving
-    prime flips and multiplies its multiples, and every sieving prime
-    zeroes the multiples of its square.  Scratch: prod (4 B per entry),
-    then the n and the comparison of one _SPAN of the sign pass at a time.
+    A squarefree n has at most one prime factor above max(7, sqrt(hi - 1)),
+    the large one.  ``logs`` (uint8) sums round(8 log2 p) (`_log_weight`)
+    over the sieving primes p dividing n, and over 2, 3, 5 and 7 whatever
+    the sieving primes; a squarefree n has a large prime factor exactly
+    where logs < 8 log2 n - 14.  Proof: below 2^31 a number has at most 9
+    distinct prime factors (2 3 5 ... 29 > 2^31), so the roundings move
+    logs by at most 4.5 from 8 log2 of the product of the primes it sums.
+    Without a large factor that product is n, and logs >= 8 log2 n - 4.5.
+    With one, q >= 11, the product is n / q, and logs <= 8 log2 n - 8 log2 11
+    + 4.5 < 8 log2 n - 23.1.  The product divides n < 2^31, so logs <= 248
+    + 4.5 and uint8 never wraps.  A span [c, d) with c >= 8 (d - c) takes
+    the threshold at c, ceil(8 log2 c) - 14, for all its n: 8 log2 n grows
+    by less than 8 log2(9/8) < 1.4 across it, well inside either margin.
+    Below that each n takes its own.
+
+    The signs and log sums of 2, 3, 5 and 7 start as one repeating pattern
+    (`_WHEEL`); each larger sieving prime flips its multiples and adds its
+    weight to their log sums, and every sieving prime zeroes the multiples
+    of its square.  Scratch: logs (1 B per entry), then the comparison of
+    one _SPAN of the sign pass at a time; the per-entry thresholds below
+    9 _SPAN (9 _SPAN bytes) are built once and kept.
     """
     mu = _tiled(_WHEEL[0], lo, hi - lo, out)
-    prod = _tiled(_WHEEL[1], lo, hi - lo)
+    logs = _tiled(_WHEEL[1], lo, hi - lo)
     for p in primes:
         p = int(p)
         if p > 7:
             start = (-lo) % p
             flip = mu[start::p]
             np.negative(flip, out=flip)
-            prod[start::p] *= p
+            logs[start::p] += _log_weight(p)
         sq = p * p
         if sq < hi:
             mu[(-lo) % sq :: sq] = 0
-    # one arithmetic pass, not a boolean-indexed write: sign = 1 - 2 [prod < n]
+    # one arithmetic pass, not a boolean-indexed write: sign = 1 - 2 [large factor]
+    large = np.empty(min(_SPAN, hi - lo), dtype=bool)
     for a in range(0, hi - lo, _SPAN):
         b = min(a + _SPAN, hi - lo)
-        sign = (prod[a:b] < np.arange(lo + a, lo + b, dtype=np.int32)).view(np.int8)
+        if lo + a >= 8 * _SPAN:
+            bound = math.ceil(8 * math.log2(lo + a)) - 14
+        else:
+            bound = _entry_bounds(9 * _SPAN)[lo + a:lo + b]
+        sign = np.less(logs[a:b], bound, out=large[:b - a]).view(np.int8)
         sign <<= 1
         np.subtract(1, sign, out=sign)
         mu[a:b] *= sign
@@ -252,8 +299,9 @@ def sieve_mu(limit: int, series=SERIES) -> MuTable:
     if limit < 1:
         raise InvalidArgumentError("limit must be a positive integer")
     _check_limit(limit)
-    # the segment's prime products (4 B per entry) and one span of the sign pass
-    _check_memory(limit, 4 * min(_SIEVE_BLOCK, limit) + 5 * _SPAN, series)
+    # the segment's log sums (1 B per entry), the per-entry thresholds
+    # (`_entry_bounds`, 9 _SPAN bytes) and one span of the sign pass
+    _check_memory(limit, min(_SIEVE_BLOCK, limit) + 10 * _SPAN, series)
     primes = _small_primes(int(math.isqrt(limit)))
     mu = np.zeros(limit + 1, dtype=np.int8)
     for lo in range(1, limit + 1, _SIEVE_BLOCK):
@@ -1087,12 +1135,7 @@ def evaluate(tables: Tables, x: float) -> EvaluationPoint:
 
 def table_digest(table: MuTable) -> bytes:
     """BLAKE2b-128 digest of mu(1..limit): with the limit, the table identity."""
-    return _blake2b(_mu_bytes(table))
-
-
-def _blake2b(data) -> bytes:
-    import hashlib  # loads OpenSSL (~4 MB RSS): only commands that hash pay for it
-    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
+    return _blake2b(_mu_bytes(table), digest_size=_DIGEST_SIZE).digest()
 
 
 def _mu_bytes(table: MuTable) -> np.ndarray:
@@ -1125,45 +1168,77 @@ def save_table(table: MuTable, path: str) -> None:
         raise
 
 
-def _read_mu(path: str) -> np.ndarray:
-    """Checked mu array (index 0 zero) of a v2 cache file."""
-    with open(path, "rb") as fh:
-        header = fh.readline(64)
-        match = _CACHE_HEADER.fullmatch(header)
-        if not match:
-            raise InvalidArgumentError(f"not a moebius table cache: {path}")
-        version = match.group(1).decode("ascii")
-        if version != _CACHE_VERSION:
-            raise InvalidArgumentError(
-                f"cache format {version} is no longer read; delete {path}")
-        limit = int(match.group(2))
-        expected = len(header) + limit + _DIGEST_SIZE
-        size = os.fstat(fh.fileno()).st_size
-        if size < expected:
-            raise InvalidArgumentError(f"truncated cache file: {path}")
-        if size > expected:
-            raise InvalidArgumentError(f"trailing bytes after cache digest: {path}")
-        mu = np.zeros(limit + 1, dtype=np.int8)
-        fh.readinto(mu[1:])
-        digest = fh.read(_DIGEST_SIZE)
-    if _blake2b(mu[1:]) != digest:
+def _read_header(fh, path: str) -> int:
+    """The limit in the header of the v2 cache file open as ``fh``, once the
+    file's length is checked against it; ``fh`` is left at the first mu
+    byte."""
+    header = fh.readline(64)
+    match = _CACHE_HEADER.fullmatch(header)
+    if not match:
+        raise InvalidArgumentError(f"not a moebius table cache: {path}")
+    version = match.group(1).decode("ascii")
+    if version != _CACHE_VERSION:
+        raise InvalidArgumentError(
+            f"cache format {version} is no longer read; delete {path}")
+    limit = int(match.group(2))
+    expected = len(header) + limit + _DIGEST_SIZE
+    size = os.fstat(fh.fileno()).st_size
+    if size < expected:
+        raise InvalidArgumentError(f"truncated cache file: {path}")
+    if size > expected:
+        raise InvalidArgumentError(f"trailing bytes after cache digest: {path}")
+    return limit
+
+
+def _read_exactly(fh, buf, path: str) -> None:
+    """Fill ``buf`` from ``fh`` in one read; a short one (the file shrank
+    after its length was checked) raises InvalidArgumentError."""
+    if fh.readinto(buf) != len(buf):
+        raise InvalidArgumentError(f"truncated cache file: {path}")
+
+
+def _read_mu(fh, path: str, have: int, limit: int) -> np.ndarray:
+    """Checked mu array to ``limit`` (index 0 zero) of the v2 cache file
+    open as ``fh`` past its header, which holds mu(1..have), have >= limit.
+    The first ``limit`` bytes are read into the array itself and the rest
+    stream through the digest in pieces of at most _STREAM bytes, so the
+    digest of the whole file is checked with no second mu in memory."""
+    mu = np.zeros(limit + 1, dtype=np.int8)
+    _read_exactly(fh, mu[1:], path)
+    digest = _blake2b(mu[1:], digest_size=_DIGEST_SIZE)
+    rest = have - limit
+    buf = memoryview(bytearray(min(rest, _STREAM)))
+    while rest:
+        piece = buf[:min(rest, len(buf))]
+        _read_exactly(fh, piece, path)
+        digest.update(piece)
+        rest -= len(piece)
+    if digest.digest() != fh.read(_DIGEST_SIZE):
         raise InvalidArgumentError(f"cache checksum mismatch: {path}")
     return mu
 
 
 def load_table(path: str) -> MuTable:
-    """Read a v2 cache file; raises InvalidArgumentError on any mismatch."""
-    return _mu_table(_read_mu(path))
+    """Read a v2 cache file; raises InvalidArgumentError on any mismatch,
+    and ResourceError, from the header and before any mu is read, if the
+    table and the tables of M on it would exceed RAM."""
+    with open(path, "rb") as fh:
+        limit = _read_header(fh, path)
+        _check_memory(limit, 0, ())
+        return _mu_table(_read_mu(fh, path, limit, limit))
 
 
 def load_covering(cache_dir: str, limit: int, series=SERIES) -> MuTable | None:
     """The smallest cached table with limit >= ``limit``, cut to ``limit``.
 
     Returns None when no cache file covers ``limit``.  Cutting is exact: mu is
-    an integer table and Mertens is rebuilt as the prefix sum of the cut copy,
-    so the result equals ``sieve_mu(limit)`` bit for bit.  Raises
-    ResourceError before reading if the file and the tables with the prefix
-    series named in ``series``, built on the result, would exceed RAM.
+    an integer table, read to ``limit`` only, and Mertens is rebuilt as its
+    prefix sum, so the result equals ``sieve_mu(limit)`` bit for bit.  The
+    digest still covers the whole file (`_read_mu`).  Raises ResourceError
+    before reading if the tables with the prefix series named in ``series``,
+    built on the result, and the buffer that streams the file's mu past the
+    cut would exceed RAM, and InvalidArgumentError before reading any mu if
+    the file's header does not hold its name's limit.
     """
     try:
         names = os.listdir(cache_dir)
@@ -1173,10 +1248,9 @@ def load_covering(cache_dir: str, limit: int, series=SERIES) -> MuTable | None:
     covering = min((L for L in limits if L >= limit), default=None)
     if covering is None:
         return None
-    # the covering file's mu, then the tables to limit
-    _check_memory(limit, covering + 1, series)
+    _check_memory(limit, min(_STREAM, covering - limit), series)
     path = cache_path(cache_dir, covering)
-    mu = _read_mu(path)
-    if mu.shape[0] - 1 != covering:
-        raise InvalidArgumentError(f"cache file name and header disagree: {path}")
-    return _mu_table(mu[: limit + 1].copy())
+    with open(path, "rb") as fh:
+        if _read_header(fh, path) != covering:
+            raise InvalidArgumentError(f"cache file name and header disagree: {path}")
+        return _mu_table(_read_mu(fh, path, covering, limit))

@@ -105,11 +105,11 @@ EXPORTS = """BoundForm Ledger SqrtModel bootstrap convert_via_G1 convert_via_G1c
     EnvelopeParams WeightSpec __version__""".split()
 
 
-def _modules_after(code):
-    """The top-level modules of numpy and mpmath loaded after running code
-    in a fresh interpreter."""
+def _modules_after(code, watch=("numpy", "mpmath")):
+    """The modules of ``watch`` (the top-level modules of numpy and mpmath
+    by default) loaded after running code in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(mobsum.__file__).parents[1]))
-    probe = code + "\nimport sys; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    probe = code + f"\nimport sys; print(sorted({set(watch)!r} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True)
     return done.stdout.splitlines()[-1]
@@ -142,6 +142,26 @@ def test_ledger_commands_load_mpmath_but_not_numpy(tmp_path):
     assert _modules_after(code) == "['numpy']"
 
 
+def test_cache_and_digests_never_load_openssl(tmp_path):
+    # BLAKE2b comes from CPython's _blake2, whose blake2b hashlib hands out,
+    # so no cache or digest path loads the OpenSSL that `import hashlib`
+    # does; the digests are those of hashlib.blake2b
+    out = tmp_path / "digests"
+    code = f"""
+from mobsum import tables
+d = {str(tmp_path)!r}
+tables.save_table(tables.sieve_mu(5000), tables.cache_path(d, 5000))
+read = [tables.load_table(tables.cache_path(d, 5000)), tables.load_covering(d, 3000)]
+open({str(out)!r}, "w").write(" ".join(tables.table_digest(t).hex() for t in read))
+"""
+    assert _modules_after(code, watch=("_hashlib",)) == "[]"
+    raw = open(tables.cache_path(str(tmp_path), 5000), "rb").read()
+    mu = raw[raw.index(b"\n") + 1:-16]
+    assert raw[-16:] == hashlib.blake2b(mu, digest_size=16).digest()
+    assert out.read_text().split() == [hashlib.blake2b(m, digest_size=16).hexdigest()
+                                       for m in (mu, mu[:3000])]
+
+
 @pytest.mark.parametrize("pred, lo, hi, built", [
     ("Msqrt0.5", "201", "20000", (0, 0)), ("m4343", "3", "300", (1, 0)),
     ("m1log2-0.138", "671", "20000", (1, 1)),
@@ -169,19 +189,19 @@ def test_memory_guard_charges_the_series_built(tmp_path, monkeypatch, cached):
     # a 1e6 table is charged its mu (1 B/n) and per-block arrays, and the
     # LRU of re-derived blocks at most at the table's own M (4 B/n) and
     # series (8 B/n each): 5.0 MB for M alone, 13.0 MB with the m series
-    # plus 1.3 MB of build buffers.  On top of the 1 MB cache file when it
-    # is cut from a cached 1e6 table (6.0 and 15.3 MB), or of the sieve
-    # segment's 4 MB of prime products when sieved (9.0 and 18.3 MB), M
-    # alone fits in 6 MiB and in 9 MiB of physical memory and the m series
-    # does not; half a MiB and a MiB less, M alone fails too, before the
-    # table is read or sieved
+    # plus 1.3 MB of build buffers.  With no stream buffer when it is cut
+    # from a cached 1e6 table (5.0 and 14.3 MB), or on top of the sieve
+    # segment's 1 MB of log sums and a span of the sign pass when sieved
+    # (6.1 and 15.4 MB), M alone fits in 5 MiB and in 6 MiB of physical
+    # memory and the m series does not; half a MiB and a MiB less, M alone
+    # fails too, before the table is read or sieved
     monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
     cache = None
     if cached:
         cache = str(tmp_path)
         tables.save_table(tables.sieve_mu(10**6), tables.cache_path(cache, 10**6))
         monkeypatch.setattr(tables, "sieve_mu", None)  # must not build
-    mib = 6 if cached else 9
+    mib = 5 if cached else 6
     sysconf = {"SC_PHYS_PAGES": mib << 8, "SC_PAGE_SIZE": 1 << 12}
     monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
     for target in ("m", "m1", "mcheck-minus-1"):

@@ -32,9 +32,9 @@ def _traced_peak(fn):
 
 def test_build_tables_peak_per_n():
     # retained: mu 1 B/n and a few arrays per block; the build adds the
-    # 10 MB sieve segment (5.2 B/n at this limit), then the series' span
-    # buffers (measured: 6.24 B/n in all, against 21.6 B/n when the tables
-    # kept Mertens, m and ell per index)
+    # sieve segment's 1 MB of log sums (0.5 B/n at this limit), then the
+    # series' span buffers (measured: 1.73 B/n in all, against 21.6 B/n
+    # when the tables kept Mertens, m and ell per index)
     limit = 2 * 10**6
     assert _traced_peak(lambda: build_tables(limit, jobs=2)) <= 7 * limit
 

@@ -300,11 +300,14 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
 
 
 def test_sieve_block_peak_per_entry():
-    # sieve_mu reserves 10 B per entry of the segment it sieves: mu (int8),
-    # the prime product (int32), and the int32 n and the comparison of the
-    # sign pass; the array headers add a few hundred bytes per call
+    # sieve_mu reserves 2 B per entry of the segment it sieves, mu (int8)
+    # and the log sums (uint8), and 10 _SPAN bytes: the per-entry
+    # thresholds of the first 9 spans (1 B each, built here) and the
+    # comparison of the sign pass; the array headers and the wheel's rolled
+    # patterns add a few KB per call
     for lo, size in ((1, 1 << 20), (2**31 - 2**16, 2**16)):
         primes = tables._small_primes(math.isqrt(lo + size - 1))
+        tables._entry_bounds.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -313,7 +316,7 @@ def test_sieve_block_peak_per_entry():
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * size + 1024, (lo, peak / size)
+        assert peak <= 2 * size + 10 * tables._SPAN + 4096, (lo, peak - 2 * size)
 
 
 def test_sieve_segment_edges_divisor_identity(monkeypatch):
@@ -352,7 +355,7 @@ def test_sieve_rejects_limits_past_int32_before_allocating():
 
 def test_sieve_rejects_tables_past_physical_memory_before_allocating(monkeypatch):
     # 16 MB of physical memory: 1e5 (2.1 MB retained, the LRU bound
-    # included, plus 1.6 MB of scratch) fits, 1e7 (26 MB retained: 10 MB of
+    # included, plus 1.4 MB of scratch) fits, 1e7 (26 MB retained: 10 MB of
     # mu and the 16 MB LRU bound) must fail before the mu array or the
     # primes exist
     sysconf = {"SC_PHYS_PAGES": 1 << 12, "SC_PAGE_SIZE": 1 << 12}
@@ -369,9 +372,9 @@ def test_sieve_rejects_tables_past_physical_memory_before_allocating(monkeypatch
 
 def test_cache_load_rejects_tables_past_physical_memory_before_reading(
         tmp_path, monkeypatch):
-    # 16 MB of physical memory: a cached 1e6 table needs its 1 MB file plus
-    # 21 MB of tables, so loading it must fail before the file is read; the
-    # build fallback must not run either
+    # 16 MB of physical memory: a cached 1e6 table needs 21 MB of tables,
+    # so loading it must fail before the file is read; the build fallback
+    # must not run either
     save_table(sieve_mu(10**6), cache_path(str(tmp_path), 10**6))
     sysconf = {"SC_PHYS_PAGES": 1 << 12, "SC_PAGE_SIZE": 1 << 12}
     monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
@@ -381,6 +384,26 @@ def test_cache_load_rejects_tables_past_physical_memory_before_reading(
     try:
         with pytest.raises(ResourceError, match="physical memory"):
             cli._get_tables(10**6, str(tmp_path))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_table_rejects_tables_past_physical_memory_before_reading(
+        tmp_path, monkeypatch):
+    # 4 MB of physical memory: a 1e5 table and the tables of M on it (0.5 MB)
+    # load; a 1e6 one (5.0 MB: 1 MB of mu and the LRU bound at M's 4 B/n)
+    # must fail from its header, before any mu is read
+    small, big = (cache_path(str(tmp_path), n) for n in (10**5, 10**6))
+    save_table(sieve_mu(10**5), small)
+    save_table(sieve_mu(10**6), big)
+    sysconf = {"SC_PHYS_PAGES": 1 << 10, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
+    assert load_table(small).limit == 10**5
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="physical memory"):
+            load_table(big)
         assert tracemalloc.get_traced_memory()[1] < 1 << 16
     finally:
         tracemalloc.stop()
@@ -404,14 +427,49 @@ def _trial_division_mu(lo, hi):
 
 
 def test_sieve_block_at_top_of_int32_range():
-    # the largest n a table holds: the int32 prime product must not wrap and
-    # the large-prime rule (product < n) must hold where n is largest
+    # the largest n a table holds: the uint8 log sums must not wrap and the
+    # large-prime rule (log sum < 8 log2 n - 14, taken once per span) must
+    # hold where n is largest
     lo, hi = 2**31 - 4096, 2**31
     got = tables._sieve_block(lo, hi, tables._small_primes(math.isqrt(hi - 1)))
     assert np.array_equal(got, _trial_division_mu(lo, hi))
     # the sign pass flips the primes of the window, 2^31 - 1 among them:
     # their one prime factor is the large one, just below 2^31
     assert got[-1] == -1
+
+
+def test_sieve_block_matches_trial_division_at_every_small_limit():
+    # isqrt(limit) passes 7, 11 and 13 below 200, so the sieving primes and
+    # the smallest large prime change; every n takes its own threshold here
+    for limit in range(1, 201):
+        primes = tables._small_primes(math.isqrt(limit))
+        want = _trial_division_mu(1, limit + 1)
+        assert np.array_equal(tables._sieve_block(1, limit + 1, primes), want), limit
+        assert np.array_equal(sieve_mu(limit).mu[1:], want), limit
+
+
+@pytest.mark.parametrize("n", [223092870, 1589363490, 2040138870])
+def test_sieve_block_at_the_most_rounding_terms(n):
+    # omega = 9, the most terms a log sum below 2^31 has: 2 3 5 ... 23, and
+    # the two such n whose roundings add most (+2.47, from 2 3 5 11 13 17
+    # 19 31 37) and least (-0.41, from 2 3 5 7 11 19 23 43 47)
+    lo, hi = n - 3000, n + 3000
+    got = tables._sieve_block(lo, hi, tables._small_primes(math.isqrt(hi - 1)))
+    assert np.array_equal(got, _trial_division_mu(lo, hi))
+
+
+@pytest.mark.parametrize("span", [1, 7, 16, tables._SPAN])
+def test_sieve_block_across_the_threshold_switch(monkeypatch, span):
+    # per entry below 8 spans, once per span from there: with small spans
+    # the per-span threshold holds at the smallest n it may, where 8 log2 n
+    # moves most across a span; windows start on either side of the switch
+    monkeypatch.setattr(tables, "_SPAN", span)
+    switch = 8 * span
+    for lo in sorted({1, max(1, switch - span - 1), max(1, switch - 1), switch, switch + 1}):
+        hi = max(lo + 3 * span, 3000)
+        primes = tables._small_primes(math.isqrt(hi - 1))
+        assert np.array_equal(tables._sieve_block(lo, hi, primes),
+                              _trial_division_mu(lo, hi)), (span, lo)
 
 
 def _one_pass_arrays(mu):
@@ -827,6 +885,92 @@ def test_load_covering_cuts_exactly(tmp_path, tables_small):
     assert load_covering(cache, 3000).limit == 3000
     with pytest.raises(InvalidArgumentError):
         load_covering(cache, 3001)
+
+
+@pytest.fixture
+def covering_file(tmp_path):
+    """A cache dir holding one 5000 table: (dir, path, the file's bytes)."""
+    path = cache_path(str(tmp_path), 5000)
+    save_table(sieve_mu(5000), path)
+    return str(tmp_path), path, open(path, "rb").read()
+
+
+@pytest.mark.parametrize("stream", [7, 1000, tables._STREAM])
+def test_cut_load_reads_to_the_cut_and_streams_the_rest(monkeypatch, covering_file, stream):
+    # pieces of 7 leave a short last one; 1000 and the default size take
+    # the rest of every cut in one piece or several
+    monkeypatch.setattr(tables, "_STREAM", stream)
+    cache, _, _ = covering_file
+    for limit in (1, 2, 999, 1000, 3000, 4993, 4999, 5000):
+        got, fresh = load_covering(cache, limit), sieve_mu(limit)
+        assert got.mu.tobytes() == fresh.mu.tobytes(), limit
+        assert got.mertens.tobytes() == fresh.mertens.tobytes(), limit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw[:-20] + bytes([raw[-20] ^ 1]) + raw[-19:],  # mu(4997), past the cut
+    lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),                 # the digest
+    lambda raw: raw[:-1],                                        # truncated
+    lambda raw: raw + b"\0"])                                    # trailing bytes
+@pytest.mark.parametrize("stream", [7, tables._STREAM])
+def test_cut_load_checks_the_whole_file(monkeypatch, covering_file, edit, stream):
+    monkeypatch.setattr(tables, "_STREAM", stream)
+    cache, path, raw = covering_file
+    open(path, "wb").write(edit(raw))
+    with pytest.raises(InvalidArgumentError):
+        load_covering(cache, 3000)
+
+
+@pytest.mark.parametrize("limit", [3000, 4999, 5000])
+def test_a_short_read_raises_and_never_loops(monkeypatch, covering_file, limit):
+    # the file loses its last 20 bytes after its length was checked: the
+    # read of mu or of a piece past the cut comes back short and must raise
+    monkeypatch.setattr(tables, "_STREAM", 7)
+    cache, path, raw = covering_file
+    open(path, "wb").write(raw[:-20])
+    real = os.fstat
+    monkeypatch.setattr(tables.os, "fstat", lambda fd: type(
+        "Stat", (), {"st_size": real(fd).st_size + 20})())
+    done = []
+
+    def load():
+        with pytest.raises(InvalidArgumentError, match="truncated"):
+            load_covering(cache, limit)
+        done.append(limit)
+
+    worker = threading.Thread(target=load, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert done == [limit]
+
+
+def test_header_below_the_asked_limit_is_refused_before_reading(tmp_path):
+    # a 1e6 table under the name of a 2e6 one covers 1.5e6 by its name
+    # only: the header is refused before the 1.5 MB mu array exists
+    cache = str(tmp_path)
+    save_table(sieve_mu(10**6), cache_path(cache, 2 * 10**6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError, match="name and header disagree"):
+            load_covering(cache, 15 * 10**5)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
+
+
+def test_cut_load_holds_one_mu_and_one_stream_buffer(tmp_path):
+    # a 3e6 file cut to 1e6 allocates the 1e6 mu and one 1 MB stream
+    # buffer, never the file's 3 MB of mu
+    cache, limit = str(tmp_path), 10**6
+    save_table(sieve_mu(3 * limit), cache_path(cache, 3 * limit))
+    tracemalloc.start()
+    try:
+        got = load_covering(cache, limit, series=())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.limit == limit
+    assert peak <= limit + 1 + tables._STREAM + (1 << 16), peak
 
 
 @given(st.integers(min_value=2, max_value=20000))
