@@ -66,11 +66,10 @@ def _get_tables(limit: int, cache_dir, target=None):
 # subcommands
 
 def _cmd_sieve(args) -> int:
-    from .tables import sieve_mu, table_digest, with_series
+    from .tables import sieve_mu, table_digest
     mu = sieve_mu(args.limit, series=())
-    M = int(with_series(mu, ()).read("M", args.limit, args.limit + 1)[0])
     cdir = _cache_dir(args.cache_dir)
-    line = (f"sieve limit={args.limit} mertens_at_limit={M} "
+    line = (f"sieve limit={args.limit} mertens_at_limit={mu.mertens_at_limit} "
             f"digest={table_digest(mu).hex()}")
     if cdir:
         line += f" cache={_cache_table(mu, cdir)}"
@@ -164,10 +163,10 @@ def _cmd_identity(args) -> int:
     tables = _get_tables(max(2, int(math.ceil(args.x))), args.cache_dir)
     residual = {"thm1g": residual_thm1_G, "thm1h": residual_thm1_H,
                 "bal2": residual_bal2, "mchliss": residual_mchliss}[args.name]
-    rep = residual(tables, args.x, tol=args.tol)
+    rep = residual(tables, args.x)
     print(f"identity name={rep.name} x={_fmt(rep.x)} lhs={_fmt(rep.lhs)} "
           f"rhs={_fmt(rep.rhs)} residual={_fmt(rep.residual)} "
-          f"tolerance={_fmt(rep.tolerance)} status={'PASS' if rep.passed else 'FAIL'}")
+          f"budget={_fmt(rep.budget)} status={'PASS' if rep.passed else 'FAIL'}")
     return 0 if rep.passed else 1
 
 
@@ -279,13 +278,6 @@ def finite_float(text: str) -> float:
     return value
 
 
-def positive_float(text: str) -> float:
-    value = finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, not {text}")
-    return value
-
-
 def chain_name(text: str) -> str:
     """A name from chains.CHAINS, or "all"; checked when --chain is parsed,
     so building the parser does not import chains (and mpmath)."""
@@ -337,11 +329,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--X", type=finite_float, required=True)
     sp.set_defaults(func=_cmd_mellin_check)
 
-    sp = sub.add_parser("identity", help="residual of an integral identity")
+    claim = ("residual of an integral identity at x; PASS iff |residual| is within "
+             "its rigorous rounding budget, which it prints")
+    sp = sub.add_parser("identity", help=claim, description=claim)
     sp.add_argument("--name", choices=["thm1g", "thm1h", "bal2", "mchliss"],
                     required=True)
     sp.add_argument("--x", type=finite_float, required=True)
-    sp.add_argument("--tol", type=positive_float, default=1e-8)
     sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=_cmd_identity)
 

@@ -245,27 +245,32 @@ def mellin_numeric(weight: WeightSpec, s: float, X: float) -> MellinBracket:
 # ---------------------------------------------------------------------------
 # step-function kernels against weight lattice sums
 
-def identity_kernel_integral(tables, x: float, form: str) -> float:
-    """Integral over [1, x] of a summatory step function against a weight.
+def identity_kernel_integral(tables, x: float, form: str):
+    """Integral over [1, x] of a summatory step function against a weight:
+    (value, half_width).
 
     form "M-kernel":  (M(x/t)/(x/t)) G1(t) dt/t  = M(x/t) G1(t)/x dt
     form "m-kernel":  m(x/t) H1(t) dt/t^2
     form "m1-kernel": m1(x/t) G1(t) dt/t, with m1(x/t) = m(n) - M(n) t/x
 
-    Panels are the merged integers and jumps x/k; on each, n = floor(x/t)
-    and N = floor(t) are fixed, so the integrand is a polynomial in 1/t
-    with coefficients M(n)/x, m(n), or both m(n) and -M(n)/x.  M and m are
-    read at n <= floor(x), so, as for `tables.evaluate`, x >= limit + 1
-    raises RangeError.
+    Panels are the merged integers and the rounded jumps fl(x/k); on each,
+    n = floor(x/t) and N = floor(t) are read at the rounded midpoint, so
+    the integrand is a polynomial in 1/t with coefficients M(n)/x, m(n),
+    or both m(n) and -M(n)/x.  M and m are read at n <= floor(x), so, as
+    for `tables.evaluate`, x >= limit + 1 raises RangeError.
+
+    half_width is `_panel_sum`'s rounding bound: it covers the integral of
+    the float coefficients read over these panels, not m's radius nor the
+    rounded jumps, which `identities` adds to its budget.
     """
+    if form not in ("M-kernel", "m-kernel", "m1-kernel"):
+        raise InvalidArgumentError(f"unknown form {form!r}")
     if not math.isfinite(x):
         raise InvalidArgumentError(f"x must be finite, not {x}")
     if x >= tables.limit + 1:
         raise RangeError(f"x={x} outside table range; sieve at least to limit={int(x)}")
     if x <= 1.0:
-        return 0.0
-    if form not in ("M-kernel", "m-kernel", "m1-kernel"):
-        raise InvalidArgumentError(f"unknown form {form!r}")
+        return 0.0, 0.0
     check_kernel_panels(x)  # before any panel array exists
     k = np.arange(1, math.floor(x) + 1, dtype=np.float64)
     edges = np.unique(np.concatenate([k, x / k, [x]]))
@@ -293,5 +298,4 @@ def identity_kernel_integral(tables, x: float, form: str) -> float:
             terms = [(j + 1, mn * c) for j, c in g] + [(j, -Mx * c) for j, c in g]
         return edges[a:b], edges[a + 1:b + 1], terms
 
-    value, _ = _panel_sum(len(edges) - 1, panels)
-    return value
+    return _panel_sum(len(edges) - 1, panels)

@@ -134,6 +134,11 @@ class MuTable:
         self.mertens.setflags(write=False)
         self.block_absmax.setflags(write=False)
 
+    @property
+    def mertens_at_limit(self) -> int:
+        """M(limit), the Mertens sum at the last block end."""
+        return int(self.mertens[-1])
+
 
 def _check_limit(limit: int) -> None:
     # Mertens is int32, exact because |M(n)| <= n

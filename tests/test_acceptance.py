@@ -161,15 +161,15 @@ def test_criterion_07_identity_residuals(tables_big):
     all_ok = True
     for x in golden_points(50, 1.0, 1e5):
         for fn in (residual_thm1_G, residual_thm1_H, residual_bal2, residual_mchliss):
-            rep = fn(tables_big, x, tol=1e-7)
+            rep = fn(tables_big, x)
             worst = max(worst, abs(rep.residual))
-            all_ok &= rep.passed
+            all_ok &= rep.passed and rep.budget <= 1e-12
     eps_ok = True
     for x in (2.0, 7.0, 50.0, 1000.0):
         num = mp_panel_quad(lambda t: mp_lattice("g1", t), range(1, int(x) + 1))
         eps_ok &= abs(float(num) - (epsilon1(x) - epsilon1(1.0))) < 1e-9
     ok = report(7, all_ok and eps_ok,
-                f"200 residuals < 1e-7 (worst {worst:.2e}); "
+                f"200 residuals within budgets <= 1e-12 (worst {worst:.2e}); "
                 f"antiderivative check < 1e-9: {eps_ok}")
     assert ok
 

@@ -59,6 +59,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for argv in (("verify", "--pred", "msqrt0.5", "--from", "3", "--to", "100",
                   "--limit", "0"),
                  ("identity", "--name", "bal2", "--x", "100", "--limit", "5000"),
+                 ("identity", "--name", "bal2", "--x", "100", "--tol", "1e-8"),
                  ("sieve", "--limit", "100", "--block-size", "1024"),
                  ("sieve", "--limit", "100", "--jobs", "2")):
         code, out, err = run(capsys, *argv)
@@ -77,12 +78,6 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ("mellin-check", "--weight", "h1", "--s", "0.5", "--X", "nan")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "must be finite" in err and out == ""
-    # a tolerance no residual can meet is a usage error, not status=FAIL
-    for tol, why in (("nan", "must be finite"), ("-1", "must be positive"),
-                     ("0", "must be positive")):
-        code, out, err = run(capsys, "identity", "--name", "bal2", "--x", "100",
-                             "--tol", tol)
-        assert code == 2 and why in err and out == ""
     # chains are checked against chains.CHAINS when --chain is parsed
     code, out, err = run(capsys, "bootstrap", "--chain", "bogus")
     assert code == 2 and out == ""
@@ -261,6 +256,12 @@ def test_identity_pass(capsys):
     code, out, _ = run(capsys, "identity", "--name", "bal2", "--x", "100")
     assert code == 0
     assert "status=PASS" in out
+    # the verdict reads the printed budget, and no option sets it
+    budget = float(re.search(r" budget=(\S+) ", out).group(1))
+    assert abs(float(re.search(r" residual=(\S+) ", out).group(1))) <= budget < 1e-12
+    code, out, _ = run(capsys, "identity", "--help")
+    assert code == 0
+    assert set(re.findall(r"--[a-z-]+", out)) == {"--help", "--name", "--x", "--cache-dir"}
 
 
 def test_verify_pass_and_fail(capsys, tmp_path):

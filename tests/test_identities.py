@@ -19,6 +19,7 @@ from mobsum.identities import (
     residual_thm1_H,
 )
 from mobsum.quad import identity_kernel_integral
+from mobsum.tables import Tables
 
 
 def test_closed_form_boundary_integrals_match_quadrature():
@@ -83,7 +84,7 @@ def test_step_weighted_integral_matches_quadrature(tables_small):
     # exact M kernel x * integral_1^x M(x/t) G1(t)/x dt vs per-panel quadrature
     mert = table_array(tables_small, "M")
     for x in (7.0, 50.3, 200.0):
-        exact = x * identity_kernel_integral(tables_small, x, "M-kernel")
+        exact = x * identity_kernel_integral(tables_small, x, "M-kernel")[0]
         xm = mp.mpf(x)
         edges = sorted({mp.mpf(n) for n in range(1, math.floor(x) + 1)}
                        | {xm / k for k in range(1, math.floor(x) + 1)} | {xm})
@@ -118,6 +119,30 @@ def test_x_below_one_rejected(tables_small):
     for fn in (residual_thm1_G, residual_thm1_H, residual_bal2, residual_mchliss):
         with pytest.raises(InvalidArgumentError):
             fn(tables_small, 0.5)
+    # an unknown kernel form is refused at every x, below 1 too
+    for x in (0.5, 5.5):
+        with pytest.raises(InvalidArgumentError, match="unknown form 'bogus'"):
+            identity_kernel_integral(tables_small, x, "bogus")
+
+
+def test_a_shifted_m_value_fails_its_budget(tables_small, monkeypatch):
+    # m(1) read 1e-6 too high: the m- and m1-kernels read it on (x/2, x],
+    # evaluate (which reads m(123) here) does not, so the residual moves by
+    # about 3e-11, far inside a free 1e-8 and far outside the budget
+    read = Tables.read
+
+    def shifted(self, name, a, b):
+        values = read(self, name, a, b)
+        if name == "m" and a == 1:
+            values = values.copy()
+            values[0] += 1e-6
+        return values
+
+    monkeypatch.setattr(Tables, "read", shifted)
+    for fn in (residual_thm1_H, residual_mchliss):
+        rep = fn(tables_small, 123.4)
+        assert rep.budget < abs(rep.residual) < 1e-8 and not rep.passed, rep
+    assert residual_thm1_G(tables_small, 123.4).passed  # the M-kernel reads no m
 
 
 # float.hex of (rhs, residual) on a 1e5 table, taken when math.fsum still

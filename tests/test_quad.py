@@ -1,6 +1,7 @@
 import functools
 import math
 import types
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -211,6 +212,60 @@ def test_identity_kernel_refuses_its_panel_count_from_x_alone():
     check_kernel_panels(5000000.99)  # 9999999 panels at most
 
 
+_FIX = 192  # bits of the fixed point of `_kernel_reference`: about 58 digits
+
+
+def _kernel_reference(tables, x):
+    """The M-, m- and m1-kernel integrals at x, at 50 digits or more, of
+    the same float coefficients M(n)/x and m(n) over the same panels as
+    `identity_kernel_integral` (its edges, and n and N at its rounded
+    midpoints), each weight from the integer power sums of N as in
+    conftest.mp_lattice.  Every power integral is exact in fixed point at
+    2^-_FIX but log(hi/lo), which mpmath gives at 60 digits."""
+    def fix(v):
+        a, b = v.as_integer_ratio()
+        return (a << _FIX) // b
+
+    k = np.arange(1, math.floor(x) + 1, dtype=np.float64)
+    edges = np.unique(np.concatenate([k, x / k, [x]]))
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    ns, Ns = np.floor(x / mid).astype(np.int64), np.floor(mid).astype(np.int64)
+    Mx = (tables.read("M", 1, int(ns[0]) + 1) / x).tolist()
+    m = tables.read("m", 1, int(ns[0]) + 1).tolist()
+    sums = [0, 0, 0]
+    with mp.workdps(60):
+        for lo, hi, n, N in zip(edges[:-1].tolist(), edges[1:].tolist(), ns.tolist(),
+                                Ns.tolist()):
+            D = [fix(hi) - fix(lo), int(mp.ldexp(mp.log(mp.mpf(hi) / lo), _FIX))]
+            inv_lo, inv_hi = (1 << 2 * _FIX) // fix(lo), (1 << 2 * _FIX) // fix(hi)
+            p_lo = p_hi = 1 << _FIX
+            for p in range(2, 6):  # D[p] = integral of t^-p over [lo, hi]
+                p_lo, p_hi = p_lo * inv_lo >> _FIX, p_hi * inv_hi >> _FIX
+                D.append((p_lo - p_hi) // (p - 1))
+            S1 = N * (N + 1) // 2
+            S2 = N * (N + 1) * (2 * N + 1) // 6
+            S3 = S1 * S1
+            g = D[0] - 4 * S1 * D[2] + 4 * S3 * D[4]  # G1 dt
+            g_t = D[1] - 4 * S1 * D[3] + 4 * S3 * D[5]  # G1 dt/t
+            h = ((3 + 6 * N) * D[2] - 16 * S1 * D[3] - 6 * S2 * D[4] + 16 * S3 * D[5]) // 3
+            M_n, m_n = fix(Mx[n - 1]), fix(m[n - 1])
+            sums[0] += M_n * g
+            sums[1] += m_n * h
+            sums[2] += m_n * g_t - M_n * g
+    return [Fraction(v, 1 << 2 * _FIX) for v in sums]
+
+
+# a fractional x; one ulp above 15015 = 3*5*7*11*13, so a jump x/k falls
+# next to the integer 15015/k for each divisor k; and one below limit + 1
+@pytest.mark.parametrize("x", [777.3, math.nextafter(15015.0, math.inf), 19999.5])
+def test_kernel_half_width_covers_its_error(tables_small, x):
+    for form, ref in zip(("M-kernel", "m-kernel", "m1-kernel"),
+                         _kernel_reference(tables_small, x)):
+        value, half = identity_kernel_integral(tables_small, x, form)
+        assert 0 < half < 1e-13
+        assert abs(Fraction(value) - ref) <= half, form
+
+
 def _kernel_bits(tables):
     """float.hex of the Mellin finite parts and kernel integrals that the
     slice test compares; 1000.5 ends on a partial panel."""
@@ -218,7 +273,7 @@ def _kernel_bits(tables):
              for s in (-0.5, 0.5, 1.0) for X in (1000.5, 1e4)]
     kernels = [identity_kernel_integral(tables, x, form) for x in (31.7, 3170.5, 31234.5)
                for form in ("M-kernel", "m-kernel", "m1-kernel")]
-    return [v.hex() for pair in parts for v in pair] + [v.hex() for v in kernels]
+    return [v.hex() for pair in parts + kernels for v in pair]
 
 
 @pytest.mark.parametrize("size", [1, 7, 4097])

@@ -663,13 +663,13 @@ def perfbench(monkeypatch):
     return worker, sys.modules["workloads"]
 
 
-def test_benchmarked_entry_points_take_jobs(tmp_path, perfbench):
+def test_benchmarked_entry_points_take_jobs(tmp_path, perfbench, tables_small):
     # the benchmark contract: what perfbench (workloads.py and worker.py,
     # traced or not) calls of the program resolves, so that a change that
     # drops a name fails here and not as a failed benchmark run: the names
     # they import from mobsum (importing them fails otherwise), every
-    # T.<name> they read, the jobs= they pass and the argv of every CLI step
-    # they run; test_traced_bench_reads_resolve checks the rest
+    # T.<name> they read, the jobs= and tol= they pass and the argv of every
+    # CLI step they run; test_traced_bench_reads_resolve checks the rest
     reads = []
     for module in perfbench:
         tree = ast.parse(inspect.getsource(module))
@@ -683,8 +683,10 @@ def test_benchmarked_entry_points_take_jobs(tmp_path, perfbench):
     assert all(hasattr(mod, attr) for mod, attr in reads), reads
     for fn in (build_tables, verify_range):
         assert "jobs" in inspect.signature(fn).parameters, fn.__name__
-    parser = cli._build_parser()
     workloads = perfbench[1]
+    for _, fn in workloads.Quadrature.RESIDUALS:  # tol is taken and not read
+        assert fn(tables_small, 31.7, tol=1e-30) == fn(tables_small, 31.7, tol=1.0), fn
+    parser = cli._build_parser()
     for _, argv, _, _ in workloads.CliCache.STEPS:
         cache = ["--cache-dir", str(tmp_path)] if argv[0] in workloads.CliCache.CACHED else []
         assert parser.parse_args([*argv, *cache]).command == argv[0]
