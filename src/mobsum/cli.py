@@ -3,8 +3,8 @@
 Subcommands: sieve, verify, sup, mellin, mellin-check, identity, convert,
 bootstrap, report.  Exit status: 0 success, 1 a checked inequality or
 enclosure failed, 2 usage error (including an unusable file or cache
-directory), 3 any other package error (e.g. a resource guard).  Numeric
-output uses 15 significant digits.
+directory), 3 any other package error (e.g. a resource guard) or
+exhausted memory.  Numeric output uses 15 significant digits.
 """
 
 # Only the standard library and .errors load with this module: each
@@ -27,15 +27,9 @@ from .errors import (
     RangeError,
 )
 
-CACHE_ENV = "MOBSUM_CACHE_DIR"
-
 
 def _fmt(v: float) -> str:
     return f"{v:.15g}"
-
-
-def _cache_dir(flag_value):
-    return flag_value if flag_value else os.environ.get(CACHE_ENV)
 
 
 def _cache_table(table, cdir: str) -> str:
@@ -48,17 +42,15 @@ def _cache_table(table, cdir: str) -> str:
 
 def _get_tables(limit: int, cache_dir, target=None):
     """Tables to `limit` with the prefix series `target` reads (every
-    series when target is None): from the smallest cached sieve covering
-    `limit`, cut to `limit`, if available, else sieved (and cached when a
-    cache directory is configured)."""
+    series when target is None): from `limit`'s file in `cache_dir` if
+    there is one, else sieved (and cached when a directory is given)."""
     from . import tables, verify
     series = tables.SERIES if target is None else verify.TARGETS[target].series
-    cdir = _cache_dir(cache_dir)
-    mu = tables.load_covering(cdir, limit, series) if cdir else None
+    mu = tables.load_cached(cache_dir, limit, series) if cache_dir else None
     if mu is None:
         mu = tables.sieve_mu(limit, series=series)
-        if cdir:
-            _cache_table(mu, cdir)
+        if cache_dir:
+            _cache_table(mu, cache_dir)
     return tables.with_series(mu, series)
 
 
@@ -68,11 +60,10 @@ def _get_tables(limit: int, cache_dir, target=None):
 def _cmd_sieve(args) -> int:
     from .tables import sieve_mu, table_digest
     mu = sieve_mu(args.limit, series=())
-    cdir = _cache_dir(args.cache_dir)
     line = (f"sieve limit={args.limit} mertens_at_limit={mu.mertens_at_limit} "
             f"digest={table_digest(mu).hex()}")
-    if cdir:
-        line += f" cache={_cache_table(mu, cdir)}"
+    if args.cache_dir:
+        line += f" cache={_cache_table(mu, args.cache_dir)}"
     print(line)
     return 0
 
@@ -372,6 +363,9 @@ def main(argv=None) -> int:
         return 2
     except MobsumError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # never a refuted bound: a resource guard should have fired
+        print("error: memory exhausted: a charge is missing", file=sys.stderr)
         return 3
 
 

@@ -24,8 +24,8 @@ budget is the float sum, rounded up one ulp, of:
   continuous at the jumps, and G1 and H1 at the integers (g1(1) = h1(1) =
   0), so a sliver that reads its neighbour's n (m1-kernel) or N adds
   O(u^2).
-- 2r for the left side's point values: m1 reads m(floor(x)), within
-  rad_m <= r, and mchliss also mcheck, within r.
+- rad_m for m(floor(x)) in the left side's m1, and r more for mchliss's
+  mcheck, within r; no other row reads ell.
 - 16u S with S = |lhs| + |rhs| + |k| + |M/x| + |m1| + |mcheck - 1| + 11/x,
   for the roundings, each within u of its result (x**3 and x**4, the C
   library's pow, within 2u on the libm premise of the `mobsum`
@@ -89,32 +89,33 @@ def h1_head_integral(x: float) -> float:
 
 
 # name -> (kernel form of `identity_kernel_integral`, the left side from the
-# point values at x, the right side from the kernel integral k).  bal2's
-# boundary 8/(3x) - (4/x^2)(1 - 1/(3x^2)) is g1_boundary_over_y(x), so it
-# shares the row of thm1-G.
-_THM1_G = ("M-kernel", lambda pt: pt.m1, lambda k, x: k + g1_boundary_over_y(x))
+# point values at x, whether it reads mcheck, the right side from the kernel
+# integral k).  bal2's boundary 8/(3x) - (4/x^2)(1 - 1/(3x^2)) is
+# g1_boundary_over_y(x), so it shares the row of thm1-G.
+_THM1_G = ("M-kernel", lambda pt: pt.m1, False, lambda k, x: k + g1_boundary_over_y(x))
 _IDENTITIES = {
     "thm1-G": _THM1_G,
-    "thm1-H": ("m-kernel", lambda pt: pt.m1, lambda k, x: k - h1_head_integral(x)),
+    "thm1-H": ("m-kernel", lambda pt: pt.m1, False, lambda k, x: k - h1_head_integral(x)),
     "bal2": _THM1_G,
-    "mchliss": ("m1-kernel", lambda pt: (pt.m_check - 1.0) - pt.m1,
+    "mchliss": ("m1-kernel", lambda pt: (pt.m_check - 1.0) - pt.m1, True,
                 lambda k, x: k - g1_boundary_over_y(x) - g1_head_integral(x)),
 }
 
 
 def _residual(name: str, tables: Tables, x: float) -> IdentityReport:
-    form, lhs_of, rhs_of = _IDENTITIES[name]
+    form, lhs_of, reads_mcheck, rhs_of = _IDENTITIES[name]
     pt = evaluate(tables, x)  # raises for x < 1
     lhs = lhs_of(pt)
     k, hw = identity_kernel_integral(tables, x, form)  # (0, 0) at x = 1
     rhs = rhs_of(k, x)
     res = lhs - rhs
     env = H1_ENVELOPE if form == "m-kernel" else G1_ENVELOPE
-    rad_m = 0.0 if form == "M-kernel" else tables.prefix("m").radius(math.floor(x))
+    rad_m = tables.prefix("m").radius(math.floor(x))
     S = (abs(lhs) + abs(rhs) + abs(k) + abs(pt.M_over_x) + abs(pt.m1)
          + abs(pt.m_check - 1.0) + 11.0 / x)
-    budget = math.nextafter(math.fsum(
-        (hw, env * (rad_m + 16 * _U), 2 * pt.error_radius, 16 * _U * S)), math.inf)
+    budget = math.nextafter(math.fsum((
+        hw, env * ((0.0 if form == "M-kernel" else rad_m) + 16 * _U),
+        rad_m + (pt.error_radius if reads_mcheck else 0.0), 16 * _U * S)), math.inf)
     return IdentityReport(name=name, x=x, lhs=lhs, rhs=rhs, residual=res,
                           budget=budget, passed=abs(res) <= budget)
 

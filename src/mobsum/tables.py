@@ -46,8 +46,7 @@ the series its caller reads (``with_series``); a kernel that needs a
 missing one raises InvalidArgumentError.  Peak memory is the retained
 tables plus O(_SPAN) scratch for a series (build or re-derivation),
 O(_BLOCK) for a block being built or re-derived, 1 B per entry of a
-_SIEVE_BLOCK segment for the sieve, and, for a cache load cut to a smaller
-limit, one buffer of at most _STREAM bytes.
+_SIEVE_BLOCK segment for the sieve, and no buffer beside mu for a cache load.
 
 The exact m(n) and ell(n) come from a memo each `Tables` keeps
 (`_ExactMemo`), empty until the first escalation and grown only as far as
@@ -99,9 +98,7 @@ _INT_BYTES = 112  # a retained integer below 2^600 and its list slot
 
 _CACHE_VERSION = "v2"
 _CACHE_HEADER = re.compile(rb"MOEBIUS-TABLE (v\d+) limit=([1-9]\d*)\n")
-_CACHE_NAME = re.compile(r"moebius-([1-9]\d*)\.tbl")
 _DIGEST_SIZE = 16
-_STREAM = 1 << 20  # bytes per read of a covering file's mu past the cut
 
 SERIES = ("m", "ell")  # the prefix series a Tables bundle can carry
 # each record a chunk can take (`Chunk.top`): (the prefix series that keeps
@@ -1195,67 +1192,35 @@ def _read_header(fh, path: str) -> int:
     return limit
 
 
-def _read_exactly(fh, buf, path: str) -> None:
-    """Fill ``buf`` from ``fh`` in one read; a short one (the file shrank
-    after its length was checked) raises InvalidArgumentError."""
-    if fh.readinto(buf) != len(buf):
-        raise InvalidArgumentError(f"truncated cache file: {path}")
-
-
-def _read_mu(fh, path: str, have: int, limit: int) -> np.ndarray:
-    """Checked mu array to ``limit`` (index 0 zero) of the v2 cache file
-    open as ``fh`` past its header, which holds mu(1..have), have >= limit.
-    The first ``limit`` bytes are read into the array itself and the rest
-    stream through the digest in pieces of at most _STREAM bytes, so the
-    digest of the whole file is checked with no second mu in memory."""
-    mu = np.zeros(limit + 1, dtype=np.int8)
-    _read_exactly(fh, mu[1:], path)
-    digest = _blake2b(mu[1:], digest_size=_DIGEST_SIZE)
-    rest = have - limit
-    buf = memoryview(bytearray(min(rest, _STREAM)))
-    while rest:
-        piece = buf[:min(rest, len(buf))]
-        _read_exactly(fh, piece, path)
-        digest.update(piece)
-        rest -= len(piece)
-    if digest.digest() != fh.read(_DIGEST_SIZE):
-        raise InvalidArgumentError(f"cache checksum mismatch: {path}")
-    return mu
+def _load(path: str, limit: int | None, series) -> MuTable:
+    """The table of the v2 cache file ``path``, whose header must hold
+    ``limit`` unless it is None: header and memory charge before mu exists,
+    then one read of exactly limit bytes into mu (a short one raises) and
+    the digest of the whole file."""
+    with open(path, "rb") as fh:
+        have = _read_header(fh, path)
+        if limit is not None and have != limit:
+            raise InvalidArgumentError(f"cache file name and header disagree: {path}")
+        _check_memory(have, 0, series)
+        mu = np.zeros(have + 1, dtype=np.int8)
+        if fh.readinto(mu[1:]) != have:
+            raise InvalidArgumentError(f"truncated cache file: {path}")
+        if _blake2b(mu[1:], digest_size=_DIGEST_SIZE).digest() != fh.read(_DIGEST_SIZE):
+            raise InvalidArgumentError(f"cache checksum mismatch: {path}")
+    return _mu_table(mu)
 
 
 def load_table(path: str) -> MuTable:
     """Read a v2 cache file; raises InvalidArgumentError on any mismatch,
     and ResourceError, from the header and before any mu is read, if the
     table and the tables of M on it would exceed RAM."""
-    with open(path, "rb") as fh:
-        limit = _read_header(fh, path)
-        _check_memory(limit, 0, ())
-        return _mu_table(_read_mu(fh, path, limit, limit))
+    return _load(path, None, ())
 
 
-def load_covering(cache_dir: str, limit: int, series=SERIES) -> MuTable | None:
-    """The smallest cached table with limit >= ``limit``, cut to ``limit``.
-
-    Returns None when no cache file covers ``limit``.  Cutting is exact: mu is
-    an integer table, read to ``limit`` only, and Mertens is rebuilt as its
-    prefix sum, so the result equals ``sieve_mu(limit)`` bit for bit.  The
-    digest still covers the whole file (`_read_mu`).  Raises ResourceError
-    before reading if the tables with the prefix series named in ``series``,
-    built on the result, and the buffer that streams the file's mu past the
-    cut would exceed RAM, and InvalidArgumentError before reading any mu if
-    the file's header does not hold its name's limit.
-    """
-    try:
-        names = os.listdir(cache_dir)
-    except FileNotFoundError:
-        return None
-    limits = [int(m.group(1)) for m in map(_CACHE_NAME.fullmatch, names) if m]
-    covering = min((L for L in limits if L >= limit), default=None)
-    if covering is None:
-        return None
-    _check_memory(limit, min(_STREAM, covering - limit), series)
-    path = cache_path(cache_dir, covering)
-    with open(path, "rb") as fh:
-        if _read_header(fh, path) != covering:
-            raise InvalidArgumentError(f"cache file name and header disagree: {path}")
-        return _mu_table(_read_mu(fh, path, covering, limit))
+def load_cached(cache_dir: str, limit: int, series=SERIES) -> MuTable | None:
+    """The table to ``limit`` cached in ``cache_dir`` (`cache_path`), or
+    None if that file does not exist; no other file is opened.  Raises as
+    `load_table` does, charging the series named in ``series`` too, and
+    also if the file's header does not hold ``limit``."""
+    path = cache_path(cache_dir, limit)
+    return _load(path, limit, series) if os.path.exists(path) else None

@@ -13,7 +13,7 @@ import pytest
 import mobsum
 from mobsum import cli, tables
 from mobsum.cli import _build_parser, main
-from mobsum.errors import ResourceError
+from mobsum.errors import InvalidArgumentError, ResourceError
 from mobsum.verify import PREDICATES, TARGETS
 
 DATA = Path(__file__).parent / "data"
@@ -145,8 +145,9 @@ def test_cache_and_digests_never_load_openssl(tmp_path):
     code = f"""
 from mobsum import tables
 d = {str(tmp_path)!r}
-tables.save_table(tables.sieve_mu(5000), tables.cache_path(d, 5000))
-read = [tables.load_table(tables.cache_path(d, 5000)), tables.load_covering(d, 3000)]
+for limit in (5000, 3000):
+    tables.save_table(tables.sieve_mu(limit), tables.cache_path(d, limit))
+read = [tables.load_table(tables.cache_path(d, 5000)), tables.load_cached(d, 3000)]
 open({str(out)!r}, "w").write(" ".join(tables.table_digest(t).hex() for t in read))
 """
     assert _modules_after(code, watch=("_hashlib",)) == "[]"
@@ -163,7 +164,6 @@ open({str(out)!r}, "w").write(" ".join(tables.table_digest(t).hex() for t in rea
     ("mchecklog2-0.162", "3", "20000", (1, 1))])
 def test_verify_builds_only_the_series_its_target_reads(capsys, monkeypatch, pred,
                                                         lo, hi, built):
-    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
     calls = []
     for name in ("m_series", "ell_series"):
         def counting(table, *rest, _name=name, _fn=getattr(tables, name)):
@@ -184,13 +184,12 @@ def test_memory_guard_charges_the_series_built(tmp_path, monkeypatch, cached):
     # a 1e6 table is charged its mu (1 B/n) and per-block arrays, and the
     # LRU of re-derived blocks at most at the table's own M (4 B/n) and
     # series (8 B/n each): 5.0 MB for M alone, 13.0 MB with the m series
-    # plus 1.3 MB of build buffers.  With no stream buffer when it is cut
-    # from a cached 1e6 table (5.0 and 14.3 MB), or on top of the sieve
+    # plus 1.3 MB of build buffers.  With nothing more when it is read from
+    # a cached 1e6 table (5.0 and 14.3 MB), or on top of the sieve
     # segment's 1 MB of log sums and a span of the sign pass when sieved
     # (6.1 and 15.4 MB), M alone fits in 5 MiB and in 6 MiB of physical
     # memory and the m series does not; half a MiB and a MiB less, M alone
     # fails too, before the table is read or sieved
-    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
     cache = None
     if cached:
         cache = str(tmp_path)
@@ -264,19 +263,12 @@ def test_identity_pass(capsys):
     assert set(re.findall(r"--[a-z-]+", out)) == {"--help", "--name", "--x", "--cache-dir"}
 
 
-def test_verify_pass_and_fail(capsys, tmp_path):
-    env = os.environ.pop("MOBSUM_CACHE_DIR", None)
-    try:
-        code, out, _ = run(capsys, "verify", "--pred", "msqrt0.5",
-                           "--from", "3", "--to", "5000")
-        assert code == 0 and "status=PASS" in out
-        code, out, _ = run(capsys, "verify", "--pred", "Msqrt0.5",
-                           "--from", "2", "--to", "201")
-        assert code == 1 and "status=FAIL" in out
-        assert "violation " in out
-    finally:
-        if env is not None:
-            os.environ["MOBSUM_CACHE_DIR"] = env
+def test_verify_pass_and_fail(capsys):
+    code, out, _ = run(capsys, "verify", "--pred", "msqrt0.5", "--from", "3", "--to", "5000")
+    assert code == 0 and "status=PASS" in out
+    code, out, _ = run(capsys, "verify", "--pred", "Msqrt0.5", "--from", "2", "--to", "201")
+    assert code == 1 and "status=FAIL" in out
+    assert "violation " in out
 
 
 def test_sieve_and_cache_reuse(capsys, tmp_path):
@@ -293,39 +285,36 @@ def test_sieve_and_cache_reuse(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_covering_cache_matches_uncached_run(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
-    commands = [("verify", "--pred", "msqrt0.5", "--from", "3", "--to", "5000"),
-                ("identity", "--name", "bal2", "--x", "4999.5")]
-    fresh = [run(capsys, *args) for args in commands]
+def test_a_corrupt_larger_cache_file_is_never_opened(capsys, tmp_path):
+    # the cache is keyed by exact limit: a command to 5000 reads only
+    # moebius-5000.tbl, so a corrupt 20000 table beside it is never opened,
+    # and the 5000 table is sieved and saved
+    argv = ("verify", "--pred", "msqrt0.5", "--from", "3", "--to", "5000")
+    fresh = run(capsys, *argv)
     cache = str(tmp_path / "cache")
     code, out, _ = run(capsys, "sieve", "--limit", "20000", "--cache-dir", cache)
     assert code == 0
     assert re.search(r" digest=[0-9a-f]{32} cache=", out)
-    (tmp_path / "cache" / "moebius-30000.tbl.tmp").write_bytes(b"partial")
-    before = sorted(os.listdir(cache))
-    cached = [run(capsys, *args, "--cache-dir", cache) for args in commands]
-    assert cached == fresh
-    assert sorted(os.listdir(cache)) == before  # served from the 20000 table
+    path = Path(tables.cache_path(cache, 20000))
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 1
+    path.write_bytes(raw)
+    assert run(capsys, *argv, "--cache-dir", cache) == fresh
+    assert fresh[0] == 0
+    assert sorted(os.listdir(cache)) == ["moebius-20000.tbl", "moebius-5000.tbl"]
+    with pytest.raises(InvalidArgumentError, match="checksum"):
+        tables.load_table(str(path))  # still corrupt: refused where it is read
 
 
 def test_v1_cache_file_is_a_usage_error(capsys, tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / "moebius-6000.tbl").write_bytes(b"MOEBIUS-TABLE v1 limit=6000\n"
-                                             + bytes(6000 * 9 + 8))
+    (cache / "moebius-5000.tbl").write_bytes(b"MOEBIUS-TABLE v1 limit=5000\n"
+                                             + bytes(5000 * 9 + 8))
     code, _, err = run(capsys, "verify", "--pred", "msqrt0.5", "--from", "3",
                        "--to", "5000", "--cache-dir", str(cache))
     assert code == 2
     assert "v1 is no longer read" in err
-
-
-def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):
-    cache = str(tmp_path / "envcache")
-    monkeypatch.setenv("MOBSUM_CACHE_DIR", cache)
-    code, _, _ = run(capsys, "sieve", "--limit", "4000")
-    assert code == 0
-    assert os.path.exists(os.path.join(cache, "moebius-4000.tbl"))
 
 
 def test_bootstrap_const_final_line(capsys):
@@ -342,8 +331,7 @@ def test_bootstrap_log_final_line(capsys):
     assert out.strip().splitlines()[-1] == "log x · m ≤ 0.0130073 for x ≥ 97063"
 
 
-def test_sup_closed_forms(capsys, monkeypatch):
-    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
+def test_sup_closed_forms(capsys):
     pattern = (r"sup target=(\S+) weight=(\S+) range=\[(\S+),(\S+)\] "
                r"value=(\S+) argmax=(\S+)\n")
     log2 = math.log(2.0)
@@ -545,13 +533,12 @@ def test_repeated_plan_key_exit_2(capsys, tmp_path):
     assert "plan key 'A' repeated in one step" in err
 
 
-def test_scan_outputs_match_pinned_hashes(capsys, tmp_path, monkeypatch):
+def test_scan_outputs_match_pinned_hashes(capsys, tmp_path):
     # tests/data/scans-2e4.txt holds, per command, its argv, the sha256 of
     # its stdout and its summary line: `mobsum verify` for every predicate
     # on [2, 20000) and [671.5, 19999.5), and `mobsum sup` for every target
     # and weight on [1, 20000] and [2.5, 19999.5], all on one cached 2e4
     # table; the stdout is not kept because the violation lists run to MBs
-    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
     cache = str(tmp_path)
     tables.save_table(tables.sieve_mu(20000), tables.cache_path(cache, 20000))
     lines = (DATA / "scans-2e4.txt").read_text(encoding="utf-8").splitlines()
@@ -590,8 +577,19 @@ def test_package_errors_exit_3_and_unattainable_bounds_exit_1(capsys, tmp_path):
     assert (code, out) == (1, "") and err.startswith("bound not attainable:")
 
 
-def test_verify_writes_its_table_to_an_empty_cache_dir(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
+def test_memory_exhausted_exits_3(capsys, monkeypatch):
+    # an allocation that no resource guard charged is a bug, not a refuted
+    # bound: exit 3, never 1, and no traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(tables, "sieve_mu", exhausted)
+    for argv in (("sieve", "--limit", "1000"),
+                 ("verify", "--pred", "m4343", "--from", "3", "--to", "1000")):
+        assert run(capsys, *argv) == (3, "", "error: memory exhausted: a charge is missing\n")
+
+
+def test_verify_writes_its_table_to_an_empty_cache_dir(capsys, tmp_path):
     argv = ("verify", "--pred", "msqrt0.5", "--from", "3", "--to", "5000")
     fresh = run(capsys, *argv)
     cache = tmp_path / "cache"
@@ -613,9 +611,8 @@ def test_convert_without_out_prints_the_ledger(capsys, tmp_path):
 
 
 def test_cache_file_whose_name_and_header_disagree_exits_2(capsys, tmp_path):
-    # a 3000 table saved under the name of a 6000 one: the name covers the
-    # range, the header does not
-    tables.save_table(tables.sieve_mu(3000), tables.cache_path(str(tmp_path), 6000))
+    # a 3000 table saved under the name of the 5000 one the command reads
+    tables.save_table(tables.sieve_mu(3000), tables.cache_path(str(tmp_path), 5000))
     code, out, err = run(capsys, "verify", "--pred", "msqrt0.5", "--from", "3",
                          "--to", "5000", "--cache-dir", str(tmp_path))
     assert (code, out) == (2, "") and "cache file name and header disagree" in err

@@ -145,6 +145,21 @@ def test_a_shifted_m_value_fails_its_budget(tables_small, monkeypatch):
     assert residual_thm1_G(tables_small, 123.4).passed  # the M-kernel reads no m
 
 
+def test_budgets_charge_only_the_radii_their_left_side_reads(tables_small):
+    # thm1-G, thm1-H and bal2 read m1 = m - M/x on the left, so ell's
+    # radius reaches none of their budgets; mchliss reads mcheck too, and
+    # its budget grows with ell's radius
+    ell = tables_small.series.ell
+    wide_ell = dataclasses.replace(ell, error_radius=ell.error_radius * 1e3)
+    wide = Tables(tables_small.mu, dataclasses.replace(tables_small.series, ell=wide_ell))
+    for x in (31.7, 3170.5, 19999.5):
+        for fn in (residual_thm1_G, residual_thm1_H, residual_bal2):
+            assert fn(wide, x) == fn(tables_small, x), (fn, x)
+        base, grown = residual_mchliss(tables_small, x), residual_mchliss(wide, x)
+        assert grown.residual == base.residual
+        assert grown.budget > base.budget + 100 * ell.radius(math.floor(x))
+
+
 # float.hex of (rhs, residual) on a 1e5 table, taken when math.fsum still
 # added the kernel's panel terms: the exact sum keeps each bit
 RESIDUAL_BITS = {

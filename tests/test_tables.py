@@ -26,7 +26,7 @@ from mobsum.tables import (
     cache_path,
     ell_series,
     evaluate,
-    load_covering,
+    load_cached,
     load_table,
     m_series,
     save_table,
@@ -243,8 +243,8 @@ def test_build_jobs_deterministic(monkeypatch):
 def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
     # 97-index blocks over a 2e4 table, the last one short: each recorded
     # maximum is the largest value of its block, of |M|, |m|, |ell| and
-    # |m(n) log n - ell(n) - 1|, and the same bytes for a table cut from a
-    # larger cached one and for any sieve segment or build span size
+    # |m(n) log n - ell(n) - 1|, and the same bytes for a table loaded from
+    # the cache and for any sieve segment or build span size
     monkeypatch.setattr(tables, "_BLOCK", 97)
     built = build_tables(20000)
     M, m, ell = (table_array(built, name) for name in ("M", "m", "ell"))
@@ -275,8 +275,8 @@ def test_block_maxima_are_the_block_slices_absmax(monkeypatch, tmp_path):
                                       t.series.ell.block_absmax, t.series.ell.m1_absmax,
                                       t.series.ell.mcheck_absmax)]
 
-    save_table(sieve_mu(25000), cache_path(str(tmp_path), 25000))
-    others = [tables.with_series(load_covering(str(tmp_path), 20000))]
+    save_table(sieve_mu(20000), cache_path(str(tmp_path), 20000))
+    others = [tables.with_series(load_cached(str(tmp_path), 20000))]
     for segment in (7, 1 << 10):
         monkeypatch.setattr(tables, "_SIEVE_BLOCK", segment)
         others.append(build_tables(20000))
@@ -372,10 +372,11 @@ def test_sieve_rejects_tables_past_physical_memory_before_allocating(monkeypatch
 
 def test_cache_load_rejects_tables_past_physical_memory_before_reading(
         tmp_path, monkeypatch):
-    # 16 MB of physical memory: a cached 1e6 table needs 21 MB of tables,
-    # so loading it must fail before the file is read; the build fallback
-    # must not run either
-    save_table(sieve_mu(10**6), cache_path(str(tmp_path), 10**6))
+    # 16 MB of physical memory: a cached 1e5 table loads, a cached 1e6 one
+    # needs 21 MB of tables, so loading it must fail before the file is
+    # read; the build fallback must not run either
+    for limit in (10**5, 10**6):
+        save_table(sieve_mu(limit), cache_path(str(tmp_path), limit))
     sysconf = {"SC_PHYS_PAGES": 1 << 12, "SC_PAGE_SIZE": 1 << 12}
     monkeypatch.setattr(tables.os, "sysconf", sysconf.__getitem__)
     monkeypatch.setattr(tables, "sieve_mu", None)
@@ -865,71 +866,37 @@ def test_concurrent_saves_of_one_table(tmp_path):
     assert np.array_equal(load_table(path).mertens, table.mertens)
 
 
-def test_load_covering_cuts_exactly(tmp_path, tables_small):
+def test_load_cached_reads_the_file_of_its_limit_only(tmp_path, tables_small):
     cache = str(tmp_path)
-    assert load_covering(cache, 100) is None
-    assert load_covering(str(tmp_path / "missing"), 100) is None
+    assert load_cached(cache, 100) is None
+    assert load_cached(str(tmp_path / "missing"), 100) is None
     save_table(sieve_mu(3000), cache_path(cache, 3000))
     save_table(tables_small.mu, cache_path(cache, tables_small.limit))
     # a stray temporary file from an interrupted writer is not a cache file
     (tmp_path / "moebius-50000.tbl.tmp").write_bytes(b"partial")
     (tmp_path / "moebius-4000.tbl.abc123.tmp").write_bytes(b"partial")
-    for limit in (3000, 2999, 5000, tables_small.limit):
-        got = load_covering(cache, limit)
-        fresh = sieve_mu(limit)
+    for limit in (3000, tables_small.limit):
+        got = load_cached(cache, limit)
         assert got.limit == limit
-        assert np.array_equal(got.mu, fresh.mu)
-        assert np.array_equal(got.mertens, fresh.mertens)
-        assert got.mu.base is None  # a copy, not a view of the larger table
-    assert load_covering(cache, tables_small.limit + 1) is None
-    # the smallest covering file is the one read; a bad one is reported
-    open(cache_path(cache, tables_small.limit), "wb").write(b"junk\n")
-    assert load_covering(cache, 3000).limit == 3000
+        assert got.mu.tobytes() == sieve_mu(limit).mu.tobytes()
+        assert got.mertens.tobytes() == sieve_mu(limit).mertens.tobytes()
+    # a larger or smaller file does not serve a limit, and a bad file is
+    # reported only when its own limit is asked
+    for limit in (2999, 3001, 4000, 5000, tables_small.limit + 1):
+        assert load_cached(cache, limit) is None
+    Path(cache_path(cache, tables_small.limit)).write_bytes(b"junk\n")
+    assert load_cached(cache, 3000).limit == 3000
     with pytest.raises(InvalidArgumentError):
-        load_covering(cache, 3001)
-
-
-@pytest.fixture
-def covering_file(tmp_path):
-    """A cache dir holding one 5000 table: (dir, path, the file's bytes)."""
-    path = cache_path(str(tmp_path), 5000)
-    save_table(sieve_mu(5000), path)
-    return str(tmp_path), path, open(path, "rb").read()
-
-
-@pytest.mark.parametrize("stream", [7, 1000, tables._STREAM])
-def test_cut_load_reads_to_the_cut_and_streams_the_rest(monkeypatch, covering_file, stream):
-    # pieces of 7 leave a short last one; 1000 and the default size take
-    # the rest of every cut in one piece or several
-    monkeypatch.setattr(tables, "_STREAM", stream)
-    cache, _, _ = covering_file
-    for limit in (1, 2, 999, 1000, 3000, 4993, 4999, 5000):
-        got, fresh = load_covering(cache, limit), sieve_mu(limit)
-        assert got.mu.tobytes() == fresh.mu.tobytes(), limit
-        assert got.mertens.tobytes() == fresh.mertens.tobytes(), limit
-
-
-@pytest.mark.parametrize("edit", [
-    lambda raw: raw[:-20] + bytes([raw[-20] ^ 1]) + raw[-19:],  # mu(4997), past the cut
-    lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),                 # the digest
-    lambda raw: raw[:-1],                                        # truncated
-    lambda raw: raw + b"\0"])                                    # trailing bytes
-@pytest.mark.parametrize("stream", [7, tables._STREAM])
-def test_cut_load_checks_the_whole_file(monkeypatch, covering_file, edit, stream):
-    monkeypatch.setattr(tables, "_STREAM", stream)
-    cache, path, raw = covering_file
-    open(path, "wb").write(edit(raw))
-    with pytest.raises(InvalidArgumentError):
-        load_covering(cache, 3000)
+        load_cached(cache, tables_small.limit)
 
 
 @pytest.mark.parametrize("limit", [3000, 4999, 5000])
-def test_a_short_read_raises_and_never_loops(monkeypatch, covering_file, limit):
+def test_a_short_read_raises_and_never_loops(monkeypatch, tmp_path, limit):
     # the file loses its last 20 bytes after its length was checked: the
-    # read of mu or of a piece past the cut comes back short and must raise
-    monkeypatch.setattr(tables, "_STREAM", 7)
-    cache, path, raw = covering_file
-    open(path, "wb").write(raw[:-20])
+    # one read of mu comes back short and must raise
+    cache, path = str(tmp_path), cache_path(str(tmp_path), limit)
+    save_table(sieve_mu(limit), path)
+    Path(path).write_bytes(Path(path).read_bytes()[:-20])
     real = os.fstat
     monkeypatch.setattr(tables.os, "fstat", lambda fd: type(
         "Stat", (), {"st_size": real(fd).st_size + 20})())
@@ -937,7 +904,7 @@ def test_a_short_read_raises_and_never_loops(monkeypatch, covering_file, limit):
 
     def load():
         with pytest.raises(InvalidArgumentError, match="truncated"):
-            load_covering(cache, limit)
+            load_cached(cache, limit)
         done.append(limit)
 
     worker = threading.Thread(target=load, daemon=True)
@@ -947,32 +914,33 @@ def test_a_short_read_raises_and_never_loops(monkeypatch, covering_file, limit):
 
 
 def test_header_below_the_asked_limit_is_refused_before_reading(tmp_path):
-    # a 1e6 table under the name of a 2e6 one covers 1.5e6 by its name
-    # only: the header is refused before the 1.5 MB mu array exists
+    # a 1e6 table under the name of a 2e6 one: the header is refused before
+    # the 2 MB mu array exists
     cache = str(tmp_path)
     save_table(sieve_mu(10**6), cache_path(cache, 2 * 10**6))
     tracemalloc.start()
     try:
         with pytest.raises(InvalidArgumentError, match="name and header disagree"):
-            load_covering(cache, 15 * 10**5)
+            load_cached(cache, 2 * 10**6)
         assert tracemalloc.get_traced_memory()[1] < 1 << 16
     finally:
         tracemalloc.stop()
 
 
-def test_cut_load_holds_one_mu_and_one_stream_buffer(tmp_path):
-    # a 3e6 file cut to 1e6 allocates the 1e6 mu and one 1 MB stream
-    # buffer, never the file's 3 MB of mu
+def test_cached_load_holds_one_mu(tmp_path):
+    # a cached 1e6 table is read into its own mu array: no second copy of
+    # mu, and beside it only the per-block arrays, Mertens' block-sized
+    # int32 buffer and the int32 copy of a block that its cumsum makes
     cache, limit = str(tmp_path), 10**6
-    save_table(sieve_mu(3 * limit), cache_path(cache, 3 * limit))
+    save_table(sieve_mu(limit), cache_path(cache, limit))
     tracemalloc.start()
     try:
-        got = load_covering(cache, limit, series=())
+        got = load_cached(cache, limit, series=())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got.limit == limit
-    assert peak <= limit + 1 + tables._STREAM + (1 << 16), peak
+    assert peak <= limit + 1 + 8 * tables._BLOCK + (1 << 16), peak
 
 
 @given(st.integers(min_value=2, max_value=20000))

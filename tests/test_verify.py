@@ -272,7 +272,6 @@ def test_each_target_row_names_its_series_and_records(blocked, monkeypatch):
     # row's series for a record, a radius or a slice; and each chunk
     # computes the records its envelope reads, each once, and no other
     records = {"M": {"M"}, "m": {"m"}, "m1": {"M", "m1"}, "mcheck-minus-1": {"m", "mcheck"}}
-    monkeypatch.delenv("MOBSUM_CACHE_DIR", raising=False)
     asked, used, made = collections.Counter(), set(), []
 
     class Counted(dict):
